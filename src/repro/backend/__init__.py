@@ -15,8 +15,11 @@ kind       substrate                              determinism
            from a JSONL trace                     artifacts
 =========  =====================================  ===================
 
-Construction goes through :func:`make_backend` — patlint PA408 flags
-direct ``NvmeDevice`` / ``NvmeDriver`` construction anywhere else in
+All three run the same device core (``repro.nvme.device.NvmeDevice``)
+and differ only in the substrate underneath it — where service times
+come from and where media bytes live (``repro.nvme.substrate``).
+Construction goes through :func:`make_backend`; patlint PA502 flags
+``repro.nvme.device`` / ``repro.nvme.driver`` imports anywhere else in
 ``src/``.  A *backend spec* is any of:
 
 * ``None`` — the process default (``"sim"`` unless overridden with
@@ -33,13 +36,8 @@ reports sim-vs-real residuals — see ``repro.backend.calibrate``.
 """
 
 from repro.backend.base import IoBackend, SimNvmeBackend, as_backend
-from repro.backend.file import FileBackend, FilePageDevice, file_backend_profile
-from repro.backend.pagedev import PageDeviceBase
-from repro.backend.replay import (
-    ReplayPageDevice,
-    TraceReplayBackend,
-    profile_from_trace,
-)
+from repro.backend.file import FileBackend, file_backend_profile
+from repro.backend.replay import TraceReplayBackend, profile_from_trace
 from repro.backend.trace_io import IoTrace, TraceWriter, read_trace
 from repro.errors import BackendConfigError
 
@@ -217,11 +215,8 @@ __all__ = [
     "BackendSpec",
     "DeviceProfile",
     "FileBackend",
-    "FilePageDevice",
     "IoBackend",
     "IoTrace",
-    "PageDeviceBase",
-    "ReplayPageDevice",
     "RetryPolicy",
     "SimNvmeBackend",
     "TraceReplayBackend",

@@ -18,20 +18,20 @@ to play:
   fault-injection / fuzz hook points (``on_submit``, ``on_complete``,
   ``on_retry``, ``perturb_service``, ``fault_injector``).
 
-A backend is a composition of a device model and a driver bound to it;
+A backend is a composition of the device core and a driver bound to it;
 the base class implements the whole contract by delegation, so the
-three concrete backends only supply the device underneath:
+three concrete backends only supply the substrate under the device:
 
-* :class:`SimNvmeBackend` — the existing event-driven NVMe model,
-  bit-identical to wiring the device and driver by hand;
+* :class:`SimNvmeBackend` — the modelled SSD (the device's default
+  substrate), bit-identical to wiring the device and driver by hand;
 * :class:`~repro.backend.file.FileBackend` — real ``os.pread`` /
   ``os.pwrite`` against a scratch file, wall-clock timed;
 * :class:`~repro.backend.replay.TraceReplayBackend` — per-command
   service times replayed from a recorded JSONL trace.
 
-Construct backends through :func:`repro.backend.make_backend`; direct
-``NvmeDevice`` / ``NvmeDriver`` construction outside this package is
-flagged by patlint PA408.
+Construct backends through :func:`repro.backend.make_backend`;
+importing ``repro.nvme.device`` / ``repro.nvme.driver`` outside this
+package is flagged by patlint PA502.
 """
 
 from repro.errors import BackendConfigError

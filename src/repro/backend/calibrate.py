@@ -122,7 +122,7 @@ def record_sweep(out_dir, depths=DEFAULT_DEPTHS, n_ops=300, write_ratio=0.3,
             backend, n_ops, depth, write_ratio=write_ratio
         )
         point["trace"] = trace_path
-        point["syscalls"] = backend.device.syscalls
+        point["syscalls"] = backend.device.substrate.syscalls
         points.append(point)
         backend.close()
     return points

@@ -31,9 +31,8 @@ import tempfile
 import time
 
 from repro.backend.base import IoBackend
-from repro.backend.pagedev import PageDeviceBase
 from repro.backend.trace_io import TraceWriter
-from repro.nvme.device import DeviceProfile
+from repro.nvme.device import DeviceProfile, NvmeDevice
 from repro.nvme.driver import NvmeDriver
 from repro.sim.clock import usec
 
@@ -60,20 +59,23 @@ def file_backend_profile(**overrides):
     return DeviceProfile(**defaults)
 
 
-class FilePageDevice(PageDeviceBase):
-    """Page device whose media is a real scratch file.
+class FileSubstrate:
+    """Substrate whose media is a real scratch file.
 
     ``path=None`` creates (and owns) a temporary scratch file that is
     unlinked on :meth:`close`; an explicit path is opened/created and
-    left in place.
+    left in place.  Interface occupation terms are zero whatever the
+    profile says: there is no modelled host interface in front of a
+    file, and calibration residuals stay honest that way.
     """
 
-    def __init__(self, engine, profile, path=None, rng_name="file",
-                 faults=None, quantum_ns=256):
-        super().__init__(engine, profile, rng_name=rng_name, faults=faults)
-        if quantum_ns < 1:
-            quantum_ns = 1
-        self.quantum_ns = quantum_ns
+    fetch_ns = 0
+    post_ns = 0
+    probe_iface_ns = 0
+
+    def __init__(self, profile, path=None, quantum_ns=256):
+        self.page_size = profile.page_size
+        self.quantum_ns = max(quantum_ns, 1)
         self._owns_file = path is None
         if path is None:
             fd, path = tempfile.mkstemp(prefix="patree-file-backend-",
@@ -83,19 +85,19 @@ class FilePageDevice(PageDeviceBase):
             self._fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o600)
         self.path = path
         self._written = set()
+        # (status, read data) of commands in service, decided at start
+        self._in_service = {}
         self.recorder = None
-        self.syscall_ns_total = 0
         self.syscalls = 0
-        self.closed = False
 
     # -- media plane (real syscalls) -----------------------------------
 
-    def _media_write(self, lba, data):
-        os.pwrite(self._fd, data, lba * self.profile.page_size)
+    def write(self, lba, data):
+        os.pwrite(self._fd, data, lba * self.page_size)
         self._written.add(lba)
 
-    def _media_read(self, lba):
-        page_size = self.profile.page_size
+    def read(self, lba):
+        page_size = self.page_size
         if lba not in self._written:
             # untouched pages read as zeroes, as the sim device does —
             # without relying on filesystem sparse-read semantics
@@ -105,63 +107,54 @@ class FilePageDevice(PageDeviceBase):
             data = data + bytes(page_size - len(data))
         return data
 
-    # -- service timing (the wall-clock seam) --------------------------
+    # -- service (the wall-clock seam) ---------------------------------
 
     def _quantize(self, measured_ns):
         quantum = self.quantum_ns
         buckets = (measured_ns + quantum - 1) // quantum
         return max(buckets, 1) * quantum
 
-    def _begin_service(self, command):
-        from repro.nvme.command import IoStatus
+    def start(self, device, command):
+        """Perform the syscall now; its measured time is the service.
 
-        if self.fault_injector is None:
-            status = IoStatus.SUCCESS
-        else:
-            status = self.fault_injector.complete_status(command)
+        The status is decided here, not at completion, because an
+        injected write failure has to skip the ``pwrite``.
+        """
+        status = device.complete_status(command)
         read_data = None
-        profile = self.profile
         if not status.ok:
             # the syscall is skipped: charge the modelled fallback time
-            service = (
-                profile.write_service_ns
-                if command.is_write
-                else profile.read_service_ns
-            )
+            service = device.profile.mean_service_ns(command.is_write)
         else:
             # the one sanctioned wall-clock read in the tree: the file
             # backend's service times ARE the host's storage timings
             start = time.perf_counter_ns()  # patlint: ignore[PA101]
             if command.is_write:
-                self._media_write(command.lba, bytes(command.data))
+                self.write(command.lba, bytes(command.data))
             else:
-                read_data = self._media_read(command.lba)
+                read_data = self.read(command.lba)
             measured = time.perf_counter_ns() - start  # patlint: ignore[PA101]
-            self.syscall_ns_total += measured
             self.syscalls += 1
             service = self._quantize(measured)
+        self._in_service[command] = (status, read_data)
         if self.recorder is not None:
             self.recorder.record(
                 command.opcode,
                 command.lba,
                 service,
-                qd=int(self.outstanding.value),
+                qd=int(device.outstanding.value),
             )
-        return service, status, read_data
+        return service
 
-    def _service_ns(self, command):
-        # _begin_service is fully overridden; this is never reached
-        raise NotImplementedError
-
-    def _commit_write(self, command):
-        """No-op: the pwrite already landed when the service began."""
+    def finish(self, device, command):
+        status, read_data = self._in_service.pop(command)
+        if read_data is not None:
+            command.data = read_data
+        return status
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self):
-        if self.closed:
-            return
-        self.closed = True
         if self.recorder is not None:
             self.recorder.close()
             self.recorder = None
@@ -174,7 +167,7 @@ class FilePageDevice(PageDeviceBase):
 
 
 class FileBackend(IoBackend):
-    """Backend contract over a :class:`FilePageDevice`."""
+    """Backend contract over the device core on a :class:`FileSubstrate`."""
 
     kind = "file"
     wall_clock_variant = True
@@ -182,33 +175,33 @@ class FileBackend(IoBackend):
     def __init__(self, engine, profile=None, path=None, rng_name="file",
                  faults=None, retry=None, quantum_ns=256):
         profile = profile or file_backend_profile()
-        device = FilePageDevice(
-            engine, profile, path=path, rng_name=rng_name, faults=faults,
-            quantum_ns=quantum_ns,
+        device = NvmeDevice(
+            engine, profile, rng_name=rng_name, faults=faults,
+            substrate=FileSubstrate(profile, path, quantum_ns),
         )
         super().__init__(device, NvmeDriver(device, retry=retry))
 
     @property
     def path(self):
-        return self.device.path
+        return self.device.substrate.path
 
     def describe(self):
         info = super().describe()
-        info["quantum_ns"] = self.device.quantum_ns
+        info["quantum_ns"] = self.device.substrate.quantum_ns
         return info
 
     def record_to(self, trace_path):
         """Start recording every serviced command into a JSONL trace."""
-        self.device.recorder = TraceWriter(
+        self.device.substrate.recorder = TraceWriter(
             trace_path,
             backend=self.kind,
             page_size=self.page_size,
             channels=self.profile.channels,
-            quantum_ns=self.device.quantum_ns,
+            quantum_ns=self.device.substrate.quantum_ns,
         )
-        return self.device.recorder
+        return self.device.substrate.recorder
 
     def close(self):
         if not self.closed:
-            self.device.close()
+            self.device.substrate.close()
         super().close()

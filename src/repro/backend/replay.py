@@ -1,12 +1,12 @@
 """Trace-replay backend: recorded service times, virtual everything else.
 
 Replays the per-command service durations of a recorded trace (see
-``repro.backend.trace_io``) through the shared page-device pipeline.
-Media is an in-memory page store (like the simulated device), timing
-is table lookup — so replay runs are **fully deterministic**: the same
-trace and workload produce byte-identical artifacts on any machine,
-which is what lets the calibration harness compare a wall-clock
-FileBackend run against a reproducible stand-in.
+``repro.backend.trace_io``) through the device core.  Media is the
+simulated device's in-memory page store (status and data decided at
+completion time), timing is table lookup — so replay runs are **fully
+deterministic**: the same trace and workload produce byte-identical
+artifacts on any machine, which is what lets the calibration harness
+compare a wall-clock FileBackend run against a reproducible stand-in.
 
 Service times are consumed per opcode in recorded order; when a
 replayed workload issues more commands of an opcode than the trace
@@ -16,20 +16,23 @@ read-only trace can still replay a mixed workload.
 """
 
 from repro.backend.base import IoBackend
-from repro.backend.pagedev import PageDeviceBase
 from repro.backend.trace_io import read_trace
 from repro.errors import BackendConfigError
 from repro.nvme.command import OP_READ, OP_WRITE
-from repro.nvme.device import DeviceProfile
+from repro.nvme.device import DeviceProfile, NvmeDevice
 from repro.nvme.driver import NvmeDriver
+from repro.nvme.substrate import MemorySubstrate
 
 
-class ReplayPageDevice(PageDeviceBase):
-    """Page device whose service times come from a recorded trace."""
+class ReplaySubstrate(MemorySubstrate):
+    """In-memory media whose service times come from a recorded trace.
 
-    def __init__(self, engine, profile, trace, rng_name="replay",
-                 faults=None):
-        super().__init__(engine, profile, rng_name=rng_name, faults=faults)
+    Interface occupation terms stay zero whatever the profile says:
+    the recorded durations already are the whole service.
+    """
+
+    def __init__(self, profile, trace):
+        super().__init__(profile)
         self._times = {
             OP_READ: trace.service_times(OP_READ),
             OP_WRITE: trace.service_times(OP_WRITE),
@@ -37,14 +40,10 @@ class ReplayPageDevice(PageDeviceBase):
         self._cursors = {OP_READ: 0, OP_WRITE: 0}
         self.wraps = 0
 
-    def _service_ns(self, command):
+    def start(self, device, command):
         times = self._times[command.opcode]
         if not times:
-            return (
-                self.profile.write_service_ns
-                if command.is_write
-                else self.profile.read_service_ns
-            )
+            return device.profile.mean_service_ns(command.is_write)
         cursor = self._cursors[command.opcode]
         if cursor >= len(times):
             cursor = 0
@@ -54,7 +53,7 @@ class ReplayPageDevice(PageDeviceBase):
 
 
 class TraceReplayBackend(IoBackend):
-    """Backend contract over a :class:`ReplayPageDevice`.
+    """Backend contract over the device core on a :class:`ReplaySubstrate`.
 
     ``trace`` may be a path to a JSONL trace file or an already-parsed
     :class:`~repro.backend.trace_io.IoTrace`.  The profile defaults to
@@ -73,15 +72,16 @@ class TraceReplayBackend(IoBackend):
         if profile is None:
             profile = profile_from_trace(trace)
         self.trace = trace
-        device = ReplayPageDevice(
-            engine, profile, trace, rng_name=rng_name, faults=faults
+        device = NvmeDevice(
+            engine, profile, rng_name=rng_name, faults=faults,
+            substrate=ReplaySubstrate(profile, trace),
         )
         super().__init__(device, NvmeDriver(device, retry=retry))
 
     def describe(self):
         info = super().describe()
         info["trace_records"] = len(self.trace)
-        info["trace_wraps"] = self.device.wraps
+        info["trace_wraps"] = self.device.substrate.wraps
         return info
 
 

@@ -17,10 +17,17 @@ Three mechanisms reproduce the NVMe behaviours the paper builds on
   I/O count should deliver (Table I) and for the probe-cycle
   sensitivity (Fig 3c).
 
-The device owns the backing page store: a write command's payload
+The modelled SSD keeps its pages in memory: a write command's payload
 becomes durable at completion time, and read commands return the bytes
 currently on media.  This makes persistence semantics (strong vs weak
 buffering, WAL group commit) testable, not just timed.
+
+:class:`NvmeDevice` is the one queue / channel / completion pipeline
+under every I/O backend.  Where service times come from and where the
+media bytes live is the *substrate*'s business (see
+:mod:`repro.nvme.substrate`): the modelled SSD above is the default
+one, and ``repro.backend`` supplies a real scratch file and a recorded
+trace.
 """
 
 from functools import partial
@@ -28,8 +35,8 @@ from functools import partial
 from repro.errors import DeviceError, PageBoundsError, QueueFullError
 from repro.faults import make_injector
 from repro.nvme.command import Completion, IoStatus
-from repro.nvme.latency import ServiceTimeModel
 from repro.nvme.qpair import QueuePair
+from repro.nvme.substrate import SimSubstrate
 from repro.sim.clock import usec
 from repro.sim.metrics import Counter, TimeWeightedGauge
 
@@ -91,6 +98,9 @@ class DeviceProfile:
         self.page_size = page_size
         self.capacity_pages = capacity_pages
 
+    def mean_service_ns(self, is_write):
+        return self.write_service_ns if is_write else self.read_service_ns
+
 
 def i3_nvme_profile(**overrides):
     """The paper-testbed-scale device profile (EC2 i3.2xlarge NVMe)."""
@@ -129,23 +139,24 @@ def fast_test_profile(**overrides):
 
 
 class NvmeDevice:
-    """Event-driven NVMe SSD model bound to a simulation engine."""
+    """Event-driven NVMe device bound to a simulation engine.
 
-    def __init__(self, engine, profile=None, rng_name="nvme", faults=None):
+    ``substrate`` defaults to the modelled SSD
+    (:class:`~repro.nvme.substrate.SimSubstrate`).
+    """
+
+    def __init__(self, engine, profile=None, rng_name="nvme", faults=None,
+                 substrate=None):
         self.engine = engine
         self.profile = profile or DeviceProfile()
-        self.service = ServiceTimeModel(
-            self.profile.read_service_ns,
-            self.profile.write_service_ns,
-            self.profile.service_sigma,
-        )
-        self._rng = engine.rng.stream(rng_name)
+        if substrate is None:
+            substrate = SimSubstrate(self.profile, engine.rng.stream(rng_name))
+        self.substrate = substrate
         # the injector draws from its own stream so enabling faults
         # never perturbs service-time draws (A/B runs stay paired)
         self.fault_injector = make_injector(
             faults, engine.rng.stream("faults:" + rng_name)
         )
-        self._pages = {}
         self._qpairs = []
         self._rr_index = 0
         self._free_channels = self.profile.channels
@@ -235,7 +246,7 @@ class NvmeDevice:
         cost on the calling thread is the caller's to charge.
         """
         self.probe_calls.add()
-        self._occupy_interface(self.profile.probe_iface_ns, droppable=True)
+        self._occupy_interface(self.substrate.probe_iface_ns, droppable=True)
         completed = []
         while max_completions <= 0 or len(completed) < max_completions:
             command = qpair.cq.pop()
@@ -254,16 +265,13 @@ class NvmeDevice:
             raise DeviceError("raw write payload size mismatch")
         if lba >= self.profile.capacity_pages:
             raise PageBoundsError("lba %d beyond device capacity" % lba)
-        self._pages[lba] = bytes(data)
+        self.substrate.write(lba, bytes(data))
 
     def raw_read(self, lba):
         """Zero-time backdoor read; returns zeroes for untouched pages."""
         if lba >= self.profile.capacity_pages:
             raise PageBoundsError("lba %d beyond device capacity" % lba)
-        page = self._pages.get(lba)
-        if page is None:
-            return bytes(self.profile.page_size)
-        return page
+        return self.substrate.read(lba)
 
     # ------------------------------------------------------------------
     # statistics helpers
@@ -303,10 +311,9 @@ class NvmeDevice:
             fn=lambda: self.outstanding.value,
             help="commands submitted but not yet visible-complete",
         )
-        channels = self.profile.channels
         registry.gauge(
             "device_channel_busy_ratio", labels,
-            fn=lambda: (channels - self._free_channels) / channels,
+            fn=self.channel_busy_ratio,
             help="fraction of device channels in service",
         )
         injector = self.fault_injector
@@ -337,6 +344,11 @@ class NvmeDevice:
     def total_completed(self):
         return self.reads_completed.value + self.writes_completed.value
 
+    def channel_busy_ratio(self):
+        """Fraction of the device's channels currently in service."""
+        channels = self.profile.channels
+        return (channels - self._free_channels) / channels
+
     def mean_read_latency_ns(self):
         n = self.reads_completed.value
         return self.read_latency_sum_ns / n if n else 0.0
@@ -344,6 +356,16 @@ class NvmeDevice:
     def mean_write_latency_ns(self):
         n = self.writes_completed.value
         return self.write_latency_sum_ns / n if n else 0.0
+
+    def complete_status(self, command):
+        """For the substrate: the status ``command`` completes with.
+
+        One injector draw per service attempt; substrates call it at
+        whichever of ``start`` / ``finish`` they decide the outcome.
+        """
+        if self.fault_injector is None:
+            return IoStatus.SUCCESS
+        return self.fault_injector.complete_status(command)
 
     # ------------------------------------------------------------------
     # internals
@@ -385,9 +407,9 @@ class NvmeDevice:
                 return
             command = qpair.sq.pop()
             self._free_channels -= 1
-            fetch_end = self._occupy_interface(self.profile.fetch_ns)
+            fetch_end = self._occupy_interface(self.substrate.fetch_ns)
             command.fetch_ns = fetch_end
-            service = self.service.sample(command.is_write, self._rng)
+            service = self.substrate.start(self, command)
             if self.fault_injector is not None:
                 service = int(
                     service * self.fault_injector.service_factor(command.is_write)
@@ -402,24 +424,16 @@ class NvmeDevice:
     def _service_done(self, command):
         """Media finished; mint the status, apply data, post completion.
 
-        The fault injector (when configured) decides the completion
-        status: a failed write leaves the media untouched and a failed
-        read carries no data — exactly the contract a real error status
-        implies.
+        The substrate decides the completion status (consulting the
+        fault injector when one is configured): a failed write leaves
+        the media untouched and a failed read carries no data — exactly
+        the contract a real error status implies.
         """
         now = self.engine.now
         command.complete_ns = now
-        if self.fault_injector is None:
-            status = IoStatus.SUCCESS
-        else:
-            status = self.fault_injector.complete_status(command)
-        if status.ok:
-            if command.is_write:
-                self._pages[command.lba] = bytes(command.data)
-            else:
-                command.data = self.raw_read(command.lba)
+        status = self.substrate.finish(self, command)
         self._free_channels += 1
-        post_end = self._occupy_interface(self.profile.post_ns)
+        post_end = self._occupy_interface(self.substrate.post_ns)
         if post_end <= now:
             self._post_completion(command, status)
         else:

@@ -40,6 +40,3 @@ class ServiceTimeModel:
             return self.write_mean_ns if is_write else self.read_mean_ns
         mu = self._write_mu if is_write else self._read_mu
         return max(1, int(rng.lognormvariate(mu, self.sigma)))
-
-    def mean_ns(self, is_write):
-        return self.write_mean_ns if is_write else self.read_mean_ns

@@ -68,17 +68,12 @@ class TraceSession:
         self._devices.append(device)
         device.on_submit = self._on_io_submit
         device.on_complete = self._on_io_complete
-        profile = device.profile
         outstanding_name = (name + "_outstanding") if name else "device_outstanding"
         util_name = (name + "_channel_util") if name else "channel_util"
         self.sampler.add_probe(
             outstanding_name, lambda: device.outstanding.value
         )
-        self.sampler.add_probe(
-            util_name,
-            lambda: (profile.channels - device._free_channels)
-            / profile.channels,
-        )
+        self.sampler.add_probe(util_name, device.channel_busy_ratio)
         return self
 
     def attach_backend(self, backend, name=None):

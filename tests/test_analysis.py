@@ -939,107 +939,6 @@ def test_pa407_suppressible(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PA408 backend boundary
-# ---------------------------------------------------------------------------
-
-
-def test_pa408_direct_device_construction(tmp_path):
-    findings = run_snippet(
-        tmp_path,
-        """
-        from repro.nvme.device import NvmeDevice
-        from repro.nvme.driver import NvmeDriver
-
-
-        def build(engine, profile):
-            device = NvmeDevice(engine, profile)
-            return NvmeDriver(device)
-        """,
-        filename="repro/bench/machine.py",
-    )
-    assert codes(findings) == ["PA408", "PA408"]
-    assert "make_backend" in findings[0].message
-
-
-def test_pa408_aliased_module_construction(tmp_path):
-    findings = run_snippet(
-        tmp_path,
-        """
-        import repro.nvme.device as dev
-
-
-        def build(engine, profile):
-            return dev.NvmeDevice(engine, profile)
-        """,
-        filename="repro/core/wiring.py",
-    )
-    assert codes(findings) == ["PA408"]
-
-
-def test_pa408_backend_package_is_exempt(tmp_path):
-    findings = run_snippet(
-        tmp_path,
-        """
-        from repro.nvme.device import NvmeDevice
-        from repro.nvme.driver import NvmeDriver
-
-
-        def build(engine, profile):
-            device = NvmeDevice(engine, profile)
-            return NvmeDriver(device)
-        """,
-        filename="repro/backend/base.py",
-    )
-    assert findings == []
-
-
-def test_pa408_factory_usage_is_clean(tmp_path):
-    findings = run_snippet(
-        tmp_path,
-        """
-        from repro.backend import make_backend
-
-
-        def build(engine, profile):
-            return make_backend("sim", engine=engine, profile=profile)
-        """,
-        filename="repro/bench/machine.py",
-    )
-    assert findings == []
-
-
-def test_pa408_not_checked_in_tests_scope(tmp_path):
-    findings = run_snippet(
-        tmp_path,
-        """
-        from repro.nvme.device import NvmeDevice
-
-
-        def build(engine, profile):
-            return NvmeDevice(engine, profile)
-        """,
-        scope="tests",
-        filename="test_device.py",
-    )
-    assert findings == []
-
-
-def test_pa408_suppressible(tmp_path):
-    findings = run_snippet(
-        tmp_path,
-        """
-        from repro.nvme.device import NvmeDevice
-
-
-        def build(engine, profile):
-            return NvmeDevice(engine, profile)  # patlint: ignore[PA408]
-        """,
-        filename="repro/sched/special.py",
-    )
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # framework: suppressions, parse failures, baseline, reporters
 # ---------------------------------------------------------------------------
 
@@ -1213,30 +1112,6 @@ def test_repository_self_run_is_clean():
     paths = [os.path.join(REPO_ROOT, name) for name in ("src", "tests", "benchmarks")]
     result = analyze(paths)
     assert result.findings == []
-
-
-def test_lint_shim_still_works(tmp_path):
-    bad = tmp_path / "src" / "bad.py"
-    bad.parent.mkdir()
-    bad.write_text("def f(x):\n    return x.status == 'completed'\n")
-    proc = subprocess.run(
-        [sys.executable, "tools/lint.py", str(bad)],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert "PA302" in proc.stdout
-
-    good = tmp_path / "src" / "good.py"
-    good.write_text("def f(x):\n    return x\n")
-    proc = subprocess.run(
-        [sys.executable, "tools/lint.py", str(good)],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_byte_compile_leaves_no_pycache(tmp_path):

@@ -5,8 +5,7 @@ under a tmp dir, matching the real package prefixes so the committed
 ``layers.toml`` applies), so each rule family gets seeded positive,
 negative and suppressed cases; the satellites cover repo-relative
 finding paths, the SARIF reporter, ``--changed-only``, the phase-1
-cache, Python-3.12-only syntax degradation and the lint shim's
-``--json`` forwarding.
+cache and Python-3.12-only syntax degradation.
 """
 
 import json
@@ -170,6 +169,72 @@ def test_pa502_backend_and_public_contract_are_exempt(tmp_path):
 
                 def ok(c):
                     return c is IoStatus
+                """
+            ),
+        },
+    )
+    assert findings == []
+
+
+def test_pa502_device_construction_outside_backend(tmp_path):
+    """What per-file PA408 used to check: wiring ``NvmeDevice`` /
+    ``NvmeDriver`` by hand outside the boundary needs the import, and
+    the import is the finding; going through the factory is clean."""
+    findings = graph_findings(
+        tmp_path,
+        {
+            "src/repro/bench/machine.py": (
+                """
+                from repro.nvme.device import NvmeDevice
+                from repro.nvme.driver import NvmeDriver
+
+                def build(engine, profile):
+                    device = NvmeDevice(engine, profile)
+                    return NvmeDriver(device)
+                """
+            ),
+            "src/repro/core/wiring.py": (
+                """
+                import repro.nvme.device as dev
+
+                def build(engine, profile):
+                    return dev.NvmeDevice(engine, profile)
+                """
+            ),
+            "src/repro/sched/factory.py": (
+                """
+                from repro.backend import make_backend
+
+                def build(engine, profile):
+                    return make_backend("sim", engine=engine, profile=profile)
+                """
+            ),
+        },
+    )
+    assert codes(findings) == ["PA502", "PA502", "PA502"]
+    assert [os.path.basename(f.path) for f in findings] == [
+        "machine.py", "machine.py", "wiring.py",
+    ]
+
+
+def test_pa502_suppressible_and_tests_are_out_of_scope(tmp_path):
+    findings = graph_findings(
+        tmp_path,
+        {
+            "src/repro/sched/special.py": (
+                """
+                from repro.nvme.device import NvmeDevice  # patlint: ignore[PA502]
+
+                def build(engine, profile):
+                    return NvmeDevice(engine, profile)
+                """
+            ),
+            "tests/test_device.py": (
+                """
+                from repro.nvme.device import NvmeDevice
+
+                def build(engine, profile):
+                    return NvmeDevice(engine, profile)
                 """
             ),
         },
@@ -801,29 +866,6 @@ def test_pep695_syntax_degrades_gracefully(tmp_path):
         assert "repro.core.modern" not in result.graph.modules
         # the parseable file is still fully analyzed
         assert "repro.core.plain" in result.graph.modules
-
-
-# ---------------------------------------------------------------------------
-# satellite: shim forwards --json and keeps exit codes
-# ---------------------------------------------------------------------------
-
-
-def test_lint_shim_forwards_json(tmp_path):
-    bad = tmp_path / "src" / "bad.py"
-    bad.parent.mkdir()
-    bad.write_text("def f(x):\n    return x.status == 'completed'\n")
-    proc = subprocess.run(
-        [sys.executable, "tools/lint.py", "--json", str(bad)],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    document = json.loads(proc.stdout)
-    assert document["tool"] == "patlint"
-    assert document["schema_version"] == 1
-    assert [f["code"] for f in document["findings"]] == ["PA302"]
-    assert "deprecated" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from repro.sim.engine import Engine
 PAGE = 512
 
 
-def small_profile():
-    return DeviceProfile(
+def small_profile(**overrides):
+    defaults = dict(
         name="conformance",
         channels=4,
         read_service_ns=2_000,
@@ -44,6 +44,8 @@ def small_profile():
         page_size=PAGE,
         capacity_pages=4_096,
     )
+    defaults.update(overrides)
+    return DeviceProfile(**defaults)
 
 
 def make_trace(path, n=64):
@@ -55,20 +57,19 @@ def make_trace(path, n=64):
     return path
 
 
-def build_backend(kind, engine, tmp_path, faults=None):
+def build_backend(kind, engine, tmp_path, faults=None, profile=None):
+    profile = profile or small_profile()
     if kind == "sim":
-        return SimNvmeBackend(engine, small_profile(), faults=faults)
+        return SimNvmeBackend(engine, profile, faults=faults)
     if kind == "file":
         return FileBackend(
             engine,
-            profile=small_profile(),
+            profile=profile,
             path=str(tmp_path / "scratch.dat"),
             faults=faults,
         )
     trace = make_trace(str(tmp_path / "trace.jsonl"))
-    return TraceReplayBackend(
-        engine, trace, profile=small_profile(), faults=faults
-    )
+    return TraceReplayBackend(engine, trace, profile=profile, faults=faults)
 
 
 @pytest.fixture(params=BACKEND_KINDS)
@@ -77,6 +78,25 @@ def backend(request, tmp_path):
     instance = build_backend(request.param, engine, tmp_path)
     yield instance
     instance.close()
+
+
+@pytest.fixture(params=BACKEND_KINDS)
+def make_custom(request, tmp_path):
+    """Build the parametrized kind with faults / profile overrides."""
+    built = []
+
+    def make(faults=None, **profile_overrides):
+        built.append(
+            build_backend(
+                request.param, Engine(seed=11), tmp_path, faults=faults,
+                profile=small_profile(**profile_overrides),
+            )
+        )
+        return built[-1]
+
+    yield make
+    for instance in built:
+        instance.close()
 
 
 def drain(backend, qpair, want):
@@ -135,6 +155,37 @@ def test_submit_many_is_all_or_nothing(backend):
     commands = backend.io_submit_many(qpair, entries[:4])
     assert len(commands) == 4
     drain(backend, qpair, 4)
+
+
+def test_empty_vector_is_not_a_vector_submission(backend):
+    qpair = backend.alloc_qpair()
+    assert backend.io_submit_many(qpair, []) == []
+    assert qpair.vector_submissions == 0
+    assert qpair.vector_commands == 0
+    backend.write_many(qpair, [(1, bytes(PAGE)), (2, bytes(PAGE))])
+    assert qpair.vector_submissions == 1
+    assert qpair.vector_commands == 2
+    drain(backend, qpair, 2)
+
+
+def test_one_channel_fetches_round_robin_across_qpairs(make_custom):
+    backend = make_custom(channels=1)
+    first = backend.alloc_qpair()
+    second = backend.alloc_qpair()
+    served = []
+    backend.on_complete = lambda completion: served.append(
+        completion.command.qpair
+    )
+    # the whole backlog of the first queue is submitted before the
+    # second queue's; a fair device still alternates between them
+    for lba in range(1, 4):
+        backend.read(first, lba)
+    for lba in range(4, 7):
+        backend.read(second, lba)
+    backend.engine.run()
+    assert served == [first, second] * 3
+    assert len(backend.probe(first)) == 3
+    assert len(backend.probe(second)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +265,28 @@ def test_injected_write_failure_leaves_media_untouched(tmp_path):
         assert backend.errors_completed.value >= 1
         assert backend.failures_delivered.value == 1
         backend.close()
+
+
+def test_poisoned_lba_fails_reads_until_a_write_cures_it(make_custom):
+    backend = make_custom(faults={"poison_lbas": (5,)})
+    qpair = backend.alloc_qpair()
+    payload = b"\x2a" * PAGE
+
+    poisoned = backend.read(qpair, 5)
+    (completion,) = drain(backend, qpair, 1)
+    assert completion.status is IoStatus.UNRECOVERED_READ
+    assert poisoned.data is None
+    assert backend.errors_completed.value == 1
+
+    backend.write(qpair, 5, payload)
+    (completion,) = drain(backend, qpair, 1)
+    assert completion.status is IoStatus.SUCCESS
+    assert backend.fault_injector.poison_cured == 1
+
+    cured = backend.read(qpair, 5)
+    (completion,) = drain(backend, qpair, 1)
+    assert completion.status is IoStatus.SUCCESS
+    assert cured.data == payload
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +401,34 @@ def test_close_is_idempotent(backend):
 # ---------------------------------------------------------------------------
 
 
+def test_interface_contention_is_a_sim_only_property(make_custom):
+    """Only the modelled SSD charges the profile's interface terms;
+    file and replay latency is the (quantized / recorded) service
+    time whatever the profile says."""
+    backend = make_custom(fetch_ns=600, post_ns=400, probe_iface_ns=2_000)
+    services = []
+
+    def observe(command, service_ns):
+        services.append(service_ns)
+        return service_ns
+
+    backend.perturb_service = observe
+    qpair = backend.alloc_qpair()
+    backend.probe(qpair)  # probe pressure ahead of the fetch
+    command = backend.read(qpair, 1)
+    backend.engine.run()
+    (completion,) = backend.probe(qpair)
+    latency = completion.visible_ns - command.submit_ns
+    (service,) = services
+    if backend.kind == "sim":
+        # the probe holds the interface, then fetch and post queue on it
+        assert latency == 2_000 + 600 + service + 400
+    else:
+        assert latency == service
+        assert command.fetch_ns == command.submit_ns
+        assert completion.visible_ns == command.complete_ns
+
+
 def test_file_backend_quantizes_service_times(tmp_path):
     engine = Engine(seed=3)
     backend = FileBackend(
@@ -365,7 +466,7 @@ def test_replay_consumes_recorded_times_in_order(tmp_path):
     recorded = trace.service_times(OP_READ)
     assert latencies[: len(recorded)] == recorded
     assert latencies[len(recorded):] == recorded[: 6 - len(recorded)]
-    assert backend.device.wraps == 1
+    assert backend.describe()["trace_wraps"] == 1
     backend.close()
 
 

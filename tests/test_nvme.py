@@ -145,8 +145,8 @@ class TestDevice:
 
     def test_out_of_order_completion(self):
         engine, device, driver = make_device(seed=7)
-        device.service.sigma = 0.5  # force service-time variance
-        device.service.__init__(usec(10), usec(30), 0.5)
+        # force service-time variance
+        device.substrate.service.__init__(usec(10), usec(30), 0.5)
         qpair = driver.alloc_qpair()
         order = []
         for lba in range(1, 17):

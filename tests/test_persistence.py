@@ -138,7 +138,7 @@ class TestReopenedTreeIsUsable:
         simos = SimOS(engine, OsProfile(cores=4))
         # note: same device object; a new engine only re-times events
         device.engine = engine
-        device._rng = engine.rng.stream("nvme2")
+        device.substrate.rng = engine.rng.stream("nvme2")
         device.outstanding._clock = engine.clock
         pa2 = PaTreeEngine(
             simos,

@@ -23,7 +23,6 @@ from .fault_paths import (
     StatusStringCompareRule,
 )
 from .api_contracts import StatsByReferenceRule, UnusedImportRule
-from .backend_boundary import DirectDeviceConstructionRule
 from .batching import PerElementBatchLoopRule
 from .fuzzing import FuzzRngDisciplineRule, HookNullDefaultRule
 from .observability import ConsoleOutputRule, MetricNameRule
@@ -53,7 +52,6 @@ RULE_CLASSES = (
     ConsoleOutputRule,
     MetricNameRule,
     PerElementBatchLoopRule,
-    DirectDeviceConstructionRule,
     FuzzRngDisciplineRule,
     HookNullDefaultRule,
 )

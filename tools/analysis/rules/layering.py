@@ -8,8 +8,8 @@ families enforce it over the phase-1 project graph:
   that is missing from the layer map entirely (drift: new packages
   must be placed in a layer before they ship);
 * **PA502** — an import that reaches the NVMe model's internals from
-  outside the backend boundary (generalizes PA408 from construction
-  calls to *any* coupling: profiles, driver knobs, qpair internals);
+  outside the backend boundary (*any* coupling: device/driver
+  construction, profiles, driver knobs, qpair internals);
 * **PA503** — a module-level import cycle (function-level imports are
   the sanctioned cycle-breaking idiom and are exempt).
 """
