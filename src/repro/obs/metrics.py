@@ -435,6 +435,7 @@ class MetricScraper:
             self._event = None
 
     def _tick(self):
+        self._event = None  # it has just fired: nothing left to cancel
         if not self._running:
             return
         if len(self.samples) < self.max_samples:
@@ -443,7 +444,6 @@ class MetricScraper:
             self._event = self.engine.schedule(self.interval_ns, self._tick)
         else:
             self._running = False
-            self._event = None
 
     def write_jsonl(self, path):
         """One JSON object per scrape tick; key order = registry order."""

@@ -132,6 +132,7 @@ class TimeSeriesSampler:
             self._event = None
 
     def _tick(self):
+        self._event = None  # it has just fired: nothing left to cancel
         if not self._running:
             return
         row = {}
@@ -147,7 +148,6 @@ class TimeSeriesSampler:
             self._event = self.engine.schedule(self.interval_ns, self._tick)
         else:
             self._running = False
-            self._event = None
 
     def summary(self):
         """Per-probe min/mean/max/last over all collected samples."""

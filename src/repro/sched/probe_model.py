@@ -33,8 +33,11 @@ class LinearProbeModel:
         self.beta = beta
         self.window_us = window_us
         self.slices = slices
-        self._beta_w = beta[:, 0]
-        self._beta_r = beta[:, 1]
+        # python floats: predict multiplies the same doubles in the same
+        # order as with the ndarray columns, without boxing a numpy
+        # scalar per term
+        self._beta_w = beta[:, 0].tolist()
+        self._beta_r = beta[:, 1].tolist()
 
     def predict(self, features):
         """Expected (completed writes, completed reads) right now."""

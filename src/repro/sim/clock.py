@@ -48,24 +48,20 @@ def to_sec(ns):
 class Clock:
     """Monotonic virtual clock owned by the simulation engine.
 
-    Only the engine advances the clock; everyone else reads it through
-    :attr:`now`.
+    Only ``repro.sim`` advances the clock; everyone else reads
+    :attr:`now`, the current virtual time in nanoseconds (a plain
+    attribute: every poll, probe decision and submission reads it).
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start_ns=0):
-        self._now = int(start_ns)
-
-    @property
-    def now(self):
-        """Current virtual time in nanoseconds."""
-        return self._now
+        self.now = int(start_ns)
 
     @property
     def now_usec(self):
         """Current virtual time in float microseconds."""
-        return self._now / NS_PER_US
+        return self.now / NS_PER_US
 
     def advance_to(self, t_ns):
         """Move the clock forward to ``t_ns``.
@@ -73,11 +69,11 @@ class Clock:
         Raises ``ValueError`` on attempts to move backwards, which would
         indicate a corrupted event queue.
         """
-        if t_ns < self._now:
+        if t_ns < self.now:
             raise ValueError(
-                "clock moving backwards: %d -> %d" % (self._now, t_ns)
+                "clock moving backwards: %d -> %d" % (self.now, t_ns)
             )
-        self._now = t_ns
+        self.now = t_ns
 
     def __repr__(self):
-        return "Clock(now=%dns)" % self._now
+        return "Clock(now=%dns)" % self.now

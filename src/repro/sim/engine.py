@@ -32,7 +32,17 @@ class Engine:
         self.rng = RngRegistry(seed)
         self.max_events = max_events
         self.dispatched = 0
+        # Delays try_advance took in place of a heap round trip:
+        # dispatched + inlined is what the same run dispatches with a
+        # hook installed, and what max_events bounds.
+        self.inlined = 0
         self._running = False
+        # For try_advance: run()'s stop conditions (the horizon is -1
+        # outside run(), so nothing advances) and the queue's own heap
+        # list, to peek at its head without dropping dead entries.
+        self._horizon_ns = -1
+        self._until = None
+        self._heap = self.events._heap
         # Observability hook: called with each event just before its
         # callback runs.  Must not schedule, cancel, or advance time.
         self.on_dispatch = None
@@ -70,6 +80,40 @@ class Engine:
     def cancel(self, event):
         self.events.cancel(event)
 
+    def try_advance(self, delay_ns):
+        """Move the clock ``delay_ns`` ahead in place, if that is exact.
+
+        For a caller about to end its event callback with
+        ``schedule(delay_ns, fn)``: True (clock advanced, go on as
+        ``fn`` would) when nothing could run before ``fn`` -- no event
+        due at or before that instant (a tie goes through the heap, which
+        keeps sequence order; a cancelled head only makes this
+        conservative), no ``on_dispatch`` / ``perturb_delay`` hook, and
+        neither stop condition of run() inside the interval.  Otherwise
+        False and nothing changed: schedule as usual.
+        """
+        time_ns = self.clock.now + delay_ns
+        heap = self._heap
+        if heap and heap[0].time <= time_ns:
+            return False
+        if (
+            time_ns > self._horizon_ns
+            or self.on_dispatch is not None
+            or self.perturb_delay is not None
+            or (self._until is not None and self._until())
+        ):
+            return False
+        self.inlined += 1
+        if self.dispatched + self.inlined > self.max_events:
+            self._over_budget()
+        self.clock.now = time_ns
+        return True
+
+    def _over_budget(self):
+        raise SimulationError(
+            "event budget exceeded (%d); likely a livelock" % self.max_events
+        )
+
     def run(self, until_ns=None, until=None):
         """Dispatch events until a stop condition.
 
@@ -81,6 +125,8 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run is not reentrant")
         self._running = True
+        self._horizon_ns = float("inf") if until_ns is None else until_ns
+        self._until = until
         try:
             while True:
                 if until is not None and until():
@@ -105,14 +151,13 @@ class Engine:
                 self.dispatched += 1
                 if self.on_dispatch is not None:
                     self.on_dispatch(event)
-                if self.dispatched > self.max_events:
-                    raise SimulationError(
-                        "event budget exceeded (%d); likely a livelock"
-                        % self.max_events
-                    )
+                if self.dispatched + self.inlined > self.max_events:
+                    self._over_budget()
                 fn()
         finally:
             self._running = False
+            self._horizon_ns = -1
+            self._until = None
 
     def run_for(self, duration_ns):
         """Run for ``duration_ns`` of virtual time from now."""

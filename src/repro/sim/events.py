@@ -15,13 +15,14 @@ import heapq
 class Event:
     """A scheduled callback.  Returned by :meth:`EventQueue.push`."""
 
-    __slots__ = ("time", "seq", "fn", "cancelled")
+    __slots__ = ("time", "seq", "fn", "cancelled", "fired")
 
     def __init__(self, time, seq, fn):
         self.time = time
         self.seq = seq
         self.fn = fn
         self.cancelled = False
+        self.fired = False
 
     def cancel(self):
         """Prevent the event from firing.  Safe to call repeatedly."""
@@ -35,6 +36,8 @@ class Event:
 
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
+        if self.fired:
+            state = "fired"
         return "Event(t=%d, seq=%d, %s)" % (self.time, self.seq, state)
 
 
@@ -61,8 +64,8 @@ class EventQueue:
         return event
 
     def cancel(self, event):
-        """Cancel a previously pushed event."""
-        if not event.cancelled:
+        """Cancel a previously pushed event; a no-op once it has fired."""
+        if not (event.cancelled or event.fired):
             event.cancel()
             self._live -= 1
 
@@ -79,7 +82,9 @@ class EventQueue:
         if not self._heap:
             return None
         self._live -= 1
-        return heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)
+        event.fired = True
+        return event
 
     def _drop_dead(self):
         heap = self._heap

@@ -90,6 +90,9 @@ class SimOS:
         self.preemptions = Counter()
         self.sem_blocks = Counter()
         self._next_tid = 0
+        # True while spawn() steps a new thread from inside its caller,
+        # which goes on at this instant: the clock must not move.
+        self._spawning = False
         # Observability hook: called with (thread, new_state) on every
         # scheduling transition.  Must not touch run queues or cores.
         self.on_thread_state = None
@@ -121,7 +124,11 @@ class SimOS:
         thread = SimThread(self._next_tid, name, group, gen)
         self._next_tid += 1
         self.threads.append(thread)
-        self._make_runnable(thread)
+        outer, self._spawning = self._spawning, True
+        try:
+            self._make_runnable(thread)
+        finally:
+            self._spawning = outer
         return thread
 
     def live_threads(self):
@@ -254,11 +261,20 @@ class SimOS:
             thread.send_value = None
 
             if type(instr) is Cpu:
-                if instr.ns == 0:
+                ns = instr.ns
+                if ns == 0:
                     continue
-                thread.account.charge(instr.ns, instr.category)
-                thread.core.busy_ns += instr.ns
-                self.engine.schedule(instr.ns, partial(self._after_cpu, thread))
+                thread.account.charge(ns, instr.category)
+                thread.core.busy_ns += ns
+                # nobody waits for the core, so _after_cpu would only
+                # resume the thread: skip the heap if nothing is due first
+                if (
+                    not self.run_queue
+                    and not self._spawning
+                    and self.engine.try_advance(ns)
+                ):
+                    continue
+                self.engine.schedule(ns, partial(self._after_cpu, thread))
                 return
 
             if type(instr) is SemWait:

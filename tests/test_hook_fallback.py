@@ -1,0 +1,254 @@
+"""Hook conformance for the kernel fast path.
+
+The in-place clock advance (``Engine.try_advance``) may run only when
+no kernel-level hook wants to see every event: ``on_dispatch`` and
+``perturb_delay`` turn it off.  Every other null-default hook slot of
+``tools/analysis/layers.toml [hooks]`` fires from code that runs the
+same either way, so a run with a recording no-op in the slot must make
+the same calls at the same virtual instants and report the same
+statistics whether the fast path is on or forced off.
+"""
+
+import os
+import tomllib
+import types
+
+import pytest
+
+from repro.backend import fast_test_profile, make_backend
+from repro.baselines.io_service import SharedIoService
+from repro.baselines.latching import BlockingLatchTable
+from repro.baselines.runner import BaselineRunner
+from repro.baselines.sync_tree import SyncTreeAccessor
+from repro.core.engine import PaTreeEngine
+from repro.core.ops import delete_op, insert_op, search_op, update_op
+from repro.core.source import ClosedLoopSource
+from repro.core.tree import PaTree
+from repro.faults import FaultConfig
+from repro.fuzz.hooks import HookBinder
+from repro.obs import TraceSession
+from repro.obs.health import MetricsSession
+from repro.sched.naive import NaiveScheduling
+from repro.sim.engine import Engine
+from repro.sim.metrics import CPU_CATEGORIES
+from repro.simos.scheduler import OsProfile, SimOS
+from repro.simos.thread import Cpu
+
+_LAYERS_TOML = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tools", "analysis", "layers.toml",
+)
+with open(_LAYERS_TOML, "rb") as _handle:
+    HOOK_NAMES = tomllib.load(_handle)["hooks"]["names"]
+
+# what each decision hook must answer to behave like the unbound slot
+_UNBOUND = {
+    "pick_runnable": lambda queue: 0,
+    "wakeup_pick": lambda waiters: 0,
+    "preempt_policy": lambda thread, used_ns, quantum_ns: used_ns >= quantum_ns,
+    "perturb_delay": lambda delay_ns: delay_ns,
+    "perturb_service": lambda command, service_ns: service_ns,
+}
+
+
+def _payload(key):
+    return (key % 2**64).to_bytes(8, "little")
+
+
+def _operations(n_ops=40):
+    # a run of neighbouring deletes first, so leaves merge and pages
+    # are released; then a read-mostly mix
+    ops = [delete_op(k * 10) for k in range(1, 46)]
+    for index in range(n_ops):
+        key = ((index * 37) % 400 + 1) * 10
+        if index % 5 == 0:
+            ops.append(update_op(key, _payload(key + 1)))
+        elif index % 7 == 0:
+            ops.append(insert_op(key + 3, _payload(key + 3)))
+        else:
+            ops.append(search_op(key))
+    return ops
+
+
+class _Stack:
+    """A small machine with either paradigm on top."""
+
+    def __init__(self, arm):
+        self.engine = Engine(seed=3)
+        self.simos = SimOS(self.engine, OsProfile(cores=4))
+        self.backend = make_backend(
+            "sim", engine=self.engine, profile=fast_test_profile(),
+            # transient read errors, so the driver's retry path runs too
+            faults=FaultConfig(read_error_rate=0.05),
+        )
+        self.device = self.backend.device
+        self.driver = self.backend.driver
+        self.tree = PaTree.create(self.device)
+        self.tree.bulk_load(
+            [(k * 10, _payload(k * 10)) for k in range(1, 401)]
+        )
+        self.ops = _operations()
+        self.worker = None
+        if arm == "pa_tree":
+            self.worker = self.runner = PaTreeEngine(
+                self.simos, self.backend, self.tree, NaiveScheduling(),
+                source=ClosedLoopSource(self.ops, window=16),
+            )
+        else:  # the paper's synchronous paradigm, oversubscribed
+            accessor = SyncTreeAccessor(
+                self.tree, SharedIoService(self.driver), BlockingLatchTable()
+            )
+            self.runner = BaselineRunner(
+                self.simos, accessor, self.ops, n_threads=12, name="shared"
+            )
+        self.calls = []
+
+    def owner(self, name):
+        """The object whose null-default slot ``name`` is, if any."""
+        for obj in (self.engine, self.simos, self.device, self.driver,
+                    self.tree, self.worker):
+            if obj is not None and hasattr(obj, name):
+                return obj
+        return None
+
+    def bind_recorder(self, name):
+        """A recording hook that behaves like the slot as it stands
+        (SimOS and the engine worker keep their own callbacks in
+        ``on_idle`` / ``on_page_released``)."""
+        owner = self.owner(name)
+        if owner is None:  # the baselines have no worker.op_observer
+            return
+        behave = getattr(owner, name) or _UNBOUND.get(name, lambda *a: None)
+
+        def hook(*args):
+            self.calls.append((name, self.engine.now))
+            return behave(*args)
+
+        if name == "op_observer":
+            hook = types.SimpleNamespace(on_op_complete=hook)
+        setattr(owner, name, hook)
+
+    def force_slow(self):
+        previous = self.engine.on_dispatch
+
+        def on_dispatch(event):
+            if previous is not None:
+                previous(event)
+
+        self.engine.on_dispatch = on_dispatch
+
+    def run(self):
+        self.runner.run_to_completion()
+        return self
+
+    def stats(self):
+        simos = self.simos
+        account = simos.cpu_account()
+        return {
+            "now": self.engine.now,
+            "results": [(op.result, op.done_ns, op.error) for op in self.ops],
+            "reads": self.device.reads_completed.value,
+            "writes": self.device.writes_completed.value,
+            "busy_ns": [core.busy_ns for core in simos.cores],
+            "cpu": {name: account.by_category[name] for name in CPU_CATEGORIES},
+            "context_switches": simos.context_switches.value,
+            "preemptions": simos.preemptions.value,
+            "sem_blocks": simos.sem_blocks.value,
+            "probes": self.worker.probes.value if self.worker else None,
+            "items": sorted(self.tree.iterate_items_raw()),
+        }
+
+
+@pytest.mark.parametrize("arm", ["pa_tree", "sync_shared"])
+@pytest.mark.parametrize("name", HOOK_NAMES)
+def test_a_bound_hook_sees_the_same_run_on_either_path(name, arm):
+    plain = _Stack(arm)
+    plain.bind_recorder(name)
+    plain.run()
+    slow = _Stack(arm)
+    slow.bind_recorder(name)
+    slow.force_slow()
+    slow.run()
+
+    assert plain.calls == slow.calls
+    assert plain.stats() == slow.stats()
+    assert slow.engine.inlined == 0
+    assert (
+        slow.engine.dispatched
+        == plain.engine.dispatched + plain.engine.inlined
+    )
+    if name in ("on_dispatch", "perturb_delay"):
+        # the two hooks that see every event or every delay
+        assert plain.engine.inlined == 0
+        assert plain.calls
+    elif arm == "pa_tree":
+        assert plain.engine.inlined > 0
+
+
+def _spin(engine, until_ns):
+    """Run a lone spinner up to ``until_ns``; returns bursts inlined."""
+    before = engine.inlined
+    engine.run(until_ns=until_ns)
+    assert engine.now == until_ns
+    return engine.inlined - before
+
+
+def _spinning_machine():
+    engine = Engine(seed=1)
+    simos = SimOS(engine, OsProfile(cores=2))
+
+    def spin():
+        while True:
+            yield Cpu(100)
+
+    simos.spawn(spin())
+    return engine, simos
+
+
+def test_trace_session_turns_the_fast_path_off_until_it_finishes():
+    engine, simos = _spinning_machine()
+    assert _spin(engine, 10_000) > 0
+    session = TraceSession(engine).attach_simos(simos).start()
+    assert _spin(engine, 20_000) == 0
+    assert session.dispatches > 0
+    session.finish()
+    assert _spin(engine, 30_000) > 0
+
+
+def test_fuzz_hook_binder_turns_the_fast_path_off_until_unbound():
+    engine, simos = _spinning_machine()
+    decider = types.SimpleNamespace(
+        wants_delay_hook=True, delay=lambda delay_ns: delay_ns,
+        pick=lambda n: 0, wakeup=lambda n: 0,
+        preempt=lambda used_ns, quantum_ns: used_ns >= quantum_ns,
+    )
+    assert _spin(engine, 10_000) > 0
+    with HookBinder(decider).bind(simos=simos, engine=engine):
+        assert _spin(engine, 20_000) == 0
+    assert _spin(engine, 30_000) > 0
+
+
+def test_metrics_session_needs_no_fallback_and_scrapes_the_same():
+    """MetricsSession binds no kernel-level hook: its scrapes are heap
+    events the fast path never advances past, and its taps sit on
+    device / driver / worker slots.  So it keeps the fast path on, and
+    what it records must not depend on it."""
+
+    def run(slow):
+        stack = _Stack("pa_tree")
+        session = MetricsSession(stack.engine, scrape_interval_ns=20_000)
+        session.attach_device(stack.device).attach_worker(stack.worker)
+        session.start()
+        if slow:
+            stack.force_slow()
+        stack.run()
+        session.finish()
+        return stack, session
+
+    fast, fast_session = run(slow=False)
+    slow, slow_session = run(slow=True)
+    assert fast.engine.inlined > 0 and slow.engine.inlined == 0
+    assert fast.stats() == slow.stats()
+    assert len(fast_session.scraper.samples) > 3
+    assert fast_session.scraper.samples == slow_session.scraper.samples
+    assert fast_session.slo.snapshot() == slow_session.slo.snapshot()

@@ -142,6 +142,33 @@ def test_scraper_rides_virtual_time_and_stops():
     assert [row["ticks_total"] for _t, row in scraper.samples] == [1, 1, 2]
 
 
+def test_scraper_stop_after_the_sample_cap_leaves_the_queue_intact():
+    engine = Engine(seed=1)
+    registry = MetricRegistry()
+    registry.gauge("depth_count", fn=lambda: 4)
+    scraper = MetricScraper(engine, registry, interval_ns=1_000, max_samples=2)
+    scraper.start()
+    engine.schedule(5_000, lambda: None)
+    engine.run(until_ns=3_000)
+    assert len(scraper.samples) == 2 and scraper._event is None
+    scraper.stop()  # its last tick has fired: there is nothing to cancel
+    assert len(engine.events) == 1
+    engine.run()
+    assert (engine.now, len(engine.events)) == (5_000, 0)
+
+
+def test_scraper_stopped_from_inside_its_own_tick_cancels_nothing():
+    engine = Engine(seed=1)
+    registry = MetricRegistry()
+    scraper = MetricScraper(engine, registry, interval_ns=1_000)
+    registry.gauge("depth_count", fn=lambda: scraper.stop() or 4)
+    scraper.start()
+    engine.schedule(5_000, lambda: None)
+    engine.run()
+    assert [t for t, _row in scraper.samples] == [1_000]
+    assert (engine.now, len(engine.events)) == (5_000, 0)
+
+
 def test_scraper_jsonl_round_trips(tmp_path):
     engine = Engine(seed=1)
     registry = MetricRegistry()

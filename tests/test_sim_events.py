@@ -48,6 +48,32 @@ def test_cancel_is_idempotent():
     assert len(queue) == 0
 
 
+def test_cancelling_a_fired_event_is_a_no_op():
+    # a holder of a stale handle (a sampler that stopped rescheduling)
+    # must not drive the live count below what the heap holds
+    queue = EventQueue()
+    stale = queue.push(10, lambda: None)
+    queue.push(20, lambda: None)
+    assert queue.pop() is stale
+    queue.cancel(stale)
+    assert (len(queue), bool(queue), queue.peek_time()) == (1, True, 20)
+    assert "fired" in repr(stale)
+    queue.pop()
+    queue.cancel(stale)
+    assert (len(queue), bool(queue)) == (0, False)
+
+
+def test_engine_cancel_after_dispatch_keeps_the_queue_consistent():
+    engine = Engine()
+    handle = engine.schedule(10, lambda: None)
+    engine.schedule(30, lambda: None)
+    engine.run(until_ns=20)
+    engine.cancel(handle)
+    assert len(engine.events) == 1
+    engine.run()
+    assert (engine.now, len(engine.events)) == (30, 0)
+
+
 def test_peek_time_skips_cancelled():
     queue = EventQueue()
     first = queue.push(10, lambda: None)

@@ -1,0 +1,286 @@
+"""The kernel fast path is exact: same run with and without it.
+
+``SimOS._step`` advances the clock in place (``Engine.try_advance``)
+when a CPU burst ends before anything else is due, and goes through the
+event heap otherwise.  Installing any ``on_dispatch`` hook forces the
+heap, so every test here runs one program twice -- plain, and forced
+slow by a no-op hook -- and asserts that nothing a simulation can
+observe differs, and that the two runs account for the same number of
+kernel steps: ``slow.dispatched == fast.dispatched + fast.inlined``.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import SchedulerError, SimulationError
+from repro.sim.engine import Engine
+from repro.sim.metrics import CPU_CATEGORIES
+from repro.simos.scheduler import OsProfile, SimOS
+from repro.simos.sync import Semaphore
+from repro.simos.thread import Cpu, SemPost, SemWait, Sleep, YieldCpu
+
+# few distinct values, so bursts, sleeps and timers often end at the
+# same instant: ties are where an inexact fast path would reorder
+_NS = st.sampled_from([0, 1, 50, 100, 100, 250, 800, 3_000, 20_000])
+
+_CPU = st.tuples(st.just("cpu"), _NS, st.sampled_from(CPU_CATEGORIES))
+
+_INSTR = st.one_of(
+    _CPU,
+    _CPU,  # twice: bursts are what the fast path is about
+    st.tuples(st.just("sleep"), _NS),
+    st.tuples(st.just("yield")),
+    st.tuples(st.just("wait"), st.integers(0, 2)),
+    st.tuples(st.just("post"), st.integers(0, 2)),
+    # a thread body that spawns another thread and goes on at the same
+    # instant: the child's first burst must not move the parent's clock
+    st.tuples(st.just("spawn"), st.lists(
+        st.tuples(st.just("cpu"), _NS, st.just(CPU_CATEGORIES[0])),
+        min_size=1, max_size=3,
+    )),
+)
+
+_PROGRAM = st.fixed_dictionaries({
+    "cores": st.integers(1, 8),
+    "quantum_ns": st.sampled_from([200, 1_000, 200_000]),
+    "context_switch_ns": st.sampled_from([0, 300, 3_000]),
+    "sem_initial": st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    "threads": st.lists(
+        st.lists(_INSTR, min_size=1, max_size=12), min_size=1, max_size=12
+    ),
+    # foreign timers on the same engine: (delay, spawns a thread?)
+    "timers": st.lists(st.tuples(_NS, st.booleans()), max_size=6),
+    "stop": st.one_of(
+        st.none(),
+        st.tuples(st.just("until_ns"), st.integers(0, 60_000)),
+        st.tuples(st.just("exits"), st.integers(1, 4)),
+        st.tuples(st.just("clock"), st.integers(0, 60_000)),
+    ),
+})
+
+
+class _Machine:
+    """One run of a generated program and everything it could observe."""
+
+    def __init__(self, program, slow):
+        self.engine = Engine(seed=1)
+        self.simos = SimOS(self.engine, OsProfile(
+            cores=program["cores"],
+            quantum_ns=program["quantum_ns"],
+            context_switch_ns=program["context_switch_ns"],
+        ))
+        self.sems = [Semaphore(count) for count in program["sem_initial"]]
+        self.log = []  # (who, step, virtual time) at every resumption
+        self.exits = []
+        if slow:
+            self.engine.on_dispatch = lambda event: None
+        for index, instrs in enumerate(program["threads"]):
+            self._spawn("t%d" % index, instrs)
+        for index, (delay_ns, spawns) in enumerate(program["timers"]):
+            self.engine.schedule(
+                delay_ns, lambda i=index, s=spawns: self._timer(i, s)
+            )
+        self.outcome = self._run(program["stop"])
+
+    def _spawn(self, name, instrs):
+        thread = self.simos.spawn(self._body(name, instrs), name=name)
+        thread.on_exit.append(
+            lambda t: self.exits.append((t.name, self.engine.now))
+        )
+
+    def _body(self, name, instrs):
+        for step, instr in enumerate(instrs):
+            kind = instr[0]
+            if kind == "cpu":
+                yield Cpu(instr[1], instr[2])
+            elif kind == "sleep":
+                yield Sleep(instr[1])
+            elif kind == "yield":
+                yield YieldCpu()
+            elif kind == "wait":
+                yield SemWait(self.sems[instr[1]])
+            elif kind == "post":
+                yield SemPost(self.sems[instr[1]])
+            else:
+                self._spawn("%s.%d" % (name, step), instr[1])
+            self.log.append((name, step, self.engine.now))
+
+    def _timer(self, index, spawns):
+        self.log.append(("timer", index, self.engine.now))
+        if spawns:
+            self._spawn("timer%d" % index, [("cpu", 100, CPU_CATEGORIES[0])])
+            self.log.append(("timer-after-spawn", index, self.engine.now))
+
+    def _run(self, stop):
+        kwargs = {}
+        if stop is not None and stop[0] == "until_ns":
+            kwargs["until_ns"] = stop[1]
+        elif stop is not None and stop[0] == "exits":
+            kwargs["until"] = lambda: len(self.exits) >= stop[1]
+        elif stop is not None:
+            kwargs["until"] = lambda: self.engine.now >= stop[1]
+        try:
+            self.engine.run(**kwargs)
+        except SchedulerError as exc:  # a generated deadlock
+            return str(exc)
+        return "ok"
+
+    def observed(self):
+        simos = self.simos
+        return {
+            "outcome": self.outcome,
+            "now": self.engine.now,
+            "log": self.log,
+            "exits": self.exits,
+            "threads": [
+                (t.name, t.state, t.account.by_category, t.account.total_ns)
+                for t in simos.threads
+            ],
+            "busy_ns": [core.busy_ns for core in simos.cores],
+            "context_switches": simos.context_switches.value,
+            "preemptions": simos.preemptions.value,
+            "sem_blocks": simos.sem_blocks.value,
+            "sems": [(s.count, s.wait_count, s.block_count) for s in self.sems],
+            "pending": len(self.engine.events),
+        }
+
+
+def _assert_equivalent(fast, slow):
+    assert fast.observed() == slow.observed()
+    assert slow.engine.inlined == 0
+    assert (
+        slow.engine.dispatched
+        == fast.engine.dispatched + fast.engine.inlined
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PROGRAM)
+def test_random_programs_run_the_same_with_and_without_the_fast_path(program):
+    _assert_equivalent(_Machine(program, slow=False), _Machine(program, slow=True))
+
+
+def _program(threads, cores=1, timers=(), stop=None):
+    return {
+        "cores": cores, "quantum_ns": 200_000, "context_switch_ns": 3_000,
+        "sem_initial": [0, 0, 0], "threads": threads,
+        "timers": list(timers), "stop": stop,
+    }
+
+
+def _spinner(bursts, ns=100):
+    return [("cpu", ns, CPU_CATEGORIES[0])] * bursts
+
+
+def test_a_lone_thread_never_touches_the_heap():
+    fast = _Machine(_program([_spinner(50)]), slow=False)
+    # spawn() ran outside run(), so the first burst was scheduled
+    assert (fast.engine.dispatched, fast.engine.inlined) == (1, 49)
+    _assert_equivalent(fast, _Machine(_program([_spinner(50)]), slow=True))
+
+
+def test_an_event_at_exactly_the_burst_end_takes_the_heap():
+    # the timer is due at 200, when the second burst ends: it was pushed
+    # first, so it fires first -- the burst must wait its turn in the heap
+    program = _program([_spinner(4)], timers=[(200, False)])
+    fast = _Machine(program, slow=False)
+    assert fast.log.index(("timer", 0, 200)) < fast.log.index(("t0", 1, 200))
+    # burst 1 is spawn's, burst 2 ties with the timer; 3 and 4 are inlined
+    assert fast.engine.inlined == 2
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def test_until_ns_leaves_the_clock_exactly_there():
+    program = _program([_spinner(100)], stop=("until_ns", 1_234))
+    fast = _Machine(program, slow=False)
+    assert fast.engine.now == 1_234
+    assert fast.log[-1] == ("t0", 11, 1_200)
+    assert fast.engine.inlined == 11
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def test_an_until_predicate_stops_both_runs_in_the_same_state():
+    # only the spinner's own progress makes the predicate true, and no
+    # event is pending when it does: try_advance has to ask it
+    program = _program([_spinner(40)], stop=("clock", 500))
+    fast = _Machine(program, slow=False)
+    assert fast.engine.now == 500
+    assert fast.log[-1] == ("t0", 4, 500)
+    assert (fast.engine.inlined, len(fast.engine.events)) == (4, 1)
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def test_spawn_outside_run_never_moves_the_clock():
+    engine = Engine()
+    simos = SimOS(engine, OsProfile(cores=2))
+
+    def body():
+        yield Cpu(500)
+        yield Cpu(500)
+
+    simos.spawn(body())
+    simos.spawn(body())
+    assert (engine.now, engine.inlined, len(engine.events)) == (0, 0, 2)
+    assert engine.try_advance(1) is False
+    engine.run()
+    assert engine.now == 1_000
+
+
+def test_spawn_inside_run_does_not_move_the_spawners_clock():
+    engine = Engine()
+    simos = SimOS(engine, OsProfile(cores=2))
+    seen = []
+
+    def child():
+        yield Cpu(700)
+        seen.append(("child", engine.now))
+
+    def parent():
+        yield Cpu(100)
+        simos.spawn(child())
+        seen.append(("parent", engine.now))
+        yield Cpu(100)
+        seen.append(("parent", engine.now))
+
+    simos.spawn(parent())
+    engine.run()
+    assert seen == [("parent", 100), ("parent", 200), ("child", 800)]
+
+
+def test_a_lone_spinner_with_an_empty_heap_still_hits_max_events():
+    engine = Engine(max_events=1_000)
+    simos = SimOS(engine, OsProfile(cores=1))
+
+    def spin():
+        while True:
+            yield Cpu(100)
+
+    simos.spawn(spin())
+    with pytest.raises(SimulationError, match="event budget exceeded"):
+        engine.run()
+    assert engine.dispatched + engine.inlined == 1_001
+    assert engine.inlined >= 999
+    # the failed run left the kernel reusable and the fast path off
+    assert engine.try_advance(1) is False
+
+
+@pytest.mark.parametrize("hook", ["on_dispatch", "perturb_delay"])
+def test_a_kernel_hook_turns_the_fast_path_off(hook):
+    engine = Engine()
+    simos = SimOS(engine, OsProfile(cores=1))
+    calls = []
+
+    def record(arg):
+        calls.append(arg)
+        return arg
+
+    setattr(engine, hook, record)
+
+    def body():
+        for _ in range(20):
+            yield Cpu(100)
+
+    simos.spawn(body())
+    engine.run()
+    assert (engine.inlined, engine.dispatched, engine.now) == (0, 20, 2_000)
+    assert len(calls) == 20
