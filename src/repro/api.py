@@ -527,11 +527,7 @@ class PATreeSession(BaseSession):
     def _execute_ops(self, operations):
         """Run raw operations through the polled engine; returns them."""
         self._check_open()
-        operations = list(operations)
-        engine = self.pa_engine
-        engine.reset_source(ClosedLoopSource(operations, window=self.window))
-        engine.run_to_completion()
-        return operations
+        return self.pa_engine.run_operations(operations, window=self.window)
 
     # ------------------------------------------------------------------
     # introspection
@@ -620,7 +616,7 @@ class AsyncLsmSession(BaseSession):
 
     def _execute_ops(self, operations):
         self._check_open()
-        return self.worker.run_operations(list(operations), window=self.window)
+        return self.worker.run_operations(operations, window=self.window)
 
     # The LSM worker executes per-key state machines — there is no
     # shared-descent batch plan to vector through — so the batch verbs

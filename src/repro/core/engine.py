@@ -1,16 +1,12 @@
 """The PA-Tree working-thread engine.
 
-One simulated thread runs the paper's main loop (Algorithm 1 or 2,
-depending on the plugged scheduling policy): admit operations from the
-source, process the highest-priority ready operation until it blocks,
-probe the NVMe completion queue when the policy says so, and yield the
-CPU when the policy predicts nothing useful to do.
-
-The engine translates operation-coroutine *effects* into simulated-CPU
-charges, latch-table calls and driver I/O, and shepherds operations
-between the ready set and the two waiting states (I/O wait and latch
-wait).  Optionally it also spawns the dedicated polling thread of the
-PAD / PAD+ variants (Fig 11).
+The main loop (Algorithm 1/2) lives in :mod:`repro.core.worker`; this
+module is the B+ tree's half of it.  The engine translates
+operation-coroutine *effects* into simulated-CPU charges, latch-table
+calls and driver I/O, and shepherds operations between the ready set
+and the two waiting states (I/O wait and latch wait).  Optionally it
+also spawns the dedicated polling thread of the PAD / PAD+ variants
+(Fig 11).
 """
 
 from collections import deque
@@ -34,25 +30,17 @@ from repro.core.ops import (
     WriteEff,
 )
 from repro.core.plans import make_plan
-from repro.errors import (
-    IoError,
-    QueueFullError,
-    RetryExhaustedError,
-    SchedulerError,
-    TreeError,
-)
-from repro.backend.base import as_backend
+from repro.core.worker import PolledWorker
+from repro.errors import SchedulerError, TreeError
 from repro.nvme.command import Completion, OP_READ
-from repro.sim.nulltrace import NULL_TRACER
 from repro.sim.metrics import (
     CPU_NVME,
     CPU_REAL_WORK,
     CPU_SCHED,
     CPU_SYNC,
     Counter,
-    LatencyRecorder,
 )
-from repro.simos.thread import Cpu, Sleep
+from repro.simos.thread import Cpu
 
 PERSISTENCE_STRONG = "strong"
 PERSISTENCE_WEAK = "weak"
@@ -64,8 +52,10 @@ POLLER_MODEL = "model"  # PAD+-Tree
 _NODE_CACHE_LIMIT = 1_000_000
 
 
-class PaTreeEngine:
+class PaTreeEngine(PolledWorker):
     """Drives a :class:`~repro.core.tree.PaTree` with the PA paradigm."""
+
+    metric_prefix = "engine"
 
     def __init__(
         self,
@@ -89,69 +79,22 @@ class PaTreeEngine:
             raise SchedulerError("weak persistence requires a ReadWriteBuffer")
         if persistence == PERSISTENCE_STRONG and buffer is not None and buffer.mode != "strong":
             raise SchedulerError("strong persistence requires a ReadOnlyBuffer")
-        self.simos = simos
-        self.engine = simos.engine
-        self.clock = simos.engine.clock
-        # the engine speaks the IoBackend contract; a bare NvmeDriver
-        # (the historical wiring) is adopted into a SimNvmeBackend, so
-        # both spellings drive the identical code path
-        self.backend = as_backend(backend)
-        self.driver = self.backend
+        super().__init__(
+            simos, backend, policy, source, tree.costs,
+            qpair=qpair, name=name, tracer=tracer,
+        )
         self.tree = tree
-        self.policy = policy
-        self.source = source
         self.buffer = buffer
         self.persistence = persistence
-        self.qpair = qpair or self.backend.alloc_qpair(sq_size=4096, cq_size=4096)
         self.dedicated_poller = dedicated_poller
-        self.name = name
-        # observability: tracer records spans when enabled; op_observer
-        # (a TraceSession) sees every completed operation
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.op_observer = None
-        self._track = "worker:%s" % name
-
-        from repro.sched.history import IoHistory
-
-        model = getattr(policy, "probe_model", None)
-        if model is not None:
-            self.io_history = IoHistory(
-                self.clock, window_us=model.window_us, slices=model.slices
-            )
-        else:
-            self.io_history = IoHistory(self.clock)
         self.latches = LatchTable()
-        self.sched_pick_cost_ns = tree.costs.priority_pick_ns
-        self.sched_gate_cost_ns = tree.costs.probe_model_ns
         tree.on_page_released = self._on_page_released
 
         self._node_cache = {}
         self._writes_in_flight = {}
-        self._deferred_flushes = deque()
-        self._deferred_escalations = deque()
-        self._background_outstanding = 0
         self._active_sync = None
-        self._next_seq = 0
-        self.inflight = 0
-        self._shutdown = False
-        # a write that keeps failing is re-driven (fresh command, the
-        # escalation count carried forward) this many times before the
-        # engine declares the page lost; only pathological fault
-        # configs (error rate ~1) ever reach the cap
-        self.max_write_escalations = 8
 
-        # measurement state
-        self.latencies = LatencyRecorder()
-        self.completed = Counter()
         self.completed_by_kind = {}
-        self.user_completed = 0
-        self.last_user_done_ns = 0
-        self.probes = Counter()
-        # scheduler decision accounting: probes the policy declined,
-        # and how idle iterations resolved (yield vs busy-spin)
-        self.probe_skips = Counter()
-        self.idle_yields = Counter()
-        self.idle_spins = Counter()
         self.latch_wait_events = Counter()
         # batch pipeline accounting: completed batched ops, the specs
         # they carried, the leaf groups they formed, and page writes
@@ -161,17 +104,7 @@ class PaTreeEngine:
         self.batch_keys = Counter()
         self.batch_groups = Counter()
         self.coalesced_writes = Counter()
-        # error-path accounting: failures the driver delivered to us,
-        # operations aborted with a typed error, write re-drives, and
-        # writes abandoned at the escalation cap
-        self.io_errors = Counter()
-        self.failed_ops = Counter()
-        self.io_escalations = Counter()
-        self.lost_writes = Counter()
-        self.worker_thread = None
         self.poller_thread = None
-
-        policy.bind(self)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -179,9 +112,7 @@ class PaTreeEngine:
 
     def start(self):
         """Spawn the working thread (and poller, if configured)."""
-        self.worker_thread = self.simos.spawn(
-            self._worker_body(), name=self.name, group=self.name
-        )
+        super().start()
         if self.dedicated_poller is not None:
             self.poller_thread = self.simos.spawn(
                 self._poller_body(), name=self.name + "-poller", group=self.name
@@ -189,136 +120,8 @@ class PaTreeEngine:
         return self.worker_thread
 
     def run_to_completion(self, until_ns=None):
-        """Convenience: run the simulation until the source drains."""
-        self.start()
-        self.engine.run(until_ns=until_ns, until=lambda: self.worker_thread.done)
-        if not self.worker_thread.done:
-            raise SchedulerError(
-                "PA engine did not finish (inflight=%d, outstanding=%d)"
-                % (self.inflight, self.io_history.outstanding_count)
-            )
+        super().run_to_completion(until_ns)
         self.latches.assert_quiescent()
-
-    def reset_source(self, source=None):
-        """Install a fresh operation source and re-arm the engine.
-
-        The working thread exits once its source drains; facades that
-        feed successive batches through one engine call this between
-        batches instead of touching engine internals.  ``source=None``
-        keeps the current source (routers whose per-shard pull queues
-        are long-lived only need the re-arm).
-        """
-        if self.worker_thread is not None and not self.worker_thread.done:
-            raise SchedulerError("cannot reset the source of a running engine")
-        if source is not None:
-            self.source = source
-        self._shutdown = False
-
-    # ------------------------------------------------------------------
-    # the working thread main loop
-    # ------------------------------------------------------------------
-
-    def _worker_body(self):
-        costs = self.tree.costs
-        driver = self.driver
-        policy = self.policy
-        source = self.source
-        profile = driver.profile
-        poller = self.dedicated_poller is not None
-        while True:
-            worked = False
-
-            new_ops = source.poll(self.clock.now)
-            if new_ops:
-                yield Cpu(costs.admit_ns * len(new_ops), CPU_SCHED)
-                for op in new_ops:
-                    self._admit(op)
-                worked = True
-
-            # drain deferred page writes (buffer evictions, sync
-            # flushes) while the submission queue has headroom -- a
-            # large sync() must not overrun the ring
-            while self._deferred_flushes and self.qpair.sq.free_slots > 64:
-                lba, data, flush_op = self._deferred_flushes.popleft()
-                yield Cpu(driver.submit_cpu_ns, CPU_NVME)
-                self._submit_page_write(lba, data, flush_op)
-                worked = True
-
-            # re-drive failed writes that could not be resubmitted from
-            # callback context because the submission ring was full
-            while self._deferred_escalations and self.qpair.sq.free_slots > 8:
-                lba, data, esc_op, escalations = self._deferred_escalations.popleft()
-                yield Cpu(driver.submit_cpu_ns, CPU_NVME)
-                self._resubmit_write(lba, data, esc_op, escalations)
-                worked = True
-
-            if policy.ready_count():
-                yield Cpu(policy.pick_cost_ns(), CPU_SCHED)
-                op = policy.pick()
-                tracer = self.tracer
-                if tracer.enabled:
-                    span = tracer.begin(
-                        self._track,
-                        "process:%s" % op.kind,
-                        cat="worker",
-                        args={"seq": op.seq},
-                    )
-                    yield from self._process(op)
-                    tracer.end(span, args={"state": op.state})
-                else:
-                    yield from self._process(op)
-                worked = True
-
-            if not poller and self.io_history.outstanding_count:
-                gate_cost = policy.gate_cost_ns()
-                if gate_cost:
-                    yield Cpu(gate_cost, CPU_SCHED)
-                    worked = True
-                if policy.should_probe():
-                    tracer = self.tracer
-                    probe_start_ns = self.clock.now if tracer.enabled else 0
-                    yield Cpu(driver.probe_cpu_ns(0), CPU_NVME)
-                    completed = driver.probe(self.qpair)
-                    self.probes.add()
-                    policy.note_probe(self.clock.now, len(completed))
-                    if completed:
-                        yield Cpu(
-                            len(completed) * profile.probe_cpu_per_completion_ns,
-                            CPU_NVME,
-                        )
-                    if tracer.enabled:
-                        tracer.complete(
-                            self._track,
-                            "probe",
-                            probe_start_ns,
-                            self.clock.now,
-                            cat="worker",
-                            args={"completions": len(completed)},
-                        )
-                    worked = True
-                else:
-                    self.probe_skips.add()
-
-            if self._finished():
-                break
-
-            if (
-                policy.ready_count() == 0
-                and not self._deferred_flushes
-                and not self._deferred_escalations
-            ):
-                sleep_ns = policy.idle_sleep_ns()
-                next_arrival = source.next_event_ns(self.clock.now)
-                if sleep_ns > 0:
-                    if next_arrival is not None:
-                        sleep_ns = min(sleep_ns, max(1, next_arrival - self.clock.now))
-                    self.idle_yields.add()
-                    yield Sleep(sleep_ns)
-                elif not worked:
-                    self.idle_spins.add()
-                    yield Cpu(costs.idle_spin_ns, CPU_SCHED)
-
-        self._shutdown = True
 
     def _poller_body(self):
         """Dedicated polling thread (PAD / PAD+ variants, Fig 11)."""
@@ -361,18 +164,8 @@ class PaTreeEngine:
     # operation processing
     # ------------------------------------------------------------------
 
-    def _admit(self, op):
-        op.seq = self._next_seq
-        self._next_seq += 1
-        op.admit_ns = self.clock.now
-        op.gen = make_plan(op, self.tree)
-        op.state = ST_READY
-        self.inflight += 1
-        if self.tracer.enabled:
-            self.tracer.async_begin(
-                "op", op.seq, op.kind, args={"key": op.key}
-            )
-        self.policy.on_ready(op)
+    def _make_plan(self, op):
+        return make_plan(op, self.tree)
 
     def _process(self, op):
         """Run ``op`` until it waits or completes (paper's process(c))."""
@@ -561,10 +354,9 @@ class PaTreeEngine:
                 "operation %r completed holding latches %r"
                 % (op, sorted(op.held_latches))
             )
-        op.state = ST_DONE
-        op.done_ns = self.clock.now
-        self.inflight -= 1
-        self.completed.add()
+        super()._complete(op)
+
+    def _account(self, op):
         self.completed_by_kind[op.kind] = self.completed_by_kind.get(op.kind, 0) + 1
         if op.kind == BATCH:
             self.batch_ops.add()
@@ -577,13 +369,6 @@ class PaTreeEngine:
             # goodput only: an errored op produced no usable result, so
             # its (truncated) latency must not dilute the distribution
             self.latencies.record(op.latency_ns)
-        if self.tracer.enabled:
-            self.tracer.async_end("op", op.seq, op.kind)
-        if self.op_observer is not None:
-            self.op_observer.on_op_complete(op)
-        self.source.on_op_complete(op)
-        if op.on_complete is not None:
-            op.on_complete(op)
 
     # ------------------------------------------------------------------
     # I/O plumbing
@@ -602,6 +387,16 @@ class PaTreeEngine:
             self.qpair, lba, data, callback=self._on_io_done, context=op
         )
         self.io_history.on_submit(command)
+
+    def _advance_write_chain(self, lba):
+        """The write in flight on ``lba`` is over (landed or lost):
+        submit the next one serialized behind it, if any."""
+        pending = self._writes_in_flight.get(lba)
+        if pending:
+            next_data, next_op = pending.popleft()
+            self._resubmit_write(lba, next_data, next_op, self._on_io_done, 0)
+        else:
+            self._writes_in_flight.pop(lba, None)
 
     def _on_io_done(self, completion):
         """Completion callback, fired from a probe (zero virtual time)."""
@@ -629,12 +424,7 @@ class PaTreeEngine:
 
         # write completion
         lba = command.lba
-        pending = self._writes_in_flight.get(lba)
-        if pending:
-            next_data, next_op = pending.popleft()
-            self._resubmit_write(lba, next_data, next_op, 0)
-        else:
-            self._writes_in_flight.pop(lba, None)
+        self._advance_write_chain(lba)
 
         if op is None:
             # background flush (eviction)
@@ -684,64 +474,16 @@ class PaTreeEngine:
             op.io_remaining -= 1
             self._abort_op(op, self._error_from(completion))
             return
-        # failed writes are never dropped: the in-memory tree already
-        # reflects the mutation, so the page must eventually land or be
-        # explicitly declared lost — abort would desync tree and media
-        self._escalate_write(completion)
+        # abort would desync tree and media: re-drive, or declare lost
+        if not self._escalate_write(completion, self._on_io_done):
+            self._give_up_write(completion)
 
-    def _error_from(self, completion):
-        command = completion.command
-        status = completion.status
-        cls = RetryExhaustedError if status.retriable else IoError
-        return cls(
-            "%s of lba %d failed with status %s (retries=%d)"
-            % (command.opcode, command.lba, status, command.retries),
-            status=status,
-            opcode=command.opcode,
-            lba=command.lba,
-        )
-
-    def _abort_op(self, op, error):
-        """Terminate ``op`` with a typed error, releasing its latches."""
-        if error is not None and op.error is None:
-            op.error = error
-        op.result = None
-        if op.gen is not None:
-            op.gen.close()
+    def _release_latches(self, op):
         for page_id in sorted(op.held_latches):
             woken = self.latches.release(op, page_id)
             for waiter in woken:
                 waiter.state = ST_READY
                 self.policy.on_ready(waiter)
-        self.failed_ops.add()
-        if self.tracer.enabled:
-            self.tracer.async_instant(
-                "op", op.seq, "aborted", args={"error": str(op.error)}
-            )
-        self._complete(op)
-
-    def _escalate_write(self, completion):
-        """Re-drive a failed write (fresh command, escalation carried)."""
-        command = completion.command
-        if command.escalations >= self.max_write_escalations:
-            self._give_up_write(completion)
-            return
-        self.io_escalations.add()
-        self._resubmit_write(
-            command.lba, command.data, command.context, command.escalations + 1
-        )
-
-    def _resubmit_write(self, lba, data, op, escalations):
-        """Submit a write from callback context, deferring on a full ring."""
-        try:
-            command = self.driver.write(
-                self.qpair, lba, data, callback=self._on_io_done, context=op
-            )
-        except QueueFullError:
-            self._deferred_escalations.append((lba, data, op, escalations))
-            return
-        command.escalations = escalations
-        self.io_history.on_submit(command)
 
     def _give_up_write(self, completion):
         """The escalation budget is spent; declare the page lost."""
@@ -749,13 +491,7 @@ class PaTreeEngine:
         lba = command.lba
         op = command.context
         self.lost_writes.add()
-        # advance the per-LBA serialization chain past the lost write
-        pending = self._writes_in_flight.get(lba)
-        if pending:
-            next_data, next_op = pending.popleft()
-            self._resubmit_write(lba, next_data, next_op, 0)
-        else:
-            self._writes_in_flight.pop(lba, None)
+        self._advance_write_chain(lba)
         error = self._error_from(completion)
         if op is None:
             self._background_outstanding -= 1
@@ -786,15 +522,6 @@ class PaTreeEngine:
             op.state = ST_READY
             self.policy.on_ready(op)
 
-    def _finished(self):
-        return (
-            self.source.exhausted()
-            and self.inflight == 0
-            and self._background_outstanding == 0
-            and not self._deferred_flushes
-            and not self._deferred_escalations
-        )
-
     # ------------------------------------------------------------------
     # caches
     # ------------------------------------------------------------------
@@ -823,57 +550,12 @@ class PaTreeEngine:
     def register_metrics(self, registry, labels=None):
         """Expose the whole worker stack through a metric registry.
 
-        Fans out to the driver (which covers the device), the queue
-        pair, the latch table, the buffer and the scheduling policy, so
+        On top of the common worker block: latch-wait and batch
+        pipeline counters, then the latch table and the buffer, so
         attaching one engine registers every layer it owns under the
-        same labels.  All registrations are callback-backed; nothing is
-        added to the hot path.
+        same labels.
         """
-        registry.counter(
-            "engine_completed_total", labels,
-            fn=lambda: self.completed.value,
-            help="operations completed (including failed ones)",
-        )
-        registry.counter(
-            "engine_failed_ops_total", labels,
-            fn=lambda: self.failed_ops.value,
-            help="operations aborted with a typed error",
-        )
-        registry.counter(
-            "engine_io_errors_total", labels,
-            fn=lambda: self.io_errors.value,
-            help="I/O failures the driver delivered to the engine",
-        )
-        registry.counter(
-            "engine_io_escalations_total", labels,
-            fn=lambda: self.io_escalations.value,
-            help="failed writes re-driven with a fresh command",
-        )
-        registry.counter(
-            "engine_lost_writes_total", labels,
-            fn=lambda: self.lost_writes.value,
-            help="writes abandoned at the escalation cap",
-        )
-        registry.counter(
-            "engine_probes_total", labels,
-            fn=lambda: self.probes.value,
-            help="completion-queue probes performed",
-        )
-        registry.counter(
-            "engine_probe_skips_total", labels,
-            fn=lambda: self.probe_skips.value,
-            help="probe opportunities the policy declined",
-        )
-        registry.counter(
-            "engine_idle_yields_total", labels,
-            fn=lambda: self.idle_yields.value,
-            help="idle iterations resolved by yielding the core",
-        )
-        registry.counter(
-            "engine_idle_spins_total", labels,
-            fn=lambda: self.idle_spins.value,
-            help="idle iterations resolved by busy-spinning",
-        )
+        super().register_metrics(registry, labels)
         registry.counter(
             "engine_latch_wait_events_total", labels,
             fn=lambda: self.latch_wait_events.value,
@@ -908,40 +590,17 @@ class PaTreeEngine:
             fn=lambda: self.coalesced_writes.value,
             help="page writes that shared a coalesced command vector",
         )
-        registry.gauge(
-            "engine_inflight_ops", labels,
-            fn=lambda: self.inflight,
-            help="admitted operations not yet complete",
-        )
-        registry.gauge(
-            "engine_outstanding_io_count", labels,
-            fn=lambda: self.io_history.outstanding_count,
-            help="engine-submitted I/Os awaiting completion",
-        )
-        self.driver.register_metrics(registry, labels=labels)
-        self.qpair.register_metrics(registry, labels=labels)
         self.latches.register_metrics(registry, labels=labels)
-        self.policy.register_metrics(registry, labels=labels)
         if self.buffer is not None:
             self.buffer.register_metrics(registry, labels=labels)
         return registry
 
     def stats(self):
         """Totals snapshot; harnesses diff two snapshots for a window."""
-        out = {
-            "completed": self.completed.value,
-            "completed_by_kind": dict(self.completed_by_kind),
-            "probes": self.probes.value,
-            "latch_waits": self.latch_wait_events.value,
-            "outstanding_avg": self.io_history.outstanding_count,
-            "mean_latency_us": self.latencies.mean_usec(),
-            "p99_latency_us": self.latencies.p99_usec(),
-            "io_errors": self.io_errors.value,
-            "failed_ops": self.failed_ops.value,
-            "io_retries": self.driver.retries_scheduled.value,
-            "io_escalations": self.io_escalations.value,
-            "lost_writes": self.lost_writes.value,
-        }
+        out = super().stats()
+        out["completed_by_kind"] = dict(self.completed_by_kind)
+        out["latch_waits"] = self.latch_wait_events.value
+        out["outstanding_avg"] = self.io_history.outstanding_count
         # batch keys appear only when batches actually ran, keeping
         # single-op artifacts bit-for-bit identical
         if self.batch_ops.value:

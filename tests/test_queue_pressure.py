@@ -10,13 +10,14 @@ a full ring never escapes a run.
 import pytest
 
 from repro.core.engine import PaTreeEngine
-from repro.core.ops import search_op, sync_op, update_op
+from repro.core.ops import insert_op, search_op, sync_op, update_op
 from repro.core.source import ClosedLoopSource
 from repro.core.tree import PaTree
 from repro.errors import DeviceError, QueueFullError
 from repro.faults import FaultConfig
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver, RetryPolicy
+from repro.palsm import AsyncLsmStore, PolledLsmWorker
 from repro.sched.naive import NaiveScheduling
 from repro.sim.engine import Engine
 from repro.simos.scheduler import OsProfile, SimOS
@@ -165,3 +166,68 @@ class TestEngineQueuePressure:
         assert tail.error is None
         assert pa.buffer.dirty_count == 0
         pa.tree.validate()
+
+
+class _IdleWatch(NaiveScheduling):
+    """Naive policy that notes the deferred backlog whenever the main
+    loop reaches its idle branch (which always asks for the sleep)."""
+
+    def __init__(self):
+        super().__init__()
+        self.backlog_when_idle = []
+
+    def idle_sleep_ns(self):
+        self.backlog_when_idle.append(len(self.engine._deferred_escalations))
+        return super().idle_sleep_ns()
+
+
+class TestLsmQueuePressure:
+    def test_deferred_escalations_drain_through_a_tiny_ring(self, monkeypatch):
+        """LSM twin of the tree case above.  Every write re-drive issued
+        from completion-callback context finds the ring full, so each
+        one goes through the deferred deque; the loop must re-drive
+        them all and must not idle while any is queued."""
+        engine = Engine(seed=1)
+        simos = SimOS(engine, OsProfile(cores=4))
+        device = NvmeDevice(
+            engine, fast_test_profile(),
+            faults=FaultConfig(write_error_rate=0.4),
+        )
+        driver = NvmeDriver(device)
+        store = AsyncLsmStore(device, memtable_entries=100, wal_pages=4_096)
+        policy = _IdleWatch()
+        worker = PolledLsmWorker(
+            simos, driver, store, policy, ClosedLoopSource([], window=16),
+            qpair=driver.alloc_qpair(sq_size=128, cq_size=4096),
+        )
+
+        backend = worker.driver
+        real_probe, real_write = backend.probe, backend.write
+        state = {"probing": False, "refused": 0}
+
+        def probe(qpair):
+            state["probing"] = True
+            try:
+                return real_probe(qpair)
+            finally:
+                state["probing"] = False
+
+        def write(qpair, lba, data, callback=None, context=None):
+            if state["probing"]:
+                state["refused"] += 1
+                raise QueueFullError("sq is full (forced by the test)")
+            return real_write(qpair, lba, data, callback=callback, context=context)
+
+        monkeypatch.setattr(backend, "probe", probe)
+        monkeypatch.setattr(backend, "write", write)
+
+        ops = [insert_op(k, payload(k)) for k in range(1, 600)]
+        worker.run_operations(ops, window=16)
+        assert all(op.error is None for op in ops)
+        assert state["refused"] > 0
+        assert worker.io_escalations.value >= state["refused"]
+        assert worker.lost_writes.value == 0
+        assert not worker._deferred_escalations
+        assert policy.backlog_when_idle  # the idle branch did run
+        assert not any(policy.backlog_when_idle)
+        assert store.flushes > 0

@@ -1,0 +1,177 @@
+"""The shared contract of ``repro.core.worker.PolledWorker``.
+
+One loop (Algorithm 1/2) drives both index structures, so what the
+loop promises — lifecycle errors, scheduler-decision counters, typed
+aborts, tracer spans, the common metric block — is asserted once,
+parametrised over the tree engine and the LSM worker.
+"""
+
+import pytest
+
+from repro.core.engine import PaTreeEngine
+from repro.core.ops import search_op
+from repro.core.source import ClosedLoopSource, OpenLoopSource
+from repro.core.tree import PaTree
+from repro.core.worker import PolledWorker
+from repro.errors import IoError, RetryExhaustedError, SchedulerError
+from repro.faults import FaultConfig
+from repro.nvme.command import IoStatus
+from repro.nvme.device import NvmeDevice, fast_test_profile
+from repro.nvme.driver import NvmeDriver
+from repro.obs.metrics import MetricRegistry
+from repro.obs.tracer import EV_SLICE, Tracer
+from repro.palsm import AsyncLsmStore, PolledLsmWorker
+from repro.sched.naive import NaiveScheduling
+from repro.sched.policies import FixedRateProbing
+from repro.sim.engine import Engine
+from repro.sim.rng import RngRegistry
+from repro.simos.scheduler import OsProfile, SimOS
+
+KEYS = 300
+
+pytestmark = pytest.mark.parametrize("kind", ["tree", "lsm"])
+
+
+def payload(key):
+    return (key % 2**64).to_bytes(8, "little")
+
+
+def build(kind, policy=None, faults=None, traced=False):
+    """A preloaded worker of ``kind`` on a cold device; returns
+    ``(sim engine, worker)``."""
+    engine = Engine(seed=1)
+    simos = SimOS(engine, OsProfile(cores=4))
+    device = NvmeDevice(engine, fast_test_profile(), faults=faults)
+    driver = NvmeDriver(device)
+    items = [(k * 10, payload(k * 10)) for k in range(1, KEYS + 1)]
+    common = dict(
+        policy=policy or NaiveScheduling(),
+        source=ClosedLoopSource([], window=16),
+        tracer=Tracer(engine.clock) if traced else None,
+    )
+    if kind == "tree":
+        tree = PaTree.create(device)
+        tree.bulk_load(items)
+        return engine, PaTreeEngine(simos, driver, tree, **common)
+    store = AsyncLsmStore(device, memtable_entries=100, wal_pages=4_096)
+    store.bulk_load(items)
+    return engine, PolledLsmWorker(simos, driver, store, **common)
+
+
+def reads(count=120):
+    return [search_op((k % KEYS + 1) * 10) for k in range(count)]
+
+
+def test_both_workers_are_the_one_loop(kind):
+    _engine, worker = build(kind)
+    assert isinstance(worker, PolledWorker)
+    assert type(worker)._worker_body is PolledWorker._worker_body
+    assert type(worker).reset_source is PolledWorker.reset_source
+
+
+def test_reset_source_on_a_running_worker_raises(kind):
+    engine, worker = build(kind)
+    ops = reads()
+    worker.reset_source(ClosedLoopSource(ops, window=16))
+    worker.start()
+    with pytest.raises(SchedulerError):
+        worker.reset_source(ClosedLoopSource([], window=16))
+    engine.run(until=lambda: worker.worker_thread.done)
+    assert all(op.result == payload(op.key) for op in ops)
+    worker.reset_source()  # a finished worker re-arms
+
+
+def test_yielding_policy_counts_yields_and_declined_probes(kind):
+    _engine, worker = build(kind, policy=FixedRateProbing(omega_us=20))
+    ops = worker.run_operations(reads(), window=16)
+    assert all(op.result == payload(op.key) for op in ops)
+    assert worker.idle_yields.value > 0
+    assert worker.probe_skips.value > 0
+    assert worker.idle_spins.value == 0
+
+
+def test_naive_policy_spins_and_never_declines_a_probe(kind):
+    engine, worker = build(kind)
+    ops = reads(60)
+    rng = RngRegistry(9).stream("arrivals")
+    worker.reset_source(OpenLoopSource(ops, rate_per_sec=50_000, rng=rng))
+    worker.run_to_completion()
+    assert all(op.result == payload(op.key) for op in ops)
+    # between arrivals nothing is ready and nothing outstanding
+    assert worker.idle_spins.value > 0
+    assert worker.idle_yields.value == 0
+    assert worker.probe_skips.value == 0
+    assert worker.probes.value > 0
+
+
+def test_poisoned_read_aborts_with_the_typed_error(kind):
+    profile = fast_test_profile()
+    _engine, worker = build(
+        kind,
+        faults=FaultConfig(poison_ranges=((0, profile.capacity_pages - 1),)),
+    )
+    ops = worker.run_operations(reads(8), window=4)
+    for op in ops:
+        assert isinstance(op.error, IoError)
+        assert not isinstance(op.error, RetryExhaustedError)
+        assert op.error.status is IoStatus.UNRECOVERED_READ
+        assert op.result is None
+    assert worker.failed_ops.value == len(ops)
+    assert worker.inflight == 0
+    assert worker.user_completed == 0
+    assert worker.stats()["failed_ops"] == len(ops)
+
+
+def test_process_and_probe_spans_on_the_worker_track(kind):
+    _engine, worker = build(kind, traced=True)
+    worker.run_operations(reads(20), window=4)
+    track = "worker:%s" % worker.name
+    names = {
+        event[2]
+        for event in worker.tracer.events
+        if event[0] == EV_SLICE and event[1] == track
+    }
+    assert {"process:search", "probe"} <= names
+
+
+# every name either worker registered before the loops were merged
+_COMMON = (
+    "completed_total", "failed_ops_total", "io_errors_total",
+    "io_escalations_total", "lost_writes_total", "probes_total",
+    "inflight_ops", "outstanding_io_count",
+)
+_DECISIONS = ("probe_skips_total", "idle_yields_total", "idle_spins_total")
+_FANOUT = (
+    "driver_retries_total", "driver_failures_delivered_total",
+    "driver_retry_budget_count", "driver_retry_backoff_ns",
+    "device_reads_total", "device_writes_total", "device_errors_total",
+    "device_probe_calls_total", "device_outstanding_ops",
+    "device_channel_busy_ratio", "qpair_outstanding_ops",
+    "qpair_submitted_total", "qpair_completed_total",
+    "qpair_vector_submissions_total", "qpair_vector_commands_total",
+    "qpair_sq_occupancy_ratio", "qpair_cq_occupancy_ratio",
+    "sched_ready_ops",
+)
+_OWN = {
+    "tree": (
+        "engine_latch_wait_events_total", "batch_ops_total",
+        "batch_keys_total", "batch_groups_total", "batch_group_size",
+        "engine_coalesced_writes_total", "latch_grants_total",
+        "latch_waits_total", "latch_held_pages", "latch_pending_ops",
+    ),
+    "lsm": ("store_flushes_total", "store_compactions_total"),
+}
+
+
+def test_metric_names_are_stable_and_decisions_are_exported(kind):
+    _engine, worker = build(kind, policy=FixedRateProbing(omega_us=20))
+    registry = worker.register_metrics(MetricRegistry())
+    prefix = {"tree": "engine_", "lsm": "worker_"}[kind]
+    expected = {prefix + name for name in _COMMON + _DECISIONS}
+    expected.update(_FANOUT, _OWN[kind])
+    assert {metric.name for metric in registry.collect()} == expected
+    worker.run_operations(reads(), window=16)
+    scalars = registry.scalars()
+    assert scalars[prefix + "completed_total"] == 120
+    for name in _DECISIONS[:2]:
+        assert scalars[prefix + name] == getattr(worker, name[:-6]).value > 0
