@@ -44,7 +44,6 @@ paradigms, open-loop arrival), use the underlying pieces directly; the
 benchmark harness in ``repro.bench`` shows how.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 from repro.backend import make_backend
@@ -194,10 +193,9 @@ class BaseSession:
     implement ``_build(config)`` and ``_execute_ops(operations)`` —
     the one hook that drives raw operations through their engine.  The
     base class provides everything else: configuration merging (a
-    ``SessionConfig``, keyword overrides, or a bare int treated as a
-    seed for backward compatibility), the batch-first verbs (single
-    ops are size-1 batches), the :class:`~repro.core.ops.OpSpec`
-    execute contract, ``close()`` / context-manager support, and the
+    ``SessionConfig`` and/or keyword overrides), the batch-first verbs
+    (single ops are size-1 batches), the
+    :class:`~repro.core.ops.OpSpec` execute contract, ``close()`` / context-manager support, and the
     dict-style sugar.
     """
 
@@ -206,13 +204,9 @@ class BaseSession:
     def __init__(self, config=None, **overrides):
         if config is None:
             config = self.default_config
-        elif isinstance(config, int):
-            # legacy positional call: PATreeSession(7) meant seed=7
-            config = self.default_config.merged(seed=config)
         elif not isinstance(config, SessionConfig):
             raise ReproError(
-                "config must be a SessionConfig or an int seed, not %r"
-                % (config,)
+                "config must be a SessionConfig, not %r" % (config,)
             )
         if overrides:
             try:
@@ -394,37 +388,6 @@ class BaseSession:
         """Flush buffered updates (weak persistence); returns count."""
         (op,) = self._execute_ops([sync_op()])
         return self._result(op)
-
-    # -- deprecated aliases --------------------------------------------
-
-    _warned_aliases = set()
-
-    @staticmethod
-    def _warn_alias(old, new):
-        """Emit one DeprecationWarning per alias per process."""
-        if old in BaseSession._warned_aliases:
-            return
-        BaseSession._warned_aliases.add(old)
-        warnings.warn(
-            "Session.%s() is deprecated; use %s()" % (old, new),
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def search(self, key):
-        """Deprecated alias for :meth:`get`."""
-        self._warn_alias("search", "get")
-        return self.get(key)
-
-    def insert(self, key, payload):
-        """Deprecated alias for :meth:`put`."""
-        self._warn_alias("insert", "put")
-        return self.put(key, payload)
-
-    def range_search(self, low, high, limit=0):
-        """Deprecated alias for :meth:`scan`."""
-        self._warn_alias("range_search", "scan")
-        return self.scan(low, high, limit)
 
     # -- dict-style sugar ----------------------------------------------
 

@@ -30,9 +30,9 @@ class TestAsyncLsmSession:
     def test_range(self):
         session = make_session()
         session.bulk_load([(k * 2, payload(k)) for k in range(200)])
-        results = session.range_search(10, 30)
+        results = session.scan(10, 30)
         assert [k for k, _v in results] == list(range(10, 31, 2))
-        limited = session.range_search(0, 10**9, limit=5)
+        limited = session.scan(0, 10**9, limit=5)
         assert len(limited) == 5
 
     def test_flushes_happen_under_writes(self):

@@ -9,13 +9,10 @@ failing batch must surface a typed :class:`~repro.errors.BatchError`
 naming the failing key without corrupting the rest of the tree).
 """
 
-import warnings
-
 import pytest
 
 from repro.api import (
     AsyncLsmSession,
-    BaseSession,
     PATreeSession,
     ShardedSession,
 )
@@ -309,19 +306,3 @@ class TestExecuteContract:
             assert session.put_many([]) == []
             assert session.get_many([]) == []
             assert session.delete_many([]) == []
-
-    def test_deprecated_aliases_warn_once(self):
-        with PATreeSession(seed=1) as session:
-            BaseSession._warned_aliases = set()
-            with pytest.warns(DeprecationWarning, match="use put"):
-                session.insert(5, payload(5))
-            with pytest.warns(DeprecationWarning, match="use get"):
-                session.search(5)
-            with pytest.warns(DeprecationWarning, match="use scan"):
-                session.range_search(1, 10)
-            with warnings.catch_warnings(record=True) as again:
-                warnings.simplefilter("always")
-                session.insert(6, payload(6))
-                session.search(6)
-                session.range_search(1, 10)
-            assert not [w for w in again if w.category is DeprecationWarning]

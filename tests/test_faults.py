@@ -304,7 +304,7 @@ class TestSessionFaults:
         with PATreeSession(config) as session:
             session.bulk_load(items(500))
             for key in range(1, 200):
-                assert session.search(key) == payload(key)
+                assert session.get(key) == payload(key)
             for key in range(1, 50):
                 assert session.update(key, b"new-" + payload(key)[:4])
             stats = session.stats()
@@ -323,7 +323,7 @@ class TestSessionFaults:
             session.bulk_load(items(300))
             for key in range(1, 200):
                 try:
-                    session.search(key)
+                    session.get(key)
                 except IoError:
                     pass
             stats = session.stats()
@@ -339,7 +339,7 @@ class TestSessionFaults:
         with PATreeSession(config) as session:
             session.bulk_load(items(100))
             with pytest.raises(RetryExhaustedError) as excinfo:
-                session.search(5)
+                session.get(5)
             assert isinstance(excinfo.value, IoError)
             assert excinfo.value.status is IoStatus.MEDIA_ERROR
             stats = session.stats()
@@ -349,7 +349,7 @@ class TestSessionFaults:
             session.validate()
             # and the session keeps accepting work
             with pytest.raises(RetryExhaustedError):
-                session.search(6)
+                session.get(6)
 
     def test_batch_execute_marks_failed_ops_instead_of_raising(self):
         from repro.core.ops import search_op
@@ -372,7 +372,7 @@ class TestSessionFaults:
         with PATreeSession(config) as session:
             session.bulk_load(items(100))
             with pytest.raises(IoError) as excinfo:
-                session.search(5)
+                session.get(5)
             assert not isinstance(excinfo.value, RetryExhaustedError)
             assert excinfo.value.status is IoStatus.UNRECOVERED_READ
             assert session.stats()["faults"]["poison_read_failures"] >= 1
@@ -384,8 +384,8 @@ class TestSessionFaults:
             with PATreeSession(fast(faults=faults)) as session:
                 session.bulk_load(items(200))
                 for key in range(1, 100):
-                    session.search(key)
-                session.insert(1_000_000, b"tail-val")
+                    session.get(key)
+                session.put(1_000_000, b"tail-val")
                 stats = session.stats()
                 stats.pop("faults", None)
                 results.append(stats)
@@ -431,7 +431,7 @@ class TestSessionFaults:
         with ShardedSession(config) as session:
             session.bulk_load(items(400))
             for key in range(1, 150):
-                assert session.search(key) == payload(key)
+                assert session.get(key) == payload(key)
             stats = session.stats()
             assert stats["user_failed"] == 0
             assert stats["faults"]["media_errors_injected"] > 0
@@ -445,9 +445,9 @@ class TestSessionFaults:
         with PATreeSession(config) as session:
             session.bulk_load(items(100))
             for key in range(200, 260):
-                assert session.insert(key, payload(key))
+                assert session.put(key, payload(key))
             stats = session.stats()
             assert stats["lost_writes"] == 0
             session.validate()
             for key in range(200, 260):
-                assert session.search(key) == payload(key)
+                assert session.get(key) == payload(key)

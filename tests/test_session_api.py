@@ -1,7 +1,7 @@
 """Tests for the unified session facade (repro.api).
 
-Covers the shared session shape: SessionConfig merging, legacy
-keyword/positional compatibility, context-manager lifecycle, the
+Covers the shared session shape: SessionConfig merging, keyword
+construction, context-manager lifecycle, the
 dict-style sugar, and the stats() snapshot contract (fresh dict per
 call, cumulative counters).
 """
@@ -71,11 +71,6 @@ class TestConstruction:
             assert session.config.seed == 3
             assert session.config.buffer_pages == 32
 
-    def test_legacy_positional_int_is_a_seed(self):
-        with PATreeSession(7, scheduler="naive",
-                           device_profile=fast_test_profile()) as session:
-            assert session.config.seed == 7
-
     def test_keywords_override_config_fields(self):
         with PATreeSession(fast(seed=1), seed=9) as session:
             assert session.config.seed == 9
@@ -97,10 +92,10 @@ class TestConstruction:
 class TestLifecycle:
     def test_context_manager_closes(self):
         with PATreeSession(fast()) as session:
-            session.insert(1, payload(1))
+            session.put(1, payload(1))
         assert session.closed
         with pytest.raises(ReproError):
-            session.search(1)
+            session.get(1)
 
     def test_close_is_idempotent(self):
         session = PATreeSession(fast())
@@ -177,12 +172,12 @@ class TestSharedVerbs:
         with PATreeSession(fast(window=16)) as session:
             session.bulk_load((k, payload(k)) for k in range(1, 1_001))
             assert len(session) == 1_000
-            assert session.search(7) == payload(7)
-            assert session.search(5_000) is None
-            assert session.insert(5_000, payload(5_000)) is True
+            assert session.get(7) == payload(7)
+            assert session.get(5_000) is None
+            assert session.put(5_000, payload(5_000)) is True
             assert session.update(5_000, payload(1)) is True
             assert session.delete(5_000) is True
-            got = session.range_search(10, 50)
+            got = session.scan(10, 50)
             assert got == [(k, payload(k)) for k in range(10, 51)]
             session.validate()
 
@@ -191,10 +186,10 @@ class TestSharedVerbs:
         with ShardedSession(config) as fleet:
             fleet.bulk_load((k, payload(k)) for k in range(1, 2_001))
             assert len(fleet) == 2_000
-            assert fleet.search(9) == payload(9)
+            assert fleet.get(9) == payload(9)
             fleet[9_999] = payload(9_999)
             assert fleet.delete(9_999) is True
-            got = fleet.range_search(100, 300)
+            got = fleet.scan(100, 300)
             assert got == [(k, payload(k)) for k in range(100, 301)]
             stats = fleet.stats()
             assert stats["shards"] == 4
@@ -207,7 +202,7 @@ class TestSharedVerbs:
         config = fast(shards=3, partitioning="range")
         with ShardedSession(config) as fleet:
             fleet.bulk_load((k, payload(k)) for k in range(1, 1_501))
-            assert fleet.range_search(1, 1_500) == [
+            assert fleet.scan(1, 1_500) == [
                 (k, payload(k)) for k in range(1, 1_501)
             ]
 

@@ -79,13 +79,13 @@ class TestSessionFacade:
         )
         session.bulk_load((k, k.to_bytes(8, "little")) for k in range(1, 501))
         assert len(session) == 500
-        assert session.search(5) == (5).to_bytes(8, "little")
-        assert session.insert(1_000, b"12345678") is True
+        assert session.get(5) == (5).to_bytes(8, "little")
+        assert session.put(1_000, b"12345678") is True
         assert session.update(1_000, b"abcdefgh") is True
-        assert session.search(1_000) == b"abcdefgh"
+        assert session.get(1_000) == b"abcdefgh"
         assert session.delete(1_000) is True
-        assert session.search(1_000) is None
-        assert [k for k, _v in session.range_search(10, 15)] == list(range(10, 16))
+        assert session.get(1_000) is None
+        assert [k for k, _v in session.scan(10, 15)] == list(range(10, 16))
         session.validate()
 
     def test_weak_session_sync(self):
@@ -97,7 +97,7 @@ class TestSessionFacade:
             device_profile=fast_test_profile(),
         )
         session.bulk_load((k, bytes(8)) for k in range(1, 101))
-        session.insert(1_000, b"x" * 8)
+        session.put(1_000, b"x" * 8)
         flushed = session.sync()
         assert flushed >= 1
         session.validate()
@@ -107,7 +107,7 @@ class TestSessionFacade:
             seed=3, scheduler="naive", device_profile=fast_test_profile()
         )
         session.bulk_load([(1, bytes(8))])
-        session.search(1)
+        session.get(1)
         stats = session.stats()
         assert stats["completed"] == 1
         assert stats["virtual_time_us"] > 0
