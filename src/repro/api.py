@@ -195,8 +195,8 @@ class BaseSession:
     base class provides everything else: configuration merging (a
     ``SessionConfig`` and/or keyword overrides), the batch-first verbs
     (single ops are size-1 batches), the
-    :class:`~repro.core.ops.OpSpec` execute contract, ``close()`` / context-manager support, and the
-    dict-style sugar.
+    :class:`~repro.core.ops.OpSpec` execute contract, ``close()`` /
+    context-manager support, and the dict-style sugar.
     """
 
     default_config = SessionConfig()

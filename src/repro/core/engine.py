@@ -120,6 +120,7 @@ class PaTreeEngine(PolledWorker):
         return self.worker_thread
 
     def run_to_completion(self, until_ns=None):
+        """Run until the source drains; no latch may outlive the run."""
         super().run_to_completion(until_ns)
         self.latches.assert_quiescent()
 
