@@ -14,9 +14,7 @@ to play:
 * the **media plane** (what :class:`~repro.nvme.device.NvmeDevice`
   exposes): ``raw_read`` / ``raw_write`` zero-time backdoors for bulk
   loading and validation, the :class:`~repro.nvme.device.DeviceProfile`
-  calibration constants, completion counters, and the observability /
-  fault-injection / fuzz hook points (``on_submit``, ``on_complete``,
-  ``on_retry``, ``perturb_service``, ``fault_injector``).
+  calibration constants, completion counters and ``fault_injector``.
 
 A backend is a composition of the device core and a driver bound to it;
 the base class implements the whole contract by delegation, so the
@@ -187,43 +185,9 @@ class IoBackend:
     def mean_write_latency_ns(self):
         return self.device.mean_write_latency_ns()
 
-    # -- hook points ---------------------------------------------------
-
     @property
     def fault_injector(self):
         return self.device.fault_injector
-
-    @property
-    def on_submit(self):
-        return self.device.on_submit
-
-    @on_submit.setter
-    def on_submit(self, hook):
-        self.device.on_submit = hook
-
-    @property
-    def on_complete(self):
-        return self.device.on_complete
-
-    @on_complete.setter
-    def on_complete(self, hook):
-        self.device.on_complete = hook
-
-    @property
-    def on_retry(self):
-        return self.driver.on_retry
-
-    @on_retry.setter
-    def on_retry(self, hook):
-        self.driver.on_retry = hook
-
-    @property
-    def perturb_service(self):
-        return self.device.perturb_service
-
-    @perturb_service.setter
-    def perturb_service(self, hook):
-        self.device.perturb_service = hook
 
     # -- observability -------------------------------------------------
 

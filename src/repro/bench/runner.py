@@ -183,9 +183,9 @@ def run_pa(
 
     With ``trace=True`` a :class:`repro.obs.TraceSession` records the
     whole run (spans, time series, histograms) and is returned under
-    the ``"trace_session"`` key.  Tracing observes through hook points
-    that charge no virtual time, so every reported quantity matches the
-    untraced run exactly.
+    the ``"trace_session"`` key.  Tracing observes through observer
+    slots that charge no virtual time, so every reported quantity
+    matches the untraced run exactly.
 
     ``faults`` (a :class:`repro.faults.FaultConfig` or kwargs dict) arms
     the device's fault injector and ``retry`` overrides the driver's

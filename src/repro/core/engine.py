@@ -33,6 +33,7 @@ from repro.core.plans import make_plan
 from repro.core.worker import PolledWorker
 from repro.errors import SchedulerError, TreeError
 from repro.nvme.command import Completion, OP_READ
+from repro.sim.hooks import subscribe
 from repro.sim.metrics import (
     CPU_NVME,
     CPU_REAL_WORK,
@@ -88,7 +89,7 @@ class PaTreeEngine(PolledWorker):
         self.persistence = persistence
         self.dedicated_poller = dedicated_poller
         self.latches = LatchTable()
-        tree.on_page_released = self._on_page_released
+        subscribe(tree, "on_page_released", self._on_page_released)
 
         self._node_cache = {}
         self._writes_in_flight = {}

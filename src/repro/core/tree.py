@@ -41,7 +41,9 @@ class PaTree:
         self.allocator = allocator
         self.costs = costs or DEFAULT_COSTS
         self.meta_page = META_PAGE
-        self.on_page_released = None  # engine hook: invalidate caches
+        # observer slot (repro.sim.hooks): the engine on top subscribes
+        # to drop its cached parse of a freed page
+        self.on_page_released = ()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -130,8 +132,9 @@ class PaTree:
     def release_page(self, page_id):
         """Free a page and let the engine drop any cached parse of it."""
         self.allocator.free(page_id)
-        if self.on_page_released is not None:
-            self.on_page_released(page_id)
+        if self.on_page_released:
+            for observer in self.on_page_released:
+                observer(page_id)
 
     # ------------------------------------------------------------------
     # bulk loading (offline, zero virtual time)

@@ -83,10 +83,11 @@ class PolledWorker:
         self.costs = costs
         self.qpair = qpair or self.backend.alloc_qpair(sq_size=4096, cq_size=4096)
         self.name = name
-        # observability: tracer records spans when enabled; op_observer
-        # (a TraceSession) sees every completed operation
+        # observability: tracer records spans when enabled; the
+        # on_op_complete observer slot (repro.sim.hooks) sees every
+        # completed operation
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.op_observer = None
+        self.on_op_complete = ()
         self._track = "worker:%s" % name
 
         from repro.sched.history import IoHistory
@@ -330,8 +331,9 @@ class PolledWorker:
         self._account(op)
         if self.tracer.enabled:
             self.tracer.async_end("op", op.seq, op.kind)
-        if self.op_observer is not None:
-            self.op_observer.on_op_complete(op)
+        if self.on_op_complete:
+            for observer in self.on_op_complete:
+                observer(op)
         if op.kind not in self.internal_kinds:
             self.source.on_op_complete(op)
         if op.on_complete is not None:

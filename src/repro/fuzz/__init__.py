@@ -4,7 +4,7 @@ The simulation is deterministic by construction; this package makes
 its two pinned nondeterminism sources — SimOS scheduling choices and
 NVMe completion timing — explorable.  A seeded
 :class:`~repro.fuzz.hooks.ScheduleExplorer` perturbs them through the
-null-default hooks on :class:`~repro.simos.scheduler.SimOS`,
+null-default decision hooks on :class:`~repro.simos.scheduler.SimOS`,
 :class:`~repro.sim.engine.Engine` and
 :class:`~repro.nvme.device.NvmeDevice`, transcribing every decision;
 the harness checks each explored schedule against oracles and

@@ -40,6 +40,7 @@ from repro.fuzz.hooks import FuzzConfig, HookBinder, ScheduleExplorer, TraceDeci
 from repro.fuzz.shrink import shrink_trace
 from repro.backend import fast_test_profile
 from repro.obs.flight import FlightRecorder
+from repro.sim.hooks import subscribe, unsubscribe
 from repro.sim.rng import RngRegistry
 from repro.simos.scheduler import OsProfile
 
@@ -249,18 +250,12 @@ class NoProgressWatchdog:
         self.engine = engine
         self.budget = budget
         self._since_progress = 0
-        self._bound = False
 
     def bind(self):
-        if self.engine.on_dispatch is not None:
-            raise SchedulerError("engine.on_dispatch is already bound")
-        self.engine.on_dispatch = self._on_dispatch
-        self._bound = True
+        subscribe(self.engine, "on_dispatch", self._on_dispatch)
 
     def unbind(self):
-        if self._bound:
-            self.engine.on_dispatch = None
-            self._bound = False
+        unsubscribe(self.engine, "on_dispatch", self._on_dispatch)
 
     def progress(self):
         self._since_progress = 0
@@ -276,26 +271,19 @@ class NoProgressWatchdog:
 
 def _tap_completions(devices, recorder, watchdog):
     """Record completions and feed the watchdog; returns an undo fn."""
-    tapped = []
 
-    def make_tap():
-        def tap(completion):
-            recorder.record_completion(
-                completion.command, completion.ok, completion.status
-            )
-            watchdog.progress()
-
-        return tap
+    def tap(completion):
+        recorder.record_completion(
+            completion.command, completion.ok, completion.status
+        )
+        watchdog.progress()
 
     for device in devices:
-        if device.on_complete is not None:
-            raise SchedulerError("device.on_complete is already bound")
-        device.on_complete = make_tap()
-        tapped.append(device)
+        subscribe(device, "on_complete", tap)
 
     def undo():
-        for device in tapped:
-            device.on_complete = None
+        for device in devices:
+            unsubscribe(device, "on_complete", tap)
 
     return undo
 

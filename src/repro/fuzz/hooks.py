@@ -212,12 +212,13 @@ class TraceDecider:
 
 
 class HookBinder:
-    """Installs a decider onto a simulated machine's null-default hooks.
+    """Installs a decider onto a simulated machine's decision slots.
 
-    Refuses to overwrite a hook that is already bound (the harness owns
-    these hook sites for the duration of a fuzz run) and restores every
-    hook to ``None`` on :meth:`unbind` — also usable as a context
-    manager.  The engine's ``perturb_delay`` hook is installed only
+    A decision slot returns a value, so it has one owner: this refuses
+    to overwrite one that is already bound (the harness owns them for
+    the duration of a fuzz run; ``_install`` is their only writer) and
+    restores every slot to ``None`` on :meth:`unbind` — also usable as
+    a context manager.  The engine's ``perturb_delay`` hook is installed only
     when the decider asks for it, so explore and replay runs consult
     the exact same sites in the exact same order.
     """

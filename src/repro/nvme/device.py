@@ -169,10 +169,11 @@ class NvmeDevice:
         self.write_latency_sum_ns = 0
         self.outstanding = TimeWeightedGauge(engine.clock)
         self.probe_calls = Counter()
-        # observability hooks: called with each command at submission /
-        # completion-visible time; must not mutate device or queue state
-        self.on_submit = None
-        self.on_complete = None
+        # observer slots (repro.sim.hooks): subscribers are called with
+        # each command at submission / each completion as it becomes
+        # visible; must not mutate device or queue state
+        self.on_submit = ()
+        self.on_complete = ()
         # Schedule-exploration hook (repro.fuzz): called with
         # (command, service_ns) after fault scaling and returns the
         # service time to use, jittering per-command latency so
@@ -209,8 +210,9 @@ class NvmeDevice:
         qpair.outstanding += 1
         qpair.submitted += 1
         self.outstanding.add(1)
-        if self.on_submit is not None:
-            self.on_submit(command)
+        if self.on_submit:
+            for observer in self.on_submit:
+                observer(command)
 
     def submit(self, qpair, command):
         """Host pushed a command onto a submission queue."""
@@ -462,7 +464,6 @@ class NvmeDevice:
             command, status, command.visible_ns, attempt=command.retries
         )
         qpair.cq.push(completion)
-        if self.on_complete is not None:
-            self.on_complete(completion)
-        if qpair.on_complete is not None:
-            qpair.on_complete(completion)
+        if self.on_complete:
+            for observer in self.on_complete:
+                observer(completion)

@@ -77,9 +77,10 @@ class NvmeDriver:
         self.retry = RetryPolicy() if retry is None else retry
         self.retries_scheduled = Counter()
         self.failures_delivered = Counter()
-        #: observability hook: called with each completion whose command
-        #: is about to be retried (before the backoff sleep)
-        self.on_retry = None
+        #: observer slot (repro.sim.hooks): subscribers are called with
+        #: each completion whose command is about to be retried (before
+        #: the backoff sleep)
+        self.on_retry = ()
 
     # cost constants -----------------------------------------------------
 
@@ -220,8 +221,9 @@ class NvmeDriver:
         delay = self.retry.delay_ns(command.retries)
         command.retries += 1
         self.retries_scheduled.add()
-        if self.on_retry is not None:
-            self.on_retry(completion)
+        if self.on_retry:
+            for observer in self.on_retry:
+                observer(completion)
         engine = self.device.engine
         engine.schedule_at(
             engine.now + delay, partial(self._resubmit, qpair, command)

@@ -9,13 +9,7 @@ from repro.nvme.queue import Ring
 
 
 class QueuePair:
-    """A submission/completion queue pair owned by one application actor.
-
-    ``on_complete`` is an observability hook: when set, the device calls
-    it with each command as its completion becomes visible on the
-    completion ring (before any host-side probe).  It must not mutate
-    queue state; the default ``None`` costs one attribute check.
-    """
+    """A submission/completion queue pair owned by one application actor."""
 
     __slots__ = (
         "qid",
@@ -26,7 +20,6 @@ class QueuePair:
         "completed",
         "vector_submissions",
         "vector_commands",
-        "on_complete",
     )
 
     def __init__(self, qid, sq_size=1024, cq_size=1024):
@@ -39,7 +32,6 @@ class QueuePair:
         # vectored (single-doorbell) submission accounting
         self.vector_submissions = 0
         self.vector_commands = 0
-        self.on_complete = None
 
     def register_metrics(self, registry, labels=None):
         """Expose queue-pair occupancy through a metric registry."""

@@ -12,8 +12,9 @@ inspectable instead of only aggregable:
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
   newline-delimited JSONL exporters, plus a text "top spans" summary.
 * :mod:`repro.obs.session` — :class:`TraceSession`, which attaches all
-  of the above to a simulated machine through the null-default hook
-  points (``engine.on_dispatch``, device completion hooks, scheduler
+  of the above to a simulated machine by subscribing
+  (:mod:`repro.sim.hooks`) to its observer slots
+  (``engine.on_dispatch``, device completion slots, scheduler
   transition callbacks).
 * :mod:`repro.obs.metrics` — the labeled metric registry
   (Counter/Gauge/Histogram under ``(name, labels)`` identity), the
@@ -29,9 +30,10 @@ inspectable instead of only aggregable:
 Everything is zero-overhead-when-disabled: components hold a
 :data:`~repro.obs.tracer.NULL_TRACER` whose ``enabled`` flag gates every
 record call behind a single attribute check, metric registration only
-happens when a session attaches (the :data:`~repro.obs.metrics.NULL_REGISTRY`
-swallows registrations elsewhere), and the hook points default to
-``None``.
+happens when a session attaches, and the observer slots default to
+``()``.  Sessions add and remove only their own callbacks, so a trace
+session, a metrics session and the fuzz harness compose in any attach
+and finish order.
 """
 
 from repro.obs.export import (
@@ -48,8 +50,6 @@ from repro.obs.metrics import (
     MetricError,
     MetricRegistry,
     MetricScraper,
-    NULL_REGISTRY,
-    NullRegistry,
     prometheus_text,
     write_prometheus,
 )
@@ -76,8 +76,6 @@ __all__ = [
     "MetricError",
     "MetricRegistry",
     "MetricScraper",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "prometheus_text",
     "write_prometheus",
     "DEFAULT_TARGETS_US",

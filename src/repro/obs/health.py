@@ -4,14 +4,12 @@ The metrics sibling of :class:`~repro.obs.session.TraceSession`: one
 session owns a :class:`~repro.obs.metrics.MetricRegistry`, an
 :class:`~repro.obs.slo.SloTracker`, a
 :class:`~repro.obs.flight.FlightRecorder` and a periodic
-:class:`~repro.obs.metrics.MetricScraper`, and wires them into the
-stack through the same null-default hook points the tracer uses.
-
-Hook points are single-slot attributes (``device.on_complete``,
-``driver.on_retry``, ``worker.op_observer``), so the session *chains*
-rather than replaces: the previously-installed hook still fires first
-and :meth:`finish` restores it.  A trace session and a metrics session
-can therefore observe the same run.
+:class:`~repro.obs.metrics.MetricScraper`, and subscribes them
+(:mod:`repro.sim.hooks`) to the same observer slots the tracer uses:
+``device.on_complete``, ``driver.on_retry``, ``worker.on_op_complete``.
+:meth:`finish` takes out exactly what the session put in, so a trace
+session, a metrics session and the fuzz harness can observe the same
+run, attached and finished in any order.
 
 Escalation handling: when a completed operation carries a typed
 :class:`~repro.errors.IoError` (retry budget spent, poisoned LBA) the
@@ -19,11 +17,12 @@ session captures a flight-recorder postmortem naming the failing LBA
 and opcode next to the recent event history.  Postmortem capture is
 bounded; the count of dropped ones is kept so nothing fails silently.
 
-With no session attached nothing registers and every hook point stays
-as it was — the metrics stack costs exactly zero.
+With no session attached nothing registers and every slot stays
+``()`` — the metrics stack costs exactly zero.
 """
 
 import json
+from functools import partial
 
 from repro.errors import IoError
 from repro.obs.flight import FlightRecorder
@@ -35,22 +34,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.slo import SloTracker
 from repro.sim.clock import usec
-
-
-class _OpObserver:
-    """Chains a worker's previous ``op_observer`` with the session."""
-
-    __slots__ = ("session", "previous", "shard")
-
-    def __init__(self, session, previous, shard):
-        self.session = session
-        self.previous = previous
-        self.shard = shard
-
-    def on_op_complete(self, op):
-        if self.previous is not None:
-            self.previous.on_op_complete(op)
-        self.session._on_op_complete(op, self.shard)
+from repro.sim.hooks import subscribe, unsubscribe
 
 
 class MetricsSession:
@@ -72,17 +56,15 @@ class MetricsSession:
         self.postmortems = []
         self.max_postmortems = max_postmortems
         self.postmortems_dropped = 0
-        self._chains = []  # (obj, attr, previous, installed)
+        self._subscriptions = []  # (obj, slot, fn)
 
     # ------------------------------------------------------------------
     # attachment
     # ------------------------------------------------------------------
 
-    def _chain(self, obj, attr, make_hook):
-        previous = getattr(obj, attr)
-        installed = make_hook(previous)
-        setattr(obj, attr, installed)
-        self._chains.append((obj, attr, previous, installed))
+    def _subscribe(self, obj, slot, fn):
+        subscribe(obj, slot, fn)
+        self._subscriptions.append((obj, slot, fn))
 
     def _shard_labels(self, shard):
         return None if shard is None else {"shard": str(shard)}
@@ -90,19 +72,7 @@ class MetricsSession:
     def attach_device(self, device, shard=None):
         """Register a device's metrics and record its completions."""
         device.register_metrics(self.registry, labels=self._shard_labels(shard))
-        flight = self.flight
-
-        def make_hook(previous):
-            def on_complete(completion):
-                if previous is not None:
-                    previous(completion)
-                flight.record_completion(
-                    completion.command, completion.ok, completion.status
-                )
-
-            return on_complete
-
-        self._chain(device, "on_complete", make_hook)
+        self._subscribe(device, "on_complete", self._on_io_complete)
         return self
 
     def attach_backend(self, backend, shard=None):
@@ -116,28 +86,8 @@ class MetricsSession:
         backend.register_metrics(
             self.registry, labels=self._shard_labels(shard)
         )
-        flight = self.flight
-
-        def make_complete_hook(previous):
-            def on_complete(completion):
-                if previous is not None:
-                    previous(completion)
-                flight.record_completion(
-                    completion.command, completion.ok, completion.status
-                )
-
-            return on_complete
-
-        def make_retry_hook(previous):
-            def on_retry(completion):
-                if previous is not None:
-                    previous(completion)
-                flight.record_retry(completion)
-
-            return on_retry
-
-        self._chain(backend.device, "on_complete", make_complete_hook)
-        self._chain(backend.driver, "on_retry", make_retry_hook)
+        self._subscribe(backend.device, "on_complete", self._on_io_complete)
+        self._subscribe(backend.driver, "on_retry", self.flight.record_retry)
         return self
 
     def attach_worker(self, worker, shard=None):
@@ -148,24 +98,12 @@ class MetricsSession:
         covers the whole shard-local stack.
         """
         worker.register_metrics(self.registry, labels=self._shard_labels(shard))
-        self._chain(
-            worker,
-            "op_observer",
-            lambda previous: _OpObserver(self, previous, shard),
+        self._subscribe(
+            worker, "on_op_complete", partial(self._on_op_complete, shard)
         )
-        driver = getattr(worker, "driver", None)
-        if driver is not None:
-            flight = self.flight
-
-            def make_hook(previous):
-                def on_retry(completion):
-                    if previous is not None:
-                        previous(completion)
-                    flight.record_retry(completion)
-
-                return on_retry
-
-            self._chain(driver, "on_retry", make_hook)
+        self._subscribe(
+            worker.backend.driver, "on_retry", self.flight.record_retry
+        )
         return self
 
     def attach_machine(self, machine, worker=None):
@@ -196,19 +134,24 @@ class MetricsSession:
         return self
 
     def finish(self):
-        """Stop scraping and restore every chained hook point."""
+        """Stop scraping and take this session's callbacks (only) back
+        out of every slot."""
         self.scraper.stop()
-        for obj, attr, previous, installed in reversed(self._chains):
-            if getattr(obj, attr) is installed:
-                setattr(obj, attr, previous)
-        self._chains = []
+        for subscription in self._subscriptions:
+            unsubscribe(*subscription)
+        self._subscriptions = []
         return self
 
     # ------------------------------------------------------------------
     # hook callbacks (read-only with respect to simulation state)
     # ------------------------------------------------------------------
 
-    def _on_op_complete(self, op, shard):
+    def _on_io_complete(self, completion):
+        self.flight.record_completion(
+            completion.command, completion.ok, completion.status
+        )
+
+    def _on_op_complete(self, shard, op):
         if op.error is None:
             self.flight.record_transition(op, "done")
             self.slo.observe(op.kind, op.latency_ns, shard=shard)

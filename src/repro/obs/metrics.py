@@ -16,10 +16,9 @@ nanoseconds from pages from ratios without a side channel.
 Determinism: the registry iterates in registration order, label keys
 are sorted inside each identity, and every exporter below (Prometheus
 text, JSONL scrape rows) writes from those orders only — two same-seed
-runs produce byte-identical exports.  Components hold
-:data:`NULL_REGISTRY` by default; like the tracer's ``NULL_TRACER`` it
-makes every registration a no-op returning inert metric objects, so
-the disabled path costs one attribute check and nothing else.
+runs produce byte-identical exports.  Components hold no registry:
+they register (``register_metrics``) only when a session attaches, so
+an unobserved run never touches this module.
 """
 
 import json
@@ -175,34 +174,6 @@ class HistogramMetric(Metric):
         return self.histogram.quantile(q)
 
 
-class _NullMetric:
-    """Inert metric returned by the null registry: every call no-ops."""
-
-    __slots__ = ()
-    kind = "null"
-    name = ""
-    labels = ()
-    flat = ""
-
-    def inc(self, n=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-    def read(self):
-        return 0
-
-    def quantile(self, q):
-        return 0
-
-
-NULL_METRIC = _NullMetric()
-
-
 class MetricRegistry:
     """Labeled metrics under ``(name, labels)`` identity.
 
@@ -212,8 +183,6 @@ class MetricRegistry:
     metric kind is an error.  Iteration yields metrics in first
     registration order — the deterministic order every exporter uses.
     """
-
-    enabled = True
 
     def __init__(self):
         self._metrics = {}  # (name, labels) -> Metric, insertion-ordered
@@ -286,46 +255,6 @@ class MetricRegistry:
             else:
                 out[metric.flat] = metric.read()
         return out
-
-
-class NullRegistry:
-    """Disabled registry: registrations return inert metrics.
-
-    Components can unconditionally call ``register_metrics`` against
-    it; nothing is retained and updates cost one no-op method call.
-    """
-
-    enabled = False
-
-    def counter(self, name, labels=None, fn=None, help=""):
-        return NULL_METRIC
-
-    def gauge(self, name, labels=None, fn=None, help=""):
-        return NULL_METRIC
-
-    def histogram(self, name, labels=None, bounds=None, help=""):
-        return NULL_METRIC
-
-    def get(self, name, labels=None):
-        return None
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self):
-        return 0
-
-    def collect(self):
-        return []
-
-    def scalars(self):
-        return {}
-
-    def snapshot(self):
-        return {}
-
-
-NULL_REGISTRY = NullRegistry()
 
 
 # ---------------------------------------------------------------------------

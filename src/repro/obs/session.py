@@ -2,27 +2,32 @@
 
 A session owns a :class:`~repro.obs.tracer.Tracer`, a periodic
 :class:`~repro.obs.series.TimeSeriesSampler` and a set of fixed-bucket
-latency histograms, and knows how to plug them into the stack's
-null-default hook points:
+latency histograms, and subscribes them (:mod:`repro.sim.hooks`) to the
+stack's observer slots:
 
 * ``Engine.on_dispatch`` — kernel event accounting,
 * ``NvmeDevice.on_submit`` / ``on_complete`` — per-I/O async spans and
   read/write latency histograms (with fetch/post breakdown args),
+* ``NvmeDriver.on_retry`` — retry instants,
 * ``SimOS.on_thread_state`` — on-core slices per simulated thread,
-* worker ``tracer`` / ``op_observer`` — operation lifecycle spans and
-  per-kind operation latency histograms.
+* worker ``tracer`` / ``on_op_complete`` — operation lifecycle spans
+  and per-kind operation latency histograms.
 
 None of the callbacks charges virtual CPU or mutates simulation state,
 so a traced run reaches the same virtual-time results as an untraced
-one; with no session attached every hook point stays ``None`` and the
-only cost is one attribute check.
+one; with no session attached every slot stays ``()`` and the only cost
+is one attribute check.  A session adds and removes only its own
+callbacks, so it composes with a
+:class:`~repro.obs.health.MetricsSession` or the fuzz harness in any
+attach and finish order.
 """
 
 from repro.nvme.command import OP_READ
 from repro.obs.export import trace_summary, write_chrome_trace, write_jsonl
 from repro.obs.series import TimeSeriesSampler, latency_histogram
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.clock import usec
+from repro.sim.hooks import subscribe, unsubscribe
 from repro.simos.thread import T_RUNNING
 
 
@@ -47,15 +52,18 @@ class TraceSession:
         self._io_ids = {}
         self._running_since = {}  # tid -> (start_ns, core_index)
         self._simos = None
-        self._devices = []
-        self._drivers = []
         self._buffer = None
         self._workers = []
-        engine.on_dispatch = self._on_dispatch
+        self._subscriptions = []  # (obj, slot, fn)
+        self._subscribe(engine, "on_dispatch", self._on_dispatch)
 
     # ------------------------------------------------------------------
     # attachment
     # ------------------------------------------------------------------
+
+    def _subscribe(self, obj, slot, fn):
+        subscribe(obj, slot, fn)
+        self._subscriptions.append((obj, slot, fn))
 
     def attach_device(self, device, name=None):
         """Hook one simulated NVMe device into the recording.
@@ -65,9 +73,8 @@ class TraceSession:
         to namespace the sampled series (``<name>_outstanding``).
         Without a name the legacy single-device series names are kept.
         """
-        self._devices.append(device)
-        device.on_submit = self._on_io_submit
-        device.on_complete = self._on_io_complete
+        self._subscribe(device, "on_submit", self._on_io_submit)
+        self._subscribe(device, "on_complete", self._on_io_complete)
         outstanding_name = (name + "_outstanding") if name else "device_outstanding"
         util_name = (name + "_channel_util") if name else "channel_util"
         self.sampler.add_probe(
@@ -80,18 +87,17 @@ class TraceSession:
         """Hook one :class:`~repro.backend.IoBackend` into the recording.
 
         Taps both planes of the backend: the device's submit/complete
-        hooks (as :meth:`attach_device`) plus the driver's retry hook.
+        slots (as :meth:`attach_device`) plus the driver's retry slot.
         Use this when observing a backend without a worker on top;
-        :meth:`attach_worker` installs the same retry tap itself.
+        :meth:`attach_worker` subscribes the same retry tap itself.
         """
         self.attach_device(backend.device, name=name)
-        self._drivers.append(backend.driver)
-        backend.driver.on_retry = self._on_io_retry
+        self._subscribe(backend.driver, "on_retry", self._on_io_retry)
         return self
 
     def attach_simos(self, simos):
         self._simos = simos
-        simos.on_thread_state = self._on_thread_state
+        self._subscribe(simos, "on_thread_state", self._on_thread_state)
         return self
 
     def attach_worker(self, worker, name=None):
@@ -103,11 +109,8 @@ class TraceSession:
         """
         self._workers.append(worker)
         worker.tracer = self.tracer
-        worker.op_observer = self
-        driver = getattr(worker, "driver", None)
-        if driver is not None:
-            self._drivers.append(driver)
-            driver.on_retry = self._on_io_retry
+        self._subscribe(worker, "on_op_complete", self._on_op_complete)
+        self._subscribe(worker.backend.driver, "on_retry", self._on_io_retry)
         prefix = (name + "_") if name else ""
         self.sampler.add_probe(prefix + "ready_ops", worker.policy.ready_count)
         self.sampler.add_probe(prefix + "inflight_ops", lambda: worker.inflight)
@@ -143,18 +146,15 @@ class TraceSession:
         return self
 
     def finish(self):
-        """Stop sampling and detach the hook points."""
+        """Stop sampling and take this session's callbacks (only) back
+        out of every slot; the workers get their null tracer back."""
         self.sampler.stop()
-        if self.engine.on_dispatch == self._on_dispatch:
-            self.engine.on_dispatch = None
-        for device in self._devices:
-            device.on_submit = None
-            device.on_complete = None
-        for driver in self._drivers:
-            if driver.on_retry == self._on_io_retry:
-                driver.on_retry = None
-        if self._simos is not None:
-            self._simos.on_thread_state = None
+        for subscription in self._subscriptions:
+            unsubscribe(*subscription)
+        self._subscriptions = []
+        for worker in self._workers:
+            if worker.tracer is self.tracer:
+                worker.tracer = NULL_TRACER
         return self
 
     # ------------------------------------------------------------------
@@ -230,9 +230,7 @@ class TraceSession:
                 args={"core": core, "to": state},
             )
 
-    # worker op_observer interface -------------------------------------
-
-    def on_op_complete(self, op):
+    def _on_op_complete(self, op):
         if op.error is not None:
             self.failed_ops += 1
             return

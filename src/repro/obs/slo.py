@@ -14,7 +14,6 @@ figures use); observations arrive in nanoseconds straight from
 ``op.latency_ns``.
 """
 
-from repro.obs.metrics import NULL_REGISTRY
 from repro.sim.clock import to_usec, usec
 
 #: Default virtual-time latency targets (microseconds) per op class.
@@ -106,8 +105,3 @@ class SloTracker:
             "violations_total": self.total_violations(),
         }
 
-
-def attach_slo(registry=None, targets_us=None):
-    """Build an :class:`SloTracker`; a missing registry disables it."""
-    return SloTracker(registry if registry is not None else NULL_REGISTRY,
-                      targets_us=targets_us)

@@ -43,19 +43,20 @@ class Engine:
         self._horizon_ns = -1
         self._until = None
         self._heap = self.events._heap
-        # Observability hook: called with each event just before its
-        # callback runs.  Must not schedule, cancel, or advance time.
-        self.on_dispatch = None
+        # Observer slot (repro.sim.hooks): each subscriber is called with
+        # every event just before its callback runs.  Must not schedule,
+        # cancel, or advance time.
+        self.on_dispatch = ()
         # Schedule-exploration hook (repro.fuzz): called with every
         # scheduled delay and returns the (possibly perturbed) delay to
         # use.  Must stay None outside fuzz runs so ordinary runs are
         # bit-identical; the fuzzer's perturbations stay >= 0.
         self.perturb_delay = None
-        # Idle hook: called once when the event queue drains while a
-        # run() is still looking for work.  SimOS installs its stall
+        # Observer slot: called once when the event queue drains while
+        # a run() is still looking for work.  SimOS subscribes its stall
         # guard here so a drained queue with blocked threads raises a
         # typed error instead of silently ending the run.
-        self.on_idle = None
+        self.on_idle = ()
 
     @property
     def now(self):
@@ -88,9 +89,9 @@ class Engine:
         ``fn`` would) when nothing could run before ``fn`` -- no event
         due at or before that instant (a tie goes through the heap, which
         keeps sequence order; a cancelled head only makes this
-        conservative), no ``on_dispatch`` / ``perturb_delay`` hook, and
-        neither stop condition of run() inside the interval.  Otherwise
-        False and nothing changed: schedule as usual.
+        conservative), no ``on_dispatch`` subscriber, no ``perturb_delay``
+        hook, and neither stop condition of run() inside the interval.
+        Otherwise False and nothing changed: schedule as usual.
         """
         time_ns = self.clock.now + delay_ns
         heap = self._heap
@@ -98,7 +99,7 @@ class Engine:
             return False
         if (
             time_ns > self._horizon_ns
-            or self.on_dispatch is not None
+            or self.on_dispatch
             or self.perturb_delay is not None
             or (self._until is not None and self._until())
         ):
@@ -132,10 +133,11 @@ class Engine:
                 if until is not None and until():
                     return
                 next_time = self.events.peek_time()
-                if next_time is None and self.on_idle is not None:
-                    # the idle hook may raise (stall guard) or schedule
-                    # wrap-up work; re-check the queue afterwards
-                    self.on_idle()
+                if next_time is None and self.on_idle:
+                    # an idle observer may raise (stall guard) or
+                    # schedule wrap-up work; re-check the queue afterwards
+                    for observer in self.on_idle:
+                        observer()
                     next_time = self.events.peek_time()
                 if next_time is None:
                     if until_ns is not None and until_ns > self.clock.now:
@@ -149,8 +151,9 @@ class Engine:
                 fn = event.fn
                 event.fn = None
                 self.dispatched += 1
-                if self.on_dispatch is not None:
-                    self.on_dispatch(event)
+                if self.on_dispatch:
+                    for observer in self.on_dispatch:
+                        observer(event)
                 if self.dispatched + self.inlined > self.max_events:
                     self._over_budget()
                 fn()

@@ -14,6 +14,7 @@ from functools import partial
 
 from repro.errors import SchedulerError, SimulationError
 from repro.sim.clock import msec, usec
+from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_OTHER, CPU_SYNC, Counter, CpuAccount
 from repro.simos.thread import (
     Cpu,
@@ -93,9 +94,10 @@ class SimOS:
         # True while spawn() steps a new thread from inside its caller,
         # which goes on at this instant: the clock must not move.
         self._spawning = False
-        # Observability hook: called with (thread, new_state) on every
-        # scheduling transition.  Must not touch run queues or cores.
-        self.on_thread_state = None
+        # Observer slot (repro.sim.hooks): subscribers are called with
+        # (thread, new_state) on every scheduling transition.  Must not
+        # touch run queues or cores.
+        self.on_thread_state = ()
         # Schedule-exploration hooks (repro.fuzz).  All three must stay
         # None outside fuzz runs so ordinary runs are bit-identical:
         # * pick_runnable(run_queue) -> index: which queued thread the
@@ -113,7 +115,7 @@ class SimOS:
         # Stall guard: if the event queue drains while threads are
         # still blocked on semaphores, the run is deadlocked — raise a
         # typed error naming them instead of silently ending the run.
-        engine.on_idle = self._check_stalled
+        subscribe(engine, "on_idle", self._check_stalled)
 
     # ------------------------------------------------------------------
     # public API
@@ -202,8 +204,9 @@ class SimOS:
 
     def _make_runnable(self, thread):
         thread.state = T_RUNNABLE
-        if self.on_thread_state is not None:
-            self.on_thread_state(thread, T_RUNNABLE)
+        if self.on_thread_state:
+            for observer in self.on_thread_state:
+                observer(thread, T_RUNNABLE)
         if self._idle:
             self._dispatch_to(self._idle.pop(), thread)
         else:
@@ -226,8 +229,9 @@ class SimOS:
         core.current = thread
         thread.core = core
         thread.state = T_RUNNING
-        if self.on_thread_state is not None:
-            self.on_thread_state(thread, T_RUNNING)
+        if self.on_thread_state:
+            for observer in self.on_thread_state:
+                observer(thread, T_RUNNING)
         if switching:
             cs = self.profile.context_switch_ns
             self.context_switches.add()
@@ -241,8 +245,9 @@ class SimOS:
 
     def _finish(self, thread):
         thread.state = T_DONE
-        if self.on_thread_state is not None:
-            self.on_thread_state(thread, T_DONE)
+        if self.on_thread_state:
+            for observer in self.on_thread_state:
+                observer(thread, T_DONE)
         self._release_core(thread)
         callbacks = thread.on_exit
         thread.on_exit = []
@@ -298,8 +303,9 @@ class SimOS:
 
             if type(instr) is Sleep:
                 thread.state = T_SLEEPING
-                if self.on_thread_state is not None:
-                    self.on_thread_state(thread, T_SLEEPING)
+                if self.on_thread_state:
+                    for observer in self.on_thread_state:
+                        observer(thread, T_SLEEPING)
                 self._release_core(thread)
                 self.engine.schedule(
                     instr.ns, partial(self._make_runnable, thread)
@@ -309,8 +315,9 @@ class SimOS:
             if type(instr) is YieldCpu:
                 if self.run_queue:
                     thread.state = T_RUNNABLE
-                    if self.on_thread_state is not None:
-                        self.on_thread_state(thread, T_RUNNABLE)
+                    if self.on_thread_state:
+                        for observer in self.on_thread_state:
+                            observer(thread, T_RUNNABLE)
                     self.run_queue.append(thread)
                     self._release_core(thread)
                     return
@@ -340,8 +347,9 @@ class SimOS:
             self.preemptions.add()
             self.run_queue.append(thread)
             thread.state = T_RUNNABLE
-            if self.on_thread_state is not None:
-                self.on_thread_state(thread, T_RUNNABLE)
+            if self.on_thread_state:
+                for observer in self.on_thread_state:
+                    observer(thread, T_RUNNABLE)
             self._release_core(thread)
             return
         self._step(thread)
@@ -354,8 +362,9 @@ class SimOS:
         self.sem_blocks.add()
         sem.waiters.append(thread)
         thread.state = T_BLOCKED
-        if self.on_thread_state is not None:
-            self.on_thread_state(thread, T_BLOCKED)
+        if self.on_thread_state:
+            for observer in self.on_thread_state:
+                observer(thread, T_BLOCKED)
         self._release_core(thread)
 
     def _sem_post_cont(self, thread, sem):

@@ -818,7 +818,7 @@ def test_pa406_suppressible(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PA407 schedule-fuzzing hygiene
+# PA407 schedule-fuzzing RNG discipline (slot defaults are PA530's)
 # ---------------------------------------------------------------------------
 
 
@@ -882,19 +882,6 @@ def test_pa407_random_elsewhere_in_src_not_flagged(tmp_path):
     assert findings == []
 
 
-def test_pa407_hook_non_null_default(tmp_path):
-    findings = run_snippet(
-        tmp_path,
-        """
-        class SimOS:
-            def __init__(self):
-                self.pick_runnable = lambda queue: 0
-        """,
-        filename="repro/simos/scheduler.py",
-    )
-    assert codes(findings) == ["PA407"]
-
-
 def test_pa407_hook_null_default_is_clean(tmp_path):
     findings = run_snippet(
         tmp_path,
@@ -902,7 +889,7 @@ def test_pa407_hook_null_default_is_clean(tmp_path):
         class Engine:
             def __init__(self):
                 self.perturb_delay = None
-                self.on_idle = None
+                self.on_idle = ()
         """,
         filename="repro/sim/engine.py",
     )
@@ -910,8 +897,7 @@ def test_pa407_hook_null_default_is_clean(tmp_path):
 
 
 def test_pa407_fuzz_binder_assignment_is_exempt(tmp_path):
-    # the fuzz package binds hooks at runtime; the null-default rule
-    # polices only the modules that define the hook sites
+    # PA407 polices randomness only: who may bind a slot is PA530
     findings = run_snippet(
         tmp_path,
         """

@@ -581,20 +581,20 @@ def test_pa530_unguarded_hook_consult(tmp_path):
     findings = graph_findings(
         tmp_path,
         {
-            "src/repro/core/engine.py": (
+            "src/repro/sim/engine.py": (
                 """
                 class Engine:
                     def __init__(self):
-                        self.on_dispatch = None
+                        self.perturb_delay = None
 
-                    def dispatch(self, op):
-                        self.on_dispatch(op)
+                    def schedule(self, delay_ns):
+                        return self.perturb_delay(delay_ns)
                 """
             ),
         },
     )
     assert codes(findings) == ["PA530"]
-    assert "on_dispatch" in findings[0].message
+    assert "perturb_delay" in findings[0].message
 
 
 def test_pa530_guard_shapes_are_clean(tmp_path):
@@ -605,18 +605,28 @@ def test_pa530_guard_shapes_are_clean(tmp_path):
                 """
                 class Engine:
                     def __init__(self):
-                        self.on_dispatch = None
+                        self.on_dispatch = ()
+                        self.perturb_delay = None
+
+                    def observers(self, event):
+                        if self.on_dispatch:
+                            for observer in self.on_dispatch:
+                                observer(event)
+
+                    def direct(self, delay_ns):
+                        if self.perturb_delay is not None:
+                            delay_ns = self.perturb_delay(delay_ns)
+                        return delay_ns
+
+                    def early_return(self, delay_ns):
+                        if self.perturb_delay is None:
+                            return delay_ns
+                        return self.perturb_delay(delay_ns)
+
+
+                class SimOS:
+                    def __init__(self):
                         self.pick_runnable = None
-                        self.wakeup_pick = None
-
-                    def direct(self, op):
-                        if self.on_dispatch is not None:
-                            self.on_dispatch(op)
-
-                    def early_return(self, op):
-                        if self.on_dispatch is None:
-                            return
-                        self.on_dispatch(op)
 
                     def else_branch(self, queue):
                         if self.pick_runnable is None or len(queue) == 1:
@@ -632,6 +642,86 @@ def test_pa530_guard_shapes_are_clean(tmp_path):
     assert findings == []
 
 
+def test_pa530_observer_slot_is_rebound_only_by_subscribe(tmp_path):
+    findings = graph_findings(
+        tmp_path,
+        {
+            "src/repro/sim/hooks.py": (
+                """
+                def subscribe(obj, slot, fn):
+                    setattr(obj, slot, getattr(obj, slot) + (fn,))
+                """
+            ),
+            "src/repro/nvme/device.py": (
+                """
+                class NvmeDevice:
+                    def __init__(self):
+                        self.on_submit = ()
+                        self.on_complete = None  # the old null default
+                """
+            ),
+            "src/repro/obs/session.py": (
+                """
+                from repro.sim.hooks import subscribe
+
+
+                class TraceSession:
+                    def attach(self, device):
+                        subscribe(device, "on_submit", self._on_submit)
+                        device.on_complete = self._on_complete  # overwrite
+
+                    def finish(self, device):
+                        device.on_complete = ()  # drops everyone else
+                """
+            ),
+            # an attribute of another class that shares a slot's name
+            "src/repro/core/ops.py": (
+                """
+                class Operation:
+                    def __init__(self):
+                        self.on_complete = None
+
+
+                def search_op(key, on_complete=None):
+                    op = Operation()
+                    op.on_complete = on_complete
+                    return op
+                """
+            ),
+        },
+    )
+    assert [(f.path.rsplit("/", 1)[-1], f.line) for f in findings] == [
+        ("device.py", 5), ("session.py", 8), ("session.py", 11),
+    ]
+    assert codes(findings) == ["PA530"] * 3
+    assert "subscribe" in findings[0].message
+
+
+def test_pa530_decision_slot_is_bound_only_in_fuzz(tmp_path):
+    findings = graph_findings(
+        tmp_path,
+        {
+            "src/repro/simos/scheduler.py": (
+                """
+                class SimOS:
+                    def __init__(self):
+                        self.wakeup_pick = None
+                        self.pick_runnable = lambda queue: 0
+                """
+            ),
+            "src/repro/fuzz/hooks.py": (
+                """
+                def bind(simos, decider):
+                    simos.pick_runnable = lambda queue: decider.pick(len(queue))
+                """
+            ),
+        },
+    )
+    assert codes(findings) == ["PA530"]
+    assert findings[0].path.endswith("simos/scheduler.py")
+    assert "repro.fuzz" in findings[0].message
+
+
 def test_pa530_unregistered_null_default_hook_is_drift(tmp_path):
     findings = graph_findings(
         tmp_path,
@@ -641,16 +731,24 @@ def test_pa530_unregistered_null_default_hook_is_drift(tmp_path):
                 class Engine:
                     def __init__(self):
                         self.on_custom_thing = None
+                        self.on_other_thing = ()
 
                     def fire(self, op):
                         if self.on_custom_thing is not None:
                             self.on_custom_thing(op)
+                        for observer in self.on_other_thing:
+                            observer(op)
+
+
+                class Widget:
+                    def __init__(self):
+                        self.on_dispatch = ()  # registered for Engine only
                 """
             ),
         },
     )
-    assert codes(findings) == ["PA530"]
-    assert "not registered" in findings[0].message
+    assert codes(findings) == ["PA530"] * 3
+    assert all("not registered" in f.message for f in findings)
 
 
 # ---------------------------------------------------------------------------

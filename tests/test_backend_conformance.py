@@ -30,6 +30,7 @@ from repro.nvme.command import OP_READ, OP_WRITE, IoStatus
 from repro.nvme.device import DeviceProfile
 from repro.obs.metrics import MetricRegistry
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 
 PAGE = 512
 
@@ -173,8 +174,10 @@ def test_one_channel_fetches_round_robin_across_qpairs(make_custom):
     first = backend.alloc_qpair()
     second = backend.alloc_qpair()
     served = []
-    backend.on_complete = lambda completion: served.append(
-        completion.command.qpair
+    subscribe(
+        backend.device,
+        "on_complete",
+        lambda completion: served.append(completion.command.qpair),
     )
     # the whole backlog of the first queue is submitted before the
     # second queue's; a fair device still alternates between them
@@ -335,10 +338,11 @@ def test_raw_media_plane_round_trip(backend):
 
 
 def test_hooks_default_null_and_fire_when_set(backend):
-    assert backend.on_submit is None
-    assert backend.on_complete is None
-    assert backend.on_retry is None
-    assert backend.perturb_service is None
+    device, driver = backend.device, backend.driver
+    assert device.on_submit == ()
+    assert device.on_complete == ()
+    assert driver.on_retry == ()
+    assert device.perturb_service is None
     assert backend.fault_injector is None
 
     seen = {"submit": 0, "complete": 0, "perturb": 0}
@@ -353,9 +357,9 @@ def test_hooks_default_null_and_fire_when_set(backend):
         seen["perturb"] += 1
         return service_ns
 
-    backend.on_submit = on_submit
-    backend.on_complete = on_complete
-    backend.perturb_service = perturb
+    subscribe(device, "on_submit", on_submit)
+    subscribe(device, "on_complete", on_complete)
+    device.perturb_service = perturb
     qpair = backend.alloc_qpair()
     backend.read(qpair, 1)
     drain(backend, qpair, 1)
@@ -412,7 +416,7 @@ def test_interface_contention_is_a_sim_only_property(make_custom):
         services.append(service_ns)
         return service_ns
 
-    backend.perturb_service = observe
+    backend.device.perturb_service = observe
     qpair = backend.alloc_qpair()
     backend.probe(qpair)  # probe pressure ahead of the fetch
     command = backend.read(qpair, 1)

@@ -17,6 +17,7 @@ from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver, RetryPolicy
 from repro.sim.clock import usec
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 
 
 def payload(key):
@@ -219,7 +220,9 @@ class TestDeviceFaults:
             seed=1, faults=FaultConfig(read_error_rate=1.0)
         )
         retry_times = []
-        driver.on_retry = lambda completion: retry_times.append(engine.now)
+        subscribe(
+            driver, "on_retry", lambda completion: retry_times.append(engine.now)
+        )
         qpair = driver.alloc_qpair()
         driver.read(qpair, 5)
         drain(engine, driver, qpair)

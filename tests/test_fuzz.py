@@ -267,7 +267,7 @@ def test_watchdog_progress_resets_counter():
     engine.run()
     assert remaining[0] == 0
     watchdog.unbind()
-    assert engine.on_dispatch is None
+    assert engine.on_dispatch == ()
 
 
 # ---------------------------------------------------------------------------

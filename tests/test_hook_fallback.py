@@ -1,17 +1,20 @@
 """Hook conformance for the kernel fast path.
 
 The in-place clock advance (``Engine.try_advance``) may run only when
-no kernel-level hook wants to see every event: ``on_dispatch`` and
-``perturb_delay`` turn it off.  Every other null-default hook slot of
-``tools/analysis/layers.toml [hooks]`` fires from code that runs the
-same either way, so a run with a recording no-op in the slot must make
-the same calls at the same virtual instants and report the same
-statistics whether the fast path is on or forced off.
+no kernel-level hook wants to see every event: an ``on_dispatch``
+subscriber and a bound ``perturb_delay`` turn it off.  Every other slot
+of ``tools/analysis/layers.toml [hooks]`` -- observer slots take their
+recorder through ``repro.sim.hooks.subscribe``, decision slots by plain
+assignment -- fires from code that runs the same either way, so a run
+with a recording no-op in the slot must make the same calls at the same
+virtual instants and report the same statistics whether the fast path
+is on or forced off.
 """
 
 import os
 import tomllib
 import types
+from functools import partial
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.obs import TraceSession
 from repro.obs.health import MetricsSession
 from repro.sched.naive import NaiveScheduling
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_CATEGORIES
 from repro.simos.scheduler import OsProfile, SimOS
 from repro.simos.thread import Cpu
@@ -39,7 +43,10 @@ _LAYERS_TOML = os.path.join(
     "tools", "analysis", "layers.toml",
 )
 with open(_LAYERS_TOML, "rb") as _handle:
-    HOOK_NAMES = tomllib.load(_handle)["hooks"]["names"]
+    _HOOKS = tomllib.load(_handle)["hooks"]
+# registered as "Class.slot"; the stack below finds the owner by hasattr
+OBSERVERS = [entry.split(".")[1] for entry in _HOOKS["observers"]]
+HOOK_NAMES = OBSERVERS + [entry.split(".")[1] for entry in _HOOKS["decisions"]]
 
 # what each decision hook must answer to behave like the unbound slot
 _UNBOUND = {
@@ -104,38 +111,32 @@ class _Stack:
         self.calls = []
 
     def owner(self, name):
-        """The object whose null-default slot ``name`` is, if any."""
+        """The object whose slot ``name`` is, if any."""
         for obj in (self.engine, self.simos, self.device, self.driver,
                     self.tree, self.worker):
             if obj is not None and hasattr(obj, name):
                 return obj
         return None
 
-    def bind_recorder(self, name):
-        """A recording hook that behaves like the slot as it stands
-        (SimOS and the engine worker keep their own callbacks in
-        ``on_idle`` / ``on_page_released``)."""
+    def bind_recorder(self, name, tag=None):
+        """Put a recorder in the slot: subscribed next to whoever is
+        there (SimOS's stall guard in ``on_idle``, the engine worker in
+        ``on_page_released``) for an observer slot, assigned and
+        answering like the unbound slot for a decision slot."""
         owner = self.owner(name)
-        if owner is None:  # the baselines have no worker.op_observer
+        if owner is None:  # the baselines have no worker.on_op_complete
             return
-        behave = getattr(owner, name) or _UNBOUND.get(name, lambda *a: None)
+        if name in OBSERVERS:
+            subscribe(owner, name, partial(self._record, tag or name, None))
+        else:
+            setattr(owner, name, partial(self._record, name, _UNBOUND[name]))
 
-        def hook(*args):
-            self.calls.append((name, self.engine.now))
-            return behave(*args)
-
-        if name == "op_observer":
-            hook = types.SimpleNamespace(on_op_complete=hook)
-        setattr(owner, name, hook)
+    def _record(self, tag, behave, *args):
+        self.calls.append((tag, self.engine.now))
+        return behave(*args) if behave is not None else None
 
     def force_slow(self):
-        previous = self.engine.on_dispatch
-
-        def on_dispatch(event):
-            if previous is not None:
-                previous(event)
-
-        self.engine.on_dispatch = on_dispatch
+        subscribe(self.engine, "on_dispatch", lambda event: None)
 
     def run(self):
         self.runner.run_to_completion()
@@ -183,6 +184,25 @@ def test_a_bound_hook_sees_the_same_run_on_either_path(name, arm):
         assert plain.calls
     elif arm == "pa_tree":
         assert plain.engine.inlined > 0
+
+
+def test_two_recorders_on_one_slot_see_the_same_calls_in_subscription_order():
+    stack = _Stack("pa_tree")
+    for name in OBSERVERS:
+        stack.bind_recorder(name, tag=(name, "first"))
+        stack.bind_recorder(name, tag=(name, "second"))
+    stack.run()
+    fired = set()
+    for name in OBSERVERS:
+        seen = [(who, now) for (slot, who), now in stack.calls if slot == name]
+        firsts, seconds = seen[0::2], seen[1::2]
+        assert all(who == "first" for who, _now in firsts), name
+        assert all(who == "second" for who, _now in seconds), name
+        assert [now for _who, now in firsts] == [now for _who, now in seconds]
+        if seen:
+            fired.add(name)
+    # only the stall guard's slot stays silent in a run that finishes
+    assert fired == set(OBSERVERS) - {"on_idle"}
 
 
 def _spin(engine, until_ns):

@@ -1,28 +1,34 @@
 """Tests for the metrics & health subsystem (repro.obs.metrics et al).
 
-Covers the labeled registry (identity, ordering, kind conflicts, the
-null registry's zero-cost contract), the Prometheus and JSONL
-exporters, the virtual-time scraper, the SLO tracker, the flight
-recorder with its postmortems, and the end-to-end MetricsSession
-guarantees: artefacts are byte-identical across same-seed runs and an
-attached session never perturbs the simulation's results.
+Covers the labeled registry (identity, ordering, kind conflicts), the
+Prometheus and JSONL exporters, the virtual-time scraper, the SLO
+tracker, the flight recorder with its postmortems, and the end-to-end
+MetricsSession guarantees: artefacts are byte-identical across
+same-seed runs, an attached session never perturbs the simulation's
+results, and it composes with a trace session and the fuzz harness in
+any attach and finish order.
 """
 
+import itertools
 import json
 
 import pytest
 
 from repro.api import PATreeSession, ShardedSession
 from repro.errors import RetryExhaustedError
+from repro.fuzz.harness import NoProgressWatchdog, _tap_completions
+from repro.fuzz.hooks import FuzzConfig, HookBinder, ScheduleExplorer
 from repro.obs import (
     DEFAULT_TARGETS_US,
     FlightRecorder,
     MetricError,
     MetricRegistry,
     MetricScraper,
-    NULL_REGISTRY,
+    NULL_TRACER,
     SloTracker,
+    TraceSession,
     prometheus_text,
+    write_jsonl,
 )
 from repro.sim.clock import Clock, usec
 from repro.sim.engine import Engine
@@ -81,18 +87,6 @@ def test_callback_counters_read_live_values():
     state["n"] = 7
     assert metric.read() == 7
     assert registry.scalars() == {"events_total": 7}
-
-
-def test_null_registry_is_inert():
-    metric = NULL_REGISTRY.counter("anything at all")  # no validation
-    metric.inc()
-    metric.set(5)
-    metric.observe(123)
-    assert metric.read() == 0
-    assert NULL_REGISTRY.enabled is False
-    assert len(NULL_REGISTRY) == 0
-    assert NULL_REGISTRY.scalars() == {}
-    assert NULL_REGISTRY.snapshot() == {}
 
 
 # ----------------------------------------------------------------------
@@ -325,15 +319,15 @@ def test_metrics_session_restores_hooks_on_finish():
     workload = _workload(3)
     with PATreeSession(seed=3) as session:
         device = session.env.device
-        before = device.on_complete
         recorder = session.attach_metrics()
         session.bulk_load(workload.preload_items())
         recorder.start()
-        assert device.on_complete is not before
+        assert len(device.on_complete) == 1
         session.execute(workload.operations())
         recorder.finish()
-        assert device.on_complete is before
-        assert session.pa_engine.op_observer is None
+        recorder.finish()  # idempotent
+        assert device.on_complete == ()
+        assert session.pa_engine.on_op_complete == ()
 
 
 def test_fault_run_captures_postmortems():
@@ -382,22 +376,133 @@ def test_health_report_mentions_the_three_sections():
     assert "== health: flight recorder ==" in text
 
 
-def test_trace_and_metrics_sessions_coexist():
-    # attach a trace session and a metrics session to the same run to
-    # prove hook chaining keeps both observers fed
-    workload = _workload(3)
-    with PATreeSession(seed=3) as session:
-        from repro.obs import TraceSession
+_SLOT_PREFIXES = ("on_", "perturb_", "pick_", "preempt_", "wakeup_")
 
+
+def _hook_slots(session):
+    """Every hook slot of a PATreeSession's stack, as it stands."""
+    worker = session.pa_engine
+    owners = (session.env.engine, session.env.os, session.env.device,
+              worker.backend.driver, session.tree, worker)
+    return [
+        (type(owner).__name__, name, value)
+        for owner in owners
+        for name, value in sorted(vars(owner).items())
+        if name.startswith(_SLOT_PREFIXES)
+    ]
+
+
+def _compose(tmp_path, attach_order, finish_order):
+    """One run watched by a trace session, a metrics session and the
+    fuzz harness's binder + watchdog, attached and finished in the given
+    orders; returns everything the three recorded."""
+    workload = _workload(3)
+    with PATreeSession(seed=3, buffer_pages=0, scheduler="naive") as session:
+        env, worker = session.env, session.pa_engine
+        session.bulk_load(workload.preload_items())
+        before = _hook_slots(session)
+        decider = ScheduleExplorer(
+            FuzzConfig(), RngRegistry(3).stream("fuzz:schedule")
+        )
+        binder = HookBinder(decider)
+        watchdog = NoProgressWatchdog(env.engine, budget=100_000)
+        fuzz_flight = FlightRecorder(env.engine.clock, capacity=128)
+        made = {}
+
+        def attach(party):
+            if party == "trace":
+                made[party] = (
+                    TraceSession(env.engine)
+                    .attach_device(env.device)
+                    .attach_simos(env.os)
+                    .attach_worker(worker)
+                )
+            elif party == "metrics":
+                made[party] = session.attach_metrics()
+            else:
+                watchdog.bind()
+                made[party] = _tap_completions(
+                    [env.device], fuzz_flight, watchdog
+                )
+                binder.bind(simos=env.os, devices=[env.device], engine=env.engine)
+
+        def finish(party):
+            if party == "fuzz":
+                binder.unbind()
+                watchdog.unbind()
+                made[party]()
+            else:
+                made[party].finish()
+
+        for party in attach_order:
+            attach(party)
+        for party in attach_order:
+            if party != "fuzz":
+                made[party].start()
+        session.execute(workload.operations())
+        for party in finish_order:
+            finish(party)
+        assert _hook_slots(session) == before, (attach_order, finish_order)
+        assert worker.tracer is NULL_TRACER
+
+    trace, metrics = made["trace"], made["metrics"]
+    prefix = str(tmp_path / "-".join(attach_order + finish_order))
+    paths = (write_jsonl(trace.tracer, prefix + ".trace.jsonl"),)
+    paths += metrics.write_artifacts(prefix)
+    artifacts = {path[len(prefix):]: open(path, "rb").read() for path in paths}
+    artifacts["slo"] = metrics.slo.snapshot()
+    artifacts["flight"] = metrics.flight.summary()
+    artifacts["fuzz_flight"] = fuzz_flight.summary()
+    artifacts["decisions"] = list(decider.trace)
+    return artifacts
+
+
+def test_trace_and_metrics_sessions_coexist(tmp_path):
+    # trace + metrics + fuzz on one run, in all six attach orders and
+    # both finish orders: every observer is fed, what each records does
+    # not depend on who else listens, and every slot ends as it began
+    runs = {}
+    for attach_order in itertools.permutations(("trace", "metrics", "fuzz")):
+        for finish_order in (attach_order, attach_order[::-1]):
+            runs[attach_order, finish_order] = _compose(
+                tmp_path, attach_order, finish_order
+            )
+    reference = next(iter(runs.values()))
+    assert sorted(reference) == [
+        ".metrics.jsonl", ".prom", ".trace.jsonl",
+        "decisions", "flight", "fuzz_flight", "slo",
+    ]
+    assert reference[".trace.jsonl"] and reference[".metrics.jsonl"]
+    assert reference["slo"]["rows"] and reference["decisions"]
+    assert reference["flight"]["by_kind"]["completion"] > 0
+    assert reference["fuzz_flight"]["recorded_total"] > 0
+    for orders, run in runs.items():
+        assert run == reference, orders
+
+
+def test_a_finished_trace_session_stops_recording():
+    # finish() really detaches: the worker loses the session's tracer
+    # and op callback, while a metrics session attached alongside keeps
+    # its own device tap
+    workload = _workload(3, n_ops=200)
+    operations = list(workload.operations())
+    with PATreeSession(seed=3, buffer_pages=0, scheduler="naive") as session:
+        worker = session.pa_engine
+        metrics = session.attach_metrics(flight_capacity=10_000)
         trace = TraceSession(session.env.engine)
-        trace.attach_device(session.env.device)
-        trace.attach_worker(session.pa_engine)
-        recorder = session.attach_metrics()
+        trace.attach_device(session.env.device).attach_worker(worker)
         session.bulk_load(workload.preload_items())
         trace.start()
-        recorder.start()
-        session.execute(workload.operations())
-        recorder.finish()
+        metrics.start()
+        session.execute(operations[:100])
         trace.finish()
-    assert trace.tracer.events
-    assert recorder.flight.summary()["recorded_total"] > 0
+        trace.finish()  # idempotent
+        counts = {kind: h.count for kind, h in trace.op_latency.items()}
+        events = len(trace.tracer.events)
+        completions = metrics.flight.summary()["by_kind"]["completion"]
+        session.execute(operations[100:])
+        metrics.finish()
+    assert sum(counts.values()) == 100
+    assert {k: h.count for k, h in trace.op_latency.items()} == counts
+    assert len(trace.tracer.events) == events
+    assert metrics.flight.summary()["by_kind"]["completion"] > completions

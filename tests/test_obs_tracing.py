@@ -24,6 +24,7 @@ from repro.obs import (
 )
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 
 
 def _small_spec():
@@ -223,7 +224,7 @@ def test_dispatch_hook_does_not_change_event_counts():
 
     hooked = Engine(seed=9)
     seen = []
-    hooked.on_dispatch = seen.append
+    subscribe(hooked, "on_dispatch", seen.append)
     drive(hooked)
     bare = Engine(seed=9)
     drive(bare)
@@ -235,12 +236,15 @@ def test_dispatch_hook_does_not_change_event_counts():
 def test_hooks_detached_after_finish():
     result = run_pa(_small_spec(), seed=5, trace=True)
     session = result["trace_session"]
-    assert session.engine.on_dispatch is None
-    assert session._devices
-    for device in session._devices:
-        assert device.on_submit is None
-        assert device.on_complete is None
-    assert session._simos.on_thread_state is None
+    (worker,) = session._workers
+    backend = worker.backend
+    assert session.engine.on_dispatch == ()
+    assert backend.device.on_submit == ()
+    assert backend.device.on_complete == ()
+    assert backend.driver.on_retry == ()
+    assert worker.on_op_complete == ()
+    assert worker.tracer is NULL_TRACER
+    assert session._simos.on_thread_state == ()
 
 
 def test_traced_session_populates_histograms_and_probes():

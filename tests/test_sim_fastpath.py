@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulerError, SimulationError
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_CATEGORIES
 from repro.simos.scheduler import OsProfile, SimOS
 from repro.simos.sync import Semaphore
@@ -73,7 +74,7 @@ class _Machine:
         self.log = []  # (who, step, virtual time) at every resumption
         self.exits = []
         if slow:
-            self.engine.on_dispatch = lambda event: None
+            subscribe(self.engine, "on_dispatch", lambda event: None)
         for index, instrs in enumerate(program["threads"]):
             self._spawn("t%d" % index, instrs)
         for index, (delay_ns, spawns) in enumerate(program["timers"]):
@@ -274,7 +275,10 @@ def test_a_kernel_hook_turns_the_fast_path_off(hook):
         calls.append(arg)
         return arg
 
-    setattr(engine, hook, record)
+    if hook == "on_dispatch":
+        subscribe(engine, hook, record)
+    else:
+        engine.perturb_delay = record
 
     def body():
         for _ in range(20):

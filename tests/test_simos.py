@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SchedulerError
 from repro.sim.clock import usec
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.scheduler import OsProfile, SimOS
 from repro.simos.sync import Mutex, Semaphore
@@ -442,8 +443,10 @@ def test_on_thread_state_hook_ordering_across_transitions():
     engine, simos = make_os(cores=1, quantum_ns=usec(50), context_switch_ns=0)
     events = []
 
-    simos.on_thread_state = lambda thread, state: events.append(
-        (thread.name, state)
+    subscribe(
+        simos,
+        "on_thread_state",
+        lambda thread, state: events.append((thread.name, state)),
     )
 
     def hog():

@@ -137,9 +137,17 @@ class ProjectConfig:
             latches.get("cleanup_name_patterns", ())
         )
         hooks = document.get("hooks", {})
-        self.hook_names = frozenset(hooks.get("names", ()))
-        self.always_bound_receivers = frozenset(
-            hooks.get("always_bound_receivers", ())
+        #: registered "Class.slot" observer entries, and bare slot names
+        self.observers = frozenset(hooks.get("observers", ()))
+        self.observer_slots = frozenset(
+            entry.rpartition(".")[2] for entry in self.observers
+        )
+        self.decision_slots = frozenset(
+            entry.rpartition(".")[2] for entry in hooks.get("decisions", ())
+        )
+        self.decision_binder = hooks.get("binder", "")
+        self.callback_receivers = frozenset(
+            hooks.get("callback_receivers", ())
         )
 
     # -- layer queries --------------------------------------------------

@@ -24,7 +24,7 @@ from .fault_paths import (
 )
 from .api_contracts import StatsByReferenceRule, UnusedImportRule
 from .batching import PerElementBatchLoopRule
-from .fuzzing import FuzzRngDisciplineRule, HookNullDefaultRule
+from .fuzzing import FuzzRngDisciplineRule
 from .observability import ConsoleOutputRule, MetricNameRule
 from .layering import BoundaryImportRule, ImportCycleRule, LayeringRule
 from .taint import (
@@ -53,7 +53,6 @@ RULE_CLASSES = (
     MetricNameRule,
     PerElementBatchLoopRule,
     FuzzRngDisciplineRule,
-    HookNullDefaultRule,
 )
 
 #: Whole-program rules; run only under ``--graph`` (phase 2).

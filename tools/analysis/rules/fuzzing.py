@@ -1,19 +1,11 @@
-"""PA407: schedule-fuzzing hygiene.
+"""PA407: schedule-fuzzing RNG discipline.
 
-The fuzz-off determinism guarantee rests on two conventions:
-
-* every random draw in the schedule fuzzer and at its hook sites flows
-  through a named, seeded ``RngRegistry`` stream — never through a
-  privately constructed ``random.Random(...)`` (whose seed would be
-  invisible to the reproducer) and never through the ambient global
-  stream;
-* the exploration hooks on the scheduler, engine and device
-  (``pick_runnable`` / ``preempt_policy`` / ``wakeup_pick`` /
-  ``perturb_delay`` / ``perturb_service``) are *null-default*: the
-  modules that define them may only ever assign ``None``.  Binding a
-  real callable is the fuzz harness's job, at runtime, for the
-  duration of one run — a default wired at the definition site would
-  silently perturb every ordinary run.
+The fuzz-off determinism guarantee rests on every random draw in the
+schedule fuzzer and at its hook sites flowing through a named, seeded
+``RngRegistry`` stream — never through a privately constructed
+``random.Random(...)`` (whose seed would be invisible to the
+reproducer) and never through the ambient global stream.  (That the
+decision slots themselves default to ``None`` is PA530's business.)
 """
 
 import ast
@@ -26,20 +18,6 @@ _HOOK_SITE_SUFFIXES = (
     "repro/simos/scheduler.py",
     "repro/sim/engine.py",
     "repro/nvme/device.py",
-)
-
-#: The null-default exploration hook attributes.  ``on_idle`` /
-#: ``on_dispatch`` / ``on_complete`` are observability hooks with
-#: legitimate in-tree bindings (the SimOS stall guard, metrics) and
-#: are deliberately not listed.
-_EXPLORATION_HOOKS = frozenset(
-    {
-        "pick_runnable",
-        "preempt_policy",
-        "wakeup_pick",
-        "perturb_delay",
-        "perturb_service",
-    }
 )
 
 
@@ -80,45 +58,3 @@ class FuzzRngDisciplineRule(Rule):
                 "draw from a named RngRegistry stream so the (seed, "
                 "trace) reproducer captures every decision",
             )
-
-
-class HookNullDefaultRule(Rule):
-    """Non-None assignment to an exploration hook at its definition site.
-
-    Inside the three modules that *define* the hooks, any
-    ``<obj>.pick_runnable = <expr>`` (or the other four) with a
-    non-``None`` right-hand side wires a perturbation into ordinary
-    runs and breaks the fuzz-off byte-identity guarantee.  The fuzz
-    package itself binds hooks at runtime and is exempt.
-    """
-
-    code = "PA407"
-    name = "hook-null-default"
-    summary = "exploration hook assigned a non-None default at its site"
-    scopes = ("src",)
-    node_types = (ast.Assign, ast.AnnAssign, ast.AugAssign)
-
-    def visit(self, node, ctx):
-        if not _is_hook_site(ctx.path):
-            return
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        else:
-            targets, value = [node.target], node.value
-        if value is None:
-            return
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and target.attr in _EXPLORATION_HOOKS
-                and not (
-                    isinstance(value, ast.Constant) and value.value is None
-                )
-            ):
-                yield ctx.finding(
-                    node,
-                    self.code,
-                    "exploration hook %s assigned a non-None value at its "
-                    "definition site; hooks must default to None (only "
-                    "repro.fuzz binds them, per run)" % target.attr,
-                )

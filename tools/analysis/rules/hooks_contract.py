@@ -1,30 +1,26 @@
-"""PA530: null-default hook contract (graph rule).
+"""PA530: the hook-slot contract (graph rule).
 
-The simulator's observability and exploration hooks are all null-default
-attributes (``self.on_dispatch = None``) consulted behind the guard
-pattern::
+Every hook slot is registered in ``layers.toml [hooks]`` as
+``Class.slot`` and is one of two kinds:
 
-    if self.on_dispatch is not None:
-        self.on_dispatch(op)
+* an **observer** slot holds a tuple of callables.  Its owner assigns
+  it only ``()``, at the definition site, and consults it as ``if
+  self.slot:`` plus a loop; every other rebinding goes through
+  ``repro.sim.hooks.subscribe`` / ``unsubscribe`` (which use
+  ``setattr``), so *any* other assignment statement in ``src`` — a
+  session overwriting ``device.on_complete``, a teardown resetting it
+  to ``None`` — is a finding: it would drop somebody else's observer;
+* a **decision** slot returns a value, so it has one owner: ``None``
+  by default, a non-``None`` binding only inside the ``binder``
+  package (``repro.fuzz``), and every call behind an ``is not None``
+  guard — an unguarded consult crashes on the default configuration,
+  the one every test runs.
 
-or the early-return flavour::
-
-    if self.on_dispatch is None:
-        return
-    self.on_dispatch(op)
-
-PA530 enforces two halves of that contract over the whole project:
-
-* a call to a registered hook name (``layers.toml`` ``[hooks].names``)
-  must sit behind one of the guard shapes — an unguarded consult crashes
-  on the default configuration, the one every test runs;
-* a null-default ``on_*`` / ``perturb_*`` attribute that is consulted
-  anywhere but missing from the registry is drift: new hooks must be
-  added to ``layers.toml`` so the guard rule covers them.
-
-Receivers listed in ``always_bound_receivers`` (``io_history`` et al)
-are plain collaborators whose method names happen to collide with hook
-names; they are exempt from the guard requirement.
+A ``self.on_* = ()`` / consulted ``self.on_* = None`` / ``perturb_*``
+attribute that is missing from the registry is drift and is reported,
+so a new slot cannot dodge the contract.  ``callback_receivers`` names
+the variables (``op``) whose ``on_complete`` is a per-operation
+completion callback that merely shares a slot's name.
 """
 
 import ast
@@ -33,29 +29,20 @@ import re
 from ..framework import GraphRule
 from ..graph import module_name_for
 
-#: attribute shapes that look like a null-default hook slot
+#: attribute shapes that look like a hook slot
 _HOOKISH_RE = re.compile(r"^(on_[a-z0-9_]+|perturb_[a-z0-9_]+)$")
 
 
-def _receiver_parts(node):
-    """['self', 'io_history'] for ``self.io_history.on_submit``."""
-    parts = []
-    node = node.value if isinstance(node, ast.Attribute) else node
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return list(reversed(parts))
+def _is_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _is_empty_tuple(node):
+    return isinstance(node, ast.Tuple) and not node.elts
 
 
 def _mentions_hook(test, hook):
-    """Does a guard test consult ``<...>.hook`` (or a plain ``hook``)?
-
-    Accepts both the truthiness form (``if self.hook:``) and the
-    identity form (``if self.hook is not None:``); the surrounding
-    structure decides whether the guard actually dominates the call.
-    """
+    """Does a guard test consult ``<...>.hook`` (or a plain ``hook``)?"""
     for node in ast.walk(test):
         if isinstance(node, ast.Attribute) and node.attr == hook:
             return True
@@ -68,30 +55,28 @@ def _is_none_check(test, hook, negated):
     """``<...>.hook is None`` (negated=False) / ``is not None`` (True)."""
     if not isinstance(test, ast.Compare) or len(test.ops) != 1:
         return False
-    op = test.ops[0]
     wanted = ast.IsNot if negated else ast.Is
-    if not isinstance(op, wanted):
+    if not isinstance(test.ops[0], wanted):
         return False
     sides = [test.left, test.comparators[0]]
-    has_none = any(
-        isinstance(side, ast.Constant) and side.value is None for side in sides
+    return any(_is_none(side) for side in sides) and any(
+        _mentions_hook(side, hook) for side in sides
     )
-    return has_none and any(_mentions_hook(side, hook) for side in sides)
 
 
 class HookContractRule(GraphRule):
-    """PA530: unguarded hook consult / unregistered hook drift."""
+    """PA530: hook slot rebound, mis-defaulted, unguarded or unregistered."""
 
     code = "PA530"
     name = "hook-contract"
-    summary = "null-default hook consulted without a guard, or unregistered"
+    summary = "hook slot rebound, mis-defaulted, unguarded or unregistered"
     scopes = ("src",)
 
     def run(self, graph, contexts, config):
         project_contexts = [
             ctx for ctx in contexts if module_name_for(ctx.path) is not None
         ]
-        #: hook-shaped attr names consulted anywhere in the project
+        #: attr names called anywhere in the project (for the drift half)
         consulted = set()
         for ctx in project_contexts:
             for node in ast.walk(ctx.tree):
@@ -101,33 +86,97 @@ class HookContractRule(GraphRule):
                     consulted.add(node.func.attr)
 
         for ctx in project_contexts:
-            yield from self._check_guards(ctx, config)
-            yield from self._check_drift(ctx, config, consulted)
+            for node in ast.walk(ctx.tree):
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    yield from self._check_assignment(
+                        ctx, node, config, consulted
+                    )
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in config.decision_slots
+                    and not self._guarded(ctx, node, node.func.attr)
+                ):
+                    yield ctx.finding(
+                        node,
+                        self.code,
+                        "decision slot %s is None by default; consult it "
+                        "behind 'if %s is not None:'"
+                        % (node.func.attr, ast.unparse(node.func)),
+                    )
 
-    # -- half 1: registered hooks must be guarded ----------------------
+    # -- assignments: definition sites, rebinding, drift ----------------
 
-    def _check_guards(self, ctx, config):
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in config.hook_names
-            ):
+    def _check_assignment(self, ctx, node, config, consulted):
+        value = node.value
+        if value is None:  # bare annotation
+            return
+        default = isinstance(node, (ast.Assign, ast.AnnAssign))
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if not isinstance(target, ast.Attribute):
                 continue
-            receiver = _receiver_parts(node.func)
-            if receiver and receiver[-1] in config.always_bound_receivers:
-                continue
-            hook = node.func.attr
-            if self._guarded(ctx, node, hook):
-                continue
-            yield ctx.finding(
-                node,
-                self.code,
-                "hook %s is null by default; consult it behind "
-                "'if %s is not None:' (every registered hook in "
-                "layers.toml [hooks] must keep the guard pattern)"
-                % (hook, _dotted_text(node.func)),
+            slot = target.attr
+            receiver = (
+                target.value.id if isinstance(target.value, ast.Name) else None
             )
+            owner = None
+            if receiver == "self":
+                owner = "%s.%s" % (self._class_name(ctx, node), slot)
+            message = None
+            if slot in config.observer_slots:
+                if owner is not None and owner not in config.observers:
+                    # another class's own attribute (Operation.on_complete)
+                    # unless it is shaped like a new observer slot
+                    if _is_empty_tuple(value):
+                        message = self._drift(owner)
+                elif receiver in config.callback_receivers:
+                    pass
+                elif not (owner and default and _is_empty_tuple(value)):
+                    message = (
+                        "observer slot %s is assigned only () where its "
+                        "owner defines it; rebind it through "
+                        "repro.sim.hooks.subscribe / unsubscribe so other "
+                        "observers stay subscribed" % slot
+                    )
+            elif slot in config.decision_slots:
+                module = module_name_for(ctx.path)
+                inside = module == config.decision_binder or module.startswith(
+                    config.decision_binder + "."
+                )
+                if not _is_none(value) and not inside:
+                    message = (
+                        "decision slot %s must default to None; only %s "
+                        "binds it, for the duration of one run"
+                        % (slot, config.decision_binder)
+                    )
+            elif (
+                owner is not None
+                and _HOOKISH_RE.match(slot)
+                and (
+                    _is_empty_tuple(value)
+                    or (_is_none(value) and slot in consulted)
+                )
+            ):
+                message = self._drift(owner)
+            if message is not None:
+                yield ctx.finding(node, self.code, message)
+
+    @staticmethod
+    def _drift(owner):
+        return (
+            "%s looks like a hook slot but is not registered in "
+            "layers.toml [hooks]; register it so the contract covers it"
+            % owner
+        )
+
+    @staticmethod
+    def _class_name(ctx, node):
+        while node is not None and not isinstance(node, ast.ClassDef):
+            node = ctx.parent(node)
+        return node.name if node is not None else None
+
+    # -- decision consults must be guarded ------------------------------
 
     def _guarded(self, ctx, call, hook):
         """Ancestor guard, boolean-op guard, ternary, early return, or
@@ -181,44 +230,11 @@ class HookContractRule(GraphRule):
                 return True
         return False
 
-    # -- half 2: consulted null-default attrs must be registered -------
-
-    def _check_drift(self, ctx, config, consulted):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            if not (
-                isinstance(node.value, ast.Constant)
-                and node.value.value is None
-            ):
-                continue
-            for target in node.targets:
-                if not isinstance(target, ast.Attribute):
-                    continue
-                name = target.attr
-                if not _HOOKISH_RE.match(name):
-                    continue
-                if name in config.hook_names:
-                    continue
-                if name not in consulted:
-                    continue
-                yield ctx.finding(
-                    node,
-                    self.code,
-                    "%s looks like a null-default hook and is consulted "
-                    "in the project but is not registered in layers.toml "
-                    "[hooks].names; register it so the guard contract "
-                    "covers it" % name,
-                )
-
 
 def _positive_guard(test, hook):
     """Test that implies the hook is bound when it evaluates truthy."""
     if _is_none_check(test, hook, negated=True):
         return True
-    # truthiness guard: the bare attribute / name, possibly and-ed
-    if isinstance(test, (ast.Attribute, ast.Name)):
-        return _mentions_hook(test, hook)
     if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
         return any(_positive_guard(value, hook) for value in test.values)
     return False
@@ -236,10 +252,3 @@ def _negative_guard(test, hook):
     if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
         return any(_negative_guard(value, hook) for value in test.values)
     return False
-
-
-def _dotted_text(func):
-    try:
-        return ast.unparse(func)
-    except Exception:
-        return func.attr
