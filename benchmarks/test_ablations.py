@@ -183,12 +183,11 @@ def test_ablation_media_speed(benchmark, record_report):
 def test_ablation_partitions(benchmark, record_report):
     """The paper's 'a few working threads' variant: range-partitioned
     PA-Trees scale near-linearly while CPU-bound, sharing nothing but
-    the device."""
+    the device (the router's shared-device placement)."""
     out = record_report("ablation_partitions")
 
-    from repro.core.partition import PartitionedPaTree
-    from repro.nvme.device import NvmeDevice
-    from repro.nvme.driver import NvmeDriver
+    from repro.backend import make_backend
+    from repro.shard import ShardedPaTree
     from repro.sim.engine import Engine
     from repro.sim.rng import RngRegistry
     from repro.simos.scheduler import SimOS, paper_testbed_profile
@@ -197,13 +196,14 @@ def test_ablation_partitions(benchmark, record_report):
     def run_one(partitions, n_ops=3_000):
         engine = Engine(seed=4)
         simos = SimOS(engine, paper_testbed_profile())
-        device = NvmeDevice(engine, i3_nvme_profile())
-        driver = NvmeDriver(device)
-        tree = PartitionedPaTree(
+        tree = ShardedPaTree(
             simos,
-            driver,
             partitions,
-            buffer_pages_per_partition=4_096 // partitions,
+            partitioning="range",
+            backend=make_backend(
+                "sim", engine=engine, profile=i3_nvme_profile()
+            ),
+            buffer_pages_per_shard=4_096 // partitions,
         )
         workload = YcsbWorkload(
             20_000, n_ops, mix="default", rng=RngRegistry(4).stream("wl")

@@ -7,7 +7,8 @@ unbuffered workloads, so the paper runs one.  Once a buffer absorbs
 most I/O, however, the single thread becomes CPU-bound — and the
 paradigm scales by *partitioning*, not by locking: the key space is
 range-split across independent PA-Trees, each with its own working
-thread, latch table and queue pair, sharing nothing but the device.
+thread, latch table and queue pair, sharing nothing but the device —
+``ShardedPaTree`` handed one built backend instead of a backend spec.
 
 This example measures that crossover: buffered YCSB throughput with
 1, 2 and 4 partitions.
@@ -15,10 +16,9 @@ This example measures that crossover: buffered YCSB throughput with
 Run:  python examples/partitioned_scaling.py
 """
 
+from repro.backend import i3_nvme_profile, make_backend
 from repro.bench.report import print_table
-from repro.core.partition import PartitionedPaTree
-from repro.nvme.device import NvmeDevice, i3_nvme_profile
-from repro.nvme.driver import NvmeDriver
+from repro.shard import ShardedPaTree
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.simos.scheduler import SimOS, paper_testbed_profile
@@ -28,14 +28,15 @@ from repro.workloads import YcsbWorkload
 def run_config(partitions, n_ops=4_000, buffer_total=4_096):
     engine = Engine(seed=4)
     simos = SimOS(engine, paper_testbed_profile())
-    device = NvmeDevice(engine, i3_nvme_profile())
-    driver = NvmeDriver(device)
-
-    tree = PartitionedPaTree(
+    # one built backend = one device all the shards share, each on its
+    # own LBA region with its own queue pair
+    backend = make_backend("sim", engine=engine, profile=i3_nvme_profile())
+    tree = ShardedPaTree(
         simos,
-        driver,
         partitions,
-        buffer_pages_per_partition=buffer_total // partitions,
+        partitioning="range",
+        backend=backend,
+        buffer_pages_per_shard=buffer_total // partitions,
     )
     workload = YcsbWorkload(
         20_000, n_ops, mix="default", rng=RngRegistry(4).stream("wl")
@@ -50,7 +51,7 @@ def run_config(partitions, n_ops=4_000, buffer_total=4_096):
         "partitions": partitions,
         "throughput_ops": n_ops / elapsed_s,
         "cores_used": simos.total_busy_ns() / (engine.now - start),
-        "iops": device.total_completed / elapsed_s,
+        "iops": backend.total_completed / elapsed_s,
         "ctx_switches": simos.context_switches.value,
     }
 

@@ -119,7 +119,8 @@ class SessionConfig:
         ``"kind"`` key, or a built
         :class:`~repro.backend.IoBackend`.  Unknown names raise
         :class:`~repro.errors.BackendConfigError`.  Sharded sessions
-        require every shard on the same backend kind.
+        build one such device per shard from the one spec (a per-shard
+        list is rejected like any other unknown spelling).
     """
 
     seed: int = 0

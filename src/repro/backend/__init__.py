@@ -28,7 +28,7 @@ Construction goes through :func:`make_backend`; patlint PA502 flags
   ``"replay:/path/trace.jsonl"``;
 * a ``dict`` with a ``"kind"`` key plus keyword overrides;
 * an already-built :class:`IoBackend` (adopted as-is; its engine must
-  match).
+  match; ``ShardedPaTree`` shares it among all its shards).
 
 ``python -m repro.backend.calibrate`` records a FileBackend trace,
 fits the simulator's service-time/channel parameters from it, and
@@ -143,38 +143,6 @@ def normalize_backend_spec(spec):
     )
 
 
-def normalize_shard_backends(spec, n_shards):
-    """Resolve a sharded session's backend spec to one shared spec.
-
-    Shards are shared-nothing but must run on the *same kind* of
-    substrate — a fleet half on simulated time and half on wall-clock
-    time has no coherent virtual timeline.  A sequence spec is
-    accepted for symmetry with other per-shard knobs but every entry
-    must normalize identically.
-    """
-    if isinstance(spec, (list, tuple)):
-        if len(spec) != n_shards:
-            raise BackendConfigError(
-                "per-shard backend list has %d entries for %d shards"
-                % (len(spec), n_shards)
-            )
-        normalized = [normalize_backend_spec(entry) for entry in spec]
-        if any(isinstance(entry, IoBackend) for entry in normalized):
-            raise BackendConfigError(
-                "per-shard backend lists must hold specs, not built "
-                "backend instances"
-            )
-        first = normalized[0]
-        for entry in normalized[1:]:
-            if entry != first:
-                raise BackendConfigError(
-                    "mixed per-shard backends are not supported: %r != %r"
-                    % (first, entry)
-                )
-        return first
-    return normalize_backend_spec(spec)
-
-
 def make_backend(spec=None, *, engine, profile=None, rng_name="nvme",
                  faults=None, retry=None):
     """Build (or adopt) an :class:`IoBackend` from a spec.
@@ -228,7 +196,6 @@ __all__ = [
     "i3_nvme_profile",
     "make_backend",
     "normalize_backend_spec",
-    "normalize_shard_backends",
     "profile_from_trace",
     "read_trace",
     "set_default_backend",

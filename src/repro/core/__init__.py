@@ -34,14 +34,12 @@ from repro.core.ops import (
     sync_op,
     update_op,
 )
-from repro.core.partition import PartitionedPaTree
 from repro.core.source import ClosedLoopSource, ListSource, OpenLoopSource
 from repro.core.tree import PaTree
 
 __all__ = [
     "PaTree",
     "PaTreeEngine",
-    "PartitionedPaTree",
     "Node",
     "TreeConfig",
     "TreeMeta",

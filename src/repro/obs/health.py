@@ -117,12 +117,15 @@ class MetricsSession:
         """Attach every shard of a :class:`~repro.shard.ShardedPaTree`.
 
         Per-shard metrics carry a ``shard="<i>"`` label; the router's
-        own rollup metrics register unlabeled.
+        own rollup metrics — and a device every shard shares, attached
+        once — register unlabeled.
         """
         sharded.register_metrics(self.registry)
-        for index in range(sharded.n_shards):
-            self.attach_device(sharded.devices[index], shard=index)
-            self.attach_worker(sharded.engines[index], shard=index)
+        shared = sharded.shared_device
+        for index, device in enumerate(sharded.devices):
+            self.attach_device(device, shard=None if shared else index)
+        for index, worker in enumerate(sharded.engines):
+            self.attach_worker(worker, shard=index)
         return self
 
     # ------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Sharded multi-device PA-Tree (scale-out extension).
+"""Sharded PA-Tree: the one multi-worker router (scale-out and scale-up).
 
-The paper saturates one NVMe SSD with one polled working thread; this
-package is the scale-out seam: N independent ``(NvmeDevice,
-NvmeDriver, PaTreeEngine)`` shards on one simulated machine, each
-driven by its own polled worker, behind a single routing front door.
+The paper saturates one NVMe SSD with one polled working thread and
+sketches "one or a few working threads".  This package is that seam: N
+independent ``(PaTree, PaTreeEngine, queue pair)`` shards on one
+simulated machine, each driven by its own polled worker, behind a
+single routing front door — on a device each (a backend spec) or all on
+one shared device's disjoint LBA regions (a built backend).
 """
 
 from repro.shard.sharded import (

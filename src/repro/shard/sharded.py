@@ -1,27 +1,33 @@
-"""Sharded multi-device PA-Tree: N polled workers over N devices.
+"""Sharded PA-Tree: N polled workers behind one router, two placements.
 
-The paper shows one polled working thread saturating one NVMe SSD.
-This module scales the paradigm *out*: the key space is hash- or
-range-partitioned across N shards, each shard a fully independent
-``(IoBackend, PaTree, PaTreeEngine)`` stack with its own
-queue pair, latch table, buffer and polled working thread — all on the
-shared :class:`~repro.simos.scheduler.SimOS`, so the whole fleet runs
-inside one deterministic simulation.  Because shards share *nothing*
-(not even a device), the paradigm's no-inter-thread-synchronization
-property is preserved and aggregate throughput scales with shard count
-until the machine runs out of cores.
+The paper shows one polled working thread saturating one NVMe SSD and
+sketches "one or a few working threads" for the CPU-bound (buffered)
+case.  This module is that sketch, written once: the key space is
+hash- or range-partitioned across N shards, each an independent
+``(PaTree, PaTreeEngine)`` with its own queue pair, latch table, buffer
+and polled working thread — all on the shared
+:class:`~repro.simos.scheduler.SimOS`, so the whole fleet runs inside
+one deterministic simulation.  Where the shards' pages live follows
+from the ``backend`` argument:
 
-A zero-shared-state router splits incoming operation batches per
-shard, fans out a closed-loop admission window, scatters cross-shard
-range scans (and broadcast ``sync``), gathers their partial results in
-key order, and aggregates per-shard engine/device statistics.  The
-observability hooks from ``repro.obs`` attach per shard, so one
-:class:`~repro.obs.TraceSession` records the whole fleet.
+* a backend *spec* builds one device per shard — scale-*out*; shards
+  share nothing, so aggregate throughput grows with shard count until
+  the machine runs out of cores;
+* a *built* :class:`~repro.backend.IoBackend` is the one device every
+  shard shares — scale-*up*; shard *i* formats its tree on the disjoint
+  LBA region ``[i * region, (i + 1) * region)`` and allocates its own
+  queue pair, so workers still share no state but the device, which
+  helps exactly while one worker is CPU-bound and stops at device
+  saturation (the partitions ablation).
 
-This differs from :class:`repro.core.partition.PartitionedPaTree`
-(several workers sharing one device's LBA space): here every shard
-owns a whole simulated device, which is what multi-backend scaling,
-replication and tiering PRs will build on.
+Either way the paradigm's no-inter-thread-synchronization property is
+preserved.  A zero-shared-state router splits incoming operation
+batches per shard, fans out a closed-loop admission window, scatters
+cross-shard range scans (and broadcast ``sync``), gathers their partial
+results in key order, and aggregates per-shard engine statistics with
+each distinct device counted once.  The observability hooks from
+``repro.obs`` attach per shard, so one :class:`~repro.obs.TraceSession`
+records the whole fleet.
 """
 
 import bisect
@@ -37,9 +43,9 @@ from repro.backend import (
     IoBackend,
     BackendSpec,
     make_backend,
-    normalize_shard_backends,
+    normalize_backend_spec,
 )
-from repro.errors import BackendConfigError, SchedulerError
+from repro.errors import SchedulerError, WorkloadError
 from repro.backend import i3_nvme_profile
 from repro.sched import NaiveScheduling
 from repro.sim.metrics import LatencyRecorder
@@ -99,14 +105,14 @@ class _GatherState:
 
 
 class ShardedPaTree:
-    """N independent single-device PA-Trees behind one router.
+    """N independent PA-Trees, one polled worker each, behind one router.
 
     Parameters
     ----------
     simos:
         The shared simulated OS every shard's worker thread runs on.
     n_shards:
-        Number of shards; each gets its own simulated NVMe device.
+        Number of shards (trees, workers, queue pairs).
     partitioning:
         ``"hash"`` (default; uniform placement, range scans broadcast)
         or ``"range"`` (contiguous key slices, range scans touch only
@@ -120,12 +126,14 @@ class ShardedPaTree:
         device still draws service times from its own named RNG
         stream, so shards are stochastically independent.
     backend:
-        One backend spec (see :mod:`repro.backend`) applied to every
-        shard, or a per-shard list whose entries must normalize
-        identically — shards are shared-nothing but must sit on the
-        same kind of substrate.  File backends with an explicit path
-        get a ``.shard<i>`` suffix per shard so scratch files never
-        collide.
+        One backend spec (see :mod:`repro.backend`) builds a device per
+        shard; file backends with an explicit path get a ``.shard<i>``
+        suffix per shard so scratch files never collide.  A *built*
+        :class:`~repro.backend.IoBackend` is instead shared by every
+        shard, each on its own ``capacity_pages // n_shards`` region
+        with its own queue pair (``device_profile`` / ``faults`` /
+        ``retry`` are then the backend's own).  ``backends`` /
+        ``devices`` list the distinct ones: N, or 1 when shared.
     """
 
     def __init__(
@@ -161,20 +169,16 @@ class ShardedPaTree:
             ((1 << 64) // n_shards) * i for i in range(1, n_shards)
         ]
 
-        backend_spec = normalize_shard_backends(backend, n_shards)
-        if isinstance(backend_spec, IoBackend) and n_shards > 1:
-            raise BackendConfigError(
-                "a built backend instance cannot be shared across %d "
-                "shards; pass a spec instead" % n_shards
-            )
-        self.backend_kind = (
-            backend_spec.kind
-            if isinstance(backend_spec, (IoBackend, BackendSpec))
-            else "sim"
+        backend_spec = normalize_backend_spec(backend)
+        # a built backend is the one device all shards share: shard i
+        # formats its tree on pages [i * region, (i + 1) * region); a
+        # spec (region 0) gives every shard a whole device of its own
+        region = (
+            backend_spec.capacity_pages // n_shards
+            if isinstance(backend_spec, IoBackend)
+            else 0
         )
         self.backends = []
-        self.devices = []
-        self.drivers = []
         self.trees = []
         self.engines = []
         self._sources = []
@@ -189,7 +193,12 @@ class ShardedPaTree:
                 faults=faults,
                 retry=retry,
             )
-            tree = PaTree.create(shard_backend.device, payload_size=payload_size)
+            tree = PaTree.create(
+                shard_backend.device,
+                payload_size=payload_size,
+                base_lba=index * region,
+                capacity_pages=region or None,
+            )
             source = _ShardSource(self)
             worker = PaTreeEngine(
                 simos,
@@ -204,12 +213,12 @@ class ShardedPaTree:
                 ),
                 name="pa-shard-%d" % index,
             )
-            self.backends.append(shard_backend)
-            self.devices.append(shard_backend.device)
-            self.drivers.append(shard_backend.driver)
+            if shard_backend not in self.backends:
+                self.backends.append(shard_backend)
             self.trees.append(tree)
             self.engines.append(worker)
             self._sources.append(source)
+        self.devices = [each.device for each in self.backends]
 
         # router state
         self._drained = True
@@ -245,7 +254,7 @@ class ShardedPaTree:
         return spec
 
     def close(self):
-        """Release every shard backend's host-side resources."""
+        """Release every distinct backend's host-side resources."""
         for shard_backend in self.backends:
             shard_backend.close()
 
@@ -353,7 +362,9 @@ class ShardedPaTree:
             return
         low_shard = self.shard_for(op.key)
         high_shard = self.shard_for(op.high_key)
-        if low_shard == high_shard:
+        if low_shard >= high_shard:
+            # one shard covers it; an inverted scan (low > high) covers
+            # nothing, and that shard's tree answers [] as a lone tree does
             self._sources[low_shard].pending.append(op)
             return
         parts = []
@@ -460,6 +471,8 @@ class ShardedPaTree:
         router fans admitted operations out to the owning shards; each
         shard's worker interleaves whatever lands on it.
         """
+        if window < 1:
+            raise WorkloadError("window must be positive")
         operations = list(operations)
         self._global_pending = deque(operations)
         self._window = window
@@ -484,15 +497,20 @@ class ShardedPaTree:
     def attach_trace(self, session):
         """Wire one :class:`~repro.obs.TraceSession` across every shard.
 
-        Each shard's device and worker attach under a ``shard<i>``
-        name so sampled series and spans stay distinguishable in one
-        recording.
+        Each shard's worker — and its device, when it owns one alone —
+        attaches under a ``shard<i>`` name so sampled series and spans
+        stay distinguishable in one recording; a shared device attaches
+        once, under the unprefixed single-device series names.
         """
         session.attach_simos(self.simos)
-        for index in range(self.n_shards):
+        shared = self.shared_device
+        if shared:
+            session.attach_device(self.devices[0])
+        for index, worker in enumerate(self.engines):
             name = "shard%d" % index
-            session.attach_device(self.devices[index], name=name)
-            session.attach_worker(self.engines[index], name=name)
+            if not shared:
+                session.attach_device(self.devices[index], name=name)
+            session.attach_worker(worker, name=name)
         return session
 
     def register_metrics(self, registry):
@@ -500,7 +518,9 @@ class ShardedPaTree:
 
         Router-level rollups register unlabeled; each shard's full
         stack registers under a ``shard="<i>"`` label, so per-shard and
-        aggregate views coexist in one registry.
+        aggregate views coexist in one registry.  (A worker's stack
+        includes the device it submits to, so a shared device's rows
+        repeat under every label: read them under one, never summed.)
         """
         registry.counter(
             "router_user_completed_total",
@@ -549,65 +569,69 @@ class ShardedPaTree:
         """All (key, payload) pairs in global key order (zero time)."""
         return heapq.merge(*(tree.iterate_items_raw() for tree in self.trees))
 
+    @property
+    def shared_device(self):
+        """Whether several shards sit on one device (a built backend)."""
+        return len(self.devices) < self.n_shards
+
     def stats(self):
         """Aggregate + per-shard statistics snapshot.
 
         Returns a fresh dict on every call.  All counters are
         cumulative over the router's lifetime; ``per_shard[i]`` holds
-        shard *i*'s own engine/device counters and the top-level
-        totals are their sums, so ``sum(s["completed"] for s in
-        per_shard) == completed`` always holds.
+        shard *i*'s own engine counters and the top-level totals are
+        their sums, so ``sum(s["completed"] for s in per_shard) ==
+        completed`` always holds.  The device family (``device_*``,
+        ``io_retries``, ``faults``) is read once per distinct device:
+        a device one shard owns alone fills that shard's row, a shared
+        device a row of its own that only the totals see.
         """
-        per_shard = []
-        injectors_armed = False
-        for index in range(self.n_shards):
-            shard_stats = self.engines[index].stats()
-            device = self.devices[index]
-            shard_stats["shard"] = index
-            shard_stats["device_reads"] = device.reads_completed.value
-            shard_stats["device_writes"] = device.writes_completed.value
-            shard_stats["device_errors"] = device.errors_completed.value
-            if device.fault_injector is not None:
-                injectors_armed = True
-                shard_stats["faults"] = device.fault_injector.stats()
-            per_shard.append(shard_stats)
-        # explicit `_total` rollups of the retry/fault/error family, so
-        # health tooling can read aggregates without summing per_shard
-        totals = {
-            "%s_total" % key: sum(s[key] for s in per_shard)
-            for key in (
-                "device_errors",
-                "io_errors",
-                "failed_ops",
-                "io_retries",
-                "io_escalations",
-                "lost_writes",
-            )
+        per_shard = [
+            dict(worker.stats(), shard=index)
+            for index, worker in enumerate(self.engines)
+        ]
+        # a device one shard owns alone reports into that shard's row
+        per_device = (
+            [{} for _ in self.backends] if self.shared_device else per_shard
+        )
+        for row, shard_backend in zip(per_device, self.backends):
+            row["device_reads"] = shard_backend.reads_completed.value
+            row["device_writes"] = shard_backend.writes_completed.value
+            row["device_errors"] = shard_backend.errors_completed.value
+            row["io_retries"] = shard_backend.retries_scheduled.value
+            if shard_backend.fault_injector is not None:
+                row["faults"] = shard_backend.fault_injector.stats()
+
+        def total(rows, key):
+            return sum(row[key] for row in rows)
+
+        # the retry/fault/error family, summed once and emitted both
+        # bare and as explicit `_total` rollups for health tooling
+        errors = {
+            "device_errors": total(per_device, "device_errors"),
+            "io_errors": total(per_shard, "io_errors"),
+            "failed_ops": total(per_shard, "failed_ops"),
+            "io_retries": total(per_device, "io_retries"),
+            "io_escalations": total(per_shard, "io_escalations"),
+            "lost_writes": total(per_shard, "lost_writes"),
         }
-        if injectors_armed:
-            fault_totals = {}
-            for shard_stats in per_shard:
-                for key, value in shard_stats.get("faults", {}).items():
-                    fault_totals[key] = fault_totals.get(key, 0) + value
-            totals["faults"] = fault_totals
-        return {
-            **totals,
-            "shards": self.n_shards,
-            "partitioning": self.partitioning,
-            "completed": sum(s["completed"] for s in per_shard),
-            "user_completed": self.user_completed,
-            "user_failed": self.user_failed,
-            "probes": sum(s["probes"] for s in per_shard),
-            "latch_waits": sum(s["latch_waits"] for s in per_shard),
-            "device_reads": sum(s["device_reads"] for s in per_shard),
-            "device_writes": sum(s["device_writes"] for s in per_shard),
-            "device_errors": sum(s["device_errors"] for s in per_shard),
-            "io_errors": sum(s["io_errors"] for s in per_shard),
-            "failed_ops": sum(s["failed_ops"] for s in per_shard),
-            "io_retries": sum(s["io_retries"] for s in per_shard),
-            "io_escalations": sum(s["io_escalations"] for s in per_shard),
-            "lost_writes": sum(s["lost_writes"] for s in per_shard),
-            "mean_latency_us": self.latencies.mean_usec(),
-            "p99_latency_us": self.latencies.p99_usec(),
-            "per_shard": per_shard,
-        }
+        stats = {"%s_total" % key: value for key, value in errors.items()}
+        faults = [row["faults"] for row in per_device if "faults" in row]
+        if faults:
+            stats["faults"] = {key: total(faults, key) for key in faults[0]}
+        stats.update(
+            shards=self.n_shards,
+            partitioning=self.partitioning,
+            completed=total(per_shard, "completed"),
+            user_completed=self.user_completed,
+            user_failed=self.user_failed,
+            probes=total(per_shard, "probes"),
+            latch_waits=total(per_shard, "latch_waits"),
+            device_reads=total(per_device, "device_reads"),
+            device_writes=total(per_device, "device_writes"),
+            **errors,
+            mean_latency_us=self.latencies.mean_usec(),
+            p99_latency_us=self.latencies.p99_usec(),
+            per_shard=per_shard,
+        )
+        return stats

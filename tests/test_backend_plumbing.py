@@ -3,7 +3,7 @@
 Pins the three contracts the refactor must not bend: legacy configs
 (no ``backend=``) run on the simulated substrate with zero behavior
 change, unknown backend names fail fast with a typed error, and
-sharded sessions reject per-shard backend lists that mix kinds.
+sharded sessions take one spec for the fleet, never a per-shard list.
 """
 
 import os
@@ -102,11 +102,10 @@ class TestTypedErrors:
         with pytest.raises(BackendConfigError):
             ShardedSession(fast(shards=2, backend=["sim"]))
 
-    def test_sharded_accepts_uniform_backend_list(self):
-        with ShardedSession(fast(shards=2, backend=["sim", "sim"])) as session:
-            session.put(1, payload(1))
-            assert session.get(1) == payload(1)
-            assert session.sharded.backend_kind == "sim"
+    def test_sharded_rejects_a_backend_list(self):
+        # one spec for the fleet; a list is not a spec, however uniform
+        with pytest.raises(BackendConfigError):
+            ShardedSession(fast(shards=2, backend=["sim", "sim"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Tests for the sharded multi-device PA-Tree (repro.shard)."""
+"""Tests for the sharded PA-Tree router (repro.shard), both placements."""
 
+import random
 
 import pytest
 
+from repro.api import PATreeSession, ShardedSession
+from repro.backend import make_backend
 from repro.core.engine import PERSISTENCE_WEAK
 from repro.core.ops import (
     delete_op,
@@ -12,10 +15,10 @@ from repro.core.ops import (
     sync_op,
     update_op,
 )
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, WorkloadError
 from repro.nvme.device import fast_test_profile
 from repro.nvme.driver import RetryPolicy
-from repro.obs import TraceSession
+from repro.obs import MetricsSession, TraceSession
 from repro.shard import (
     HASH_PARTITIONING,
     RANGE_PARTITIONING,
@@ -27,6 +30,9 @@ from repro.sim.engine import Engine
 from repro.simos.scheduler import OsProfile, SimOS
 
 BOTH = (HASH_PARTITIONING, RANGE_PARTITIONING)
+# where the shards' pages live: a backend spec gives every shard its own
+# device, a built backend is the one device all of them share
+PER_SHARD, SHARED = "spec", "built"
 
 
 def payload(key):
@@ -38,9 +44,15 @@ def preload_items(n):
 
 
 def build(n_shards=4, partitioning=HASH_PARTITIONING, preload=2_000, seed=6,
-          **kwargs):
-    engine = Engine(seed=seed)
+          placement=PER_SHARD, **kwargs):
+    # the event budget turns a router that never finishes into an error
+    engine = Engine(seed=seed, max_events=2_000_000)
     simos = SimOS(engine, OsProfile(cores=8))
+    if placement == SHARED:
+        kwargs["backend"] = make_backend(
+            "sim", engine=engine, profile=fast_test_profile(),
+            faults=kwargs.get("faults"), retry=kwargs.get("retry"),
+        )
     sharded = ShardedPaTree(
         simos,
         n_shards,
@@ -53,20 +65,43 @@ def build(n_shards=4, partitioning=HASH_PARTITIONING, preload=2_000, seed=6,
     return sharded
 
 
-class TestConstruction:
+class Placed:
+    """Suite run once per placement: a ``...Shared`` subclass flips it."""
+
+    placement = PER_SHARD
+
+    def build(self, **kwargs):
+        return build(placement=self.placement, **kwargs)
+
+
+class TestConstruction(Placed):
     def test_shard_count_validated(self):
         with pytest.raises(SchedulerError):
-            build(n_shards=0, preload=0)
+            self.build(n_shards=0, preload=0)
 
     def test_partitioning_validated(self):
         with pytest.raises(SchedulerError):
-            build(partitioning="mod", preload=0)
+            self.build(partitioning="mod", preload=0)
 
     def test_every_shard_owns_its_own_stack(self):
-        sharded = build(n_shards=3, preload=0)
-        assert len(set(map(id, sharded.devices))) == 3
+        sharded = self.build(n_shards=3, preload=0)
         assert len(set(map(id, sharded.trees))) == 3
         assert len(set(map(id, sharded.engines))) == 3
+        assert len({id(worker.qpair) for worker in sharded.engines}) == 3
+        if self.placement == PER_SHARD:
+            assert len(set(map(id, sharded.devices))) == 3
+            assert not sharded.shared_device
+            return
+        # shared: one device, carved into disjoint per-shard regions
+        (backend,) = sharded.backends
+        assert sharded.devices == [backend.device]
+        assert sharded.shared_device
+        region = backend.capacity_pages // 3
+        for index, tree in enumerate(sharded.trees):
+            assert tree.meta_page == index * region
+            allocator = tree.allocator
+            assert allocator.base == tree.meta_page + 1
+            assert allocator.base + allocator.capacity == (index + 1) * region
 
     def test_mix_spreads_strided_keys(self):
         # the YCSB preload keys sit on a 2^20 stride; key % n would put
@@ -78,17 +113,21 @@ class TestConstruction:
 
     @pytest.mark.parametrize("partitioning", BOTH)
     def test_bulk_load_balances(self, partitioning):
-        sharded = build(partitioning=partitioning, preload=4_000)
+        sharded = self.build(partitioning=partitioning, preload=4_000)
         counts = [t.meta.key_count for t in sharded.trees]
         assert sum(counts) == 4_000
         assert min(counts) >= 700
         assert sharded.key_count == 4_000
 
 
-class TestRouting:
+class TestConstructionShared(TestConstruction):
+    placement = SHARED
+
+
+class TestRouting(Placed):
     @pytest.mark.parametrize("partitioning", BOTH)
     def test_search_routes_to_owning_shard(self, partitioning):
-        sharded = build(partitioning=partitioning)
+        sharded = self.build(partitioning=partitioning)
         ops = sharded.run_operations(
             [search_op(10), search_op(19_990), search_op(5)]
         )
@@ -98,7 +137,9 @@ class TestRouting:
 
     @pytest.mark.parametrize("partitioning", BOTH)
     def test_mutations_across_shards(self, partitioning):
-        sharded = build(partitioning=partitioning, n_shards=3, preload=1_500)
+        sharded = self.build(
+            partitioning=partitioning, n_shards=3, preload=1_500
+        )
         ops = sharded.run_operations(
             [
                 insert_op(5, payload(5)),
@@ -115,7 +156,7 @@ class TestRouting:
         assert 20 not in data
 
     def test_sync_broadcasts_to_every_shard(self):
-        sharded = build(
+        sharded = self.build(
             n_shards=2,
             preload=500,
             persistence=PERSISTENCE_WEAK,
@@ -129,22 +170,58 @@ class TestRouting:
         sharded.validate()
 
     def test_multiple_batches_reuse_the_workers(self):
-        sharded = build(n_shards=2, preload=200)
+        sharded = self.build(n_shards=2, preload=200)
         sharded.run_operations([insert_op(3, payload(3))])
         sharded.run_operations([insert_op(7, payload(7))])
         (found,) = sharded.run_operations([search_op(3)])
         assert found.result == payload(3)
         assert sharded.key_count == 202
 
+    def test_nonpositive_window_is_a_typed_error(self):
+        sharded = self.build(preload=0)
+        with pytest.raises(WorkloadError, match="window must be positive"):
+            sharded.run_operations([search_op(1)], window=0)
 
-class TestCrossShardRanges:
+    @pytest.mark.parametrize("partitioning", BOTH)
+    def test_equivalent_to_dict(self, partitioning):
+        sharded = self.build(partitioning=partitioning, preload=1_000)
+        rng = random.Random(12)
+        model = dict(preload_items(1_000))
+        ops = []
+        for _ in range(600):
+            roll = rng.random()
+            hit = model and roll < 0.7
+            key = rng.choice(sorted(model)) if hit else rng.randrange(1, 10**6)
+            if roll < 0.3:
+                ops.append(search_op(key))
+            elif roll < 0.55:
+                ops.append(insert_op(key, payload(key)))
+                model[key] = payload(key)
+            elif roll < 0.75:
+                ops.append(delete_op(key))
+                model.pop(key, None)
+            else:
+                ops.append(update_op(key, payload(key ^ 3)))
+                if key in model:
+                    model[key] = payload(key ^ 3)
+        sharded.run_operations(ops, window=32)
+        assert dict(sharded.iterate_items_raw()) == model
+        sharded.validate()
+
+
+class TestRoutingShared(TestRouting):
+    placement = SHARED
+
+
+class TestCrossShardRanges(Placed):
     """Cross-shard range scans must equal a single-tree oracle."""
 
     @pytest.mark.parametrize("partitioning", BOTH)
     def test_full_span_matches_single_tree_oracle(self, partitioning):
-        sharded = build(partitioning=partitioning, n_shards=4)
-        oracle = build(partitioning=partitioning, n_shards=1)
-        for low, high in ((10, 20_000), (95, 4_321), (1, 9)):
+        sharded = self.build(partitioning=partitioning, n_shards=4)
+        oracle = self.build(partitioning=partitioning, n_shards=1)
+        # the last pair is inverted across a split key: [] everywhere
+        for low, high in ((10, 20_000), (95, 4_321), (1, 9), (15_000, 100)):
             (got,) = sharded.run_operations([range_op(low, high)])
             (want,) = oracle.run_operations([range_op(low, high)])
             assert got.result == want.result
@@ -153,19 +230,23 @@ class TestCrossShardRanges:
 
     @pytest.mark.parametrize("partitioning", BOTH)
     def test_limit_truncates_in_global_key_order(self, partitioning):
-        sharded = build(partitioning=partitioning, n_shards=4)
+        sharded = self.build(partitioning=partitioning, n_shards=4)
         (op,) = sharded.run_operations([range_op(10, 20_000, limit=25)])
         assert [k for k, _v in op.result] == [k * 10 for k in range(1, 26)]
 
     def test_range_within_one_range_shard_is_not_scattered(self):
-        sharded = build(partitioning=RANGE_PARTITIONING, n_shards=4)
+        sharded = self.build(partitioning=RANGE_PARTITIONING, n_shards=4)
         low_shard = sharded.shard_for(100)
         assert sharded.shard_for(200) == low_shard
         (op,) = sharded.run_operations([range_op(100, 200)])
         assert [k for k, _v in op.result] == list(range(100, 201, 10))
 
 
-class TestDeterminismAndStats:
+class TestCrossShardRangesShared(TestCrossShardRanges):
+    placement = SHARED
+
+
+class SameSeedSuite(Placed):
     def _ops(self):
         return [
             search_op(10),
@@ -178,8 +259,8 @@ class TestDeterminismAndStats:
 
     @pytest.mark.parametrize("partitioning", BOTH)
     def test_same_seed_runs_are_identical(self, partitioning):
-        first = build(partitioning=partitioning, seed=11)
-        second = build(partitioning=partitioning, seed=11)
+        first = self.build(partitioning=partitioning, seed=11)
+        second = self.build(partitioning=partitioning, seed=11)
         ops_a = first.run_operations(self._ops(), window=4)
         ops_b = second.run_operations(self._ops(), window=4)
         assert [op.result for op in ops_a] == [op.result for op in ops_b]
@@ -187,6 +268,8 @@ class TestDeterminismAndStats:
         assert first.engine.now == second.engine.now
         assert first.stats() == second.stats()
 
+
+class TestDeterminismAndStats(SameSeedSuite):
     def test_per_shard_stats_sum_to_router_totals(self):
         sharded = build(n_shards=4)
         sharded.run_operations(
@@ -259,6 +342,37 @@ class TestDeterminismAndStats:
         assert sharded.stats()["completed"] != -1
 
 
+class TestDeterminismAndStatsShared(SameSeedSuite):
+    placement = SHARED
+
+    def test_shared_device_is_counted_once(self):
+        sharded = self.build(
+            preload=400,
+            faults={"read_error_rate": 0.2},
+            retry=RetryPolicy(max_retries=2),
+        )
+        sharded.run_operations([search_op(k * 10) for k in range(1, 201)])
+        (backend,) = sharded.backends
+        device, stats = backend.device, sharded.stats()
+        assert stats["device_reads"] == device.reads_completed.value > 0
+        assert stats["device_errors_total"] == device.errors_completed.value
+        assert stats["io_retries_total"] == backend.retries_scheduled.value > 0
+        assert stats["faults"] == device.fault_injector.stats()
+        # a row holds device counters only for a device its shard owns alone
+        for row in stats["per_shard"]:
+            assert "device_reads" not in row and "faults" not in row
+
+
+def test_sessions_reject_a_nonpositive_window():
+    # both facades raise ClosedLoopSource's error, type and message
+    with pytest.raises(WorkloadError, match="window must be positive"):
+        PATreeSession(window=0)
+    with ShardedSession(window=0, shards=2) as session:
+        session.engine.max_events = 200_000  # it used to spin forever
+        with pytest.raises(WorkloadError, match="window must be positive"):
+            session.put(1, payload(1))
+
+
 class TestObservability:
     def test_one_trace_session_records_all_shards(self):
         sharded = build(n_shards=2, preload=400)
@@ -277,3 +391,24 @@ class TestObservability:
         assert session.op_latency  # per-op histograms recorded
         for device in sharded.devices:
             assert device.on_submit == ()  # observers unsubscribed
+
+    def test_a_shared_device_attaches_once(self):
+        sharded = build(n_shards=2, preload=400, placement=SHARED)
+        (device,) = sharded.devices
+        trace = TraceSession(sharded.engine, sample_interval_ns=usec(5))
+        metrics = MetricsSession(sharded.engine, flight_capacity=10_000)
+        sharded.attach_trace(trace)
+        metrics.attach_sharded(sharded)
+        trace.start()
+        sharded.run_operations([search_op(k * 10) for k in range(1, 201)])
+        trace.finish()
+        metrics.finish()
+        summary = trace.sampler.summary()
+        assert "device_outstanding" in summary  # the unprefixed series
+        assert "shard0_outstanding" not in summary
+        assert "shard1_ready_ops" in summary
+        by_kind = metrics.flight.summary()["by_kind"]
+        assert by_kind["completion"] == device.total_completed
+        scalars = metrics.registry.scalars()
+        assert scalars["device_reads_total"] == device.reads_completed.value
+        assert device.on_submit == () and device.on_complete == ()
