@@ -16,8 +16,8 @@ with the other baselines, so the comparison isolates the concurrency
 protocol and execution paradigm.
 """
 
+from repro.baselines.sync_tree import BlockingPageIo
 from repro.core.latch import EXCLUSIVE
-from repro.core.meta import META_PAGE
 from repro.core.node import NO_PAGE, Node
 from repro.core.ops import DELETE, INSERT, RANGE, SEARCH, SYNC, UPDATE
 from repro.errors import TreeError
@@ -26,92 +26,12 @@ from repro.simos.sync import Mutex
 from repro.simos.thread import Cpu, SemPost, SemWait
 
 
-class BlinkTreeAccessor:
-    """Latch-free-read Blink-tree over the shared blocking substrate."""
+class BlinkTreeAccessor(BlockingPageIo):
+    """Latch-free-read Blink-tree over the shared blocking page layer."""
 
     def __init__(self, tree, io_service, latches, buffer=None, persistence="strong"):
-        if persistence == "weak" and (buffer is None or buffer.mode != "weak"):
-            raise TreeError("weak persistence requires a ReadWriteBuffer")
-        self.tree = tree
-        self.io = io_service
-        self.latches = latches
-        self.buffer = buffer
-        self.persistence = persistence
-        self._buffer_mutex = Mutex("blink-buffer") if buffer is not None else None
-        self._alloc_mutex = Mutex("blink-alloc")
-        self._flush_locks = {}  # page_id -> Mutex (serializes flushes)
+        super().__init__(tree, io_service, latches, buffer, persistence)
         self._meta_mutex = Mutex("blink-meta")
-
-    # ------------------------------------------------------------------
-    # shared plumbing (same cost structure as SyncTreeAccessor)
-    # ------------------------------------------------------------------
-
-    def _read_node(self, tls, page_id):
-        costs = self.tree.costs
-        if self.buffer is not None:
-            yield SemWait(self._buffer_mutex)
-            yield Cpu(costs.buffer_lookup_ns, CPU_REAL_WORK)
-            data = self.buffer.lookup(page_id)
-            yield SemPost(self._buffer_mutex)
-            if data is not None:
-                yield Cpu(costs.node_parse_ns, CPU_REAL_WORK)
-                return Node.from_bytes(self.tree.config, page_id, data)
-        data = yield from self.io.read(tls, page_id)
-        if self.buffer is not None:
-            yield SemWait(self._buffer_mutex)
-            evicted = self.buffer.install(page_id, data)
-            yield SemPost(self._buffer_mutex)
-            yield from self._flush_evicted(tls, evicted)
-        yield Cpu(costs.node_parse_ns, CPU_REAL_WORK)
-        return Node.from_bytes(self.tree.config, page_id, data)
-
-    def _flush_evicted(self, tls, evicted):
-        """Flush dirty evictions with per-page ordering.
-
-        Two threads may hold flushes for the same page (evict, rewrite,
-        evict again); without serialization the older image could land
-        on media last.  A per-page mutex serializes the device writes,
-        and each flusher writes the *newest* in-flight bytes, so the
-        final media content is always the latest version.
-        """
-        for victim_id, victim_data in evicted:
-            yield SemWait(self._buffer_mutex)
-            lock = self._flush_locks.get(victim_id)
-            if lock is None:
-                lock = self._flush_locks[victim_id] = Mutex("flush")
-            yield SemPost(self._buffer_mutex)
-            yield SemWait(lock)
-            latest = self.buffer.in_flight_data(victim_id)
-            yield from self.io.write(
-                tls, victim_id, latest if latest is not None else victim_data
-            )
-            yield SemWait(self._buffer_mutex)
-            self.buffer.flush_done(victim_id)
-            yield SemPost(self._buffer_mutex)
-            yield SemPost(lock)
-
-    def _write_page(self, tls, page_id, data):
-        if self.persistence == "weak":
-            yield SemWait(self._buffer_mutex)
-            evicted = self.buffer.write(page_id, data)
-            yield SemPost(self._buffer_mutex)
-            yield from self._flush_evicted(tls, evicted)
-            return
-        yield from self.io.write(tls, page_id, data)
-        if self.buffer is not None:
-            yield SemWait(self._buffer_mutex)
-            self.buffer.install(page_id, data)
-            yield SemPost(self._buffer_mutex)
-
-    def _write_node(self, tls, node):
-        yield Cpu(self.tree.costs.node_serialize_ns, CPU_REAL_WORK)
-        yield from self._write_page(tls, node.page_id, node.to_bytes())
-
-    def _allocate(self):
-        yield SemWait(self._alloc_mutex)
-        page_id = self.tree.allocator.allocate()
-        yield SemPost(self._alloc_mutex)
-        return page_id
 
     # ------------------------------------------------------------------
     # traversal helpers
@@ -307,8 +227,7 @@ class BlinkTreeAccessor:
         yield from self._write_node(tls, new_root)
         tree.meta.root_page = new_root_id
         tree.meta.height += 1
-        yield Cpu(tree.costs.node_serialize_ns, CPU_REAL_WORK)
-        yield from self._write_page(tls, META_PAGE, tree.meta.to_bytes())
+        yield from self._write_meta(tls)
         yield SemPost(self._meta_mutex)
         return True
 
@@ -323,15 +242,3 @@ class BlinkTreeAccessor:
             self.tree.meta.key_count -= 1
             yield from self._write_node(tls, leaf)
         yield from self.latches.release(leaf.page_id, EXCLUSIVE)
-
-    def _sync(self, tls, op):
-        if self.persistence == "strong" or self.buffer is None:
-            op.result = 0
-            return
-        yield SemWait(self._buffer_mutex)
-        flushing = self.buffer.take_dirty()
-        yield SemPost(self._buffer_mutex)
-        # reuse the ordered per-page flush path so a sync never races
-        # an in-flight eviction flush of the same page
-        yield from self._flush_evicted(tls, flushing)
-        op.result = len(flushing)

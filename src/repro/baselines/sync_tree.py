@@ -11,7 +11,8 @@ and on every latch (through the semaphore-based
 One accessor instance is shared by all worker threads of a baseline
 run; shared mutable state (buffer, allocator, meta) is protected by
 mutexes, each access paying the semaphore syscall costs the paper's
-CPU breakdown charges to synchronization.
+CPU breakdown charges to synchronization.  That page layer is
+:class:`BlockingPageIo`; the Blink and LCB baselines stand on it too.
 """
 
 from repro.core.latch import EXCLUSIVE, SHARED
@@ -24,8 +25,14 @@ from repro.simos.sync import Mutex
 from repro.simos.thread import Cpu, SemPost, SemWait
 
 
-class SyncTreeAccessor:
-    """Blocking-paradigm tree operations over shared tree state."""
+class BlockingPageIo:
+    """The blocking page layer every tree baseline stands on.
+
+    Node reads and writes through the (optional) buffer and a blocking
+    I/O service, ordered eviction flushes, the allocator and sync —
+    each shared structure behind its mutex.  Subclasses add the index
+    algorithms and their latch protocol.
+    """
 
     def __init__(self, tree, io_service, latches, buffer=None, persistence="strong"):
         if persistence not in ("strong", "weak"):
@@ -40,27 +47,6 @@ class SyncTreeAccessor:
         self._buffer_mutex = Mutex("buffer") if buffer is not None else None
         self._alloc_mutex = Mutex("allocator")
         self._flush_locks = {}  # page_id -> Mutex (serializes flushes)
-
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
-
-    def execute(self, tls, op):
-        """Run one operation to completion on the calling thread."""
-        if op.kind == SEARCH:
-            yield from self._search(tls, op)
-        elif op.kind == RANGE:
-            yield from self._range(tls, op)
-        elif op.kind == INSERT:
-            yield from self._insert(tls, op)
-        elif op.kind == UPDATE:
-            yield from self._update(tls, op)
-        elif op.kind == DELETE:
-            yield from self._delete(tls, op)
-        elif op.kind == SYNC:
-            yield from self._sync(tls, op)
-        else:
-            raise TreeError("unknown operation kind %r" % (op.kind,))
 
     # ------------------------------------------------------------------
     # node I/O through buffer + blocking I/O service
@@ -149,6 +135,43 @@ class SyncTreeAccessor:
             yield SemWait(self._buffer_mutex)
             self.buffer.invalidate(page_id)
             yield SemPost(self._buffer_mutex)
+
+    def _sync(self, tls, op):
+        if self.persistence == "strong" or self.buffer is None:
+            op.result = 0
+            return
+        yield SemWait(self._buffer_mutex)
+        flushing = self.buffer.take_dirty()
+        yield SemPost(self._buffer_mutex)
+        # reuse the ordered per-page flush path so a sync never races
+        # an in-flight eviction flush of the same page
+        yield from self._flush_evicted(tls, flushing)
+        op.result = len(flushing)
+
+
+class SyncTreeAccessor(BlockingPageIo):
+    """Blocking-paradigm tree operations over shared tree state."""
+
+    # ------------------------------------------------------------------
+    # entry point
+    # ------------------------------------------------------------------
+
+    def execute(self, tls, op):
+        """Run one operation to completion on the calling thread."""
+        if op.kind == SEARCH:
+            yield from self._search(tls, op)
+        elif op.kind == RANGE:
+            yield from self._range(tls, op)
+        elif op.kind == INSERT:
+            yield from self._insert(tls, op)
+        elif op.kind == UPDATE:
+            yield from self._update(tls, op)
+        elif op.kind == DELETE:
+            yield from self._delete(tls, op)
+        elif op.kind == SYNC:
+            yield from self._sync(tls, op)
+        else:
+            raise TreeError("unknown operation kind %r" % (op.kind,))
 
     # ------------------------------------------------------------------
     # reads
@@ -411,15 +434,3 @@ class SyncTreeAccessor:
         if write_meta:
             yield from self._write_meta(tls)
         yield from self._release_path(path_ids)
-
-    def _sync(self, tls, op):
-        if self.persistence == "strong" or self.buffer is None:
-            op.result = 0
-            return
-        yield SemWait(self._buffer_mutex)
-        flushing = self.buffer.take_dirty()
-        yield SemPost(self._buffer_mutex)
-        # reuse the ordered per-page flush path so a sync never races
-        # an in-flight eviction flush of the same page
-        yield from self._flush_evicted(tls, flushing)
-        op.result = len(flushing)
