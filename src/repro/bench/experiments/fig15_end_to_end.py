@@ -10,6 +10,8 @@ the synchronous baselines run multi-threaded (the paper reports their
 best thread count; we use 32, their observed best).
 """
 
+from dataclasses import replace
+
 from repro.baselines.blink_tree import BlinkTreeAccessor
 from repro.baselines.io_service import DedicatedIoService
 from repro.baselines.latching import BlockingLatchTable
@@ -125,21 +127,10 @@ def run_pa_arm(spec, persistence, seed=1):
     machine.tree.bulk_load(workload.preload_items())
     buffer_pages = _buffer_pages_for(machine.tree)
 
-    arm_spec = spec
     if persistence == "weak":
-        arm_spec = WorkloadSpec(
-            kind=spec.kind,
-            n_keys=spec.n_keys,
-            n_ops=spec.n_ops,
-            mix=spec.mix,
-            alpha=spec.alpha,
-            payload_size=spec.payload_size,
-            insert_ratio=spec.insert_ratio,
-            sync_every=SYNC_EVERY,
-            n_actors=spec.n_actors,
-        )
+        spec = replace(spec, sync_every=SYNC_EVERY)
     row = run_pa(
-        arm_spec,
+        spec,
         seed=seed,
         persistence=persistence,
         buffer_pages=buffer_pages,

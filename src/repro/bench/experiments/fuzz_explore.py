@@ -5,10 +5,10 @@ for each session target and reports one row per explored schedule:
 how many decisions the explorer perturbed (run-queue picks, preemption
 flips, wakeup reordering, I/O jitter), how much virtual time the
 schedule covered and whether every parity and invariant check held.
-The committed artifact (``BENCH_fuzz.json``) is the recorded evidence
-that the exploration dimensions named by the paper's determinism claim
-— OS scheduling and NVMe completion order — hold no surviving
-schedule-dependent bugs at this depth.
+The rows (``BENCH_fuzz.json`` under ``--out``; regenerated on demand,
+not committed) are the evidence that the exploration dimensions named
+by the paper's determinism claim — OS scheduling and NVMe completion
+order — hold no surviving schedule-dependent bugs at this depth.
 """
 
 import os

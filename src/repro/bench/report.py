@@ -48,13 +48,6 @@ def print_series(title, x_name, x_values, series, out=print):
     print_table(title, columns, rows, out=out)
 
 
-def shape_ratio(a, b):
-    """Safe ratio used by shape assertions in the benches."""
-    if b == 0:
-        return float("inf") if a > 0 else 1.0
-    return a / b
-
-
 def write_bench_json(name, payload, out_dir):
     """Write ``BENCH_<name>.json`` for machine consumption.
 
@@ -87,34 +80,4 @@ def write_bench_json(name, payload, out_dir):
     with open(path, "w") as handle:
         json.dump(scrub(payload), handle, sort_keys=True, indent=2)
         handle.write("\n")
-    return path
-
-
-def write_csv(rows, path, columns=None):
-    """Write experiment rows to a CSV file for downstream plotting.
-
-    ``columns`` is a list of (header, key) pairs; by default every
-    scalar key present in the first row is exported, in sorted order
-    (nested dicts like ``cpu_breakdown`` are flattened one level).
-    """
-    import csv
-
-    flat_rows = []
-    for row in rows:
-        flat = {}
-        for key, value in row.items():
-            if isinstance(value, dict):
-                for sub_key, sub_value in value.items():
-                    flat["%s.%s" % (key, sub_key)] = sub_value
-            elif isinstance(value, (int, float, str)):
-                flat[key] = value
-        flat_rows.append(flat)
-    if columns is None:
-        keys = sorted({key for flat in flat_rows for key in flat})
-        columns = [(key, key) for key in keys]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([header for header, _key in columns])
-        for flat in flat_rows:
-            writer.writerow([flat.get(key, "") for _header, key in columns])
     return path

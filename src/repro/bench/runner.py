@@ -12,6 +12,8 @@ Every run is deterministic in (spec, seed); sweeps fork the seed so
 arms are paired.
 """
 
+from dataclasses import dataclass
+
 from repro.backend import make_backend
 from repro.baselines.io_service import DedicatedIoService, SharedIoService
 from repro.baselines.latching import BlockingLatchTable
@@ -33,30 +35,19 @@ from repro.simos.scheduler import SimOS, paper_testbed_profile
 from repro.workloads import SseWorkload, TDriveWorkload, YcsbWorkload
 
 
+@dataclass
 class WorkloadSpec:
     """Declarative description of one workload instance."""
 
-    def __init__(
-        self,
-        kind="ycsb",
-        n_keys=20_000,
-        n_ops=4_000,
-        mix="default",
-        alpha=0.3,
-        payload_size=8,
-        insert_ratio=0.0,
-        sync_every=0,
-        n_actors=200,
-    ):
-        self.kind = kind
-        self.n_keys = n_keys
-        self.n_ops = n_ops
-        self.mix = mix
-        self.alpha = alpha
-        self.payload_size = payload_size
-        self.insert_ratio = insert_ratio
-        self.sync_every = sync_every
-        self.n_actors = n_actors
+    kind: str = "ycsb"
+    n_keys: int = 20_000
+    n_ops: int = 4_000
+    mix: str = "default"
+    alpha: float = 0.3
+    payload_size: int = 8
+    insert_ratio: float = 0.0
+    sync_every: int = 0
+    n_actors: int = 200
 
     def build(self, rng):
         if self.kind == "ycsb":

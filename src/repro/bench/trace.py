@@ -95,13 +95,7 @@ def _run_palsm(ops, seed):
 
 TARGETS = {
     "fig7": _pa_target(
-        "PA-Tree on the default YCSB mix (Fig 7 headline arm)"
-    ),
-    "fig8": _pa_target(
-        "PA-Tree latency view, default YCSB mix (Fig 8 arm)"
-    ),
-    "fig9": _pa_target(
-        "PA-Tree CPU-breakdown run (Fig 9 / Table II arm)"
+        "PA-Tree on the default YCSB mix (Fig 7/8/9 PA arm)"
     ),
     "update_heavy": _pa_target(
         "PA-Tree on the 50% update YCSB mix", mix="update_heavy"

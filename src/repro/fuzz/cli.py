@@ -38,25 +38,13 @@ def build_parser():
         "differential parity checking",
     )
     parser.add_argument("--seeds", type=int, default=8,
-                        help="number of seeds to explore (default 8)")
-    parser.add_argument("--seed-start", type=int, default=1,
-                        help="first seed (default 1)")
+                        help="number of seeds to explore, from 1 (default 8)")
     parser.add_argument("--target", choices=TARGET_CHOICES, default="patree")
     parser.add_argument("--ops", type=int, default=200,
                         help="point ops per run (default 200)")
-    parser.add_argument("--keyspace", type=int, default=96)
-    parser.add_argument("--shards", type=int, default=3,
-                        help="shard count for the sharded target")
-    parser.add_argument("--cores", type=int, default=2,
-                        help="simulated cores (small = real contention)")
-    parser.add_argument("--window", type=int, default=8)
     parser.add_argument("--sync-oracle", action="store_true",
                         help="also replay point ops on the synchronous "
                         "tree oracle (patree target, fault-free runs)")
-    parser.add_argument("--no-shrink", action="store_true",
-                        help="keep full traces instead of shrinking")
-    parser.add_argument("--max-shrink-runs", type=int, default=160,
-                        help="replay budget per shrink (default 160)")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="write fuzz_report/_repro/_postmortem JSONs")
     parser.add_argument("--known-bad", action="store_true",
@@ -69,13 +57,7 @@ def build_parser():
 
 def _make_config(args, target):
     return FuzzRunConfig(
-        target=target,
-        n_ops=args.ops,
-        keyspace=args.keyspace,
-        window=args.window,
-        shards=args.shards,
-        cores=args.cores,
-        sync_oracle=args.sync_oracle,
+        target=target, n_ops=args.ops, sync_oracle=args.sync_oracle
     )
 
 
@@ -149,12 +131,7 @@ def _run_replay(args, echo):
 
 def _run_known_bad(args, echo):
     cfg = known_bad_config(_make_config(args, "patree"))
-    report = explore(
-        cfg,
-        [args.seed_start],
-        shrink=not args.no_shrink,
-        max_shrink_runs=args.max_shrink_runs,
-    )
+    report = explore(cfg, [1])
     _print_report(report, echo)
     if args.out:
         _write_artifacts(report, args.out)
@@ -181,15 +158,10 @@ def main(argv=None):
 
     targets = ("patree", "lsm", "sharded") if args.target == "all" \
         else (args.target,)
-    seeds = list(range(args.seed_start, args.seed_start + args.seeds))
+    seeds = list(range(1, 1 + args.seeds))
     total_failures = 0
     for target in targets:
-        report = explore(
-            _make_config(args, target),
-            seeds,
-            shrink=not args.no_shrink,
-            max_shrink_runs=args.max_shrink_runs,
-        )
+        report = explore(_make_config(args, target), seeds)
         _print_report(report, echo)
         if args.out:
             _write_artifacts(report, args.out)

@@ -46,40 +46,44 @@ from repro.simos.scheduler import OsProfile
 
 TARGETS = ("patree", "lsm", "sharded")
 
+# The fixed shape of every fuzz run — constants, not config: a
+# reproducer names a run by seed, target, size and fault spec alone.
+KEYSPACE = 96
+PAYLOAD_SIZE = 8
+MAX_BATCH = 12
+SCAN_RATE = 0.12
+WINDOW = 8
+SHARDS = 3
+#: Deliberately small (the paper testbed has 8): with more workers
+#: than cores the run queue holds real choices, which is what the
+#: ``pick``/``preempt`` sites perturb.
+CORES = 2
+#: No read buffer: every descent hits the device, which maximises the
+#: io-jitter perturbation surface and gives injected media faults
+#: something to hit on the small fuzz keyspace.
+BUFFER_PAGES = 0
+SCHEDULER = "naive"
+STALL_EVENTS = 200_000
+MAX_EVENTS = 2_000_000
+
 
 @dataclass(frozen=True)
 class FuzzRunConfig:
     """Everything that names one fuzz run besides the seed.
 
-    ``cores`` is deliberately small (the paper testbed has 8): with
-    more workers than cores the run queue holds real choices, which
-    is what the ``pick``/``preempt`` sites perturb.  ``faults`` and
-    ``retry`` take the same specs as :class:`~repro.api.SessionConfig`;
-    with ``tolerate_faults`` on, injected I/O errors degrade parity
-    tracking instead of failing the run.
+    ``faults`` and ``retry`` take the same specs as
+    :class:`~repro.api.SessionConfig`; with ``tolerate_faults`` on,
+    injected I/O errors degrade parity tracking instead of failing the
+    run.
     """
 
     target: str = "patree"
     n_ops: int = 200
-    keyspace: int = 96
-    payload_size: int = 8
-    max_batch: int = 12
-    scan_rate: float = 0.12
-    window: int = 8
-    shards: int = 3
-    cores: int = 2
-    # no read buffer by default: every descent hits the device, which
-    # maximises the io-jitter perturbation surface and gives injected
-    # media faults something to hit on the small fuzz keyspace
-    buffer_pages: int = 0
-    scheduler: str = "naive"
     faults: object = None
     retry: object = None
     tolerate_faults: bool = True
     sync_oracle: bool = False
     fuzz: FuzzConfig = FuzzConfig()
-    stall_events: int = 200_000
-    max_events: int = 2_000_000
 
     def __post_init__(self):
         if self.target not in TARGETS:
@@ -145,12 +149,9 @@ def known_bad_config(base=None):
 # ----------------------------------------------------------------------
 
 
-def _payload(key, nonce, size):
+def _payload(key, nonce):
     value = (key * 1_000_003 + nonce * 7_919 + 17) & 0xFFFFFFFFFFFFFFFF
-    raw = value.to_bytes(8, "little")
-    if size <= 8:
-        return raw[:size]
-    return (raw * (size // 8 + 1))[:size]
+    return value.to_bytes(8, "little")[:PAYLOAD_SIZE]
 
 
 def make_workload(seed, cfg):
@@ -164,24 +165,21 @@ def make_workload(seed, cfg):
     starts.
     """
     rng = RngRegistry(seed).stream("fuzz:workload")
-    preload = [
-        (key, _payload(key, 0, cfg.payload_size))
-        for key in range(3, cfg.keyspace, 3)
-    ]
+    preload = [(key, _payload(key, 0)) for key in range(3, KEYSPACE, 3)]
     steps = []
     remaining = cfg.n_ops
     nonce = 1
     while remaining > 0:
-        if rng.random() < cfg.scan_rate:
-            a = rng.randrange(1, cfg.keyspace)
-            b = rng.randrange(1, cfg.keyspace)
+        if rng.random() < SCAN_RATE:
+            a = rng.randrange(1, KEYSPACE)
+            b = rng.randrange(1, KEYSPACE)
             steps.append(("scan", min(a, b), max(a, b)))
             continue
-        size = min(rng.randrange(1, cfg.max_batch + 1), remaining)
+        size = min(rng.randrange(1, MAX_BATCH + 1), remaining)
         specs = []
         chosen = set()
         while len(specs) < size:
-            key = rng.randrange(1, cfg.keyspace)
+            key = rng.randrange(1, KEYSPACE)
             if key in chosen:
                 # keys are distinct within a batch so per-spec parity
                 # is schedule-independent (the LSM facade runs batch
@@ -190,7 +188,7 @@ def make_workload(seed, cfg):
             chosen.add(key)
             roll = rng.random()
             if roll < 0.5:
-                specs.append(OpSpec.put(key, _payload(key, nonce, cfg.payload_size)))
+                specs.append(OpSpec.put(key, _payload(key, nonce)))
             elif roll < 0.85:
                 specs.append(OpSpec.get(key))
             else:
@@ -209,12 +207,12 @@ def make_workload(seed, cfg):
 def _build_session(seed, cfg):
     kwargs = dict(
         seed=seed,
-        payload_size=cfg.payload_size,
-        window=cfg.window,
-        buffer_pages=cfg.buffer_pages,
-        scheduler=cfg.scheduler,
+        payload_size=PAYLOAD_SIZE,
+        window=WINDOW,
+        buffer_pages=BUFFER_PAGES,
+        scheduler=SCHEDULER,
         device_profile=fast_test_profile(),
-        os_profile=OsProfile(cores=cfg.cores),
+        os_profile=OsProfile(cores=CORES),
         faults=cfg.faults,
         retry=cfg.retry,
     )
@@ -222,7 +220,7 @@ def _build_session(seed, cfg):
         return PATreeSession(**kwargs)
     if cfg.target == "lsm":
         return AsyncLsmSession(**kwargs)
-    return ShardedSession(shards=cfg.shards, **kwargs)
+    return ShardedSession(shards=SHARDS, **kwargs)
 
 
 def _machine(session, target):
@@ -410,7 +408,7 @@ def _classify(exc):
 def _final_checks(session, cfg, model, uncertain, devices, state):
     """Post-workload invariant sweep; returns a failure dict or None."""
     try:
-        pairs = session.scan(0, cfg.keyspace + 1)
+        pairs = session.scan(0, KEYSPACE + 1)
     except (BatchError, IoError) as exc:
         if not cfg.tolerate_faults:
             raise
@@ -418,7 +416,7 @@ def _final_checks(session, cfg, model, uncertain, devices, state):
         pairs = None
     if pairs is not None:
         failure = _check_scan(
-            pairs, 0, cfg.keyspace + 1, model, uncertain, -1,
+            pairs, 0, KEYSPACE + 1, model, uncertain, -1,
             detail="final_scan",
         )
         if failure is not None:
@@ -452,9 +450,9 @@ def _sync_tree_check(seed, cfg, preload, specs, results, final_items):
     from repro.simos.scheduler import SimOS
 
     engine = Engine(seed=seed)
-    simos = SimOS(engine, OsProfile(cores=max(cfg.cores, 1)))
+    simos = SimOS(engine, OsProfile(cores=CORES))
     backend = make_backend("sim", engine=engine, profile=fast_test_profile())
-    tree = PaTree.create(backend.device, payload_size=cfg.payload_size)
+    tree = PaTree.create(backend.device, payload_size=PAYLOAD_SIZE)
     tree.bulk_load(preload)
     accessor = SyncTreeAccessor(
         tree, DedicatedIoService(backend.driver), BlockingLatchTable()
@@ -501,9 +499,9 @@ def run_one(seed, cfg, decider=None):
     steps, preload = make_workload(seed, cfg)
     session = _build_session(seed, cfg)
     engine, simos, devices = _machine(session, cfg.target)
-    engine.max_events = cfg.max_events
+    engine.max_events = MAX_EVENTS
     recorder = FlightRecorder(engine.clock, capacity=128)
-    watchdog = NoProgressWatchdog(engine, cfg.stall_events)
+    watchdog = NoProgressWatchdog(engine, STALL_EVENTS)
     binder = HookBinder(decider)
     model = {}
     uncertain = set()
@@ -611,7 +609,7 @@ def replay(seed, cfg, trace):
     return run_one(seed, cfg, decider=TraceDecider(trace))
 
 
-def explore(cfg, seeds, shrink=True, max_shrink_runs=160):
+def explore(cfg, seeds):
     """Explore one schedule per seed; shrink and verify any failures.
 
     Returns a JSON-ready report: per-seed verdict rows plus, for each
@@ -640,14 +638,9 @@ def explore(cfg, seeds, shrink=True, max_shrink_runs=160):
         entry["seed"] = seed
         signature = entry["signature"]
         trace = result["trace"]
-        shrunk, replays = trace, 0
-        if shrink:
-            shrunk, replays = shrink_trace(
-                lambda t: replay(seed, cfg, t),
-                trace,
-                signature,
-                max_runs=max_shrink_runs,
-            )
+        shrunk, replays = shrink_trace(
+            lambda t: replay(seed, cfg, t), trace, signature
+        )
         verification = replay(seed, cfg, shrunk)
         entry["reproducer"] = {
             "seed": seed,

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.bench.cli import main as cli_main
-from repro.bench.report import format_value, print_series, print_table, shape_ratio
+from repro.bench.report import format_value, print_series, print_table
 from repro.bench.runner import WorkloadSpec, _interleave_syncs, run_pa, run_sync_baseline
 from repro.core.ops import SYNC, search_op, update_op
 from repro.errors import BenchmarkError
@@ -46,11 +46,6 @@ class TestReport:
         )
         body = "\n".join(lines)
         assert "y1" in body and "40" in body
-
-    def test_shape_ratio(self):
-        assert shape_ratio(10, 5) == 2.0
-        assert shape_ratio(10, 0) == float("inf")
-        assert shape_ratio(0, 0) == 1.0
 
 
 class TestWorkloadSpec:
@@ -131,27 +126,3 @@ class TestCli:
     def test_unknown_exhibit_errors(self):
         with pytest.raises(SystemExit):
             cli_main(["figure-nine-thousand"])
-
-
-class TestCsvExport:
-    def test_write_csv_flattens_and_orders(self, tmp_path):
-        from repro.bench.report import write_csv
-
-        rows = [
-            {"a": 1, "nested": {"x": 0.5, "y": 2}, "skip": [1, 2]},
-            {"a": 3, "nested": {"x": 0.7, "y": 4}},
-        ]
-        path = tmp_path / "out.csv"
-        write_csv(rows, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "a,nested.x,nested.y"
-        assert lines[1] == "1,0.5,2"
-        assert lines[2] == "3,0.7,4"
-
-    def test_write_csv_explicit_columns(self, tmp_path):
-        from repro.bench.report import write_csv
-
-        rows = [{"a": 1, "b": 2}]
-        path = tmp_path / "out.csv"
-        write_csv(rows, str(path), columns=[("alpha", "a")])
-        assert path.read_text().strip().splitlines() == ["alpha", "1"]

@@ -326,7 +326,7 @@ def test_empty_trace_replay_equals_unfuzzed_run():
     cfg = FuzzRunConfig(**QUICK)
     baseline = replay(3, cfg, [])
 
-    from repro.fuzz.harness import _build_session
+    from repro.fuzz.harness import KEYSPACE, _build_session
 
     session = _build_session(3, cfg)
     steps, preload = make_workload(3, cfg)
@@ -336,7 +336,7 @@ def test_empty_trace_replay_equals_unfuzzed_run():
             session.scan(step[1], step[2])
         else:
             session._run_batch(list(step[1]))
-    session.scan(0, cfg.keyspace + 1)  # the harness's final sweep
+    session.scan(0, KEYSPACE + 1)  # the harness's final sweep
     session.validate()
     assert baseline["ok"]
     assert baseline["virtual_time_us"] == session.env.now_usec
