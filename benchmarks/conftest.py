@@ -12,6 +12,8 @@ import os
 
 import pytest
 
+from repro.bench.report import write_bench_json
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
@@ -27,10 +29,14 @@ def record_report():
             print(line)
             buffer.write(str(line) + "\n")
 
-        def save():
+        def save(rows=None):
+            """Write ``<name>.txt`` and, given the exhibit's rows,
+            ``BENCH_<name>.json`` next to it; returns the text path."""
             path = os.path.join(RESULTS_DIR, name + ".txt")
             with open(path, "w") as handle:
                 handle.write(buffer.getvalue())
+            if rows is not None:
+                write_bench_json(name, rows, RESULTS_DIR)
             return path
 
         out.save = save

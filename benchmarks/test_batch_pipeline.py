@@ -10,11 +10,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 def test_batch_pipeline(benchmark, record_report):
     out = record_report("batch")
-    rows = benchmark.pedantic(
-        batch_pipeline.run_experiment, rounds=1, iterations=1
-    )
-    batch_pipeline.report(rows, out=out, json_dir=RESULTS_DIR)
-    out.save()
+    rows = benchmark.pedantic(batch_pipeline.run, rounds=1, iterations=1)
+    batch_pipeline.render(rows, out)
+    out.save(rows)
 
     def arm(batch_size):
         return next(r for r in rows if r["batch_size"] == batch_size)
@@ -40,7 +38,7 @@ def test_batch_pipeline(benchmark, record_report):
         assert row["groups"] > 0
 
     # determinism: a fresh same-seed run reproduces the rows exactly
-    assert batch_pipeline.run_experiment() == rows
+    assert batch_pipeline.run() == rows
 
     # the persisted artifact matches what the run produced
     with open(os.path.join(RESULTS_DIR, "BENCH_batch.json")) as handle:

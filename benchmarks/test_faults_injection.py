@@ -10,11 +10,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 def test_faults_injection(benchmark, record_report):
     out = record_report("faults")
-    rows = benchmark.pedantic(
-        faults_injection.run_experiment, rounds=1, iterations=1
-    )
-    faults_injection.report(rows, out=out, json_dir=RESULTS_DIR)
-    out.save()
+    rows = benchmark.pedantic(faults_injection.run, rounds=1, iterations=1)
+    faults_injection.render(rows, out)
+    out.save(rows)
 
     def arm(name, **match):
         return next(
@@ -67,7 +65,7 @@ def test_faults_injection(benchmark, record_report):
     assert poison["failed_ops"] == poison["io_errors_surfaced"]
 
     # deterministic: a second run reproduces the rows exactly
-    again = faults_injection.run_experiment()
+    again = faults_injection.run()
     assert again == rows
 
     # the persisted artifact matches what the run produced

@@ -5,9 +5,9 @@ from repro.bench.experiments import fig10_probing
 
 def test_fig10_probing(benchmark, record_report):
     out = record_report("fig10_probing")
-    rows = benchmark.pedantic(fig10_probing.run_experiment, rounds=1, iterations=1)
-    fig10_probing.report(rows, out=out)
-    out.save()
+    rows = benchmark.pedantic(fig10_probing.run, rounds=1, iterations=1)
+    fig10_probing.render(rows, out)
+    out.save(rows)
 
     by_name = {row["strategy"]: row for row in rows}
     aware = by_name["workload-aware"]

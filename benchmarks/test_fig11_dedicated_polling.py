@@ -5,11 +5,9 @@ from repro.bench.experiments import fig11_dedicated_polling
 
 def test_fig11_dedicated_polling(benchmark, record_report):
     out = record_report("fig11_dedicated_polling")
-    rows = benchmark.pedantic(
-        fig11_dedicated_polling.run_experiment, rounds=1, iterations=1
-    )
-    fig11_dedicated_polling.report(rows, out=out)
-    out.save()
+    rows = benchmark.pedantic(fig11_dedicated_polling.run, rounds=1, iterations=1)
+    fig11_dedicated_polling.render(rows, out)
+    out.save(rows)
 
     by_name = {row["variant"]: row for row in rows}
     pa = by_name["PA-Tree"]

@@ -5,9 +5,9 @@ from repro.bench.experiments import fig12_priority
 
 def test_fig12_priority(benchmark, record_report):
     out = record_report("fig12_priority")
-    rows = benchmark.pedantic(fig12_priority.run_experiment, rounds=1, iterations=1)
-    fig12_priority.report(rows, out=out)
-    out.save()
+    rows = benchmark.pedantic(fig12_priority.run, rounds=1, iterations=1)
+    fig12_priority.render(rows, out)
+    out.save(rows)
 
     def arm(alpha, prioritized):
         return next(

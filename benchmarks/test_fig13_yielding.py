@@ -5,9 +5,9 @@ from repro.bench.experiments import fig13_yielding
 
 def test_fig13_yielding(benchmark, record_report):
     out = record_report("fig13_yielding")
-    rows = benchmark.pedantic(fig13_yielding.run_experiment, rounds=1, iterations=1)
-    fig13_yielding.report(rows, out=out)
-    out.save()
+    rows = benchmark.pedantic(fig13_yielding.run, rounds=1, iterations=1)
+    fig13_yielding.render(rows, out)
+    out.save(rows)
 
     def arm(rate, yielding):
         return next(

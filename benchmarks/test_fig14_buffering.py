@@ -5,9 +5,9 @@ from repro.bench.experiments import fig14_buffering
 
 def test_fig14_buffering(benchmark, record_report):
     out = record_report("fig14_buffering")
-    rows = benchmark.pedantic(fig14_buffering.run_experiment, rounds=1, iterations=1)
-    fig14_buffering.report(rows, out=out)
-    out.save()
+    rows = benchmark.pedantic(fig14_buffering.run, rounds=1, iterations=1)
+    fig14_buffering.render(rows, out)
+    out.save(rows)
 
     strong = {
         row["buffer_pages"]: row for row in rows if row["persistence"] == "strong"

@@ -5,11 +5,9 @@ from repro.bench.experiments import fig15_end_to_end
 
 def test_fig15_end_to_end(benchmark, record_report):
     out = record_report("fig15_end_to_end")
-    rows = benchmark.pedantic(
-        fig15_end_to_end.run_experiment, rounds=1, iterations=1
-    )
-    fig15_end_to_end.report(rows, out=out)
-    out.save()
+    rows = benchmark.pedantic(fig15_end_to_end.run, rounds=1, iterations=1)
+    fig15_end_to_end.render(rows, out)
+    out.save(rows)
 
     def arm(workload, persistence, approach):
         return next(

@@ -1,26 +1,19 @@
 """Fig 3 — NVMe device characterization benchmark."""
 
 from repro.bench.experiments import fig3_device
-from repro.bench.report import print_series
 
 
 def test_fig3_device(benchmark, record_report):
     out = record_report("fig3_device")
-
-    def run():
-        qds, iops_series, latency_series = fig3_device.run_fig3a_b(duration_us=30_000)
-        cycles, c_iops, c_latency = fig3_device.run_fig3c(duration_us=30_000)
-        return qds, iops_series, latency_series, cycles, c_iops, c_latency
-
-    qds, iops_series, latency_series, cycles, c_iops, c_latency = benchmark.pedantic(
-        run, rounds=1, iterations=1
+    rows = benchmark.pedantic(
+        lambda: fig3_device.run(duration_us=30_000), rounds=1, iterations=1
     )
-    print_series("Fig 3(a) IOPS vs queue depth", "qd", qds, iops_series, out=out)
-    print_series("Fig 3(b) latency vs queue depth", "qd", qds, latency_series, out=out)
-    print_series("Fig 3(c) IOPS vs probe cycle", "cycle", cycles, c_iops, out=out)
-    print_series("Fig 3(c) latency vs probe cycle", "cycle", cycles, c_latency, out=out)
-    out.save()
+    fig3_device.render(rows, out)
+    out.save(rows)
 
+    by_qd, by_cycle = rows
+    iops_series, latency_series = by_qd["iops"], by_qd["latency_us"]
+    c_iops, c_latency = by_cycle["iops"], by_cycle["latency_us"]
     reads = iops_series["write=0%"]
     writes = iops_series["write=100%"]
     # (a) queue depth dominates: >10x IOPS from QD1 to saturation

@@ -5,11 +5,9 @@ from repro.bench.experiments import fig7_fig8
 
 def test_fig7_throughput(benchmark, record_report):
     out = record_report("fig7_throughput")
-    rows = benchmark.pedantic(
-        lambda: fig7_fig8.run_grid(n_ops=2_500), rounds=1, iterations=1
-    )
-    fig7_fig8.report(rows, out=out)
-    out.save()
+    rows = benchmark.pedantic(fig7_fig8.run, rounds=1, iterations=1)
+    fig7_fig8.render(rows, out)
+    out.save(rows)
 
     for mix in fig7_fig8.MIXES:
         pa = next(

@@ -6,9 +6,9 @@ from repro.sim.metrics import CPU_OTHER, CPU_REAL_WORK, CPU_SYNC
 
 def test_fig9_breakdown(benchmark, record_report):
     out = record_report("fig9_breakdown")
-    rows = benchmark.pedantic(trio.run_trio, rounds=1, iterations=1)
-    trio.report_fig9(rows, out=out)
-    out.save()
+    rows = benchmark.pedantic(trio.run, rounds=1, iterations=1)
+    trio.render_fig9(rows, out)
+    out.save(rows)
 
     by_name = {row["approach"]: row for row in rows}
     pa = by_name["pa-tree"]["cpu_breakdown"]

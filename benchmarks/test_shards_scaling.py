@@ -10,11 +10,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 def test_shards_scaling(benchmark, record_report):
     out = record_report("shards")
-    rows = benchmark.pedantic(
-        shards_scaling.run_experiment, rounds=1, iterations=1
-    )
-    shards_scaling.report(rows, out=out, json_dir=RESULTS_DIR)
-    out.save()
+    rows = benchmark.pedantic(shards_scaling.run, rounds=1, iterations=1)
+    shards_scaling.render(rows, out)
+    out.save(rows)
 
     def arm(mix, shards):
         return next(

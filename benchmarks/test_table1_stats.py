@@ -5,9 +5,9 @@ from repro.bench.experiments import table1_table2_fig9 as trio
 
 def test_table1_stats(benchmark, record_report):
     out = record_report("table1_stats")
-    rows = benchmark.pedantic(trio.run_trio, rounds=1, iterations=1)
-    trio.report_table1(rows, out=out)
-    out.save()
+    rows = benchmark.pedantic(trio.run, rounds=1, iterations=1)
+    trio.render_table1(rows, out)
+    out.save(rows)
 
     by_name = {row["approach"]: row for row in rows}
     pa = by_name["pa-tree"]

@@ -7,8 +7,8 @@ Examples::
 
     python -m repro.bench list
     python -m repro.bench fig3
-    python -m repro.bench fig7 --ops 2000
-    python -m repro.bench all --out results/
+    python -m repro.bench fig7 --ops 2000 --seed 2
+    python -m repro.bench all --ops 200 --out results/
     python -m repro.bench trace list
     python -m repro.bench trace fig7 --out traces/
     python -m repro.bench metrics faults --out metrics/
@@ -34,102 +34,69 @@ from repro.bench.experiments import (
     shards_scaling,
     table1_table2_fig9,
 )
+from repro.bench.report import write_bench_json
+from repro.errors import BenchmarkError
 
+
+def _exhibit(module, title=None, render=None):
+    return (title or module.TITLE, module, render or module.render)
+
+
+#: name -> (title, module, render).  Every module keeps one contract:
+#: ``run(ops=OPS, seed=..., **sweep) -> rows`` (JSON-able, deterministic
+#: in its arguments) and a render ``(rows, out)`` that only prints.
 _EXHIBITS = {
-    "batch": (
-        "Batch pipeline: vectored ops/sec vs batch size",
-        lambda args, out: batch_pipeline.report(
-            batch_pipeline.run_experiment(
-                n_specs=args.ops or 2_048, seed=args.seed
-            ),
-            out=out,
-            json_dir=args.out or "benchmarks/results",
-        ),
-    ),
-    "fig3": ("Fig 3: NVMe device characterization", lambda args, out: fig3_device.report(out=out)),
-    "fig7": (
-        "Fig 7/8: throughput + latency vs threads",
-        lambda args, out: fig7_fig8.report(
-            fig7_fig8.run_grid(n_ops=args.ops or 2_500), out=out
-        ),
-    ),
-    "table1": (
+    "batch": _exhibit(batch_pipeline),
+    "fig3": _exhibit(fig3_device),
+    "fig7": _exhibit(fig7_fig8),
+    "table1": _exhibit(
+        table1_table2_fig9,
         "Table I: runtime statistics",
-        lambda args, out: table1_table2_fig9.report_table1(out=out),
+        table1_table2_fig9.render_table1,
     ),
-    "table2": (
+    "table2": _exhibit(
+        table1_table2_fig9,
         "Table II: CPU cycles per operation",
-        lambda args, out: table1_table2_fig9.report_table2(out=out),
+        table1_table2_fig9.render_table2,
     ),
-    "fig9": (
-        "Fig 9: CPU breakdown",
-        lambda args, out: table1_table2_fig9.report_fig9(out=out),
+    "fig9": _exhibit(
+        table1_table2_fig9, "Fig 9: CPU breakdown", table1_table2_fig9.render_fig9
     ),
-    "fig10": (
-        "Fig 10: probing strategies",
-        lambda args, out: fig10_probing.report(out=out),
-    ),
-    "fig11": (
-        "Fig 11: dedicated polling variants",
-        lambda args, out: fig11_dedicated_polling.report(out=out),
-    ),
-    "fig12": (
-        "Fig 12: prioritized execution vs skew",
-        lambda args, out: fig12_priority.report(out=out),
-    ),
-    "fig13": (
-        "Fig 13: CPU yielding vs input rate",
-        lambda args, out: fig13_yielding.report(out=out),
-    ),
-    "fig14": (
-        "Fig 14: buffering",
-        lambda args, out: fig14_buffering.report(out=out),
-    ),
-    "fig15": (
-        "Fig 15: end-to-end comparison",
-        lambda args, out: fig15_end_to_end.report(out=out),
-    ),
-    "faults": (
-        "Faults: goodput and recovery under injected device errors",
-        lambda args, out: faults_injection.report(
-            faults_injection.run_experiment(
-                n_ops=args.ops or 1_500, seed=args.seed
-            ),
-            out=out,
-            json_dir=args.out or "benchmarks/results",
-        ),
-    ),
-    "fuzz": (
-        "Fuzz: schedule exploration with differential parity checks",
-        lambda args, out: fuzz_explore.report(
-            fuzz_explore.run_experiment(n_ops=args.ops or 150),
-            out=out,
-            json_dir=args.out or "benchmarks/results",
-        ),
-    ),
-    "shards": (
-        "Scale-out: sharded multi-device PA-Tree",
-        lambda args, out: shards_scaling.report(
-            shards_scaling.run_experiment(
-                base_ops=args.ops or 1_500, seed=args.seed
-            ),
-            out=out,
-            json_dir=args.out or "benchmarks/results",
-        ),
-    ),
+    "fig10": _exhibit(fig10_probing),
+    "fig11": _exhibit(fig11_dedicated_polling),
+    "fig12": _exhibit(fig12_priority),
+    "fig13": _exhibit(fig13_yielding),
+    "fig14": _exhibit(fig14_buffering),
+    "fig15": _exhibit(fig15_end_to_end),
+    "faults": _exhibit(faults_injection),
+    "fuzz": _exhibit(fuzz_explore),
+    "shards": _exhibit(shards_scaling),
 }
 
 
-def _make_writer(path):
-    if path is None:
-        return print, lambda: None
-    handle = open(path, "w")
+def run_exhibit(name, ops=None, seed=None, out=print, out_dir=None):
+    """Run one exhibit, render its table, persist both under ``out_dir``.
 
-    def out(line=""):
-        print(line)  # patlint: ignore[PA404] -- CLI tees to stdout
-        handle.write(str(line) + "\n")
+    ``ops`` / ``seed`` of None mean the module's own default.  This is
+    the only code that writes exhibit artefacts: ``<name>.txt`` and
+    ``BENCH_<name>.json`` go to ``out_dir`` and, without one, nowhere.
+    """
+    _title, module, render = _EXHIBITS[name]
+    sizing = {"ops": ops, "seed": seed}
+    rows = module.run(**{k: v for k, v in sizing.items() if v is not None})
+    lines = []
 
-    return out, handle.close
+    def tee(line=""):
+        out(line)
+        lines.append("%s\n" % (line,))
+
+    render(rows, tee)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, name + ".txt"), "w") as handle:
+            handle.writelines(lines)
+        write_bench_json(name, rows, out_dir)
+    return rows
 
 
 def main(argv=None):
@@ -156,13 +123,23 @@ def main(argv=None):
         help="with 'diff': the new BENCH_*.json artefact",
     )
     parser.add_argument(
-        "--ops", type=int, default=None, help="operations per measurement point"
+        "--ops",
+        type=int,
+        default=None,
+        help="operations per measurement point (default: the exhibit's own)",
     )
     parser.add_argument(
-        "--seed", type=int, default=1, help="root simulation seed"
+        "--seed",
+        type=int,
+        default=None,
+        help="root simulation seed (default: the exhibit's own; 1 for "
+        "'trace'/'metrics')",
     )
     parser.add_argument(
-        "--out", default=None, help="directory to also write text tables into"
+        "--out",
+        default=None,
+        help="directory to write <name>.txt and BENCH_<name>.json into "
+        "(nothing is written without it)",
     )
     parser.add_argument(
         "--threshold",
@@ -188,19 +165,14 @@ def main(argv=None):
         set_default_backend(args.backend)
 
     if args.exhibit == "list":
-        for name, (title, _fn) in sorted(_EXHIBITS.items()):
+        for name, (title, _module, _render) in sorted(_EXHIBITS.items()):
             print("%-8s %s" % (name, title))  # patlint: ignore[PA404]
         return 0
 
-    if args.exhibit == "trace":
-        from repro.bench import trace
+    if args.exhibit in ("trace", "metrics"):
+        from repro.bench import observe
 
-        return trace.main(args)
-
-    if args.exhibit == "metrics":
-        from repro.bench import health
-
-        return health.main(args)
+        return observe.main(args.exhibit, args)
 
     if args.exhibit == "diff":
         from repro.bench import diff
@@ -212,21 +184,17 @@ def main(argv=None):
     if unknown:
         parser.error("unknown exhibit(s): %s" % ", ".join(unknown))
 
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
     for name in names:
-        title, fn = _EXHIBITS[name]
-        print("=== %s ===" % title)  # patlint: ignore[PA404]
-        path = os.path.join(args.out, name + ".txt") if args.out else None
-        out, close = _make_writer(path)
+        print("=== %s ===" % _EXHIBITS[name][0])  # patlint: ignore[PA404]
         try:
-            rows = fn(args, out)
-        finally:
-            close()
-        if args.out and isinstance(rows, list):
-            from repro.bench.report import write_bench_json
-
-            write_bench_json(name, rows, args.out)
+            run_exhibit(name, args.ops, args.seed, out_dir=args.out)
+        except BenchmarkError as exc:
+            # an exhibit refuses a flag it cannot honour (fig3 is
+            # time-based): a usage error when asked for by name; under
+            # 'all' that exhibit runs at its own size
+            if args.exhibit != "all" or args.ops is None:
+                parser.error(str(exc))
+            run_exhibit(name, None, args.seed, out_dir=args.out)
     return 0
 
 

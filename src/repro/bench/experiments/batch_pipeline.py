@@ -16,13 +16,16 @@ batches of 64+ keys span several leaves: group sizes stay realistic
 rather than degenerating into one giant single-leaf group.
 """
 
-import os
-
 from repro.api import PATreeSession
-from repro.bench.report import print_table, write_bench_json
+from repro.bench.report import print_table
 from repro.core.ops import OpSpec, batch_op
 from repro.sim.clock import NS_PER_SEC
 from repro.sim.rng import RngRegistry
+
+TITLE = "Batch pipeline: vectored ops/sec vs batch size"
+
+#: Specs in the stream every sweep point executes.
+OPS = 2_048
 
 BATCH_SIZES = (1, 8, 64, 256)
 
@@ -34,8 +37,6 @@ PRELOAD_STRIDE = 8
 
 #: Closed-loop window of in-flight batch operations.
 WINDOW = 8
-
-_DEFAULT_RESULTS = "benchmarks/results"
 
 
 def make_specs(n_specs, seed, payload_size=8):
@@ -54,7 +55,7 @@ def make_specs(n_specs, seed, payload_size=8):
     return specs
 
 
-def run_batch_size(batch_size, n_specs=2_048, seed=1, payload_size=8):
+def run_batch_size(batch_size, n_specs=OPS, seed=1, payload_size=8):
     """One sweep point: the whole spec stream in ``batch_size`` chunks."""
     session = PATreeSession(
         seed=seed, payload_size=payload_size, scheduler="naive", window=WINDOW
@@ -91,11 +92,11 @@ def run_batch_size(batch_size, n_specs=2_048, seed=1, payload_size=8):
     }
 
 
-def run_experiment(n_specs=2_048, seed=1, batch_sizes=BATCH_SIZES):
+def run(ops=OPS, seed=1, batch_sizes=BATCH_SIZES):
     rows = []
     base = None
     for batch_size in batch_sizes:
-        row = run_batch_size(batch_size, n_specs=n_specs, seed=seed)
+        row = run_batch_size(batch_size, n_specs=ops, seed=seed)
         if base is None:
             base = row["throughput_ops"] or 1.0
         row["speedup"] = row["throughput_ops"] / base
@@ -103,9 +104,7 @@ def run_experiment(n_specs=2_048, seed=1, batch_sizes=BATCH_SIZES):
     return rows
 
 
-def report(rows=None, out=print, json_dir=_DEFAULT_RESULTS):
-    """Print the sweep table; persist ``BENCH_batch.json`` to json_dir."""
-    rows = rows or run_experiment()
+def render(rows, out=print):
     columns = [
         ("batch", "batch_size"),
         ("specs", "specs"),
@@ -118,10 +117,4 @@ def report(rows=None, out=print, json_dir=_DEFAULT_RESULTS):
         ("dev writes", "device_writes"),
         ("coalesced", "coalesced_writes"),
     ]
-    print_table(
-        "Batch pipeline: vectored ops/sec vs batch size", columns, rows, out=out
-    )
-    if json_dir:
-        os.makedirs(json_dir, exist_ok=True)
-        write_bench_json("batch", rows, json_dir)
-    return rows
+    print_table(TITLE, columns, rows, out=out)

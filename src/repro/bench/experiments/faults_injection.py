@@ -24,15 +24,14 @@ records the full accounting chain: injected -> retried -> escalated ->
 surfaced -> lost.  Rows are deterministic in (ops, seed).
 """
 
-import os
-
-from repro.bench.report import print_table, write_bench_json
+from repro.bench.report import print_table
 from repro.bench.runner import WorkloadSpec, run_pa
 from repro.faults import FaultConfig
 
-ERROR_RATES = (0.0, 0.002, 0.01, 0.05)
+TITLE = "Faults: goodput and recovery under injected device errors"
+OPS = 1_500
 
-_DEFAULT_RESULTS = "benchmarks/results"
+ERROR_RATES = (0.0, 0.002, 0.01, 0.05)
 
 # Poison a slice of the leaf region: wide enough that the YCSB key
 # space hits it, narrow enough that most operations still succeed.
@@ -67,17 +66,17 @@ def _arm_rows(arm, config, n_ops, seed, **extra):
     return row
 
 
-def run_experiment(n_ops=1_500, seed=1, error_rates=ERROR_RATES):
+def run(ops=OPS, seed=1, error_rates=ERROR_RATES):
     """Run all three arms; returns the list of row dicts."""
     rows = []
     for rate in error_rates:
         config = FaultConfig(read_error_rate=rate, write_error_rate=rate)
-        rows.append(_arm_rows("errors", config, n_ops, seed))
+        rows.append(_arm_rows("errors", config, ops, seed))
     rows.append(
         _arm_rows(
             "spikes",
             FaultConfig(spike_rate=0.02, spike_factor=25.0),
-            n_ops,
+            ops,
             seed,
         )
     )
@@ -85,16 +84,14 @@ def run_experiment(n_ops=1_500, seed=1, error_rates=ERROR_RATES):
         _arm_rows(
             "poison",
             FaultConfig(poison_ranges=(POISON_RANGE,)),
-            n_ops,
+            ops,
             seed,
         )
     )
     return rows
 
 
-def report(rows=None, out=print, json_dir=_DEFAULT_RESULTS):
-    """Print the fault table; persist ``BENCH_faults.json`` to json_dir."""
-    rows = rows or run_experiment()
+def render(rows, out=print):
     columns = [
         ("arm", "arm"),
         ("read err", "read_err"),
@@ -109,13 +106,4 @@ def report(rows=None, out=print, json_dir=_DEFAULT_RESULTS):
         ("escalated", "io_escalations"),
         ("lost", "lost_writes"),
     ]
-    print_table(
-        "Faults: goodput and recovery under injected device errors",
-        columns,
-        rows,
-        out=out,
-    )
-    if json_dir:
-        os.makedirs(json_dir, exist_ok=True)
-        write_bench_json("faults", rows, json_dir)
-    return rows
+    print_table(TITLE, columns, rows, out=out)

@@ -14,11 +14,14 @@ from repro.sched.policies import AvgLatencyProbing, FixedRateProbing
 from repro.sched.probe_model import cached_probe_model
 from repro.sched.workload_aware import WorkloadAwareScheduling
 
+TITLE = "Fig 10: probing strategies"
+OPS = 3_000
+
 FIXED_CYCLES_US = (0, 1, 5, 10, 20, 50, 100, 200)
 
 
-def run_experiment(n_keys=20_000, n_ops=3_000, seed=1, fixed_cycles=FIXED_CYCLES_US):
-    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=n_ops, mix="default")
+def run(ops=OPS, seed=1, n_keys=20_000, fixed_cycles=FIXED_CYCLES_US):
+    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="default")
     rows = []
 
     model = cached_probe_model(i3_nvme_profile())
@@ -37,8 +40,7 @@ def run_experiment(n_keys=20_000, n_ops=3_000, seed=1, fixed_cycles=FIXED_CYCLES
     return rows
 
 
-def report(rows=None, out=print):
-    rows = rows or run_experiment()
+def render(rows, out=print):
     columns = [
         ("strategy", "strategy"),
         ("ops/s", "throughput_ops"),

@@ -15,9 +15,12 @@ from repro.backend import i3_nvme_profile
 from repro.sched.probe_model import cached_probe_model
 from repro.sched.workload_aware import WorkloadAwareScheduling
 
+TITLE = "Fig 11: dedicated polling variants"
+OPS = 3_000
 
-def run_experiment(n_keys=20_000, n_ops=3_000, seed=1):
-    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=n_ops, mix="default")
+
+def run(ops=OPS, seed=1, n_keys=20_000):
+    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="default")
     model = cached_probe_model(i3_nvme_profile())
     rows = []
     for name, poller in (
@@ -36,8 +39,7 @@ def run_experiment(n_keys=20_000, n_ops=3_000, seed=1):
     return rows
 
 
-def report(rows=None, out=print):
-    rows = rows or run_experiment()
+def render(rows, out=print):
     columns = [
         ("variant", "variant"),
         ("ops/s", "throughput_ops"),

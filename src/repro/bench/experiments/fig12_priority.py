@@ -13,6 +13,9 @@ from repro.backend import i3_nvme_profile
 from repro.sched.probe_model import cached_probe_model
 from repro.sched.workload_aware import WorkloadAwareScheduling
 
+TITLE = "Fig 12: prioritized execution vs skew"
+OPS = 3_000
+
 ALPHA_SWEEP = (0.3, 0.6, 0.9)
 
 # The effect of prioritized execution shows when the ready set is deep
@@ -22,12 +25,12 @@ WINDOW = 128
 BUFFER_PAGES = 4_096
 
 
-def run_experiment(n_keys=20_000, n_ops=3_000, seed=1, alphas=ALPHA_SWEEP):
+def run(ops=OPS, seed=1, n_keys=20_000, alphas=ALPHA_SWEEP):
     model = cached_probe_model(i3_nvme_profile())
     rows = []
     for alpha in alphas:
         spec = WorkloadSpec(
-            kind="ycsb", n_keys=n_keys, n_ops=n_ops, mix="update_heavy", alpha=alpha
+            kind="ycsb", n_keys=n_keys, n_ops=ops, mix="update_heavy", alpha=alpha
         )
         for prioritized in (True, False):
             row = run_pa(
@@ -43,8 +46,7 @@ def run_experiment(n_keys=20_000, n_ops=3_000, seed=1, alphas=ALPHA_SWEEP):
     return rows
 
 
-def report(rows=None, out=print):
-    rows = rows or run_experiment()
+def render(rows, out=print):
     columns = [
         ("alpha", "alpha"),
         ("prioritized", "prioritized"),

@@ -14,14 +14,17 @@ from repro.backend import i3_nvme_profile
 from repro.sched.probe_model import cached_probe_model
 from repro.sched.workload_aware import WorkloadAwareScheduling
 
+TITLE = "Fig 13: CPU yielding vs input rate"
+OPS = 1_500
+
 RATE_SWEEP = (10_000, 25_000, 50_000, 75_000)
 
 
-def run_experiment(n_keys=20_000, n_ops=1_500, seed=1, rates=RATE_SWEEP):
+def run(ops=OPS, seed=1, n_keys=20_000, rates=RATE_SWEEP):
     model = cached_probe_model(i3_nvme_profile())
     rows = []
     for rate in rates:
-        spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=n_ops, mix="default")
+        spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="default")
         for cpu_yield in (True, False):
             row = run_pa(
                 spec,
@@ -35,8 +38,7 @@ def run_experiment(n_keys=20_000, n_ops=1_500, seed=1, rates=RATE_SWEEP):
     return rows
 
 
-def report(rows=None, out=print):
-    rows = rows or run_experiment()
+def render(rows, out=print):
     columns = [
         ("input rate (ops/s)", "rate"),
         ("yielding", "yielding"),

@@ -7,21 +7,24 @@ lot — the root and upper inner nodes are touched by every operation —
 and weak persistence adds write merging on top.
 """
 
+from dataclasses import replace
+
 from repro.bench.report import print_table
 from repro.bench.runner import WorkloadSpec, run_pa
+
+TITLE = "Fig 14: buffering"
+OPS = 3_000
 
 BUFFER_SWEEP = (0, 16, 64, 256, 1024, 4096)
 SYNC_EVERY = 1000
 
 
-def run_experiment(n_keys=20_000, n_ops=3_000, seed=1, buffers=BUFFER_SWEEP):
+def run(ops=OPS, seed=1, n_keys=20_000, buffers=BUFFER_SWEEP):
     # update-heavy: the strong/weak gap is about write amplification,
     # so the workload must write enough for merging to matter
+    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="update_heavy")
     rows = []
     for buffer_pages in buffers:
-        spec = WorkloadSpec(
-            kind="ycsb", n_keys=n_keys, n_ops=n_ops, mix="update_heavy"
-        )
         row = run_pa(
             spec, seed=seed, persistence="strong", buffer_pages=buffer_pages
         )
@@ -29,15 +32,11 @@ def run_experiment(n_keys=20_000, n_ops=3_000, seed=1, buffers=BUFFER_SWEEP):
         row["persistence"] = "strong"
         rows.append(row)
         if buffer_pages > 0:
-            spec = WorkloadSpec(
-                kind="ycsb",
-                n_keys=n_keys,
-                n_ops=n_ops,
-                mix="update_heavy",
-                sync_every=SYNC_EVERY,
-            )
             row = run_pa(
-                spec, seed=seed, persistence="weak", buffer_pages=buffer_pages
+                replace(spec, sync_every=SYNC_EVERY),
+                seed=seed,
+                persistence="weak",
+                buffer_pages=buffer_pages,
             )
             row["buffer_pages"] = buffer_pages
             row["persistence"] = "weak"
@@ -45,8 +44,7 @@ def run_experiment(n_keys=20_000, n_ops=3_000, seed=1, buffers=BUFFER_SWEEP):
     return rows
 
 
-def report(rows=None, out=print):
-    rows = rows or run_experiment()
+def render(rows, out=print):
     columns = [
         ("buffer (pages)", "buffer_pages"),
         ("persistence", "persistence"),

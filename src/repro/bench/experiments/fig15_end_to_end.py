@@ -19,12 +19,16 @@ from repro.baselines.lcb_tree import LcbTreeAccessor
 from repro.baselines.lsm import LsmAccessor, LsmConfig, LsmStore
 from repro.baselines.runner import BaselineRunner
 from repro.bench.report import print_table
-from repro.bench.runner import WorkloadSpec, _interleave_syncs, _Machine
+from repro.bench.runner import WorkloadSpec, _interleave_syncs, _Machine, run_pa
 from repro.buffer import make_buffer
-from repro.bench.runner import run_pa
 from repro.errors import BenchmarkError
 from repro.sim.clock import NS_PER_SEC
 from repro.sim.rng import RngRegistry
+
+TITLE = "Fig 15: end-to-end comparison"
+
+#: Sized per workload (``WORKLOADS``); ``ops`` overrides every spec.
+OPS = None
 
 SYNC_EVERY = 1000
 BASELINE_THREADS = 32
@@ -143,10 +147,12 @@ def run_pa_arm(spec, persistence, seed=1):
     return row
 
 
-def run_experiment(workloads=None, seed=1, baseline_threads=BASELINE_THREADS):
+def run(ops=OPS, seed=1, workloads=None, baseline_threads=BASELINE_THREADS):
     workloads = workloads or WORKLOADS
     rows = []
     for workload_name, spec in workloads.items():
+        if ops is not None:
+            spec = replace(spec, n_ops=ops)
         for persistence in ("strong", "weak"):
             arms = [run_pa_arm(spec, persistence, seed=seed)]
             arms.append(
@@ -163,8 +169,7 @@ def run_experiment(workloads=None, seed=1, baseline_threads=BASELINE_THREADS):
     return rows
 
 
-def report(rows=None, out=print):
-    rows = rows or run_experiment()
+def render(rows, out=print):
     columns = [
         ("workload", "workload"),
         ("persistence", "persistence"),
@@ -174,4 +179,3 @@ def report(rows=None, out=print):
         ("p99 lat (us)", "p99_latency_us"),
     ]
     print_table("Fig 15: end-to-end comparison", columns, rows, out=out)
-    return rows

@@ -12,8 +12,15 @@ immediately replaced — the standard ``fio``-style device microbench.
 
 from repro.bench.report import print_series
 from repro.backend import i3_nvme_profile, make_backend
+from repro.errors import BenchmarkError
 from repro.sim.clock import NS_PER_SEC, to_usec, usec
 from repro.sim.engine import Engine
+
+TITLE = "Fig 3: NVMe device characterization"
+
+#: Not sized in operations: every point holds its queue depth for a
+#: fixed virtual duration (``duration_us``).
+OPS = None
 
 QD_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 WRITE_RATES = (0.0, 0.5, 1.0)
@@ -106,17 +113,41 @@ def run_fig3c(probe_cycles_us=PROBE_CYCLES_US, queue_depth=32, duration_us=40_00
     return list(probe_cycles_us), {"iops": iops}, {"latency_us": latency}
 
 
-def report(out=print):
-    """Regenerate and print the full figure."""
-    qds, iops_series, latency_series = run_fig3a_b()
-    print_series("Fig 3(a) IOPS vs queue depth", "qd", qds, iops_series, out=out)
-    print_series(
-        "Fig 3(b) latency (us) vs queue depth", "qd", qds, latency_series, out=out
+def run(
+    ops=OPS,
+    seed=3,
+    qd_sweep=QD_SWEEP,
+    write_rates=WRITE_RATES,
+    probe_cycles_us=PROBE_CYCLES_US,
+    duration_us=40_000,
+):
+    """Both sweeps as two rows: panels (a)/(b), then panel (c)."""
+    if ops is not None:
+        raise BenchmarkError(
+            "fig3 is time-based (every point runs for a fixed virtual "
+            "duration); it takes no --ops"
+        )
+    qds, qd_iops, qd_latency = run_fig3a_b(qd_sweep, write_rates, duration_us, seed)
+    cycles, cycle_iops, cycle_latency = run_fig3c(
+        probe_cycles_us, duration_us=duration_us, seed=seed
     )
-    cycles, iops, latency = run_fig3c()
-    print_series(
-        "Fig 3(c) IOPS vs probe cycle (us)", "cycle", cycles, iops, out=out
-    )
-    print_series(
-        "Fig 3(c) latency vs probe cycle (us)", "cycle", cycles, latency, out=out
-    )
+    return [
+        {"x_name": "qd", "x": qds, "iops": qd_iops, "latency_us": qd_latency},
+        {
+            "x_name": "cycle",
+            "x": cycles,
+            "iops": cycle_iops,
+            "latency_us": cycle_latency,
+        },
+    ]
+
+
+def render(rows, out=print):
+    by_qd, by_cycle = rows
+    for title, row, metric in (
+        ("Fig 3(a) IOPS vs queue depth", by_qd, "iops"),
+        ("Fig 3(b) latency (us) vs queue depth", by_qd, "latency_us"),
+        ("Fig 3(c) IOPS vs probe cycle (us)", by_cycle, "iops"),
+        ("Fig 3(c) latency vs probe cycle (us)", by_cycle, "latency_us"),
+    ):
+        print_series(title, row["x_name"], row["x"], row[metric], out=out)

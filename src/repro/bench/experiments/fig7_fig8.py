@@ -10,26 +10,29 @@ the paper's §V-A.
 from repro.bench.report import print_table
 from repro.bench.runner import WorkloadSpec, run_pa, run_sync_baseline
 
+TITLE = "Fig 7/8: throughput + latency vs threads"
+OPS = 2_500
+
 THREAD_SWEEP = (1, 8, 32, 128)
 MIXES = ("read_only", "default", "update_heavy")
 
 _CACHE = {}
 
 
-def run_grid(
+def run(
+    ops=OPS,
+    seed=1,
     mixes=MIXES,
     threads=THREAD_SWEEP,
     n_keys=20_000,
-    n_ops=3_000,
-    seed=1,
 ):
     """All (mix, approach, threads) rows.  Memoized per configuration."""
-    key = (tuple(mixes), tuple(threads), n_keys, n_ops, seed)
+    key = (ops, seed, tuple(mixes), tuple(threads), n_keys)
     if key in _CACHE:
         return _CACHE[key]
     rows = []
     for mix in mixes:
-        spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=n_ops, mix=mix)
+        spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix=mix)
         pa = run_pa(spec, seed=seed)
         pa["mix"] = mix
         rows.append(pa)
@@ -50,8 +53,7 @@ def best_baseline(rows, mix, approach, metric="throughput_ops", maximize=True):
     return chooser(candidates, key=lambda row: row[metric])
 
 
-def report(rows=None, out=print):
-    rows = rows or run_grid()
+def render(rows, out=print):
     columns = [
         ("mix", "mix"),
         ("approach", "approach"),
@@ -78,4 +80,3 @@ def report(rows=None, out=print):
                 pa[0]["throughput_ops"] / max(best_dedicated["throughput_ops"], 1),
             )
         )
-    return rows

@@ -13,15 +13,18 @@ Two YCSB arms: ``read_only`` (pure device-bound scaling) and the
 ``default`` mixed workload (adds latching and write traffic).
 """
 
-import os
-
-from repro.bench.report import print_table, write_bench_json
+from repro.bench.report import print_table
 from repro.shard import ShardedPaTree
 from repro.sim.clock import NS_PER_SEC
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.simos.scheduler import SimOS, paper_testbed_profile
 from repro.workloads import YcsbWorkload
+
+TITLE = "Scale-out: sharded multi-device PA-Tree"
+
+#: Operations *per shard* (weak scaling: a point runs ops x shards).
+OPS = 1_500
 
 SHARD_SWEEP = (1, 2, 4, 8)
 MIXES = ("read_only", "default")
@@ -31,13 +34,11 @@ MIXES = ("read_only", "default")
 # constant across the sweep (weak scaling).
 WINDOW_PER_SHARD = 32
 
-_DEFAULT_RESULTS = "benchmarks/results"
-
 
 def run_shards(
     n_shards,
     mix,
-    base_ops=1_500,
+    base_ops=OPS,
     n_keys=20_000,
     seed=1,
     alpha=0.3,
@@ -82,10 +83,10 @@ def run_shards(
     }
 
 
-def run_experiment(
-    base_ops=1_500,
-    n_keys=20_000,
+def run(
+    ops=OPS,
     seed=1,
+    n_keys=20_000,
     shard_counts=SHARD_SWEEP,
     mixes=MIXES,
 ):
@@ -94,7 +95,7 @@ def run_experiment(
         base = None
         for n_shards in shard_counts:
             row = run_shards(
-                n_shards, mix, base_ops=base_ops, n_keys=n_keys, seed=seed
+                n_shards, mix, base_ops=ops, n_keys=n_keys, seed=seed
             )
             if base is None:
                 base = row["throughput_ops"] or 1.0
@@ -103,9 +104,7 @@ def run_experiment(
     return rows
 
 
-def report(rows=None, out=print, json_dir=_DEFAULT_RESULTS):
-    """Print the sweep table; persist ``BENCH_shards.json`` to json_dir."""
-    rows = rows or run_experiment()
+def render(rows, out=print):
     columns = [
         ("mix", "mix"),
         ("shards", "shards"),
@@ -120,7 +119,3 @@ def report(rows=None, out=print, json_dir=_DEFAULT_RESULTS):
     print_table(
         "Scale-out: sharded multi-device PA-Tree (YCSB)", columns, rows, out=out
     )
-    if json_dir:
-        os.makedirs(json_dir, exist_ok=True)
-        write_bench_json("shards", rows, json_dir)
-    return rows

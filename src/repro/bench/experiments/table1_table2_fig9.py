@@ -11,16 +11,23 @@ from repro.bench.report import print_table
 from repro.bench.runner import WorkloadSpec, run_pa, run_sync_baseline
 from repro.sim.metrics import CPU_CATEGORIES
 
+TITLE = "Table I / Table II / Fig 9: one measured trio, three views"
+OPS = 3_000
+
 BASELINE_THREADS = 32
+
+# CPU cycles per op at the paper's 2.3 GHz testbed clock.
+CYCLES_PER_US = 2_300
 
 _CACHE = {}
 
 
-def run_trio(n_keys=20_000, n_ops=3_000, seed=1, baseline_threads=BASELINE_THREADS):
-    key = (n_keys, n_ops, seed, baseline_threads)
+def run(ops=OPS, seed=1, n_keys=20_000, baseline_threads=BASELINE_THREADS):
+    """The four measured rows.  Memoized: three exhibits share them."""
+    key = (ops, seed, n_keys, baseline_threads)
     if key in _CACHE:
         return _CACHE[key]
-    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=n_ops, mix="default")
+    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="default")
     rows = [
         run_sync_baseline(spec, "shared", baseline_threads, seed=seed),
         run_sync_baseline(spec, "dedicated", baseline_threads, seed=seed),
@@ -35,16 +42,14 @@ def run_trio(n_keys=20_000, n_ops=3_000, seed=1, baseline_threads=BASELINE_THREA
         run_pa(spec, seed=seed),
     ]
     rows[2]["approach"] = "dedicated(sleep)"
+    for row in rows:
+        row["kiops"] = row["iops"] / 1000.0
+        row["kcycles"] = row["cpu_us_per_op"] * CYCLES_PER_US / 1000.0
     _CACHE[key] = rows
     return rows
 
 
-# CPU cycles per op at the paper's 2.3 GHz testbed clock.
-CYCLES_PER_US = 2_300
-
-
-def report_table1(rows=None, out=print):
-    rows = rows or run_trio()
+def render_table1(rows, out=print):
     columns = [
         ("method", "approach"),
         ("outstanding I/Os", "outstanding_avg"),
@@ -52,21 +57,15 @@ def report_table1(rows=None, out=print):
         ("CPU consumption", "cores_used"),
         ("context switches", "context_switches"),
     ]
-    for row in rows:
-        row["kiops"] = row["iops"] / 1000.0
     print_table("Table I: runtime statistics", columns, rows, out=out)
 
 
-def report_table2(rows=None, out=print):
-    rows = rows or run_trio()
+def render_table2(rows, out=print):
     columns = [("method", "approach"), ("CPU cycles (10^3) / op", "kcycles")]
-    for row in rows:
-        row["kcycles"] = row["cpu_us_per_op"] * CYCLES_PER_US / 1000.0
     print_table("Table II: CPU cycles per operation", columns, rows, out=out)
 
 
-def report_fig9(rows=None, out=print):
-    rows = rows or run_trio()
+def render_fig9(rows, out=print):
     columns = [("method", "approach")] + [
         (name, name) for name in CPU_CATEGORIES
     ]
@@ -77,10 +76,3 @@ def report_fig9(rows=None, out=print):
             entry[name] = row["cpu_breakdown"][name]
         display.append(entry)
     print_table("Fig 9: CPU breakdown (fraction of CPU cycles)", columns, display, out=out)
-
-
-def report(out=print):
-    rows = run_trio()
-    report_table1(rows, out=out)
-    report_table2(rows, out=out)
-    report_fig9(rows, out=out)

@@ -1,11 +1,12 @@
 """Tests for the bench regression gate (repro.bench.diff) and the
-``python -m repro.bench metrics`` health CLI (repro.bench.health)."""
+``python -m repro.bench metrics`` health CLI (repro.bench.observe)."""
 
 import json
 
 import pytest
 
-from repro.bench import diff, health
+from repro.bench import diff
+from repro.bench.observe import main as observe_main, run_observed
 
 
 # ----------------------------------------------------------------------
@@ -194,11 +195,11 @@ def test_metrics_cli_writes_artifacts_and_gate_passes(tmp_path):
     lines = []
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    paths_a = health.run_metrics(
-        "faults", ops=150, seed=1, out_dir=str(out_a), out=lines.append
+    paths_a = run_observed(
+        "metrics", "faults", ops=150, seed=1, out_dir=str(out_a), out=lines.append
     )
-    paths_b = health.run_metrics(
-        "faults", ops=150, seed=1, out_dir=str(out_b), out=lines.append
+    paths_b = run_observed(
+        "metrics", "faults", ops=150, seed=1, out_dir=str(out_b), out=lines.append
     )
     # postmortem artefact present: the fault config escalates errors
     names = [p.rsplit("/", 1)[-1] for p in paths_a]
@@ -215,8 +216,8 @@ def test_metrics_cli_writes_artifacts_and_gate_passes(tmp_path):
 
 def test_metrics_cli_gate_fails_on_seeded_regression(tmp_path):
     lines = []
-    paths = health.run_metrics(
-        "fig7", ops=120, seed=1, out_dir=str(tmp_path), out=lines.append
+    paths = run_observed(
+        "metrics", "fig7", ops=120, seed=1, out_dir=str(tmp_path), out=lines.append
     )
     bench = [p for p in paths if "BENCH" in p][0]
     payload = json.loads(open(bench).read())
@@ -235,5 +236,5 @@ def test_metrics_cli_unknown_target_exits_2():
         out = None
 
     lines = []
-    assert health.main(_Args(), out=lines.append) == 2
+    assert observe_main("metrics", _Args(), out=lines.append) == 2
     assert any("unknown metrics target" in line for line in lines)

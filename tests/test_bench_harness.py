@@ -1,9 +1,14 @@
 """Tests for the benchmark harness: reporting, runner, CLI."""
 
+import importlib
+import inspect
+import json
+import pkgutil
 
 import pytest
 
-from repro.bench.cli import main as cli_main
+from repro.bench import experiments
+from repro.bench.cli import _EXHIBITS, main as cli_main
 from repro.bench.report import format_value, print_series, print_table
 from repro.bench.runner import WorkloadSpec, _interleave_syncs, run_pa, run_sync_baseline
 from repro.core.ops import SYNC, search_op, update_op
@@ -126,3 +131,83 @@ class TestCli:
     def test_unknown_exhibit_errors(self):
         with pytest.raises(SystemExit):
             cli_main(["figure-nine-thousand"])
+
+    @pytest.fixture(scope="class")
+    def fig11_runs(self, tmp_path_factory):
+        """``fig11`` at four (ops, seed) points; the first one twice."""
+        root = tmp_path_factory.mktemp("fig11")
+        runs = {}
+        for label, ops, seed in (
+            ("a", 60, 2), ("b", 60, 2), ("seed3", 60, 3), ("ops90", 90, 2),
+        ):
+            out = root / label
+            argv = ["fig11", "--ops", str(ops), "--seed", str(seed)]
+            assert cli_main(argv + ["--out", str(out)]) == 0
+            runs[label] = out
+        return runs
+
+    def test_ops_and_seed_reach_the_exhibit(self, fig11_runs):
+        table = {
+            label: (out / "fig11.txt").read_text()
+            for label, out in fig11_runs.items()
+        }
+        assert table["a"] != table["seed3"]
+        assert table["a"] != table["ops90"]
+
+    def test_exhibit_artifacts_present_deterministic_and_loadable(self, fig11_runs):
+        first, second = fig11_runs["a"], fig11_runs["b"]
+        assert sorted(p.name for p in first.iterdir()) == [
+            "BENCH_fig11.json", "fig11.txt",
+        ]
+        for name in ("BENCH_fig11.json", "fig11.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        rows = json.loads((first / "BENCH_fig11.json").read_text())
+        assert [row["variant"] for row in rows] == [
+            "PA-Tree", "PAD-Tree", "PAD+-Tree",
+        ]
+        assert all(row["completed"] == 60 for row in rows)
+
+    def test_time_based_exhibit_refuses_ops(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["fig3", "--ops", "5"])
+        assert exit_info.value.code != 0
+        assert "time-based" in capsys.readouterr().err
+
+    def test_nothing_is_written_without_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["batch", "--ops", "64"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        for label in ("a", "b"):
+            assert cli_main(["batch", "--ops", "64", "--out", label]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+        for name in ("BENCH_batch.json", "batch.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+            "BENCH_batch.json", "batch.txt",
+        ]
+
+
+class TestExhibitContract:
+    """Every ``cli._EXHIBITS`` entry keeps the one run/render contract."""
+
+    @pytest.mark.parametrize("name", sorted(_EXHIBITS))
+    def test_table_entry(self, name):
+        title, module, render = _EXHIBITS[name]
+        assert title and isinstance(module.TITLE, str)
+        assert hasattr(module, "OPS")
+        parameters = inspect.signature(module.run).parameters
+        assert list(parameters)[:2] == ["ops", "seed"]
+        assert parameters["ops"].default == module.OPS
+        assert isinstance(parameters["seed"].default, int)
+        assert callable(render)
+        assert list(inspect.signature(render).parameters)[:2] == ["rows", "out"]
+
+    def test_no_exhibit_function_persists(self):
+        for info in pkgutil.iter_modules(experiments.__path__):
+            module = importlib.import_module(
+                "%s.%s" % (experiments.__name__, info.name)
+            )
+            for _name, fn in inspect.getmembers(module, inspect.isfunction):
+                assert "json_dir" not in inspect.signature(fn).parameters

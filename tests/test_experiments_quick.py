@@ -35,12 +35,8 @@ class TestFig3Quick:
 
 class TestFig7Quick:
     def test_tiny_grid_memoized(self):
-        rows = fig7_fig8.run_grid(
-            mixes=("default",), threads=(1,), n_keys=2_000, n_ops=150
-        )
-        again = fig7_fig8.run_grid(
-            mixes=("default",), threads=(1,), n_keys=2_000, n_ops=150
-        )
+        rows = fig7_fig8.run(150, mixes=("default",), threads=(1,), n_keys=2_000)
+        again = fig7_fig8.run(150, mixes=("default",), threads=(1,), n_keys=2_000)
         assert rows is again  # memoized
         approaches = {row["approach"] for row in rows}
         assert approaches == {"pa-tree", "shared", "dedicated"}
@@ -48,18 +44,14 @@ class TestFig7Quick:
         assert pa["throughput_ops"] > 0
 
     def test_best_baseline_helper(self):
-        rows = fig7_fig8.run_grid(
-            mixes=("default",), threads=(1,), n_keys=2_000, n_ops=150
-        )
+        rows = fig7_fig8.run(150, mixes=("default",), threads=(1,), n_keys=2_000)
         best = fig7_fig8.best_baseline(rows, "default", "shared")
         assert best["approach"] == "shared"
 
     def test_report_renders(self):
-        rows = fig7_fig8.run_grid(
-            mixes=("default",), threads=(1,), n_keys=2_000, n_ops=150
-        )
+        rows = fig7_fig8.run(150, mixes=("default",), threads=(1,), n_keys=2_000)
         lines = []
-        fig7_fig8.report(rows, out=lines.append)
+        fig7_fig8.render(rows, lines.append)
         assert any("pa-tree" in str(line) for line in lines)
 
 

@@ -478,18 +478,17 @@ def test_cli_output_is_deterministic(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_bench_fuzz_exhibit_rows_and_determinism(tmp_path):
+def test_bench_fuzz_exhibit_rows_and_determinism():
     from repro.bench.experiments import fuzz_explore
 
-    rows = fuzz_explore.run_experiment(
-        n_ops=60, seeds=(1,), targets=("patree", "lsm")
-    )
+    rows = fuzz_explore.run(60, n_seeds=1, targets=("patree", "lsm"))
     assert [row["target"] for row in rows] == ["patree", "lsm"]
     assert all(row["verdict"] == "ok" for row in rows)
-    assert rows == fuzz_explore.run_experiment(
-        n_ops=60, seeds=(1,), targets=("patree", "lsm")
-    )
+    assert rows == fuzz_explore.run(60, n_seeds=1, targets=("patree", "lsm"))
+    # --seed picks the first explored seed; the default starts at 1
+    assert [row["seed"] for row in rows] == [1, 1]
+    shifted = fuzz_explore.run(60, seed=4, n_seeds=2, targets=("lsm",))
+    assert [row["seed"] for row in shifted] == [4, 5]
     lines = []
-    fuzz_explore.report(rows, out=lines.append, json_dir=str(tmp_path))
-    assert (tmp_path / "BENCH_fuzz.json").exists()
+    fuzz_explore.render(rows, lines.append)
     assert any("0 failure(s)" in line for line in lines)
