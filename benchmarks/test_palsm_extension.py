@@ -116,7 +116,7 @@ def test_palsm_extension(benchmark, record_report):
         rows,
         out=out,
     )
-    out.save()
+    out.save(rows)
 
     def arm(mix, persistence, approach):
         return next(
