@@ -17,7 +17,6 @@ class MemTable:
         self._data = {}
         self._sorted_keys = []
         self._keys_dirty = False
-        self.bytes_used = 0
 
     def __len__(self):
         return len(self._data)
@@ -25,21 +24,10 @@ class MemTable:
     def put(self, key, value):
         if key not in self._data:
             self._keys_dirty = True
-            self.bytes_used += 8
-        else:
-            old = self._data[key]
-            self.bytes_used -= len(old) if old is not None else 0
         self._data[key] = value
-        self.bytes_used += len(value)
 
     def delete(self, key):
-        if key not in self._data:
-            self._keys_dirty = True
-            self.bytes_used += 8
-        else:
-            old = self._data[key]
-            self.bytes_used -= len(old) if old is not None else 0
-        self._data[key] = TOMBSTONE
+        self.put(key, TOMBSTONE)
 
     def get(self, key):
         """Returns (found, value).  ``found`` True with value None means

@@ -84,11 +84,7 @@ def plan_pages(page_size, items):
 class SSTable:
     """Metadata for one immutable on-device run."""
 
-    _next_id = 0
-
     def __init__(self, page_lbas, first_keys, min_key, max_key, entry_count):
-        self.table_id = SSTable._next_id
-        SSTable._next_id += 1
         self.page_lbas = page_lbas
         self.first_keys = first_keys  # first key of each page
         self.min_key = min_key
@@ -136,8 +132,7 @@ class SSTable:
         return start, end
 
     def __repr__(self):
-        return "SSTable(#%d, %d entries, [%d..%d])" % (
-            self.table_id,
+        return "SSTable(%d entries, [%d..%d])" % (
             self.entry_count,
             self.min_key,
             self.max_key,

@@ -53,13 +53,6 @@ class TestMemTable:
             table.put(key, bytes([key]))
         assert [k for k, _v in table.range_items(25, 55)] == [30, 40, 50]
 
-    def test_bytes_used_tracks_overwrites(self):
-        table = MemTable()
-        table.put(1, b"aaaa")
-        used = table.bytes_used
-        table.put(1, b"bb")
-        assert table.bytes_used == used - 2
-
 
 class TestSSTablePages:
     def test_page_roundtrip_with_tombstones(self):
