@@ -4,7 +4,8 @@ compaction, Bloom filters and a block cache."""
 from repro.baselines.lsm.bloom import BloomFilter
 from repro.baselines.lsm.memtable import MemTable
 from repro.baselines.lsm.sstable import SSTable, decode_page, encode_page, plan_pages
-from repro.baselines.lsm.store import LsmAccessor, LsmConfig, LsmStore
+from repro.baselines.lsm.levels import LsmConfig
+from repro.baselines.lsm.store import LsmAccessor, LsmStore
 
 __all__ = [
     "BloomFilter",

@@ -1,13 +1,10 @@
 """LevelDB-like LSM key-value store on the simulated device.
 
-Components mirroring LevelDB's architecture:
+The blocking-thread paradigm over the leveled structure of
+:class:`~repro.baselines.lsm.levels.LeveledStore`:
 
-* an active :class:`MemTable` fronted by a write-ahead log,
-* level 0: memtable flushes (tables may overlap; newest first),
-* levels 1+: non-overlapping runs, each level ``level_ratio`` times
-  the previous one's byte budget; exceeding a budget triggers an
-  inline compaction paid for by the writing thread,
-* an in-memory block cache for data pages,
+* exceeding a level's budget triggers an inline compaction paid for by
+  the writing thread,
 * ``sync()``: flush the WAL (strong persistence syncs per write, the
   expensive ``sync()`` behaviour the paper measures for LevelDB).
 
@@ -15,153 +12,47 @@ All mutation goes through a single writer mutex (LevelDB's global
 mutex); reads take the mutex only to snapshot table references.
 """
 
+from repro.baselines.lsm.levels import LeveledStore, LsmConfig
 from repro.baselines.lsm.memtable import MemTable
-from repro.baselines.lsm.sstable import SSTable, decode_page
-from repro.buffer.lru import LruCache
 from repro.core.ops import DELETE, INSERT, RANGE, SEARCH, SYNC, UPDATE
-from repro.errors import StorageError, TreeError
-from repro.sim.clock import usec
+from repro.errors import StorageError
 from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.sync import Mutex
 from repro.simos.thread import Cpu, SemPost, SemWait
-from repro.storage.allocator import PageAllocator
-from repro.storage.wal import WriteAheadLog
 
 
-class LsmConfig:
-    """Tuning knobs (scaled-down LevelDB defaults)."""
-
-    __slots__ = (
-        "memtable_entries",
-        "level0_limit",
-        "level_ratio",
-        "level1_tables",
-        "block_cache_pages",
-        "wal_pages",
-    )
-
-    def __init__(
-        self,
-        memtable_entries=1_000,
-        level0_limit=4,
-        level_ratio=4,
-        level1_tables=8,
-        block_cache_pages=1_024,
-        wal_pages=65_536,
-    ):
-        self.memtable_entries = memtable_entries
-        self.level0_limit = level0_limit
-        self.level_ratio = level_ratio
-        self.level1_tables = level1_tables
-        self.block_cache_pages = block_cache_pages
-        self.wal_pages = wal_pages
-
-
-class LsmStore:
+class LsmStore(LeveledStore):
     """The store shared by all baseline worker threads."""
 
     def __init__(self, device, io_service, config=None, persistence="strong"):
-        if persistence not in ("strong", "weak"):
-            raise TreeError("unknown persistence %r" % (persistence,))
-        self.device = device
+        super().__init__(device, config or LsmConfig(), persistence)
         self.io = io_service
-        self.config = config or LsmConfig()
-        self.persistence = persistence
-        page_size = device.profile.page_size
-        capacity = device.profile.capacity_pages
-        self.wal = WriteAheadLog(page_size, base_lba=1, num_pages=self.config.wal_pages)
-        self.allocator = PageAllocator(
-            base=1 + self.config.wal_pages,
-            capacity=capacity - 1 - self.config.wal_pages,
-        )
-        self.memtable = MemTable()
-        self.levels = [[]]  # levels[0] newest-first; levels[i>=1] sorted by min_key
-        self._cache = LruCache(self.config.block_cache_pages)
         self._write_mutex = Mutex("lsm-write")
         self._cache_mutex = Mutex("lsm-cache")
-        self.flushes = 0
-        self.compactions = 0
-        # CPU cost constants (same scale as the tree cost model)
-        self.apply_cost_ns = usec(0.5)
-        self.merge_cost_ns_per_entry = usec(0.05)
 
     # ------------------------------------------------------------------
-    # offline bulk load (zero time, like an offline DB build)
-    # ------------------------------------------------------------------
-
-    def bulk_load(self, items):
-        """Build level-1 runs directly from sorted unique items."""
-        items = list(items)
-        if not items:
-            return
-        if any(items[i][0] >= items[i + 1][0] for i in range(len(items) - 1)):
-            raise StorageError("bulk_load input must be sorted and unique")
-        while len(self.levels) < 2:
-            self.levels.append([])
-        chunk_size = max(self.config.memtable_entries, 1)
-        page_size = self.device.profile.page_size
-        for start in range(0, len(items), chunk_size):
-            chunk = items[start:start + chunk_size]
-            table, images = SSTable.plan(page_size, chunk)
-            for index, image in enumerate(images):
-                lba = self.allocator.allocate()
-                table.page_lbas[index] = lba
-                self.device.raw_write(lba, image)
-            self.levels[1].append(table)
-        self.levels[1].sort(key=lambda table: table.min_key)
-
-    def resize_block_cache(self, pages):
-        """Resize the block cache (e.g. to 10 % of the loaded store)."""
-        self._cache = LruCache(max(pages, 8))
-
-    def data_pages(self):
-        """Pages currently owned by SSTables (for cache sizing)."""
-        return sum(
-            len(table.page_lbas) for level in self.levels for table in level
-        )
-
-    # ------------------------------------------------------------------
-    # page I/O with block cache
+    # blocking page I/O (reads through the block cache)
     # ------------------------------------------------------------------
 
     def _read_page(self, tls, lba):
         yield SemWait(self._cache_mutex)
-        data = self._cache.get(lba)
+        data = self.cache.get(lba)
         yield SemPost(self._cache_mutex)
         if data is not None:
             return data
         data = yield from self.io.read(tls, lba)
         yield SemWait(self._cache_mutex)
-        self._cache.put(lba, data)
+        self.cache.put(lba, data)
         yield SemPost(self._cache_mutex)
         return data
 
-    def _write_table(self, tls, table, images):
-        """Allocate LBAs and write a planned table's pages (blocking)."""
-        for index, image in enumerate(images):
-            lba = self.allocator.allocate()
-            table.page_lbas[index] = lba
+    def _write_pages(self, tls, pages):
+        for lba, image in pages:
             yield from self.io.write(tls, lba, image)
-
-    def _drop_table(self, table):
-        for lba in table.page_lbas:
-            self.allocator.free(lba)
-            self._cache.pop(lba)
-
-    # ------------------------------------------------------------------
-    # WAL
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _wal_record(key, value):
-        if value is None:
-            return b"D" + key.to_bytes(8, "little")
-        return b"P" + key.to_bytes(8, "little") + value
 
     def _flush_wal(self, tls, include_partial):
         writes, flush_lsn = self.wal.take_flushable(include_partial)
-        for lba, image in writes:
-            yield from self.io.write(tls, lba, image)
+        yield from self._write_pages(tls, writes)
         self.wal.mark_durable(flush_lsn)
         return len(writes)
 
@@ -173,15 +64,8 @@ class LsmStore:
         """Shared insert/update/delete path (holds the writer mutex)."""
         yield SemWait(self._write_mutex)
         yield Cpu(self.apply_cost_ns, CPU_REAL_WORK)
-        self.wal.append(self._wal_record(op_key, value))
-        if value is None:
-            self.memtable.delete(op_key)
-        else:
-            self.memtable.put(op_key, value)
-        if self.persistence == "strong":
-            yield from self._flush_wal(tls, include_partial=True)
-        else:
-            yield from self._flush_wal(tls, include_partial=False)
+        self._log_and_apply(op_key, value)
+        yield from self._flush_wal(tls, self.persistence == "strong")
         if len(self.memtable) >= self.config.memtable_entries:
             yield from self._flush_memtable(tls)
             yield from self._maybe_compact(tls)
@@ -189,140 +73,68 @@ class LsmStore:
 
     def _flush_memtable(self, tls):
         items = self.memtable.sorted_items()
-        if not items:
-            return
         self.flushes += 1
-        table, images = SSTable.plan(self.device.profile.page_size, items)
+        table, pages = self._plan_table(items)
         yield Cpu(len(items) * self.merge_cost_ns_per_entry, CPU_REAL_WORK)
-        yield from self._write_table(tls, table, images)
+        yield from self._write_pages(tls, pages)
         self.levels[0].insert(0, table)
         self.memtable = MemTable()
 
-    def _level_budget_tables(self, level):
-        return self.config.level1_tables * (self.config.level_ratio ** (level - 1))
-
     def _maybe_compact(self, tls):
         """Compact while any level exceeds its budget (inline)."""
-        while len(self.levels[0]) > self.config.level0_limit:
+        while self._over_budget(0):
             yield from self._compact_level(tls, 0)
         level = 1
         while level < len(self.levels):
-            if len(self.levels[level]) > self._level_budget_tables(level):
+            if self._over_budget(level):
                 yield from self._compact_level(tls, level)
             level += 1
 
     def _compact_level(self, tls, level):
         """Merge one level's pick with the overlapping next-level runs."""
-        self.compactions += 1
-        if len(self.levels) <= level + 1:
-            self.levels.append([])
-        if level == 0:
-            picked = list(self.levels[0])  # all of L0 (they overlap)
-        else:
-            picked = [self.levels[level][0]]  # oldest/first run
-        low = min(table.min_key for table in picked)
-        high = max(table.max_key for table in picked)
-        below = [
-            table for table in self.levels[level + 1] if table.overlaps(low, high)
-        ]
-
-        merged = yield from self._merge_tables(tls, picked, below, level)
-
-        for table in picked:
-            self.levels[level].remove(table)
-            self._drop_table(table)
-        for table in below:
-            self.levels[level + 1].remove(table)
-            self._drop_table(table)
-        self.levels[level + 1].extend(merged)
-        self.levels[level + 1].sort(key=lambda table: table.min_key)
-
-    def _merge_tables(self, tls, picked, below, level):
-        """K-way merge; newest version wins, tombstones drop at the
-        bottom level.  Returns the new tables (already written)."""
-        # Priority: picked tables are newer than below; within L0,
-        # index 0 is newest.
+        picked, below = self._pick_compaction(level)
         sources = picked + below
-        entries = {}
-        for source in reversed(sources):  # oldest first; newer overwrite
+        image_for = {}
+        for source in reversed(sources):  # one blocking read at a time
             for lba in source.page_lbas:
-                image = yield from self._read_page(tls, lba)
-                for key, value in decode_page(image):
-                    entries[key] = value
-        items = sorted(entries.items())
-        is_bottom = level + 2 == len(self.levels) and not self.levels[level + 1]
-        if is_bottom:
-            items = [(k, v) for k, v in items if v is not None]
+                image_for[lba] = yield from self._read_page(tls, lba)
+        items = self._merged_items(level, sources, image_for)
         yield Cpu(len(items) * self.merge_cost_ns_per_entry, CPU_REAL_WORK)
-        if not items:
-            return []
-        # split into tables of ~memtable_entries each
-        out = []
-        chunk_size = max(self.config.memtable_entries, 1)
-        for start in range(0, len(items), chunk_size):
-            chunk = items[start:start + chunk_size]
-            table, images = SSTable.plan(self.device.profile.page_size, chunk)
-            yield from self._write_table(tls, table, images)
-            out.append(table)
-        return out
+        merged, pages = self._plan_tables(items)
+        yield from self._write_pages(tls, pages)
+        self._free_pages(self._swap(level, picked, below, merged))
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
 
-    def _snapshot(self):
+    def _locked_snapshot(self):
         """References to the current memtable and table lists."""
-        tables = [list(level) for level in self.levels]
-        return self.memtable, tables
-
-    def get(self, tls, key):
         yield SemWait(self._write_mutex)
-        memtable, levels = self._snapshot()
+        memtable, levels = self.memtable, self._snapshot()
         yield SemPost(self._write_mutex)
         yield Cpu(self.apply_cost_ns, CPU_REAL_WORK)
+        return memtable, levels
+
+    def get(self, tls, key):
+        memtable, levels = yield from self._locked_snapshot()
         found, value = memtable.get(key)
         if found:
             return value
-        for level_index, tables in enumerate(levels):
-            for table in tables:
-                if not table.overlaps(key, key):
-                    continue
-                if not table.bloom.may_contain(key):
-                    continue
-                page_index = table.page_index_for(key)
-                if page_index is None:
-                    continue
-                image = yield from self._read_page(tls, table.page_lbas[page_index])
-                for entry_key, value in decode_page(image):
-                    if entry_key == key:
-                        return value
+        for lba in self._lookup_candidates(levels, key):
+            image = yield from self._read_page(tls, lba)
+            found, value = self._page_lookup(image, key)
+            if found:
+                return value
         return None
 
     def range(self, tls, low, high, limit=0):
-        yield SemWait(self._write_mutex)
-        memtable, levels = self._snapshot()
-        yield SemPost(self._write_mutex)
-        yield Cpu(self.apply_cost_ns, CPU_REAL_WORK)
-        merged = {}
-        # oldest first so newer versions overwrite
-        for tables in reversed(levels):
-            for table in reversed(tables):
-                if not table.overlaps(low, high):
-                    continue
-                start, end = table.page_range_for(low, high)
-                for page_index in range(start, end):
-                    image = yield from self._read_page(
-                        tls, table.page_lbas[page_index]
-                    )
-                    for key, value in decode_page(image):
-                        if low <= key <= high:
-                            merged[key] = value
-        for key, value in memtable.range_items(low, high):
-            merged[key] = value
-        results = [(k, v) for k, v in sorted(merged.items()) if v is not None]
-        if limit:
-            results = results[:limit]
-        return results
+        memtable, levels = yield from self._locked_snapshot()
+        images = []
+        for lbas in self._scan_runs(levels, low, high):
+            for lba in lbas:
+                images.append((yield from self._read_page(tls, lba)))
+        return self._scan_result(images, [memtable], low, high, limit)
 
     # ------------------------------------------------------------------
     # sync

@@ -5,7 +5,12 @@ programming model on LSM tree is out of the scope of this paper"),
 implemented: a LevelDB-shaped store — active + immutable memtables,
 WAL, leveled SSTables with Bloom filters and a block cache — whose
 reads, WAL flushes, memtable flushes and compactions are all operation
-state machines interleaved by one polled-mode working thread.
+state machines interleaved by one polled-mode working thread.  The
+structure itself (levels, merge, table cutting, read walks) is
+:class:`~repro.baselines.lsm.levels.LeveledStore`, shared with the
+blocking baseline; this module adds only the paradigm: the effects,
+immutable memtables and rotation, the scheduled maintenance plans and
+the epoch quarantine.
 
 Because a single worker drives every transition, no latches or mutexes
 exist anywhere: memtable rotation, table installation and level swaps
@@ -27,9 +32,8 @@ Plans yield the effects consumed by
 * ``ChargeEff(ns, category)`` — CPU accounting.
 """
 
+from repro.baselines.lsm.levels import LeveledStore, LsmConfig
 from repro.baselines.lsm.memtable import MemTable
-from repro.baselines.lsm.sstable import SSTable, decode_page
-from repro.buffer.lru import LruCache
 from repro.core.ops import (
     ChargeEff,
     DELETE,
@@ -40,11 +44,9 @@ from repro.core.ops import (
     SYNC,
     UPDATE,
 )
-from repro.errors import StorageError, TreeError
+from repro.errors import TreeError
 from repro.sim.clock import usec
 from repro.sim.metrics import CPU_REAL_WORK
-from repro.storage.allocator import PageAllocator
-from repro.storage.wal import WriteAheadLog
 
 OP_FLUSH = "lsm_flush"
 OP_COMPACT = "lsm_compact"
@@ -79,95 +81,34 @@ class BackgroundWriteEff:
         self.on_complete = on_complete
 
 
-class AsyncLsmStore:
+class AsyncLsmStore(LeveledStore):
     """Shared state of the polled-mode asynchronous LSM store."""
 
-    def __init__(
-        self,
-        device,
-        persistence="strong",
-        memtable_entries=1_000,
-        level0_limit=4,
-        level_ratio=4,
-        level1_tables=8,
-        block_cache_pages=1_024,
-        wal_pages=65_536,
-    ):
-        if persistence not in ("strong", "weak"):
-            raise TreeError("unknown persistence %r" % (persistence,))
-        self.device = device
-        self.persistence = persistence
-        self.memtable_entries = memtable_entries
-        self.level0_limit = level0_limit
-        self.level_ratio = level_ratio
-        self.level1_tables = level1_tables
-        page_size = device.profile.page_size
-        self.page_size = page_size
-        self.wal = WriteAheadLog(page_size, base_lba=1, num_pages=wal_pages)
-        self.allocator = PageAllocator(
-            base=1 + wal_pages,
-            capacity=device.profile.capacity_pages - 1 - wal_pages,
-        )
-        self.active = MemTable()
-        self.immutables = []  # newest first
-        self.levels = [[]]  # levels[0] newest-first; 1+ sorted by min_key
-        self.cache = LruCache(block_cache_pages)
+    def __init__(self, device, persistence="strong", **shape):
+        """``shape``: the :class:`LsmConfig` knobs, by keyword."""
+        super().__init__(device, LsmConfig(**shape), persistence)
+        self.immutables = []  # rotated memtables awaiting flush, newest first
         self._flush_scheduled = False
         self._compact_scheduled = False
         self._pending_frees = []  # (barrier_seq, [lbas])
-        self.flushes = 0
-        self.compactions = 0
         # hooks the worker installs
         self.enqueue_internal = None  # fn(op)
         self.next_seq = lambda: 0
-        # CPU cost knobs
-        self.apply_cost_ns = usec(0.5)
         self.probe_cost_ns = usec(0.3)
-        self.merge_cost_ns_per_entry = usec(0.05)
-
-    # ------------------------------------------------------------------
-    # bulk loading (offline)
-    # ------------------------------------------------------------------
-
-    def bulk_load(self, items):
-        items = list(items)
-        if not items:
-            return
-        if any(items[i][0] >= items[i + 1][0] for i in range(len(items) - 1)):
-            raise StorageError("bulk_load input must be sorted and unique")
-        while len(self.levels) < 2:
-            self.levels.append([])
-        for start in range(0, len(items), self.memtable_entries):
-            chunk = items[start:start + self.memtable_entries]
-            table, images = SSTable.plan(self.page_size, chunk)
-            for index, image in enumerate(images):
-                lba = self.allocator.allocate()
-                table.page_lbas[index] = lba
-                self.device.raw_write(lba, image)
-            self.levels[1].append(table)
-        self.levels[1].sort(key=lambda table: table.min_key)
-
-    def data_pages(self):
-        return sum(len(t.page_lbas) for level in self.levels for t in level)
-
-    def resize_block_cache(self, pages):
-        self.cache = LruCache(max(pages, 8))
 
     # ------------------------------------------------------------------
     # epoch quarantine for freed pages
     # ------------------------------------------------------------------
 
     def defer_free(self, lbas):
-        self._pending_frees.append((self.next_seq(), list(lbas)))
+        self._pending_frees.append((self.next_seq(), lbas))
 
     def release_frees(self, min_active_seq):
         """Free quarantined pages once no pre-swap operation remains."""
         kept = []
         for barrier, lbas in self._pending_frees:
             if min_active_seq > barrier:
-                for lba in lbas:
-                    self.allocator.free(lba)
-                    self.cache.pop(lba)
+                self._free_pages(lbas)
             else:
                 kept.append((barrier, lbas))
         self._pending_frees = kept
@@ -198,10 +139,7 @@ class AsyncLsmStore:
     # ------------------------------------------------------------------
 
     def _memory_lookup(self, key):
-        found, value = self.active.get(key)
-        if found:
-            return True, value
-        for memtable in self.immutables:
+        for memtable in [self.memtable] + self.immutables:
             found, value = memtable.get(key)
             if found:
                 return True, value
@@ -209,84 +147,40 @@ class AsyncLsmStore:
 
     def _get_plan(self, op):
         yield ChargeEff(self.apply_cost_ns, CPU_REAL_WORK)
-        found, value = self._memory_lookup(op.key)
-        if found:
-            op.result = value
-            return
         key = op.key
-        # snapshot the table lists: a compaction interleaved between our
-        # yields mutates them in place, and the epoch quarantine keeps
-        # every snapshotted table's pages readable until we complete
-        levels = [list(tables) for tables in self.levels]
-        for tables in levels:
-            for table in tables:
-                if not table.overlaps(key, key):
-                    continue
-                if not table.bloom.may_contain(key):
-                    continue
-                page_index = table.page_index_for(key)
-                if page_index is None:
-                    continue
+        found, value = self._memory_lookup(key)
+        if not found:
+            # walk a snapshot of the table lists: a compaction
+            # interleaved between our yields mutates them in place, and
+            # the epoch quarantine keeps every snapshotted table's
+            # pages readable until we complete
+            for lba in self._lookup_candidates(self._snapshot(), key):
                 yield ChargeEff(self.probe_cost_ns, CPU_REAL_WORK)
-                image = yield ReadPageEff(table.page_lbas[page_index])
-                for entry_key, entry_value in decode_page(image):
-                    if entry_key == key:
-                        op.result = entry_value
-                        return
-        op.result = None
+                image = yield ReadPageEff(lba)
+                found, value = self._page_lookup(image, key)
+                if found:
+                    break
+        op.result = value
 
     def _range_plan(self, op):
         yield ChargeEff(self.apply_cost_ns, CPU_REAL_WORK)
         low, high = op.key, op.high_key
-        merged = {}
-        levels = [list(tables) for tables in self.levels]  # see _get_plan
-        memtables = list(self.immutables)
-        # oldest first so newer versions overwrite
-        for tables in reversed(levels):
-            for table in reversed(tables):
-                if not table.overlaps(low, high):
-                    continue
-                start, end = table.page_range_for(low, high)
-                lbas = table.page_lbas[start:end]
-                if not lbas:
-                    continue
-                images = yield ReadBatchEff(lbas)
-                for image in images:
-                    for key, value in decode_page(image):
-                        if low <= key <= high:
-                            merged[key] = value
-        for memtable in reversed(memtables):
-            for key, value in memtable.range_items(low, high):
-                merged[key] = value
-        for key, value in self.active.range_items(low, high):
-            merged[key] = value
-        results = [(k, v) for k, v in sorted(merged.items()) if v is not None]
-        if op.limit:
-            results = results[: op.limit]
-        op.result = results
+        memtables = self.immutables[::-1]  # oldest first
+        images = []
+        for lbas in self._scan_runs(self._snapshot(), low, high):  # see _get_plan
+            images.extend((yield ReadBatchEff(lbas)))
+        memtables.append(self.memtable)
+        op.result = self._scan_result(images, memtables, low, high, op.limit)
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _wal_record(key, value):
-        if value is None:
-            return b"D" + key.to_bytes(8, "little")
-        return b"P" + key.to_bytes(8, "little") + value
-
     def _put_plan(self, op, value):
         yield ChargeEff(self.apply_cost_ns, CPU_REAL_WORK)
-        self.wal.append(self._wal_record(op.key, value))
-        if value is None:
-            self.active.delete(op.key)
-        else:
-            self.active.put(op.key, value)
+        self._log_and_apply(op.key, value)
         if self.persistence == "strong":
-            writes, flush_lsn = self.wal.take_flushable(True)
-            if writes:
-                yield WriteBatchEff(writes)
-                self.wal.mark_durable(flush_lsn)
+            yield from self._flush_wal()
         else:
             writes, flush_lsn = self.wal.take_flushable(False)
             if writes:
@@ -302,20 +196,24 @@ class AsyncLsmStore:
         self._maybe_rotate()
 
     def _maybe_rotate(self):
-        if len(self.active) < self.memtable_entries:
+        if len(self.memtable) < self.config.memtable_entries:
             return
-        self.immutables.insert(0, self.active)
-        self.active = MemTable()
+        self.immutables.insert(0, self.memtable)
+        self.memtable = MemTable()
         if not self._flush_scheduled:
             self._flush_scheduled = True
             self.enqueue_internal(Operation(OP_FLUSH))
 
-    def _sync_plan(self, op):
+    def _flush_wal(self):
+        """Write every pending log page and wait; returns the count."""
         writes, flush_lsn = self.wal.take_flushable(True)
         if writes:
             yield WriteBatchEff(writes)
             self.wal.mark_durable(flush_lsn)
-        op.result = len(writes)
+        return len(writes)
+
+    def _sync_plan(self, op):
+        op.result = yield from self._flush_wal()
 
     # ------------------------------------------------------------------
     # internal maintenance operations
@@ -332,93 +230,42 @@ class AsyncLsmStore:
             yield ChargeEff(
                 len(items) * self.merge_cost_ns_per_entry, CPU_REAL_WORK
             )
-            table, images = SSTable.plan(self.page_size, items)
-            pages = []
-            for index, image in enumerate(images):
-                lba = self.allocator.allocate()
-                table.page_lbas[index] = lba
-                pages.append((lba, image))
+            table, pages = self._plan_table(items)
             yield WriteBatchEff(pages)  # all pages in flight concurrently
             # install, then retire the memtable (it stayed readable for
             # lookups while its table was being written)
             self.levels[0].insert(0, table)
             self.immutables.remove(memtable)
         self._flush_scheduled = False
-        if len(self.levels[0]) > self.level0_limit and not self._compact_scheduled:
+        if self._over_budget(0) and not self._compact_scheduled:
             self._compact_scheduled = True
             self.enqueue_internal(Operation(OP_COMPACT))
         op.result = True
-
-    def _level_budget(self, level):
-        return self.level1_tables * (self.level_ratio ** (level - 1))
 
     def _compact_plan(self, op):
         # the guard stays True for the whole plan (see _flush_plan):
         # a flush finishing mid-compaction must not start a second,
         # racing compaction over the same tables
-        progressed = True
-        while progressed:
-            progressed = False
-            if len(self.levels[0]) > self.level0_limit:
-                yield from self._compact_level(0)
-                progressed = True
-                continue
-            for level in range(1, len(self.levels)):
-                if len(self.levels[level]) > self._level_budget(level):
-                    yield from self._compact_level(level)
-                    progressed = True
-                    break
+        level = 0
+        while level < len(self.levels):
+            if self._over_budget(level):
+                yield from self._compact_level(level)
+                level = 0  # restart from the top after every compaction
+            else:
+                level += 1
         self._compact_scheduled = False
         op.result = True
 
     def _compact_level(self, level):
-        self.compactions += 1
-        if len(self.levels) <= level + 1:
-            self.levels.append([])
-        picked = list(self.levels[level]) if level == 0 else [self.levels[level][0]]
-        low = min(table.min_key for table in picked)
-        high = max(table.max_key for table in picked)
-        below = [t for t in self.levels[level + 1] if t.overlaps(low, high)]
+        picked, below = self._pick_compaction(level)
         sources = picked + below
-
         # read every source page concurrently -- the paradigm's win
         all_lbas = [lba for table in sources for lba in table.page_lbas]
         images = yield ReadBatchEff(all_lbas)
-        image_for = dict(zip(all_lbas, images))
-
-        entries = {}
-        for source in reversed(sources):  # oldest first; newer overwrite
-            for lba in source.page_lbas:
-                for key, value in decode_page(image_for[lba]):
-                    entries[key] = value
-        items = sorted(entries.items())
-        is_bottom = level + 2 == len(self.levels) and not self.levels[level + 1]
-        if is_bottom:
-            items = [(k, v) for k, v in items if v is not None]
+        items = self._merged_items(level, sources, dict(zip(all_lbas, images)))
         yield ChargeEff(len(items) * self.merge_cost_ns_per_entry, CPU_REAL_WORK)
-
-        new_tables = []
-        pages = []
-        for start in range(0, len(items), self.memtable_entries):
-            chunk = items[start:start + self.memtable_entries]
-            if not chunk:
-                continue
-            table, chunk_images = SSTable.plan(self.page_size, chunk)
-            for index, image in enumerate(chunk_images):
-                lba = self.allocator.allocate()
-                table.page_lbas[index] = lba
-                pages.append((lba, image))
-            new_tables.append(table)
+        merged, pages = self._plan_tables(items)
         if pages:
             yield WriteBatchEff(pages)
-
         # atomic swap (single worker: no reader can interleave here)
-        for table in picked:
-            self.levels[level].remove(table)
-        for table in below:
-            self.levels[level + 1].remove(table)
-        self.levels[level + 1].extend(new_tables)
-        self.levels[level + 1].sort(key=lambda table: table.min_key)
-        self.defer_free(
-            [lba for table in picked + below for lba in table.page_lbas]
-        )
+        self.defer_free(self._swap(level, picked, below, merged))

@@ -61,3 +61,10 @@ class TestAsyncLsmSession:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ReproError):
             make_session(scheduler="wat")
+
+    @pytest.mark.parametrize("entries", [0, -5])
+    def test_non_positive_memtable_entries_rejected(self, entries):
+        # 0 used to die in bulk_load with a bare ValueError from range();
+        # -5 silently bulk-loaded nothing and rotated on every put
+        with pytest.raises(ReproError):
+            make_session(memtable_entries=entries)

@@ -121,6 +121,13 @@ def run_thread(engine, simos, body):
     return holder.get("result")
 
 
+@pytest.mark.parametrize("entries", [0, -5])
+def test_non_positive_memtable_entries_rejected(entries):
+    # the sync store used to clamp these to 1 silently
+    with pytest.raises(StorageError):
+        LsmConfig(memtable_entries=entries)
+
+
 class TestLsmStore:
     def test_put_get_through_flush(self):
         engine, simos, io_service, store = make_store(memtable_entries=20)

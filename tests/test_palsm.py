@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
 
 from repro.core.ops import delete_op, insert_op, range_op, search_op, sync_op
 from repro.core.source import ClosedLoopSource
+from repro.errors import StorageError
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.palsm import AsyncLsmStore, PolledLsmWorker
@@ -72,7 +74,7 @@ class TestPaLsmBasics:
         ops = [insert_op(k % 60, (k).to_bytes(8, "little")) for k in range(600)]
         worker.run_operations(ops, window=8)
         assert store.compactions >= 1
-        assert len(store.levels[0]) <= store.level0_limit
+        assert len(store.levels[0]) <= store.config.level0_limit
         checks = worker.run_operations([search_op(k) for k in range(60)])
         for op in checks:
             # last writer for key k is the largest j < 600 with j % 60 == k
@@ -84,6 +86,11 @@ class TestPaLsmBasics:
         store.bulk_load([(k * 3, payload(k)) for k in range(500)])
         (op,) = worker.run_operations([search_op(300)])
         assert op.result == payload(100)
+
+    @pytest.mark.parametrize("entries", [0, -5])
+    def test_non_positive_memtable_entries_rejected(self, entries):
+        with pytest.raises(StorageError):
+            build(memtable_entries=entries)
 
     def test_sync_flushes_wal(self):
         _device, store, worker = build(persistence="weak")
