@@ -191,13 +191,13 @@ class BaseSession:
     """Common machinery of every blocking session facade.
 
     Subclasses set ``default_config`` (their knob defaults) and
-    implement ``_build(config)`` and ``_execute_ops(operations)`` —
-    the one hook that drives raw operations through their engine.  The
-    base class provides everything else: configuration merging (a
-    ``SessionConfig`` and/or keyword overrides), the batch-first verbs
-    (single ops are size-1 batches), the
-    :class:`~repro.core.ops.OpSpec` execute contract, ``close()`` /
-    context-manager support, and the dict-style sugar.
+    implement ``_build(config)``, which also sets ``self._runner`` —
+    the engine, worker or router whose ``run_operations`` drives raw
+    operations.  The base class provides everything else:
+    configuration merging (a ``SessionConfig`` and/or keyword
+    overrides), the batch-first verbs (single ops are size-1 batches),
+    the :class:`~repro.core.ops.OpSpec` execute contract, ``close()``
+    / context-manager support, and the dict-style sugar.
     """
 
     default_config = SessionConfig()
@@ -238,7 +238,8 @@ class BaseSession:
         self._teardown()
 
     def _teardown(self):
-        """Release backend resources; sessions with an env close it."""
+        """Release backend resources."""
+        self.env.close()
 
     def __enter__(self):
         return self
@@ -289,7 +290,8 @@ class BaseSession:
 
     def _execute_ops(self, operations):
         """Drive raw operations through the engine; returns them."""
-        raise NotImplementedError
+        self._check_open()
+        return self._runner.run_operations(operations, window=self.window)
 
     @staticmethod
     def _result(op):
@@ -431,7 +433,10 @@ class BaseSession:
         the workload, ``session.finish()`` after.  A session that is
         never attached costs nothing.
         """
-        raise NotImplementedError
+        session = self._make_metrics(self.env.engine, session, session_kwargs)
+        session.attach_device(self.env.device)
+        session.attach_worker(self._runner)
+        return session
 
     def _make_metrics(self, engine, session, session_kwargs):
         if session is not None:
@@ -469,7 +474,7 @@ class PATreeSession(BaseSession):
         self.tree = PaTree.create(
             self.env.device, payload_size=config.payload_size
         )
-        self.pa_engine = PaTreeEngine(
+        self._runner = self.pa_engine = PaTreeEngine(
             self.env.os,
             self.env.backend,
             self.tree,
@@ -487,11 +492,6 @@ class PATreeSession(BaseSession):
         """Offline bottom-up build from sorted unique (key, bytes) pairs."""
         self._check_open()
         self.tree.bulk_load(items, fill_factor)
-
-    def _execute_ops(self, operations):
-        """Run raw operations through the polled engine; returns them."""
-        self._check_open()
-        return self.pa_engine.run_operations(operations, window=self.window)
 
     # ------------------------------------------------------------------
     # introspection
@@ -516,19 +516,9 @@ class PATreeSession(BaseSession):
         stats["virtual_time_us"] = self.env.now_usec
         return stats
 
-    def attach_metrics(self, session=None, **session_kwargs):
-        """Wire a metrics session into the device and engine stack."""
-        session = self._make_metrics(self.env.engine, session, session_kwargs)
-        session.attach_device(self.env.device)
-        session.attach_worker(self.pa_engine)
-        return session
-
     def validate(self):
         """Verify every on-media structural invariant of the tree."""
         return self.tree.validate()
-
-    def _teardown(self):
-        self.env.close()
 
 
 class AsyncLsmSession(BaseSession):
@@ -559,7 +549,7 @@ class AsyncLsmSession(BaseSession):
             persistence=config.persistence,
             memtable_entries=config.memtable_entries,
         )
-        self.worker = PolledLsmWorker(
+        self._runner = self.worker = PolledLsmWorker(
             self.env.os,
             self.env.backend,
             self.store,
@@ -577,10 +567,6 @@ class AsyncLsmSession(BaseSession):
         self._check_open()
         self.store.bulk_load(check_bulk_items(sorted(items)))
         self.store.resize_block_cache(max(self.store.data_pages() // 10, 64))
-
-    def _execute_ops(self, operations):
-        self._check_open()
-        return self.worker.run_operations(operations, window=self.window)
 
     # The LSM worker executes per-key state machines — there is no
     # shared-descent batch plan to vector through — so the batch verbs
@@ -611,16 +597,6 @@ class AsyncLsmSession(BaseSession):
         stats["virtual_time_us"] = self.env.now_usec
         return stats
 
-    def attach_metrics(self, session=None, **session_kwargs):
-        """Wire a metrics session into the device and worker stack."""
-        session = self._make_metrics(self.env.engine, session, session_kwargs)
-        session.attach_device(self.env.device)
-        session.attach_worker(self.worker)
-        return session
-
-    def _teardown(self):
-        self.env.close()
-
 
 class ShardedSession(BaseSession):
     """Blocking facade over a sharded multi-device PA-Tree fleet.
@@ -641,7 +617,7 @@ class ShardedSession(BaseSession):
         self.engine = Engine(seed=config.seed)
         self.os = SimOS(self.engine, config.os_profile or paper_testbed_profile())
         device_profile = config.device_profile or i3_nvme_profile()
-        self.sharded = ShardedPaTree(
+        self._runner = self.sharded = ShardedPaTree(
             self.os,
             config.shards,
             partitioning=config.partitioning,
@@ -668,12 +644,6 @@ class ShardedSession(BaseSession):
         """Offline build across all shards from sorted unique pairs."""
         self._check_open()
         self.sharded.bulk_load(items, fill_factor)
-
-    def _execute_ops(self, operations):
-        self._check_open()
-        return self.sharded.run_operations(
-            list(operations), window=self.window
-        )
 
     def __len__(self):
         return self.sharded.key_count
