@@ -165,11 +165,13 @@ class AsyncLsmStore(LeveledStore):
     def _range_plan(self, op):
         yield ChargeEff(self.apply_cost_ns, CPU_REAL_WORK)
         low, high = op.key, op.high_key
+        # snapshots as in _get_plan; the memtables stay readable after
+        # their flush retires them
         memtables = self.immutables[::-1]  # oldest first
         images = []
-        for lbas in self._scan_runs(self._snapshot(), low, high):  # see _get_plan
+        for lbas in self._scan_runs(self._snapshot(), low, high):
             images.extend((yield ReadBatchEff(lbas)))
-        memtables.append(self.memtable)
+        memtables.append(self.memtable)  # the active one once the reads are in
         op.result = self._scan_result(images, memtables, low, high, op.limit)
 
     # ------------------------------------------------------------------
