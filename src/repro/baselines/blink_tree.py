@@ -96,7 +96,7 @@ class BlinkTreeAccessor(BlockingPageIo):
         elif op.kind == DELETE:
             yield from self._delete(tls, op)
         elif op.kind == SYNC:
-            yield from self._sync(tls, op)
+            op.result = yield from self._sync(tls)
         else:
             raise TreeError("unknown operation kind %r" % (op.kind,))
 
@@ -109,16 +109,7 @@ class BlinkTreeAccessor(BlockingPageIo):
         results = []
         node, _ancestors = yield from self._descend_to_leaf(tls, op.key)
         while True:
-            index = node.leaf_range_from(op.key)
-            truncated = False
-            while index < node.count and node.keys[index] <= op.high_key:
-                results.append((node.keys[index], node.values[index]))
-                index += 1
-                if op.limit and len(results) >= op.limit:
-                    truncated = True
-                    break
-            exhausted = node.count > 0 and node.keys[-1] >= op.high_key
-            if truncated or exhausted or node.next_id == NO_PAGE:
+            if node.leaf_collect(op.key, op.high_key, op.limit, results):
                 op.result = results
                 return
             node = yield from self._read_node(tls, node.next_id)

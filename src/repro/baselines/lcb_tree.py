@@ -8,9 +8,10 @@ flushes the log after every update (one small sequential write per
 operation); weak persistence flushes only filled log pages and on
 ``sync()`` — amortizing many updates per device write.
 
-Implemented as a :class:`SyncTreeAccessor` subclass: identical tree
-algorithms and latch protocol, with the page-persistence layer swapped
-for log-append + delta-table + checkpoint.
+Implemented as a :class:`SyncTreeAccessor` subclass: the same blocking
+interpreter of the shared plans and the same latch protocol, with the
+page-persistence layer under it swapped for log-append + delta-table +
+checkpoint.
 """
 
 from repro.baselines.sync_tree import SyncTreeAccessor
@@ -121,7 +122,7 @@ class LcbTreeAccessor(SyncTreeAccessor):
             self.tree.device.raw_write(page_id, data)
         self._delta.clear()
 
-    def _sync(self, tls, op):
+    def _sync(self, tls):
         """Flush the log tail (weak persistence group commit)."""
         yield SemWait(self._wal_mutex)
         writes, flush_lsn = self.wal.take_flushable(True)
@@ -130,4 +131,4 @@ class LcbTreeAccessor(SyncTreeAccessor):
             yield from self.io.write(tls, lba, image)
         if writes:
             self.wal.mark_durable(flush_lsn)
-        op.result = len(writes)
+        return len(writes)

@@ -2,9 +2,11 @@
 
 Spawns ``n_threads`` simulated worker threads that pull operations
 from a shared queue and execute them synchronously through an accessor
-(:class:`~repro.baselines.sync_tree.SyncTreeAccessor`, the Blink/LCB
-variants, or the LSM store adapter).  This is the closed-loop shape of
-the paper's baseline evaluation: concurrency equals the thread count.
+(:class:`~repro.baselines.sync_tree.SyncTreeAccessor`, which interprets
+the shared plans of :mod:`repro.core.plans` on the calling thread, its
+LCB variant, the Blink-tree, or the LSM store adapter).  This is the
+closed-loop shape of the paper's baseline evaluation: concurrency
+equals the thread count.
 
 Collects the same statistics the PA engine reports so experiment
 harnesses can compare the paradigms directly.
@@ -53,8 +55,7 @@ class BaselineRunner:
                 yield from accessor.execute(tls, op)
             except IoError as exc:
                 # typed I/O failure: record it on the op and keep the
-                # worker alive (the aborted op may leak a latch, as a
-                # crashed thread would; fault runs use async engines)
+                # worker alive
                 op.error = exc
                 op.result = None
                 self.failed_ops.add()

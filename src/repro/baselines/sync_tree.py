@@ -1,12 +1,13 @@
 """Synchronous B+ tree accessor (paper §V-A baselines).
 
-Implements exactly the same index algorithms as PA-Tree's operation
-plans — latch-coupled descent, split cascades with ordered write
-waves, right-sibling delete rebalancing, strong/weak persistence — but
-in the *traditional synchronous execution paradigm*: the calling
-thread blocks on every I/O (through a :mod:`~repro.baselines.io_service`)
-and on every latch (through the semaphore-based
-:class:`~repro.baselines.latching.BlockingLatchTable`).
+Interprets the shared plans of :mod:`repro.core.plans` — the same
+generators the PA engine runs: latch-coupled descent, split cascades
+with ordered write waves, right-sibling delete rebalancing — in the
+*traditional synchronous execution paradigm*: the calling thread
+blocks on every I/O (through a :mod:`~repro.baselines.io_service`) and
+on every latch (through the semaphore-based
+:class:`~repro.baselines.latching.BlockingLatchTable`).  The tree
+algorithm has one home; only what serves an effect differs.
 
 One accessor instance is shared by all worker threads of a baseline
 run; shared mutable state (buffer, allocator, meta) is protected by
@@ -15,11 +16,21 @@ CPU breakdown charges to synchronization.  That page layer is
 :class:`BlockingPageIo`; the Blink and LCB baselines stand on it too.
 """
 
-from repro.core.latch import EXCLUSIVE, SHARED
 from repro.core.meta import META_PAGE
-from repro.core.node import NO_PAGE, Node
-from repro.core.ops import DELETE, INSERT, RANGE, SEARCH, SYNC, UPDATE
-from repro.errors import TreeError
+from repro.core.node import Node
+from repro.core.ops import (
+    AllocEff,
+    BATCH,
+    ChargeEff,
+    FreeEff,
+    LatchEff,
+    ReadEff,
+    SyncEff,
+    UnlatchEff,
+    WriteEff,
+)
+from repro.core.plans import make_plan
+from repro.errors import IoError, TreeError
 from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.sync import Mutex
 from repro.simos.thread import Cpu, SemPost, SemWait
@@ -30,8 +41,9 @@ class BlockingPageIo:
 
     Node reads and writes through the (optional) buffer and a blocking
     I/O service, ordered eviction flushes, the allocator and sync —
-    each shared structure behind its mutex.  Subclasses add the index
-    algorithms and their latch protocol.
+    each shared structure behind its mutex.  Subclasses add how index
+    operations run on top: :class:`SyncTreeAccessor` interprets the
+    shared plans, the Blink-tree brings its own protocol.
     """
 
     def __init__(self, tree, io_service, latches, buffer=None, persistence="strong"):
@@ -136,301 +148,75 @@ class BlockingPageIo:
             self.buffer.invalidate(page_id)
             yield SemPost(self._buffer_mutex)
 
-    def _sync(self, tls, op):
+    def _sync(self, tls):
+        """Flush every dirty buffered page; returns how many."""
         if self.persistence == "strong" or self.buffer is None:
-            op.result = 0
-            return
+            return 0
         yield SemWait(self._buffer_mutex)
         flushing = self.buffer.take_dirty()
         yield SemPost(self._buffer_mutex)
         # reuse the ordered per-page flush path so a sync never races
         # an in-flight eviction flush of the same page
         yield from self._flush_evicted(tls, flushing)
-        op.result = len(flushing)
+        return len(flushing)
 
 
 class SyncTreeAccessor(BlockingPageIo):
-    """Blocking-paradigm tree operations over shared tree state."""
-
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
+    """The blocking interpreter of the shared operation plans."""
 
     def execute(self, tls, op):
-        """Run one operation to completion on the calling thread."""
-        if op.kind == SEARCH:
-            yield from self._search(tls, op)
-        elif op.kind == RANGE:
-            yield from self._range(tls, op)
-        elif op.kind == INSERT:
-            yield from self._insert(tls, op)
-        elif op.kind == UPDATE:
-            yield from self._update(tls, op)
-        elif op.kind == DELETE:
-            yield from self._delete(tls, op)
-        elif op.kind == SYNC:
-            yield from self._sync(tls, op)
-        else:
+        """Run one operation to completion on the calling thread.
+
+        ``held`` maps each latched page to its mode: ``UnlatchEff``
+        carries none and an update releases a mixed shared/exclusive
+        chain.  It is also what an I/O failure releases, so a failed
+        operation cannot wedge the threads queued behind its latches.
+        """
+        if op.kind == BATCH:
             raise TreeError("unknown operation kind %r" % (op.kind,))
-
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
-
-    def _search(self, tls, op):
-        costs = self.tree.costs
-        yield from self.latches.acquire(META_PAGE, SHARED)
-        prev = META_PAGE
-        page_id = self.tree.meta.root_page
-        while True:
-            yield from self.latches.acquire(page_id, SHARED)
-            yield from self.latches.release(prev, SHARED)
-            node = yield from self._read_node(tls, page_id)
-            yield Cpu(costs.node_search_ns, CPU_REAL_WORK)
-            if node.is_leaf:
-                op.result = node.leaf_lookup(op.key)
-                yield from self.latches.release(page_id, SHARED)
-                return
-            prev = page_id
-            page_id = node.child_for(op.key)
-
-    def _range(self, tls, op):
-        costs = self.tree.costs
-        results = []
-        yield from self.latches.acquire(META_PAGE, SHARED)
-        prev = META_PAGE
-        page_id = self.tree.meta.root_page
-        while True:
-            yield from self.latches.acquire(page_id, SHARED)
-            yield from self.latches.release(prev, SHARED)
-            node = yield from self._read_node(tls, page_id)
-            yield Cpu(costs.node_search_ns, CPU_REAL_WORK)
-            if node.is_leaf:
-                break
-            prev = page_id
-            page_id = node.child_for(op.key)
-        while True:
-            index = node.leaf_range_from(op.key)
-            truncated = False
-            while index < node.count and node.keys[index] <= op.high_key:
-                results.append((node.keys[index], node.values[index]))
-                index += 1
-                if op.limit and len(results) >= op.limit:
-                    truncated = True
+        plan = make_plan(op, self.tree)
+        latches = self.latches
+        held = {}
+        send = None
+        try:
+            while True:
+                try:
+                    effect = plan.send(send)
+                except StopIteration:
                     break
-            exhausted = node.count > 0 and node.keys[-1] >= op.high_key
-            if truncated or exhausted or node.next_id == NO_PAGE:
-                yield from self.latches.release(node.page_id, SHARED)
-                op.result = results
-                return
-            next_id = node.next_id
-            yield from self.latches.acquire(next_id, SHARED)
-            yield from self.latches.release(node.page_id, SHARED)
-            node = yield from self._read_node(tls, next_id)
-            yield Cpu(costs.node_search_ns, CPU_REAL_WORK)
-
-    # ------------------------------------------------------------------
-    # writes
-    # ------------------------------------------------------------------
-
-    def _descend_exclusive(self, tls, op, safe_test):
-        yield from self.latches.acquire(META_PAGE, EXCLUSIVE)
-        path_ids = [META_PAGE]
-        path_nodes = [None]
-        page_id = self.tree.meta.root_page
-        while True:
-            yield from self.latches.acquire(page_id, EXCLUSIVE)
-            node = yield from self._read_node(tls, page_id)
-            yield Cpu(self.tree.costs.node_search_ns, CPU_REAL_WORK)
-            if safe_test(node):
-                for ancestor in path_ids:
-                    yield from self.latches.release(ancestor, EXCLUSIVE)
-                path_ids = [page_id]
-                path_nodes = [node]
-            else:
-                path_ids.append(page_id)
-                path_nodes.append(node)
-            if node.is_leaf:
-                return path_ids, path_nodes
-            page_id = node.child_for(op.key)
-
-    def _release_path(self, path_ids):
-        for page_id in path_ids:
-            yield from self.latches.release(page_id, EXCLUSIVE)
-
-    def _insert(self, tls, op):
-        costs = self.tree.costs
-        tree = self.tree
-        path_ids, path_nodes = yield from self._descend_exclusive(
-            tls, op, lambda node: node.is_safe_for_insert()
-        )
-        leaf = path_nodes[-1]
-        yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
-
-        if not leaf.is_full or leaf.leaf_lookup(op.key) is not None:
-            inserted = leaf.leaf_insert(op.key, op.payload)
-            op.result = inserted
-            if inserted:
-                tree.meta.key_count += 1
-            yield from self._write_node(tls, leaf)
-            yield from self._release_path(path_ids)
-            return
-
-        new_nodes = []
-        dirty = {}
-        write_meta = False
-
-        yield Cpu(costs.split_ns, CPU_REAL_WORK)
-        right_id = yield from self._allocate()
-        right, separator = leaf.split(right_id)
-        if op.key >= separator:
-            right.leaf_insert(op.key, op.payload)
-        else:
-            leaf.leaf_insert(op.key, op.payload)
-        tree.meta.key_count += 1
-        op.result = True
-        new_nodes.append(right)
-        dirty[leaf.page_id] = leaf
-
-        index = len(path_nodes) - 2
-        while True:
-            parent = path_nodes[index] if index >= 0 else None
-            if parent is None:
-                old_root = path_nodes[index + 1]
-                new_root_id = yield from self._allocate()
-                new_root = Node.new_inner(tree.config, new_root_id, old_root.level + 1)
-                new_root.keys = [separator]
-                new_root.children = [old_root.page_id, right_id]
-                new_nodes.append(new_root)
-                tree.meta.root_page = new_root_id
-                tree.meta.height += 1
-                write_meta = True
-                break
-            if not parent.is_full:
-                parent.inner_insert(separator, right_id)
-                dirty[parent.page_id] = parent
-                break
-            yield Cpu(costs.split_ns, CPU_REAL_WORK)
-            parent_right_id = yield from self._allocate()
-            parent_right, parent_sep = parent.split(parent_right_id)
-            if separator > parent_sep:
-                parent_right.inner_insert(separator, right_id)
-            else:
-                parent.inner_insert(separator, right_id)
-            new_nodes.append(parent_right)
-            dirty[parent.page_id] = parent
-            separator = parent_sep
-            right_id = parent_right_id
-            index -= 1
-
-        # wave 1: new right siblings; wave 2: pages pointing at them
-        for node in new_nodes:
-            yield from self._write_node(tls, node)
-        for node in dirty.values():
-            yield from self._write_node(tls, node)
-        if write_meta:
-            yield from self._write_meta(tls)
-        yield from self._release_path(path_ids)
-
-    def _update(self, tls, op):
-        costs = self.tree.costs
-        yield from self.latches.acquire(META_PAGE, SHARED)
-        prev = META_PAGE
-        prev_mode = SHARED
-        page_id = self.tree.meta.root_page
-        level = self.tree.meta.height - 1
-        while True:
-            mode = EXCLUSIVE if level == 0 else SHARED
-            yield from self.latches.acquire(page_id, mode)
-            yield from self.latches.release(prev, prev_mode)
-            node = yield from self._read_node(tls, page_id)
-            yield Cpu(costs.node_search_ns, CPU_REAL_WORK)
-            if node.is_leaf:
-                found = node.leaf_lookup(op.key) is not None
-                if found:
-                    yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
-                    node.leaf_insert(op.key, op.payload)
-                    yield from self._write_node(tls, node)
-                op.result = found
-                yield from self.latches.release(page_id, mode)
-                return
-            prev = page_id
-            prev_mode = mode
-            page_id = node.child_for(op.key)
-            level -= 1
-
-    def _delete(self, tls, op):
-        costs = self.tree.costs
-        tree = self.tree
-        path_ids, path_nodes = yield from self._descend_exclusive(
-            tls, op, lambda node: node.is_safe_for_delete()
-        )
-        leaf = path_nodes[-1]
-        yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
-        removed = leaf.leaf_delete(op.key)
-        op.result = removed
-        if not removed:
-            yield from self._release_path(path_ids)
-            return
-        tree.meta.key_count -= 1
-
-        dirty = {leaf.page_id: leaf}
-        write_meta = False
-        index = len(path_nodes) - 1
-        current = leaf
-        while current.count < current.min_keys:
-            parent = path_nodes[index - 1] if index >= 1 else None
-            if parent is None:
-                break
-            child_index = parent.children.index(current.page_id)
-            if child_index == parent.count:
-                break  # rightmost child: tolerate underflow
-            right_id = parent.children[child_index + 1]
-            yield from self.latches.acquire(right_id, EXCLUSIVE)
-            right = yield from self._read_node(tls, right_id)
-            separator = parent.keys[child_index]
-            yield Cpu(costs.merge_ns, CPU_REAL_WORK)
-            if current.can_merge_with(right):
-                current.merge_from_right(right, separator)
-                parent.inner_remove_child(child_index + 1)
-                yield from self.latches.release(right_id, EXCLUSIVE)
-                yield from self._free(right_id)
-                dirty.pop(right_id, None)
-                dirty[current.page_id] = current
-                dirty[parent.page_id] = parent
-                current = parent
-                index -= 1
-            else:
-                moves = max(1, (right.count - current.count) // 2)
-                new_separator = separator
-                for _ in range(moves):
-                    new_separator = current.borrow_from_right(right, new_separator)
-                parent.keys[child_index] = new_separator
-                dirty[current.page_id] = current
-                dirty[right_id] = right
-                dirty[parent.page_id] = parent
-                yield from self.latches.release(right_id, EXCLUSIVE)
-                break
-
-        root = (
-            path_nodes[1]
-            if path_nodes and path_nodes[0] is None and len(path_nodes) > 1
-            else None
-        )
-        if (
-            root is not None
-            and not root.is_leaf
-            and root.count == 0
-            and tree.meta.root_page == root.page_id
-        ):
-            tree.meta.root_page = root.children[0]
-            tree.meta.height -= 1
-            write_meta = True
-            dirty.pop(root.page_id, None)
-            yield from self._free(root.page_id)
-
-        for node in dirty.values():
-            yield from self._write_node(tls, node)
-        if write_meta:
-            yield from self._write_meta(tls)
-        yield from self._release_path(path_ids)
+                send = None
+                kind = type(effect)
+                if kind is LatchEff:
+                    yield from latches.acquire(effect.page_id, effect.mode)
+                    held[effect.page_id] = effect.mode
+                elif kind is UnlatchEff:
+                    page_id = effect.page_id
+                    yield from latches.release(page_id, held.pop(page_id))
+                elif kind is ReadEff:
+                    send = yield from self._read_node(tls, effect.page_id)
+                elif kind is ChargeEff:
+                    yield Cpu(effect.ns, effect.category)
+                elif kind is WriteEff:
+                    # ``coalesce`` is the batch plan's; none runs here
+                    for node in effect.nodes:
+                        yield from self._write_node(tls, node)
+                    if effect.write_meta:
+                        yield from self._write_meta(tls)
+                elif kind is AllocEff:
+                    send = yield from self._allocate()
+                elif kind is FreeEff:
+                    yield from self._free(effect.page_id)
+                elif kind is SyncEff:
+                    send = yield from self._sync(tls)
+                else:
+                    raise TreeError(
+                        "operation yielded unknown effect %r" % (effect,)
+                    )
+        except IoError:
+            for page_id in sorted(held):
+                yield from latches.release(page_id, held[page_id])
+            raise
+        if held:
+            raise TreeError(
+                "operation %r completed holding latches %r" % (op, sorted(held))
+            )

@@ -15,8 +15,10 @@ from repro.core.batch import vector_cost_ns
 from repro.core.latch import LatchTable
 from repro.core.node import Node
 from repro.core.ops import (
+    AllocEff,
     BATCH,
     ChargeEff,
+    FreeEff,
     LatchEff,
     ReadEff,
     ST_DONE,
@@ -248,6 +250,12 @@ class PaTreeEngine(PolledWorker):
                         self.tracer.async_instant("op", op.seq, "io_wait")
                     return
                 send = flushed
+
+            elif kind is AllocEff:
+                send = self.tree.allocator.allocate()
+
+            elif kind is FreeEff:
+                self.tree.release_page(effect.page_id)
 
             else:
                 raise TreeError("operation yielded unknown effect %r" % (effect,))

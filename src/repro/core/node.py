@@ -51,11 +51,11 @@ class TreeConfig:
 
     def __init__(self, page_size=512, payload_size=8):
         if payload_size < 1:
-            raise ValueError("payload_size must be positive")
+            raise TreeError("payload_size must be positive")
         leaf_capacity = (page_size - HEADER_SIZE) // (8 + payload_size)
         inner_capacity = (page_size - HEADER_SIZE - 8) // 16
         if leaf_capacity < 2 or inner_capacity < 2:
-            raise ValueError(
+            raise TreeError(
                 "page size %d too small for payload %d" % (page_size, payload_size)
             )
         self.page_size = page_size
@@ -190,6 +190,24 @@ class Node:
     def leaf_range_from(self, low):
         """Index of the first key >= low (for range scans)."""
         return bisect.bisect_left(self.keys, low)
+
+    def leaf_collect(self, low, high, limit, results):
+        """One leaf's step of a range scan over ``[low, high]``.
+
+        Appends this leaf's ``(key, payload)`` pairs in range to
+        ``results`` and returns True when the scan is over — ``limit``
+        (0 = none) reached, ``high`` covered, or no right sibling —
+        and False when it continues at ``next_id``.
+        """
+        keys = self.keys
+        index = self.leaf_range_from(low)
+        while index < len(keys) and keys[index] <= high:
+            results.append((keys[index], self.values[index]))
+            index += 1
+            if limit and len(results) >= limit:
+                return True
+        exhausted = len(keys) > 0 and keys[-1] >= high
+        return exhausted or self.next_id == NO_PAGE
 
     # ------------------------------------------------------------------
     # vectorized leaf operations (batch pipeline)
@@ -348,19 +366,6 @@ class Node:
             self.children.append(right.children.pop(0))
             new_separator = right.keys.pop(0)
         self.high_key = new_separator
-        return new_separator
-
-    def borrow_from_left(self, left, separator):
-        """Move one entry from the left sibling; returns new separator."""
-        if self.is_leaf:
-            self.keys.insert(0, left.keys.pop())
-            self.values.insert(0, left.values.pop())
-            new_separator = self.keys[0]
-        else:
-            self.keys.insert(0, separator)
-            self.children.insert(0, left.children.pop())
-            new_separator = left.keys.pop()
-        left.high_key = new_separator
         return new_separator
 
     # ------------------------------------------------------------------

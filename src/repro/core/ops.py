@@ -15,7 +15,8 @@ The generator expression of the state machine is exactly equivalent to
 the paper's explicit state graph (Fig 5): every ``yield`` is a state,
 active transitions are the engine resuming the generator, passive
 transitions are I/O completion callbacks / latch grants moving the
-operation back into the ready set.
+operation back into the ready set.  The synchronous baselines serve the
+same effects with blocking calls (:mod:`repro.baselines.sync_tree`).
 """
 
 # Operation kinds
@@ -132,6 +133,29 @@ class SyncEff(Effect):
     """Flush all buffered dirty pages; resumes when durable."""
 
     __slots__ = ()
+
+
+class AllocEff(Effect):
+    """Allocate a page; resumes with its id.
+
+    An effect, not a direct allocator call: the blocking interpreter
+    allocates under a mutex, and under contention that mutex decides
+    which thread gets which page id.
+    """
+
+    __slots__ = ()
+
+
+class FreeEff(Effect):
+    """Return ``page_id`` to the allocator and drop cached copies of it.
+
+    Yielded after the page's ``UnlatchEff``.
+    """
+
+    __slots__ = ("page_id",)
+
+    def __init__(self, page_id):
+        self.page_id = page_id
 
 
 class Operation:

@@ -24,11 +24,13 @@ the same lazy-deletion trade-off PostgreSQL makes.
 
 from repro.core.batch import batch_plan
 from repro.core.latch import EXCLUSIVE, SHARED
-from repro.core.node import NO_PAGE, Node
+from repro.core.node import Node
 from repro.core.ops import (
+    AllocEff,
     BATCH,
     ChargeEff,
     DELETE,
+    FreeEff,
     INSERT,
     LatchEff,
     RANGE,
@@ -105,16 +107,7 @@ def _range_plan(op, tree):
         page_id = node.child_for(op.key)
     # Scan the leaf chain with shared-latch coupling left to right.
     while True:
-        index = node.leaf_range_from(op.key)
-        truncated = False
-        while index < node.count and node.keys[index] <= op.high_key:
-            results.append((node.keys[index], node.values[index]))
-            index += 1
-            if op.limit and len(results) >= op.limit:
-                truncated = True
-                break
-        exhausted = node.count > 0 and node.keys[-1] >= op.high_key
-        if truncated or exhausted or node.next_id == NO_PAGE:
+        if node.leaf_collect(op.key, op.high_key, op.limit, results):
             yield UnlatchEff(node.page_id)
             op.result = results
             return
@@ -183,7 +176,7 @@ def _insert_plan(op, tree):
     write_meta = False
 
     yield ChargeEff(costs.split_ns, CPU_REAL_WORK)
-    right_id = tree.allocator.allocate()
+    right_id = yield AllocEff()
     right, separator = leaf.split(right_id)
     if op.key >= separator:
         right.leaf_insert(op.key, op.payload)
@@ -200,7 +193,7 @@ def _insert_plan(op, tree):
         if parent is None:
             # The split reached the root: grow the tree by one level.
             old_root = path_nodes[index + 1]
-            new_root_id = tree.allocator.allocate()
+            new_root_id = yield AllocEff()
             new_root = Node.new_inner(tree.config, new_root_id, old_root.level + 1)
             new_root.keys = [separator]
             new_root.children = [old_root.page_id, right_id]
@@ -214,7 +207,7 @@ def _insert_plan(op, tree):
             dirty[parent.page_id] = parent
             break
         yield ChargeEff(costs.split_ns, CPU_REAL_WORK)
-        parent_right_id = tree.allocator.allocate()
+        parent_right_id = yield AllocEff()
         parent_right, parent_sep = parent.split(parent_right_id)
         if separator > parent_sep:
             parent_right.inner_insert(separator, right_id)
@@ -294,7 +287,7 @@ def _delete_plan(op, tree):
             current.merge_from_right(right, separator)
             parent.inner_remove_child(child_index + 1)
             yield UnlatchEff(right_id)
-            tree.release_page(right_id)
+            yield FreeEff(right_id)
             dirty.pop(right_id, None)
             dirty[current.page_id] = current
             dirty[parent.page_id] = parent
@@ -325,7 +318,7 @@ def _delete_plan(op, tree):
         tree.meta.height -= 1
         write_meta = True
         dirty.pop(root.page_id, None)
-        tree.release_page(root.page_id)
+        yield FreeEff(root.page_id)
 
     yield WriteEff(list(dirty.values()), write_meta=write_meta)
     for page_id in path_ids:

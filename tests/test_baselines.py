@@ -13,8 +13,19 @@ from repro.baselines.runner import BaselineRunner
 from repro.baselines.sync_tree import SyncTreeAccessor
 from repro.buffer import ReadOnlyBuffer, ReadWriteBuffer
 from repro.core.latch import EXCLUSIVE, SHARED
-from repro.core.ops import delete_op, insert_op, range_op, search_op, sync_op, update_op
+from repro.core.ops import (
+    OpSpec,
+    batch_op,
+    delete_op,
+    insert_op,
+    range_op,
+    search_op,
+    sync_op,
+    update_op,
+)
 from repro.core.tree import PaTree
+from repro.errors import IoError, TreeError
+from repro.faults import FaultConfig
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.sim.engine import Engine
@@ -25,10 +36,10 @@ def payload(key):
     return (key % 2**64).to_bytes(8, "little")
 
 
-def make_machine(seed=1, preload=1_000):
+def make_machine(seed=1, preload=1_000, faults=None):
     engine = Engine(seed=seed)
     simos = SimOS(engine, OsProfile(cores=8))
-    device = NvmeDevice(engine, fast_test_profile())
+    device = NvmeDevice(engine, fast_test_profile(), faults=faults)
     driver = NvmeDriver(device)
     tree = PaTree.create(device)
     if preload:
@@ -198,6 +209,41 @@ def test_accessor_fuzz_vs_model(accessor_kind, persistence):
 
     assert dict(tree.iterate_items_raw()) == model
     tree.validate()
+
+
+def test_failed_io_releases_the_latches_it_held():
+    """An op that dies with IoError must not wedge the ops behind it:
+    the search fails holding the leaf shared, the insert fails holding
+    root and leaf exclusive, and the next search shares that root."""
+    _engine, simos, device, driver, tree = make_machine(
+        preload=2_000, faults=FaultConfig()
+    )
+    leaf = tree.read_node_raw(tree.meta.root_page)
+    while not leaf.is_leaf:
+        leaf = tree.read_node_raw(leaf.child_for(500))
+    device.fault_injector.poison(leaf.page_id)
+
+    latches = BlockingLatchTable()
+    accessor = SyncTreeAccessor(tree, DedicatedIoService(driver), latches)
+    ops = [search_op(500), insert_op(500, payload(1)), search_op(1_500)]
+    runner = BaselineRunner(simos, accessor, ops, n_threads=1, name="sync")
+    runner.run_to_completion()
+
+    assert isinstance(ops[0].error, IoError)
+    assert isinstance(ops[1].error, IoError)
+    assert ops[2].error is None and ops[2].result == payload(1_500)
+    assert runner.failed_ops.value == 2
+    latches.assert_quiescent()
+
+
+def test_sync_accessor_rejects_batches():
+    """The batch plan has only the polled interpreter."""
+    _engine, simos, _device, driver, tree = make_machine(preload=100)
+    accessor = SyncTreeAccessor(tree, DedicatedIoService(driver), BlockingLatchTable())
+    ops = [batch_op([OpSpec.get(10), OpSpec.put(15, payload(15))])]
+    runner = BaselineRunner(simos, accessor, ops, n_threads=1, name="sync")
+    with pytest.raises(TreeError, match="unknown operation kind"):
+        runner.run_to_completion()
 
 
 def test_blink_reads_need_no_latches():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.node import Node, TreeConfig
+from repro.core.node import NO_PAGE, Node, TreeConfig
 from repro.errors import CorruptPageError, TreeError
 
 
@@ -37,7 +37,7 @@ class TestConfig:
         assert config.leaf_capacity == 4
 
     def test_too_small_page_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TreeError):
             TreeConfig(page_size=64, payload_size=60)
 
 
@@ -75,6 +75,21 @@ class TestLeafOps:
         assert leaf.leaf_range_from(15) == 1
         assert leaf.leaf_range_from(20) == 1
         assert leaf.leaf_range_from(31) == 3
+
+    def test_collect_reports_whether_the_scan_is_over(self, config):
+        leaf = make_leaf(config, 1, [10, 20, 30])
+        pairs = list(zip(leaf.keys, leaf.values))
+        leaf.next_id = 2
+
+        results = []
+        assert leaf.leaf_collect(15, 99, 0, results) is False  # continues right
+        assert results == pairs[1:]
+        assert leaf.leaf_collect(0, 30, 0, []) is True  # high covered
+        results = []
+        assert leaf.leaf_collect(0, 99, 2, results) is True  # limit reached
+        assert results == pairs[:2]
+        leaf.next_id = NO_PAGE
+        assert leaf.leaf_collect(15, 99, 0, []) is True  # end of the chain
 
 
 class TestInnerOps:
@@ -166,14 +181,6 @@ class TestMergeBorrow:
         assert left.children == [100, 101, 102]
         assert new_sep == 30
         assert right.keys == [40]
-
-    def test_leaf_borrow_from_left(self, config):
-        left = make_leaf(config, 1, [1, 2, 3])
-        right = make_leaf(config, 2, [9])
-        new_sep = right.borrow_from_left(left, separator=9)
-        assert right.keys == [3, 9]
-        assert left.keys == [1, 2]
-        assert new_sep == 3
 
 
 class TestSerialization:

@@ -2,13 +2,26 @@
 
 The central property: a PA-Tree driven by any interleaved sequence of
 operations is observationally equivalent to a sorted dict, and every
-on-media structural invariant holds afterwards.
+on-media structural invariant holds afterwards — under the polled
+engine and under the synchronous baseline's blocking interpreter of
+the same plans.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.baselines.io_service import DedicatedIoService
+from repro.baselines.latching import BlockingLatchTable
+from repro.baselines.runner import BaselineRunner
+from repro.baselines.sync_tree import SyncTreeAccessor
 from repro.core.node import Node, TreeConfig
-from repro.core.ops import delete_op, insert_op, range_op, search_op, update_op
+from repro.core.ops import (
+    INSERT,
+    delete_op,
+    insert_op,
+    range_op,
+    search_op,
+    update_op,
+)
 from repro.core.source import ClosedLoopSource
 from repro.core.engine import PaTreeEngine
 from repro.core.tree import PaTree
@@ -23,23 +36,35 @@ def payload(key):
     return (key % 2**64).to_bytes(8, "little")
 
 
-KEYS = st.integers(min_value=0, max_value=5_000)
+# 4-entry leaves and a 61-key space: a script of 60+ operations splits,
+# merges, borrows and grows/shrinks the root instead of living in one leaf
+TREE_PAYLOAD_SIZE = 104
 
-OPERATION = st.one_of(
-    st.tuples(st.just("insert"), KEYS),
-    st.tuples(st.just("delete"), KEYS),
-    st.tuples(st.just("update"), KEYS),
-    st.tuples(st.just("search"), KEYS),
-    st.tuples(st.just("range"), KEYS),
+
+def wide_payload(key):
+    return payload(key) * (TREE_PAYLOAD_SIZE // 8)
+
+
+KEYS = st.integers(min_value=0, max_value=60)
+
+# inserts and deletes weigh double so leaves fill up and drain again
+KINDS = st.sampled_from(
+    ("insert", "insert", "delete", "delete", "update", "search", "range")
 )
+OPERATION = st.tuples(KINDS, KEYS)
 
 
-def build_engine(seed):
+def build_machine(seed):
     engine = Engine(seed=seed)
     simos = SimOS(engine, OsProfile(cores=4))
     device = NvmeDevice(engine, fast_test_profile())
     driver = NvmeDriver(device)
-    tree = PaTree.create(device)
+    tree = PaTree.create(device, payload_size=TREE_PAYLOAD_SIZE)
+    return simos, driver, tree
+
+
+def build_engine(seed):
+    simos, driver, tree = build_machine(seed)
     pa = PaTreeEngine(
         simos,
         driver,
@@ -50,51 +75,73 @@ def build_engine(seed):
     return pa
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(script=st.lists(OPERATION, min_size=1, max_size=120), seed=st.integers(0, 100))
-def test_tree_equivalent_to_dict(script, seed):
-    pa = build_engine(seed)
+def build_script(script):
+    """Operations for ``script``, each one's result under sequential
+    application, and the dict they leave behind."""
     model = {}
     operations = []
     expected = []
     for kind, key in script:
         if kind == "insert":
-            operations.append(insert_op(key, payload(key)))
+            operations.append(insert_op(key, wide_payload(key)))
             expected.append(key not in model)
-            model[key] = payload(key)
+            model[key] = wide_payload(key)
         elif kind == "delete":
             operations.append(delete_op(key))
             expected.append(key in model)
             model.pop(key, None)
         elif kind == "update":
-            operations.append(update_op(key, payload(key + 1)))
+            operations.append(update_op(key, wide_payload(key + 1)))
             expected.append(key in model)
             if key in model:
-                model[key] = payload(key + 1)
+                model[key] = wide_payload(key + 1)
         elif kind == "search":
             operations.append(search_op(key))
             expected.append(model.get(key))
         else:
-            operations.append(range_op(key, key + 100))
+            operations.append(range_op(key, key + 10))
             expected.append(
-                sorted((k, v) for k, v in model.items() if key <= k <= key + 100)
+                sorted((k, v) for k, v in model.items() if key <= k <= key + 10)
             )
+    return operations, expected, model
 
+
+def check_against_model(tree, operations, expected, model):
+    for op, want in zip(operations, expected):
+        assert op.result == want, (op.kind, op.key)
+    assert dict(tree.iterate_items_raw()) == model
+    stats = tree.validate()
+    assert stats["keys"] == len(model)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(script=st.lists(OPERATION, min_size=60, max_size=120), seed=st.integers(0, 100))
+def test_tree_equivalent_to_dict(script, seed):
+    pa = build_engine(seed)
+    operations, expected, model = build_script(script)
     # window=1 keeps operations sequential so per-op results are exact
     pa.source = ClosedLoopSource(operations, window=1)
     pa.run_to_completion()
+    check_against_model(pa.tree, operations, expected, model)
 
-    for op, want in zip(operations, expected):
-        assert op.result == want, (op.kind, op.key)
 
-    assert dict(pa.tree.iterate_items_raw()) == model
-    stats = pa.tree.validate()
-    assert stats["keys"] == len(model)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(script=st.lists(OPERATION, min_size=60, max_size=120), seed=st.integers(0, 100))
+def test_blocking_interpreter_equivalent_to_dict(script, seed):
+    """The same plans under the synchronous baseline's interpreter."""
+    simos, driver, tree = build_machine(seed)
+    operations, expected, model = build_script(script)
+    latches = BlockingLatchTable()
+    accessor = SyncTreeAccessor(tree, DedicatedIoService(driver), latches)
+    # one thread keeps operations sequential so per-op results are exact
+    BaselineRunner(simos, accessor, operations, n_threads=1).run_to_completion()
+    latches.assert_quiescent()
+    check_against_model(tree, operations, expected, model)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    script=st.lists(OPERATION, min_size=1, max_size=150),
+    script=st.lists(OPERATION, min_size=60, max_size=150),
     seed=st.integers(0, 100),
     window=st.integers(2, 24),
 )
@@ -104,20 +151,8 @@ def test_tree_interleaved_final_state(script, seed, window):
     (keys never collide mid-flight when each key appears once in
     flight; we assert only invariants + key-set sanity)."""
     pa = build_engine(seed)
-    operations = []
-    touched = set()
-    for kind, key in script:
-        if kind == "insert":
-            operations.append(insert_op(key, payload(key)))
-            touched.add(key)
-        elif kind == "delete":
-            operations.append(delete_op(key))
-        elif kind == "update":
-            operations.append(update_op(key, payload(key + 1)))
-        elif kind == "search":
-            operations.append(search_op(key))
-        else:
-            operations.append(range_op(key, key + 50))
+    operations, _expected, _model = build_script(script)
+    touched = {op.key for op in operations if op.kind == INSERT}
     pa.source = ClosedLoopSource(operations, window=window)
     pa.run_to_completion()
     stats = pa.tree.validate()

@@ -50,6 +50,12 @@ class TestSessionConfig:
         with pytest.raises(TypeError):
             SessionConfig().merged(qpair_depth=3)
 
+    @pytest.mark.parametrize("payload_size", [0, 600])
+    def test_unusable_payload_size_raises_repro_error(self, payload_size):
+        # 600 bytes leave no room for two entries on the 512-byte page
+        with pytest.raises(ReproError):
+            PATreeSession(fast(payload_size=payload_size))
+
     def test_config_is_immutable(self):
         with pytest.raises(Exception):
             SessionConfig().seed = 3
