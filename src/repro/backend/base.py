@@ -137,6 +137,10 @@ class IoBackend:
     def probe(self, qpair, max_completions=0):
         return self.driver.probe(qpair, max_completions)
 
+    def probe_empty_repeat(self, count, step_ns):
+        """Book ``count`` empty probes, ``step_ns`` apart, the last one now."""
+        self.device.probe_empty_repeat(count, step_ns)
+
     # -- media plane ---------------------------------------------------
 
     def raw_read(self, lba):

@@ -26,7 +26,15 @@ class OperationSource:
         """The engine finished one previously admitted operation."""
 
     def next_event_ns(self, now_ns):
-        """Virtual time of the next future arrival, or None."""
+        """Virtual time of the next future arrival, or None.
+
+        The worker takes idle turns in bursts on the strength of this:
+        until a completion is reported (to this source or, where one
+        router feeds several, to any of them -- each comes out of some
+        worker's probe, an event no burst runs past), ``poll(t)`` is
+        empty for every ``t`` before the instant returned, and for
+        every ``t`` when that is None.
+        """
         return None
 
     def exhausted(self):

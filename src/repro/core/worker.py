@@ -38,7 +38,7 @@ from repro.errors import (
 )
 from repro.sim.metrics import CPU_NVME, CPU_SCHED, Counter, LatencyRecorder
 from repro.sim.nulltrace import NULL_TRACER
-from repro.simos.thread import Cpu, Sleep
+from repro.simos.thread import Cpu, CpuRepeat, Sleep
 
 # (counter attribute, help); exported as ``<metric_prefix>_<attr>_total``
 _COUNTERS = (
@@ -189,11 +189,13 @@ class PolledWorker:
     # ------------------------------------------------------------------
 
     def _worker_body(self):
-        # ~800 k turns on a busy-probing run: everything the loop
-        # touches every turn is a local, and rare work hides behind a
-        # deque truthiness check
+        # tens of turns per operation even with the idle ones taken in
+        # bursts (_repeat_idle_turn): everything the loop touches every
+        # turn is a local, and rare work hides behind a deque
+        # truthiness check
         costs = self.costs
         clock = self.clock
+        engine = self.engine
         driver = self.driver
         policy = self.policy
         source = self.source
@@ -206,6 +208,7 @@ class PolledWorker:
         poller = self.dedicated_poller is not None
         while True:
             worked = False
+            dispatched = engine.dispatched
 
             new_ops = source.poll(clock.now)
             if internal:
@@ -251,12 +254,18 @@ class PolledWorker:
                     yield from self._process(op)
                 worked = True
 
+            # a turn that comes this far with nothing done is idle: all
+            # it can still do is charge the gate, probe, spin or sleep
+            idle = not (worked or poller)
+            gate_cost = 0
+            probed = None
             if not poller and io_history.outstanding_count:
                 gate_cost = policy.gate_cost_ns()
                 if gate_cost:
                     yield Cpu(gate_cost, CPU_SCHED)
                     worked = True
-                if policy.should_probe():
+                probed = policy.should_probe()
+                if probed:
                     tracer = self.tracer
                     probe_start_ns = clock.now if tracer.enabled else 0
                     yield Cpu(driver.probe_cpu_ns(0), CPU_NVME)
@@ -268,6 +277,7 @@ class PolledWorker:
                             len(completed) * profile.probe_cpu_per_completion_ns,
                             CPU_NVME,
                         )
+                        idle = False
                     if tracer.enabled:
                         tracer.complete(
                             self._track,
@@ -300,11 +310,70 @@ class PolledWorker:
                             )
                         self.idle_yields.add()
                         yield Sleep(sleep_ns)
-                    elif not worked:
-                        self.idle_spins.add()
-                        yield Cpu(costs.idle_spin_ns, CPU_SCHED)
+                    else:
+                        spun = not worked
+                        if spun:
+                            self.idle_spins.add()
+                            yield Cpu(costs.idle_spin_ns, CPU_SCHED)
+                        # no event since the turn began: every burst
+                        # went by in place, so what the turn read at its
+                        # start it would read again now
+                        if (
+                            idle
+                            and engine.dispatched == dispatched
+                            and not self.tracer.enabled
+                        ):
+                            yield from self._repeat_idle_turn(
+                                gate_cost, probed, spun, next_arrival
+                            )
 
         self._shutdown = True
+
+    def _repeat_idle_turn(self, gate_cost, probed, spun, next_arrival):
+        """Take the turns that would be the last one over again at once.
+
+        The turn that just ended admitted and processed nothing, found
+        nothing deferred or ready, saw no event run, and spent one CPU
+        burst: the gate before a declined probe, the probe of an empty
+        queue (``probed``; None with no I/O outstanding) or the spin.
+        Whatever it read stays as it is until another event runs, an
+        operation falls due or the policy stops answering the same, so
+        the policy (``idle_repeats``) and the source bound how many such
+        turns follow, the kernel grants those of them that nothing
+        would interrupt (CpuRepeat), and what that many turns book is
+        booked here in one go.  What is left runs as ordinary turns.
+        """
+        if spun:
+            if probed is not None:
+                return  # declined for free, then spun: no stock policy
+            step_ns, category = self.costs.idle_spin_ns, CPU_SCHED
+        elif not probed:
+            step_ns, category = gate_cost, CPU_SCHED
+        elif not gate_cost:
+            step_ns, category = self.driver.probe_cpu_ns(0), CPU_NVME
+        else:
+            return  # gate, then probe: two bursts, and no policy repeats it
+        if step_ns <= 0:
+            return
+        repeats = self.policy.idle_repeats(step_ns, bool(probed))
+        if next_arrival is not None:
+            # the source promises empty polls before that instant only
+            repeats = min(
+                repeats, (next_arrival - self.clock.now - 1) // step_ns
+            )
+        if repeats <= 0:
+            return
+        taken = yield CpuRepeat(step_ns, category, repeats)
+        if not taken:
+            return
+        if spun:
+            self.idle_spins.add(taken)
+        elif probed:
+            self.probes.add(taken)
+            self.driver.probe_empty_repeat(taken, step_ns)
+            self.policy.note_probe(self.clock.now, 0)
+        else:
+            self.probe_skips.add(taken)
 
     # ------------------------------------------------------------------
     # operation lifecycle

@@ -257,6 +257,29 @@ class NvmeDevice:
             completed.append(command)
         return completed
 
+    def probe_empty_repeat(self, count, step_ns):
+        """``count`` probes that each found every completion queue empty.
+
+        The probes are ``step_ns`` apart and the last one is now; no
+        command was fetched and no completion posted since the first.
+        Leaves the device where that many :meth:`probe` calls at those
+        instants do: each occupies the interface from its own instant,
+        or is coalesced once the backlog it finds has reached the cap
+        (the droppable case of :meth:`_occupy_interface`, inlined: this
+        loop is what is left of the polled worker's idle turns).
+        """
+        self.probe_calls.add(count)
+        duration_ns = self.substrate.probe_iface_ns
+        cap_ns = self.profile.iface_backlog_cap_ns
+        free_ns = self._iface_free_ns
+        at_ns = self.engine.now - (count - 1) * step_ns
+        for _ in range(count):
+            start = free_ns if free_ns > at_ns else at_ns
+            if start - at_ns < cap_ns:
+                free_ns = start + duration_ns
+            at_ns += step_ns
+        self._iface_free_ns = free_ns
+
     # ------------------------------------------------------------------
     # direct media access (bulk loading / recovery inspection only)
     # ------------------------------------------------------------------

@@ -60,6 +60,24 @@ class SchedulingPolicy:
         0 = busy-spin (the engine charges the spin to ``scheduling``)."""
         return 0
 
+    def idle_repeats(self, step_ns, probed):
+        """How many of the coming turns would be the last one over again.
+
+        Asked at the end of a main-loop turn that found nothing to admit
+        and nothing ready and did one of three things: charged the gate
+        and was told not to probe; probed at no gate cost and found the
+        queue empty (``probed``); or, with no I/O outstanding, spun.
+        The coming turns would each run ``step_ns`` later than the one
+        before.  Answering ``n`` promises that ``gate_cost_ns``,
+        ``should_probe`` and ``idle_sleep_ns`` say in the next ``n``
+        turns what they said in this one, as long as no I/O is
+        submitted or completes -- which the worker sees to before it
+        takes the ``n`` turns as one step, reporting a run of empty
+        probes by one ``note_probe`` at the last of them.  0 promises
+        nothing.
+        """
+        return 0
+
     # CPU cost hooks ------------------------------------------------------
     # Engines expose ``sched_pick_cost_ns`` / ``sched_gate_cost_ns`` so
     # policies work against any polled-mode engine (B+ tree or LSM).

@@ -33,6 +33,9 @@ class IoHistory:
         self.slice_ns = self.window_ns // slices
         self.latency_window_ns = usec(latency_window_us)
         self._outstanding = {}
+        # bumped whenever the outstanding set changes: with the clock it
+        # names one feature vector, for whoever keeps something derived
+        self.version = 0
         self._completions = deque()
         self._latency_sum = 0
         self.submitted_reads = 0
@@ -45,6 +48,7 @@ class IoHistory:
 
     def on_submit(self, command):
         self._outstanding[id(command)] = (command.submit_ns, command.is_write)
+        self.version += 1
         if command.is_write:
             self.submitted_writes += 1
         else:
@@ -53,6 +57,7 @@ class IoHistory:
     def on_complete(self, command):
         """Record a completion *detected by probe* (polled-mode)."""
         self._outstanding.pop(id(command), None)
+        self.version += 1
         self.detected_completions += 1
         latency = self.clock.now - command.submit_ns
         self._completions.append((self.clock.now, latency))
@@ -90,6 +95,22 @@ class IoHistory:
             else:
                 features[n + index] += 1.0
         return features
+
+    def next_slice_crossing_ns(self):
+        """First instant after now at which :meth:`feature_vector` changes
+        with the outstanding set as it is (an I/O ages into its next
+        slice), or None when every one already sits in the oldest."""
+        now = self.clock.now
+        slice_ns = self.slice_ns
+        last = self.slices - 1
+        crossing = None
+        for submit_ns, _is_write in self._outstanding.values():
+            index = (now - submit_ns) // slice_ns
+            if index < last:
+                at_ns = submit_ns + (max(index, 0) + 1) * slice_ns
+                if crossing is None or at_ns < crossing:
+                    crossing = at_ns
+        return crossing
 
     def avg_completion_latency_ns(self):
         """Mean detected-completion latency over the rolling window."""

@@ -6,6 +6,8 @@ prioritization, no CPU yielding: when idle the thread spins in the
 main loop, probing as it goes.
 """
 
+import sys
+
 from repro.sched.base import SchedulingPolicy
 from repro.sched.priority import FifoReadyQueue
 
@@ -33,3 +35,6 @@ class NaiveScheduling(SchedulingPolicy):
 
     def idle_sleep_ns(self):
         return 0
+
+    def idle_repeats(self, step_ns, probed):
+        return sys.maxsize  # no answer above depends on anything

@@ -14,6 +14,8 @@ Each knob can be disabled independently for the ablation experiments
 (Fig 12 disables prioritization, Fig 13 disables yielding).
 """
 
+import sys
+
 from repro.sched.base import SchedulingPolicy
 from repro.sched.priority import FifoReadyQueue, PriorityReadyQueue
 from repro.sim.clock import usec
@@ -43,6 +45,8 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         self.max_probe_gap_ns = usec(max_probe_gap_us)
         self._ready = PriorityReadyQueue() if prioritized else FifoReadyQueue()
         self._last_probe_ns = -1
+        self._verdict_asked = None
+        self._verdict = False
 
     def on_ready(self, op):
         self._ready.push(op)
@@ -60,17 +64,27 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         now = self.engine.clock.now
         if self._last_probe_ns < 0:
             self._last_probe_ns = now  # start the deadline clock
-        if self._last_probe_ns >= 0:
-            gap = now - self._last_probe_ns
-            if gap < self.min_probe_gap_ns:
-                return False
-            # Deadline fallback: a purely model-gated probe can starve
-            # detection when few, old I/Os make the prediction hover
-            # below one; bound the detection delay (and tail latency).
-            if gap >= self.max_probe_gap_ns:
-                return True
-        features = history.feature_vector()
-        return self.probe_model.predicts_completion(features)
+        gap = now - self._last_probe_ns
+        if gap < self.min_probe_gap_ns:
+            return False
+        # Deadline fallback: a purely model-gated probe can starve
+        # detection when few, old I/Os make the prediction hover
+        # below one; bound the detection delay (and tail latency).
+        if gap >= self.max_probe_gap_ns:
+            return True
+        return self._predicts_completion()
+
+    def _predicts_completion(self):
+        """The model's verdict on the outstanding I/Os as they are now;
+        should_probe and idle_sleep_ns ask within one turn."""
+        history = self.engine.io_history
+        asked = (self.engine.clock.now, history.version)
+        if asked != self._verdict_asked:
+            self._verdict_asked = asked
+            self._verdict = self.probe_model.predicts_completion(
+                history.feature_vector()
+            )
+        return self._verdict
 
     def note_probe(self, now_ns, completions):
         self._last_probe_ns = now_ns
@@ -88,9 +102,28 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         # but saves the idle spin -- the Fig 13 trade.  With I/Os in
         # flight a short granule keeps that delay small relative to
         # device latency; with none in flight the full granule is safe.
-        if self.probe_model.predicts_completion(history.feature_vector()):
+        if self._predicts_completion():
             return 0
         return min(self.yield_ns, self._inflight_granule_ns)
+
+    def idle_repeats(self, step_ns, probed):
+        if probed:
+            return 0
+        history = self.engine.io_history
+        if history.outstanding_count == 0:
+            return sys.maxsize  # should_probe is not asked, no model to ask
+        # should_probe goes on declining for the reason it just did
+        # until the gap reaches the next threshold, and the model (asked
+        # there or by idle_sleep_ns) until an I/O ages into a new slice
+        now = self.engine.clock.now
+        gap_ns = self.min_probe_gap_ns
+        if now - self._last_probe_ns >= gap_ns:
+            gap_ns = self.max_probe_gap_ns
+        until_ns = self._last_probe_ns + gap_ns
+        crossing_ns = history.next_slice_crossing_ns()
+        if crossing_ns is not None and crossing_ns < until_ns:
+            until_ns = crossing_ns
+        return (until_ns - now - 1) // step_ns
 
     def gate_cost_ns(self):
         return self.engine.sched_gate_cost_ns

@@ -110,6 +110,45 @@ class Engine:
         self.clock.now = time_ns
         return True
 
+    def try_advance_repeat(self, step_ns, count):
+        """Take up to ``count`` consecutive ``try_advance(step_ns)`` at once.
+
+        Returns the largest ``n <= count`` for which ``n`` calls in a
+        row would each have returned True, having advanced the clock and
+        counted ``inlined`` as they would; 0 changes nothing.  The head
+        of the heap, the horizon and the hooks bound ``n`` in closed
+        form; ``until`` is asked before every step with the clock where
+        that step starts, because a predicate may read the clock.
+        """
+        if self.on_dispatch or self.perturb_delay is not None:
+            return 0
+        clock = self.clock
+        now = clock.now
+        heap = self._heap
+        if heap:
+            count = min(count, (heap[0].time - now - 1) // step_ns)
+        if now + count * step_ns > self._horizon_ns:
+            count = int((self._horizon_ns - now) // step_ns)
+        if count <= 0:
+            return 0
+        # max_events allows this many; the step after them trips the valve
+        limit = max(0, min(count, self.max_events - self.dispatched - self.inlined))
+        until = self._until
+        granted = limit
+        if until is None:
+            clock.now = now + limit * step_ns
+        else:
+            for taken in range(limit):
+                if until():
+                    granted = taken
+                    break
+                clock.now += step_ns
+        self.inlined += granted
+        if granted == limit < count and (until is None or not until()):
+            self.inlined += 1
+            self._over_budget()
+        return granted
+
     def _over_budget(self):
         raise SimulationError(
             "event budget exceeded (%d); likely a livelock" % self.max_events

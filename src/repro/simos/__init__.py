@@ -13,6 +13,7 @@ from repro.simos.scheduler import (
 from repro.simos.sync import Mutex, Semaphore
 from repro.simos.thread import (
     Cpu,
+    CpuRepeat,
     SemPost,
     SemWait,
     SimThread,
@@ -26,6 +27,7 @@ __all__ = [
     "Core",
     "SimThread",
     "Cpu",
+    "CpuRepeat",
     "Sleep",
     "YieldCpu",
     "SemWait",

@@ -18,6 +18,7 @@ from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_OTHER, CPU_SYNC, Counter, CpuAccount
 from repro.simos.thread import (
     Cpu,
+    CpuRepeat,
     SemPost,
     SemWait,
     SimThread,
@@ -322,6 +323,17 @@ class SimOS:
                     self._release_core(thread)
                     return
                 # with an empty run queue sched_yield keeps running
+                continue
+
+            if type(instr) is CpuRepeat:
+                # as many of the bursts as the Cpu branch would have
+                # taken in place one after the other, in one step
+                taken = 0
+                if not self.run_queue and not self._spawning:
+                    taken = self.engine.try_advance_repeat(instr.ns, instr.count)
+                    thread.account.charge(taken * instr.ns, instr.category)
+                    thread.core.busy_ns += taken * instr.ns
+                thread.send_value = taken
                 continue
 
             raise SimulationError(

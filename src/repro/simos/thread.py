@@ -40,6 +40,25 @@ class Cpu(Instruction):
         self.category = category
 
 
+class CpuRepeat(Instruction):
+    """Up to ``count`` back-to-back ``Cpu(ns, category)`` bursts as one.
+
+    The scheduler takes as many of them as would each have run without
+    anything else happening in between (possibly none), charges those,
+    and resumes the thread with that number; the thread issues whatever
+    is left as ordinary :class:`Cpu` bursts.
+    """
+
+    __slots__ = ("ns", "category", "count")
+
+    def __init__(self, ns, category, count):
+        self.ns = int(ns)
+        if self.ns <= 0:
+            raise ValueError("repeated CPU burst must be positive: %r" % ns)
+        self.category = category
+        self.count = count
+
+
 class Sleep(Instruction):
     """Leave the core and become runnable again after ``ns``."""
 

@@ -433,6 +433,30 @@ def test_interface_contention_is_a_sim_only_property(make_custom):
         assert completion.visible_ns == command.complete_ns
 
 
+def test_empty_probes_booked_in_one_call_cost_what_the_probes_cost(make_custom):
+    """``probe_empty_repeat`` is the polled worker's idle burst: the
+    same probe count, and the next fetch waits as long as behind the
+    probes themselves (not at all on file and replay)."""
+
+    def fetched(at_once):
+        backend = make_custom(fetch_ns=600, post_ns=400, probe_iface_ns=2_000)
+        engine, qpair = backend.engine, backend.alloc_qpair()
+        if at_once:
+            engine.run(until_ns=20 * 500)
+            backend.probe_empty_repeat(20, 500)
+        else:
+            for _ in range(20):
+                engine.run(until_ns=engine.now + 500)
+                assert backend.probe(qpair) == []
+        command = backend.read(qpair, 1)
+        fetch_wait = command.fetch_ns - command.submit_ns
+        return backend.kind, backend.probe_calls.value, fetch_wait
+
+    kind, probes, fetch_wait = fetched(at_once=True)
+    assert (kind, probes, fetch_wait) == fetched(at_once=False)
+    assert probes == 20 and (fetch_wait > 600) == (kind == "sim")
+
+
 def test_file_backend_quantizes_service_times(tmp_path):
     engine = Engine(seed=3)
     backend = FileBackend(

@@ -1,8 +1,9 @@
 """Hook conformance for the kernel fast path.
 
-The in-place clock advance (``Engine.try_advance``) may run only when
-no kernel-level hook wants to see every event: an ``on_dispatch``
-subscriber and a bound ``perturb_delay`` turn it off.  Every other slot
+The in-place clock advance (``Engine.try_advance``, and the polled
+worker's idle turns taken in one go through ``try_advance_repeat``) may
+run only when no kernel-level hook wants to see every event: an
+``on_dispatch`` subscriber and a bound ``perturb_delay`` turn it off.  Every other slot
 of ``tools/analysis/layers.toml [hooks]`` -- observer slots take their
 recorder through ``repro.sim.hooks.subscribe``, decision slots by plain
 assignment -- fires from code that runs the same either way, so a run
@@ -32,6 +33,8 @@ from repro.fuzz.hooks import HookBinder
 from repro.obs import TraceSession
 from repro.obs.health import MetricsSession
 from repro.sched.naive import NaiveScheduling
+from repro.sched.probe_model import cached_probe_model
+from repro.sched.workload_aware import WorkloadAwareScheduling
 from repro.sim.engine import Engine
 from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_CATEGORIES
@@ -82,6 +85,12 @@ class _Stack:
 
     def __init__(self, arm):
         self.engine = Engine(seed=3)
+        # idle turns the kernel took in bursts, for the asserts below
+        self.repeats_taken = 0
+        take = self.engine.try_advance_repeat
+        self.engine.try_advance_repeat = (
+            lambda step_ns, count: self._taken(take(step_ns, count))
+        )
         self.simos = SimOS(self.engine, OsProfile(cores=4))
         self.backend = make_backend(
             "sim", engine=self.engine, profile=fast_test_profile(),
@@ -96,9 +105,14 @@ class _Stack:
         )
         self.ops = _operations()
         self.worker = None
-        if arm == "pa_tree":
+        if arm.startswith("pa_tree"):
+            policy = NaiveScheduling()
+            if arm == "pa_tree_gated":  # Algorithm 2: gate, skip, yield
+                policy = WorkloadAwareScheduling(
+                    cached_probe_model(fast_test_profile())
+                )
             self.worker = self.runner = PaTreeEngine(
-                self.simos, self.backend, self.tree, NaiveScheduling(),
+                self.simos, self.backend, self.tree, policy,
                 source=ClosedLoopSource(self.ops, window=16),
             )
         else:  # the paper's synchronous paradigm, oversubscribed
@@ -131,6 +145,10 @@ class _Stack:
         else:
             setattr(owner, name, partial(self._record, name, _UNBOUND[name]))
 
+    def _taken(self, count):
+        self.repeats_taken += count
+        return count
+
     def _record(self, tag, behave, *args):
         self.calls.append((tag, self.engine.now))
         return behave(*args) if behave is not None else None
@@ -160,7 +178,7 @@ class _Stack:
         }
 
 
-@pytest.mark.parametrize("arm", ["pa_tree", "sync_shared"])
+@pytest.mark.parametrize("arm", ["pa_tree", "pa_tree_gated", "sync_shared"])
 @pytest.mark.parametrize("name", HOOK_NAMES)
 def test_a_bound_hook_sees_the_same_run_on_either_path(name, arm):
     plain = _Stack(arm)
@@ -173,17 +191,18 @@ def test_a_bound_hook_sees_the_same_run_on_either_path(name, arm):
 
     assert plain.calls == slow.calls
     assert plain.stats() == slow.stats()
-    assert slow.engine.inlined == 0
+    assert slow.engine.inlined == 0 and slow.repeats_taken == 0
     assert (
         slow.engine.dispatched
         == plain.engine.dispatched + plain.engine.inlined
     )
     if name in ("on_dispatch", "perturb_delay"):
         # the two hooks that see every event or every delay
-        assert plain.engine.inlined == 0
+        assert plain.engine.inlined == 0 and plain.repeats_taken == 0
         assert plain.calls
-    elif arm == "pa_tree":
-        assert plain.engine.inlined > 0
+    elif arm != "sync_shared":
+        # any other subscriber leaves the worker its bursts
+        assert plain.engine.inlined > plain.repeats_taken > 0
 
 
 def test_two_recorders_on_one_slot_see_the_same_calls_in_subscription_order():

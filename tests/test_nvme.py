@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import as_backend
 from repro.errors import DeviceError, PageBoundsError, QueueFullError
 from repro.nvme.command import NvmeCommand, OP_READ
 from repro.nvme.device import NvmeDevice, fast_test_profile
@@ -185,6 +186,32 @@ class TestDevice:
             device.probe(qpair)
         cap = device.profile.iface_backlog_cap_ns
         assert device._iface_free_ns - engine.now <= cap + device.profile.probe_iface_ns
+
+    @pytest.mark.parametrize("step_ns", [500, 2_000, 5_000])
+    @pytest.mark.parametrize("backlog_ns", [0, 10_000, 23_000, 40_000])
+    def test_a_run_of_empty_probes_booked_at_once_is_that_many_probes(
+        self, backlog_ns, step_ns
+    ):
+        # probe_iface_ns is 2 us and the cap 24 us: the interface is
+        # idle, behind but under the cap, about to cross it, or over it
+        # (fetches queue without limit); probes come faster than, as
+        # fast as, or slower than one occupies the interface
+        def probed(count, at_once):
+            engine, device, driver = make_device()
+            qpair = driver.alloc_qpair()
+            engine.run_for(1_000)
+            device._iface_free_ns = engine.now + backlog_ns
+            if at_once:
+                engine.run_for(count * step_ns)
+                as_backend(driver).probe_empty_repeat(count, step_ns)
+            else:
+                for _ in range(count):
+                    engine.run_for(step_ns)
+                    assert device.probe(qpair) == []
+            return engine.now, device._iface_free_ns, device.probe_calls.value
+
+        for count in (1, 2, 13, 60):
+            assert probed(count, at_once=True) == probed(count, at_once=False)
 
     def test_latency_accounting(self):
         engine, device, driver = make_device()

@@ -27,6 +27,7 @@ from repro.shard import (
 )
 from repro.sim.clock import usec
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 from repro.simos.scheduler import OsProfile, SimOS
 
 BOTH = (HASH_PARTITIONING, RANGE_PARTITIONING)
@@ -267,6 +268,40 @@ class SameSeedSuite(Placed):
         assert [op.done_ns for op in ops_a] == [op.done_ns for op in ops_b]
         assert first.engine.now == second.engine.now
         assert first.stats() == second.stats()
+
+
+    @pytest.mark.parametrize("partitioning", BOTH)
+    def test_idle_shards_take_their_turns_in_bursts_and_nothing_moves(
+        self, partitioning
+    ):
+        # window 2 on four shards: most workers spin with nothing to do
+        # until another worker's completion makes the router feed them
+        # or drains it -- a burst must stop short of that event
+        plain = self.build(partitioning=partitioning, seed=11)
+        slow = self.build(partitioning=partitioning, seed=11)
+        subscribe(slow.engine, "on_dispatch", lambda event: None)
+        ops_a, ops_b = (
+            sharded.run_operations(
+                [search_op(k * 10) for k in range(1, 41)] + self._ops(),
+                window=2,
+            )
+            for sharded in (plain, slow)
+        )
+        assert [op.result for op in ops_a] == [op.result for op in ops_b]
+        assert [op.done_ns for op in ops_a] == [op.done_ns for op in ops_b]
+        assert plain.engine.now == slow.engine.now
+        assert plain.stats() == slow.stats()
+        for fast_worker, slow_worker in zip(plain.engines, slow.engines):
+            assert fast_worker.idle_spins.value == slow_worker.idle_spins.value
+            assert (
+                fast_worker.worker_thread.account.by_category
+                == slow_worker.worker_thread.account.by_category
+            )
+        assert slow.engine.inlined == 0
+        assert (
+            slow.engine.dispatched
+            == plain.engine.dispatched + plain.engine.inlined
+        )
 
 
 class TestDeterminismAndStats(SameSeedSuite):

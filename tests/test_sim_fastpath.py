@@ -1,12 +1,14 @@
 """The kernel fast path is exact: same run with and without it.
 
 ``SimOS._step`` advances the clock in place (``Engine.try_advance``)
-when a CPU burst ends before anything else is due, and goes through the
-event heap otherwise.  Installing any ``on_dispatch`` hook forces the
-heap, so every test here runs one program twice -- plain, and forced
-slow by a no-op hook -- and asserts that nothing a simulation can
-observe differs, and that the two runs account for the same number of
-kernel steps: ``slow.dispatched == fast.dispatched + fast.inlined``.
+when a CPU burst ends before anything else is due, takes a run of equal
+bursts in one go (``CpuRepeat`` / ``Engine.try_advance_repeat``) as far
+as each of them would have been, and goes through the event heap
+otherwise.  Installing any ``on_dispatch`` hook forces the heap, so
+every test here runs one program twice -- plain, and forced slow by a
+no-op hook -- and asserts that nothing a simulation can observe
+differs, and that the two runs account for the same number of kernel
+steps: ``slow.dispatched == fast.dispatched + fast.inlined``.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_CATEGORIES
 from repro.simos.scheduler import OsProfile, SimOS
 from repro.simos.sync import Semaphore
-from repro.simos.thread import Cpu, SemPost, SemWait, Sleep, YieldCpu
+from repro.simos.thread import Cpu, CpuRepeat, SemPost, SemWait, Sleep, YieldCpu
 
 # few distinct values, so bursts, sleeps and timers often end at the
 # same instant: ties are where an inexact fast path would reorder
@@ -26,9 +28,17 @@ _NS = st.sampled_from([0, 1, 50, 100, 100, 250, 800, 3_000, 20_000])
 
 _CPU = st.tuples(st.just("cpu"), _NS, st.sampled_from(CPU_CATEGORIES))
 
+# a run of equal bursts asked for in one instruction; what the kernel
+# does not take of it the thread issues one by one
+_REPEAT = st.tuples(
+    st.just("repeat"), _NS.filter(bool), st.sampled_from(CPU_CATEGORIES),
+    st.sampled_from([1, 2, 7, 40, 400]),
+)
+
 _INSTR = st.one_of(
     _CPU,
     _CPU,  # twice: bursts are what the fast path is about
+    _REPEAT,
     st.tuples(st.just("sleep"), _NS),
     st.tuples(st.just("yield")),
     st.tuples(st.just("wait"), st.integers(0, 2)),
@@ -73,6 +83,7 @@ class _Machine:
         self.sems = [Semaphore(count) for count in program["sem_initial"]]
         self.log = []  # (who, step, virtual time) at every resumption
         self.exits = []
+        self.taken = 0  # bursts the kernel took out of repeat instructions
         if slow:
             subscribe(self.engine, "on_dispatch", lambda event: None)
         for index, instrs in enumerate(program["threads"]):
@@ -94,6 +105,11 @@ class _Machine:
             kind = instr[0]
             if kind == "cpu":
                 yield Cpu(instr[1], instr[2])
+            elif kind == "repeat":
+                taken = yield CpuRepeat(instr[1], instr[2], instr[3])
+                self.taken += taken
+                for _ in range(instr[3] - taken):
+                    yield Cpu(instr[1], instr[2])
             elif kind == "sleep":
                 yield Sleep(instr[1])
             elif kind == "yield":
@@ -148,7 +164,7 @@ class _Machine:
 
 def _assert_equivalent(fast, slow):
     assert fast.observed() == slow.observed()
-    assert slow.engine.inlined == 0
+    assert slow.engine.inlined == 0 and slow.taken == 0
     assert (
         slow.engine.dispatched
         == fast.engine.dispatched + fast.engine.inlined
@@ -209,6 +225,70 @@ def test_an_until_predicate_stops_both_runs_in_the_same_state():
     assert fast.log[-1] == ("t0", 4, 500)
     assert (fast.engine.inlined, len(fast.engine.events)) == (4, 1)
     _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def _repeater(count, ns=100):
+    # spawn() steps the first instruction outside run(), where nothing
+    # advances in place: a burst of its own goes first
+    return _spinner(1, ns) + [("repeat", ns, CPU_CATEGORIES[0], count)]
+
+
+def test_a_repeat_is_taken_whole_when_nothing_else_is_due():
+    fast = _Machine(_program([_repeater(50)]), slow=False)
+    assert (fast.engine.dispatched, fast.engine.inlined) == (1, 50)
+    assert (fast.taken, fast.engine.now) == (50, 5_100)
+    _assert_equivalent(fast, _Machine(_program([_repeater(50)]), slow=True))
+
+
+def test_a_repeat_stops_before_the_burst_that_ties_with_an_event():
+    # from 100 the bursts end at 200, 300, 400 and -- with the timer,
+    # which was pushed first and so fires first -- at 500
+    program = _program([_repeater(10)], timers=[(500, False)])
+    fast = _Machine(program, slow=False)
+    assert fast.taken == 3
+    assert fast.log.index(("timer", 0, 500)) < fast.log.index(("t0", 1, 1_100))
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def test_a_repeat_stops_at_until_ns():
+    program = _program([_repeater(100)], stop=("until_ns", 1_234))
+    fast = _Machine(program, slow=False)
+    assert (fast.taken, fast.engine.now) == (11, 1_234)
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def test_a_repeat_asks_a_clock_reading_predicate_at_every_burst():
+    # nothing but the repeat's own progress makes the predicate true
+    program = _program([_repeater(40)], stop=("clock", 500))
+    fast = _Machine(program, slow=False)
+    assert (fast.taken, fast.engine.now, len(fast.engine.events)) == (4, 500, 1)
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def test_a_repeat_is_not_taken_while_another_thread_waits_for_the_core():
+    program = _program([_repeater(5), _spinner(3)], cores=1)
+    fast = _Machine(program, slow=False)
+    # t1 queues behind t0 until t0 is done: every burst of t0 goes
+    # through the heap, where a preemption would be decided
+    assert fast.taken == 0
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+@pytest.mark.parametrize("predicate", [None, lambda: False])
+def test_a_repeat_with_an_empty_heap_hits_max_events_at_once(predicate):
+    engine = Engine(max_events=1_000)
+    simos = SimOS(engine, OsProfile(cores=1))
+
+    def spin():
+        yield Cpu(100)
+        yield CpuRepeat(100, CPU_CATEGORIES[0], 10**12)
+
+    simos.spawn(spin())
+    with pytest.raises(SimulationError, match="event budget exceeded"):
+        engine.run(until=predicate)
+    assert (engine.dispatched, engine.inlined) == (1, 1_000)
+    assert engine.now == 100 + 999 * 100
+    assert engine.try_advance_repeat(100, 5) == 0
 
 
 def test_spawn_outside_run_never_moves_the_clock():
@@ -280,11 +360,15 @@ def test_a_kernel_hook_turns_the_fast_path_off(hook):
     else:
         engine.perturb_delay = record
 
+    taken = []
+
     def body():
         for _ in range(20):
             yield Cpu(100)
+        taken.append((yield CpuRepeat(100, CPU_CATEGORIES[0], 5)))
 
     simos.spawn(body())
     engine.run()
     assert (engine.inlined, engine.dispatched, engine.now) == (0, 20, 2_000)
     assert len(calls) == 20
+    assert taken == [0]

@@ -1,5 +1,7 @@
 """Unit tests for operation sources and the public session facade."""
 
+import types
+
 import pytest
 
 from repro import PATreeSession, ReproError
@@ -7,6 +9,7 @@ from repro.core.ops import search_op
 from repro.core.source import ClosedLoopSource, ListSource, OpenLoopSource
 from repro.errors import WorkloadError
 from repro.nvme.device import fast_test_profile
+from repro.shard.sharded import _ShardSource
 from repro.sim.rng import RngRegistry
 
 
@@ -67,6 +70,54 @@ class TestOpenLoopSource:
         rng = RngRegistry(1).stream("x")
         with pytest.raises(WorkloadError):
             OpenLoopSource([], rate_per_sec=0, rng=rng)
+
+
+def _windowed(cls):
+    def make(ops):
+        source = cls(ops, window=3)
+        done = iter(ops)  # completions come back in admission order
+        return source, lambda: source.on_op_complete(next(done))
+    return make
+
+
+def _scheduled(ops):
+    rng = RngRegistry(3).stream("arrivals")
+    return OpenLoopSource(ops, rate_per_sec=20_000, rng=rng), None
+
+
+def _routed(ops):
+    # as the router does from a worker's reported completion: push the
+    # next operation onto the shard's pull queue
+    router = types.SimpleNamespace(
+        _drained=False, _on_shard_complete=lambda op: None
+    )
+    source = _ShardSource(router)
+    feed = iter(ops)
+    source.pending.append(next(feed))
+    return source, lambda: source.pending.append(next(feed))
+
+
+@pytest.mark.parametrize("make", [
+    _windowed(ClosedLoopSource), _windowed(ListSource), _scheduled, _routed,
+], ids=["closed_loop", "list", "open_loop", "shard_pull"])
+def test_polls_stay_empty_up_to_next_event_ns_unless_a_completion_is_reported(
+    make,
+):
+    """The contract a worker's idle burst leans on: see next_event_ns."""
+    ops = [search_op(i) for i in range(12)]
+    source, report_completion = make(ops)
+    now, admitted = 0, []
+    while len(admitted) < len(ops):
+        admitted += source.poll(now)
+        upcoming = source.next_event_ns(now)
+        quiet_until = now + 40_000 if upcoming is None else upcoming
+        assert quiet_until > now
+        for at_ns in (now, now + 1, (now + quiet_until) // 2, quiet_until - 1):
+            assert source.poll(at_ns) == []
+        now = quiet_until
+        if upcoming is None and len(admitted) < len(ops):
+            report_completion()
+    assert admitted == ops
 
 
 class TestSessionFacade:

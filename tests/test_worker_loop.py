@@ -9,11 +9,16 @@ parametrised over the tree engine and the LSM worker.
 import pytest
 
 from repro.core.engine import PaTreeEngine
-from repro.core.ops import search_op
+from repro.core.ops import search_op, update_op
 from repro.core.source import ClosedLoopSource, OpenLoopSource
 from repro.core.tree import PaTree
 from repro.core.worker import PolledWorker
-from repro.errors import IoError, RetryExhaustedError, SchedulerError
+from repro.errors import (
+    IoError,
+    RetryExhaustedError,
+    SchedulerError,
+    SimulationError,
+)
 from repro.faults import FaultConfig
 from repro.nvme.command import IoStatus
 from repro.nvme.device import NvmeDevice, fast_test_profile
@@ -23,7 +28,10 @@ from repro.obs.tracer import EV_SLICE, Tracer
 from repro.palsm import AsyncLsmStore, PolledLsmWorker
 from repro.sched.naive import NaiveScheduling
 from repro.sched.policies import FixedRateProbing
+from repro.sched.probe_model import cached_probe_model
+from repro.sched.workload_aware import WorkloadAwareScheduling
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 from repro.sim.rng import RngRegistry
 from repro.simos.scheduler import OsProfile, SimOS
 
@@ -102,6 +110,89 @@ def test_naive_policy_spins_and_never_declines_a_probe(kind):
     assert worker.idle_yields.value == 0
     assert worker.probe_skips.value == 0
     assert worker.probes.value > 0
+
+
+def _gated(**knobs):
+    return WorkloadAwareScheduling(
+        cached_probe_model(fast_test_profile()), **knobs
+    )
+
+
+_POLICIES = {
+    "naive": NaiveScheduling,
+    "gated_yielding": _gated,
+    "gated_spinning": lambda: _gated(cpu_yield=False),
+}
+
+
+def _idle_run(kind, policy, open_loop, slow):
+    """One run with long idle stretches and everything it accounts."""
+    engine, worker = build(kind, policy=_POLICIES[policy]())
+    if slow:  # any on_dispatch subscriber keeps the kernel on the heap
+        subscribe(engine, "on_dispatch", lambda event: None)
+    taken = []  # idle turns per burst the kernel granted
+    take = engine.try_advance_repeat
+    engine.try_advance_repeat = (
+        lambda step_ns, count: taken.append(take(step_ns, count)) or taken[-1]
+    )
+    ops = [
+        update_op(op.key, payload(op.key + 1)) if index % 3 == 0 else op
+        for index, op in enumerate(reads(150))
+    ]
+    if open_loop:
+        rng = RngRegistry(9).stream("arrivals")
+        source = OpenLoopSource(ops, rate_per_sec=40_000, rng=rng)
+    else:
+        source = ClosedLoopSource(ops, window=4)
+    worker.reset_source(source)
+    worker.run_to_completion()
+    device = worker.backend.device
+    return engine, sum(taken), {
+        "now": engine.now,
+        "ops": [(op.result, op.admit_ns, op.done_ns) for op in ops],
+        "decisions": [
+            counter.value for counter in (
+                worker.probes, worker.probe_skips,
+                worker.idle_spins, worker.idle_yields,
+            )
+        ],
+        "cpu": worker.worker_thread.account.by_category,
+        "busy_ns": [core.busy_ns for core in worker.simos.cores],
+        "probe_calls": device.probe_calls.value,
+        "iface_free_ns": device._iface_free_ns,
+        "device": (
+            device.reads_completed.value, device.read_latency_sum_ns,
+            device.writes_completed.value, device.write_latency_sum_ns,
+        ),
+    }
+
+
+@pytest.mark.parametrize("open_loop", [False, True], ids=["closed", "open"])
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+def test_idle_turns_taken_in_bursts_account_like_turns_taken_one_by_one(
+    kind, policy, open_loop
+):
+    fast_engine, fast_taken, fast = _idle_run(kind, policy, open_loop, False)
+    slow_engine, slow_taken, slow = _idle_run(kind, policy, open_loop, True)
+    assert fast == slow
+    assert slow_engine.inlined == 0 and slow_taken == 0
+    assert (
+        slow_engine.dispatched == fast_engine.dispatched + fast_engine.inlined
+    )
+    assert fast_taken > 0  # the plain run did book idle turns in bursts
+
+
+def test_probing_for_an_io_that_never_completes_trips_the_event_budget(kind):
+    engine, worker = build(kind)
+    engine.max_events = 20_000
+    # no channel ever frees up: the read is submitted and never served,
+    # so the heap stays empty while the worker probes an empty queue
+    worker.backend.device._free_channels = 0
+    with pytest.raises(SimulationError, match="event budget exceeded"):
+        worker.run_operations(reads(1), window=1)
+    assert worker.io_history.outstanding_count == 1
+    assert len(engine.events) == 0
+    assert engine.dispatched + engine.inlined == 20_001
 
 
 def test_poisoned_read_aborts_with_the_typed_error(kind):
