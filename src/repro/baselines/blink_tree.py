@@ -20,7 +20,7 @@ from repro.baselines.sync_tree import BlockingPageIo
 from repro.core.latch import EXCLUSIVE
 from repro.core.node import NO_PAGE, Node
 from repro.core.ops import DELETE, INSERT, RANGE, SEARCH, SYNC, UPDATE
-from repro.errors import TreeError
+from repro.errors import IoError, TreeError
 from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.sync import Mutex
 from repro.simos.thread import Cpu, SemPost, SemWait
@@ -66,16 +66,24 @@ class BlinkTreeAccessor(BlockingPageIo):
             node = yield from self._read_node(tls, node.child_for(key))
             yield Cpu(costs.node_search_ns, CPU_REAL_WORK)
 
-    def _latch_node_for_key(self, tls, start_id, key):
+    def _latch(self, op, page_id):
+        yield from self.latches.acquire(page_id, EXCLUSIVE)
+        op.held_latches[page_id] = EXCLUSIVE
+
+    def _unlatch(self, op, page_id):
+        del op.held_latches[page_id]
+        yield from self.latches.release(page_id, EXCLUSIVE)
+
+    def _latch_node_for_key(self, tls, op, start_id, key):
         """Latch a node, re-read it, and move right (with latch hand-over)
         until the key fits — the Blink writer protocol."""
         page_id = start_id
-        yield from self.latches.acquire(page_id, EXCLUSIVE)
+        yield from self._latch(op, page_id)
         node = yield from self._read_node(tls, page_id)
         while self._needs_right_move(node, key):
             next_id = node.next_id
-            yield from self.latches.acquire(next_id, EXCLUSIVE)
-            yield from self.latches.release(page_id, EXCLUSIVE)
+            yield from self._latch(op, next_id)
+            yield from self._unlatch(op, page_id)
             page_id = next_id
             node = yield from self._read_node(tls, page_id)
         return node
@@ -85,20 +93,28 @@ class BlinkTreeAccessor(BlockingPageIo):
     # ------------------------------------------------------------------
 
     def execute(self, tls, op):
-        if op.kind == SEARCH:
-            yield from self._search(tls, op)
-        elif op.kind == RANGE:
-            yield from self._range(tls, op)
-        elif op.kind == INSERT:
-            yield from self._insert(tls, op)
-        elif op.kind == UPDATE:
-            yield from self._leaf_write(tls, op, update_only=True)
-        elif op.kind == DELETE:
-            yield from self._delete(tls, op)
-        elif op.kind == SYNC:
-            op.result = yield from self._sync(tls)
-        else:
-            raise TreeError("unknown operation kind %r" % (op.kind,))
+        """Run one operation on the calling thread; an I/O failure
+        releases the latches ``op`` holds before it propagates, so the
+        writers queued behind them are not wedged."""
+        try:
+            if op.kind == SEARCH:
+                yield from self._search(tls, op)
+            elif op.kind == RANGE:
+                yield from self._range(tls, op)
+            elif op.kind == INSERT:
+                yield from self._insert(tls, op)
+            elif op.kind == UPDATE:
+                yield from self._leaf_write(tls, op, update_only=True)
+            elif op.kind == DELETE:
+                yield from self._delete(tls, op)
+            elif op.kind == SYNC:
+                op.result = yield from self._sync(tls)
+            else:
+                raise TreeError("unknown operation kind %r" % (op.kind,))
+        except IoError:
+            for page_id in sorted(op.held_latches):
+                yield from self._unlatch(op, page_id)
+            raise
 
     def _search(self, tls, op):
         leaf, _ancestors = yield from self._descend_to_leaf(tls, op.key)
@@ -119,7 +135,7 @@ class BlinkTreeAccessor(BlockingPageIo):
         """Update (and simple non-splitting insert) path."""
         costs = self.tree.costs
         leaf_hint, _ancestors = yield from self._descend_to_leaf(tls, op.key)
-        leaf = yield from self._latch_node_for_key(tls, leaf_hint.page_id, op.key)
+        leaf = yield from self._latch_node_for_key(tls, op, leaf_hint.page_id, op.key)
         yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
         found = leaf.leaf_lookup(op.key) is not None
         if update_only:
@@ -127,7 +143,7 @@ class BlinkTreeAccessor(BlockingPageIo):
                 leaf.leaf_insert(op.key, op.payload)
                 yield from self._write_node(tls, leaf)
             op.result = found
-            yield from self.latches.release(leaf.page_id, EXCLUSIVE)
+            yield from self._unlatch(op, leaf.page_id)
             return leaf, found
         return leaf, found
 
@@ -135,7 +151,7 @@ class BlinkTreeAccessor(BlockingPageIo):
         costs = self.tree.costs
         tree = self.tree
         leaf_hint, ancestors = yield from self._descend_to_leaf(tls, op.key)
-        leaf = yield from self._latch_node_for_key(tls, leaf_hint.page_id, op.key)
+        leaf = yield from self._latch_node_for_key(tls, op, leaf_hint.page_id, op.key)
         yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
 
         if not leaf.is_full or leaf.leaf_lookup(op.key) is not None:
@@ -144,7 +160,7 @@ class BlinkTreeAccessor(BlockingPageIo):
             if inserted:
                 tree.meta.key_count += 1
             yield from self._write_node(tls, leaf)
-            yield from self.latches.release(leaf.page_id, EXCLUSIVE)
+            yield from self._unlatch(op, leaf.page_id)
             return
 
         # Split the leaf, then insert separators bottom-up.
@@ -159,7 +175,7 @@ class BlinkTreeAccessor(BlockingPageIo):
         op.result = True
         yield from self._write_node(tls, right)  # right sibling durable first
         yield from self._write_node(tls, leaf)
-        yield from self.latches.release(leaf.page_id, EXCLUSIVE)
+        yield from self._unlatch(op, leaf.page_id)
 
         child_id = leaf.page_id
         child_level = 0
@@ -180,12 +196,14 @@ class BlinkTreeAccessor(BlockingPageIo):
                 if len(fresh) < child_level + 1:
                     continue  # tree still too short; retry the root path
                 parent_start = fresh[-(child_level + 1)]
-            parent = yield from self._latch_node_for_key(tls, parent_start, separator)
+            parent = yield from self._latch_node_for_key(
+                tls, op, parent_start, separator
+            )
             yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
             if not parent.is_full:
                 parent.inner_insert(separator, right_id)
                 yield from self._write_node(tls, parent)
-                yield from self.latches.release(parent.page_id, EXCLUSIVE)
+                yield from self._unlatch(op, parent.page_id)
                 return
             yield Cpu(costs.split_ns, CPU_REAL_WORK)
             parent_right_id = yield from self._allocate()
@@ -196,7 +214,7 @@ class BlinkTreeAccessor(BlockingPageIo):
                 parent.inner_insert(separator, right_id)
             yield from self._write_node(tls, parent_right)
             yield from self._write_node(tls, parent)
-            yield from self.latches.release(parent.page_id, EXCLUSIVE)
+            yield from self._unlatch(op, parent.page_id)
             child_id = parent.page_id
             child_level = parent.level
             separator = parent_sep
@@ -225,11 +243,11 @@ class BlinkTreeAccessor(BlockingPageIo):
     def _delete(self, tls, op):
         costs = self.tree.costs
         leaf_hint, _ancestors = yield from self._descend_to_leaf(tls, op.key)
-        leaf = yield from self._latch_node_for_key(tls, leaf_hint.page_id, op.key)
+        leaf = yield from self._latch_node_for_key(tls, op, leaf_hint.page_id, op.key)
         yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
         removed = leaf.leaf_delete(op.key)
         op.result = removed
         if removed:
             self.tree.meta.key_count -= 1
             yield from self._write_node(tls, leaf)
-        yield from self.latches.release(leaf.page_id, EXCLUSIVE)
+        yield from self._unlatch(op, leaf.page_id)

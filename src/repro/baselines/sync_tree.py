@@ -2,7 +2,8 @@
 
 Interprets the shared plans of :mod:`repro.core.plans` — the same
 generators the PA engine runs: latch-coupled descent, split cascades
-with ordered write waves, right-sibling delete rebalancing — in the
+with ordered write waves, right-sibling delete rebalancing, and the
+batch plan of :mod:`repro.core.batch` — in the
 *traditional synchronous execution paradigm*: the calling thread
 blocks on every I/O (through a :mod:`~repro.baselines.io_service`) and
 on every latch (through the semaphore-based
@@ -20,13 +21,13 @@ from repro.core.meta import META_PAGE
 from repro.core.node import Node
 from repro.core.ops import (
     AllocEff,
-    BATCH,
     ChargeEff,
     FreeEff,
     LatchEff,
     ReadEff,
     SyncEff,
     UnlatchEff,
+    UnlatchManyEff,
     WriteEff,
 )
 from repro.core.plans import make_plan
@@ -172,8 +173,6 @@ class SyncTreeAccessor(BlockingPageIo):
         chain.  It is also what an I/O failure releases, so a failed
         operation cannot wedge the threads queued behind its latches.
         """
-        if op.kind == BATCH:
-            raise TreeError("unknown operation kind %r" % (op.kind,))
         plan = make_plan(op, self.tree)
         latches = self.latches
         held = {}
@@ -192,12 +191,16 @@ class SyncTreeAccessor(BlockingPageIo):
                 elif kind is UnlatchEff:
                     page_id = effect.page_id
                     yield from latches.release(page_id, held.pop(page_id))
+                elif kind is UnlatchManyEff:
+                    for page_id in effect.page_ids:
+                        yield from latches.release(page_id, held.pop(page_id))
                 elif kind is ReadEff:
                     send = yield from self._read_node(tls, effect.page_id)
                 elif kind is ChargeEff:
                     yield Cpu(effect.ns, effect.category)
                 elif kind is WriteEff:
-                    # ``coalesce`` is the batch plan's; none runs here
+                    # ``coalesce`` is a submission hint: a blocking
+                    # thread has one write in flight either way
                     for node in effect.nodes:
                         yield from self._write_node(tls, node)
                     if effect.write_meta:

@@ -21,8 +21,16 @@ splits into at most ``p`` new siblings, so at most ``p`` separators
 reach each ancestor; a delete removes at most one child per level.
 Overflow is handled by an n-way split (balanced chunks, Blink chain
 preserved, separators batch-inserted into the retained parent, root
-growth by whole levels); underflow reuses the right-sibling merge /
-borrow protocol of the single-op delete plan.
+growth by whole levels); underflow runs :func:`rebalance`, the one
+right-sibling merge / borrow / root-shrink loop the single-op delete
+plan runs too.
+
+This module sits below :mod:`repro.core.plans`, which imports the two
+steps both kinds of plan share: :func:`descend_shared` and
+:func:`rebalance`.  Like every plan, the batch plan only yields
+effects — pages come from ``AllocEff`` and go back through ``FreeEff``
+— so both interpreters (the polled engine and the blocking
+``SyncTreeAccessor``) run it.
 """
 
 import bisect
@@ -30,8 +38,10 @@ import bisect
 from repro.core.latch import EXCLUSIVE, SHARED
 from repro.core.node import Node
 from repro.core.ops import (
+    AllocEff,
     ChargeEff,
     DELETE,
+    FreeEff,
     GET,
     LatchEff,
     PUT,
@@ -102,9 +112,14 @@ def _group_end(skeys, pos, high_key):
 # ----------------------------------------------------------------------
 
 
-def _read_group(tree, specs, order, skeys, pos, results):
+def descend_shared(tree, key):
+    """Shared-latch coupled descent to the leaf owning ``key``.
+
+    Couples parent -> child from the meta page down, releasing each
+    parent as soon as the child latch is granted.  Returns the leaf,
+    its shared latch still held: the caller releases it.
+    """
     costs = tree.costs
-    key = skeys[pos]
     meta_page = tree.meta_page
     yield LatchEff(meta_page, SHARED)
     prev = meta_page
@@ -115,16 +130,21 @@ def _read_group(tree, specs, order, skeys, pos, results):
         node = yield ReadEff(page_id)
         yield ChargeEff(costs.node_search_ns, CPU_REAL_WORK)
         if node.is_leaf:
-            break
+            return node
         prev = page_id
         page_id = node.child_for(key)
+
+
+def _read_group(tree, specs, order, skeys, pos, results):
+    costs = tree.costs
+    node = yield from descend_shared(tree, skeys[pos])
     end = _group_end(skeys, pos, node.high_key)
     count = end - pos
     yield ChargeEff(vector_cost_ns(costs.leaf_update_ns, count), CPU_REAL_WORK)
     values = node.leaf_lookup_many(skeys[pos:end])
     for offset in range(count):
         results[order[pos + offset]] = values[offset]
-    yield UnlatchEff(page_id)
+    yield UnlatchEff(node.page_id)
     return end
 
 
@@ -192,9 +212,9 @@ def _update_group(tree, specs, order, skeys, pre_put, pre_del, pos, results):
         leaf.values = merged_values
         dirty[leaf.page_id] = leaf
         if leaf.count < leaf.min_keys:
-            write_meta = yield from _rebalance(tree, path_nodes, leaf, dirty)
+            write_meta = yield from rebalance(tree, path_nodes, leaf, dirty)
     else:
-        write_meta = _multi_split(
+        write_meta = yield from _multi_split(
             tree, path_nodes, leaf, merged_keys, merged_values, new_nodes, dirty
         )
         yield ChargeEff(
@@ -291,7 +311,7 @@ def _multi_split(tree, path_nodes, leaf, merged_keys, merged_values, new_nodes, 
     start = first
     prev = leaf
     for size in chunks[1:]:
-        right_id = tree.allocator.allocate()
+        right_id = yield AllocEff()
         right = Node.new_leaf(config, right_id)
         right.keys = merged_keys[start:start + size]
         right.values = merged_values[start:start + size]
@@ -310,20 +330,20 @@ def _multi_split(tree, path_nodes, leaf, merged_keys, merged_values, new_nodes, 
     while seps:
         parent = path_nodes[index] if index >= 0 else None
         if parent is None:
-            return _grow_root(tree, child, seps, new_nodes)
+            return (yield from _grow_root(tree, child, seps, new_nodes))
         child_slot = parent.children.index(child.page_id)
         parent.keys[child_slot:child_slot] = [k for k, _ in seps]
         parent.children[child_slot + 1:child_slot + 1] = [p for _, p in seps]
         dirty[parent.page_id] = parent
         if parent.count <= config.inner_capacity:
             return False
-        seps = _split_inner(tree, parent, new_nodes)
+        seps = yield from _split_inner(parent, new_nodes)
         child = parent
         index -= 1
     return False
 
 
-def _split_inner(tree, parent, new_nodes):
+def _split_inner(parent, new_nodes):
     """n-way split of an overflowing inner node; returns up-separators."""
     config = parent.config
     entries = list(zip([None] + parent.keys, parent.children))
@@ -338,7 +358,7 @@ def _split_inner(tree, parent, new_nodes):
     prev = parent
     for size in chunks[1:]:
         piece = entries[start:start + size]
-        inner_id = tree.allocator.allocate()
+        inner_id = yield AllocEff()
         inner = Node.new_inner(config, inner_id, parent.level)
         inner.keys = [k for k, _ in piece[1:]]
         inner.children = [p for _, p in piece]
@@ -366,7 +386,7 @@ def _grow_root(tree, old_root, seps, new_nodes):
         start = 0
         for size in chunks:
             piece = entries[start:start + size]
-            inner_id = tree.allocator.allocate()
+            inner_id = yield AllocEff()
             inner = Node.new_inner(config, inner_id, level)
             inner.keys = [k for k, _ in piece[1:]]
             inner.children = [p for _, p in piece]
@@ -383,8 +403,16 @@ def _grow_root(tree, old_root, seps, new_nodes):
     return True
 
 
-def _rebalance(tree, path_nodes, leaf, dirty):
-    """Right-sibling merge/borrow, same protocol as the single delete."""
+def rebalance(tree, path_nodes, leaf, dirty):
+    """Cure an underfull ``leaf`` under its retained, exclusively
+    latched path; returns True when the meta page must be rewritten.
+
+    Merges with or borrows from the *right* sibling only, one level at
+    a time up ``path_nodes`` (index 0 is the topmost retained node,
+    ``None`` for the meta page), then shrinks a root that decayed to a
+    single child.  Touched nodes land in ``dirty``; freed pages leave
+    it.  The single-op delete plan and the batch plan both run this.
+    """
     costs = tree.costs
     write_meta = False
     index = len(path_nodes) - 1
@@ -392,10 +420,10 @@ def _rebalance(tree, path_nodes, leaf, dirty):
     while current.count < current.min_keys:
         parent = path_nodes[index - 1] if index >= 1 else None
         if parent is None:
-            break  # retained top (or root): tolerate underflow
+            break  # current is the root (or the retained top): tolerate
         child_index = parent.children.index(current.page_id)
         if child_index == parent.count:
-            break  # rightmost child: lazy deletion
+            break  # rightmost child: tolerate underflow (lazy deletion)
         right_id = parent.children[child_index + 1]
         yield LatchEff(right_id, EXCLUSIVE)
         right = yield ReadEff(right_id)
@@ -405,13 +433,14 @@ def _rebalance(tree, path_nodes, leaf, dirty):
             current.merge_from_right(right, separator)
             parent.inner_remove_child(child_index + 1)
             yield UnlatchEff(right_id)
-            tree.release_page(right_id)
+            yield FreeEff(right_id)
             dirty.pop(right_id, None)
             dirty[current.page_id] = current
             dirty[parent.page_id] = parent
             current = parent
             index -= 1
         else:
+            # move enough entries to balance the two siblings
             moves = max(1, (right.count - current.count) // 2)
             new_separator = separator
             for _ in range(moves):
@@ -423,6 +452,7 @@ def _rebalance(tree, path_nodes, leaf, dirty):
             yield UnlatchEff(right_id)
             break
 
+    # Shrink the root when it decayed to a single child.
     root = (
         path_nodes[1]
         if path_nodes[0] is None and len(path_nodes) > 1
@@ -438,5 +468,5 @@ def _rebalance(tree, path_nodes, leaf, dirty):
         tree.meta.height -= 1
         write_meta = True
         dirty.pop(root.page_id, None)
-        tree.release_page(root.page_id)
+        yield FreeEff(root.page_id)
     return write_meta

@@ -22,7 +22,6 @@ from repro.core.ops import (
     LatchEff,
     ReadEff,
     ST_DONE,
-    ST_IO_WAIT,
     ST_LATCH_WAIT,
     ST_READY,
     SYNC,
@@ -225,18 +224,14 @@ class PaTreeEngine(PolledWorker):
             elif kind is ReadEff:
                 result = yield from self._read_page(op, effect.page_id)
                 if result is None:
-                    op.state = ST_IO_WAIT
-                    if self.tracer.enabled:
-                        self.tracer.async_instant("op", op.seq, "io_wait")
+                    self._park_for_io(op)
                     return
                 send = result
 
             elif kind is WriteEff:
                 waiting = yield from self._write_wave(op, effect)
                 if waiting:
-                    op.state = ST_IO_WAIT
-                    if self.tracer.enabled:
-                        self.tracer.async_instant("op", op.seq, "io_wait")
+                    self._park_for_io(op)
                     return
 
             elif kind is ChargeEff:
@@ -245,9 +240,7 @@ class PaTreeEngine(PolledWorker):
             elif kind is SyncEff:
                 waiting, flushed = yield from self._start_sync(op)
                 if waiting:
-                    op.state = ST_IO_WAIT
-                    if self.tracer.enabled:
-                        self.tracer.async_instant("op", op.seq, "io_wait")
+                    self._park_for_io(op)
                     return
                 send = flushed
 

@@ -20,9 +20,16 @@ the exclusively latched parent, preserving a global left-to-right latch
 order (no deadlock against range scans walking the leaf chain).  A
 rightmost child with no right sibling is allowed to stay underfull —
 the same lazy-deletion trade-off PostgreSQL makes.
+
+The shared-latch descent and the rebalance loop are the steps the batch
+plan shares with these; each is one generator in
+:mod:`repro.core.batch` (``descend_shared``, ``rebalance``) that the
+plans here ``yield from``.  The single-insert split cascade is *not*
+the batch's n-way split at one key: it halves the full leaf before
+placing the key, the n-way split balances after (DESIGN.md §2).
 """
 
-from repro.core.batch import batch_plan
+from repro.core.batch import batch_plan, descend_shared, rebalance
 from repro.core.latch import EXCLUSIVE, SHARED
 from repro.core.node import Node
 from repro.core.ops import (
@@ -30,7 +37,6 @@ from repro.core.ops import (
     BATCH,
     ChargeEff,
     DELETE,
-    FreeEff,
     INSERT,
     LatchEff,
     RANGE,
@@ -71,40 +77,15 @@ def make_plan(op, tree):
 
 
 def _search_plan(op, tree):
-    costs = tree.costs
-    meta_page = tree.meta_page
-    yield LatchEff(meta_page, SHARED)
-    prev = meta_page
-    page_id = tree.meta.root_page
-    while True:
-        yield LatchEff(page_id, SHARED)
-        yield UnlatchEff(prev)
-        node = yield ReadEff(page_id)
-        yield ChargeEff(costs.node_search_ns, CPU_REAL_WORK)
-        if node.is_leaf:
-            op.result = node.leaf_lookup(op.key)
-            yield UnlatchEff(page_id)
-            return
-        prev = page_id
-        page_id = node.child_for(op.key)
+    leaf = yield from descend_shared(tree, op.key)
+    op.result = leaf.leaf_lookup(op.key)
+    yield UnlatchEff(leaf.page_id)
 
 
 def _range_plan(op, tree):
     costs = tree.costs
     results = []
-    meta_page = tree.meta_page
-    yield LatchEff(meta_page, SHARED)
-    prev = meta_page
-    page_id = tree.meta.root_page
-    while True:
-        yield LatchEff(page_id, SHARED)
-        yield UnlatchEff(prev)
-        node = yield ReadEff(page_id)
-        yield ChargeEff(costs.node_search_ns, CPU_REAL_WORK)
-        if node.is_leaf:
-            break
-        prev = page_id
-        page_id = node.child_for(op.key)
+    node = yield from descend_shared(tree, op.key)
     # Scan the leaf chain with shared-latch coupling left to right.
     while True:
         if node.leaf_collect(op.key, op.high_key, op.limit, results):
@@ -268,58 +249,7 @@ def _delete_plan(op, tree):
     tree.meta.key_count -= 1
 
     dirty = {leaf.page_id: leaf}
-    write_meta = False
-    index = len(path_nodes) - 1
-    current = leaf
-    while current.count < current.min_keys:
-        parent = path_nodes[index - 1] if index >= 1 else None
-        if parent is None:
-            break  # current is the root (or the retained top): tolerate
-        child_index = parent.children.index(current.page_id)
-        if child_index == parent.count:
-            break  # rightmost child: tolerate underflow (lazy deletion)
-        right_id = parent.children[child_index + 1]
-        yield LatchEff(right_id, EXCLUSIVE)
-        right = yield ReadEff(right_id)
-        separator = parent.keys[child_index]
-        yield ChargeEff(costs.merge_ns, CPU_REAL_WORK)
-        if current.can_merge_with(right):
-            current.merge_from_right(right, separator)
-            parent.inner_remove_child(child_index + 1)
-            yield UnlatchEff(right_id)
-            yield FreeEff(right_id)
-            dirty.pop(right_id, None)
-            dirty[current.page_id] = current
-            dirty[parent.page_id] = parent
-            current = parent
-            index -= 1
-        else:
-            # move enough entries to balance the two siblings
-            moves = max(1, (right.count - current.count) // 2)
-            new_separator = separator
-            for _ in range(moves):
-                new_separator = current.borrow_from_right(right, new_separator)
-            parent.keys[child_index] = new_separator
-            dirty[current.page_id] = current
-            dirty[right_id] = right
-            dirty[parent.page_id] = parent
-            yield UnlatchEff(right_id)
-            break
-
-    # Shrink the root when it decayed to a single child.
-    root = path_nodes[1] if path_nodes and path_nodes[0] is None and len(path_nodes) > 1 else None
-    if (
-        root is not None
-        and not root.is_leaf
-        and root.count == 0
-        and tree.meta.root_page == root.page_id
-    ):
-        tree.meta.root_page = root.children[0]
-        tree.meta.height -= 1
-        write_meta = True
-        dirty.pop(root.page_id, None)
-        yield FreeEff(root.page_id)
-
+    write_meta = yield from rebalance(tree, path_nodes, leaf, dirty)
     yield WriteEff(list(dirty.values()), write_meta=write_meta)
     for page_id in path_ids:
         yield UnlatchEff(page_id)

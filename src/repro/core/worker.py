@@ -28,7 +28,7 @@ the seams:
 from collections import deque
 
 from repro.backend.base import as_backend
-from repro.core.ops import ST_DONE, ST_READY
+from repro.core.ops import ST_DONE, ST_IO_WAIT, ST_READY
 from repro.core.source import ClosedLoopSource
 from repro.errors import (
     IoError,
@@ -391,6 +391,15 @@ class PolledWorker:
                 "op", op.seq, op.kind, args={"key": op.key}
             )
         self.policy.on_ready(op)
+
+    def _park_for_io(self, op, ios=None):
+        """``op`` waits for the I/O it just submitted (``ios`` commands)."""
+        op.state = ST_IO_WAIT
+        if self.tracer.enabled:
+            self.tracer.async_instant(
+                "op", op.seq, "io_wait",
+                args=None if ios is None else {"ios": ios},
+            )
 
     def _complete(self, op):
         op.state = ST_DONE

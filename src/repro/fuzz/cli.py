@@ -43,8 +43,8 @@ def build_parser():
     parser.add_argument("--ops", type=int, default=200,
                         help="point ops per run (default 200)")
     parser.add_argument("--sync-oracle", action="store_true",
-                        help="also replay point ops on the synchronous "
-                        "tree oracle (patree target, fault-free runs)")
+                        help="also replay each batch under the blocking "
+                        "interpreter (patree target, fault-free runs)")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="write fuzz_report/_repro/_postmortem JSONs")
     parser.add_argument("--known-bad", action="store_true",

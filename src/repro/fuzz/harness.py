@@ -24,7 +24,7 @@ the known-bad scenario CI replays.
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 from repro.api import AsyncLsmSession, PATreeSession, ShardedSession
-from repro.core.ops import DELETE, GET, PUT, OpSpec
+from repro.core.ops import DELETE, GET, PUT, OpSpec, batch_op
 from repro.errors import (
     BatchError,
     IoError,
@@ -438,8 +438,10 @@ def _final_checks(session, cfg, model, uncertain, devices, state):
     return None
 
 
-def _sync_tree_check(seed, cfg, preload, specs, results, final_items):
-    """Replay the executed point ops on the synchronous-tree oracle."""
+def _sync_tree_check(seed, cfg, preload, batches, results, final_items):
+    """Replay each executed batch, as a batch, under the blocking
+    interpreter of the same plans: with the dict checks green, a
+    disagreement here is an interpreter bug, not a plan bug."""
     from repro.baselines.io_service import DedicatedIoService
     from repro.baselines.latching import BlockingLatchTable
     from repro.baselines.runner import BaselineRunner
@@ -457,10 +459,11 @@ def _sync_tree_check(seed, cfg, preload, specs, results, final_items):
     accessor = SyncTreeAccessor(
         tree, DedicatedIoService(backend.driver), BlockingLatchTable()
     )
-    ops = [spec.to_operation() for spec in specs]
+    ops = [batch_op(specs) for specs in batches]
     BaselineRunner(simos, accessor, ops, n_threads=1).run_to_completion()
-    oracle_results = [op.result for op in ops]
+    oracle_results = [result for op in ops for result in op.result]
     if oracle_results != results:
+        specs = [spec for batch in batches for spec in batch]
         for index, (mine, theirs) in enumerate(zip(results, oracle_results)):
             if mine != theirs:
                 spec = specs[index]
@@ -506,7 +509,7 @@ def run_one(seed, cfg, decider=None):
     model = {}
     uncertain = set()
     state = {"ops": 0, "tolerated": 0}
-    executed_specs = []
+    executed_batches = []
     executed_results = []
     failure = None
     error = None
@@ -547,7 +550,7 @@ def run_one(seed, cfg, decider=None):
                         state["tolerated"] += 1
                         uncertain.update(spec.key for spec in specs)
                         continue
-                    executed_specs.extend(specs)
+                    executed_batches.append(specs)
                     executed_results.extend(got)
                     failure = _apply_batch(
                         specs, got, model, uncertain, step_index,
@@ -569,7 +572,7 @@ def run_one(seed, cfg, decider=None):
                     seed,
                     cfg,
                     preload,
-                    executed_specs,
+                    executed_batches,
                     executed_results,
                     dict(session.tree.iterate_items_raw()),
                 )

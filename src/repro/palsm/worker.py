@@ -18,7 +18,6 @@ from repro.core.costs import DEFAULT_COSTS
 from repro.core.ops import (
     ChargeEff,
     ST_DONE,
-    ST_IO_WAIT,
     ST_READY,
     SYNC,
 )
@@ -93,9 +92,7 @@ class PolledLsmWorker(PolledWorker):
                 )
                 self.io_history.on_submit(command)
                 op.io_remaining = 1
-                op.state = ST_IO_WAIT
-                if self.tracer.enabled:
-                    self.tracer.async_instant("op", op.seq, "io_wait")
+                self._park_for_io(op)
                 return
 
             if kind is ReadBatchEff:
@@ -116,11 +113,7 @@ class PolledLsmWorker(PolledWorker):
                 if pending:
                     self._batch_reads[op.seq] = (effect.lbas, results)
                     op.io_remaining = pending
-                    op.state = ST_IO_WAIT
-                    if self.tracer.enabled:
-                        self.tracer.async_instant(
-                            "op", op.seq, "io_wait", args={"ios": pending}
-                        )
+                    self._park_for_io(op, pending)
                     return
                 send = [results[lba] for lba in effect.lbas]
                 continue
@@ -136,11 +129,7 @@ class PolledLsmWorker(PolledWorker):
                     count += 1
                 if count:
                     op.io_remaining = count
-                    op.state = ST_IO_WAIT
-                    if self.tracer.enabled:
-                        self.tracer.async_instant(
-                            "op", op.seq, "io_wait", args={"ios": count}
-                        )
+                    self._park_for_io(op, count)
                     return
                 continue
 

@@ -497,6 +497,55 @@ def test_pa520_ownership_transferring_return_is_clean(tmp_path):
     assert findings == []
 
 
+def test_pa520_follows_a_latched_node_through_yield_from(tmp_path):
+    """A shared step returns its leaf still latched: the helper is
+    clean, and each caller owes the release of what it was handed."""
+    findings = graph_findings(
+        tmp_path,
+        {
+            _OPS_STUB[0]: _OPS_STUB[1],
+            "src/repro/core/batch.py": (
+                """
+                from repro.core.ops import LatchEff, ReadEff, UnlatchEff
+
+                def descend(tree, key):
+                    meta = tree.meta_page
+                    yield LatchEff(meta, 0)
+                    prev = meta
+                    page = tree.root
+                    while True:
+                        yield LatchEff(page, 0)
+                        yield UnlatchEff(prev)
+                        node = yield ReadEff(page)
+                        if node.is_leaf:
+                            return node
+                        prev = page
+                        page = node.child
+                """
+            ),
+            "src/repro/core/plans.py": (
+                """
+                from repro.core.batch import descend
+                from repro.core.ops import UnlatchEff
+
+                def search(op, tree):
+                    leaf = yield from descend(tree, op.key)
+                    op.result = leaf.lookup(op.key)
+                    yield UnlatchEff(leaf.page_id)
+
+                def leaky(op, tree):
+                    leaf = yield from descend(tree, op.key)
+                    if leaf.lookup(op.key):
+                        yield UnlatchEff(leaf.page_id)
+                """
+            ),
+        },
+    )
+    assert codes(findings) == ["PA520"]
+    assert "'leaky'" in findings[0].message
+    assert "descend() returns" in findings[0].message
+
+
 def test_pa520_unlatch_many_releases_everything(tmp_path):
     findings = graph_findings(
         tmp_path,

@@ -24,11 +24,12 @@ from repro.core.ops import (
     update_op,
 )
 from repro.core.tree import PaTree
-from repro.errors import IoError, TreeError
+from repro.errors import IoError
 from repro.faults import FaultConfig
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 from repro.simos.scheduler import OsProfile, SimOS
 
 
@@ -36,15 +37,22 @@ def payload(key):
     return (key % 2**64).to_bytes(8, "little")
 
 
-def make_machine(seed=1, preload=1_000, faults=None):
+def make_machine(seed=1, preload=1_000, faults=None, payload_size=8):
     engine = Engine(seed=seed)
     simos = SimOS(engine, OsProfile(cores=8))
     device = NvmeDevice(engine, fast_test_profile(), faults=faults)
     driver = NvmeDriver(device)
-    tree = PaTree.create(device)
+    tree = PaTree.create(device, payload_size=payload_size)
     if preload:
         tree.bulk_load([(k * 10, payload(k * 10)) for k in range(1, preload + 1)])
     return engine, simos, device, driver, tree
+
+
+def leaf_of(tree, key):
+    node = tree.read_node_raw(tree.meta.root_page)
+    while not node.is_leaf:
+        node = tree.read_node_raw(node.child_for(key))
+    return node
 
 
 def mixed_ops(seed, n, preload):
@@ -213,37 +221,111 @@ def test_accessor_fuzz_vs_model(accessor_kind, persistence):
 
 def test_failed_io_releases_the_latches_it_held():
     """An op that dies with IoError must not wedge the ops behind it:
-    the search fails holding the leaf shared, the insert fails holding
-    root and leaf exclusive, and the next search shares that root."""
+    the search fails holding the leaf shared, the insert and the batch
+    fail holding root and leaf exclusive (the batch after one group
+    already completed), and the next search shares that root."""
     _engine, simos, device, driver, tree = make_machine(
         preload=2_000, faults=FaultConfig()
     )
-    leaf = tree.read_node_raw(tree.meta.root_page)
-    while not leaf.is_leaf:
-        leaf = tree.read_node_raw(leaf.child_for(500))
-    device.fault_injector.poison(leaf.page_id)
+    device.fault_injector.poison(leaf_of(tree, 500).page_id)
 
     latches = BlockingLatchTable()
     accessor = SyncTreeAccessor(tree, DedicatedIoService(driver), latches)
-    ops = [search_op(500), insert_op(500, payload(1)), search_op(1_500)]
+    mid_batch = batch_op(
+        [OpSpec.put(15, payload(15)), OpSpec.put(500, payload(1)), OpSpec.get(19_000)]
+    )
+    ops = [search_op(500), insert_op(500, payload(1)), mid_batch, search_op(1_500)]
     runner = BaselineRunner(simos, accessor, ops, n_threads=1, name="sync")
     runner.run_to_completion()
 
-    assert isinstance(ops[0].error, IoError)
-    assert isinstance(ops[1].error, IoError)
-    assert ops[2].error is None and ops[2].result == payload(1_500)
-    assert runner.failed_ops.value == 2
+    assert all(isinstance(op.error, IoError) for op in ops[:3])
+    assert mid_batch.groups == 1 and mid_batch.specs[mid_batch.cursor].key == 500
+    assert ops[3].error is None and ops[3].result == payload(1_500)
+    assert runner.failed_ops.value == 3
     latches.assert_quiescent()
 
 
-def test_sync_accessor_rejects_batches():
-    """The batch plan has only the polled interpreter."""
-    _engine, simos, _device, driver, tree = make_machine(preload=100)
-    accessor = SyncTreeAccessor(tree, DedicatedIoService(driver), BlockingLatchTable())
-    ops = [batch_op([OpSpec.get(10), OpSpec.put(15, payload(15))])]
-    runner = BaselineRunner(simos, accessor, ops, n_threads=1, name="sync")
-    with pytest.raises(TreeError, match="unknown operation kind"):
-        runner.run_to_completion()
+def test_blink_failed_io_releases_the_latches_it_held():
+    """Blink writers read the leaf latch-free, latch it, then re-read
+    it: the leaf goes bad after its first read, so the re-read dies
+    under the latch, which must be handed back.  Later ops on other
+    threads still finish."""
+    _engine, simos, device, driver, tree = make_machine(
+        preload=2_000, faults=FaultConfig()
+    )
+    leaf_id = leaf_of(tree, 500).page_id
+
+    def poison_once_read(completion):
+        if completion.command.lba == leaf_id:
+            device.fault_injector.poison(leaf_id)
+
+    subscribe(device, "on_complete", poison_once_read)
+    latches = BlockingLatchTable()
+    accessor = BlinkTreeAccessor(tree, DedicatedIoService(driver), latches)
+    ops = [
+        update_op(500, payload(1)),
+        update_op(15_000, payload(2)),
+        insert_op(15_001, payload(3)),
+        search_op(1_500),
+    ]
+    runner = BaselineRunner(simos, accessor, ops, n_threads=4, name="blink")
+    runner.run_to_completion()
+
+    assert isinstance(ops[0].error, IoError)
+    assert latches.acquisitions == 3  # the failed update did latch
+    assert [op.result for op in ops[1:]] == [True, True, payload(1_500)]
+    assert runner.failed_ops.value == 1
+    latches.assert_quiescent()
+
+
+@pytest.mark.parametrize("accessor_kind", ["sync", "lcb"])
+@pytest.mark.parametrize("n_threads", [1, 8])
+def test_batches_run_under_the_blocking_interpreter(accessor_kind, n_threads):
+    """The batch plan has both interpreters: mixed batches over 4-entry
+    leaves (n-way splits, merges, root growth) on blocking threads.
+    Chunks own disjoint keys, so the dict holds at any interleaving."""
+    size = 112
+    _engine, simos, _device, driver, tree = make_machine(
+        seed=5, preload=0, payload_size=size
+    )
+    io_service = DedicatedIoService(driver)
+    latches = BlockingLatchTable()
+    if accessor_kind == "sync":
+        accessor = SyncTreeAccessor(tree, io_service, latches)
+    else:
+        accessor = LcbTreeAccessor(tree, io_service, latches, wal_pages=4_096)
+
+    rng = random.Random(7)
+    model = {}
+    ops = []
+    expected = []
+    for chunk in range(24):
+        keys = [chunk + 24 * rng.randrange(40) for _ in range(32)]
+        specs = []
+        want = []
+        for key in keys:
+            roll = rng.random()
+            if roll < 0.5:
+                specs.append(OpSpec.put(key, payload(key) * (size // 8)))
+                want.append(key not in model)
+                model[key] = payload(key) * (size // 8)
+            elif roll < 0.7:
+                specs.append(OpSpec.get(key))
+                want.append(model.get(key))
+            else:
+                specs.append(OpSpec.delete(key))
+                want.append(model.pop(key, None) is not None)
+        ops.append(batch_op(specs))
+        expected.append(want)
+    runner = BaselineRunner(simos, accessor, ops, n_threads=n_threads, name="b")
+    runner.run_to_completion()
+    latches.assert_quiescent()
+
+    assert [op.result for op in ops] == expected
+    if accessor_kind == "lcb":
+        accessor.materialize_delta()
+    assert dict(tree.iterate_items_raw()) == model
+    assert tree.validate()["levels"] >= 3
 
 
 def test_blink_reads_need_no_latches():

@@ -170,19 +170,25 @@ class TestSyncTreeOracle:
             batched_items = dict(session.tree.iterate_items_raw())
             session.validate()
 
-        # the same stream, one op at a time, on the synchronous oracle
+        # the same batches under the plan's second interpreter: a
+        # disagreement here with the dict tests green is an interpreter
+        # bug, not a plan bug
         engine = Engine(seed=17)
         simos = SimOS(engine, OsProfile(cores=8))
         device = NvmeDevice(engine, fast_test_profile())
         tree = PaTree.create(device)
         tree.bulk_load(preload)
+        latches = BlockingLatchTable()
         accessor = SyncTreeAccessor(
-            tree, DedicatedIoService(NvmeDriver(device)), BlockingLatchTable()
+            tree, DedicatedIoService(NvmeDriver(device)), latches
         )
-        ops = [spec.to_operation() for spec in specs]
+        ops = [
+            batch_op(specs[start:start + 64]) for start in range(0, len(specs), 64)
+        ]
         BaselineRunner(simos, accessor, ops, n_threads=1).run_to_completion()
+        latches.assert_quiescent()
 
-        assert batched == [op.result for op in ops]
+        assert batched == [result for op in ops for result in op.result]
         assert batched_items == dict(tree.iterate_items_raw())
 
 

@@ -7,15 +7,20 @@ engine and under the synchronous baseline's blocking interpreter of
 the same plans.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from collections import Counter
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.baselines.io_service import DedicatedIoService
 from repro.baselines.latching import BlockingLatchTable
 from repro.baselines.runner import BaselineRunner
 from repro.baselines.sync_tree import SyncTreeAccessor
+from repro.core import batch
 from repro.core.node import Node, TreeConfig
 from repro.core.ops import (
     INSERT,
+    OpSpec,
+    batch_op,
     delete_op,
     insert_op,
     range_op,
@@ -137,6 +142,106 @@ def test_blocking_interpreter_equivalent_to_dict(script, seed):
     BaselineRunner(simos, accessor, operations, n_threads=1).run_to_completion()
     latches.assert_quiescent()
     check_against_model(tree, operations, expected, model)
+
+
+BATCH_SPEC = st.tuples(
+    st.sampled_from(("put", "put", "delete", "delete", "get")), KEYS
+)
+
+# in batches of 20: three n-way splits and a root growth fill fifteen
+# leaves, then each leaf is cut to one key (the leftmost borrows from a
+# still-full right sibling, later ones merge) and the tree is drained.
+# Random scripts alone rarely borrow — a leaf must fall to one key next
+# to a full sibling inside one batch — so this example is what makes
+# the "every path was taken" assertion below hold on every run.
+FILL_AND_DRAIN = (
+    [("put", key) for key in range(60)]
+    + [("delete", key) for key in range(60) if key % 4 != 3]
+    + [("delete", key) for key in range(60) if key % 4 == 3]
+)
+
+
+def build_batches(script, chunk):
+    """``script`` cut into batch operations of ``chunk`` specs, each
+    spec's result under sequential application, and the final dict."""
+    model = {}
+    batches = []
+    expected = []
+    for start in range(0, len(script), chunk):
+        specs = []
+        for verb, key in script[start:start + chunk]:
+            if verb == "put":
+                specs.append(OpSpec.put(key, wide_payload(key)))
+                expected.append(key not in model)
+                model[key] = wide_payload(key)
+            elif verb == "delete":
+                specs.append(OpSpec.delete(key))
+                expected.append(model.pop(key, None) is not None)
+            else:
+                specs.append(OpSpec.get(key))
+                expected.append(model.get(key))
+        batches.append(batch_op(specs))
+    return batches, expected, model
+
+
+def test_batches_equivalent_to_dict_under_both_interpreters(monkeypatch):
+    """The batch sibling of the two properties above: one script, cut
+    into batches, under the polled engine and under the blocking
+    interpreter — and the run as a whole must have gone through the
+    n-way split, root growth, merge and borrow, under each of them."""
+    taken = Counter()
+    interpreter = ["polled"]
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            taken[interpreter[0], name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    steps = [
+        (batch, "_multi_split"),
+        (batch, "_grow_root"),
+        (Node, "merge_from_right"),
+        (Node, "borrow_from_right"),
+    ]
+    for owner, name in steps:
+        counted(owner, name)
+
+    def check(tree, batches, expected, model):
+        assert [r for op in batches for r in op.result] == expected
+        assert dict(tree.iterate_items_raw()) == model
+        assert tree.validate()["keys"] == len(model)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        script=st.lists(BATCH_SPEC, min_size=60, max_size=120),
+        seed=st.integers(0, 100),
+        chunk=st.integers(1, 40),
+    )
+    @example(script=FILL_AND_DRAIN, seed=0, chunk=20)
+    def both_interpreters(script, seed, chunk):
+        interpreter[0] = "polled"
+        pa = build_engine(seed)
+        batches, expected, model = build_batches(script, chunk)
+        pa.source = ClosedLoopSource(batches, window=1)
+        pa.run_to_completion()
+        check(pa.tree, batches, expected, model)
+
+        interpreter[0] = "blocking"
+        simos, driver, tree = build_machine(seed)
+        batches, expected, model = build_batches(script, chunk)
+        latches = BlockingLatchTable()
+        accessor = SyncTreeAccessor(tree, DedicatedIoService(driver), latches)
+        BaselineRunner(simos, accessor, batches, n_threads=1).run_to_completion()
+        latches.assert_quiescent()
+        check(tree, batches, expected, model)
+
+    both_interpreters()
+    for _owner, name in steps:
+        assert taken["polled", name] and taken["blocking", name], (name, taken)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

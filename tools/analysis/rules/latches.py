@@ -1,5 +1,10 @@
 """PA520-PA521: latch / resource discipline (CFG graph rules).
 
+One set of plan generators (``repro.core.plans`` / ``repro.core.batch``)
+serves both execution paradigms — the polled engine and the blocking
+``SyncTreeAccessor`` (and LCB on top of it) interpret the same effects
+— so what PA520 proves about a plan holds under both.
+
 Two spellings of latch manipulation exist in the tree:
 
 * **effect spelling** — plan generators yield ``LatchEff(page, mode)``
@@ -70,10 +75,15 @@ class _FunctionFacts:
       path_ids`` transfers ownership to the caller (who drives this
       generator via ``yield from`` and releases the returned path) —
       an ownership-transferring return counts as a release of
-      everything the container holds.
+      everything the container holds;
+    * a shared step hands one latched node over the same way:
+      ``return node`` (bound from ``ReadEff``) releases its page in the
+      helper, and ``leaf = yield from helper(...)`` for a helper in
+      ``handoffs`` acquires ``leaf``'s page in the caller, who must
+      release ``leaf.page_id`` on every path.
     """
 
-    def __init__(self, funcdef, config):
+    def __init__(self, funcdef, config, handoffs=frozenset()):
         self.funcdef = funcdef
         self.config = config
         self.acquires = []  # (stmt, call node, page dump, page name|None)
@@ -86,6 +96,11 @@ class _FunctionFacts:
         statements = list(_own_statements(funcdef))
         for stmt in statements:
             self._collect_bindings(stmt)
+            call = _handoff_call(stmt, handoffs)
+            if call is not None:
+                target = stmt.targets[0].id
+                self.page_sources.setdefault(target, set())
+                self.acquires.append((stmt, call, "pageof:%s" % target, None))
         for stmt in statements:
             if isinstance(stmt, ast.For) and isinstance(stmt.target, ast.Name):
                 members = set()
@@ -100,6 +115,10 @@ class _FunctionFacts:
                     self.containers.get(name) for name in _names_in(stmt.value)
                 ):
                     self.releases.setdefault(id(stmt), set()).add(WILDCARD)
+                elif _plain_name(stmt.value) in self.page_sources:
+                    self.releases.setdefault(id(stmt), set()).add(
+                        "pageof:%s" % stmt.value.id
+                    )
             for expr in _header_exprs(stmt):
                 if expr is None:
                     continue
@@ -264,6 +283,41 @@ def _plain_name(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
+def _handoff_call(stmt, handoffs):
+    """The call in ``name = yield from helper(...)``, helper in ``handoffs``."""
+    if (
+        isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and isinstance(stmt.value, ast.YieldFrom)
+        and isinstance(stmt.value.value, ast.Call)
+        and _call_name(stmt.value.value) in handoffs
+    ):
+        return stmt.value.value
+    return None
+
+
+def _handoff_helpers(contexts, config):
+    """Names of plan helpers that return a node still latched."""
+    names = set()
+    for ctx in contexts:
+        if module_name_for(ctx.path) is None:
+            continue
+        for funcdef in _function_defs(ctx.tree):
+            returned = {
+                stmt.value.id
+                for stmt in _own_statements(funcdef)
+                if isinstance(stmt, ast.Return)
+                and isinstance(stmt.value, ast.Name)
+            }
+            if not returned:
+                continue
+            facts = _FunctionFacts(funcdef, config)
+            if facts.uses_effects and returned & set(facts.page_sources):
+                names.add(funcdef.name)
+    return frozenset(names)
+
+
 def _names_in(expr):
     return {node.id for node in ast.walk(expr) if isinstance(node, ast.Name)}
 
@@ -348,16 +402,18 @@ class LatchPairingRule(GraphRule):
     scopes = ("src",)
 
     def run(self, graph, contexts, config):
+        handoffs = _handoff_helpers(contexts, config)
         for ctx in contexts:
             if module_name_for(ctx.path) is None:
                 continue
             for funcdef in _function_defs(ctx.tree):
-                facts = _FunctionFacts(funcdef, config)
+                facts = _FunctionFacts(funcdef, config, handoffs)
                 if not facts.acquires or not facts.uses_effects:
                     continue
                 cfg = build_cfg(funcdef)
                 for stmt, call, page_dump, page_name in facts.acquires:
-                    if not _is_effect_acquire(call, config):
+                    handed = _call_name(call) in handoffs
+                    if not (handed or _is_effect_acquire(call, config)):
                         continue
                     node = cfg.node_for(stmt)
                     if node is None:
@@ -369,6 +425,11 @@ class LatchPairingRule(GraphRule):
                         and facts.releases_match(n.stmt, page_dump, page_name),
                     )
                     if leaks:
+                        what = (
+                            "the node %s() returns" % _call_name(call)
+                            if handed
+                            else _page_text(call, ctx)
+                        )
                         finding = ctx.finding(
                             call,
                             self.code,
@@ -376,7 +437,7 @@ class LatchPairingRule(GraphRule):
                             "'%s' without a matching release on some path; "
                             "every plan path must release via UnlatchEff / "
                             "UnlatchManyEff before completing"
-                            % (_page_text(call, ctx), funcdef.name),
+                            % (what, funcdef.name),
                         )
                         yield finding
 
