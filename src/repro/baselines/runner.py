@@ -79,10 +79,7 @@ class BaselineRunner:
 
     def run_to_completion(self, until_ns=None):
         self.start()
-        self.engine.run(
-            until_ns=until_ns,
-            until=lambda: all(thread.done for thread in self.threads),
-        )
+        self.simos.run_until_done(self.threads, until_ns)
         if not all(thread.done for thread in self.threads):
             raise BenchmarkError(
                 "baseline %r did not finish (%d ops left)"

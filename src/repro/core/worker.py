@@ -155,7 +155,7 @@ class PolledWorker:
     def run_to_completion(self, until_ns=None):
         """Convenience: run the simulation until the source drains."""
         self.start()
-        self.engine.run(until_ns=until_ns, until=lambda: self.worker_thread.done)
+        self.simos.run_until_done([self.worker_thread], until_ns)
         if not self.worker_thread.done:
             raise SchedulerError(
                 "worker %r did not finish (inflight=%d, outstanding=%d)"

@@ -30,8 +30,6 @@ one, and ``repro.backend`` supplies a real scratch file and a recorded
 trace.
 """
 
-from functools import partial
-
 from repro.errors import DeviceError, PageBoundsError, QueueFullError
 from repro.faults import make_injector
 from repro.nvme.command import Completion, IoStatus
@@ -442,9 +440,7 @@ class NvmeDevice:
             if self.perturb_service is not None:
                 service = int(self.perturb_service(command, service))
             finish = fetch_end + service
-            self.engine.schedule_at(
-                finish, partial(self._service_done, command)
-            )
+            self.engine.schedule_at(finish, self._service_done, command)
 
     def _service_done(self, command):
         """Media finished; mint the status, apply data, post completion.
@@ -463,7 +459,7 @@ class NvmeDevice:
             self._post_completion(command, status)
         else:
             self.engine.schedule_at(
-                post_end, partial(self._post_completion, command, status)
+                post_end, self._post_completion, command, status
             )
         self._try_start()
 

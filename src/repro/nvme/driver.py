@@ -22,8 +22,6 @@ failures are delivered with their failure status for the layers above
 to turn into typed errors.
 """
 
-from functools import partial
-
 from repro.errors import QueueFullError
 from repro.nvme.command import NvmeCommand, OP_READ, OP_WRITE
 from repro.sim.clock import usec
@@ -225,9 +223,7 @@ class NvmeDriver:
             for observer in self.on_retry:
                 observer(completion)
         engine = self.device.engine
-        engine.schedule_at(
-            engine.now + delay, partial(self._resubmit, qpair, command)
-        )
+        engine.schedule_at(engine.now + delay, self._resubmit, qpair, command)
 
     def _resubmit(self, qpair, command):
         try:
@@ -238,5 +234,5 @@ class NvmeDriver:
             engine = self.device.engine
             engine.schedule_at(
                 engine.now + self.retry.backoff_ns,
-                partial(self._resubmit, qpair, command),
+                self._resubmit, qpair, command,
             )

@@ -483,7 +483,7 @@ class ShardedPaTree:
         for worker in self.engines:
             worker.reset_source()
             workers.append(worker.start())
-        self.engine.run(until=lambda: all(thread.done for thread in workers))
+        self.simos.run_until_done(workers)
         if not all(thread.done for thread in workers):
             raise SchedulerError("sharded run did not finish")
         for worker in self.engines:

@@ -14,7 +14,7 @@ from repro.sim.clock import (
     usec,
 )
 from repro.sim.engine import Engine
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.metrics import (
     CPU_CATEGORIES,
     CPU_NVME,
@@ -33,7 +33,6 @@ from repro.sim.rng import RngRegistry
 __all__ = [
     "Clock",
     "Engine",
-    "Event",
     "EventQueue",
     "RngRegistry",
     "Counter",

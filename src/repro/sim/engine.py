@@ -7,6 +7,8 @@ model, the NVMe device, the PA-Tree working thread — is built from
 callbacks on this kernel.
 """
 
+from heapq import heappop
+
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
 from repro.sim.events import EventQueue
@@ -37,14 +39,16 @@ class Engine:
         # hook installed, and what max_events bounds.
         self.inlined = 0
         self._running = False
+        self._stopped = False
         # For try_advance: run()'s stop conditions (the horizon is -1
-        # outside run(), so nothing advances) and the queue's own heap
-        # list, to peek at its head without dropping dead entries.
+        # outside run() and after stop(), so nothing advances) and the
+        # queue's own heap list, to peek at its head without dropping
+        # dead entries.
         self._horizon_ns = -1
         self._until = None
         self._heap = self.events._heap
         # Observer slot (repro.sim.hooks): each subscriber is called with
-        # every event just before its callback runs.  Must not schedule,
+        # every entry just before its callback runs.  Must not schedule,
         # cancel, or advance time.
         self.on_dispatch = ()
         # Schedule-exploration hook (repro.fuzz): called with every
@@ -62,24 +66,39 @@ class Engine:
     def now(self):
         return self.clock.now
 
-    def schedule(self, delay_ns, fn):
-        """Run ``fn()`` after ``delay_ns`` nanoseconds of virtual time."""
+    def schedule(self, delay_ns, fn, *args):
+        """Run ``fn(*args)`` after ``delay_ns`` nanoseconds of virtual time.
+
+        Returns an opaque handle, good only for :meth:`cancel`.
+        """
         if self.perturb_delay is not None:
             delay_ns = self.perturb_delay(int(delay_ns))
         if delay_ns < 0:
             raise SimulationError("negative delay: %r" % delay_ns)
-        return self.events.push(self.clock.now + int(delay_ns), fn)
+        return self.events.push(self.clock.now + int(delay_ns), fn, args)
 
-    def schedule_at(self, time_ns, fn):
-        """Run ``fn()`` at absolute virtual time ``time_ns``."""
+    def schedule_at(self, time_ns, fn, *args):
+        """Run ``fn(*args)`` at absolute virtual time ``time_ns``."""
         if time_ns < self.clock.now:
             raise SimulationError(
                 "scheduling in the past: %d < %d" % (time_ns, self.clock.now)
             )
-        return self.events.push(int(time_ns), fn)
+        return self.events.push(int(time_ns), fn, args)
 
-    def cancel(self, event):
-        self.events.cancel(event)
+    def cancel(self, handle):
+        """Keep a scheduled callback from running; a no-op once it ran."""
+        self.events.cancel(handle)
+
+    def stop(self):
+        """Make the current run() return once the running callback does.
+
+        From here to that return nothing advances in place either:
+        try_advance and try_advance_repeat refuse, as they do when an
+        ``until`` predicate has turned true.  Outside run() it does
+        nothing that the next run() sees.
+        """
+        self._stopped = True
+        self._horizon_ns = -1
 
     def try_advance(self, delay_ns):
         """Move the clock ``delay_ns`` ahead in place, if that is exact.
@@ -95,7 +114,7 @@ class Engine:
         """
         time_ns = self.clock.now + delay_ns
         heap = self._heap
-        if heap and heap[0].time <= time_ns:
+        if heap and heap[0][0] <= time_ns:
             return False
         if (
             time_ns > self._horizon_ns
@@ -126,7 +145,7 @@ class Engine:
         now = clock.now
         heap = self._heap
         if heap:
-            count = min(count, (heap[0].time - now - 1) // step_ns)
+            count = min(count, (heap[0][0] - now - 1) // step_ns)
         if now + count * step_ns > self._horizon_ns:
             count = int((self._horizon_ns - now) // step_ns)
         if count <= 0:
@@ -159,43 +178,51 @@ class Engine:
 
         ``until_ns``: stop once the clock would pass this time (the
         clock is left at ``until_ns``).  ``until``: a zero-argument
-        predicate checked after every event.  With neither, runs until
-        the event queue drains.
+        predicate checked after every event.  :meth:`stop`, called from
+        a callback, ends the run after that callback.  With none of
+        them, runs until the event queue drains.
         """
         if self._running:
             raise SimulationError("Engine.run is not reentrant")
         self._running = True
-        self._horizon_ns = float("inf") if until_ns is None else until_ns
+        self._stopped = False
+        horizon_ns = self._horizon_ns = (
+            float("inf") if until_ns is None else until_ns
+        )
         self._until = until
+        clock = self.clock
+        heap = self._heap
+        drop_dead = self.events.drop_dead
         try:
-            while True:
-                if until is not None and until():
+            while not (self._stopped or (until is not None and until())):
+                if not heap or heap[0][2] is None:
+                    if not drop_dead() and self.on_idle:
+                        # an idle observer may raise (stall guard) or
+                        # schedule wrap-up work; re-check the queue afterwards
+                        for observer in self.on_idle:
+                            observer()
+                        drop_dead()
+                    if not heap:
+                        if until_ns is not None and until_ns > clock.now:
+                            clock.advance_to(until_ns)
+                        return
+                if heap[0][0] > horizon_ns:
+                    clock.advance_to(until_ns)
                     return
-                next_time = self.events.peek_time()
-                if next_time is None and self.on_idle:
-                    # an idle observer may raise (stall guard) or
-                    # schedule wrap-up work; re-check the queue afterwards
-                    for observer in self.on_idle:
-                        observer()
-                    next_time = self.events.peek_time()
-                if next_time is None:
-                    if until_ns is not None and until_ns > self.clock.now:
-                        self.clock.advance_to(until_ns)
-                    return
-                if until_ns is not None and next_time > until_ns:
-                    self.clock.advance_to(until_ns)
-                    return
-                event = self.events.pop()
-                self.clock.advance_to(event.time)
-                fn = event.fn
-                event.fn = None
+                entry = heappop(heap)
+                time_ns, _, fn, args = entry
+                entry[2] = None
+                if time_ns < clock.now:
+                    # a corrupted queue must raise, not run backwards
+                    clock.advance_to(time_ns)
+                clock.now = time_ns
                 self.dispatched += 1
                 if self.on_dispatch:
                     for observer in self.on_dispatch:
-                        observer(event)
+                        observer(entry)
                 if self.dispatched + self.inlined > self.max_events:
                     self._over_budget()
-                fn()
+                fn(*args)
         finally:
             self._running = False
             self._horizon_ns = -1

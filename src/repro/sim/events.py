@@ -1,44 +1,19 @@
 """Event queue for the discrete-event kernel.
 
-A binary heap of ``(time, sequence, Event)`` entries.  The sequence
-number breaks ties so that events scheduled at the same instant fire in
-scheduling order, which keeps runs deterministic.
+A binary heap of plain ``[time, seq, fn, args]`` lists, which ``heapq``
+compares in C: by time, then by the sequence number that makes events
+scheduled for the same instant fire in scheduling order.  ``seq`` is
+unique, so a comparison never reaches ``fn``.
 
-Cancellation is lazy: :meth:`Event.cancel` marks the entry dead and the
-heap skips it on pop.  This is the standard approach (also used by
-``sched`` and asyncio) and keeps cancellation O(1).
+The entry is also the handle :meth:`EventQueue.push` returns; callers
+keep it only to pass it back to :meth:`EventQueue.cancel`.  ``fn``
+(``entry[2]``) is ``None`` once the entry has fired or been cancelled.
+Cancellation is lazy (as in ``sched`` and asyncio): the entry is marked
+dead in place, which is O(1), and whoever next looks at the head of the
+heap drops it.
 """
 
-import heapq
-
-
-class Event:
-    """A scheduled callback.  Returned by :meth:`EventQueue.push`."""
-
-    __slots__ = ("time", "seq", "fn", "cancelled", "fired")
-
-    def __init__(self, time, seq, fn):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-        self.fired = False
-
-    def cancel(self):
-        """Prevent the event from firing.  Safe to call repeatedly."""
-        self.cancelled = True
-        self.fn = None
-
-    def __lt__(self, other):
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self):
-        state = "cancelled" if self.cancelled else "pending"
-        if self.fired:
-            state = "fired"
-        return "Event(t=%d, seq=%d, %s)" % (self.time, self.seq, state)
+from heapq import heappop, heappush
 
 
 class EventQueue:
@@ -47,46 +22,37 @@ class EventQueue:
     def __init__(self):
         self._heap = []
         self._seq = 0
-        self._live = 0
+        # cancelled entries still in the heap
+        self._dead = 0
 
     def __len__(self):
-        return self._live
+        return len(self._heap) - self._dead
 
-    def __bool__(self):
-        return self._live > 0
-
-    def push(self, time, fn):
-        """Schedule ``fn`` to fire at virtual time ``time`` (ns)."""
-        event = Event(time, self._seq, fn)
+    def push(self, time, fn, args=()):
+        """Schedule ``fn(*args)`` to fire at virtual time ``time`` (ns)."""
+        entry = [time, self._seq, fn, args]
         self._seq += 1
-        self._live += 1
-        heapq.heappush(self._heap, event)
-        return event
+        heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, event):
-        """Cancel a previously pushed event; a no-op once it has fired."""
-        if not (event.cancelled or event.fired):
-            event.cancel()
-            self._live -= 1
+    def cancel(self, entry):
+        """Cancel a pushed entry; a no-op once it fired or was cancelled."""
+        if entry[2] is not None:
+            entry[2] = None
+            entry[3] = ()
+            self._dead += 1
 
     def peek_time(self):
         """Time of the next live event, or ``None`` if the queue is empty."""
-        self._drop_dead()
-        if not self._heap:
+        heap = self.drop_dead()
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
-    def pop(self):
-        """Remove and return the next live event, or ``None``."""
-        self._drop_dead()
-        if not self._heap:
-            return None
-        self._live -= 1
-        event = heapq.heappop(self._heap)
-        event.fired = True
-        return event
-
-    def _drop_dead(self):
+    def drop_dead(self):
+        """Pop cancelled entries off the head; returns the heap list."""
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][2] is None:
+            heappop(heap)
+            self._dead -= 1
+        return heap

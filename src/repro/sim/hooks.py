@@ -5,7 +5,10 @@ the registry is ``tools/analysis/layers.toml [hooks] observers``) is an
 attribute holding a tuple of callables, ``()`` when nobody listens.  The
 owner consults it as ``if self.slot:`` plus a loop, so an unobserved run
 pays one attribute load and one falsy check, and observers fire in
-subscription order.  These two functions are the only code that rebinds
+subscription order.  What a subscriber is called with is the owner's
+business: ``Engine.on_dispatch`` passes the heap entry about to run
+(``[time, seq, None, args]``, see ``repro.sim.events``), which today's
+subscribers only count.  These two functions are the only code that rebinds
 a slot (patlint PA530), which is what lets any number of observers
 attach and detach in any order without seeing each other.
 """

@@ -10,7 +10,6 @@ accounted quantity (Table I / Table II / Fig 9).
 """
 
 from collections import deque
-from functools import partial
 
 from repro.errors import SchedulerError, SimulationError
 from repro.sim.clock import msec, usec
@@ -113,6 +112,8 @@ class SimOS:
         self.pick_runnable = None
         self.preempt_policy = None
         self.wakeup_pick = None
+        # Threads a run_until_done() is still waiting for.
+        self._awaited = set()
         # Stall guard: if the event queue drains while threads are
         # still blocked on semaphores, the run is deadlocked — raise a
         # typed error naming them instead of silently ending the run.
@@ -133,6 +134,22 @@ class SimOS:
         finally:
             self._spawning = outer
         return thread
+
+    def run_until_done(self, threads, until_ns=None):
+        """Run the engine until every one of ``threads`` has exited.
+
+        Stops after the event in which the last of them turns done (or
+        at ``until_ns``, as :meth:`Engine.run` does); dispatches nothing
+        when all of them already are.  The caller checks ``done`` to
+        tell the two apart.
+        """
+        awaited = self._awaited = {t for t in threads if not t.done}
+        if not awaited:
+            return
+        try:
+            self.engine.run(until_ns=until_ns)
+        finally:
+            self._awaited = set()
 
     def live_threads(self):
         return [t for t in self.threads if not t.done]
@@ -239,13 +256,20 @@ class SimOS:
             thread.account.charge(cs, CPU_OTHER)
             core.busy_ns += cs
             thread.quantum_start_ns = self.engine.now + cs
-            self.engine.schedule(cs, partial(self._step, thread))
+            self.engine.schedule(cs, self._step, thread)
         else:
             thread.quantum_start_ns = self.engine.now
             self._step(thread)
 
     def _finish(self, thread):
         thread.state = T_DONE
+        if self._awaited:
+            # the run ends with this event, and from this line on, not
+            # from on_exit: _release_core below may step the next
+            # thread, whose first burst must already see the stop
+            self._awaited.discard(thread)
+            if not self._awaited:
+                self.engine.stop()
         if self.on_thread_state:
             for observer in self.on_thread_state:
                 observer(thread, T_DONE)
@@ -280,7 +304,7 @@ class SimOS:
                     and self.engine.try_advance(ns)
                 ):
                     continue
-                self.engine.schedule(ns, partial(self._after_cpu, thread))
+                self.engine.schedule(ns, self._after_cpu, thread)
                 return
 
             if type(instr) is SemWait:
@@ -289,7 +313,7 @@ class SimOS:
                 thread.core.busy_ns += cost
                 instr.sem.wait_count += 1
                 self.engine.schedule(
-                    cost, partial(self._sem_wait_cont, thread, instr.sem)
+                    cost, self._sem_wait_cont, thread, instr.sem
                 )
                 return
 
@@ -298,7 +322,7 @@ class SimOS:
                 thread.account.charge(cost, CPU_SYNC)
                 thread.core.busy_ns += cost
                 self.engine.schedule(
-                    cost, partial(self._sem_post_cont, thread, instr.sem)
+                    cost, self._sem_post_cont, thread, instr.sem
                 )
                 return
 
@@ -308,9 +332,7 @@ class SimOS:
                     for observer in self.on_thread_state:
                         observer(thread, T_SLEEPING)
                 self._release_core(thread)
-                self.engine.schedule(
-                    instr.ns, partial(self._make_runnable, thread)
-                )
+                self.engine.schedule(instr.ns, self._make_runnable, thread)
                 return
 
             if type(instr) is YieldCpu:
@@ -341,10 +363,10 @@ class SimOS:
             )
 
     def _after_cpu(self, thread):
-        quantum_used = self.engine.now - thread.quantum_start_ns
         if self.run_queue:
             # preemption only matters when someone is waiting; the hook
             # is consulted (and a fuzz decision recorded) only then
+            quantum_used = self.engine.now - thread.quantum_start_ns
             if self.preempt_policy is None:
                 preempt = quantum_used >= self.profile.quantum_ns
             else:
@@ -386,7 +408,7 @@ class SimOS:
             else:
                 waiter = sem.pop_waiter(self.wakeup_pick(sem.waiters))
             self.engine.schedule(
-                self.profile.wakeup_ns, partial(self._make_runnable, waiter)
+                self.profile.wakeup_ns, self._make_runnable, waiter
             )
         else:
             sem.count += 1

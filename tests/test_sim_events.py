@@ -8,59 +8,107 @@ from repro.sim.events import EventQueue
 
 
 def test_events_fire_in_time_order():
-    queue = EventQueue()
+    engine = Engine()
     order = []
-    queue.push(300, lambda: order.append("c"))
-    queue.push(100, lambda: order.append("a"))
-    queue.push(200, lambda: order.append("b"))
-    while queue:
-        queue.pop().fn()
+    engine.schedule_at(300, order.append, "c")
+    engine.schedule_at(100, order.append, "a")
+    engine.schedule_at(200, order.append, "b")
+    engine.run()
     assert order == ["a", "b", "c"]
 
 
 def test_same_time_fires_in_push_order():
-    queue = EventQueue()
+    # ties fall through to the sequence number and never to the
+    # callbacks, which do not order
+    engine = Engine()
     order = []
     for name in "abcde":
-        queue.push(50, lambda n=name: order.append(n))
-    while queue:
-        queue.pop().fn()
+        engine.schedule_at(50, lambda n=name: order.append(n))
+    engine.run()
     assert order == list("abcde")
 
 
 def test_cancelled_events_are_skipped():
-    queue = EventQueue()
+    engine = Engine()
     fired = []
-    event = queue.push(10, lambda: fired.append("x"))
-    queue.push(20, lambda: fired.append("y"))
-    queue.cancel(event)
-    assert len(queue) == 1
-    while queue:
-        queue.pop().fn()
-    assert fired == ["y"]
+    handle = engine.schedule(10, fired.append, "x")
+    engine.schedule(20, fired.append, "y")
+    engine.cancel(handle)
+    assert len(engine.events) == 1
+    engine.run()
+    assert (fired, engine.now, engine.dispatched) == (["y"], 20, 1)
 
 
 def test_cancel_is_idempotent():
     queue = EventQueue()
-    event = queue.push(10, lambda: None)
-    queue.cancel(event)
-    queue.cancel(event)
+    handle = queue.push(10, lambda: None)
+    queue.cancel(handle)
+    queue.cancel(handle)
     assert len(queue) == 0
+    assert queue.peek_time() is None
 
 
 def test_cancelling_a_fired_event_is_a_no_op():
     # a holder of a stale handle (a sampler that stopped rescheduling)
     # must not drive the live count below what the heap holds
-    queue = EventQueue()
-    stale = queue.push(10, lambda: None)
-    queue.push(20, lambda: None)
-    assert queue.pop() is stale
-    queue.cancel(stale)
+    engine = Engine()
+    queue = engine.events
+    stale = engine.schedule(10, lambda: None)
+    engine.schedule(20, lambda: None)
+    engine.run(until_ns=15)
+    engine.cancel(stale)
     assert (len(queue), bool(queue), queue.peek_time()) == (1, True, 20)
-    assert "fired" in repr(stale)
-    queue.pop()
-    queue.cancel(stale)
-    assert (len(queue), bool(queue)) == (0, False)
+    engine.run()
+    engine.cancel(stale)
+    assert (len(queue), bool(queue), engine.dispatched) == (0, False, 2)
+
+
+def test_arguments_reach_the_callback():
+    engine = Engine()
+    seen = []
+    engine.schedule(10, lambda *args: seen.append((engine.now, args)), 1, "b")
+    engine.schedule_at(20, lambda *args: seen.append((engine.now, args)), [3])
+    engine.schedule(30, lambda *args: seen.append((engine.now, args)))
+    engine.run()
+    assert seen == [(10, (1, "b")), (20, ([3],)), (30, ())]
+
+
+def test_stop_ends_the_run_after_the_running_callback():
+    engine = Engine()
+    seen = []
+
+    def stopper():
+        engine.stop()
+        seen.append("rest of the callback")
+
+    engine.schedule(10, stopper)
+    engine.schedule(10, seen.append, "same instant, later sequence")
+    engine.run(until_ns=50)
+    # stopped like a true ``until``: the clock is not taken to until_ns
+    assert (seen, engine.now, len(engine.events)) == (
+        ["rest of the callback"], 10, 1
+    )
+    engine.run()
+    assert seen[-1] == "same instant, later sequence"
+
+
+def test_stop_outside_run_does_not_leak_into_the_next_run():
+    engine = Engine()
+    seen = []
+    engine.schedule(10, seen.append, 1)
+    engine.stop()
+    engine.run()
+    assert (seen, engine.now) == ([1], 10)
+
+
+def test_a_queue_that_runs_backwards_raises():
+    engine = Engine()
+    engine.schedule(100, lambda: None)
+    engine.run()
+    engine.events.push(50, lambda: None)  # behind schedule_at's back
+    with pytest.raises(ValueError, match="backwards"):
+        engine.run()
+    assert engine.now == 100
 
 
 def test_engine_cancel_after_dispatch_keeps_the_queue_consistent():

@@ -51,7 +51,14 @@ _INSTR = st.one_of(
     )),
 )
 
-_PROGRAM = st.fixed_dictionaries({
+# SimOS.run_until_done over the first few threads, with and without a
+# time bound
+_DONE_STOP = st.tuples(
+    st.just("done"), st.integers(1, 4),
+    st.one_of(st.none(), st.integers(0, 60_000)),
+)
+
+_SHAPE = {
     "cores": st.integers(1, 8),
     "quantum_ns": st.sampled_from([200, 1_000, 200_000]),
     "context_switch_ns": st.sampled_from([0, 300, 3_000]),
@@ -61,13 +68,15 @@ _PROGRAM = st.fixed_dictionaries({
     ),
     # foreign timers on the same engine: (delay, spawns a thread?)
     "timers": st.lists(st.tuples(_NS, st.booleans()), max_size=6),
-    "stop": st.one_of(
-        st.none(),
-        st.tuples(st.just("until_ns"), st.integers(0, 60_000)),
-        st.tuples(st.just("exits"), st.integers(1, 4)),
-        st.tuples(st.just("clock"), st.integers(0, 60_000)),
-    ),
-})
+}
+
+_PROGRAM = st.fixed_dictionaries(dict(_SHAPE, stop=st.one_of(
+    st.none(),
+    st.tuples(st.just("until_ns"), st.integers(0, 60_000)),
+    st.tuples(st.just("exits"), st.integers(1, 4)),
+    st.tuples(st.just("clock"), st.integers(0, 60_000)),
+    _DONE_STOP,
+)))
 
 
 class _Machine:
@@ -83,11 +92,12 @@ class _Machine:
         self.sems = [Semaphore(count) for count in program["sem_initial"]]
         self.log = []  # (who, step, virtual time) at every resumption
         self.exits = []
+        self.top = []  # the program's own threads, in program order
         self.taken = 0  # bursts the kernel took out of repeat instructions
         if slow:
             subscribe(self.engine, "on_dispatch", lambda event: None)
         for index, instrs in enumerate(program["threads"]):
-            self._spawn("t%d" % index, instrs)
+            self.top.append(self._spawn("t%d" % index, instrs))
         for index, (delay_ns, spawns) in enumerate(program["timers"]):
             self.engine.schedule(
                 delay_ns, lambda i=index, s=spawns: self._timer(i, s)
@@ -99,6 +109,7 @@ class _Machine:
         thread.on_exit.append(
             lambda t: self.exits.append((t.name, self.engine.now))
         )
+        return thread
 
     def _body(self, name, instrs):
         for step, instr in enumerate(instrs):
@@ -130,14 +141,23 @@ class _Machine:
 
     def _run(self, stop):
         kwargs = {}
-        if stop is not None and stop[0] == "until_ns":
+        kind = stop[0] if stop is not None else None
+        awaited = self.top[:stop[1]] if kind in ("done", "done-by-predicate") else ()
+        if kind == "until_ns":
             kwargs["until_ns"] = stop[1]
-        elif stop is not None and stop[0] == "exits":
+        elif kind == "exits":
             kwargs["until"] = lambda: len(self.exits) >= stop[1]
-        elif stop is not None:
+        elif kind == "clock":
             kwargs["until"] = lambda: self.engine.now >= stop[1]
+        elif kind == "done-by-predicate":
+            # what run_until_done replaced, kept here as its reference
+            kwargs["until_ns"] = stop[2]
+            kwargs["until"] = lambda: all(thread.done for thread in awaited)
         try:
-            self.engine.run(**kwargs)
+            if kind == "done":
+                self.simos.run_until_done(awaited, stop[2])
+            else:
+                self.engine.run(**kwargs)
         except SchedulerError as exc:  # a generated deadlock
             return str(exc)
         return "ok"
@@ -175,6 +195,27 @@ def _assert_equivalent(fast, slow):
 @given(_PROGRAM)
 def test_random_programs_run_the_same_with_and_without_the_fast_path(program):
     _assert_equivalent(_Machine(program, slow=False), _Machine(program, slow=True))
+
+
+def _by_predicate(program):
+    stop = program["stop"]
+    return dict(program, stop=("done-by-predicate",) + stop[1:])
+
+
+def _assert_same_run(latched, reference):
+    assert latched.observed() == reference.observed()
+    assert (latched.engine.dispatched, latched.engine.inlined) == (
+        reference.engine.dispatched, reference.engine.inlined
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries(dict(_SHAPE, stop=_DONE_STOP)))
+def test_run_until_done_is_the_all_done_predicate_step_for_step(program):
+    for slow in (False, True):
+        _assert_same_run(
+            _Machine(program, slow), _Machine(_by_predicate(program), slow)
+        )
 
 
 def _program(threads, cores=1, timers=(), stop=None):
@@ -225,6 +266,70 @@ def test_an_until_predicate_stops_both_runs_in_the_same_state():
     assert fast.log[-1] == ("t0", 4, 500)
     assert (fast.engine.inlined, len(fast.engine.events)) == (4, 1)
     _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+@pytest.mark.parametrize("context_switch_ns", [0, 3_000])
+def test_the_thread_dispatched_by_the_last_exit_does_not_advance_in_place(
+    context_switch_ns,
+):
+    # one core: t1 gets it from inside t0's _finish, after t0 turned
+    # done.  A run that waits for t0 is over at that line, so t1's
+    # first burst goes to the heap exactly as when a predicate says so
+    program = _program(
+        [_spinner(3), _spinner(5)], stop=("done", 1, None),
+    )
+    program["context_switch_ns"] = context_switch_ns
+    fast = _Machine(program, slow=False)
+    t0, t1 = fast.top
+    assert (t0.done, t1.done) == (True, False)
+    assert [entry for entry in fast.log if entry[0] == "t1"] == []
+    assert len(fast.engine.events) == 1  # t1's pending step
+    _assert_same_run(fast, _Machine(_by_predicate(program), slow=False))
+    _assert_equivalent(fast, _Machine(program, slow=True))
+    # and the machine goes on from there
+    fast.engine.run()
+    assert t1.done
+
+
+def test_run_until_done_with_nothing_to_wait_for_dispatches_nothing():
+    machine = _Machine(_program([_spinner(2)]), slow=False)
+    assert machine.top[0].done
+    machine.engine.schedule(100, machine.log.append, "later")
+    before = (machine.engine.now, machine.engine.dispatched, machine.engine.inlined)
+    machine.simos.run_until_done(machine.top, until_ns=10**9)
+    machine.simos.run_until_done([])
+    assert (
+        machine.engine.now, machine.engine.dispatched, machine.engine.inlined
+    ) == before
+    assert len(machine.engine.events) == 1
+
+
+def test_run_until_done_stops_at_until_ns_when_the_threads_outlast_it():
+    program = _program([_spinner(100)], stop=("done", 1, 1_234))
+    fast = _Machine(program, slow=False)
+    assert (fast.engine.now, fast.top[0].done) == (1_234, False)
+    assert fast.log[-1] == ("t0", 11, 1_200)
+    _assert_same_run(fast, _Machine(_by_predicate(program), slow=False))
+    _assert_equivalent(fast, _Machine(program, slow=True))
+    # nobody is awaited any more: a plain run() is not cut short
+    fast.engine.run()
+    assert (fast.engine.now, fast.top[0].done) == (10_000, True)
+
+
+def test_stop_turns_the_fast_path_off_for_the_rest_of_the_event():
+    engine = Engine()
+    engine.schedule(1_000, lambda: None)  # far enough not to be the reason
+    seen = []
+
+    def callback():
+        seen.append((engine.try_advance(5), engine.try_advance_repeat(1, 3)))
+        engine.stop()
+        seen.append((engine.try_advance(5), engine.try_advance_repeat(1, 3)))
+
+    engine.schedule(1, callback)
+    engine.run()
+    assert seen == [(True, 3), (False, 0)]
+    assert (engine.now, engine.inlined, len(engine.events)) == (9, 4, 1)
 
 
 def _repeater(count, ns=100):
