@@ -23,9 +23,12 @@ lookup of key ``k`` to ``c_i`` where ``i`` is the number of ``k_j <= k``
 """
 
 import bisect
+from functools import lru_cache
+from itertools import islice
+from operator import ge
+from struct import Struct
 
 from repro.errors import CorruptPageError, TreeError
-from repro.storage.layout import PageReader, PageWriter
 
 NODE_MAGIC = 0xBEE5
 LEAF = 0
@@ -33,8 +36,21 @@ INNER = 1
 
 FLAG_HIGH_KEY = 1
 
-HEADER_SIZE = 32
+_HEADER = Struct("<HBBHHQQQ")
+HEADER_SIZE = _HEADER.size
 NO_PAGE = 0
+
+
+@lru_cache(maxsize=None)
+def _body_struct(node_type, count, payload_size):
+    """The compiled body layout of a node with ``count`` keys.
+
+    One entry per node type, key count and payload size in use: a few
+    hundred at most.
+    """
+    if node_type == LEAF:
+        return Struct("<" + ("Q%ds" % payload_size) * count)
+    return Struct("<%dQ" % (2 * count + 1))
 
 
 class TreeConfig:
@@ -373,25 +389,37 @@ class Node:
     # ------------------------------------------------------------------
 
     def to_bytes(self):
-        writer = PageWriter(self.config.page_size)
-        writer.u16(NODE_MAGIC)
-        writer.u8(self.node_type)
-        writer.u8(self.level)
-        writer.u16(self.count)
-        writer.u16(FLAG_HIGH_KEY if self.high_key is not None else 0)
-        writer.u64(self.page_id)
-        writer.u64(self.next_id)
-        writer.u64(self.high_key if self.high_key is not None else 0)
+        config = self.config
+        count = len(self.keys)
+        high_key = self.high_key
         if self.is_leaf:
-            for key, value in zip(self.keys, self.values):
-                writer.u64(key)
-                writer.raw(value)
+            body = [None] * (2 * count)
+            body[0::2] = self.keys
+            body[1::2] = self.values
+            if len(b"".join(self.values)) != count * config.payload_size:
+                raise TreeError(
+                    "leaf %d holds a payload that is not %d bytes"
+                    % (self.page_id, config.payload_size)
+                )
         else:
-            writer.u64(self.children[0])
-            for index, key in enumerate(self.keys):
-                writer.u64(key)
-                writer.u64(self.children[index + 1])
-        return writer.finish()
+            body = [None] * (2 * count + 1)
+            body[0::2] = self.children
+            body[1::2] = self.keys
+        image = _HEADER.pack(
+            NODE_MAGIC,
+            self.node_type,
+            self.level,
+            count,
+            FLAG_HIGH_KEY if high_key is not None else 0,
+            self.page_id,
+            self.next_id,
+            high_key if high_key is not None else 0,
+        ) + _body_struct(self.node_type, count, config.payload_size).pack(*body)
+        if len(image) > config.page_size:
+            raise ValueError(
+                "page overflow: %d > %d" % (len(image), config.page_size)
+            )
+        return image.ljust(config.page_size, b"\0")
 
     @classmethod
     def from_bytes(cls, config, page_id, image):
@@ -399,41 +427,37 @@ class Node:
             raise CorruptPageError(
                 "page image is %d bytes, expected %d" % (len(image), config.page_size)
             )
-        reader = PageReader(image)
-        magic = reader.u16()
+        (
+            magic, node_type, level, count, flags, stored_id, next_id, high_key
+        ) = _HEADER.unpack_from(image)
         if magic != NODE_MAGIC:
             raise CorruptPageError(
                 "page %d: bad magic 0x%04x" % (page_id, magic)
             )
-        node_type = reader.u8()
         if node_type not in (LEAF, INNER):
             raise CorruptPageError("page %d: bad node type %d" % (page_id, node_type))
-        level = reader.u8()
-        count = reader.u16()
-        flags = reader.u16()
-        stored_id = reader.u64()
         if stored_id != page_id:
             raise CorruptPageError(
                 "page %d: header claims id %d" % (page_id, stored_id)
             )
         node = cls(config, page_id, node_type, level)
-        node.next_id = reader.u64()
-        high_key = reader.u64()
+        node.next_id = next_id
         node.high_key = high_key if flags & FLAG_HIGH_KEY else None
         if node_type == LEAF:
             if count > config.leaf_capacity:
                 raise CorruptPageError("page %d: leaf overflow %d" % (page_id, count))
-            for _ in range(count):
-                node.keys.append(reader.u64())
-                node.values.append(reader.raw(config.payload_size))
+        elif count > config.inner_capacity:
+            raise CorruptPageError("page %d: inner overflow %d" % (page_id, count))
+        body = _body_struct(node_type, count, config.payload_size).unpack_from(
+            image, HEADER_SIZE
+        )
+        if node_type == LEAF:
+            keys = node.keys = list(body[0::2])
+            node.values = list(body[1::2])
         else:
-            if count > config.inner_capacity:
-                raise CorruptPageError("page %d: inner overflow %d" % (page_id, count))
-            node.children.append(reader.u64())
-            for _ in range(count):
-                node.keys.append(reader.u64())
-                node.children.append(reader.u64())
-        if any(a >= b for a, b in zip(node.keys, node.keys[1:])):
+            node.children = list(body[0::2])
+            keys = node.keys = list(body[1::2])
+        if any(map(ge, keys, islice(keys, 1, None))):
             raise CorruptPageError("page %d: keys out of order" % page_id)
         return node
 

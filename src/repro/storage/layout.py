@@ -1,9 +1,12 @@
 """Binary layout helpers.
 
 Little-endian cursor-style writer/reader over page-sized byte buffers.
-All on-media structures (tree nodes, meta page, WAL records, SSTable
-blocks) are packed through these helpers so the byte format is defined
-in exactly one idiom.
+The variable-shape on-media structures (meta page, WAL records, SSTable
+blocks) are packed through these helpers so their byte format is defined
+in one idiom.  A tree node, decoded several times per operation, has a
+fixed shape per key count and goes through whole-page ``struct`` layouts
+instead (``repro.core.node``); ``tests/test_node.py`` holds the two
+byte-identical.
 """
 
 import struct

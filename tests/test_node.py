@@ -1,9 +1,12 @@
 """Unit tests for the B+ tree node format."""
 
+import random
+
 import pytest
 
-from repro.core.node import NO_PAGE, Node, TreeConfig
+from repro.core.node import NO_PAGE, NODE_MAGIC, Node, TreeConfig
 from repro.errors import CorruptPageError, TreeError
+from repro.storage.layout import PageWriter
 
 
 @pytest.fixture
@@ -16,6 +19,29 @@ def make_leaf(config, page_id, keys):
     for key in keys:
         leaf.leaf_insert(key, key.to_bytes(8, "little"))
     return leaf
+
+
+def reference_image(node):
+    """The page image written one field at a time, as the layout reads."""
+    writer = PageWriter(node.config.page_size)
+    writer.u16(NODE_MAGIC)
+    writer.u8(node.node_type)
+    writer.u8(node.level)
+    writer.u16(node.count)
+    writer.u16(1 if node.high_key is not None else 0)
+    writer.u64(node.page_id)
+    writer.u64(node.next_id)
+    writer.u64(node.high_key if node.high_key is not None else 0)
+    if node.is_leaf:
+        for key, value in zip(node.keys, node.values):
+            writer.u64(key)
+            writer.raw(value)
+    else:
+        writer.u64(node.children[0])
+        for key, child in zip(node.keys, node.children[1:]):
+            writer.u64(key)
+            writer.u64(child)
+    return writer.finish()
 
 
 def make_inner(config, page_id, level, keys, children):
@@ -226,6 +252,62 @@ class TestSerialization:
     def test_wrong_image_size_detected(self, config):
         with pytest.raises(CorruptPageError):
             Node.from_bytes(config, 1, b"\x00" * 100)
+
+    @pytest.mark.parametrize("page_size, payload_size", [(512, 8), (512, 200), (4096, 24)])
+    def test_page_image_equals_the_field_by_field_layout(self, page_size, payload_size):
+        # the reference spells the documented layout one field at a time
+        config = TreeConfig(page_size, payload_size)
+        rng = random.Random(page_size + payload_size)
+        nodes = []
+        for count in (0, 1, config.leaf_min, config.leaf_capacity):
+            leaf = Node.new_leaf(config, rng.randrange(1, 1 << 40))
+            leaf.keys = sorted({rng.getrandbits(64) for _ in range(count)})
+            leaf.values = [rng.randbytes(payload_size) for _ in leaf.keys]
+            nodes.append(leaf)
+        for count in (0, 1, config.inner_min, config.inner_capacity):
+            inner = Node.new_inner(config, rng.randrange(1, 1 << 40), 1 + count % 3)
+            inner.keys = sorted({rng.getrandbits(64) for _ in range(count)})
+            inner.children = [rng.randrange(1, 1 << 40) for _ in inner.keys] + [5]
+            nodes.append(inner)
+        for index, node in enumerate(nodes):
+            node.next_id = rng.randrange(1 << 40)
+            node.high_key = rng.getrandbits(64) if index % 2 else None
+            image = node.to_bytes()
+            assert image == reference_image(node)
+            restored = Node.from_bytes(config, node.page_id, image)
+            for field in Node.__slots__:
+                assert getattr(restored, field) == getattr(node, field), field
+
+    def test_corrupt_headers_keep_their_messages(self, config):
+        inner = make_inner(config, 7, 1, [10, 20], [100, 200, 300])
+
+        def patched(offset, value):
+            image = bytearray(inner.to_bytes())
+            image[offset] = value
+            return bytes(image)
+
+        for image, message in [
+            (patched(1, 0), "page 7: bad magic 0x00e5"),
+            (patched(2, 5), "page 7: bad node type 5"),
+            (patched(8, 9), "page 7: header claims id 9"),
+            (patched(5, 1), "page 7: inner overflow 258"),
+            (patched(32 + 8, 99), "page 7: keys out of order"),
+        ]:
+            with pytest.raises(CorruptPageError) as caught:
+                Node.from_bytes(config, 7, image)
+            assert str(caught.value) == message
+        leaf = make_leaf(config, 7, [1])
+        image = bytearray(leaf.to_bytes())
+        image[5] = 1
+        with pytest.raises(CorruptPageError, match="page 7: leaf overflow 257"):
+            Node.from_bytes(config, 7, bytes(image))
+
+    def test_a_payload_of_the_wrong_length_does_not_reach_the_page(self, config):
+        # bulk_load assigns values without leaf_insert's length check
+        leaf = make_leaf(config, 3, [1, 2])
+        leaf.values[1] = b"short"
+        with pytest.raises(TreeError, match="not 8 bytes"):
+            leaf.to_bytes()
 
     def test_safety_predicates(self, config):
         leaf = make_leaf(config, 1, range(config.leaf_capacity))
