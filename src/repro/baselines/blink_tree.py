@@ -233,10 +233,15 @@ class BlinkTreeAccessor(BlockingPageIo):
         old_root_id = tree.meta.root_page
         new_root.keys = [separator]
         new_root.children = [old_root_id, right_id]
-        yield from self._write_node(tls, new_root)
-        tree.meta.root_page = new_root_id
-        tree.meta.height += 1
-        yield from self._write_meta(tls)
+        try:
+            yield from self._write_node(tls, new_root)
+            tree.meta.root_page = new_root_id
+            tree.meta.height += 1
+            yield from self._write_meta(tls)
+        except IoError:
+            # the next root split must not wait for a mutex nobody holds
+            yield SemPost(self._meta_mutex)
+            raise
         yield SemPost(self._meta_mutex)
         return True
 

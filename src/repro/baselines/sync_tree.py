@@ -104,9 +104,15 @@ class BlockingPageIo:
             yield SemPost(self._buffer_mutex)
             yield SemWait(lock)
             latest = self.buffer.in_flight_data(victim_id)
-            yield from self.io.write(
-                tls, victim_id, latest if latest is not None else victim_data
-            )
+            try:
+                yield from self.io.write(
+                    tls, victim_id, latest if latest is not None else victim_data
+                )
+            except IoError:
+                # the next flush of this page must not wait for a mutex
+                # nobody holds
+                yield SemPost(lock)
+                raise
             yield SemWait(self._buffer_mutex)
             self.buffer.flush_done(victim_id)
             yield SemPost(self._buffer_mutex)

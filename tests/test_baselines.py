@@ -23,9 +23,11 @@ from repro.core.ops import (
     sync_op,
     update_op,
 )
+from repro.core.node import INNER, NODE_MAGIC
 from repro.core.tree import PaTree
 from repro.errors import IoError
-from repro.faults import FaultConfig
+from repro.faults import FaultConfig, FaultInjector
+from repro.nvme.command import IoStatus
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.sim.engine import Engine
@@ -275,6 +277,83 @@ def test_blink_failed_io_releases_the_latches_it_held():
     assert latches.acquisitions == 3  # the failed update did latch
     assert [op.result for op in ops[1:]] == [True, True, payload(1_500)]
     assert runner.failed_ops.value == 1
+    latches.assert_quiescent()
+
+
+class FailOneWrite(FaultInjector):
+    """Fails the first page write ``matches`` picks, through every
+    driver retry and service re-drive of that image."""
+
+    def __init__(self, matches):
+        super().__init__(FaultConfig(), rng=None)
+        self.matches = matches
+        self.failed = None  # (lba, image)
+
+    def complete_status(self, command):
+        if command.is_write:
+            if self.failed is None and self.matches(command):
+                self.failed = (command.lba, bytes(command.data))
+            if (command.lba, command.data) == self.failed:
+                return IoStatus.MEDIA_ERROR
+        return super().complete_status(command)
+
+
+def test_blink_root_split_that_fails_its_write_gives_the_meta_mutex_back():
+    """The first inner node ever written is the new root of the first
+    root split.  Its write dies, the root stays a leaf, and the very
+    next leaf split comes back for the meta mutex."""
+
+    def is_inner_node(command):
+        magic = int.from_bytes(command.data[:2], "little")
+        return magic == NODE_MAGIC and command.data[2] == INNER
+
+    def wide(key):
+        return bytes([key]) * 200  # two entries to a leaf
+
+    injector = FailOneWrite(is_inner_node)
+    _engine, simos, _device, driver, tree = make_machine(
+        preload=0, faults=injector, payload_size=200
+    )
+    latches = BlockingLatchTable()
+    accessor = BlinkTreeAccessor(tree, DedicatedIoService(driver), latches)
+    keys = list(range(1, 13))
+    ops = [insert_op(k, wide(k)) for k in keys] + [search_op(k) for k in keys]
+    runner = BaselineRunner(simos, accessor, ops, n_threads=1, name="blink")
+    runner.run_to_completion()
+
+    assert injector.failed is not None
+    assert [op.key for op in ops if op.error is not None] == [3]
+    assert isinstance(ops[2].error, IoError)
+    assert tree.meta.height > 1  # a later root split went through
+    # the failed insert had written its leaves before the root grew
+    assert [op.result for op in ops[len(keys):]] == [wide(k) for k in keys]
+    latches.assert_quiescent()
+
+
+def test_eviction_flush_that_fails_gives_the_page_flush_mutex_back():
+    """A one-page write-back buffer evicts the previous dirty leaf on
+    every update.  The first flush of one leaf dies; the next flush of
+    that leaf must not find its per-page mutex still taken."""
+    probe = make_machine(preload=200)[4]
+    leaf_ids = [leaf_of(probe, key).page_id for key in (100, 1_900)]
+    injector = FailOneWrite(lambda command: command.lba == leaf_ids[0])
+    _engine, simos, _device, driver, tree = make_machine(
+        preload=200, faults=injector
+    )
+    assert [leaf_of(tree, key).page_id for key in (100, 1_900)] == leaf_ids
+    latches = BlockingLatchTable()
+    accessor = SyncTreeAccessor(
+        tree, DedicatedIoService(driver), latches, ReadWriteBuffer(1), "weak"
+    )
+    ops = [update_op(key, payload(turn)) for turn in range(1, 4) for key in (100, 1_900)]
+    ops += [search_op(100), search_op(1_900), sync_op()]
+    runner = BaselineRunner(simos, accessor, ops, n_threads=1, name="sync")
+    runner.run_to_completion()
+
+    # the update of 1_900 that evicted the dirty first leaf took the error
+    assert [index for index, op in enumerate(ops) if op.error is not None] == [1]
+    assert injector.failed[0] == leaf_ids[0]
+    assert [op.result for op in ops[6:8]] == [payload(3), payload(3)]
     latches.assert_quiescent()
 
 
