@@ -143,13 +143,14 @@ class SimOS:
         when all of them already are.  The caller checks ``done`` to
         tell the two apart.
         """
-        awaited = self._awaited = {t for t in threads if not t.done}
+        awaited = self._awaited
+        awaited.update(t for t in threads if not t.done)
         if not awaited:
             return
         try:
             self.engine.run(until_ns=until_ns)
         finally:
-            self._awaited = set()
+            awaited.clear()
 
     def live_threads(self):
         return [t for t in self.threads if not t.done]
