@@ -12,52 +12,60 @@ Data page layout::
 """
 
 import bisect
+from struct import Struct
 
 from repro.baselines.lsm.bloom import BloomFilter
 from repro.errors import StorageError
-from repro.storage.layout import PageReader, PageWriter
 
 SST_MAGIC = 0x5354
-_PAGE_HEADER = 8
-_ENTRY_HEADER = 8 + 1 + 2
+_PAGE = Struct("<HHI")
+_ENTRY = Struct("<QBH")
+_PAGE_HEADER = _PAGE.size
+_ENTRY_HEADER = _ENTRY.size
 _FLAG_TOMBSTONE = 1
 
 
 def encode_page(page_size, entries):
     """Pack (key, value-or-None) entries into one page image."""
-    writer = PageWriter(page_size)
-    writer.u16(SST_MAGIC)
-    writer.u16(len(entries))
-    writer.u32(0)
+    buf = bytearray(page_size)
+    _PAGE.pack_into(buf, 0, SST_MAGIC, len(entries), 0)
+    pack_entry = _ENTRY.pack_into
+    pos = _PAGE_HEADER
     for key, value in entries:
-        writer.u64(key)
         if value is None:
-            writer.u8(_FLAG_TOMBSTONE)
-            writer.u16(0)
+            pack_entry(buf, pos, key, _FLAG_TOMBSTONE, 0)
+            pos += _ENTRY_HEADER
         else:
-            writer.u8(0)
-            writer.u16(len(value))
-            writer.raw(value)
-    return writer.finish()
+            pack_entry(buf, pos, key, 0, len(value))
+            pos += _ENTRY_HEADER
+            end = pos + len(value)
+            if end > page_size:  # a slice assignment would grow the page
+                raise ValueError("page overflow: %d > %d" % (end, page_size))
+            buf[pos:end] = value
+            pos = end
+    return bytes(buf)
 
 
 def decode_page(image):
     """Unpack a data page into (key, value-or-None) entries."""
-    reader = PageReader(image)
-    magic = reader.u16()
+    magic, count, _reserved = _PAGE.unpack_from(image)
     if magic != SST_MAGIC:
         raise StorageError("bad SSTable page magic 0x%04x" % magic)
-    count = reader.u16()
-    reader.u32()
+    unpack_entry = _ENTRY.unpack_from
+    size = len(image)
     entries = []
+    pos = _PAGE_HEADER
     for _ in range(count):
-        key = reader.u64()
-        flags = reader.u8()
-        vlen = reader.u16()
-        value = None if flags & _FLAG_TOMBSTONE else reader.raw(vlen)
-        if flags & _FLAG_TOMBSTONE:
-            reader.raw(vlen)  # no-op; vlen is 0 for tombstones
-        entries.append((key, value))
+        key, flags, vlen = unpack_entry(image, pos)
+        pos += _ENTRY_HEADER
+        end = pos + vlen
+        if end > size:
+            raise ValueError("short read: wanted %d bytes" % vlen)
+        # a tombstone's vlen is 0; whatever it says is skipped
+        entries.append(
+            (key, None if flags & _FLAG_TOMBSTONE else bytes(image[pos:end]))
+        )
+        pos = end
     return entries
 
 

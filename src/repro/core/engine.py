@@ -131,8 +131,11 @@ class PaTreeEngine(PolledWorker):
         costs = self.tree.costs
         driver = self.driver
         profile = driver.profile
-        model = getattr(self.policy, "probe_model", None)
-        use_model = self.dedicated_poller == POLLER_MODEL and model is not None
+        # PAD+ asks the policy, so poller and worker share one verdict
+        use_model = (
+            self.dedicated_poller == POLLER_MODEL
+            and getattr(self.policy, "probe_model", None) is not None
+        )
         max_gap_ns = getattr(self.policy, "max_probe_gap_ns", 100_000)
         min_gap_ns = getattr(self.policy, "min_probe_gap_ns", 0)
         last_probe_ns = 0
@@ -143,7 +146,7 @@ class PaTreeEngine(PolledWorker):
                 overdue = gap >= max_gap_ns
                 gated = gap < min_gap_ns or (
                     self.io_history.outstanding_count == 0
-                    or not model.predicts_completion(self.io_history.feature_vector())
+                    or not self.policy.predicts_completion()
                 )
                 if not overdue and gated:
                     yield Cpu(costs.idle_spin_ns, CPU_SCHED)

@@ -45,7 +45,7 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         self.max_probe_gap_ns = usec(max_probe_gap_us)
         self._ready = PriorityReadyQueue() if prioritized else FifoReadyQueue()
         self._last_probe_ns = -1
-        self._verdict_asked = None
+        self._verdict_stamp = None
         self._verdict = False
 
     def on_ready(self, op):
@@ -72,18 +72,16 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         # below one; bound the detection delay (and tail latency).
         if gap >= self.max_probe_gap_ns:
             return True
-        return self._predicts_completion()
+        return self.predicts_completion()
 
-    def _predicts_completion(self):
-        """The model's verdict on the outstanding I/Os as they are now;
-        should_probe and idle_sleep_ns ask within one turn."""
+    def predicts_completion(self):
+        """The model's verdict on the outstanding I/Os as they are now,
+        asked of the model once per change of the feature vector."""
         history = self.engine.io_history
-        asked = (self.engine.clock.now, history.version)
-        if asked != self._verdict_asked:
-            self._verdict_asked = asked
-            self._verdict = self.probe_model.predicts_completion(
-                history.feature_vector()
-            )
+        stamp = history.shape_stamp()
+        if stamp != self._verdict_stamp:
+            self._verdict_stamp = stamp
+            self._verdict = self.probe_model.predicts_completion(history.counts)
         return self._verdict
 
     def note_probe(self, now_ns, completions):
@@ -102,7 +100,7 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         # but saves the idle spin -- the Fig 13 trade.  With I/Os in
         # flight a short granule keeps that delay small relative to
         # device latency; with none in flight the full granule is safe.
-        if self._predicts_completion():
+        if self.predicts_completion():
             return 0
         return min(self.yield_ns, self._inflight_granule_ns)
 

@@ -1,12 +1,14 @@
 """Binary layout helpers.
 
 Little-endian cursor-style writer/reader over page-sized byte buffers.
-The variable-shape on-media structures (meta page, WAL records, SSTable
-blocks) are packed through these helpers so their byte format is defined
-in one idiom.  A tree node, decoded several times per operation, has a
-fixed shape per key count and goes through whole-page ``struct`` layouts
-instead (``repro.core.node``); ``tests/test_node.py`` holds the two
-byte-identical.
+The variable-shape on-media structures (meta page, WAL records) are
+packed through these helpers so their byte format is defined in one
+idiom.  The two decoded several times per operation go through
+precompiled ``struct`` layouts instead and a test holds each
+byte-identical to this idiom: a tree node, whole page at once
+(``repro.core.node``, ``tests/test_node.py``), and an SSTable data
+page, one call per entry (``repro.baselines.lsm.sstable``,
+``tests/test_lsm.py``).
 """
 
 import struct

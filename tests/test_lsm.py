@@ -1,5 +1,8 @@
 """Unit tests for the LSM baseline components."""
 
+import random
+import struct
+
 import pytest
 
 from repro.baselines.io_service import DedicatedIoService
@@ -12,6 +15,7 @@ from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.sim.engine import Engine
 from repro.simos.scheduler import OsProfile, SimOS
+from repro.storage.layout import PageReader, PageWriter
 
 
 class TestBloom:
@@ -60,6 +64,79 @@ class TestSSTablePages:
         image = encode_page(256, entries)
         assert len(image) == 256
         assert decode_page(image) == entries
+
+    @staticmethod
+    def _cursor_encode(page_size, entries):
+        """The field-by-field codec encode_page replaced, as reference."""
+        writer = PageWriter(page_size)
+        writer.u16(0x5354)
+        writer.u16(len(entries))
+        writer.u32(0)
+        for key, value in entries:
+            writer.u64(key)
+            writer.u8(1 if value is None else 0)
+            writer.u16(0 if value is None else len(value))
+            writer.raw(b"" if value is None else value)
+        return writer.finish()
+
+    @staticmethod
+    def _cursor_decode(image):
+        reader = PageReader(image)
+        assert reader.u16() == 0x5354
+        count = reader.u16()
+        reader.u32()
+        entries = []
+        for _ in range(count):
+            key = reader.u64()
+            flags = reader.u8()
+            data = reader.raw(reader.u16())
+            entries.append((key, None if flags & 1 else data))
+        return entries
+
+    def test_page_images_equal_the_cursor_codec(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            entries = [
+                (
+                    rng.getrandbits(64),
+                    None if rng.random() < 0.3 else rng.randbytes(rng.randrange(0, 40)),
+                )
+                for _ in range(rng.randrange(0, 12))
+            ]
+            image = encode_page(1024, entries)
+            assert image == self._cursor_encode(1024, entries)
+            assert decode_page(image) == entries == self._cursor_decode(image)
+            assert decode_page(memoryview(image)) == entries
+
+    def test_bad_magic_is_a_storage_error(self):
+        image = bytearray(encode_page(256, [(1, b"v")]))
+        image[0] ^= 0xFF
+        with pytest.raises(StorageError, match="bad SSTable page magic 0x53ab"):
+            decode_page(bytes(image))
+
+    def test_truncated_image_raises_as_the_cursor_codec_did(self):
+        image = encode_page(256, [(1, b"value-a"), (2, None), (3, b"v")])
+        for cut, error in ((4, struct.error), (8 + 5, struct.error), (8 + 11 + 3, ValueError)):
+            with pytest.raises(error):
+                self._cursor_decode(image[:cut])
+            with pytest.raises(error):
+                decode_page(image[:cut])
+        with pytest.raises(ValueError, match="short read: wanted 7 bytes"):
+            decode_page(image[: 8 + 11 + 3])
+
+    def test_tombstone_with_a_length_skips_that_many_bytes(self):
+        image = bytearray(encode_page(256, [(1, None), (2, b"ab")]))
+        follower = bytes(image[8 + 11:8 + 11 + 13])
+        struct.pack_into("<H", image, 8 + 9, 4)  # the tombstone claims 4 bytes
+        image[8 + 11 + 4:8 + 11 + 4 + 13] = follower
+        assert decode_page(bytes(image)) == [(1, None), (2, b"ab")]
+        assert self._cursor_decode(bytes(image)) == [(1, None), (2, b"ab")]
+
+    def test_encode_rejects_what_does_not_fit(self):
+        with pytest.raises(ValueError, match="page overflow: 69 > 64"):
+            encode_page(64, [(1, bytes(50))])
+        with pytest.raises(struct.error):
+            encode_page(16, [(1, None)])
 
     def test_plan_pages_splits_by_size(self):
         items = [(k, bytes(100)) for k in range(10)]

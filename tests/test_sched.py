@@ -5,17 +5,24 @@ import hashlib
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import PaTreeEngine, POLLER_MODEL
 from repro.core.ops import search_op, update_op
+from repro.core.source import ClosedLoopSource
+from repro.core.tree import PaTree
 from repro.nvme.device import NvmeDevice, fast_test_profile, i3_nvme_profile
 from repro.nvme.driver import NvmeDriver
 from repro.sched.history import IoHistory
 from repro.sched.naive import NaiveScheduling
 from repro.sched.policies import AvgLatencyProbing, FixedRateProbing
 from repro.sched.priority import FifoReadyQueue, PriorityReadyQueue
+from repro.sched import probe_model
 from repro.sched.probe_model import LinearProbeModel, train_probe_model
-from repro.sim.clock import usec
+from repro.sched.workload_aware import WorkloadAwareScheduling
+from repro.sim.clock import Clock, usec
 from repro.sim.engine import Engine
+from repro.simos.scheduler import OsProfile, SimOS
 
 import numpy as np
 
@@ -49,6 +56,146 @@ PINNED_BETA_HEX = """
 """.split()
 
 
+class _Command:
+    """What IoHistory reads of an NvmeCommand."""
+
+    def __init__(self, submit_ns, is_write):
+        self.submit_ns = submit_ns
+        self.is_write = is_write
+
+
+class _OracleHistory:
+    """The loops over every outstanding command that IoHistory ran per
+    question before it kept the counts: the reference it must equal."""
+
+    def __init__(self, history):
+        self.clock = history.clock
+        self.slices = history.slices
+        self.slice_ns = history.slice_ns
+        self.outstanding = {}
+
+    def on_submit(self, command):
+        self.outstanding[command] = (command.submit_ns, command.is_write)
+
+    def on_complete(self, command):
+        self.outstanding.pop(command, None)
+
+    def feature_vector(self):
+        now = self.clock.now
+        n = self.slices
+        features = [0.0] * (2 * n)
+        for submit_ns, is_write in self.outstanding.values():
+            index = min(max((now - submit_ns) // self.slice_ns, 0), n - 1)
+            features[index if is_write else n + index] += 1.0
+        return features
+
+    def next_slice_crossing_ns(self):
+        now = self.clock.now
+        crossing = None
+        for submit_ns, _is_write in self.outstanding.values():
+            index = (now - submit_ns) // self.slice_ns
+            if index < self.slices - 1:
+                at_ns = submit_ns + (max(index, 0) + 1) * self.slice_ns
+                if crossing is None or at_ns < crossing:
+                    crossing = at_ns
+        return crossing
+
+
+class _CheckedHistory(IoHistory):
+    """An IoHistory that holds every answer it gives against the oracle."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.oracle = _OracleHistory(self)
+        self.answers = 0
+
+    def on_submit(self, command):
+        self.oracle.on_submit(command)
+        super().on_submit(command)
+
+    def on_complete(self, command):
+        self.oracle.on_complete(command)
+        super().on_complete(command)
+
+    def shape_stamp(self):
+        stamp = super().shape_stamp()
+        self.answers += 1
+        assert self.counts == self.oracle.feature_vector()
+        assert self.outstanding_count == len(self.oracle.outstanding)
+        return stamp
+
+    def feature_vector(self):
+        features = super().feature_vector()
+        self.answers += 1
+        assert features == self.oracle.feature_vector()
+        return features
+
+    def next_slice_crossing_ns(self):
+        crossing = super().next_slice_crossing_ns()
+        self.answers += 1
+        assert crossing == self.oracle.next_slice_crossing_ns()
+        return crossing
+
+
+SLICE_NS = usec(10)
+WINDOW_NS = 6 * SLICE_NS
+
+_STEPS = st.one_of(
+    st.just(("read", 0)),
+    st.just(("write", 0)),
+    st.tuples(st.just("complete"), st.integers(0, 7)),
+    st.tuples(
+        st.just("advance"),
+        st.one_of(
+            st.integers(0, SLICE_NS - 1),
+            st.just(SLICE_NS),
+            st.integers(SLICE_NS + 1, 4 * SLICE_NS),
+            st.integers(WINDOW_NS, 3 * WINDOW_NS),
+        ),
+    ),
+    st.tuples(st.just("ask"), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=st.lists(_STEPS, max_size=80), slices=st.sampled_from([1, 2, 6]))
+def test_history_equals_the_from_scratch_loops(script, slices):
+    """Whatever is submitted, completed (not oldest first) and however
+    the clock moves between questions, every answer is the one a loop
+    over the outstanding commands gives, whichever reader asks first,
+    and the stamp stands exactly while the vector does."""
+    clock = Clock()
+    history = _CheckedHistory(clock, window_us=60, slices=slices)
+    oracle = history.oracle
+    readers = [
+        history.feature_vector,
+        history.next_slice_crossing_ns,
+        history.shape_stamp,
+    ]
+    stamp = history.shape_stamp()
+    vector = history.feature_vector()
+    touched = False
+    for step, value in script + [("ask", 0)]:
+        if step == "advance":
+            clock.advance_to(clock.now + value)
+        elif step == "complete":
+            if value < len(oracle.outstanding):
+                history.on_complete(list(oracle.outstanding)[value])
+                touched = True
+        elif step == "ask":
+            for reader in readers[value:] + readers[:value]:
+                reader()
+            was, stamp = stamp, history.shape_stamp()
+            changed = touched or history.counts != vector
+            assert (stamp != was) == changed
+            vector = history.feature_vector()
+            touched = False
+        else:
+            history.on_submit(_Command(clock.now, step == "write"))
+            touched = True
+        assert history.outstanding_count == len(oracle.outstanding)
+
+
 class TestIoHistory:
     def _history(self):
         engine = Engine(seed=1)
@@ -57,6 +204,10 @@ class TestIoHistory:
         qpair = driver.alloc_qpair()
         history = IoHistory(engine.clock, window_us=1000, slices=20)
         return engine, driver, qpair, history
+
+    def _checked(self):
+        clock = Clock()
+        return clock, _CheckedHistory(clock, window_us=1000, slices=20)
 
     def test_outstanding_tracking(self):
         engine, driver, qpair, history = self._history()
@@ -79,17 +230,125 @@ class TestIoHistory:
         n = history.slices
         assert features[n] == 1.0  # read, slice 0
         assert features[0] == 1.0  # write, slice 0
-        # project the same vector 120us into the future: both age
-        future = history.feature_vector(engine.now + usec(120))
+        # 120us on both have aged two slices
+        engine.clock.advance_to(engine.now + usec(120))
+        future = history.feature_vector()
         assert future[n + 2] == 1.0
         assert future[2] == 1.0
+        assert sum(future) == 2.0
+        assert features[n] == 1.0  # the first answer was the caller's to keep
 
     def test_old_commands_clamp_to_last_slice(self):
         engine, driver, qpair, history = self._history()
         command = driver.read(qpair, 1)
         history.on_submit(command)
-        features = history.feature_vector(engine.now + usec(5_000))
+        engine.clock.advance_to(engine.now + usec(5_000))
+        features = history.feature_vector()
         assert features[2 * history.slices - 1] == 1.0
+        assert sum(features) == 1.0
+        assert history.next_slice_crossing_ns() is None
+
+    def test_record_jumps_several_slices_in_one_sweep(self):
+        clock, history = self._checked()
+        history.on_submit(_Command(0, False))
+        clock.advance_to(usec(30))
+        history.on_submit(_Command(clock.now, True))
+        stamp = history.shape_stamp()
+        clock.advance_to(usec(260))  # nobody asked on the way
+        features = history.feature_vector()
+        assert features[20 + 5] == 1.0  # the read, 260us old
+        assert features[4] == 1.0  # the write, 230us old
+        assert history.shape_stamp() != stamp
+        assert history.next_slice_crossing_ns() == usec(30) + 5 * usec(50)
+
+    def test_crossing_is_exact_after_a_completion(self):
+        clock, history = self._checked()
+        first = _Command(0, False)
+        history.on_submit(first)
+        clock.advance_to(usec(10))
+        second = _Command(clock.now, False)
+        history.on_submit(second)
+        clock.advance_to(usec(20))
+        third = _Command(clock.now, True)
+        history.on_submit(third)
+        assert history.next_slice_crossing_ns() == usec(50)
+        # not a FIFO head: the cached instant is still the head's
+        history.on_complete(second)
+        assert history.next_slice_crossing_ns() == usec(50)
+        # the head the cached instant belonged to: the next one's, not early
+        history.on_complete(first)
+        assert history.next_slice_crossing_ns() == usec(70)
+        # across FIFOs: the older record owns the instant, then dies
+        clock.advance_to(usec(75))
+        fourth = _Command(clock.now, False)
+        history.on_submit(fourth)
+        assert history.next_slice_crossing_ns() == usec(120)
+        history.on_complete(third)
+        assert history.next_slice_crossing_ns() == usec(125)
+        history.on_complete(fourth)
+        assert history.next_slice_crossing_ns() is None
+
+    def test_no_reader_keeps_a_bounded_number_of_records(self):
+        clock, history = self._checked()
+        outstanding = [_Command(0, False) for _ in range(8)]
+        for command in outstanding:
+            history.on_submit(command)
+        for step in range(10_000):
+            clock.advance_to(clock.now + usec(1))
+            command = _Command(clock.now, step % 3 == 0)
+            outstanding.append(command)
+            history.on_submit(command)
+            # oldest and second oldest in turn: not every one is a head
+            history.on_complete(outstanding.pop(step % 2))
+            assert len(history._records) == 8
+            assert sum(len(fifo) for fifo, _, _ in history._walk) <= 16
+        assert history.answers == 0
+        assert history.outstanding_count == 8
+        history.feature_vector()  # ten windows late, against the oracle
+
+    def test_submit_told_late_is_booked_by_its_age(self):
+        clock, history = self._checked()
+        history.on_submit(_Command(0, False))
+        clock.advance_to(usec(130))
+        history.on_submit(_Command(usec(20), True))  # 110us old already
+        features = history.feature_vector()
+        assert features[20 + 2] == 1.0
+        assert features[2] == 1.0
+        assert history.next_slice_crossing_ns() == usec(150)
+        clock.advance_to(usec(175))
+        assert history.feature_vector()[3] == 1.0
+
+    def test_completion_of_a_command_never_submitted(self):
+        clock, history = self._checked()
+        history.on_submit(_Command(0, False))
+        stamp = history.shape_stamp()
+        clock.advance_to(usec(40))
+        history.on_complete(_Command(usec(10), True))
+        assert history.outstanding_count == 1
+        assert history.detected_completions == 1
+        assert history.avg_completion_latency_ns() == usec(30)
+        assert history.shape_stamp() == stamp
+        assert sum(history.feature_vector()) == 1.0
+
+    def test_outstanding_set_is_keyed_by_the_command(self):
+        # nothing else holds these commands: keyed by id() the second
+        # could take the first one's freed address and its entry
+        clock, history = self._checked()
+        history.on_submit(_Command(0, False))
+        history.on_submit(_Command(0, True))
+        assert history.outstanding_count == 2
+        assert sum(history.feature_vector()) == 2.0
+
+    def test_driver_retry_keeps_the_first_submit_instant(self):
+        clock, history = self._checked()
+        command = _Command(0, False)
+        history.on_submit(command)
+        clock.advance_to(usec(70))
+        command.submit_ns = clock.now  # NvmeDriver re-enqueues the command
+        clock.advance_to(usec(120))
+        assert history.feature_vector()[20 + 2] == 1.0  # 120us, not 50us
+        history.on_complete(command)
+        assert history.avg_completion_latency_ns() == usec(50)
 
     def test_avg_latency_window(self):
         engine, driver, qpair, history = self._history()
@@ -133,6 +392,24 @@ class TestProbeModel:
         if sys.version_info[:2] == (3, 11):
             beta_hex = [value.hex() for row in model.beta.tolist() for value in row]
             assert beta_hex == PINNED_BETA_HEX
+
+    def test_trainer_rows_are_distinct_lists(self, monkeypatch):
+        """sample_tick keeps what feature_vector returns: a row that
+        aliased the history's live counts would go on changing."""
+        kept = []
+
+        class Recording(IoHistory):
+            def feature_vector(self):
+                features = super().feature_vector()
+                kept.append((features, list(features)))
+                return features
+
+        monkeypatch.setattr(probe_model, "IoHistory", Recording)
+        train_probe_model(5, i3_nvme_profile(), duration_us=20_000)
+        assert len(kept) == 20_000 // 50  # one sample per slice width
+        assert len({id(features) for features, _ in kept}) == len(kept)
+        assert all(features == snapshot for features, snapshot in kept)
+        assert any(sum(snapshot) for _, snapshot in kept)
 
     def test_predicts_completion_threshold(self):
         beta = np.zeros((40, 2))
@@ -236,3 +513,84 @@ class TestProbingPolicies:
         engine.io_history.outstanding_count = 0
         policy.bind(engine)
         assert not policy.should_probe()
+
+
+class TestWorkloadAwareVerdict:
+    """The policy's cached verdict over a real history."""
+
+    def _model(self, slices=10):
+        # a read at least one slice old, or three writes, is a completion
+        beta = np.zeros((2 * slices, 2))
+        beta[slices + 1:, 1] = 1.0
+        beta[:, 0] = 0.34
+        return LinearProbeModel(beta, window_us=100, slices=slices)
+
+    def test_model_is_asked_once_per_change_of_the_vector(self):
+        asked = []
+
+        class Counting(LinearProbeModel):
+            def predicts_completion(self, features, threshold=1.0):
+                asked.append(list(features))
+                return super().predicts_completion(features, threshold)
+
+        model = self._model()
+        model.__class__ = Counting
+        policy = WorkloadAwareScheduling(model)
+        engine = _FakeEngine()
+        clock = engine.clock
+        engine.io_history = history = _CheckedHistory(
+            clock, window_us=model.window_us, slices=model.slices
+        )
+        policy.bind(engine)
+        read = _Command(0, False)
+        history.on_submit(read)
+        assert not policy.predicts_completion()
+        for now in range(1, usec(10), 500):  # many turns inside one slice
+            clock.advance_to(now)
+            assert not policy.predicts_completion()
+            assert policy.idle_sleep_ns() > 0
+        assert len(asked) == 1
+        clock.advance_to(usec(10))  # the read ages into slice 1
+        assert policy.predicts_completion()
+        assert policy.idle_sleep_ns() == 0
+        assert len(asked) == 2
+        history.on_complete(read)
+        history.on_submit(_Command(clock.now, True))
+        assert not policy.predicts_completion()
+        assert len(asked) == 3
+        assert asked[-1] == history.feature_vector()
+
+    def test_dedicated_poller_and_worker_share_one_history(self):
+        """PAD+: the worker submits, the poller completes and asks, and
+        the worker's idle_sleep_ns asks too -- every answer is checked
+        against the from-scratch loops."""
+        engine = Engine(seed=3)
+        simos = SimOS(engine, OsProfile(cores=4))
+        device = NvmeDevice(engine, fast_test_profile())
+        driver = NvmeDriver(device)
+        tree = PaTree.create(device)
+        tree.bulk_load([(k * 10, bytes(8)) for k in range(1, 2_001)])
+        model = self._model()
+        operations = [
+            update_op(k * 10, bytes(8)) if k % 3 == 0 else search_op(k * 10)
+            for k in range(1, 301)
+        ]
+        pa = PaTreeEngine(
+            simos,
+            driver,
+            tree,
+            WorkloadAwareScheduling(model),
+            source=ClosedLoopSource(operations, window=16),
+            dedicated_poller=POLLER_MODEL,
+        )
+        pa.io_history = history = _CheckedHistory(
+            engine.clock, window_us=model.window_us, slices=model.slices
+        )
+        pa.run_to_completion()
+        assert all(op.error is None for op in operations)
+        assert history.outstanding_count == 0
+        assert history.detected_completions == history.submitted_reads + (
+            history.submitted_writes
+        )
+        assert history.answers > history.detected_completions
+        assert sum(history.feature_vector()) == 0.0
