@@ -180,16 +180,14 @@ class IoHistory:
     def feature_vector(self):
         """The ``2n``-dim feature list ``[w_1..w_n, r_1..r_n]``, the
         caller's to keep."""
-        if self.clock.now >= self._next_crossing:
-            self._age()
+        self.shape_stamp()
         return list(self.counts)
 
     def next_slice_crossing_ns(self):
         """First instant after now at which :meth:`feature_vector` changes
         with the outstanding set as it is (an I/O ages into its next
         slice), or None when every one already sits in the oldest."""
-        if self.clock.now >= self._next_crossing:
-            self._age()
+        self.shape_stamp()
         if self._next_crossing == _NEVER:
             return None
         return self._next_crossing
