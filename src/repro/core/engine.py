@@ -42,7 +42,6 @@ from repro.sim.metrics import (
     CPU_SYNC,
     Counter,
 )
-from repro.simos.thread import Cpu
 
 PERSISTENCE_STRONG = "strong"
 PERSISTENCE_WEAK = "weak"
@@ -128,6 +127,7 @@ class PaTreeEngine(PolledWorker):
 
     def _poller_body(self):
         """Dedicated polling thread (PAD / PAD+ variants, Fig 11)."""
+        cpu = self.simos.cpu
         costs = self.tree.costs
         driver = self.driver
         profile = driver.profile
@@ -141,7 +141,7 @@ class PaTreeEngine(PolledWorker):
         last_probe_ns = 0
         while not self._shutdown:
             if use_model:
-                yield Cpu(costs.probe_model_ns, CPU_SCHED)
+                cpu(costs.probe_model_ns, CPU_SCHED) or (yield)
                 gap = self.clock.now - last_probe_ns
                 overdue = gap >= max_gap_ns
                 gated = gap < min_gap_ns or (
@@ -149,22 +149,22 @@ class PaTreeEngine(PolledWorker):
                     or not self.policy.predicts_completion()
                 )
                 if not overdue and gated:
-                    yield Cpu(costs.idle_spin_ns, CPU_SCHED)
+                    cpu(costs.idle_spin_ns, CPU_SCHED) or (yield)
                     continue
                 last_probe_ns = self.clock.now
-            yield Cpu(driver.probe_cpu_ns(0), CPU_NVME)
+            cpu(driver.probe_cpu_ns(0), CPU_NVME) or (yield)
             completed = driver.probe(self.qpair)
             self.probes.add()
             if completed:
                 # cross-thread handoff: each completion moves through a
                 # synchronized queue to the working thread
-                yield Cpu(
+                cpu(
                     len(completed)
                     * (profile.probe_cpu_per_completion_ns + costs.handoff_sync_ns),
                     CPU_SYNC,
-                )
+                ) or (yield)
             else:
-                yield Cpu(costs.idle_spin_ns, CPU_NVME)
+                cpu(costs.idle_spin_ns, CPU_NVME) or (yield)
 
     # ------------------------------------------------------------------
     # operation processing
@@ -175,14 +175,15 @@ class PaTreeEngine(PolledWorker):
 
     def _process(self, op):
         """Run ``op`` until it waits or completes (paper's process(c))."""
+        cpu = self.simos.cpu
         costs = self.tree.costs
-        yield Cpu(costs.dispatch_ns, CPU_SCHED)
+        cpu(costs.dispatch_ns, CPU_SCHED) or (yield)
 
         send = op.resume_value
         op.resume_value = None
         if type(send) is Completion:
             # read completion: turn raw bytes into a parsed node
-            yield Cpu(costs.node_parse_ns, CPU_REAL_WORK)
+            cpu(costs.node_parse_ns, CPU_REAL_WORK) or (yield)
             send = self._node_from_completion(send)
 
         while True:
@@ -195,7 +196,7 @@ class PaTreeEngine(PolledWorker):
             kind = type(effect)
 
             if kind is LatchEff:
-                yield Cpu(costs.latch_request_ns, CPU_SYNC)
+                cpu(costs.latch_request_ns, CPU_SYNC) or (yield)
                 if not self.latches.request(op, effect.page_id, effect.mode):
                     op.state = ST_LATCH_WAIT
                     self.latch_wait_events.add()
@@ -207,7 +208,7 @@ class PaTreeEngine(PolledWorker):
                     return
 
             elif kind is UnlatchEff:
-                yield Cpu(costs.latch_release_ns, CPU_SYNC)
+                cpu(costs.latch_release_ns, CPU_SYNC) or (yield)
                 woken = self.latches.release(op, effect.page_id)
                 for waiter in woken:
                     waiter.state = ST_READY
@@ -215,10 +216,10 @@ class PaTreeEngine(PolledWorker):
 
             elif kind is UnlatchManyEff:
                 page_ids = effect.page_ids
-                yield Cpu(
+                cpu(
                     vector_cost_ns(costs.latch_release_ns, len(page_ids)),
                     CPU_SYNC,
-                )
+                ) or (yield)
                 woken = self.latches.release_many(op, page_ids)
                 for waiter in woken:
                     waiter.state = ST_READY
@@ -238,7 +239,7 @@ class PaTreeEngine(PolledWorker):
                     return
 
             elif kind is ChargeEff:
-                yield Cpu(effect.ns, effect.category)
+                cpu(effect.ns, effect.category) or (yield)
 
             elif kind is SyncEff:
                 waiting, flushed = yield from self._start_sync(op)
@@ -258,18 +259,19 @@ class PaTreeEngine(PolledWorker):
 
     def _read_page(self, op, page_id):
         """Serve a node read; returns the node or None (I/O submitted)."""
+        cpu = self.simos.cpu
         costs = self.tree.costs
         if self.buffer is not None:
-            yield Cpu(costs.buffer_lookup_ns, CPU_REAL_WORK)
+            cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
             data = self.buffer.lookup(page_id)
             if data is not None:
-                yield Cpu(costs.node_parse_ns, CPU_REAL_WORK)
+                cpu(costs.node_parse_ns, CPU_REAL_WORK) or (yield)
                 node = self._node_cache.get(page_id)
                 if node is None:
                     node = Node.from_bytes(self.tree.config, page_id, data)
                     self._cache_node(node)
                 return node
-        yield Cpu(self.driver.submit_cpu_ns, CPU_NVME)
+        cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
         command = self.driver.read(
             self.qpair, page_id, callback=self._on_io_done, context=op
         )
@@ -279,21 +281,22 @@ class PaTreeEngine(PolledWorker):
 
     def _write_wave(self, op, effect):
         """Persist one wave of nodes; returns True when op must wait."""
+        cpu = self.simos.cpu
         costs = self.tree.costs
         images = []
         for node in effect.nodes:
-            yield Cpu(costs.node_serialize_ns, CPU_REAL_WORK)
+            cpu(costs.node_serialize_ns, CPU_REAL_WORK) or (yield)
             images.append((node.page_id, node.to_bytes()))
             self._cache_node(node)
         if effect.write_meta:
-            yield Cpu(costs.node_serialize_ns, CPU_REAL_WORK)
+            cpu(costs.node_serialize_ns, CPU_REAL_WORK) or (yield)
             images.append((self.tree.meta_page, self.tree.meta.to_bytes()))
 
         if self.persistence == PERSISTENCE_WEAK:
             for page_id, data in images:
                 evicted = self.buffer.write(page_id, data)
                 for victim_id, victim_data in evicted:
-                    yield Cpu(self.driver.submit_cpu_ns, CPU_NVME)
+                    cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
                     self._submit_page_write(victim_id, victim_data, None)
             return False
 
@@ -312,9 +315,9 @@ class PaTreeEngine(PolledWorker):
                     immediate.append((page_id, data))
                 count += 1
             if immediate:
-                yield Cpu(
+                cpu(
                     self.driver.submit_many_cpu_ns(len(immediate)), CPU_NVME
-                )
+                ) or (yield)
                 commands = self.driver.write_many(
                     self.qpair, immediate, callback=self._on_io_done, context=op
                 )
@@ -326,7 +329,7 @@ class PaTreeEngine(PolledWorker):
 
         count = 0
         for page_id, data in images:
-            yield Cpu(self.driver.submit_cpu_ns, CPU_NVME)
+            cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
             self._submit_page_write(page_id, data, op)
             count += 1
         op.io_remaining = count
@@ -343,7 +346,7 @@ class PaTreeEngine(PolledWorker):
             return False, 0
         if self._active_sync is not None:
             raise SchedulerError("concurrent sync operations are not supported")
-        yield Cpu(self.tree.costs.dispatch_ns, CPU_SCHED)
+        self.simos.cpu(self.tree.costs.dispatch_ns, CPU_SCHED) or (yield)
         flushing = self.buffer.take_dirty()
         for page_id, data in flushing:
             self._deferred_flushes.append((page_id, data, op))

@@ -23,14 +23,11 @@ EXCLUSIVE = "X"
 class _LatchEntry:
     __slots__ = ("readers", "writers", "pending")
 
-    def __init__(self):
-        self.readers = 0
-        self.writers = 0
-        self.pending = deque()
-
-    @property
-    def idle(self):
-        return self.readers == 0 and self.writers == 0 and not self.pending
+    def __init__(self, readers, writers):
+        self.readers = readers
+        self.writers = writers
+        # FIFO of (mode, op), allocated by the first request that waits
+        self.pending = None
 
     def can_grant(self, mode):
         if mode == EXCLUSIVE:
@@ -46,13 +43,6 @@ class LatchTable:
         self.grants = 0
         self.waits = 0
 
-    def _entry(self, page_id):
-        entry = self._entries.get(page_id)
-        if entry is None:
-            entry = _LatchEntry()
-            self._entries[page_id] = entry
-        return entry
-
     def request(self, op, page_id, mode):
         """Try to grant ``mode`` on ``page_id`` to ``op``.
 
@@ -66,10 +56,22 @@ class LatchTable:
             raise LatchError(
                 "op %r already holds a latch on page %d" % (op, page_id)
             )
-        entry = self._entry(page_id)
+        entry = self._entries.get(page_id)
+        if entry is None:
+            # uncontended, the common case: granted inline
+            if mode == EXCLUSIVE:
+                self._entries[page_id] = _LatchEntry(0, 1)
+                op.write_latches += 1
+            else:
+                self._entries[page_id] = _LatchEntry(1, 0)
+            op.held_latches[page_id] = mode
+            self.grants += 1
+            return True
         if not entry.pending and entry.can_grant(mode):
             self._grant(op, page_id, entry, mode)
             return True
+        if entry.pending is None:
+            entry.pending = deque()
         entry.pending.append((mode, op))
         self.waits += 1
         return False
@@ -95,10 +97,13 @@ class LatchTable:
             if entry.readers < 1:
                 raise LatchError("shared release without readers on %d" % page_id)
             entry.readers -= 1
-        woken = self._drain(page_id, entry)
-        if entry.idle:
+        if entry.pending:
+            # the head is granted, or it waits for a hold that remains:
+            # either way the entry stays
+            return self._drain(page_id, entry)
+        if entry.readers == 0 and entry.writers == 0:
             del self._entries[page_id]
-        return woken
+        return []
 
     def _drain(self, page_id, entry):
         woken = []
@@ -156,7 +161,7 @@ class LatchTable:
         registry.gauge(
             "latch_pending_ops", labels,
             fn=lambda: sum(
-                len(entry.pending) for entry in self._entries.values()
+                len(entry.pending or ()) for entry in self._entries.values()
             ),
             help="operations waiting in latch pending queues",
         )
@@ -166,7 +171,7 @@ class LatchTable:
         entry = self._entries.get(page_id)
         if entry is None:
             return (0, 0, 0)
-        return (entry.readers, entry.writers, len(entry.pending))
+        return (entry.readers, entry.writers, len(entry.pending or ()))
 
     def assert_quiescent(self):
         """Raise unless no latch is held anywhere (end-of-run check)."""

@@ -38,7 +38,7 @@ from repro.errors import (
 )
 from repro.sim.metrics import CPU_NVME, CPU_SCHED, Counter, LatencyRecorder
 from repro.sim.nulltrace import NULL_TRACER
-from repro.simos.thread import Cpu, CpuRepeat, Sleep
+from repro.simos.thread import Sleep
 
 # (counter attribute, help); exported as ``<metric_prefix>_<attr>_total``
 _COUNTERS = (
@@ -192,7 +192,9 @@ class PolledWorker:
         # tens of turns per operation even with the idle ones taken in
         # bursts (_repeat_idle_turn): everything the loop touches every
         # turn is a local, and rare work hides behind a deque
-        # truthiness check
+        # truthiness check.  A burst is a call that yields only when
+        # its continuation had to be scheduled (SimOS.cpu).
+        cpu = self.simos.cpu
         costs = self.costs
         clock = self.clock
         engine = self.engine
@@ -215,7 +217,7 @@ class PolledWorker:
                 new_ops.extend(internal)
                 internal.clear()
             if new_ops:
-                yield Cpu(costs.admit_ns * len(new_ops), CPU_SCHED)
+                cpu(costs.admit_ns * len(new_ops), CPU_SCHED) or (yield)
                 for op in new_ops:
                     self._admit(op)
                 worked = True
@@ -225,7 +227,7 @@ class PolledWorker:
             # large sync() must not overrun the ring
             while flushes and sq.free_slots > 64:
                 lba, data, flush_op = flushes.popleft()
-                yield Cpu(driver.submit_cpu_ns, CPU_NVME)
+                cpu(driver.submit_cpu_ns, CPU_NVME) or (yield)
                 self._submit_page_write(lba, data, flush_op)
                 worked = True
 
@@ -233,12 +235,12 @@ class PolledWorker:
             # callback context because the submission ring was full
             while escalations and sq.free_slots > 8:
                 deferred = escalations.popleft()
-                yield Cpu(driver.submit_cpu_ns, CPU_NVME)
+                cpu(driver.submit_cpu_ns, CPU_NVME) or (yield)
                 self._resubmit_write(*deferred)
                 worked = True
 
             if policy.ready_count():
-                yield Cpu(policy.pick_cost_ns(), CPU_SCHED)
+                cpu(policy.pick_cost_ns(), CPU_SCHED) or (yield)
                 op = policy.pick()
                 tracer = self.tracer
                 if tracer.enabled:
@@ -262,21 +264,21 @@ class PolledWorker:
             if not poller and io_history.outstanding_count:
                 gate_cost = policy.gate_cost_ns()
                 if gate_cost:
-                    yield Cpu(gate_cost, CPU_SCHED)
+                    cpu(gate_cost, CPU_SCHED) or (yield)
                     worked = True
                 probed = policy.should_probe()
                 if probed:
                     tracer = self.tracer
                     probe_start_ns = clock.now if tracer.enabled else 0
-                    yield Cpu(driver.probe_cpu_ns(0), CPU_NVME)
+                    cpu(driver.probe_cpu_ns(0), CPU_NVME) or (yield)
                     completed = driver.probe(self.qpair)
                     self.probes.add()
                     policy.note_probe(clock.now, len(completed))
                     if completed:
-                        yield Cpu(
+                        cpu(
                             len(completed) * profile.probe_cpu_per_completion_ns,
                             CPU_NVME,
-                        )
+                        ) or (yield)
                         idle = False
                     if tracer.enabled:
                         tracer.complete(
@@ -314,7 +316,7 @@ class PolledWorker:
                         spun = not worked
                         if spun:
                             self.idle_spins.add()
-                            yield Cpu(costs.idle_spin_ns, CPU_SCHED)
+                            cpu(costs.idle_spin_ns, CPU_SCHED) or (yield)
                         # no event since the turn began: every burst
                         # went by in place, so what the turn read at its
                         # start it would read again now
@@ -323,7 +325,7 @@ class PolledWorker:
                             and engine.dispatched == dispatched
                             and not self.tracer.enabled
                         ):
-                            yield from self._repeat_idle_turn(
+                            self._repeat_idle_turn(
                                 gate_cost, probed, spun, next_arrival
                             )
 
@@ -340,8 +342,8 @@ class PolledWorker:
         operation falls due or the policy stops answering the same, so
         the policy (``idle_repeats``) and the source bound how many such
         turns follow, the kernel grants those of them that nothing
-        would interrupt (CpuRepeat), and what that many turns book is
-        booked here in one go.  What is left runs as ordinary turns.
+        would interrupt (``SimOS.cpu_repeat``), and what that many turns
+        book is booked here in one go.  What is left runs as ordinary turns.
         """
         if spun:
             if probed is not None:
@@ -363,7 +365,7 @@ class PolledWorker:
             )
         if repeats <= 0:
             return
-        taken = yield CpuRepeat(step_ns, category, repeats)
+        taken = self.simos.cpu_repeat(step_ns, category, repeats)
         if not taken:
             return
         if spun:

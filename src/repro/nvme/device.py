@@ -263,20 +263,39 @@ class NvmeDevice:
         Leaves the device where that many :meth:`probe` calls at those
         instants do: each occupies the interface from its own instant,
         or is coalesced once the backlog it finds has reached the cap
-        (the droppable case of :meth:`_occupy_interface`, inlined: this
-        loop is what is left of the polled worker's idle turns).
+        (the droppable case of :meth:`_occupy_interface`).
+
+        The backlog ``b`` a probe finds (interface time booked past its
+        instant; negative while idle) fixes the next probe's:
+        ``max(b, 0) + probe_iface_ns - step_ns`` under the cap,
+        ``b - step_ns`` at or over it.  That is a function of ``b``
+        alone, so once a value comes back the rest is whole periods:
+        walk to the first repeat, skip the periods, walk the remainder.
         """
         self.probe_calls.add(count)
         duration_ns = self.substrate.probe_iface_ns
         cap_ns = self.profile.iface_backlog_cap_ns
-        free_ns = self._iface_free_ns
-        at_ns = self.engine.now - (count - 1) * step_ns
-        for _ in range(count):
-            start = free_ns if free_ns > at_ns else at_ns
-            if start - at_ns < cap_ns:
-                free_ns = start + duration_ns
-            at_ns += step_ns
-        self._iface_free_ns = free_ns
+        now = self.engine.now
+        # what the first probe, at now - (count - 1) * step_ns, finds
+        backlog = self._iface_free_ns - now + (count - 1) * step_ns
+        seen = {}  # backlog -> probes left when it was found
+        left = count
+        while left:
+            if seen is not None:
+                if backlog in seen:
+                    # the probes since it was found are one period
+                    left %= seen[backlog] - left
+                    seen = None
+                    continue
+                seen[backlog] = left
+            busy = backlog if backlog > 0 else 0
+            if busy < cap_ns:
+                backlog = busy + duration_ns - step_ns
+            else:
+                backlog -= step_ns
+            left -= 1
+        # the backlog past the instant after the last probe
+        self._iface_free_ns = now + step_ns + backlog
 
     # ------------------------------------------------------------------
     # direct media access (bulk loading / recovery inspection only)

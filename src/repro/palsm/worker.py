@@ -33,7 +33,6 @@ from repro.palsm.store import (
     WriteBatchEff,
 )
 from repro.sim.metrics import CPU_NVME, CPU_REAL_WORK, CPU_SCHED
-from repro.simos.thread import Cpu
 
 _MAINTENANCE_KINDS = (OP_FLUSH, OP_COMPACT)
 
@@ -67,8 +66,9 @@ class PolledLsmWorker(PolledWorker):
         self._active_seqs.add(op.seq)
 
     def _process(self, op):
+        cpu = self.simos.cpu
         costs = self.costs
-        yield Cpu(costs.dispatch_ns, CPU_SCHED)
+        cpu(costs.dispatch_ns, CPU_SCHED) or (yield)
         send = op.resume_value
         op.resume_value = None
         while True:
@@ -81,12 +81,12 @@ class PolledLsmWorker(PolledWorker):
             kind = type(effect)
 
             if kind is ReadPageEff:
-                yield Cpu(costs.buffer_lookup_ns, CPU_REAL_WORK)
+                cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
                 cached = self.store.cache.get(effect.lba)
                 if cached is not None:
                     send = cached
                     continue
-                yield Cpu(self.driver.submit_cpu_ns, CPU_NVME)
+                cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
                 command = self.driver.read(
                     self.qpair, effect.lba, callback=self._on_io_done, context=op
                 )
@@ -99,12 +99,12 @@ class PolledLsmWorker(PolledWorker):
                 results = {}
                 pending = 0
                 for lba in effect.lbas:
-                    yield Cpu(costs.buffer_lookup_ns, CPU_REAL_WORK)
+                    cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
                     cached = self.store.cache.get(lba)
                     if cached is not None:
                         results[lba] = cached
                         continue
-                    yield Cpu(self.driver.submit_cpu_ns, CPU_NVME)
+                    cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
                     command = self.driver.read(
                         self.qpair, lba, callback=self._on_io_done, context=op
                     )
@@ -121,7 +121,7 @@ class PolledLsmWorker(PolledWorker):
             if kind is WriteBatchEff:
                 count = 0
                 for lba, image in effect.pages:
-                    yield Cpu(self.driver.submit_cpu_ns, CPU_NVME)
+                    cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
                     command = self.driver.write(
                         self.qpair, lba, image, callback=self._on_io_done, context=op
                     )
@@ -136,7 +136,7 @@ class PolledLsmWorker(PolledWorker):
             if kind is BackgroundWriteEff:
                 batch = _BackgroundBatch(len(effect.pages), effect.on_complete)
                 for lba, image in effect.pages:
-                    yield Cpu(self.driver.submit_cpu_ns, CPU_NVME)
+                    cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
                     command = self.driver.write(
                         self.qpair,
                         lba,
@@ -149,7 +149,7 @@ class PolledLsmWorker(PolledWorker):
                 continue
 
             if kind is ChargeEff:
-                yield Cpu(effect.ns, effect.category)
+                cpu(effect.ns, effect.category) or (yield)
                 continue
 
             raise SchedulerError("LSM plan yielded unknown effect %r" % (effect,))

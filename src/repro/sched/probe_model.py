@@ -15,7 +15,7 @@ trains the same model class with pandas; we use ``numpy.linalg``).
 
 import numpy as np
 
-from repro.backend import make_backend
+from repro.backend import DeviceProfile, make_backend
 from repro.sched.history import DEFAULT_SLICES, DEFAULT_WINDOW_US, IoHistory
 from repro.sim.clock import usec
 from repro.sim.engine import Engine
@@ -146,12 +146,13 @@ _MODEL_CACHE = {}
 
 
 def cached_probe_model(device_profile, seed=12345, **kwargs):
-    """Train-once-per-profile cache used by benchmark sweeps."""
+    """Train-once-per-profile cache used by benchmark sweeps.
+
+    Keyed on every field of the profile: the trainer's device reads
+    them all (service spread, interface costs, page size, capacity).
+    """
     key = (
-        device_profile.name,
-        device_profile.channels,
-        device_profile.read_service_ns,
-        device_profile.write_service_ns,
+        tuple(getattr(device_profile, slot) for slot in DeviceProfile.__slots__),
         seed,
         tuple(sorted(kwargs.items())),
     )

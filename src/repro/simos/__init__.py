@@ -13,7 +13,6 @@ from repro.simos.scheduler import (
 from repro.simos.sync import Mutex, Semaphore
 from repro.simos.thread import (
     Cpu,
-    CpuRepeat,
     SemPost,
     SemWait,
     SimThread,
@@ -27,7 +26,6 @@ __all__ = [
     "Core",
     "SimThread",
     "Cpu",
-    "CpuRepeat",
     "Sleep",
     "YieldCpu",
     "SemWait",

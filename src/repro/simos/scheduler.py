@@ -17,7 +17,6 @@ from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_OTHER, CPU_SYNC, Counter, CpuAccount
 from repro.simos.thread import (
     Cpu,
-    CpuRepeat,
     SemPost,
     SemWait,
     SimThread,
@@ -94,6 +93,10 @@ class SimOS:
         # True while spawn() steps a new thread from inside its caller,
         # which goes on at this instant: the clock must not move.
         self._spawning = False
+        # The thread whose code is running, which cpu() charges: _step
+        # sets it on entry, and spawn() restores it around the nested
+        # step it makes (the only way a thread body re-enters _step).
+        self._current = None
         # Observer slot (repro.sim.hooks): subscribers are called with
         # (thread, new_state) on every scheduling transition.  Must not
         # touch run queues or cores.
@@ -129,11 +132,60 @@ class SimOS:
         self._next_tid += 1
         self.threads.append(thread)
         outer, self._spawning = self._spawning, True
+        current = self._current
         try:
             self._make_runnable(thread)
         finally:
             self._spawning = outer
+            self._current = current
         return thread
+
+    def cpu(self, ns, category=CPU_OTHER):
+        """Charge a CPU burst of ``ns`` to the running thread, as a call.
+
+        The rule behind ``yield Cpu(ns, category)``, which ``_step``
+        serves by calling this.  Returns True when the burst went by in
+        place and the thread goes on; False once its continuation is
+        scheduled, after which the thread body must yield bare at once:
+        ``cpu(ns, category) or (yield)``.
+        """
+        if ns < 0:
+            raise ValueError("negative CPU burst: %r" % ns)
+        ns = int(ns)
+        if not ns:
+            return True
+        thread = self._current
+        thread.account.charge(ns, category)
+        thread.core.busy_ns += ns
+        # nobody waits for the core, so _after_cpu would only resume the
+        # thread: skip the heap if nothing is due first
+        if (
+            not self.run_queue
+            and not self._spawning
+            and self.engine.try_advance(ns)
+        ):
+            return True
+        self.engine.schedule(ns, self._after_cpu, thread)
+        return False
+
+    def cpu_repeat(self, ns, category, count):
+        """Up to ``count`` back-to-back ``cpu(ns, category)`` bursts as one.
+
+        Takes as many of them as would each have gone by in place, one
+        after the other (possibly none), charges those to the running
+        thread and returns their number; the caller issues whatever is
+        left as ordinary bursts.  Never suspends the thread.
+        """
+        ns = int(ns)
+        if ns <= 0:
+            raise ValueError("repeated CPU burst must be positive: %r" % ns)
+        if self.run_queue or self._spawning:
+            return 0
+        taken = self.engine.try_advance_repeat(ns, count)
+        thread = self._current
+        thread.account.charge(taken * ns, category)
+        thread.core.busy_ns += taken * ns
+        return taken
 
     def run_until_done(self, threads, until_ns=None):
         """Run the engine until every one of ``threads`` has exited.
@@ -282,30 +334,22 @@ class SimOS:
 
     def _step(self, thread):
         """Advance the generator, handling zero-cost instructions inline."""
+        self._current = thread
         profile = self.profile
+        send = thread.gen.send
         while True:
             try:
-                instr = thread.gen.send(thread.send_value)
+                instr = send(None)
             except StopIteration:
                 self._finish(thread)
                 return
-            thread.send_value = None
+            if instr is None:
+                # a cpu() call already scheduled the continuation
+                return
 
             if type(instr) is Cpu:
-                ns = instr.ns
-                if ns == 0:
+                if self.cpu(instr.ns, instr.category):
                     continue
-                thread.account.charge(ns, instr.category)
-                thread.core.busy_ns += ns
-                # nobody waits for the core, so _after_cpu would only
-                # resume the thread: skip the heap if nothing is due first
-                if (
-                    not self.run_queue
-                    and not self._spawning
-                    and self.engine.try_advance(ns)
-                ):
-                    continue
-                self.engine.schedule(ns, self._after_cpu, thread)
                 return
 
             if type(instr) is SemWait:
@@ -346,17 +390,6 @@ class SimOS:
                     self._release_core(thread)
                     return
                 # with an empty run queue sched_yield keeps running
-                continue
-
-            if type(instr) is CpuRepeat:
-                # as many of the bursts as the Cpu branch would have
-                # taken in place one after the other, in one step
-                taken = 0
-                if not self.run_queue and not self._spawning:
-                    taken = self.engine.try_advance_repeat(instr.ns, instr.count)
-                    thread.account.charge(taken * instr.ns, instr.category)
-                    thread.core.busy_ns += taken * instr.ns
-                thread.send_value = taken
                 continue
 
             raise SimulationError(

@@ -4,8 +4,20 @@ A simulated thread is a Python generator that yields *instructions* to
 the OS scheduler.  Instructions consume virtual CPU time, block on
 semaphores, sleep, or yield the core.  Plain Python work inside the
 generator costs zero virtual time — the thread body must charge the
-time it models via :class:`Cpu` instructions, which is what lets us
-account CPU by category for the paper's Fig 9 breakdown.
+time it models as CPU bursts, which is what lets us account CPU by
+category for the paper's Fig 9 breakdown.
+
+A burst has two spellings with one rule behind them
+(:meth:`repro.simos.scheduler.SimOS.cpu`).  The instruction,
+``yield Cpu(ns, category)``, is for thread bodies that are rarely
+alone on a core: the synchronous baselines, the I/O services, tests.
+The call, ``cpu(ns, category) or (yield)``, is for the polled workers
+(``repro.core.worker``, ``repro.core.engine``, ``repro.palsm.worker``),
+which usually are alone and take most bursts in place: ``cpu`` returns
+True when the clock went by in place and the body simply goes on, and
+False once the continuation is scheduled, after which the body must
+yield bare at once.  ``SimOS.cpu_repeat`` takes a run of equal bursts
+in one call.
 
 Example
 -------
@@ -15,6 +27,12 @@ Example
         yield Cpu(usec(1.2), CPU_REAL_WORK)   # 1.2 us of index work
         yield SemWait(latch_sem)               # block until granted
         yield Cpu(usec(0.5), CPU_REAL_WORK)
+
+    def polled_body(os):
+        cpu = os.cpu
+        while True:
+            cpu(usec(0.5), CPU_NVME) or (yield)  # probe
+            ...
 
     os.spawn(body(os), name="worker-0")
 """
@@ -38,25 +56,6 @@ class Cpu(Instruction):
             raise ValueError("negative CPU burst: %r" % ns)
         self.ns = int(ns)
         self.category = category
-
-
-class CpuRepeat(Instruction):
-    """Up to ``count`` back-to-back ``Cpu(ns, category)`` bursts as one.
-
-    The scheduler takes as many of them as would each have run without
-    anything else happening in between (possibly none), charges those,
-    and resumes the thread with that number; the thread issues whatever
-    is left as ordinary :class:`Cpu` bursts.
-    """
-
-    __slots__ = ("ns", "category", "count")
-
-    def __init__(self, ns, category, count):
-        self.ns = int(ns)
-        if self.ns <= 0:
-            raise ValueError("repeated CPU burst must be positive: %r" % ns)
-        self.category = category
-        self.count = count
 
 
 class Sleep(Instruction):
@@ -117,7 +116,6 @@ class SimThread:
         "state",
         "core",
         "account",
-        "send_value",
         "quantum_start_ns",
         "on_exit",
         "exc",
@@ -131,7 +129,6 @@ class SimThread:
         self.state = T_RUNNABLE
         self.core = None
         self.account = CpuAccount()
-        self.send_value = None
         self.quantum_start_ns = 0
         self.on_exit = []
         self.exc = None

@@ -14,6 +14,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:
     sys.path.insert(0, REPO_ROOT)
@@ -345,6 +347,65 @@ def test_pa511_interprocedural_taint_reaches_sink(tmp_path):
     assert codes(findings) == ["PA511"]
     assert "measure" in findings[0].message
     assert findings[0].path.endswith("feed.py")
+
+
+_WALL_CLOCK_PROBE = (
+    """
+    import time
+
+    def measure():
+        return time.perf_counter()  # patlint: ignore[PA101, PA510]
+    """
+)
+
+
+@pytest.mark.parametrize("burst, sink", [
+    ("self.simos.cpu(measure(), None) or (yield)", "cpu"),
+    ("self.simos.cpu_repeat(measure(), None, 4)", "cpu_repeat"),
+    ("self.engine.try_advance(measure())", "try_advance"),
+    ("self.engine.try_advance_repeat(measure(), 4)", "try_advance_repeat"),
+])
+def test_pa511_a_burst_call_is_a_sink(tmp_path, burst, sink):
+    findings = graph_findings(
+        tmp_path,
+        {
+            "src/repro/core/probe.py": _WALL_CLOCK_PROBE,
+            "src/repro/core/feed.py": (
+                """
+                from repro.core.probe import measure
+
+                class Worker:
+                    def body(self):
+                        %s
+                        yield
+                """ % burst
+            ),
+        },
+    )
+    assert codes(findings) == ["PA511"]
+    assert "sink %s(...)" % sink in findings[0].message
+
+
+def test_pa511_a_burst_through_a_local_binding_is_a_sink(tmp_path):
+    findings = graph_findings(
+        tmp_path,
+        {
+            "src/repro/core/probe.py": _WALL_CLOCK_PROBE,
+            "src/repro/core/feed.py": (
+                """
+                from repro.core.probe import measure
+
+                class Worker:
+                    def body(self):
+                        cpu = self.simos.cpu
+                        while True:
+                            cpu(measure(), None) or (yield)
+                """
+            ),
+        },
+    )
+    assert codes(findings) == ["PA511"]
+    assert "sink cpu(...)" in findings[0].message
 
 
 def test_pa511_blessed_module_sanitizes(tmp_path):

@@ -66,6 +66,19 @@ class TestGrantRules:
         woken = table.release(c, 1)
         assert woken == [d]
 
+    def test_waiter_behind_a_shared_holder_is_granted_and_the_entry_goes_once_idle(self):
+        table = LatchTable()
+        a, b = op(), op()
+        assert table.request(a, 1, SHARED)
+        assert not table.request(b, 1, EXCLUSIVE)
+        assert table.holders(1) == (1, 0, 1)
+        assert table.release(a, 1) == [b]
+        assert table.holders(1) == (0, 1, 0)
+        assert b.held_latches == {1: EXCLUSIVE} and b.write_latches == 1
+        assert table.release(b, 1) == []
+        assert not table._entries
+        assert (table.grants, table.waits) == (2, 1)
+
     def test_different_pages_independent(self):
         table = LatchTable()
         a, b = op(), op()
@@ -90,6 +103,15 @@ class TestProtocolErrors:
         table = LatchTable()
         with pytest.raises(LatchError):
             table.request(op(), 1, "banana")
+
+    def test_the_mode_check_comes_before_already_holds(self):
+        table = LatchTable()
+        a = op()
+        table.request(a, 1, SHARED)
+        with pytest.raises(LatchError, match="unknown latch mode"):
+            table.request(a, 1, "banana")
+        with pytest.raises(LatchError, match="already holds"):
+            table.request(a, 1, EXCLUSIVE)
 
     def test_quiescence_check(self):
         table = LatchTable()

@@ -1,6 +1,7 @@
 """Unit tests for the NVMe device model, rings, qpairs and driver."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backend import as_backend
 from repro.errors import DeviceError, PageBoundsError, QueueFullError
@@ -212,6 +213,36 @@ class TestDevice:
 
         for count in (1, 2, 13, 60):
             assert probed(count, at_once=True) == probed(count, at_once=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        free_ns=st.integers(0, 200_000),
+        now_ns=st.integers(0, 200_000),
+        count=st.integers(1, 3_000),
+        step_ns=st.integers(1, 6_000),
+        duration_ns=st.sampled_from([0, 1, 499, 500, 2_000, 2_001, 5_000]),
+        cap_ns=st.sampled_from([0, 1, 2_000, 24_000, 100_000]),
+    )
+    def test_a_run_of_empty_probes_skips_whole_periods_exactly(
+        self, free_ns, now_ns, count, step_ns, duration_ns, cap_ns
+    ):
+        # the oracle: one droppable interface occupancy per probe instant
+        at_ns = now_ns - (count - 1) * step_ns
+        expected = free_ns
+        for _ in range(count):
+            start = max(expected, at_ns)
+            if start - at_ns < cap_ns:
+                expected = start + duration_ns
+            at_ns += step_ns
+
+        engine, device, driver = make_device(
+            probe_iface_ns=duration_ns, iface_backlog_cap_ns=cap_ns
+        )
+        engine.clock.now = now_ns
+        device._iface_free_ns = free_ns
+        device.probe_empty_repeat(count, step_ns)
+        assert device._iface_free_ns == expected
+        assert device.probe_calls.value == count
 
     def test_latency_accounting(self):
         engine, device, driver = make_device()

@@ -18,7 +18,11 @@ from repro.sched.naive import NaiveScheduling
 from repro.sched.policies import AvgLatencyProbing, FixedRateProbing
 from repro.sched.priority import FifoReadyQueue, PriorityReadyQueue
 from repro.sched import probe_model
-from repro.sched.probe_model import LinearProbeModel, train_probe_model
+from repro.sched.probe_model import (
+    LinearProbeModel,
+    cached_probe_model,
+    train_probe_model,
+)
 from repro.sched.workload_aware import WorkloadAwareScheduling
 from repro.sim.clock import Clock, usec
 from repro.sim.engine import Engine
@@ -410,6 +414,26 @@ class TestProbeModel:
         assert len({id(features) for features, _ in kept}) == len(kept)
         assert all(features == snapshot for features, snapshot in kept)
         assert any(sum(snapshot) for _, snapshot in kept)
+
+    @pytest.mark.parametrize("field, value", [
+        ("service_sigma", 0.6),
+        ("fetch_ns", usec(1.2)),
+        ("post_ns", usec(0.8)),
+        ("probe_iface_ns", usec(6.0)),
+        ("iface_backlog_cap_ns", usec(12.0)),
+        ("page_size", 4096),
+        ("capacity_pages", 50_000),
+    ])
+    def test_the_model_cache_keys_on_every_profile_field(self, field, value):
+        # a short training and a seed of its own: keys no other test shares
+        model = cached_probe_model(fast_test_profile(), seed=77, duration_us=5_000)
+        assert cached_probe_model(
+            fast_test_profile(), seed=77, duration_us=5_000
+        ) is model
+        other = cached_probe_model(
+            fast_test_profile(**{field: value}), seed=77, duration_us=5_000
+        )
+        assert other is not model
 
     def test_predicts_completion_threshold(self):
         beta = np.zeros((40, 2))

@@ -1,14 +1,17 @@
 """The kernel fast path is exact: same run with and without it.
 
-``SimOS._step`` advances the clock in place (``Engine.try_advance``)
-when a CPU burst ends before anything else is due, takes a run of equal
-bursts in one go (``CpuRepeat`` / ``Engine.try_advance_repeat``) as far
-as each of them would have been, and goes through the event heap
-otherwise.  Installing any ``on_dispatch`` hook forces the heap, so
-every test here runs one program twice -- plain, and forced slow by a
-no-op hook -- and asserts that nothing a simulation can observe
-differs, and that the two runs account for the same number of kernel
-steps: ``slow.dispatched == fast.dispatched + fast.inlined``.
+``SimOS.cpu`` (the rule behind a ``Cpu`` instruction and the call form
+of a burst alike) advances the clock in place (``Engine.try_advance``)
+when a CPU burst ends before anything else is due, ``SimOS.cpu_repeat``
+takes a run of equal bursts in one go (``Engine.try_advance_repeat``)
+as far as each of them would have been, and otherwise the burst goes
+through the event heap.  Installing any ``on_dispatch`` hook forces the
+heap, so every test here runs one program twice -- plain, and forced
+slow by a no-op hook -- and asserts that nothing a simulation can
+observe differs, and that the two runs account for the same number of
+kernel steps: ``slow.dispatched == fast.dispatched + fast.inlined``.
+The generated programs run once more with every burst spelled as a
+``Cpu`` instruction, which must be the same run step for step.
 """
 
 import pytest
@@ -20,19 +23,23 @@ from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_CATEGORIES
 from repro.simos.scheduler import OsProfile, SimOS
 from repro.simos.sync import Semaphore
-from repro.simos.thread import Cpu, CpuRepeat, SemPost, SemWait, Sleep, YieldCpu
+from repro.simos.thread import Cpu, SemPost, SemWait, Sleep, YieldCpu
 
 # few distinct values, so bursts, sleeps and timers often end at the
 # same instant: ties are where an inexact fast path would reorder
 _NS = st.sampled_from([0, 1, 50, 100, 100, 250, 800, 3_000, 20_000])
 
-_CPU = st.tuples(st.just("cpu"), _NS, st.sampled_from(CPU_CATEGORIES))
+# a burst as a Cpu instruction or as a SimOS.cpu call
+_CPU = st.tuples(
+    st.sampled_from(["cpu", "call"]), _NS, st.sampled_from(CPU_CATEGORIES)
+)
 
-# a run of equal bursts asked for in one instruction; what the kernel
-# does not take of it the thread issues one by one
+# a run of equal bursts asked for in one SimOS.cpu_repeat call; what the
+# kernel does not take of it the thread issues one by one, as
+# instructions ("repeat") or as calls ("call-repeat")
 _REPEAT = st.tuples(
-    st.just("repeat"), _NS.filter(bool), st.sampled_from(CPU_CATEGORIES),
-    st.sampled_from([1, 2, 7, 40, 400]),
+    st.sampled_from(["repeat", "call-repeat"]), _NS.filter(bool),
+    st.sampled_from(CPU_CATEGORIES), st.sampled_from([1, 2, 7, 40, 400]),
 )
 
 _INSTR = st.one_of(
@@ -44,9 +51,12 @@ _INSTR = st.one_of(
     st.tuples(st.just("wait"), st.integers(0, 2)),
     st.tuples(st.just("post"), st.integers(0, 2)),
     # a thread body that spawns another thread and goes on at the same
-    # instant: the child's first burst must not move the parent's clock
+    # instant: the child's first burst must not move the parent's clock,
+    # and the parent's next call must charge the parent
     st.tuples(st.just("spawn"), st.lists(
-        st.tuples(st.just("cpu"), _NS, st.just(CPU_CATEGORIES[0])),
+        st.tuples(
+            st.sampled_from(["cpu", "call"]), _NS, st.just(CPU_CATEGORIES[0])
+        ),
         min_size=1, max_size=3,
     )),
 )
@@ -82,7 +92,10 @@ _PROGRAM = st.fixed_dictionaries(dict(_SHAPE, stop=st.one_of(
 class _Machine:
     """One run of a generated program and everything it could observe."""
 
-    def __init__(self, program, slow):
+    def __init__(self, program, slow, instructions=False):
+        # instructions: every burst, calls and repeats included, yielded
+        # as a Cpu instruction instead
+        self.instructions = instructions
         self.engine = Engine(seed=1)
         self.simos = SimOS(self.engine, OsProfile(
             cores=program["cores"],
@@ -112,15 +125,24 @@ class _Machine:
         return thread
 
     def _body(self, name, instrs):
+        cpu = self.simos.cpu
         for step, instr in enumerate(instrs):
             kind = instr[0]
-            if kind == "cpu":
+            if self.instructions and kind in ("call", "repeat", "call-repeat"):
+                for _ in range(1 if kind == "call" else instr[3]):
+                    yield Cpu(instr[1], instr[2])
+            elif kind == "cpu":
                 yield Cpu(instr[1], instr[2])
-            elif kind == "repeat":
-                taken = yield CpuRepeat(instr[1], instr[2], instr[3])
+            elif kind == "call":
+                cpu(instr[1], instr[2]) or (yield)
+            elif kind in ("repeat", "call-repeat"):
+                taken = self.simos.cpu_repeat(instr[1], instr[2], instr[3])
                 self.taken += taken
                 for _ in range(instr[3] - taken):
-                    yield Cpu(instr[1], instr[2])
+                    if kind == "repeat":
+                        yield Cpu(instr[1], instr[2])
+                    else:
+                        cpu(instr[1], instr[2]) or (yield)
             elif kind == "sleep":
                 yield Sleep(instr[1])
             elif kind == "yield":
@@ -191,22 +213,29 @@ def _assert_equivalent(fast, slow):
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(_PROGRAM)
-def test_random_programs_run_the_same_with_and_without_the_fast_path(program):
-    _assert_equivalent(_Machine(program, slow=False), _Machine(program, slow=True))
-
-
-def _by_predicate(program):
-    stop = program["stop"]
-    return dict(program, stop=("done-by-predicate",) + stop[1:])
-
-
 def _assert_same_run(latched, reference):
     assert latched.observed() == reference.observed()
     assert (latched.engine.dispatched, latched.engine.inlined) == (
         reference.engine.dispatched, reference.engine.inlined
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PROGRAM)
+def test_random_programs_run_the_same_with_and_without_the_fast_path(program):
+    fast = _Machine(program, slow=False)
+    _assert_equivalent(fast, _Machine(program, slow=True))
+    # the call form is the instruction form, burst for burst
+    as_instructions = _Machine(program, slow=False, instructions=True)
+    _assert_same_run(as_instructions, fast)
+    _assert_equivalent(
+        as_instructions, _Machine(program, slow=True, instructions=True)
+    )
+
+
+def _by_predicate(program):
+    stop = program["stop"]
+    return dict(program, stop=("done-by-predicate",) + stop[1:])
 
 
 @settings(max_examples=100, deadline=None)
@@ -386,7 +415,8 @@ def test_a_repeat_with_an_empty_heap_hits_max_events_at_once(predicate):
 
     def spin():
         yield Cpu(100)
-        yield CpuRepeat(100, CPU_CATEGORIES[0], 10**12)
+        simos.cpu_repeat(100, CPU_CATEGORIES[0], 10**12)
+        yield
 
     simos.spawn(spin())
     with pytest.raises(SimulationError, match="event budget exceeded"):
@@ -470,10 +500,93 @@ def test_a_kernel_hook_turns_the_fast_path_off(hook):
     def body():
         for _ in range(20):
             yield Cpu(100)
-        taken.append((yield CpuRepeat(100, CPU_CATEGORIES[0], 5)))
+        taken.append(simos.cpu_repeat(100, CPU_CATEGORIES[0], 5))
 
     simos.spawn(body())
     engine.run()
     assert (engine.inlined, engine.dispatched, engine.now) == (0, 20, 2_000)
     assert len(calls) == 20
     assert taken == [0]
+
+
+def test_after_a_spawn_the_parents_call_charges_the_parent():
+    # the child runs inside spawn() on the second core: its zero burst
+    # goes by in place, its first real one waits in the heap (spawn
+    # goes on at this instant); then the parent's call is the parent's
+    engine = Engine()
+    simos = SimOS(engine, OsProfile(cores=2))
+    real, sync = CPU_CATEGORIES[0], CPU_CATEGORIES[1]
+    seen = []
+
+    def child():
+        cpu = simos.cpu
+        seen.append(cpu(0, sync))
+        cpu(700, sync) or (yield)
+        seen.append(("child", engine.now))
+
+    def parent():
+        cpu = simos.cpu
+        cpu(100, real) or (yield)
+        simos.spawn(child(), name="child")
+        cpu(300, real) or (yield)
+        seen.append(("parent", engine.now))
+
+    parent_thread = simos.spawn(parent(), name="parent")
+    engine.run()
+    child_thread = simos.threads[1]
+    assert seen == [True, ("parent", 400), ("child", 800)]
+    assert parent_thread.account.by_category[real] == 400
+    assert parent_thread.account.total_ns == 400
+    assert child_thread.account.by_category[sync] == 700
+    assert child_thread.account.total_ns == 700
+    assert sorted(core.busy_ns for core in simos.cores) == [400, 700]
+
+
+def test_a_zero_call_charges_nothing_and_goes_on():
+    engine = Engine()
+    simos = SimOS(engine, OsProfile(cores=1))
+    seen = []
+
+    def body():
+        seen.append(simos.cpu(0, CPU_CATEGORIES[0]))
+        yield Cpu(0)
+        seen.append(engine.now)
+
+    thread = simos.spawn(body())
+    engine.run()
+    assert seen == [True, 0]
+    assert (thread.account.total_ns, simos.cores[0].busy_ns) == (0, 0)
+    assert (engine.dispatched, engine.inlined, thread.done) == (0, 0, True)
+
+
+def test_a_negative_call_raises_as_the_instruction_does():
+    simos = SimOS(Engine(), OsProfile(cores=1))
+    with pytest.raises(ValueError) as instruction:
+        Cpu(-1)
+    with pytest.raises(ValueError) as call:
+        simos.cpu(-1, CPU_CATEGORIES[0])
+    assert str(call.value) == str(instruction.value)
+
+
+@pytest.mark.parametrize("step_ns", [0, -5])
+def test_a_repeat_of_a_non_positive_step_raises(step_ns):
+    simos = SimOS(Engine(), OsProfile(cores=1))
+    with pytest.raises(ValueError, match="must be positive"):
+        simos.cpu_repeat(step_ns, CPU_CATEGORIES[0], 3)
+
+
+def test_max_events_from_a_call_finalises_the_thread_body():
+    # the valve raises inside the thread's frame, not in _step
+    engine = Engine(max_events=1_000)
+    simos = SimOS(engine, OsProfile(cores=1))
+
+    def spin():
+        cpu = simos.cpu
+        while True:
+            cpu(100) or (yield)
+
+    thread = simos.spawn(spin())
+    with pytest.raises(SimulationError, match="event budget exceeded"):
+        engine.run()
+    assert engine.dispatched + engine.inlined == 1_001
+    assert thread.gen.gi_frame is None
