@@ -56,7 +56,7 @@ class IoHistory:
         self.outstanding_count = 0
         # the feature vector as of the last reader; shape_stamp() brings
         # it up to now.  Read it, never write it or keep it.
-        self.counts = [0.0] * (2 * slices)
+        self.counts = [0] * (2 * slices)
         self._records = {}
         # column -> the FIFO its records wait in; the oldest slice has none
         fifos = [deque() for _ in range(slices - 1)] + [None]
@@ -96,7 +96,7 @@ class IoHistory:
             column = self.slices + index
         self._records[command] = record = [submit_ns, column]
         self.outstanding_count += 1
-        self.counts[column] += 1.0
+        self.counts[column] += 1
         self._stamp += 1
         fifo = self._fifo_of[column]
         if fifo is not None:
@@ -116,7 +116,7 @@ class IoHistory:
             column = record[1]
             record[1] = _DEAD
             self.outstanding_count -= 1
-            self.counts[column] -= 1.0
+            self.counts[column] -= 1
             self._stamp += 1
             fifo = self._fifo_of[column]
             if fifo is not None and fifo[0] is record:
@@ -157,9 +157,9 @@ class IoHistory:
                         if crossing < next_crossing:
                             next_crossing = crossing
                         break
-                    counts[column] -= 1.0
+                    counts[column] -= 1
                     column += 1
-                    counts[column] += 1.0
+                    counts[column] += 1
                     record[1] = column
                     moved += 1
                     if older is not None:
@@ -178,8 +178,8 @@ class IoHistory:
         return self._stamp
 
     def feature_vector(self):
-        """The ``2n``-dim feature list ``[w_1..w_n, r_1..r_n]``, the
-        caller's to keep."""
+        """The ``2n``-dim feature list ``[w_1..w_n, r_1..r_n]`` of int
+        counts, the caller's to keep."""
         self.shape_stamp()
         return list(self.counts)
 

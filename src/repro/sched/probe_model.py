@@ -9,11 +9,12 @@ workload-aware probing strategy.
 Training is offline against the device model: a synthetic driver
 submits I/O with piecewise-random intensity and write ratio, probes
 once per slice width, and records (features before probe, detected
-completions) pairs; ``beta`` is the least-squares solution (the paper
-trains the same model class with pandas; we use ``numpy.linalg``).
+completions) pairs; ``beta`` is the ridge least-squares solution (the
+paper trains the same model class with pandas).  The features are small
+integer counts, so the normal equations are summed exactly in python
+ints and solved by one fixed-order elimination: the fitted doubles are
+the same on every host and CPython, with no third-party float library.
 """
-
-import numpy as np
 
 from repro.backend import DeviceProfile, make_backend
 from repro.sched.history import DEFAULT_SLICES, DEFAULT_WINDOW_US, IoHistory
@@ -22,22 +23,20 @@ from repro.sim.engine import Engine
 
 
 class LinearProbeModel:
-    """``(w0, r0) = T @ beta`` with a ``2n x 2`` parameter matrix."""
+    """``(w0, r0) = T @ beta``; ``beta`` is ``2n`` rows ``(w, r)``."""
 
     def __init__(self, beta, window_us=DEFAULT_WINDOW_US, slices=DEFAULT_SLICES):
-        beta = np.asarray(beta, dtype=np.float64)
-        if beta.shape != (2 * slices, 2):
+        beta = tuple(tuple(float(value) for value in row) for row in beta)
+        shape = (len(beta), len(beta[0]) if beta else 0)
+        if shape != (2 * slices, 2) or any(len(row) != 2 for row in beta):
             raise ValueError(
-                "beta shape %r, expected %r" % (beta.shape, (2 * slices, 2))
+                "beta shape %r, expected %r" % (shape, (2 * slices, 2))
             )
         self.beta = beta
         self.window_us = window_us
         self.slices = slices
-        # python floats: predict multiplies the same doubles in the same
-        # order as with the ndarray columns, without boxing a numpy
-        # scalar per term
-        self._beta_w = beta[:, 0].tolist()
-        self._beta_r = beta[:, 1].tolist()
+        self._beta_w = [w for w, _ in beta]
+        self._beta_r = [r for _, r in beta]
 
     def predict(self, features):
         """Expected (completed writes, completed reads) right now."""
@@ -94,25 +93,30 @@ def train_probe_model(
     state = {"rate_per_tick": 1.0, "write_ratio": 0.1, "segment_end": 0}
 
     def submit_tick():
-        if engine.now >= state["segment_end"]:
-            state["rate_per_tick"] = rng.uniform(0.0, 0.6)
-            state["write_ratio"] = rng.uniform(0.0, 1.0)
-            state["segment_end"] = engine.now + segment_ns
-        expected = state["rate_per_tick"]
-        count = int(expected)
-        if rng.random() < expected - count:
-            count += 1
-        for _ in range(count):
-            if history.outstanding_count >= max_outstanding:
-                break
-            lba = rng.randrange(1, device_profile.capacity_pages)
-            if rng.random() < state["write_ratio"]:
-                payload = bytes(device_profile.page_size)
-                command = driver.write(qpair, lba, payload)
-            else:
-                command = driver.read(qpair, lba)
-            history.on_submit(command)
-        engine.schedule(tick_ns, submit_tick)
+        # most ticks submit nothing and nothing else is due before the
+        # next one: take those in place, as the kernel allows
+        while True:
+            if engine.now >= state["segment_end"]:
+                state["rate_per_tick"] = rng.uniform(0.0, 0.6)
+                state["write_ratio"] = rng.uniform(0.0, 1.0)
+                state["segment_end"] = engine.now + segment_ns
+            expected = state["rate_per_tick"]
+            count = int(expected)
+            if rng.random() < expected - count:
+                count += 1
+            for _ in range(count):
+                if history.outstanding_count >= max_outstanding:
+                    break
+                lba = rng.randrange(1, device_profile.capacity_pages)
+                if rng.random() < state["write_ratio"]:
+                    payload = bytes(device_profile.page_size)
+                    command = driver.write(qpair, lba, payload)
+                else:
+                    command = driver.read(qpair, lba)
+                history.on_submit(command)
+            if not engine.try_advance(tick_ns):
+                engine.schedule(tick_ns, submit_tick)
+                return
 
     def sample_tick():
         features = history.feature_vector()
@@ -133,13 +137,108 @@ def train_probe_model(
     engine.schedule(slice_ns, sample_tick)
     engine.run(until_ns=usec(duration_us))
 
-    x = np.asarray(rows_x, dtype=np.float64)
-    y = np.asarray(rows_y, dtype=np.float64)
     # Ridge-regularized normal equations: robust when some slices never
     # saw traffic (singular plain least squares).
-    gram = x.T @ x + ridge * np.eye(x.shape[1])
-    beta = np.linalg.solve(gram, x.T @ y)
-    return LinearProbeModel(beta, window_us, slices)
+    gram, rhs = normal_equations(rows_x, rows_y, 2 * slices, ridge)
+    return LinearProbeModel(solve(gram, rhs), window_us, slices)
+
+
+def normal_equations(rows_x, rows_y, size, ridge):
+    """``(XᵀX + ridge·I, Xᵀy)`` as row lists of floats.
+
+    Every feature and target is a non-negative int count, so both are
+    summed exactly in python ints, whatever the order.  Each column is
+    split into bit planes, one int per bit of the counts with one bit per
+    sample, and a product of two columns is the popcount of each pair of
+    planes ANDed, shifted by the bits' weights: a few hundred operations
+    on ints as wide as the sample count instead of a loop per sample.
+    """
+    columns = _bit_planes(rows_x, size)
+    targets = _bit_planes(rows_y, 2)
+    gram = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            gram[i][j] = gram[j][i] = float(_dot(columns[i], columns[j]))
+        gram[i][i] += ridge
+    rhs = [[float(_dot(column, target)) for target in targets] for column in columns]
+    return gram, rhs
+
+
+def _bit_planes(rows, size):
+    """Per column, ``(weight, plane)`` for each non-zero bit plane: bit
+    ``s`` of ``plane`` is bit ``weight`` of row ``s``'s entry there."""
+    try:
+        matrix = b"".join(map(bytes, rows))
+        width = 1
+    except ValueError:  # a count above 255: little-endian bytes per entry
+        width = (max(map(max, rows)).bit_length() + 7) // 8
+        matrix = b"".join(
+            value.to_bytes(width, "little") for row in rows for value in row
+        )
+    stride = size * width
+    columns = []
+    for column in range(size):
+        planes = []
+        for lane in range(width):
+            entries = matrix[column * width + lane::stride]
+            for bit, digits in enumerate(_BINARY_DIGIT):
+                text = entries.translate(digits)
+                if b"1" in text:
+                    planes.append((8 * lane + bit, int(text, 2)))
+        columns.append(planes)
+    return columns
+
+
+# per bit: byte -> b"1" where that bit is set, else b"0" (for int(_, 2))
+_BINARY_DIGIT = [
+    bytes(0x31 if value >> bit & 1 else 0x30 for value in range(256))
+    for bit in range(8)
+]
+
+
+def _dot(planes, others):
+    return sum(
+        _popcount(plane & other) << (bit + other_bit)
+        for bit, plane in planes
+        for other_bit, other in others
+    )
+
+
+_popcount = getattr(int, "bit_count", lambda value: bin(value).count("1"))
+
+
+def solve(matrix, rhs):
+    """Solve ``matrix @ beta = rhs`` for a square ``matrix`` and a
+    two-column ``rhs``: Gaussian elimination with partial pivoting (the
+    first largest pivot wins), then back substitution, in one fixed
+    order.  Returns the rows of ``beta`` as ``(w, r)`` pairs."""
+    size = len(matrix)
+    rows = [list(row) + list(pair) for row, pair in zip(matrix, rhs)]
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda index: abs(rows[index][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        lead = head[col]
+        tail = head[col + 1:]
+        for index in range(col + 1, size):
+            row = rows[index]
+            factor = row[col] / lead
+            if factor:
+                row[col + 1:] = [
+                    value - factor * top for value, top in zip(row[col + 1:], tail)
+                ]
+    beta = [None] * size
+    for col in range(size - 1, -1, -1):
+        row = rows[col]
+        w = row[size]
+        r = row[size + 1]
+        for other in range(col + 1, size):
+            coefficient = row[other]
+            if coefficient:
+                w -= coefficient * beta[other][0]
+                r -= coefficient * beta[other][1]
+        beta[col] = (w / row[col], r / row[col])
+    return beta
 
 
 _MODEL_CACHE = {}

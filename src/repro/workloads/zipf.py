@@ -2,11 +2,14 @@
 
 The paper draws YCSB keys from a Zipfian distribution with skew
 ``alpha`` (default 0.3).  We precompute the normalized CDF over the
-``n`` ranks once (numpy) and sample by binary search, so draws are
-O(log n) and the whole stream is reproducible from the seed.
+``n`` ranks once and sample by binary search, so draws are O(log n)
+and the whole stream is reproducible from the seed.  Standard library
+only: the weights are libm's ``pow`` and the running sum adds left to
+right, so the CDF is the same bytes on every CPython.
 """
 
-import numpy as np
+from bisect import bisect_left
+from itertools import accumulate
 
 from repro.errors import WorkloadError
 
@@ -22,19 +25,19 @@ class ZipfSampler:
         self.n = n
         self.alpha = alpha
         self._rng = rng
-        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), alpha)
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        self._cdf = cdf
+        cdf = list(accumulate(1.0 / float(k) ** alpha for k in range(1, n + 1)))
+        total = cdf[-1]
+        self._cdf = [value / total for value in cdf]
 
     def sample(self):
         """One rank draw."""
-        return int(np.searchsorted(self._cdf, self._rng.random(), side="left"))
+        return bisect_left(self._cdf, self._rng.random())
 
     def sample_many(self, count):
-        """``count`` rank draws as a list (single vectorized pass)."""
-        draws = np.array([self._rng.random() for _ in range(count)])
-        return np.searchsorted(self._cdf, draws, side="left").tolist()
+        """``count`` rank draws as a list."""
+        cdf = self._cdf
+        random = self._rng.random
+        return [bisect_left(cdf, random()) for _ in range(count)]
 
 
 _SCATTER_PRIME = 2_654_435_761  # Knuth's multiplicative-hash prime

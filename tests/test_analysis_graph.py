@@ -8,6 +8,7 @@ finding paths, the SARIF reporter, ``--changed-only``, the phase-1
 cache and Python-3.12-only syntax degradation.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ if REPO_ROOT not in sys.path:
 from tools.analysis import analyze
 from tools.analysis.cli import main as patlint_main
 from tools.analysis.framework import canonical_path
+from tools.analysis.projconf import DEFAULT_CONFIG_PATH, _mini_toml
 
 
 def write_tree(tmp_path, files):
@@ -1130,3 +1132,39 @@ def test_list_rules_includes_graph_catalog(capsys):
     ):
         assert code in out
     assert "[graph]" in out
+
+
+def test_src_imports_only_the_standard_library_and_itself():
+    """Virtual time depends on no third-party code: every absolute
+    import under ``src/repro`` names ``repro`` or a stdlib module."""
+    stdlib = sys.stdlib_module_names
+    foreign = []
+    src = os.path.join(REPO_ROOT, "src", "repro")
+    for directory, _dirs, files in os.walk(src):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                for module in modules:
+                    top = module.partition(".")[0]
+                    if top != "repro" and top not in stdlib:
+                        where = os.path.relpath(path, REPO_ROOT)
+                        foreign.append("%s:%d %s" % (where, node.lineno, module))
+    assert foreign == []
+
+
+def test_mini_toml_parses_layers_toml_as_tomllib_does():
+    """The 3.10 fallback reads the committed file as 3.11's parser does."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(DEFAULT_CONFIG_PATH, encoding="utf-8") as handle:
+        text = handle.read()
+    assert _mini_toml(text) == tomllib.loads(text)

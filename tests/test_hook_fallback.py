@@ -13,11 +13,15 @@ is on or forced off.
 """
 
 import os
-import tomllib
+import sys
 import types
 from functools import partial
 
 import pytest
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 from repro.backend import fast_test_profile, make_backend
 from repro.baselines.io_service import SharedIoService
@@ -40,16 +44,12 @@ from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_CATEGORIES
 from repro.simos.scheduler import OsProfile, SimOS
 from repro.simos.thread import Cpu
+from tools.analysis.projconf import load_config
 
-_LAYERS_TOML = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "tools", "analysis", "layers.toml",
-)
-with open(_LAYERS_TOML, "rb") as _handle:
-    _HOOKS = tomllib.load(_handle)["hooks"]
 # registered as "Class.slot"; the stack below finds the owner by hasattr
-OBSERVERS = [entry.split(".")[1] for entry in _HOOKS["observers"]]
-HOOK_NAMES = OBSERVERS + [entry.split(".")[1] for entry in _HOOKS["decisions"]]
+_CONFIG = load_config()
+OBSERVERS = sorted(_CONFIG.observer_slots)
+HOOK_NAMES = OBSERVERS + sorted(_CONFIG.decision_slots)
 
 # what each decision hook must answer to behave like the unbound slot
 _UNBOUND = {

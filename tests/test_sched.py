@@ -2,7 +2,7 @@
 probing policies."""
 
 import hashlib
-import sys
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,32 +26,32 @@ from repro.sched.probe_model import (
 from repro.sched.workload_aware import WorkloadAwareScheduling
 from repro.sim.clock import Clock, usec
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
 from repro.simos.scheduler import OsProfile, SimOS
 
-import numpy as np
-
-# train_probe_model(5, i3_nvme_profile(), duration_us=150_000) as PR 23
-# trained it: the normal equations it hands to numpy.linalg.solve (sums
-# of small integers, exact on any host) and beta row by row as float.hex
-# (CPython 3.11, the version the other numpy-fitted bytes are pinned on)
+# train_probe_model(5, i3_nvme_profile(), duration_us=150_000): the
+# normal equations it hands to solve() (sums of small integers, exact on
+# any host; sha256 over the float64 bytes of the gram matrix then the
+# right-hand side, row-major little-endian) and beta row by row as
+# float.hex, the same on every CPython
 PINNED_NORMAL_EQUATIONS = (
     "cac8adcfd824cf3cd3ec0184aacc5e45b97a4c4e7615ab8451b47ffd5cf7ec89"
 )
 PINNED_BETA_HEX = """
-    0x1.12ae69b7c799dp-6 -0x1.553cab9463536p-8 -0x1.ffa9c19afc0b6p-6
-    -0x1.935efc79bd59bp-9 0x1.15736af3748d9p-6 0x1.96317e65bd1c6p-11
-    0x1.0c3ac622e7fc4p-3 -0x1.0539d4d6c14aap-10 0x1.7247ca9cba4f7p-2
-    0x1.7fb569cee5578p-8 0x1.059e2179d7cfdp-1 0x1.4a2940cbd8cf3p-7
-    0x1.42d8271c98d16p-1 0x1.221e3d0b03a15p-7 0x1.53e4cc965237dp-1
-    0x1.e18eeffa67074p-6 0x1.3e089bdc882d3p-1 -0x1.1872b3d06a068p-6
-    0x1.00be5bd043c6dp+0 -0x1.1af619ba9fd11p-6 0x1.31ebbe64d96c0p-2
-    0x1.6305555953105p-2 0x1.aba00d1470865p-1 0x1.9dae8ad131632p-4
-    -0x1.0852986fb5c29p+0 -0x1.631b9bb2bf6b7p-2 0x0.0p+0 0x0.0p+0
+    0x1.12ae69b7c79b2p-6 -0x1.553cab9463537p-8 -0x1.ffa9c19afc0cep-6
+    -0x1.935efc79bd5c2p-9 0x1.15736af3748c2p-6 0x1.96317e65bd3e3p-11
+    0x1.0c3ac622e7fb1p-3 -0x1.0539d4d6c13b7p-10 0x1.7247ca9cba502p-2
+    0x1.7fb569cee557ep-8 0x1.059e2179d7cfep-1 0x1.4a2940cbd8cfbp-7
+    0x1.42d8271c98d14p-1 0x1.221e3d0b0399cp-7 0x1.53e4cc965237dp-1
+    0x1.e18eeffa67089p-6 0x1.3e089bdc882d0p-1 -0x1.1872b3d06a05ep-6
+    0x1.00be5bd043c6cp+0 -0x1.1af619ba9fcefp-6 0x1.31ebbe64d96c5p-2
+    0x1.63055559530ffp-2 0x1.aba00d147086ap-1 0x1.9dae8ad131626p-4
+    -0x1.0852986fb5c25p+0 -0x1.631b9bb2bf6b5p-2 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.d15141e669988p-7
-    0x1.7e406008fec27p-9 -0x1.e7c0530232a97p-6 0x1.89db2c72e87ecp-2
-    0x1.24fec778e27cdp-6 0x1.cc8965a8d4e0fp-1 0x1.5d30578a909e5p-4
-    0x1.e69a1ba126387p-1 0x1.b3523c1855fcbp-8 0x1.40108a895a830p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.d15141e669ac6p-7
+    0x1.7e406008feb24p-9 -0x1.e7c0530232b11p-6 0x1.89db2c72e87edp-2
+    0x1.24fec778e27edp-6 0x1.cc8965a8d4e0fp-1 0x1.5d30578a909c2p-4
+    0x1.e69a1ba126387p-1 0x1.b3523c18561b2p-8 0x1.40108a895a82dp+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
@@ -382,20 +382,78 @@ class TestProbeModel:
         # an empty system predicts nothing
         assert model.predict([0.0] * (2 * n)) == (0.0, 0.0)
 
-    def test_training_is_bit_equal_to_the_pinned_one(self, monkeypatch):
-        seen = []
-        solve = np.linalg.solve
+    def _train(self, monkeypatch, slow=False):
+        """The pinned training run: its model, the digest of the normal
+        equations it solved, and its kernel; ``slow`` subscribes to
+        ``on_dispatch``, which sends every event through the heap."""
+        engines = []
+        digests = []
+        systems = []
+
+        class Recorded(Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+                if slow:
+                    subscribe(self, "on_dispatch", lambda entry: None)
+
+        solve = probe_model.solve
 
         def capture(gram, rhs):
-            seen.append(hashlib.sha256(gram.tobytes() + rhs.tobytes()).hexdigest())
+            flat = [value for row in gram + rhs for value in row]
+            packed = struct.pack("<%dd" % len(flat), *flat)
+            digests.append(hashlib.sha256(packed).hexdigest())
+            systems.append((gram, rhs))
             return solve(gram, rhs)
 
-        monkeypatch.setattr(np.linalg, "solve", capture)
+        monkeypatch.setattr(probe_model, "Engine", Recorded)
+        monkeypatch.setattr(probe_model, "solve", capture)
         model = train_probe_model(5, i3_nvme_profile(), duration_us=150_000)
-        assert seen == [PINNED_NORMAL_EQUATIONS]
-        if sys.version_info[:2] == (3, 11):
-            beta_hex = [value.hex() for row in model.beta.tolist() for value in row]
-            assert beta_hex == PINNED_BETA_HEX
+        (engine,) = engines
+        return model, digests, systems, engine
+
+    def test_training_is_bit_equal_to_the_pinned_one(self, monkeypatch):
+        model, digests, _, engine = self._train(monkeypatch)
+        assert digests == [PINNED_NORMAL_EQUATIONS]
+        assert [value.hex() for row in model.beta for value in row] == PINNED_BETA_HEX
+        # idle submit ticks went by in place
+        assert engine.inlined > 0
+
+    def test_training_through_the_heap_solves_the_same_system(self, monkeypatch):
+        model, digests, _, engine = self._train(monkeypatch, slow=True)
+        assert engine.inlined == 0
+        assert digests == [PINNED_NORMAL_EQUATIONS]
+        assert [value.hex() for row in model.beta for value in row] == PINNED_BETA_HEX
+
+    def test_solve_agrees_with_numpy(self, monkeypatch):
+        np = pytest.importorskip("numpy")
+        model, _, systems, _ = self._train(monkeypatch)
+        ((gram, rhs),) = systems
+        expected = np.linalg.solve(np.array(gram), np.array(rhs))
+        scale = float(np.abs(expected).max())
+        assert np.abs(np.array(model.beta) - expected).max() <= 1e-12 * scale
+
+    def test_normal_equations_are_exact_sums(self):
+        rows_x = [[0, 3, 0, 1], [2, 0, 0, 300], [1, 1, 0, 0], [0, 0, 0, 0]]
+        rows_y = [(1, 0), (0, 2), (1, 1), (0, 0)]
+        gram, rhs = probe_model.normal_equations(rows_x, rows_y, 4, 0.5)
+        for i in range(4):
+            for j in range(4):
+                expected = sum(row[i] * row[j] for row in rows_x)
+                assert gram[i][j] == expected + (0.5 if i == j else 0.0)
+            for k in range(2):
+                assert rhs[i][k] == sum(
+                    row[i] * target[k] for row, target in zip(rows_x, rows_y)
+                )
+
+    def test_solve_recovers_an_exact_solution(self):
+        matrix = [[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [4.0, 0.0, 2.0]]
+        beta = [(1.0, -2.0), (0.5, 3.0), (-1.0, 0.25)]
+        rhs = [
+            [sum(a * b[k] for a, b in zip(row, beta)) for k in range(2)]
+            for row in matrix
+        ]
+        assert probe_model.solve(matrix, rhs) == beta
 
     def test_trainer_rows_are_distinct_lists(self, monkeypatch):
         """sample_tick keeps what feature_vector returns: a row that
@@ -436,8 +494,8 @@ class TestProbeModel:
         assert other is not model
 
     def test_predicts_completion_threshold(self):
-        beta = np.zeros((40, 2))
-        beta[20, 1] = 0.5
+        beta = [(0.0, 0.0)] * 40
+        beta[20] = (0.0, 0.5)
         model = LinearProbeModel(beta)
         features = [0.0] * 40
         features[20] = 1.0
@@ -447,7 +505,9 @@ class TestProbeModel:
 
     def test_beta_shape_validated(self):
         with pytest.raises(ValueError):
-            LinearProbeModel(np.zeros((3, 2)))
+            LinearProbeModel([(0.0, 0.0)] * 3)
+        with pytest.raises(ValueError):
+            LinearProbeModel([(0.0, 0.0, 0.0)] * 40)
 
 
 class TestReadyQueues:
@@ -544,9 +604,7 @@ class TestWorkloadAwareVerdict:
 
     def _model(self, slices=10):
         # a read at least one slice old, or three writes, is a completion
-        beta = np.zeros((2 * slices, 2))
-        beta[slices + 1:, 1] = 1.0
-        beta[:, 0] = 0.34
+        beta = [(0.34, 0.0)] * (slices + 1) + [(0.34, 1.0)] * (slices - 1)
         return LinearProbeModel(beta, window_us=100, slices=slices)
 
     def test_model_is_asked_once_per_change_of_the_vector(self):

@@ -1,5 +1,8 @@
 """Unit tests for the workload generators."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro.core.keys import order_key_decode
@@ -42,6 +45,22 @@ class TestZipf:
         a = ZipfSampler(100, 0.5, rng(7)).sample_many(100)
         b = ZipfSampler(100, 0.5, rng(7)).sample_many(100)
         assert a == b
+
+    def test_cdf_bytes_are_pinned(self):
+        # the YCSB key CDF: float64 little-endian, the same on every CPython
+        cdf = ZipfSampler(20_000, 0.3, rng())._cdf
+        packed = struct.pack("<%dd" % len(cdf), *cdf)
+        assert hashlib.sha256(packed).hexdigest() == (
+            "3b7583a152f529d0157f3e474971bbd24f5a37404544d071014a7d4f9b85682e"
+        )
+
+    def test_ranks_agree_with_numpy_searchsorted(self):
+        np = pytest.importorskip("numpy")
+        sampler = ZipfSampler(20_000, 0.3, rng(4))
+        source = rng(4)  # the sampler's stream, drawn again
+        draws = [source.random() for _ in range(10_000)]
+        expected = np.searchsorted(np.array(sampler._cdf), draws, side="left")
+        assert sampler.sample_many(10_000) == expected.tolist()
 
     def test_scatter_rank_bijective(self):
         n = 997
