@@ -23,7 +23,6 @@ from repro.core.ops import DELETE, INSERT, RANGE, SEARCH, SYNC, UPDATE
 from repro.errors import IoError, TreeError
 from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.sync import Mutex
-from repro.simos.thread import Cpu, SemPost, SemWait
 
 
 class BlinkTreeAccessor(BlockingPageIo):
@@ -47,43 +46,45 @@ class BlinkTreeAccessor(BlockingPageIo):
 
     def _chase_right(self, tls, node, key):
         """Follow right-links until ``key`` is within the node's fence."""
+        cpu = tls.simos.cpu
         while self._needs_right_move(node, key):
             node = yield from self._read_node(tls, node.next_id)
-            yield Cpu(self.tree.costs.node_search_ns, CPU_REAL_WORK)
+            cpu(self.tree.costs.node_search_ns, CPU_REAL_WORK) or (yield)
         return node
 
     def _descend_to_leaf(self, tls, key):
         """Latch-free descent; returns (leaf_node, ancestor_page_ids)."""
         costs = self.tree.costs
+        cpu = tls.simos.cpu
         ancestors = []
         node = yield from self._read_node(tls, self.tree.meta.root_page)
-        yield Cpu(costs.node_search_ns, CPU_REAL_WORK)
+        cpu(costs.node_search_ns, CPU_REAL_WORK) or (yield)
         while True:
             node = yield from self._chase_right(tls, node, key)
             if node.is_leaf:
                 return node, ancestors
             ancestors.append(node.page_id)
             node = yield from self._read_node(tls, node.child_for(key))
-            yield Cpu(costs.node_search_ns, CPU_REAL_WORK)
+            cpu(costs.node_search_ns, CPU_REAL_WORK) or (yield)
 
-    def _latch(self, op, page_id):
-        yield from self.latches.acquire(page_id, EXCLUSIVE)
+    def _latch(self, tls, op, page_id):
+        yield from self.latches.acquire(tls, page_id, EXCLUSIVE)
         op.held_latches[page_id] = EXCLUSIVE
 
-    def _unlatch(self, op, page_id):
+    def _unlatch(self, tls, op, page_id):
         del op.held_latches[page_id]
-        yield from self.latches.release(page_id, EXCLUSIVE)
+        yield from self.latches.release(tls, page_id, EXCLUSIVE)
 
     def _latch_node_for_key(self, tls, op, start_id, key):
         """Latch a node, re-read it, and move right (with latch hand-over)
         until the key fits — the Blink writer protocol."""
         page_id = start_id
-        yield from self._latch(op, page_id)
+        yield from self._latch(tls, op, page_id)
         node = yield from self._read_node(tls, page_id)
         while self._needs_right_move(node, key):
             next_id = node.next_id
-            yield from self._latch(op, next_id)
-            yield from self._unlatch(op, page_id)
+            yield from self._latch(tls, op, next_id)
+            yield from self._unlatch(tls, op, page_id)
             page_id = next_id
             node = yield from self._read_node(tls, page_id)
         return node
@@ -113,7 +114,7 @@ class BlinkTreeAccessor(BlockingPageIo):
                 raise TreeError("unknown operation kind %r" % (op.kind,))
         except IoError:
             for page_id in sorted(op.held_latches):
-                yield from self._unlatch(op, page_id)
+                yield from self._unlatch(tls, op, page_id)
             raise
 
     def _search(self, tls, op):
@@ -129,30 +130,32 @@ class BlinkTreeAccessor(BlockingPageIo):
                 op.result = results
                 return
             node = yield from self._read_node(tls, node.next_id)
-            yield Cpu(costs.node_search_ns, CPU_REAL_WORK)
+            tls.simos.cpu(costs.node_search_ns, CPU_REAL_WORK) or (yield)
 
     def _leaf_write(self, tls, op, update_only):
         """Update (and simple non-splitting insert) path."""
         costs = self.tree.costs
+        cpu = tls.simos.cpu
         leaf_hint, _ancestors = yield from self._descend_to_leaf(tls, op.key)
         leaf = yield from self._latch_node_for_key(tls, op, leaf_hint.page_id, op.key)
-        yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
+        cpu(costs.leaf_update_ns, CPU_REAL_WORK) or (yield)
         found = leaf.leaf_lookup(op.key) is not None
         if update_only:
             if found:
                 leaf.leaf_insert(op.key, op.payload)
                 yield from self._write_node(tls, leaf)
             op.result = found
-            yield from self._unlatch(op, leaf.page_id)
+            yield from self._unlatch(tls, op, leaf.page_id)
             return leaf, found
         return leaf, found
 
     def _insert(self, tls, op):
         costs = self.tree.costs
+        cpu = tls.simos.cpu
         tree = self.tree
         leaf_hint, ancestors = yield from self._descend_to_leaf(tls, op.key)
         leaf = yield from self._latch_node_for_key(tls, op, leaf_hint.page_id, op.key)
-        yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
+        cpu(costs.leaf_update_ns, CPU_REAL_WORK) or (yield)
 
         if not leaf.is_full or leaf.leaf_lookup(op.key) is not None:
             inserted = leaf.leaf_insert(op.key, op.payload)
@@ -160,12 +163,12 @@ class BlinkTreeAccessor(BlockingPageIo):
             if inserted:
                 tree.meta.key_count += 1
             yield from self._write_node(tls, leaf)
-            yield from self._unlatch(op, leaf.page_id)
+            yield from self._unlatch(tls, op, leaf.page_id)
             return
 
         # Split the leaf, then insert separators bottom-up.
-        yield Cpu(costs.split_ns, CPU_REAL_WORK)
-        right_id = yield from self._allocate()
+        cpu(costs.split_ns, CPU_REAL_WORK) or (yield)
+        right_id = yield from self._allocate(tls)
         right, separator = leaf.split(right_id)
         if op.key >= separator:
             right.leaf_insert(op.key, op.payload)
@@ -175,7 +178,7 @@ class BlinkTreeAccessor(BlockingPageIo):
         op.result = True
         yield from self._write_node(tls, right)  # right sibling durable first
         yield from self._write_node(tls, leaf)
-        yield from self._unlatch(op, leaf.page_id)
+        yield from self._unlatch(tls, op, leaf.page_id)
 
         child_id = leaf.page_id
         child_level = 0
@@ -199,14 +202,14 @@ class BlinkTreeAccessor(BlockingPageIo):
             parent = yield from self._latch_node_for_key(
                 tls, op, parent_start, separator
             )
-            yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
+            cpu(costs.leaf_update_ns, CPU_REAL_WORK) or (yield)
             if not parent.is_full:
                 parent.inner_insert(separator, right_id)
                 yield from self._write_node(tls, parent)
-                yield from self._unlatch(op, parent.page_id)
+                yield from self._unlatch(tls, op, parent.page_id)
                 return
-            yield Cpu(costs.split_ns, CPU_REAL_WORK)
-            parent_right_id = yield from self._allocate()
+            cpu(costs.split_ns, CPU_REAL_WORK) or (yield)
+            parent_right_id = yield from self._allocate(tls)
             parent_right, parent_sep = parent.split(parent_right_id)
             if separator > parent_sep:
                 parent_right.inner_insert(separator, right_id)
@@ -214,7 +217,7 @@ class BlinkTreeAccessor(BlockingPageIo):
                 parent.inner_insert(separator, right_id)
             yield from self._write_node(tls, parent_right)
             yield from self._write_node(tls, parent)
-            yield from self._unlatch(op, parent.page_id)
+            yield from self._unlatch(tls, op, parent.page_id)
             child_id = parent.page_id
             child_level = parent.level
             separator = parent_sep
@@ -223,12 +226,13 @@ class BlinkTreeAccessor(BlockingPageIo):
     def _maybe_split_root(self, tls, child_level, separator, right_id):
         """Grow the tree when the split reached the current root."""
         tree = self.tree
-        yield SemWait(self._meta_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._meta_mutex) or (yield)
         if tree.meta.height - 1 != child_level:
             # someone already grew the tree; a parent level exists now
-            yield SemPost(self._meta_mutex)
+            simos.sem_post(self._meta_mutex) or (yield)
             return False
-        new_root_id = yield from self._allocate()
+        new_root_id = yield from self._allocate(tls)
         new_root = Node.new_inner(tree.config, new_root_id, child_level + 1)
         old_root_id = tree.meta.root_page
         new_root.keys = [separator]
@@ -240,19 +244,20 @@ class BlinkTreeAccessor(BlockingPageIo):
             yield from self._write_meta(tls)
         except IoError:
             # the next root split must not wait for a mutex nobody holds
-            yield SemPost(self._meta_mutex)
+            simos.sem_post(self._meta_mutex) or (yield)
             raise
-        yield SemPost(self._meta_mutex)
+        simos.sem_post(self._meta_mutex) or (yield)
         return True
 
     def _delete(self, tls, op):
         costs = self.tree.costs
+        cpu = tls.simos.cpu
         leaf_hint, _ancestors = yield from self._descend_to_leaf(tls, op.key)
         leaf = yield from self._latch_node_for_key(tls, op, leaf_hint.page_id, op.key)
-        yield Cpu(costs.leaf_update_ns, CPU_REAL_WORK)
+        cpu(costs.leaf_update_ns, CPU_REAL_WORK) or (yield)
         removed = leaf.leaf_delete(op.key)
         op.result = removed
         if removed:
             self.tree.meta.key_count -= 1
             yield from self._write_node(tls, leaf)
-        yield from self._unlatch(op, leaf.page_id)
+        yield from self._unlatch(tls, op, leaf.page_id)

@@ -27,7 +27,7 @@ from repro.nvme.command import OP_READ, OP_WRITE
 from repro.sim.clock import usec
 from repro.sim.metrics import CPU_NVME, CPU_OTHER
 from repro.simos.sync import Mutex, Semaphore
-from repro.simos.thread import Cpu, SemPost, SemWait, Sleep
+from repro.simos.thread import Sleep
 
 _MAX_WRITE_ESCALATIONS = 8
 
@@ -47,11 +47,14 @@ def _io_error(completion):
 
 
 class _ThreadIoState:
-    """Per-worker-thread I/O state (dedicated: its own queue pair)."""
+    """Per-worker-thread state: the OS its blocking calls go to
+    (``simos.cpu`` / ``sem_wait`` / ``sem_post``) and, dedicated, its own
+    queue pair."""
 
-    __slots__ = ("qpair",)
+    __slots__ = ("simos", "qpair")
 
-    def __init__(self, qpair=None):
+    def __init__(self, simos, qpair=None):
+        self.simos = simos
         self.qpair = qpair
 
 
@@ -75,31 +78,34 @@ class DedicatedIoService:
         self.driver = driver
         self.poll_pause_ns = usec(poll_pause_us)
         self.pause_mode = pause_mode
+        self.simos = None
 
     def register_thread(self):
-        return _ThreadIoState(self.driver.alloc_qpair())
+        return _ThreadIoState(self.simos, self.driver.alloc_qpair())
 
     def start(self, simos):
-        """No daemon to start."""
+        """No daemon; threads registered from now on run on ``simos``."""
+        self.simos = simos
 
     def stop(self):
         """No daemon to stop."""
 
     def _blocking_io(self, tls, opcode, lba, data):
         driver = self.driver
+        cpu = tls.simos.cpu
         escalations = 0
         while True:
-            yield Cpu(driver.submit_cpu_ns, CPU_NVME)
+            cpu(driver.submit_cpu_ns, CPU_NVME) or (yield)
             done = []
             driver.io_submit(
                 tls.qpair, opcode, lba, data=data, callback=done.append
             )
             while not done:
                 if self.pause_mode == "spin":
-                    yield Cpu(self.poll_pause_ns, CPU_OTHER)  # busy pause
+                    cpu(self.poll_pause_ns, CPU_OTHER) or (yield)  # busy pause
                 else:
                     yield Sleep(self.poll_pause_ns)
-                yield Cpu(driver.probe_cpu_ns(0), CPU_NVME)
+                cpu(driver.probe_cpu_ns(0), CPU_NVME) or (yield)
                 driver.probe(tls.qpair)
             completion = done[0]
             if completion.ok:
@@ -142,33 +148,36 @@ class SharedIoService:
         self._requests = deque()
         self._stop = False
         self._daemon = None
+        self.simos = None
 
     def register_thread(self):
-        return _ThreadIoState()
+        return _ThreadIoState(self.simos)
 
     def start(self, simos):
         if self._daemon is not None:
             raise SimulationError("shared I/O daemon already running")
         self._stop = False
+        self.simos = simos
         self._daemon = simos.spawn(
-            self._daemon_body(), name="io-daemon", group="io-daemon"
+            self._daemon_body(simos), name="io-daemon", group="io-daemon"
         )
 
     def stop(self):
         self._stop = True
         self._daemon = None
 
-    def _daemon_body(self):
+    def _daemon_body(self, simos):
         driver = self.driver
+        cpu, sem_wait, sem_post = simos.cpu, simos.sem_wait, simos.sem_post
         outstanding = 0
         while True:
-            yield SemWait(self._mutex)
+            sem_wait(self._mutex) or (yield)
             batch = list(self._requests)
             self._requests.clear()
-            yield SemPost(self._mutex)
+            sem_post(self._mutex) or (yield)
 
             for request in batch:
-                yield Cpu(driver.submit_cpu_ns, CPU_NVME)
+                cpu(driver.submit_cpu_ns, CPU_NVME) or (yield)
                 driver.io_submit(
                     self.qpair,
                     request.opcode,
@@ -178,27 +187,28 @@ class SharedIoService:
                 )
                 outstanding += 1
 
-            yield Cpu(driver.probe_cpu_ns(0), CPU_NVME)
+            cpu(driver.probe_cpu_ns(0), CPU_NVME) or (yield)
             completed = driver.probe(self.qpair)
             for completion in completed:
                 outstanding -= 1
                 request = completion.context
                 request.completion = completion
-                yield SemPost(request.wakeup)
+                sem_post(request.wakeup) or (yield)
 
             if not batch and not completed:
                 if self._stop and outstanding == 0:
                     return
-                yield Cpu(self.daemon_spin_ns, CPU_NVME)
+                cpu(self.daemon_spin_ns, CPU_NVME) or (yield)
 
     def _blocking_io(self, tls, opcode, lba, data):
+        simos = tls.simos
         escalations = 0
         while True:
             request = _IoRequest(opcode, lba, data)
-            yield SemWait(self._mutex)
+            simos.sem_wait(self._mutex) or (yield)
             self._requests.append(request)
-            yield SemPost(self._mutex)
-            yield SemWait(request.wakeup)
+            simos.sem_post(self._mutex) or (yield)
+            simos.sem_wait(request.wakeup) or (yield)
             completion = request.completion
             if completion.ok:
                 return completion

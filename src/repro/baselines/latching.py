@@ -15,7 +15,6 @@ from collections import deque
 from repro.core.latch import EXCLUSIVE, SHARED
 from repro.errors import LatchError
 from repro.simos.sync import Mutex, Semaphore
-from repro.simos.thread import SemPost, SemWait
 
 
 class _Entry:
@@ -58,26 +57,28 @@ class BlockingLatchTable:
             self._entries[page_id] = entry
         return entry
 
-    def acquire(self, page_id, mode):
+    def acquire(self, tls, page_id, mode):
         """Generator: blocks the calling simulated thread until granted."""
         if mode not in (SHARED, EXCLUSIVE):
             raise LatchError("unknown latch mode %r" % (mode,))
-        yield SemWait(self._mutex)
+        simos = tls.simos
+        simos.sem_wait(self._mutex) or (yield)
         self.acquisitions += 1
         entry = self._entry(page_id)
         if not entry.pending and entry.can_grant(mode):
             entry.grant(mode)
-            yield SemPost(self._mutex)
+            simos.sem_post(self._mutex) or (yield)
             return
         self.blocks += 1
         wakeup = Semaphore(0, name="latch-wait-%d" % page_id)
         entry.pending.append((mode, wakeup))
-        yield SemPost(self._mutex)
-        yield SemWait(wakeup)  # granter updated the counts already
+        simos.sem_post(self._mutex) or (yield)
+        simos.sem_wait(wakeup) or (yield)  # granter updated the counts already
 
-    def release(self, page_id, mode):
+    def release(self, tls, page_id, mode):
         """Generator: releases and wakes eligible FIFO waiters."""
-        yield SemWait(self._mutex)
+        simos = tls.simos
+        simos.sem_wait(self._mutex) or (yield)
         entry = self._entries.get(page_id)
         if entry is None:
             raise LatchError("release on unlatched page %d" % page_id)
@@ -99,9 +100,9 @@ class BlockingLatchTable:
             woken.append(wakeup)
         if entry.idle:
             del self._entries[page_id]
-        yield SemPost(self._mutex)
+        simos.sem_post(self._mutex) or (yield)
         for wakeup in woken:
-            yield SemPost(wakeup)
+            simos.sem_post(wakeup) or (yield)
 
     def assert_quiescent(self):
         if self._entries:

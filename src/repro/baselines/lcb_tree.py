@@ -19,7 +19,6 @@ from repro.core.node import Node
 from repro.errors import TreeError
 from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.sync import Mutex
-from repro.simos.thread import Cpu, SemPost, SemWait
 from repro.storage.wal import WriteAheadLog
 
 
@@ -60,28 +59,30 @@ class LcbTreeAccessor(SyncTreeAccessor):
     # ------------------------------------------------------------------
 
     def _read_node(self, tls, page_id):
-        yield SemWait(self._delta_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._delta_mutex) or (yield)
         data = self._delta.get(page_id)
-        yield SemPost(self._delta_mutex)
+        simos.sem_post(self._delta_mutex) or (yield)
         if data is not None:
-            yield Cpu(self.tree.costs.node_parse_ns, CPU_REAL_WORK)
+            simos.cpu(self.tree.costs.node_parse_ns, CPU_REAL_WORK) or (yield)
             return Node.from_bytes(self.tree.config, page_id, data)
         node = yield from super()._read_node(tls, page_id)
         return node
 
     def _write_page(self, tls, page_id, data):
         """Log the update; keep the page image in the delta table."""
-        yield SemWait(self._delta_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._delta_mutex) or (yield)
         self._delta[page_id] = data
         delta_size = len(self._delta)
-        yield SemPost(self._delta_mutex)
+        simos.sem_post(self._delta_mutex) or (yield)
 
         record = page_id.to_bytes(8, "little") + data[:24]  # logical record
-        yield SemWait(self._wal_mutex)
+        simos.sem_wait(self._wal_mutex) or (yield)
         self.wal.append(record)
         include_partial = self.log_persistence == "strong"
         writes, flush_lsn = self.wal.take_flushable(include_partial)
-        yield SemPost(self._wal_mutex)
+        simos.sem_post(self._wal_mutex) or (yield)
         for lba, image in writes:
             yield from self.io.write(tls, lba, image)
         if writes:
@@ -92,24 +93,25 @@ class LcbTreeAccessor(SyncTreeAccessor):
 
     def _checkpoint(self, tls):
         """Write the delta table back to home locations (amortized)."""
-        yield SemWait(self._delta_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._delta_mutex) or (yield)
         if len(self._delta) < self.checkpoint_pages:
-            yield SemPost(self._delta_mutex)
+            simos.sem_post(self._delta_mutex) or (yield)
             return
         self.checkpoints += 1
         snapshot = list(self._delta.items())
-        yield SemPost(self._delta_mutex)
+        simos.sem_post(self._delta_mutex) or (yield)
         for page_id, data in snapshot:
             yield from self.io.write(tls, page_id, data)
             if self.buffer is not None:
-                yield SemWait(self._buffer_mutex)
+                simos.sem_wait(self._buffer_mutex) or (yield)
                 self.buffer.install(page_id, data)
-                yield SemPost(self._buffer_mutex)
-        yield SemWait(self._delta_mutex)
+                simos.sem_post(self._buffer_mutex) or (yield)
+        simos.sem_wait(self._delta_mutex) or (yield)
         for page_id, data in snapshot:
             if self._delta.get(page_id) is data:
                 del self._delta[page_id]
-        yield SemPost(self._delta_mutex)
+        simos.sem_post(self._delta_mutex) or (yield)
 
     def materialize_delta(self):
         """Apply the in-memory delta to the media (zero time).
@@ -124,9 +126,10 @@ class LcbTreeAccessor(SyncTreeAccessor):
 
     def _sync(self, tls):
         """Flush the log tail (weak persistence group commit)."""
-        yield SemWait(self._wal_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._wal_mutex) or (yield)
         writes, flush_lsn = self.wal.take_flushable(True)
-        yield SemPost(self._wal_mutex)
+        simos.sem_post(self._wal_mutex) or (yield)
         for lba, image in writes:
             yield from self.io.write(tls, lba, image)
         if writes:

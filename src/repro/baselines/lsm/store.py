@@ -15,10 +15,9 @@ mutex); reads take the mutex only to snapshot table references.
 from repro.baselines.lsm.levels import LeveledStore, LsmConfig
 from repro.baselines.lsm.memtable import MemTable
 from repro.core.ops import DELETE, INSERT, RANGE, SEARCH, SYNC, UPDATE
-from repro.errors import StorageError
+from repro.errors import IoError, StorageError
 from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.sync import Mutex
-from repro.simos.thread import Cpu, SemPost, SemWait
 
 
 class LsmStore(LeveledStore):
@@ -35,15 +34,16 @@ class LsmStore(LeveledStore):
     # ------------------------------------------------------------------
 
     def _read_page(self, tls, lba):
-        yield SemWait(self._cache_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._cache_mutex) or (yield)
         data = self.cache.get(lba)
-        yield SemPost(self._cache_mutex)
+        simos.sem_post(self._cache_mutex) or (yield)
         if data is not None:
             return data
         data = yield from self.io.read(tls, lba)
-        yield SemWait(self._cache_mutex)
+        simos.sem_wait(self._cache_mutex) or (yield)
         self.cache.put(lba, data)
-        yield SemPost(self._cache_mutex)
+        simos.sem_post(self._cache_mutex) or (yield)
         return data
 
     def _write_pages(self, tls, pages):
@@ -62,20 +62,27 @@ class LsmStore(LeveledStore):
 
     def _apply(self, tls, op_key, value):
         """Shared insert/update/delete path (holds the writer mutex)."""
-        yield SemWait(self._write_mutex)
-        yield Cpu(self.apply_cost_ns, CPU_REAL_WORK)
+        simos = tls.simos
+        simos.sem_wait(self._write_mutex) or (yield)
+        simos.cpu(self.apply_cost_ns, CPU_REAL_WORK) or (yield)
         self._log_and_apply(op_key, value)
-        yield from self._flush_wal(tls, self.persistence == "strong")
-        if len(self.memtable) >= self.config.memtable_entries:
-            yield from self._flush_memtable(tls)
-            yield from self._maybe_compact(tls)
-        yield SemPost(self._write_mutex)
+        try:
+            yield from self._flush_wal(tls, self.persistence == "strong")
+            if len(self.memtable) >= self.config.memtable_entries:
+                yield from self._flush_memtable(tls)
+                yield from self._maybe_compact(tls)
+        except IoError:
+            # the next writer must not wait for a mutex nobody holds
+            simos.sem_post(self._write_mutex) or (yield)
+            raise
+        simos.sem_post(self._write_mutex) or (yield)
 
     def _flush_memtable(self, tls):
         items = self.memtable.sorted_items()
         self.flushes += 1
         table, pages = self._plan_table(items)
-        yield Cpu(len(items) * self.merge_cost_ns_per_entry, CPU_REAL_WORK)
+        cost = len(items) * self.merge_cost_ns_per_entry
+        tls.simos.cpu(cost, CPU_REAL_WORK) or (yield)
         yield from self._write_pages(tls, pages)
         self.levels[0].insert(0, table)
         self.memtable = MemTable()
@@ -99,7 +106,8 @@ class LsmStore(LeveledStore):
             for lba in source.page_lbas:
                 image_for[lba] = yield from self._read_page(tls, lba)
         items = self._merged_items(level, sources, image_for)
-        yield Cpu(len(items) * self.merge_cost_ns_per_entry, CPU_REAL_WORK)
+        cost = len(items) * self.merge_cost_ns_per_entry
+        tls.simos.cpu(cost, CPU_REAL_WORK) or (yield)
         merged, pages = self._plan_tables(items)
         yield from self._write_pages(tls, pages)
         self._free_pages(self._swap(level, picked, below, merged))
@@ -108,16 +116,17 @@ class LsmStore(LeveledStore):
     # reads
     # ------------------------------------------------------------------
 
-    def _locked_snapshot(self):
+    def _locked_snapshot(self, tls):
         """References to the current memtable and table lists."""
-        yield SemWait(self._write_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._write_mutex) or (yield)
         memtable, levels = self.memtable, self._snapshot()
-        yield SemPost(self._write_mutex)
-        yield Cpu(self.apply_cost_ns, CPU_REAL_WORK)
+        simos.sem_post(self._write_mutex) or (yield)
+        simos.cpu(self.apply_cost_ns, CPU_REAL_WORK) or (yield)
         return memtable, levels
 
     def get(self, tls, key):
-        memtable, levels = yield from self._locked_snapshot()
+        memtable, levels = yield from self._locked_snapshot(tls)
         found, value = memtable.get(key)
         if found:
             return value
@@ -129,7 +138,7 @@ class LsmStore(LeveledStore):
         return None
 
     def range(self, tls, low, high, limit=0):
-        memtable, levels = yield from self._locked_snapshot()
+        memtable, levels = yield from self._locked_snapshot(tls)
         images = []
         for lbas in self._scan_runs(levels, low, high):
             for lba in lbas:
@@ -141,9 +150,14 @@ class LsmStore(LeveledStore):
     # ------------------------------------------------------------------
 
     def sync(self, tls):
-        yield SemWait(self._write_mutex)
-        flushed = yield from self._flush_wal(tls, include_partial=True)
-        yield SemPost(self._write_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._write_mutex) or (yield)
+        try:
+            flushed = yield from self._flush_wal(tls, include_partial=True)
+        except IoError:
+            simos.sem_post(self._write_mutex) or (yield)
+            raise
+        simos.sem_post(self._write_mutex) or (yield)
         return flushed
 
 

@@ -18,7 +18,6 @@ from repro.core.ops import SYNC
 from repro.errors import BenchmarkError, IoError
 from repro.sim.metrics import Counter, LatencyRecorder
 from repro.simos.sync import Mutex
-from repro.simos.thread import SemPost, SemWait
 
 
 class BaselineRunner:
@@ -44,10 +43,11 @@ class BaselineRunner:
     def _worker_body(self, worker_index):
         accessor = self.accessor
         tls = accessor.io.register_thread()
+        sem_wait, sem_post = self.simos.sem_wait, self.simos.sem_post
         while True:
-            yield SemWait(self._queue_mutex)
+            sem_wait(self._queue_mutex) or (yield)
             op = self._ops.popleft() if self._ops else None
-            yield SemPost(self._queue_mutex)
+            sem_post(self._queue_mutex) or (yield)
             if op is None:
                 return
             op.admit_ns = self.engine.now

@@ -34,7 +34,6 @@ from repro.core.plans import make_plan
 from repro.errors import IoError, TreeError
 from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.sync import Mutex
-from repro.simos.thread import Cpu, SemPost, SemWait
 
 
 class BlockingPageIo:
@@ -67,24 +66,26 @@ class BlockingPageIo:
 
     def _read_node(self, tls, page_id):
         costs = self.tree.costs
+        simos = tls.simos
         if self.buffer is not None:
-            yield SemWait(self._buffer_mutex)
-            yield Cpu(costs.buffer_lookup_ns, CPU_REAL_WORK)
+            simos.sem_wait(self._buffer_mutex) or (yield)
+            simos.cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
             data = self.buffer.lookup(page_id)
-            yield SemPost(self._buffer_mutex)
+            simos.sem_post(self._buffer_mutex) or (yield)
             if data is not None:
-                yield Cpu(costs.node_parse_ns, CPU_REAL_WORK)
+                simos.cpu(costs.node_parse_ns, CPU_REAL_WORK) or (yield)
                 return Node.from_bytes(self.tree.config, page_id, data)
         data = yield from self.io.read(tls, page_id)
         if self.buffer is not None:
             yield from self._install(tls, page_id, data)
-        yield Cpu(costs.node_parse_ns, CPU_REAL_WORK)
+        simos.cpu(costs.node_parse_ns, CPU_REAL_WORK) or (yield)
         return Node.from_bytes(self.tree.config, page_id, data)
 
     def _install(self, tls, page_id, data):
-        yield SemWait(self._buffer_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._buffer_mutex) or (yield)
         evicted = self.buffer.install(page_id, data)
-        yield SemPost(self._buffer_mutex)
+        simos.sem_post(self._buffer_mutex) or (yield)
         yield from self._flush_evicted(tls, evicted)
 
     def _flush_evicted(self, tls, evicted):
@@ -96,13 +97,14 @@ class BlockingPageIo:
         and each flusher writes the *newest* in-flight bytes, so the
         final media content is always the latest version.
         """
+        sem_wait, sem_post = tls.simos.sem_wait, tls.simos.sem_post
         for victim_id, victim_data in evicted:
-            yield SemWait(self._buffer_mutex)
+            sem_wait(self._buffer_mutex) or (yield)
             lock = self._flush_locks.get(victim_id)
             if lock is None:
                 lock = self._flush_locks[victim_id] = Mutex("flush")
-            yield SemPost(self._buffer_mutex)
-            yield SemWait(lock)
+            sem_post(self._buffer_mutex) or (yield)
+            sem_wait(lock) or (yield)
             latest = self.buffer.in_flight_data(victim_id)
             try:
                 yield from self.io.write(
@@ -111,57 +113,63 @@ class BlockingPageIo:
             except IoError:
                 # the next flush of this page must not wait for a mutex
                 # nobody holds
-                yield SemPost(lock)
+                sem_post(lock) or (yield)
                 raise
-            yield SemWait(self._buffer_mutex)
+            sem_wait(self._buffer_mutex) or (yield)
             self.buffer.flush_done(victim_id)
-            yield SemPost(self._buffer_mutex)
-            yield SemPost(lock)
+            sem_post(self._buffer_mutex) or (yield)
+            sem_post(lock) or (yield)
 
     def _write_page(self, tls, page_id, data):
         """Persist one page per the persistence mode (blocking)."""
+        simos = tls.simos
         if self.persistence == "weak":
-            yield SemWait(self._buffer_mutex)
+            simos.sem_wait(self._buffer_mutex) or (yield)
             evicted = self.buffer.write(page_id, data)
-            yield SemPost(self._buffer_mutex)
+            simos.sem_post(self._buffer_mutex) or (yield)
             yield from self._flush_evicted(tls, evicted)
             return
         yield from self.io.write(tls, page_id, data)
         if self.buffer is not None:
-            yield SemWait(self._buffer_mutex)
+            simos.sem_wait(self._buffer_mutex) or (yield)
             self.buffer.install(page_id, data)
-            yield SemPost(self._buffer_mutex)
+            simos.sem_post(self._buffer_mutex) or (yield)
 
     def _write_node(self, tls, node):
-        yield Cpu(self.tree.costs.node_serialize_ns, CPU_REAL_WORK)
+        cost = self.tree.costs.node_serialize_ns
+        tls.simos.cpu(cost, CPU_REAL_WORK) or (yield)
         yield from self._write_page(tls, node.page_id, node.to_bytes())
 
     def _write_meta(self, tls):
-        yield Cpu(self.tree.costs.node_serialize_ns, CPU_REAL_WORK)
+        cost = self.tree.costs.node_serialize_ns
+        tls.simos.cpu(cost, CPU_REAL_WORK) or (yield)
         yield from self._write_page(tls, META_PAGE, self.tree.meta.to_bytes())
 
-    def _allocate(self):
-        yield SemWait(self._alloc_mutex)
+    def _allocate(self, tls):
+        simos = tls.simos
+        simos.sem_wait(self._alloc_mutex) or (yield)
         page_id = self.tree.allocator.allocate()
-        yield SemPost(self._alloc_mutex)
+        simos.sem_post(self._alloc_mutex) or (yield)
         return page_id
 
-    def _free(self, page_id):
-        yield SemWait(self._alloc_mutex)
+    def _free(self, tls, page_id):
+        simos = tls.simos
+        simos.sem_wait(self._alloc_mutex) or (yield)
         self.tree.allocator.free(page_id)
-        yield SemPost(self._alloc_mutex)
+        simos.sem_post(self._alloc_mutex) or (yield)
         if self.buffer is not None:
-            yield SemWait(self._buffer_mutex)
+            simos.sem_wait(self._buffer_mutex) or (yield)
             self.buffer.invalidate(page_id)
-            yield SemPost(self._buffer_mutex)
+            simos.sem_post(self._buffer_mutex) or (yield)
 
     def _sync(self, tls):
         """Flush every dirty buffered page; returns how many."""
         if self.persistence == "strong" or self.buffer is None:
             return 0
-        yield SemWait(self._buffer_mutex)
+        simos = tls.simos
+        simos.sem_wait(self._buffer_mutex) or (yield)
         flushing = self.buffer.take_dirty()
-        yield SemPost(self._buffer_mutex)
+        simos.sem_post(self._buffer_mutex) or (yield)
         # reuse the ordered per-page flush path so a sync never races
         # an in-flight eviction flush of the same page
         yield from self._flush_evicted(tls, flushing)
@@ -181,6 +189,7 @@ class SyncTreeAccessor(BlockingPageIo):
         """
         plan = make_plan(op, self.tree)
         latches = self.latches
+        cpu = tls.simos.cpu
         held = {}
         send = None
         try:
@@ -192,18 +201,18 @@ class SyncTreeAccessor(BlockingPageIo):
                 send = None
                 kind = type(effect)
                 if kind is LatchEff:
-                    yield from latches.acquire(effect.page_id, effect.mode)
+                    yield from latches.acquire(tls, effect.page_id, effect.mode)
                     held[effect.page_id] = effect.mode
                 elif kind is UnlatchEff:
                     page_id = effect.page_id
-                    yield from latches.release(page_id, held.pop(page_id))
+                    yield from latches.release(tls, page_id, held.pop(page_id))
                 elif kind is UnlatchManyEff:
                     for page_id in effect.page_ids:
-                        yield from latches.release(page_id, held.pop(page_id))
+                        yield from latches.release(tls, page_id, held.pop(page_id))
                 elif kind is ReadEff:
                     send = yield from self._read_node(tls, effect.page_id)
                 elif kind is ChargeEff:
-                    yield Cpu(effect.ns, effect.category)
+                    cpu(effect.ns, effect.category) or (yield)
                 elif kind is WriteEff:
                     # ``coalesce`` is a submission hint: a blocking
                     # thread has one write in flight either way
@@ -212,9 +221,9 @@ class SyncTreeAccessor(BlockingPageIo):
                     if effect.write_meta:
                         yield from self._write_meta(tls)
                 elif kind is AllocEff:
-                    send = yield from self._allocate()
+                    send = yield from self._allocate(tls)
                 elif kind is FreeEff:
-                    yield from self._free(effect.page_id)
+                    yield from self._free(tls, effect.page_id)
                 elif kind is SyncEff:
                     send = yield from self._sync(tls)
                 else:
@@ -223,7 +232,7 @@ class SyncTreeAccessor(BlockingPageIo):
                     )
         except IoError:
             for page_id in sorted(held):
-                yield from latches.release(page_id, held[page_id])
+                yield from latches.release(tls, page_id, held[page_id])
             raise
         if held:
             raise TreeError(

@@ -8,7 +8,7 @@ completion queue — the polled-mode contract.
 
 CPU costs: the driver exposes the per-call CPU cost constants
 (``submit_cpu_ns``, ``probe_cpu_ns(...)``) and callers charge them to
-their simulated thread with a ``Cpu`` instruction, tagged ``CPU_NVME``
+their simulated thread with a ``SimOS.cpu`` burst, tagged ``CPU_NVME``
 so the Fig 9 breakdown sees driver time separately from index work.
 
 Error handling: ``probe`` returns :class:`Completion` records, not bare

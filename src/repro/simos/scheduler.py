@@ -93,9 +93,10 @@ class SimOS:
         # True while spawn() steps a new thread from inside its caller,
         # which goes on at this instant: the clock must not move.
         self._spawning = False
-        # The thread whose code is running, which cpu() charges: _step
-        # sets it on entry, and spawn() restores it around the nested
-        # step it makes (the only way a thread body re-enters _step).
+        # The thread whose code is running, which cpu(), sem_wait() and
+        # sem_post() charge: _step sets it on entry, and spawn() restores
+        # it around the nested step it makes (the only way a thread body
+        # re-enters _step).
         self._current = None
         # Observer slot (repro.sim.hooks): subscribers are called with
         # (thread, new_state) on every scheduling transition.  Must not
@@ -186,6 +187,47 @@ class SimOS:
         thread.account.charge(taken * ns, category)
         thread.core.busy_ns += taken * ns
         return taken
+
+    def sem_wait(self, sem):
+        """P on ``sem`` by the running thread, as a call.
+
+        The rule behind ``yield SemWait(sem)``: the syscall is charged,
+        and when the count is already positive and nothing is due before
+        the syscall ends, the thread takes the semaphore in place and
+        goes on (True).  Otherwise the continuation, which takes it or
+        blocks, is scheduled (False): ``sem_wait(sem) or (yield)``.
+        """
+        thread = self._current
+        cost = self.profile.sem_syscall_ns
+        thread.account.charge(cost, CPU_SYNC)
+        thread.core.busy_ns += cost
+        sem.wait_count += 1
+        # nothing runs before the syscall ends, so the count seen now
+        # is the one the continuation would see
+        if sem.count and not self._spawning and self.engine.try_advance(cost):
+            sem.count -= 1
+            return True
+        self.engine.schedule(cost, self._sem_wait_cont, thread, sem)
+        return False
+
+    def sem_post(self, sem):
+        """V on ``sem`` by the running thread, as a call.
+
+        The rule behind ``yield SemPost(sem)``, with ``cpu``'s contract:
+        True when the syscall went by in place (the waiter it wakes, if
+        any, is scheduled at the same instant), False once the
+        continuation is scheduled: ``sem_post(sem) or (yield)``.
+        """
+        thread = self._current
+        cost = self.profile.sem_syscall_ns
+        thread.account.charge(cost, CPU_SYNC)
+        thread.core.busy_ns += cost
+        # no run-queue test: a syscall's continuation never preempts
+        if not self._spawning and self.engine.try_advance(cost):
+            self._post(sem)
+            return True
+        self.engine.schedule(cost, self._sem_post_cont, thread, sem)
+        return False
 
     def run_until_done(self, threads, until_ns=None):
         """Run the engine until every one of ``threads`` has exited.
@@ -335,7 +377,6 @@ class SimOS:
     def _step(self, thread):
         """Advance the generator, handling zero-cost instructions inline."""
         self._current = thread
-        profile = self.profile
         send = thread.gen.send
         while True:
             try:
@@ -344,31 +385,22 @@ class SimOS:
                 self._finish(thread)
                 return
             if instr is None:
-                # a cpu() call already scheduled the continuation
+                # a cpu / sem_wait / sem_post call already scheduled
+                # the continuation
                 return
 
+            # the instruction spellings of the three calls
             if type(instr) is Cpu:
                 if self.cpu(instr.ns, instr.category):
                     continue
                 return
-
             if type(instr) is SemWait:
-                cost = profile.sem_syscall_ns
-                thread.account.charge(cost, CPU_SYNC)
-                thread.core.busy_ns += cost
-                instr.sem.wait_count += 1
-                self.engine.schedule(
-                    cost, self._sem_wait_cont, thread, instr.sem
-                )
+                if self.sem_wait(instr.sem):
+                    continue
                 return
-
             if type(instr) is SemPost:
-                cost = profile.sem_syscall_ns
-                thread.account.charge(cost, CPU_SYNC)
-                thread.core.busy_ns += cost
-                self.engine.schedule(
-                    cost, self._sem_post_cont, thread, instr.sem
-                )
+                if self.sem_post(instr.sem):
+                    continue
                 return
 
             if type(instr) is Sleep:
@@ -436,6 +468,12 @@ class SimOS:
         self._release_core(thread)
 
     def _sem_post_cont(self, thread, sem):
+        self._post(sem)
+        self._step(thread)
+
+    def _post(self, sem):
+        """What a post does once its syscall is over: wake one waiter
+        (after the wakeup latency) or count up."""
         if sem.waiters:
             if self.wakeup_pick is None or len(sem.waiters) == 1:
                 waiter = sem.pop_waiter(0)
@@ -446,7 +484,6 @@ class SimOS:
             )
         else:
             sem.count += 1
-        self._step(thread)
 
 
 DEFAULT_OS_PROFILE = OsProfile()

@@ -14,9 +14,11 @@ from repro.errors import SchedulerError
 class Semaphore:
     """Counting semaphore.
 
-    The scheduler drives all state changes; thread code only yields
-    :class:`~repro.simos.thread.SemWait` / ``SemPost`` instructions that
-    reference the semaphore.
+    The scheduler drives all state changes; thread code only calls
+    :meth:`~repro.simos.scheduler.SimOS.sem_wait` / ``sem_post`` on it
+    (``sem_wait(sem) or (yield)``), which take an uncontended wait and
+    every post in place when nothing else is due before the syscall
+    ends.
 
     ``waiters`` is an explicit FIFO: blocked threads are appended at the
     tail and, by default, woken from the head in arrival order.  That

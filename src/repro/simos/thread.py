@@ -1,40 +1,43 @@
 """Simulated threads.
 
-A simulated thread is a Python generator that yields *instructions* to
-the OS scheduler.  Instructions consume virtual CPU time, block on
-semaphores, sleep, or yield the core.  Plain Python work inside the
+A simulated thread is a Python generator the OS scheduler steps.  It
+consumes virtual CPU time, waits on and posts semaphores, sleeps, or
+yields the core.  Plain Python work inside the
 generator costs zero virtual time — the thread body must charge the
 time it models as CPU bursts, which is what lets us account CPU by
 category for the paper's Fig 9 breakdown.
 
-A burst has two spellings with one rule behind them
-(:meth:`repro.simos.scheduler.SimOS.cpu`).  The instruction,
-``yield Cpu(ns, category)``, is for thread bodies that are rarely
-alone on a core: the synchronous baselines, the I/O services, tests.
-The call, ``cpu(ns, category) or (yield)``, is for the polled workers
-(``repro.core.worker``, ``repro.core.engine``, ``repro.palsm.worker``),
-which usually are alone and take most bursts in place: ``cpu`` returns
-True when the clock went by in place and the body simply goes on, and
-False once the continuation is scheduled, after which the body must
-yield bare at once.  ``SimOS.cpu_repeat`` takes a run of equal bursts
-in one call.
+A thread body yields only where another thread may run.  A CPU burst
+and a semaphore syscall are calls on the OS, each with one rule
+(:meth:`repro.simos.scheduler.SimOS.cpu`, ``sem_wait``, ``sem_post``):
+the call returns True when its step went by in place and the body
+simply goes on, and False once the continuation is scheduled, after
+which the body must yield bare at once — ``cpu(ns, category) or
+(yield)``, ``sem_wait(sem) or (yield)``.  ``SimOS.cpu_repeat`` takes a
+run of equal bursts in one call.  Every body in ``repro`` spells them
+so; the polled workers bind ``simos.cpu`` once, the blocking baselines
+reach the OS through their per-thread I/O handle (``tls.simos``).
+
+What is still yielded is an instruction: :class:`Sleep` and
+:class:`YieldCpu`, which always leave or may leave the core.
+:class:`Cpu`, :class:`SemWait` and :class:`SemPost` are the instruction
+spellings of the three calls, which ``_step`` serves by making the
+call; ``repro`` yields none of them (a tier-1 test walks its source),
+only tests and the perf micro-benchmark still do.
 
 Example
 -------
 ::
 
-    def body(os):
-        yield Cpu(usec(1.2), CPU_REAL_WORK)   # 1.2 us of index work
-        yield SemWait(latch_sem)               # block until granted
-        yield Cpu(usec(0.5), CPU_REAL_WORK)
+    def body(simos, latch_sem):
+        cpu = simos.cpu
+        cpu(usec(1.2), CPU_REAL_WORK) or (yield)  # 1.2 us of index work
+        simos.sem_wait(latch_sem) or (yield)      # block until granted
+        cpu(usec(0.5), CPU_REAL_WORK) or (yield)
+        simos.sem_post(latch_sem) or (yield)
+        yield Sleep(usec(20))                     # off the core
 
-    def polled_body(os):
-        cpu = os.cpu
-        while True:
-            cpu(usec(0.5), CPU_NVME) or (yield)  # probe
-            ...
-
-    os.spawn(body(os), name="worker-0")
+    simos.spawn(body(simos, latch_sem), name="worker-0")
 """
 
 from repro.sim.metrics import CPU_OTHER, CpuAccount

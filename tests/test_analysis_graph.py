@@ -1162,6 +1162,32 @@ def test_src_imports_only_the_standard_library_and_itself():
     assert foreign == []
 
 
+def test_no_src_body_yields_a_call_spelled_instruction():
+    """A CPU burst and a semaphore syscall are calls in ``src/repro``
+    (``simos.cpu`` / ``sem_wait`` / ``sem_post``); only the blocking
+    instructions that have no call form may be yielded."""
+    spelled = {"Cpu", "SemWait", "SemPost"}
+    found = []
+    src = os.path.join(REPO_ROOT, "src", "repro")
+    for directory, _dirs, files in os.walk(src):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Yield)
+                        and isinstance(node.value, ast.Call)):
+                    continue
+                func = node.value.func
+                called = getattr(func, "id", getattr(func, "attr", None))
+                if called in spelled:
+                    where = os.path.relpath(path, REPO_ROOT)
+                    found.append("%s:%d %s" % (where, node.lineno, called))
+    assert found == []
+
+
 def test_mini_toml_parses_layers_toml_as_tomllib_does():
     """The 3.10 fallback reads the committed file as 3.11's parser does."""
     tomllib = pytest.importorskip("tomllib")

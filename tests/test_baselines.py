@@ -9,6 +9,7 @@ from repro.baselines.blink_tree import BlinkTreeAccessor
 from repro.baselines.io_service import DedicatedIoService, SharedIoService
 from repro.baselines.latching import BlockingLatchTable
 from repro.baselines.lcb_tree import LcbTreeAccessor
+from repro.baselines.lsm import LsmAccessor, LsmConfig, LsmStore
 from repro.baselines.runner import BaselineRunner
 from repro.baselines.sync_tree import SyncTreeAccessor
 from repro.buffer import ReadOnlyBuffer, ReadWriteBuffer
@@ -81,22 +82,28 @@ def mixed_ops(seed, n, preload):
     return ops, model
 
 
+def started_tls(simos, driver):
+    """A thread handle of a started dedicated I/O service."""
+    service = DedicatedIoService(driver)
+    service.start(simos)
+    return service.register_thread()
+
+
 class TestBlockingLatchTable:
     def test_exclusive_serializes_threads(self):
-        engine, simos, _device, _driver, _tree = make_machine(preload=0)
+        engine, simos, _device, driver, _tree = make_machine(preload=0)
         table = BlockingLatchTable()
         active = {"n": 0, "max": 0}
 
         def body():
-            from repro.simos.thread import Cpu
-
+            tls = started_tls(simos, driver)
             for _ in range(10):
-                yield from table.acquire(7, EXCLUSIVE)
+                yield from table.acquire(tls, 7, EXCLUSIVE)
                 active["n"] += 1
                 active["max"] = max(active["max"], active["n"])
-                yield Cpu(1_000, "real_work")
+                simos.cpu(1_000, "real_work") or (yield)
                 active["n"] -= 1
-                yield from table.release(7, EXCLUSIVE)
+                yield from table.release(tls, 7, EXCLUSIVE)
 
         for _ in range(4):
             simos.spawn(body())
@@ -105,21 +112,20 @@ class TestBlockingLatchTable:
         table.assert_quiescent()
 
     def test_readers_share(self):
-        engine, simos, _device, _driver, _tree = make_machine(preload=0)
+        engine, simos, _device, driver, _tree = make_machine(preload=0)
         table = BlockingLatchTable()
         active = {"n": 0, "max": 0}
 
         def body():
-            from repro.simos.thread import Cpu
-
-            yield from table.acquire(7, SHARED)
+            tls = started_tls(simos, driver)
+            yield from table.acquire(tls, 7, SHARED)
             active["n"] += 1
             active["max"] = max(active["max"], active["n"])
             # hold long enough to overlap despite the table-mutex
             # serialization of the acquire path itself
-            yield Cpu(50_000, "real_work")
+            simos.cpu(50_000, "real_work") or (yield)
             active["n"] -= 1
-            yield from table.release(7, SHARED)
+            yield from table.release(tls, 7, SHARED)
 
         for _ in range(4):
             simos.spawn(body())
@@ -355,6 +361,34 @@ def test_eviction_flush_that_fails_gives_the_page_flush_mutex_back():
     assert injector.failed[0] == leaf_ids[0]
     assert [op.result for op in ops[6:8]] == [payload(3), payload(3)]
     latches.assert_quiescent()
+
+
+@pytest.mark.parametrize("persistence", ["strong", "weak"])
+def test_lsm_write_that_fails_gives_the_writer_mutex_back(persistence):
+    """The first WAL write dies through every re-drive: under strong
+    persistence inside the first insert, under weak inside the first
+    sync.  Both hold the store's writer mutex, and every later write and
+    read takes it again."""
+    injector = FailOneWrite(lambda command: True)
+    _engine, simos, device, driver, _tree = make_machine(
+        preload=0, faults=injector
+    )
+    store = LsmStore(
+        device, DedicatedIoService(driver), LsmConfig(), persistence=persistence
+    )
+    keys = [10, 20, 30, 40, 50]
+    ops = [insert_op(k, payload(k)) for k in keys]
+    if persistence == "weak":
+        ops += [sync_op(), insert_op(60, payload(60)), sync_op()]
+    ops.append(search_op(50))
+    runner = BaselineRunner(simos, LsmAccessor(store), ops, n_threads=1, name="lsm")
+    runner.run_to_completion()
+
+    failed = 0 if persistence == "strong" else len(keys)
+    assert [i for i, op in enumerate(ops) if op.error is not None] == [failed]
+    assert isinstance(ops[failed].error, IoError)
+    assert ops[-1].result == payload(50)
+    assert store.wal.pending_records() == 0
 
 
 @pytest.mark.parametrize("accessor_kind", ["sync", "lcb"])

@@ -28,6 +28,7 @@ from repro.baselines.io_service import SharedIoService
 from repro.baselines.latching import BlockingLatchTable
 from repro.baselines.runner import BaselineRunner
 from repro.baselines.sync_tree import SyncTreeAccessor
+from repro.bench import cli
 from repro.core.engine import PaTreeEngine
 from repro.core.ops import delete_op, insert_op, search_op, update_op
 from repro.core.source import ClosedLoopSource
@@ -203,6 +204,9 @@ def test_a_bound_hook_sees_the_same_run_on_either_path(name, arm):
     elif arm != "sync_shared":
         # any other subscriber leaves the worker its bursts
         assert plain.engine.inlined > plain.repeats_taken > 0
+    else:
+        # and the blocking threads their bursts and semaphore syscalls
+        assert plain.engine.inlined > 0
 
 
 def test_two_recorders_on_one_slot_see_the_same_calls_in_subscription_order():
@@ -291,3 +295,38 @@ def test_metrics_session_needs_no_fallback_and_scrapes_the_same():
     assert len(fast_session.scraper.samples) > 3
     assert fast_session.scraper.samples == slow_session.scraper.samples
     assert fast_session.slo.snapshot() == slow_session.slo.snapshot()
+
+
+def _exhibit_modules():
+    """One case per exhibit module: table1, table2 and fig9 share one
+    ``run``; fig3 sweeps virtual durations and refuses ``ops``."""
+    names = {}
+    for name, (_title, module, _render) in sorted(cli._EXHIBITS.items()):
+        names.setdefault(module, []).append(name)
+    return [
+        pytest.param(
+            module, id="+".join(ids),
+            marks=[pytest.mark.skip(reason="time-based: refuses ops")]
+            if ids == ["fig3"] else [],
+        )
+        for module, ids in names.items()
+    ]
+
+
+@pytest.mark.parametrize("module", _exhibit_modules())
+def test_an_exhibit_gives_the_same_rows_with_the_fast_path_forced_off(
+    module, monkeypatch,
+):
+    """Every kernel an exhibit builds gets a no-op ``on_dispatch``
+    subscriber, which sends every burst, syscall and idle turn through
+    the heap: the rows must not move."""
+    plain = module.run(ops=20)
+    getattr(module, "_CACHE", {}).clear()
+    init = Engine.__init__
+
+    def init_forced_slow(engine, *args, **kwargs):
+        init(engine, *args, **kwargs)
+        subscribe(engine, "on_dispatch", lambda event: None)
+
+    monkeypatch.setattr(Engine, "__init__", init_forced_slow)
+    assert module.run(ops=20) == plain

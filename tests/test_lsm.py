@@ -179,6 +179,7 @@ def make_store(persistence="weak", memtable_entries=50):
     device = NvmeDevice(engine, fast_test_profile())
     driver = NvmeDriver(device)
     io_service = DedicatedIoService(driver)
+    io_service.start(simos)
     store = LsmStore(
         device,
         io_service,

@@ -5,13 +5,16 @@ of a burst alike) advances the clock in place (``Engine.try_advance``)
 when a CPU burst ends before anything else is due, ``SimOS.cpu_repeat``
 takes a run of equal bursts in one go (``Engine.try_advance_repeat``)
 as far as each of them would have been, and otherwise the burst goes
-through the event heap.  Installing any ``on_dispatch`` hook forces the
+through the event heap.  ``SimOS.sem_post`` and an uncontended
+``SimOS.sem_wait`` let a semaphore syscall go by in place on the same
+terms.  Installing any ``on_dispatch`` hook forces the
 heap, so every test here runs one program twice -- plain, and forced
 slow by a no-op hook -- and asserts that nothing a simulation can
 observe differs, and that the two runs account for the same number of
 kernel steps: ``slow.dispatched == fast.dispatched + fast.inlined``.
-The generated programs run once more with every burst spelled as a
-``Cpu`` instruction, which must be the same run step for step.
+The generated programs run once more with every call spelled as an
+instruction (``Cpu``, ``SemWait``, ``SemPost``), which must be the
+same run step for step.
 """
 
 import pytest
@@ -48,14 +51,22 @@ _INSTR = st.one_of(
     _REPEAT,
     st.tuples(st.just("sleep"), _NS),
     st.tuples(st.just("yield")),
-    st.tuples(st.just("wait"), st.integers(0, 2)),
-    st.tuples(st.just("post"), st.integers(0, 2)),
+    # a semaphore syscall as an instruction or as a SimOS call
+    st.tuples(st.sampled_from(["wait", "wait-call"]), st.integers(0, 2)),
+    st.tuples(st.sampled_from(["post", "post-call"]), st.integers(0, 2)),
     # a thread body that spawns another thread and goes on at the same
-    # instant: the child's first burst must not move the parent's clock,
-    # and the parent's next call must charge the parent
+    # instant: the child's first burst or syscall must not move the
+    # parent's clock, and the parent's next call must charge the parent
     st.tuples(st.just("spawn"), st.lists(
-        st.tuples(
-            st.sampled_from(["cpu", "call"]), _NS, st.just(CPU_CATEGORIES[0])
+        st.one_of(
+            st.tuples(
+                st.sampled_from(["cpu", "call"]), _NS,
+                st.just(CPU_CATEGORIES[0]),
+            ),
+            st.tuples(
+                st.sampled_from(["wait-call", "post-call"]),
+                st.integers(0, 2),
+            ),
         ),
         min_size=1, max_size=3,
     )),
@@ -76,8 +87,13 @@ _SHAPE = {
     "threads": st.lists(
         st.lists(_INSTR, min_size=1, max_size=12), min_size=1, max_size=12
     ),
-    # foreign timers on the same engine: (delay, spawns a thread?)
-    "timers": st.lists(st.tuples(_NS, st.booleans()), max_size=6),
+    # foreign timers on the same engine: (delay, the one step of a
+    # thread the timer spawns, or None); a spawn from an event callback
+    # must not move the clock either
+    "timers": st.lists(st.tuples(_NS, st.sampled_from([
+        None, ("call", 100, CPU_CATEGORIES[0]), ("wait-call", 0),
+        ("post-call", 0),
+    ])), max_size=6),
 }
 
 _PROGRAM = st.fixed_dictionaries(dict(_SHAPE, stop=st.one_of(
@@ -94,7 +110,8 @@ class _Machine:
 
     def __init__(self, program, slow, instructions=False):
         # instructions: every burst, calls and repeats included, yielded
-        # as a Cpu instruction instead
+        # as a Cpu instruction instead, and every semaphore call as a
+        # SemWait / SemPost
         self.instructions = instructions
         self.engine = Engine(seed=1)
         self.simos = SimOS(self.engine, OsProfile(
@@ -111,9 +128,9 @@ class _Machine:
             subscribe(self.engine, "on_dispatch", lambda event: None)
         for index, instrs in enumerate(program["threads"]):
             self.top.append(self._spawn("t%d" % index, instrs))
-        for index, (delay_ns, spawns) in enumerate(program["timers"]):
+        for index, (delay_ns, child) in enumerate(program["timers"]):
             self.engine.schedule(
-                delay_ns, lambda i=index, s=spawns: self._timer(i, s)
+                delay_ns, lambda i=index, c=child: self._timer(i, c)
             )
         self.outcome = self._run(program["stop"])
 
@@ -125,7 +142,8 @@ class _Machine:
         return thread
 
     def _body(self, name, instrs):
-        cpu = self.simos.cpu
+        simos = self.simos
+        cpu = simos.cpu
         for step, instr in enumerate(instrs):
             kind = instr[0]
             if self.instructions and kind in ("call", "repeat", "call-repeat"):
@@ -147,18 +165,22 @@ class _Machine:
                 yield Sleep(instr[1])
             elif kind == "yield":
                 yield YieldCpu()
-            elif kind == "wait":
+            elif kind == "wait" or (self.instructions and kind == "wait-call"):
                 yield SemWait(self.sems[instr[1]])
-            elif kind == "post":
+            elif kind == "post" or (self.instructions and kind == "post-call"):
                 yield SemPost(self.sems[instr[1]])
+            elif kind == "wait-call":
+                simos.sem_wait(self.sems[instr[1]]) or (yield)
+            elif kind == "post-call":
+                simos.sem_post(self.sems[instr[1]]) or (yield)
             else:
                 self._spawn("%s.%d" % (name, step), instr[1])
             self.log.append((name, step, self.engine.now))
 
-    def _timer(self, index, spawns):
+    def _timer(self, index, child):
         self.log.append(("timer", index, self.engine.now))
-        if spawns:
-            self._spawn("timer%d" % index, [("cpu", 100, CPU_CATEGORIES[0])])
+        if child is not None:
+            self._spawn("timer%d" % index, [child])
             self.log.append(("timer-after-spawn", index, self.engine.now))
 
     def _run(self, stop):
@@ -269,12 +291,100 @@ def test_a_lone_thread_never_touches_the_heap():
 def test_an_event_at_exactly_the_burst_end_takes_the_heap():
     # the timer is due at 200, when the second burst ends: it was pushed
     # first, so it fires first -- the burst must wait its turn in the heap
-    program = _program([_spinner(4)], timers=[(200, False)])
+    program = _program([_spinner(4)], timers=[(200, None)])
     fast = _Machine(program, slow=False)
     assert fast.log.index(("timer", 0, 200)) < fast.log.index(("t0", 1, 200))
     # burst 1 is spawn's, burst 2 ties with the timer; 3 and 4 are inlined
     assert fast.engine.inlined == 2
     _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+_SYSCALL_NS = OsProfile().sem_syscall_ns
+
+
+@pytest.mark.parametrize("timer_ns,inlined", [
+    (100 + _SYSCALL_NS, 0), (101 + _SYSCALL_NS, 1),
+])
+def test_an_uncontended_wait_ending_at_a_pending_event_takes_the_heap(
+    timer_ns, inlined,
+):
+    # the burst spawn() scheduled ends at 100; the wait's syscall then
+    # ends exactly at the timer (a tie: the heap) or just before it
+    program = _program(
+        [_spinner(1) + [("wait-call", 0)]], timers=[(timer_ns, None)]
+    )
+    program["sem_initial"] = [1, 0, 0]
+    fast = _Machine(program, slow=False)
+    assert fast.engine.inlined == inlined
+    timer_first = fast.log.index(("timer", 0, timer_ns)) < fast.log.index(
+        ("t0", 1, 100 + _SYSCALL_NS)
+    )
+    assert timer_first == (inlined == 0)
+    assert fast.observed()["sems"][0] == (0, 1, 0)
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def _wait_then_post():
+    # t0 waits at 100 on a zero count with nothing due before t1's post
+    # at 20 000
+    return _program(
+        [
+            _spinner(1) + [("wait-call", 0)],
+            _spinner(1, 20_000) + [("post-call", 0)],
+        ],
+        cores=2,
+    )
+
+
+def test_a_contended_wait_never_advances_in_place():
+    # only the post goes by in place, and t0 blocks
+    program = _wait_then_post()
+    fast = _Machine(program, slow=False)
+    assert fast.engine.inlined == 1
+    assert fast.observed()["sems"][0] == (0, 1, 1)  # (count, waits, blocks)
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def test_a_post_that_wakes_in_place_schedules_the_wakeup_at_the_same_instant():
+    program = _wait_then_post()
+    program["context_switch_ns"] = 0
+    fast = _Machine(program, slow=False)
+    wakeup_ns = fast.simos.profile.wakeup_ns
+    # the post's syscall ends at 20 800 and t0 runs wakeup_ns later
+    assert fast.engine.inlined == 1
+    assert ("t1", 1, 20_000 + _SYSCALL_NS) in fast.log
+    assert ("t0", 1, 20_000 + _SYSCALL_NS + wakeup_ns) in fast.log
+    assert fast.engine.now == 20_000 + _SYSCALL_NS + wakeup_ns
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+@pytest.mark.parametrize("call", ["sem_wait", "sem_post"])
+def test_a_sem_call_inside_spawn_does_not_move_the_clock(call):
+    engine = Engine()
+    simos = SimOS(engine, OsProfile(cores=2))
+    sem = Semaphore(1)
+    seen = []
+
+    def child():
+        went_by = getattr(simos, call)(sem)
+        seen.append(("child", went_by, engine.now))
+        went_by or (yield)
+        seen.append(("child", engine.now))
+
+    def parent():
+        simos.cpu(100) or (yield)
+        simos.spawn(child())
+        seen.append(("parent", engine.now))
+        simos.cpu(100) or (yield)
+        seen.append(("parent", engine.now))
+
+    simos.spawn(parent())
+    engine.run()
+    assert seen == [
+        ("child", False, 100), ("parent", 100), ("parent", 200),
+        ("child", 100 + _SYSCALL_NS),
+    ]
+    assert sem.count == (0 if call == "sem_wait" else 2)
 
 
 def test_until_ns_leaves_the_clock_exactly_there():
@@ -377,7 +487,7 @@ def test_a_repeat_is_taken_whole_when_nothing_else_is_due():
 def test_a_repeat_stops_before_the_burst_that_ties_with_an_event():
     # from 100 the bursts end at 200, 300, 400 and -- with the timer,
     # which was pushed first and so fires first -- at 500
-    program = _program([_repeater(10)], timers=[(500, False)])
+    program = _program([_repeater(10)], timers=[(500, None)])
     fast = _Machine(program, slow=False)
     assert fast.taken == 3
     assert fast.log.index(("timer", 0, 500)) < fast.log.index(("t0", 1, 1_100))
