@@ -7,12 +7,15 @@ model, the NVMe device, the PA-Tree working thread — is built from
 callbacks on this kernel.
 """
 
-from heapq import heappop
+from heapq import heappop, heappush
 
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
 from repro.sim.events import EventQueue
 from repro.sim.rng import RngRegistry
+
+# run()'s bound is an instant: every entry at it is before it
+_LAST_SEQ = float("inf")
 
 
 class Engine:
@@ -34,16 +37,16 @@ class Engine:
         self.rng = RngRegistry(seed)
         self.max_events = max_events
         self.dispatched = 0
-        # Delays try_advance took in place of a heap round trip:
-        # dispatched + inlined is what the same run dispatches with a
-        # hook installed, and what max_events bounds.
+        # Delays try_advance / run_through took in place of a heap round
+        # trip: dispatched + inlined is what the same run dispatches with
+        # a hook installed, and what max_events bounds.
         self.inlined = 0
         self._running = False
         self._stopped = False
-        # For try_advance: run()'s stop conditions (the horizon is -1
-        # outside run() and after stop(), so nothing advances) and the
-        # queue's own heap list, to peek at its head without dropping
-        # dead entries.
+        # For the fast paths: run()'s stop conditions (the horizon is -1
+        # outside run() and after stop(), so nothing advances, and just
+        # short of an enclosing run_through's slot) and the queue's own
+        # heap list, to peek at its head without dropping dead entries.
         self._horizon_ns = -1
         self._until = None
         self._heap = self.events._heap
@@ -93,9 +96,10 @@ class Engine:
         """Make the current run() return once the running callback does.
 
         From here to that return nothing advances in place either:
-        try_advance and try_advance_repeat refuse, as they do when an
-        ``until`` predicate has turned true.  Outside run() it does
-        nothing that the next run() sees.
+        try_advance, try_advance_repeat and run_through refuse, as they
+        do when an ``until`` predicate has turned true, and a run_through
+        in progress pushes its entry and returns False.  Outside run()
+        it does nothing that the next run() sees.
         """
         self._stopped = True
         self._horizon_ns = -1
@@ -168,6 +172,50 @@ class Engine:
             self._over_budget()
         return granted
 
+    def run_through(self, delay_ns, fn, *args):
+        """``schedule(delay_ns, fn, *args)`` for a callback's own
+        continuation, taken in place: run what is due first, then go on.
+
+        For a caller about to end its event callback with that
+        ``schedule``, where ``fn`` would only go on with what the caller
+        was doing.  Refused -- the ``schedule`` made, False returned --
+        when ``now + delay_ns`` lies past the horizon (``until_ns``, a
+        ``stop()``, or an enclosing run-through's slot) or an
+        ``on_dispatch`` subscriber or ``perturb_delay`` hook is bound.
+        Otherwise the entry's sequence number is reserved and every
+        entry ordered before ``(now + delay_ns, seq)`` is dispatched
+        here, as :meth:`run` would, with the horizon lowered to just
+        short of that slot.  If ``stop()`` or ``until`` ends the run
+        first, the entry is pushed in its slot (False); else the clock
+        moves to its time and it counts as ``inlined`` (True: go on as
+        ``fn`` would).
+        """
+        clock = self.clock
+        time_ns = clock.now + delay_ns
+        horizon_ns = self._horizon_ns
+        if (
+            time_ns > horizon_ns
+            or self.on_dispatch
+            or self.perturb_delay is not None
+        ):
+            self.schedule(delay_ns, fn, *args)
+            return False
+        seq = self.events.reserve()
+        self._horizon_ns = time_ns - 1
+        try:
+            went_on = self._dispatch_before(time_ns, seq)
+        finally:
+            if not self._stopped:
+                self._horizon_ns = horizon_ns
+        if not went_on:
+            heappush(self._heap, [time_ns, seq, fn, args])
+            return False
+        self.inlined += 1
+        if self.dispatched + self.inlined > self.max_events:
+            self._over_budget()
+        clock.now = time_ns
+        return True
+
     def _over_budget(self):
         raise SimulationError(
             "event budget exceeded (%d); likely a livelock" % self.max_events
@@ -192,41 +240,61 @@ class Engine:
         self._until = until
         clock = self.clock
         heap = self._heap
-        drop_dead = self.events.drop_dead
         try:
-            while not (self._stopped or (until is not None and until())):
-                if not heap or heap[0][2] is None:
-                    if not drop_dead() and self.on_idle:
-                        # an idle observer may raise (stall guard) or
-                        # schedule wrap-up work; re-check the queue afterwards
-                        for observer in self.on_idle:
-                            observer()
-                        drop_dead()
-                    if not heap:
-                        if until_ns is not None and until_ns > clock.now:
-                            clock.advance_to(until_ns)
-                        return
-                if heap[0][0] > horizon_ns:
+            while self._dispatch_before(horizon_ns, _LAST_SEQ):
+                if heap:
+                    # the head lies beyond until_ns
                     clock.advance_to(until_ns)
                     return
-                entry = heappop(heap)
-                time_ns, _, fn, args = entry
-                entry[2] = None
-                if time_ns < clock.now:
-                    # a corrupted queue must raise, not run backwards
-                    clock.advance_to(time_ns)
-                clock.now = time_ns
-                self.dispatched += 1
-                if self.on_dispatch:
-                    for observer in self.on_dispatch:
-                        observer(entry)
-                if self.dispatched + self.inlined > self.max_events:
-                    self._over_budget()
-                fn(*args)
+                # an idle observer may raise (stall guard) or schedule
+                # wrap-up work; re-check the queue afterwards
+                for observer in self.on_idle:
+                    observer()
+                if not self.events.drop_dead():
+                    if until_ns is not None and until_ns > clock.now:
+                        clock.advance_to(until_ns)
+                    return
         finally:
             self._running = False
             self._horizon_ns = -1
             self._until = None
+
+    def _dispatch_before(self, time_ns, seq):
+        """Dispatch every live entry ordered before ``(time_ns, seq)``.
+
+        The one event loop, :meth:`run`'s and :meth:`run_through`'s:
+        before every event it asks whether ``stop()`` or ``until`` ends
+        the run (False), then drops dead heads; it returns True when the
+        heap is drained or its head is not before the bound.
+        """
+        clock = self.clock
+        heap = self._heap
+        until = self._until
+        while not (self._stopped or (until is not None and until())):
+            if heap and heap[0][2] is None:
+                self.events.drop_dead()
+            if not heap:
+                return True
+            entry = heap[0]
+            event_ns = entry[0]
+            if event_ns > time_ns or (event_ns == time_ns and entry[1] > seq):
+                return True
+            heappop(heap)
+            fn = entry[2]
+            args = entry[3]
+            entry[2] = None
+            if event_ns < clock.now:
+                # a corrupted queue must raise, not run backwards
+                clock.advance_to(event_ns)
+            clock.now = event_ns
+            self.dispatched += 1
+            if self.on_dispatch:
+                for observer in self.on_dispatch:
+                    observer(entry)
+            if self.dispatched + self.inlined > self.max_events:
+                self._over_budget()
+            fn(*args)
+        return False
 
     def run_for(self, duration_ns):
         """Run for ``duration_ns`` of virtual time from now."""

@@ -35,6 +35,16 @@ class EventQueue:
         heappush(self._heap, entry)
         return entry
 
+    def reserve(self):
+        """Take the sequence number the next push would get.
+
+        For an entry its owner may push later, straight into the heap,
+        in the slot it would have had if pushed now (or never push).
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
     def cancel(self, entry):
         """Cancel a pushed entry; a no-op once it fired or was cancelled."""
         if entry[2] is not None:

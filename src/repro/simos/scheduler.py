@@ -94,9 +94,9 @@ class SimOS:
         # which goes on at this instant: the clock must not move.
         self._spawning = False
         # The thread whose code is running, which cpu(), sem_wait() and
-        # sem_post() charge: _step sets it on entry, and spawn() restores
-        # it around the nested step it makes (the only way a thread body
-        # re-enters _step).
+        # sem_post() charge: _step sets it on entry, spawn() restores it
+        # around the nested step it makes, and the three calls restore
+        # it once the events they ran through have stepped others.
         self._current = None
         # Observer slot (repro.sim.hooks): subscribers are called with
         # (thread, new_state) on every scheduling transition.  Must not
@@ -148,7 +148,11 @@ class SimOS:
         serves by calling this.  Returns True when the burst went by in
         place and the thread goes on; False once its continuation is
         scheduled, after which the thread body must yield bare at once:
-        ``cpu(ns, category) or (yield)``.
+        ``cpu(ns, category) or (yield)``.  In place means without the
+        heap: the clock simply moves when nothing is due first
+        (``Engine.try_advance``), else the events due first run from
+        here (``Engine.run_through``) and the preemption ``_after_cpu``
+        would decide is decided at the burst's end.
         """
         if ns < 0:
             raise ValueError("negative CPU burst: %r" % ns)
@@ -158,16 +162,23 @@ class SimOS:
         thread = self._current
         thread.account.charge(ns, category)
         thread.core.busy_ns += ns
+        engine = self.engine
+        if self._spawning:
+            engine.schedule(ns, self._after_cpu, thread)
+            return False
         # nobody waits for the core, so _after_cpu would only resume the
-        # thread: skip the heap if nothing is due first
-        if (
-            not self.run_queue
-            and not self._spawning
-            and self.engine.try_advance(ns)
-        ):
+        # thread: just move the clock if nothing is due first
+        if not self.run_queue and engine.try_advance(ns):
             return True
-        self.engine.schedule(ns, self._after_cpu, thread)
-        return False
+        if not engine.run_through(ns, self._after_cpu, thread):
+            return False
+        self._current = thread
+        if self.run_queue and self._preempt(thread):
+            # queued -- unless a pick_runnable hook handed the core
+            # straight back, and _dispatch_to left this body, which is
+            # running, to go on (a Cpu instruction's it stepped already)
+            return thread.core is not None and thread.gen.gi_running
+        return True
 
     def cpu_repeat(self, ns, category, count):
         """Up to ``count`` back-to-back ``cpu(ns, category)`` bursts as one.
@@ -191,23 +202,26 @@ class SimOS:
     def sem_wait(self, sem):
         """P on ``sem`` by the running thread, as a call.
 
-        The rule behind ``yield SemWait(sem)``: the syscall is charged,
-        and when the count is already positive and nothing is due before
-        the syscall ends, the thread takes the semaphore in place and
-        goes on (True).  Otherwise the continuation, which takes it or
-        blocks, is scheduled (False): ``sem_wait(sem) or (yield)``.
+        The rule behind ``yield SemWait(sem)``, with ``cpu``'s contract:
+        the syscall is charged and, when it ends, the thread takes the
+        semaphore and goes on (True) or blocks (False, its core handed
+        on).  False too when the continuation, which takes it or blocks,
+        is scheduled: ``sem_wait(sem) or (yield)``.
         """
         thread = self._current
         cost = self.profile.sem_syscall_ns
         thread.account.charge(cost, CPU_SYNC)
         thread.core.busy_ns += cost
         sem.wait_count += 1
-        # nothing runs before the syscall ends, so the count seen now
-        # is the one the continuation would see
-        if sem.count and not self._spawning and self.engine.try_advance(cost):
-            sem.count -= 1
+        if self._spawning:
+            self.engine.schedule(cost, self._sem_wait_cont, thread, sem)
+            return False
+        if not self.engine.run_through(cost, self._sem_wait_cont, thread, sem):
+            return False
+        self._current = thread
+        if sem.try_acquire():
             return True
-        self.engine.schedule(cost, self._sem_wait_cont, thread, sem)
+        self._block(thread, sem)
         return False
 
     def sem_post(self, sem):
@@ -215,19 +229,21 @@ class SimOS:
 
         The rule behind ``yield SemPost(sem)``, with ``cpu``'s contract:
         True when the syscall went by in place (the waiter it wakes, if
-        any, is scheduled at the same instant), False once the
+        any, is scheduled at the instant it ends), False once the
         continuation is scheduled: ``sem_post(sem) or (yield)``.
         """
         thread = self._current
         cost = self.profile.sem_syscall_ns
         thread.account.charge(cost, CPU_SYNC)
         thread.core.busy_ns += cost
-        # no run-queue test: a syscall's continuation never preempts
-        if not self._spawning and self.engine.try_advance(cost):
-            self._post(sem)
-            return True
-        self.engine.schedule(cost, self._sem_post_cont, thread, sem)
-        return False
+        if self._spawning:
+            self.engine.schedule(cost, self._sem_post_cont, thread, sem)
+            return False
+        if not self.engine.run_through(cost, self._sem_post_cont, thread, sem):
+            return False
+        self._current = thread
+        self._post(sem)
+        return True
 
     def run_until_done(self, threads, until_ns=None):
         """Run the engine until every one of ``threads`` has exited.
@@ -354,7 +370,10 @@ class SimOS:
             self.engine.schedule(cs, self._step, thread)
         else:
             thread.quantum_start_ns = self.engine.now
-            self._step(thread)
+            # a running body gets its core back only from its own burst's
+            # preemption (pick_runnable's choice), and goes on from there
+            if not thread.gen.gi_running:
+                self._step(thread)
 
     def _finish(self, thread):
         thread.state = T_DONE
@@ -385,8 +404,8 @@ class SimOS:
                 self._finish(thread)
                 return
             if instr is None:
-                # a cpu / sem_wait / sem_post call already scheduled
-                # the continuation
+                # a cpu / sem_wait / sem_post call returned False: its
+                # continuation is scheduled, or the thread left its core
                 return
 
             # the instruction spellings of the three calls
@@ -429,35 +448,41 @@ class SimOS:
             )
 
     def _after_cpu(self, thread):
-        if self.run_queue:
-            # preemption only matters when someone is waiting; the hook
-            # is consulted (and a fuzz decision recorded) only then
-            quantum_used = self.engine.now - thread.quantum_start_ns
-            if self.preempt_policy is None:
-                preempt = quantum_used >= self.profile.quantum_ns
-            else:
-                preempt = bool(
-                    self.preempt_policy(
-                        thread, quantum_used, self.profile.quantum_ns
-                    )
-                )
-        else:
-            preempt = False
-        if preempt:
-            self.preemptions.add()
-            self.run_queue.append(thread)
-            thread.state = T_RUNNABLE
-            if self.on_thread_state:
-                for observer in self.on_thread_state:
-                    observer(thread, T_RUNNABLE)
-            self._release_core(thread)
-            return
-        self._step(thread)
+        if not (self.run_queue and self._preempt(thread)):
+            self._step(thread)
+
+    def _preempt(self, thread):
+        """At the end of a burst, with others queued: preempt the thread?
+
+        True once it is preempted: queued behind them, its core handed
+        on.  Preemption only matters when someone is waiting, so the
+        hook is consulted (and a fuzz decision recorded) only then.
+        """
+        quantum_used = self.engine.now - thread.quantum_start_ns
+        if self.preempt_policy is None:
+            if quantum_used < self.profile.quantum_ns:
+                return False
+        elif not self.preempt_policy(
+            thread, quantum_used, self.profile.quantum_ns
+        ):
+            return False
+        self.preemptions.add()
+        self.run_queue.append(thread)
+        thread.state = T_RUNNABLE
+        if self.on_thread_state:
+            for observer in self.on_thread_state:
+                observer(thread, T_RUNNABLE)
+        self._release_core(thread)
+        return True
 
     def _sem_wait_cont(self, thread, sem):
         if sem.try_acquire():
             self._step(thread)
-            return
+        else:
+            self._block(thread, sem)
+
+    def _block(self, thread, sem):
+        """Put the thread to sleep on ``sem`` and hand its core on."""
         sem.block_count += 1
         self.sem_blocks.add()
         sem.waiters.append(thread)

@@ -16,9 +16,9 @@ class Semaphore:
 
     The scheduler drives all state changes; thread code only calls
     :meth:`~repro.simos.scheduler.SimOS.sem_wait` / ``sem_post`` on it
-    (``sem_wait(sem) or (yield)``), which take an uncontended wait and
-    every post in place when nothing else is due before the syscall
-    ends.
+    (``sem_wait(sem) or (yield)``), which run the events due before the
+    syscall ends from inside the call and then take the unit, block or
+    post in place.
 
     ``waiters`` is an explicit FIFO: blocked threads are appended at the
     tail and, by default, woken from the head in arrival order.  That

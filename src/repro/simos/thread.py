@@ -11,9 +11,13 @@ A thread body yields only where another thread may run.  A CPU burst
 and a semaphore syscall are calls on the OS, each with one rule
 (:meth:`repro.simos.scheduler.SimOS.cpu`, ``sem_wait``, ``sem_post``):
 the call returns True when its step went by in place and the body
-simply goes on, and False once the continuation is scheduled, after
-which the body must yield bare at once — ``cpu(ns, category) or
-(yield)``, ``sem_wait(sem) or (yield)``.  ``SimOS.cpu_repeat`` takes a
+simply goes on, and False when the body must yield bare at once —
+``cpu(ns, category) or (yield)``, ``sem_wait(sem) or (yield)`` —
+because its continuation is scheduled, or because the thread blocked or
+was preempted when the step ended and the OS resumes it later.  In
+place includes running, from inside the call, the events due before
+the step ends (``Engine.run_through``): other threads may run there,
+but the calling thread keeps its core throughout.  ``SimOS.cpu_repeat`` takes a
 run of equal bursts in one call.  Every body in ``repro`` spells them
 so; the polled workers bind ``simos.cpu`` once, the blocking baselines
 reach the OS through their per-thread I/O handle (``tls.simos``).

@@ -1,9 +1,11 @@
 """Hook conformance for the kernel fast path.
 
-The in-place clock advance (``Engine.try_advance``, and the polled
-worker's idle turns taken in one go through ``try_advance_repeat``) may
-run only when no kernel-level hook wants to see every event: an
-``on_dispatch`` subscriber and a bound ``perturb_delay`` turn it off.  Every other slot
+The in-place clock advance (``Engine.try_advance``, the polled
+worker's idle turns taken in one go through ``try_advance_repeat``, and
+a call that runs the events due before it ends from its own frame,
+``run_through``) may run only when no kernel-level hook wants to see
+every event: an ``on_dispatch`` subscriber and a bound
+``perturb_delay`` turn it off.  Every other slot
 of ``tools/analysis/layers.toml [hooks]`` -- observer slots take their
 recorder through ``repro.sim.hooks.subscribe``, decision slots by plain
 assignment -- fires from code that runs the same either way, so a run
@@ -40,6 +42,7 @@ from repro.obs.health import MetricsSession
 from repro.sched.naive import NaiveScheduling
 from repro.sched.probe_model import cached_probe_model
 from repro.sched.workload_aware import WorkloadAwareScheduling
+from repro.shard import ShardedPaTree
 from repro.sim.engine import Engine
 from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_CATEGORIES
@@ -295,6 +298,38 @@ def test_metrics_session_needs_no_fallback_and_scrapes_the_same():
     assert len(fast_session.scraper.samples) > 3
     assert fast_session.scraper.samples == slow_session.scraper.samples
     assert fast_session.slo.snapshot() == slow_session.slo.snapshot()
+
+
+def test_four_shards_dispatch_fewer_events_with_the_same_rows():
+    """Four polled workers on one kernel: a burst that another shard's
+    turn interrupts runs that turn from inside its call instead of
+    waiting in the heap behind it (``Engine.run_through``), which the
+    forced-slow run never does."""
+
+    def run(slow):
+        engine = Engine(seed=5)
+        simos = SimOS(engine, OsProfile(cores=8))
+        sharded = ShardedPaTree(simos, 4, device_profile=fast_test_profile())
+        sharded.bulk_load([(k * 10, _payload(k * 10)) for k in range(1, 401)])
+        if slow:
+            subscribe(engine, "on_dispatch", lambda event: None)
+        ops = sharded.run_operations(_operations(), window=16)
+        rows = [(op.result, op.done_ns, op.error) for op in ops]
+        accounts = [
+            worker.worker_thread.account.by_category
+            for worker in sharded.engines
+        ]
+        return engine, (rows, accounts, sharded.stats(), engine.now)
+
+    plain_engine, plain = run(slow=False)
+    slow_engine, slow = run(slow=True)
+    assert plain == slow
+    assert slow_engine.inlined == 0
+    assert (
+        slow_engine.dispatched
+        == plain_engine.dispatched + plain_engine.inlined
+    )
+    assert plain_engine.dispatched < slow_engine.dispatched
 
 
 def _exhibit_modules():

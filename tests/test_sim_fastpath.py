@@ -2,23 +2,25 @@
 
 ``SimOS.cpu`` (the rule behind a ``Cpu`` instruction and the call form
 of a burst alike) advances the clock in place (``Engine.try_advance``)
-when a CPU burst ends before anything else is due, ``SimOS.cpu_repeat``
-takes a run of equal bursts in one go (``Engine.try_advance_repeat``)
-as far as each of them would have been, and otherwise the burst goes
-through the event heap.  ``SimOS.sem_post`` and an uncontended
-``SimOS.sem_wait`` let a semaphore syscall go by in place on the same
-terms.  Installing any ``on_dispatch`` hook forces the
-heap, so every test here runs one program twice -- plain, and forced
-slow by a no-op hook -- and asserts that nothing a simulation can
-observe differs, and that the two runs account for the same number of
-kernel steps: ``slow.dispatched == fast.dispatched + fast.inlined``.
-The generated programs run once more with every call spelled as an
-instruction (``Cpu``, ``SemWait``, ``SemPost``), which must be the
-same run step for step.
+when a CPU burst ends before anything else is due, and otherwise runs
+what is due first from inside the call (``Engine.run_through``) and
+goes on -- unless the burst ends past the horizon (an enclosing
+run-through's slot, ``until_ns``, ``stop()``), when it goes through the
+event heap.  ``SimOS.cpu_repeat`` takes a run of equal bursts in one go
+(``Engine.try_advance_repeat``) as far as each of them would have been.
+``SimOS.sem_post`` and ``SimOS.sem_wait`` run through their syscall the
+same way, then post, take the unit or block.  Installing any
+``on_dispatch`` hook forces the heap, so every test here runs one
+program twice -- plain, and forced slow by a no-op hook -- and asserts
+that nothing a simulation can observe differs, and that the two runs
+account for the same number of kernel steps: ``slow.dispatched ==
+fast.dispatched + fast.inlined``.  The generated programs run once more
+with every call spelled as an instruction (``Cpu``, ``SemWait``,
+``SemPost``), which must be the same run step for step.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from repro.errors import SchedulerError, SimulationError
 from repro.sim.engine import Engine
@@ -124,6 +126,19 @@ class _Machine:
         self.exits = []
         self.top = []  # the program's own threads, in program order
         self.taken = 0  # bursts the kernel took out of repeat instructions
+        # run-throughs in progress, now and at most
+        self.depth = self.max_depth = 0
+        run_through = self.engine.run_through
+
+        def tracked_run_through(*args):
+            self.depth += 1
+            self.max_depth = max(self.max_depth, self.depth)
+            try:
+                return run_through(*args)
+            finally:
+                self.depth -= 1
+
+        self.engine.run_through = tracked_run_through
         if slow:
             subscribe(self.engine, "on_dispatch", lambda event: None)
         for index, instrs in enumerate(program["threads"]):
@@ -288,43 +303,44 @@ def test_a_lone_thread_never_touches_the_heap():
     _assert_equivalent(fast, _Machine(_program([_spinner(50)]), slow=True))
 
 
-def test_an_event_at_exactly_the_burst_end_takes_the_heap():
+def test_an_event_at_exactly_the_burst_end_runs_first_from_inside_the_call():
     # the timer is due at 200, when the second burst ends: it was pushed
-    # first, so it fires first -- the burst must wait its turn in the heap
+    # first, so it fires first -- the burst's call runs it, then goes on
     program = _program([_spinner(4)], timers=[(200, None)])
     fast = _Machine(program, slow=False)
     assert fast.log.index(("timer", 0, 200)) < fast.log.index(("t0", 1, 200))
-    # burst 1 is spawn's, burst 2 ties with the timer; 3 and 4 are inlined
-    assert fast.engine.inlined == 2
+    # burst 1 is spawn's; burst 2 runs the timer through, 3 and 4 are
+    # plain advances
+    assert (fast.engine.dispatched, fast.engine.inlined) == (2, 3)
+    assert fast.max_depth == 1
     _assert_equivalent(fast, _Machine(program, slow=True))
 
 
 _SYSCALL_NS = OsProfile().sem_syscall_ns
 
 
-@pytest.mark.parametrize("timer_ns,inlined", [
-    (100 + _SYSCALL_NS, 0), (101 + _SYSCALL_NS, 1),
-])
-def test_an_uncontended_wait_ending_at_a_pending_event_takes_the_heap(
-    timer_ns, inlined,
+@pytest.mark.parametrize("timer_ns", [100 + _SYSCALL_NS, 101 + _SYSCALL_NS])
+def test_an_uncontended_wait_ending_at_a_pending_event_runs_it_first(
+    timer_ns,
 ):
     # the burst spawn() scheduled ends at 100; the wait's syscall then
-    # ends exactly at the timer (a tie: the heap) or just before it
+    # ends exactly at the timer (a tie: the timer was pushed first and
+    # fires first, from inside the call) or just before it
     program = _program(
         [_spinner(1) + [("wait-call", 0)]], timers=[(timer_ns, None)]
     )
     program["sem_initial"] = [1, 0, 0]
     fast = _Machine(program, slow=False)
-    assert fast.engine.inlined == inlined
+    assert (fast.engine.dispatched, fast.engine.inlined) == (2, 1)
     timer_first = fast.log.index(("timer", 0, timer_ns)) < fast.log.index(
         ("t0", 1, 100 + _SYSCALL_NS)
     )
-    assert timer_first == (inlined == 0)
+    assert timer_first == (timer_ns == 100 + _SYSCALL_NS)
     assert fast.observed()["sems"][0] == (0, 1, 0)
     _assert_equivalent(fast, _Machine(program, slow=True))
 
 
-def _wait_then_post():
+def _wait_then_post(cores=2):
     # t0 waits at 100 on a zero count with nothing due before t1's post
     # at 20 000
     return _program(
@@ -332,16 +348,21 @@ def _wait_then_post():
             _spinner(1) + [("wait-call", 0)],
             _spinner(1, 20_000) + [("post-call", 0)],
         ],
-        cores=2,
+        cores=cores,
     )
 
 
-def test_a_contended_wait_never_advances_in_place():
-    # only the post goes by in place, and t0 blocks
-    program = _wait_then_post()
+def test_a_contended_wait_blocks_in_place_and_hands_its_core_on():
+    # one core: t0's wait syscall goes by in place and blocks it there;
+    # its core goes to the queued t1 through a context switch, and t1's
+    # burst and post go by in place too
+    program = _wait_then_post(cores=1)
     fast = _Machine(program, slow=False)
-    assert fast.engine.inlined == 1
+    switch_ns = program["context_switch_ns"]
+    assert fast.engine.inlined == 3
+    assert ("t1", 0, 100 + _SYSCALL_NS + switch_ns + 20_000) in fast.log
     assert fast.observed()["sems"][0] == (0, 1, 1)  # (count, waits, blocks)
+    assert fast.simos.context_switches.value == 2
     _assert_equivalent(fast, _Machine(program, slow=True))
 
 
@@ -350,11 +371,202 @@ def test_a_post_that_wakes_in_place_schedules_the_wakeup_at_the_same_instant():
     program["context_switch_ns"] = 0
     fast = _Machine(program, slow=False)
     wakeup_ns = fast.simos.profile.wakeup_ns
-    # the post's syscall ends at 20 800 and t0 runs wakeup_ns later
-    assert fast.engine.inlined == 1
+    # the post's syscall ends at 20 800 and t0 runs wakeup_ns later; both
+    # syscalls went by in place
+    assert fast.engine.inlined == 2
     assert ("t1", 1, 20_000 + _SYSCALL_NS) in fast.log
     assert ("t0", 1, 20_000 + _SYSCALL_NS + wakeup_ns) in fast.log
     assert fast.engine.now == 20_000 + _SYSCALL_NS + wakeup_ns
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+_REAL = CPU_CATEGORIES[0]
+
+
+@pytest.mark.parametrize("nested_ns,in_place", [(900, False), (899, True)])
+def test_a_nested_burst_ending_at_the_enclosing_slot_takes_the_heap(
+    nested_ns, in_place,
+):
+    # t0's burst runs 100..1 100 and t1's first one ends at 200, inside
+    # it; t1's next burst (the timer at 500 in its way) ends exactly at
+    # t0's reserved slot, which only the heap can order, or just before
+    program = _program(
+        [
+            _spinner(1) + [("call", 1_000, _REAL)],
+            _spinner(1, 200) + [("call", nested_ns, _REAL)],
+        ],
+        cores=2, timers=[(500, None)],
+    )
+    fast = _Machine(program, slow=False)
+    assert fast.max_depth == 2
+    assert fast.engine.inlined == (2 if in_place else 1)
+    if not in_place:  # a tie at 1 100: t0's slot was taken first
+        assert fast.log.index(("t0", 1, 1_100)) < fast.log.index(
+            ("t1", 1, 1_100)
+        )
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+@pytest.mark.parametrize("stop", [("done", 1, None), ("exits", 1)],
+                         ids=["stop", "until"])
+def test_a_run_ended_inside_a_run_through_leaves_its_entry_in_the_slot(
+    stop,
+):
+    # t1's burst runs 100..1 100; t0 exits at 200, inside it, which ends
+    # the run -- by stop() (run_until_done) or by the predicate.  The
+    # continuation waits in its reserved slot, behind the timer at 1 100
+    # that was pushed before it, and a second run() goes on from there
+    program = _program(
+        [_spinner(1, 200), _spinner(1) + [("call", 1_000, _REAL)] * 2],
+        cores=2, timers=[(1_100, None)], stop=stop,
+    )
+    fast, slow = _Machine(program, slow=False), _Machine(program, slow=True)
+    assert (fast.engine.now, len(fast.engine.events)) == (200, 2)
+    assert fast.max_depth == 1
+    _assert_equivalent(fast, slow)
+    for machine in (fast, slow):
+        machine.engine.run()
+    assert fast.engine.now == 2_100
+    assert fast.log.index(("timer", 0, 1_100)) < fast.log.index(
+        ("t1", 1, 1_100)
+    )
+    _assert_equivalent(fast, slow)
+
+
+@pytest.mark.parametrize("spelling", ["call", "instruction"])
+@pytest.mark.parametrize("pick", [None, "self"])
+def test_preemption_is_decided_at_the_end_of_a_burst(pick, spelling):
+    # one core, three threads: every burst is taken with others queued.
+    # The policy must be asked the same questions at the same instants
+    # either way; "self" hands a preempted thread its core straight back.
+    # The run stops at until_ns once, so that a burst ends past it while
+    # the thread holds its core
+    def run(slow):
+        engine = Engine()
+        simos = SimOS(engine, OsProfile(
+            cores=1, quantum_ns=250, context_switch_ns=30,
+        ))
+        decisions, log = [], []
+
+        def policy(thread, used_ns, quantum_ns):
+            decisions.append((thread.name, used_ns, engine.now))
+            return used_ns >= quantum_ns
+
+        simos.preempt_policy = policy
+        if pick == "self":
+            simos.pick_runnable = lambda queue: len(queue) - 1
+
+        def body(name):
+            for step in range(6):
+                if spelling == "call":
+                    simos.cpu(100, _REAL) or (yield)
+                else:
+                    yield Cpu(100, _REAL)
+                log.append((name, step, engine.now))
+
+        threads = [simos.spawn(body(name), name=name) for name in "abc"]
+        for delay_ns in (150, 420, 777):
+            engine.schedule(delay_ns, log.append, ("timer", delay_ns))
+        if slow:
+            subscribe(engine, "on_dispatch", lambda event: None)
+        engine.run(until_ns=1_000)
+        log.append(("stopped", len(engine.events)))
+        engine.run()
+        return engine, simos, {
+            "decisions": decisions, "log": log, "now": engine.now,
+            "preemptions": simos.preemptions.value,
+            "context_switches": simos.context_switches.value,
+            "threads": [(t.state, t.account.total_ns) for t in threads],
+        }
+
+    fast_engine, fast_simos, fast = run(slow=False)
+    slow_engine, _, slow = run(slow=True)
+    assert fast == slow
+    assert fast["preemptions"] > 0 and fast_engine.inlined > 0
+    assert slow_engine.dispatched == (
+        fast_engine.dispatched + fast_engine.inlined
+    )
+
+
+def test_an_exception_from_a_nested_event_reaches_the_caller_of_run():
+    class Boom(Exception):
+        pass
+
+    def run(slow):
+        engine = Engine()
+        simos = SimOS(engine, OsProfile(cores=1))
+        boom = Boom("from a timer")
+
+        def explode():
+            raise boom
+
+        def body():
+            simos.cpu(100, _REAL) or (yield)
+            simos.cpu(1_000, _REAL) or (yield)
+
+        thread = simos.spawn(body())
+        engine.schedule(500, explode)
+        if slow:
+            subscribe(engine, "on_dispatch", lambda event: None)
+        with pytest.raises(Boom) as caught:
+            engine.run()
+        assert caught.value is boom
+        assert engine.now == 500
+        assert engine.try_advance(1) is False  # the kernel is reusable
+        return engine, thread
+
+    fast_engine, fast_thread = run(slow=False)
+    slow_engine, slow_thread = run(slow=True)
+    # the exception went up through the interrupted body, which it
+    # finalised, and the continuation was never pushed; the heap run
+    # leaves the body suspended with its continuation pending
+    assert fast_thread.gen.gi_frame is None
+    assert len(fast_engine.events) == 0
+    assert slow_thread.gen.gi_frame is not None
+    assert len(slow_engine.events) == 1
+
+
+def test_the_generated_programs_nest_run_throughs():
+    # a call made from inside a run-through made from inside another
+    # one: the property above is exercised where nesting can go wrong
+    program = find(
+        _PROGRAM, lambda program: _Machine(program, slow=False).max_depth >= 3,
+        settings=settings(
+            max_examples=500, database=None, deadline=None,
+            derandomize=True, phases=[Phase.generate],
+        ),
+    )
+    assert program["cores"] >= 2
+
+
+def _staircase(threads, then=()):
+    # thread i resumes at i + 1 and bursts to 1 001 - i: each burst ends
+    # just short of the slot of the one it interrupts, so every thread's
+    # burst runs the next one's through, as deep as there are threads
+    return _program(
+        [
+            _spinner(1, index + 1) + [("call", 1_000 - 2 * index, _REAL)]
+            + [("call", ns, _REAL) for ns in then]
+            for index in range(threads)
+        ],
+        cores=threads,
+    )
+
+
+def test_four_threads_on_four_cores_nest_four_deep():
+    program = _staircase(4, then=(37, 800, 1))
+    fast = _Machine(program, slow=False)
+    assert fast.max_depth == 4
+    _assert_equivalent(fast, _Machine(program, slow=True))
+
+
+def test_sixty_four_busy_threads_nest_no_deeper_than_the_cores():
+    # every level is a distinct thread holding its core in the middle of
+    # a call, so the depth is bounded by the core count: no RecursionError
+    program = _staircase(64, then=(37, 800, 1, 250, 3_000, 100))
+    fast = _Machine(program, slow=False)
+    assert fast.max_depth == 64 == program["cores"]
+    assert all(thread.done for thread in fast.top)
     _assert_equivalent(fast, _Machine(program, slow=True))
 
 

@@ -25,7 +25,7 @@ import sys
 
 from .dataflow import FunctionSummary, summarize_module
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 DEFAULT_CACHE_PATH = os.path.join(".patlint-cache", "graph.json")
 
 
@@ -113,7 +113,7 @@ class ModuleEntry:
         self.path = path
         self.digest = digest
         self.imports = imports
-        self.classes = classes  # {class: {"methods": [...], "none_attrs": [...]}}
+        self.classes = classes  # {class: {"methods": [...]}}
         self.functions = functions  # {qualname: FunctionSummary}
         self.wall_clock_decl = wall_clock_decl  # lineno of wall_clock_variant=True
 
@@ -214,29 +214,12 @@ def extract_classes(tree):
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        methods = []
-        none_attrs = []
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.append(stmt.name)
-                if stmt.name != "__init__":
-                    continue
-                for sub in ast.walk(stmt):
-                    if (
-                        isinstance(sub, ast.Assign)
-                        and isinstance(sub.value, ast.Constant)
-                        and sub.value.value is None
-                    ):
-                        for target in sub.targets:
-                            if (
-                                isinstance(target, ast.Attribute)
-                                and isinstance(target.value, ast.Name)
-                                and target.value.id == "self"
-                            ):
-                                none_attrs.append(
-                                    [target.attr, sub.lineno]
-                                )
-        classes[node.name] = {"methods": methods, "none_attrs": none_attrs}
+        methods = [
+            stmt.name
+            for stmt in node.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        classes[node.name] = {"methods": methods}
     return classes
 
 
