@@ -6,7 +6,7 @@ from repro.baselines.blink_tree import BlinkTreeAccessor
 from repro.baselines.io_service import DedicatedIoService, SharedIoService
 from repro.baselines.latching import BlockingLatchTable
 from repro.baselines.lcb_tree import LcbTreeAccessor
-from repro.baselines.lsm import LsmAccessor, LsmConfig, LsmStore
+from repro.baselines.lsm import LsmConfig, LsmStore
 from repro.baselines.runner import BaselineRunner
 from repro.baselines.sync_tree import SyncTreeAccessor
 
@@ -16,7 +16,6 @@ __all__ = [
     "LcbTreeAccessor",
     "LsmStore",
     "LsmConfig",
-    "LsmAccessor",
     "BaselineRunner",
     "BlockingLatchTable",
     "DedicatedIoService",

@@ -16,7 +16,7 @@ from repro.baselines.blink_tree import BlinkTreeAccessor
 from repro.baselines.io_service import DedicatedIoService
 from repro.baselines.latching import BlockingLatchTable
 from repro.baselines.lcb_tree import LcbTreeAccessor
-from repro.baselines.lsm import LsmAccessor, LsmConfig, LsmStore
+from repro.baselines.lsm import LsmConfig, LsmStore
 from repro.baselines.runner import BaselineRunner
 from repro.bench.report import print_table
 from repro.bench.runner import WorkloadSpec, _interleave_syncs, _Machine, run_pa
@@ -96,12 +96,11 @@ def run_lsm_baseline(spec, persistence, n_threads, seed=1):
     store = LsmStore(machine.device, io_service, LsmConfig(), persistence=persistence)
     store.bulk_load(workload.preload_items())
     store.resize_block_cache(store.data_pages() // 10)  # 10 % as in the paper
-    accessor = LsmAccessor(store)
     operations = workload.operations()
     if persistence == "weak":
         operations = _interleave_syncs(operations, SYNC_EVERY)
     runner = BaselineRunner(
-        machine.simos, accessor, operations, n_threads, name="lsm"
+        machine.simos, store, operations, n_threads, name="lsm"
     )
     runner.run_to_completion()
     return _collect(machine, runner, "leveldb-lsm", n_threads)
