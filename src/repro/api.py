@@ -534,7 +534,8 @@ class AsyncLsmSession(BaseSession):
     default_config = SessionConfig(scheduler="naive", buffer_pages=0)
 
     def _build(self, config):
-        from repro.palsm import AsyncLsmStore, PolledLsmWorker
+        from repro.baselines.lsm import LeveledStore, LsmConfig
+        from repro.palsm import PolledLsmWorker
 
         self.env = SimEnvironment(
             config.seed,
@@ -544,10 +545,10 @@ class AsyncLsmSession(BaseSession):
             retry=config.retry,
             backend=config.backend,
         )
-        self.store = AsyncLsmStore(
+        self.store = LeveledStore(
             self.env.device,
-            persistence=config.persistence,
-            memtable_entries=config.memtable_entries,
+            LsmConfig(memtable_entries=config.memtable_entries),
+            config.persistence,
         )
         self._runner = self.worker = PolledLsmWorker(
             self.env.os,

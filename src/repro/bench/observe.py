@@ -40,11 +40,12 @@ from collections import namedtuple
 
 from repro.api import PATreeSession, ShardedSession
 from repro.backend import i3_nvme_profile, make_backend
+from repro.baselines.lsm import LeveledStore
 from repro.bench.report import write_bench_json
 from repro.bench.runner import WorkloadSpec, run_pa
 from repro.core.source import ClosedLoopSource
 from repro.obs import MetricsSession, TraceSession
-from repro.palsm import AsyncLsmStore, PolledLsmWorker
+from repro.palsm import PolledLsmWorker
 from repro.sched.naive import NaiveScheduling
 from repro.sim.clock import NS_PER_SEC
 from repro.sim.engine import Engine
@@ -84,7 +85,7 @@ def _run_palsm(ops, seed):
     simos = SimOS(engine, paper_testbed_profile())
     backend = make_backend("sim", engine=engine, profile=i3_nvme_profile())
     device = backend.device
-    store = AsyncLsmStore(device, persistence="strong")
+    store = LeveledStore(device)
     spec = WorkloadSpec(kind="ycsb", n_keys=20_000, n_ops=ops or 2_000)
     workload = spec.build(RngRegistry(seed).stream("workload"))
     store.bulk_load(workload.preload_items())

@@ -9,6 +9,7 @@ a full ring never escapes a run.
 
 import pytest
 
+from repro.baselines.lsm import LeveledStore, LsmConfig
 from repro.core.engine import PaTreeEngine
 from repro.core.ops import insert_op, search_op, sync_op, update_op
 from repro.core.source import ClosedLoopSource
@@ -17,7 +18,7 @@ from repro.errors import DeviceError, QueueFullError
 from repro.faults import FaultConfig
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver, RetryPolicy
-from repro.palsm import AsyncLsmStore, PolledLsmWorker
+from repro.palsm import PolledLsmWorker
 from repro.sched.naive import NaiveScheduling
 from repro.sim.engine import Engine
 from repro.simos.scheduler import OsProfile, SimOS
@@ -194,7 +195,7 @@ class TestLsmQueuePressure:
             faults=FaultConfig(write_error_rate=0.4),
         )
         driver = NvmeDriver(device)
-        store = AsyncLsmStore(device, memtable_entries=100, wal_pages=4_096)
+        store = LeveledStore(device, LsmConfig(memtable_entries=100, wal_pages=4_096))
         policy = _IdleWatch()
         worker = PolledLsmWorker(
             simos, driver, store, policy, ClosedLoopSource([], window=16),

@@ -8,6 +8,7 @@ parametrised over the tree engine and the LSM worker.
 
 import pytest
 
+from repro.baselines.lsm import LeveledStore, LsmConfig
 from repro.core.engine import PaTreeEngine
 from repro.core.ops import search_op, update_op
 from repro.core.source import ClosedLoopSource, OpenLoopSource
@@ -25,7 +26,7 @@ from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.obs.metrics import MetricRegistry
 from repro.obs.tracer import EV_SLICE, Tracer
-from repro.palsm import AsyncLsmStore, PolledLsmWorker
+from repro.palsm import PolledLsmWorker
 from repro.sched.naive import NaiveScheduling
 from repro.sched.policies import FixedRateProbing
 from repro.sched.probe_model import cached_probe_model
@@ -61,7 +62,7 @@ def build(kind, policy=None, faults=None, traced=False):
         tree = PaTree.create(device)
         tree.bulk_load(items)
         return engine, PaTreeEngine(simos, driver, tree, **common)
-    store = AsyncLsmStore(device, memtable_entries=100, wal_pages=4_096)
+    store = LeveledStore(device, LsmConfig(memtable_entries=100, wal_pages=4_096))
     store.bulk_load(items)
     return engine, PolledLsmWorker(simos, driver, store, **common)
 
