@@ -8,37 +8,14 @@ it.  Every acquire/release therefore costs at least two semaphore
 syscalls, and contention adds blocking, wakeup latency and context
 switches — the synchronization overhead the paper's Fig 9 breakdown
 attributes to the traditional execution paradigm.
+
+The state behind the mutex is the polled engine's
+:class:`~repro.core.latch.LatchTable`: one grant rule for both
+paradigms, and an operation's holds live in ``op.held_latches``.
 """
 
-from collections import deque
-
-from repro.core.latch import EXCLUSIVE, SHARED
-from repro.errors import LatchError
+from repro.core.latch import LatchTable
 from repro.simos.sync import Mutex, Semaphore
-
-
-class _Entry:
-    __slots__ = ("readers", "writers", "pending")
-
-    def __init__(self):
-        self.readers = 0
-        self.writers = 0
-        self.pending = deque()  # (mode, semaphore)
-
-    @property
-    def idle(self):
-        return self.readers == 0 and self.writers == 0 and not self.pending
-
-    def can_grant(self, mode):
-        if mode == EXCLUSIVE:
-            return self.readers == 0 and self.writers == 0
-        return self.writers == 0
-
-    def grant(self, mode):
-        if mode == EXCLUSIVE:
-            self.writers += 1
-        else:
-            self.readers += 1
 
 
 class BlockingLatchTable:
@@ -46,66 +23,38 @@ class BlockingLatchTable:
 
     def __init__(self):
         self._mutex = Mutex("latch-table")
-        self._entries = {}
-        self.acquisitions = 0
-        self.blocks = 0
+        self._table = LatchTable()
+        self._wakeups = {}  # queued op -> the semaphore it sleeps on
 
-    def _entry(self, page_id):
-        entry = self._entries.get(page_id)
-        if entry is None:
-            entry = _Entry()
-            self._entries[page_id] = entry
-        return entry
+    @property
+    def grants(self):
+        return self._table.grants
 
-    def acquire(self, tls, page_id, mode):
+    @property
+    def waits(self):
+        return self._table.waits
+
+    def acquire(self, tls, op, page_id, mode):
         """Generator: blocks the calling simulated thread until granted."""
-        if mode not in (SHARED, EXCLUSIVE):
-            raise LatchError("unknown latch mode %r" % (mode,))
         simos = tls.simos
         simos.sem_wait(self._mutex) or (yield)
-        self.acquisitions += 1
-        entry = self._entry(page_id)
-        if not entry.pending and entry.can_grant(mode):
-            entry.grant(mode)
+        if self._table.request(op, page_id, mode):
             simos.sem_post(self._mutex) or (yield)
             return
-        self.blocks += 1
-        wakeup = Semaphore(0, name="latch-wait-%d" % page_id)
-        entry.pending.append((mode, wakeup))
+        wakeup = self._wakeups[op] = Semaphore(0, name="latch-wait-%d" % page_id)
         simos.sem_post(self._mutex) or (yield)
-        simos.sem_wait(wakeup) or (yield)  # granter updated the counts already
+        simos.sem_wait(wakeup) or (yield)  # the releaser granted it already
 
-    def release(self, tls, page_id, mode):
-        """Generator: releases and wakes eligible FIFO waiters."""
+    def release(self, tls, op, page_id):
+        """Generator: releases and wakes the waiters it granted, in FIFO
+        order."""
         simos = tls.simos
         simos.sem_wait(self._mutex) or (yield)
-        entry = self._entries.get(page_id)
-        if entry is None:
-            raise LatchError("release on unlatched page %d" % page_id)
-        if mode == EXCLUSIVE:
-            if entry.writers != 1:
-                raise LatchError("exclusive release without writer on %d" % page_id)
-            entry.writers = 0
-        else:
-            if entry.readers < 1:
-                raise LatchError("shared release without readers on %d" % page_id)
-            entry.readers -= 1
-        woken = []
-        while entry.pending:
-            pending_mode, wakeup = entry.pending[0]
-            if not entry.can_grant(pending_mode):
-                break
-            entry.pending.popleft()
-            entry.grant(pending_mode)
-            woken.append(wakeup)
-        if entry.idle:
-            del self._entries[page_id]
+        granted = self._table.release(op, page_id)
+        woken = [self._wakeups.pop(waiter) for waiter in granted]
         simos.sem_post(self._mutex) or (yield)
         for wakeup in woken:
             simos.sem_post(wakeup) or (yield)
 
     def assert_quiescent(self):
-        if self._entries:
-            raise LatchError(
-                "latches still held on pages %r" % sorted(self._entries)
-            )
+        self._table.assert_quiescent()

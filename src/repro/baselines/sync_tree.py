@@ -13,11 +13,11 @@ algorithm has one home; only what serves an effect differs.
 One accessor instance is shared by all worker threads of a baseline
 run; shared mutable state (buffer, allocator, meta) is protected by
 mutexes, each access paying the semaphore syscall costs the paper's
-CPU breakdown charges to synchronization.  That page layer is
-:class:`BlockingPageIo`; the Blink and LCB baselines stand on it too.
+CPU breakdown charges to synchronization.  The LCB and Blink baselines
+are subclasses: LCB swaps the page-persistence layer, Blink the plans
+(``_make_plan``).
 """
 
-from repro.core.meta import META_PAGE
 from repro.core.node import Node
 from repro.core.ops import (
     AllocEff,
@@ -36,15 +36,11 @@ from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.sync import Mutex
 
 
-class BlockingPageIo:
-    """The blocking page layer every tree baseline stands on.
-
-    Node reads and writes through the (optional) buffer and a blocking
-    I/O service, ordered eviction flushes, the allocator and sync —
-    each shared structure behind its mutex.  Subclasses add how index
-    operations run on top: :class:`SyncTreeAccessor` interprets the
-    shared plans, the Blink-tree brings its own protocol.
-    """
+class SyncTreeAccessor:
+    """The blocking interpreter of the tree plans, over a blocking page
+    layer: node reads and writes through the (optional) buffer and a
+    blocking I/O service, ordered eviction flushes, the allocator and
+    sync — each shared structure behind its mutex."""
 
     def __init__(self, tree, io_service, latches, buffer=None, persistence="strong"):
         if persistence not in ("strong", "weak"):
@@ -143,7 +139,7 @@ class BlockingPageIo:
     def _write_meta(self, tls):
         cost = self.tree.costs.node_serialize_ns
         tls.simos.cpu(cost, CPU_REAL_WORK) or (yield)
-        yield from self._write_page(tls, META_PAGE, self.tree.meta.to_bytes())
+        yield from self._write_page(tls, self.tree.meta_page, self.tree.meta.to_bytes())
 
     def _allocate(self, tls):
         simos = tls.simos
@@ -175,22 +171,23 @@ class BlockingPageIo:
         yield from self._flush_evicted(tls, flushing)
         return len(flushing)
 
+    # ------------------------------------------------------------------
+    # the interpreter
+    # ------------------------------------------------------------------
 
-class SyncTreeAccessor(BlockingPageIo):
-    """The blocking interpreter of the shared operation plans."""
+    def _make_plan(self, op):
+        return make_plan(op, self.tree)
 
     def execute(self, tls, op):
         """Run one operation to completion on the calling thread.
 
-        ``held`` maps each latched page to its mode: ``UnlatchEff``
-        carries none and an update releases a mixed shared/exclusive
-        chain.  It is also what an I/O failure releases, so a failed
-        operation cannot wedge the threads queued behind its latches.
+        The latch table records each hold in ``op.held_latches``, which
+        is also what an I/O failure releases, so a failed operation
+        cannot wedge the threads queued behind its latches.
         """
-        plan = make_plan(op, self.tree)
+        plan = self._make_plan(op)
         latches = self.latches
         cpu = tls.simos.cpu
-        held = {}
         send = None
         try:
             while True:
@@ -201,14 +198,12 @@ class SyncTreeAccessor(BlockingPageIo):
                 send = None
                 kind = type(effect)
                 if kind is LatchEff:
-                    yield from latches.acquire(tls, effect.page_id, effect.mode)
-                    held[effect.page_id] = effect.mode
+                    yield from latches.acquire(tls, op, effect.page_id, effect.mode)
                 elif kind is UnlatchEff:
-                    page_id = effect.page_id
-                    yield from latches.release(tls, page_id, held.pop(page_id))
+                    yield from latches.release(tls, op, effect.page_id)
                 elif kind is UnlatchManyEff:
                     for page_id in effect.page_ids:
-                        yield from latches.release(tls, page_id, held.pop(page_id))
+                        yield from latches.release(tls, op, page_id)
                 elif kind is ReadEff:
                     send = yield from self._read_node(tls, effect.page_id)
                 elif kind is ChargeEff:
@@ -231,10 +226,11 @@ class SyncTreeAccessor(BlockingPageIo):
                         "operation yielded unknown effect %r" % (effect,)
                     )
         except IoError:
-            for page_id in sorted(held):
-                yield from latches.release(tls, page_id, held[page_id])
+            for page_id in sorted(op.held_latches):
+                yield from latches.release(tls, op, page_id)
             raise
-        if held:
+        if op.held_latches:
             raise TreeError(
-                "operation %r completed holding latches %r" % (op, sorted(held))
+                "operation %r completed holding latches %r"
+                % (op, sorted(op.held_latches))
             )

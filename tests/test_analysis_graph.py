@@ -600,13 +600,18 @@ def test_pa520_follows_a_latched_node_through_yield_from(tmp_path):
                     leaf = yield from descend(tree, op.key)
                     if leaf.lookup(op.key):
                         yield UnlatchEff(leaf.page_id)
+
+                def forgetful(op, tree):
+                    leaf = yield from descend(tree, op.key)
+                    op.result = leaf.lookup(op.key)
                 """
             ),
         },
     )
-    assert codes(findings) == ["PA520"]
-    assert "'leaky'" in findings[0].message
-    assert "descend() returns" in findings[0].message
+    assert codes(findings) == ["PA520", "PA520"]
+    assert {"'leaky'" in f.message for f in findings} == {True, False}
+    assert any("'forgetful'" in f.message for f in findings)
+    assert all("descend() returns" in f.message for f in findings)
 
 
 def test_pa520_unlatch_many_releases_everything(tmp_path):

@@ -3,7 +3,8 @@
 One set of plan generators (``repro.core.plans`` / ``repro.core.batch``)
 serves both execution paradigms — the polled engine and the blocking
 ``SyncTreeAccessor`` (and LCB on top of it) interpret the same effects
-— so what PA520 proves about a plan holds under both.
+— so what PA520 proves about a plan holds under both.  The Blink-tree's
+plans (``repro.baselines.blink_tree``) are the same spelling.
 
 Two spellings of latch manipulation exist in the tree:
 
@@ -98,6 +99,9 @@ class _FunctionFacts:
             self._collect_bindings(stmt)
             call = _handoff_call(stmt, handoffs)
             if call is not None:
+                # a handed-over node is effect spelling even when the
+                # caller yields no latch effect of its own
+                self.uses_effects = True
                 target = stmt.targets[0].id
                 self.page_sources.setdefault(target, set())
                 self.acquires.append((stmt, call, "pageof:%s" % target, None))
