@@ -13,8 +13,11 @@ through a blocking I/O service, under LevelDB's locking:
   for run inline, paid for by the writing thread;
 * a read holds the writer mutex only for its plan's first step, which
   takes references to the memtables and table lists;
-* the block cache has a mutex of its own, and a compaction's retired
-  pages go back to the allocator at once.
+* the block cache has a mutex of its own;
+* a compaction's retired pages stay allocated until every read that
+  took its references before the retirement has finished (a count of
+  such reads per retirement); with no read in flight they are freed at
+  once.
 """
 
 from repro.baselines.lsm.levels import (
@@ -40,6 +43,10 @@ class LsmStore(LeveledStore):
         self.io = io_service
         self._write_mutex = Mutex("lsm-write")
         self._cache_mutex = Mutex("lsm-cache")
+        self._reads = 0  # reads in flight
+        self._retirements = 0  # retirements so far
+        # retirement number -> [reads in flight at it still running, lbas]
+        self._quarantine = {}
 
     def execute(self, tls, op):
         """Run ``op``'s plan to completion on the calling thread."""
@@ -48,8 +55,13 @@ class LsmStore(LeveledStore):
         simos.sem_wait(self._write_mutex) or (yield)
         if op.kind == SEARCH or op.kind == RANGE:
             effect = next(plan, None)  # the step that takes its references
+            since = self._retirements
+            self._reads += 1
             simos.sem_post(self._write_mutex) or (yield)
-            yield from self._run(tls, plan, effect)
+            try:
+                yield from self._run(tls, plan, effect)
+            finally:
+                self._read_done(since)
             return
         try:
             yield from self._run(tls, plan, next(plan, None))
@@ -84,7 +96,7 @@ class LsmStore(LeveledStore):
                     maintenance = self.make_plan(effect.op)
                     yield from self._run(tls, maintenance, next(maintenance, None))
                 elif kind is RetireEff:
-                    self.free_pages(effect.lbas)
+                    self._retire(effect.lbas)
                 else:
                     raise StorageError(
                         "LSM plan yielded unknown effect %r" % (effect,)
@@ -96,6 +108,29 @@ class LsmStore(LeveledStore):
         except IoError:
             plan.close()
             raise
+
+    def _retire(self, lbas):
+        """Free a compaction's pages, or quarantine them while reads
+        that may still walk them are in flight."""
+        if not self._reads:
+            self.free_pages(lbas)
+            return
+        for lba in lbas:
+            self.cache.pop(lba)
+        self._quarantine[self._retirements] = [self._reads, lbas]
+        self._retirements += 1
+
+    def _read_done(self, since):
+        """A read that took its references before retirement ``since``
+        finished: it no longer holds up that one or any later."""
+        self._reads -= 1
+        for number in range(since, self._retirements):
+            held = self._quarantine[number]
+            held[0] -= 1
+            if not held[0]:
+                del self._quarantine[number]
+                # pops the cache again: a late read may have re-installed
+                self.free_pages(held[1])
 
     def _read_page(self, tls, lba):
         """One page through the block cache (blocking on a miss)."""
