@@ -6,12 +6,18 @@ device alone.  The meta page is rewritten (through the same I/O path
 as any other page) whenever the root changes.
 """
 
+import struct
+
 from repro.errors import CorruptPageError
-from repro.storage.layout import PageReader, PageWriter
 
 META_MAGIC = 0x50415431  # "PAT1"
 META_VERSION = 1
 META_PAGE = 0
+
+# magic u32 | version u16 | pad u16 | page_size u32 | payload_size u32 |
+# root_page u64 | height u32 | pad u32 | next_page u64 | key_count u64,
+# zero-filled to the page size
+_LAYOUT = struct.Struct("<IHHIIQIIQQ")
 
 
 class TreeMeta:
@@ -35,36 +41,41 @@ class TreeMeta:
         self.key_count = key_count
 
     def to_bytes(self):
-        writer = PageWriter(self.page_size)
-        writer.u32(META_MAGIC)
-        writer.u16(META_VERSION)
-        writer.u16(0)
-        writer.u32(self.page_size)
-        writer.u32(self.payload_size)
-        writer.u64(self.root_page)
-        writer.u32(self.height)
-        writer.u32(0)
-        writer.u64(self.next_page)
-        writer.u64(self.key_count)
-        return writer.finish()
+        image = bytearray(self.page_size)
+        _LAYOUT.pack_into(
+            image,
+            0,
+            META_MAGIC,
+            META_VERSION,
+            0,
+            self.page_size,
+            self.payload_size,
+            self.root_page,
+            self.height,
+            0,
+            self.next_page,
+            self.key_count,
+        )
+        return bytes(image)
 
     @classmethod
     def from_bytes(cls, image):
-        reader = PageReader(image)
-        magic = reader.u32()
+        (
+            magic,
+            version,
+            _pad,
+            page_size,
+            payload_size,
+            root_page,
+            height,
+            _pad2,
+            next_page,
+            key_count,
+        ) = _LAYOUT.unpack_from(image)
         if magic != META_MAGIC:
             raise CorruptPageError("bad meta magic 0x%08x" % magic)
-        version = reader.u16()
         if version != META_VERSION:
             raise CorruptPageError("unsupported meta version %d" % version)
-        reader.u16()
-        page_size = reader.u32()
-        payload_size = reader.u32()
-        root_page = reader.u64()
-        height = reader.u32()
-        reader.u32()
-        next_page = reader.u64()
-        key_count = reader.u64()
         return cls(page_size, payload_size, root_page, height, next_page, key_count)
 
     def __repr__(self):

@@ -1,14 +1,10 @@
-"""Block storage substrate: binary page layout helpers, a page
-allocator and a write-ahead log."""
+"""Block storage substrate: a page allocator and a write-ahead log."""
 
 from repro.storage.allocator import PageAllocator
-from repro.storage.layout import PageReader, PageWriter
 from repro.storage.wal import WriteAheadLog, decode_wal_page
 
 __all__ = [
     "PageAllocator",
-    "PageReader",
-    "PageWriter",
     "WriteAheadLog",
     "decode_wal_page",
 ]

@@ -15,12 +15,15 @@ Record wire format within a page::
 
 """
 
+import struct
+
 from repro.errors import StorageError
-from repro.storage.layout import PageReader, PageWriter
 
 WAL_MAGIC = 0x57414C31  # "WAL1"
-_PAGE_HEADER = 4 + 8 + 2 + 2
-_RECORD_HEADER = 2
+_HEADER = struct.Struct("<IQHH")
+_LENGTH = struct.Struct("<H")
+_PAGE_HEADER = _HEADER.size
+_RECORD_HEADER = _LENGTH.size
 
 
 class WalPage:
@@ -35,30 +38,27 @@ class WalPage:
         self.used = header_size
 
     def encode(self, page_size):
-        writer = PageWriter(page_size)
-        writer.u32(WAL_MAGIC)
-        writer.u64(self.first_lsn)
-        writer.u16(len(self.records))
-        writer.u16(self.used)
-        for record in self.records:
-            writer.u16(len(record))
-            writer.raw(record)
-        return writer.finish()
+        """The page image, zero-filled to ``page_size``."""
+        header = _HEADER.pack(WAL_MAGIC, self.first_lsn, len(self.records), self.used)
+        records = b"".join(_LENGTH.pack(len(record)) + record for record in self.records)
+        return (header + records).ljust(page_size, b"\0")
 
 
 def decode_wal_page(image):
     """Return (first_lsn, [record bytes]) for a WAL page image."""
-    reader = PageReader(image)
-    magic = reader.u32()
+    magic, first_lsn, count, _used = _HEADER.unpack_from(image)
     if magic != WAL_MAGIC:
         raise StorageError("bad WAL page magic 0x%x" % magic)
-    first_lsn = reader.u64()
-    count = reader.u16()
-    reader.u16()  # used
     records = []
+    pos = _PAGE_HEADER
     for _ in range(count):
-        length = reader.u16()
-        records.append(reader.raw(length))
+        (length,) = _LENGTH.unpack_from(image, pos)
+        pos += _RECORD_HEADER
+        record = bytes(image[pos:pos + length])
+        if len(record) != length:
+            raise ValueError("short read: wanted %d bytes" % length)
+        records.append(record)
+        pos += length
     return first_lsn, records
 
 

@@ -16,7 +16,8 @@ from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.sim.engine import Engine
 from repro.simos.scheduler import OsProfile, SimOS
-from repro.storage.layout import PageReader, PageWriter
+
+from cursor_codec import PageReader, PageWriter
 
 
 class TestBloom:

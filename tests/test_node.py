@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.node import NO_PAGE, NODE_MAGIC, Node, TreeConfig
 from repro.errors import CorruptPageError, TreeError
-from repro.storage.layout import PageWriter
+
+from cursor_codec import PageWriter
 
 
 @pytest.fixture

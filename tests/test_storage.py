@@ -1,51 +1,16 @@
-"""Unit tests for layout helpers, allocator and WAL."""
+"""Unit tests for the allocator, the WAL and the meta page codec."""
+
+import random
+import struct
 
 import pytest
 
+from repro.core.meta import META_MAGIC, META_VERSION, TreeMeta
 from repro.errors import AllocationError, StorageError
 from repro.storage.allocator import PageAllocator
-from repro.storage.layout import PageReader, PageWriter
-from repro.storage.wal import WriteAheadLog, decode_wal_page
+from repro.storage.wal import WAL_MAGIC, WalPage, WriteAheadLog, decode_wal_page
 
-
-class TestLayout:
-    def test_roundtrip_all_widths(self):
-        writer = PageWriter(64)
-        writer.u8(0xAB)
-        writer.u16(0xBEEF)
-        writer.u32(0xDEADBEEF)
-        writer.u64(0x0123456789ABCDEF)
-        writer.i64(-42)
-        writer.raw(b"hello")
-        image = writer.finish()
-        assert len(image) == 64
-
-        reader = PageReader(image)
-        assert reader.u8() == 0xAB
-        assert reader.u16() == 0xBEEF
-        assert reader.u32() == 0xDEADBEEF
-        assert reader.u64() == 0x0123456789ABCDEF
-        assert reader.i64() == -42
-        assert reader.raw(5) == b"hello"
-
-    def test_writer_overflow_raises(self):
-        writer = PageWriter(8)
-        writer.u64(1)
-        with pytest.raises(Exception):
-            writer.u8(1)
-
-    def test_raw_overflow_raises(self):
-        writer = PageWriter(4)
-        with pytest.raises(ValueError):
-            writer.raw(b"12345")
-
-    def test_seek(self):
-        writer = PageWriter(16)
-        writer.u64(7)
-        writer.seek(0)
-        writer.u64(9)
-        reader = PageReader(writer.finish())
-        assert reader.u64() == 9
+from cursor_codec import PageReader, PageWriter
 
 
 class TestAllocator:
@@ -135,3 +100,89 @@ class TestWal:
         wal.mark_durable(flush_lsn)
         assert wal.durable_lsn == 1
         assert wal.pending_records() == 0
+
+    @staticmethod
+    def _cursor_encode(page, page_size):
+        """The field-by-field codec WalPage.encode replaced, as reference."""
+        writer = PageWriter(page_size)
+        writer.u32(WAL_MAGIC)
+        writer.u64(page.first_lsn)
+        writer.u16(len(page.records))
+        writer.u16(page.used)
+        for record in page.records:
+            writer.u16(len(record))
+            writer.raw(record)
+        return writer.finish()
+
+    @staticmethod
+    def _cursor_decode(image):
+        reader = PageReader(image)
+        assert reader.u32() == WAL_MAGIC
+        first_lsn = reader.u64()
+        count = reader.u16()
+        reader.u16()
+        return first_lsn, [reader.raw(reader.u16()) for _ in range(count)]
+
+    def test_page_images_equal_the_cursor_codec(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            page = WalPage(0, rng.getrandbits(64), 16)
+            for _ in range(rng.randrange(0, 12)):
+                record = rng.randbytes(rng.randrange(0, 60))
+                page.records.append(record)
+                page.used += 2 + len(record)
+            image = page.encode(1024)
+            assert image == self._cursor_encode(page, 1024)
+            expected = (page.first_lsn, page.records)
+            assert decode_wal_page(image) == expected == self._cursor_decode(image)
+
+    def test_bad_magic_and_short_record(self):
+        page = WalPage(0, 5, 16)
+        page.records.append(b"record")
+        page.used += 8
+        image = page.encode(64)
+        with pytest.raises(StorageError, match="bad WAL page magic 0x0"):
+            decode_wal_page(bytes(64))
+        with pytest.raises(ValueError, match="short read: wanted 6 bytes"):
+            decode_wal_page(image[:16 + 2 + 3])
+
+
+class TestMetaPage:
+    @staticmethod
+    def _cursor_encode(meta):
+        """The field-by-field codec TreeMeta.to_bytes replaced, as reference."""
+        writer = PageWriter(meta.page_size)
+        writer.u32(META_MAGIC)
+        writer.u16(META_VERSION)
+        writer.u16(0)
+        writer.u32(meta.page_size)
+        writer.u32(meta.payload_size)
+        writer.u64(meta.root_page)
+        writer.u32(meta.height)
+        writer.u32(0)
+        writer.u64(meta.next_page)
+        writer.u64(meta.key_count)
+        return writer.finish()
+
+    def test_page_images_equal_the_cursor_codec(self):
+        rng = random.Random(13)
+        for page_size in (512, 4096):
+            for _ in range(25):
+                meta = TreeMeta(
+                    page_size,
+                    rng.getrandbits(32),
+                    rng.getrandbits(64),
+                    rng.getrandbits(32),
+                    rng.getrandbits(64),
+                    rng.getrandbits(64),
+                )
+                image = meta.to_bytes()
+                assert image == self._cursor_encode(meta)
+                restored = TreeMeta.from_bytes(image)
+                assert [getattr(restored, name) for name in TreeMeta.__slots__] == [
+                    getattr(meta, name) for name in TreeMeta.__slots__
+                ]
+
+    def test_too_small_a_page_raises(self):
+        with pytest.raises(struct.error):
+            TreeMeta(32, 8, 1, 1, 2).to_bytes()
