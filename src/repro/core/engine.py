@@ -31,7 +31,7 @@ from repro.core.ops import (
     WriteEff,
 )
 from repro.core.plans import make_plan
-from repro.core.worker import PolledWorker
+from repro.core.worker import FusedBursts, PolledWorker
 from repro.errors import SchedulerError, TreeError
 from repro.nvme.command import Completion, OP_READ
 from repro.sim.hooks import subscribe
@@ -89,6 +89,7 @@ class PaTreeEngine(PolledWorker):
         self.persistence = persistence
         self.dedicated_poller = dedicated_poller
         self.latches = LatchTable()
+        self._bursts = FusedBursts(simos)
         subscribe(tree, "on_page_released", self._on_page_released)
 
         self._node_cache = {}
@@ -174,8 +175,16 @@ class PaTreeEngine(PolledWorker):
         return make_plan(op, self.tree)
 
     def _process(self, op):
-        """Run ``op`` until it waits or completes (paper's process(c))."""
-        cpu = self.simos.cpu
+        """Run ``op`` until it waits or completes (paper's process(c)).
+
+        Its compute bursts are fused (``FusedBursts``): booked as they
+        come and put on the clock at once, by a settle before each
+        device submit, latch-wait park, sync, page allocation or
+        release, and completion.
+        """
+        bursts = self._bursts
+        cpu = bursts.cpu
+        settle = bursts.settle
         costs = self.tree.costs
         cpu(costs.dispatch_ns, CPU_SCHED) or (yield)
 
@@ -190,6 +199,7 @@ class PaTreeEngine(PolledWorker):
             try:
                 effect = op.gen.send(send)
             except StopIteration:
+                settle()
                 self._complete(op)
                 return
             send = None
@@ -198,6 +208,7 @@ class PaTreeEngine(PolledWorker):
             if kind is LatchEff:
                 cpu(costs.latch_request_ns, CPU_SYNC) or (yield)
                 if not self.latches.request(op, effect.page_id, effect.mode):
+                    settle()
                     op.state = ST_LATCH_WAIT
                     self.latch_wait_events.add()
                     if self.tracer.enabled:
@@ -226,15 +237,25 @@ class PaTreeEngine(PolledWorker):
                     self.policy.on_ready(waiter)
 
             elif kind is ReadEff:
-                result = yield from self._read_page(op, effect.page_id)
-                if result is None:
-                    self._park_for_io(op)
-                    return
-                send = result
+                page_id = effect.page_id
+                if self.buffer is not None:
+                    cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
+                    data = self.buffer.lookup(page_id)
+                    if data is not None:
+                        cpu(costs.node_parse_ns, CPU_REAL_WORK) or (yield)
+                        send = self._node_cache.get(page_id)
+                        if send is None:
+                            send = Node.from_bytes(self.tree.config, page_id, data)
+                            self._cache_node(send)
+                        continue
+                yield from self._read_page(op, page_id)
+                self._park_for_io(op)
+                return
 
             elif kind is WriteEff:
                 waiting = yield from self._write_wave(op, effect)
                 if waiting:
+                    settle()
                     self._park_for_io(op)
                     return
 
@@ -242,6 +263,7 @@ class PaTreeEngine(PolledWorker):
                 cpu(effect.ns, effect.category) or (yield)
 
             elif kind is SyncEff:
+                settle()
                 waiting, flushed = yield from self._start_sync(op)
                 if waiting:
                     self._park_for_io(op)
@@ -249,39 +271,34 @@ class PaTreeEngine(PolledWorker):
                 send = flushed
 
             elif kind is AllocEff:
+                settle()
                 send = self.tree.allocator.allocate()
 
             elif kind is FreeEff:
+                settle()
                 self.tree.release_page(effect.page_id)
 
             else:
                 raise TreeError("operation yielded unknown effect %r" % (effect,))
 
     def _read_page(self, op, page_id):
-        """Serve a node read; returns the node or None (I/O submitted)."""
-        cpu = self.simos.cpu
-        costs = self.tree.costs
-        if self.buffer is not None:
-            cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
-            data = self.buffer.lookup(page_id)
-            if data is not None:
-                cpu(costs.node_parse_ns, CPU_REAL_WORK) or (yield)
-                node = self._node_cache.get(page_id)
-                if node is None:
-                    node = Node.from_bytes(self.tree.config, page_id, data)
-                    self._cache_node(node)
-                return node
-        cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+        """Submit the read of a page the buffer does not hold."""
+        self._bursts.cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+        self._bursts.settle()
         command = self.driver.read(
             self.qpair, page_id, callback=self._on_io_done, context=op
         )
         self.io_history.on_submit(command)
         op.io_remaining = 1
-        return None
 
     def _write_wave(self, op, effect):
-        """Persist one wave of nodes; returns True when op must wait."""
-        cpu = self.simos.cpu
+        """Persist one wave of nodes; returns True when op must wait.
+
+        The interpreter's bursts go on being fused here; every submit
+        settles them first.
+        """
+        cpu = self._bursts.cpu
+        settle = self._bursts.settle
         costs = self.tree.costs
         images = []
         for node in effect.nodes:
@@ -297,6 +314,7 @@ class PaTreeEngine(PolledWorker):
                 evicted = self.buffer.write(page_id, data)
                 for victim_id, victim_data in evicted:
                     cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+                    settle()
                     self._submit_page_write(victim_id, victim_data, None)
             return False
 
@@ -318,6 +336,7 @@ class PaTreeEngine(PolledWorker):
                 cpu(
                     self.driver.submit_many_cpu_ns(len(immediate)), CPU_NVME
                 ) or (yield)
+                settle()
                 commands = self.driver.write_many(
                     self.qpair, immediate, callback=self._on_io_done, context=op
                 )
@@ -330,6 +349,7 @@ class PaTreeEngine(PolledWorker):
         count = 0
         for page_id, data in images:
             cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+            settle()
             self._submit_page_write(page_id, data, op)
             count += 1
         op.io_remaining = count

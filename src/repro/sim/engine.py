@@ -133,6 +133,41 @@ class Engine:
         self.clock.now = time_ns
         return True
 
+    def inplace_window(self):
+        """How far the clock may move in place from here, in nanoseconds.
+
+        The longest span any run of ``try_advance`` calls could add up
+        to one by one, each returning True: short of the heap head (a
+        tie goes through the heap), within the horizon, and no more
+        steps than ``max_events`` still allows (each moves the clock at
+        least 1 ns).  0 with an ``on_dispatch`` subscriber, a
+        ``perturb_delay`` hook or an ``until`` predicate bound.  Only
+        :meth:`advance_inplace` may then spend it, and only while
+        nothing runs in between.
+        """
+        if (
+            self.on_dispatch
+            or self.perturb_delay is not None
+            or self._until is not None
+        ):
+            return 0
+        end_ns = self._horizon_ns
+        heap = self._heap
+        if heap and heap[0][0] <= end_ns:
+            end_ns = heap[0][0] - 1
+        window = min(
+            end_ns - self.clock.now,
+            self.max_events - self.dispatched - self.inlined,
+        )
+        return window if window > 0 else 0
+
+    def advance_inplace(self, delay_ns, count):
+        """Book ``count`` in-place steps adding up to ``delay_ns``, which
+        must lie inside the :meth:`inplace_window` taken since the last
+        event: the clock moves and ``inlined`` counts them."""
+        self.inlined += count
+        self.clock.now += delay_ns
+
     def try_advance_repeat(self, step_ns, count):
         """Take up to ``count`` consecutive ``try_advance(step_ns)`` at once.
 

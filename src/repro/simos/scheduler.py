@@ -180,6 +180,28 @@ class SimOS:
             return thread.core is not None and thread.gen.gi_running
         return True
 
+    def inplace_window(self):
+        """How much CPU the running thread may burn before anything else
+        could run: ``Engine.inplace_window`` while no thread waits for a
+        core and no ``spawn()`` is stepping, else 0.  Bursts that fit
+        are charged to the thread's account as they come and put on the
+        clock by one :meth:`settle` (``repro.core.worker.FusedBursts``).
+        """
+        if self.run_queue or self._spawning:
+            return 0
+        return self.engine.inplace_window()
+
+    def settle(self, ns, count):
+        """Put ``count`` fused bursts of ``ns`` in all on the clock, the
+        running thread's core and its account total, as ``count``
+        in-place ``cpu`` calls would have.  They must fit the
+        :meth:`inplace_window` taken since the last event, and each is
+        already in its category of ``thread.account.by_category``."""
+        thread = self._current
+        thread.account.total_ns += ns
+        thread.core.busy_ns += ns
+        self.engine.advance_inplace(ns, count)
+
     def cpu_repeat(self, ns, category, count):
         """Up to ``count`` back-to-back ``cpu(ns, category)`` bursts as one.
 

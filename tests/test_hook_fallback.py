@@ -48,6 +48,7 @@ from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_CATEGORIES
 from repro.simos.scheduler import OsProfile, SimOS
 from repro.simos.thread import Cpu
+from tools import slow_path
 from tools.analysis.projconf import load_config
 
 # registered as "Class.slot"; the stack below finds the owner by hasattr
@@ -365,3 +366,13 @@ def test_an_exhibit_gives_the_same_rows_with_the_fast_path_forced_off(
 
     monkeypatch.setattr(Engine, "__init__", init_forced_slow)
     assert module.run(ops=20) == plain
+
+
+def test_the_slow_path_driver_subscribes_on_every_engine(monkeypatch):
+    """``python -m tools.slow_path`` (CI's second ``bench all`` pass) is
+    the exhibit test above for all fifteen exhibits at ``--ops 200``."""
+    monkeypatch.setattr(Engine, "__init__", Engine.__init__)  # undone after
+    slow_path.force_slow_path()
+    engine = Engine(seed=3)
+    assert engine.on_dispatch == (slow_path._ignore,)
+    assert engine.inplace_window() == 0

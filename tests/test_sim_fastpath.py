@@ -17,11 +17,24 @@ account for the same number of kernel steps: ``slow.dispatched ==
 fast.dispatched + fast.inlined``.  The generated programs run once more
 with every call spelled as an instruction (``Cpu``, ``SemWait``,
 ``SemPost``), which must be the same run step for step.
+
+A run of bursts spent through ``FusedBursts`` is booked against
+``SimOS.inplace_window`` and put on the clock by one ``SimOS.settle``:
+those programs run fused, one ``SimOS.cpu`` per burst, and forced slow,
+and must agree on every clock reading, account and core, with the same
+``dispatched`` and ``dispatched + inlined`` as one ``cpu`` per burst.
 """
+
+import random
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
+from repro.api import PATreeSession
+from repro.core.ops import (
+    delete_op, insert_op, range_op, search_op, sync_op,
+)
+from repro.core.worker import FusedBursts
 from repro.errors import SchedulerError, SimulationError
 from repro.sim.engine import Engine
 from repro.sim.hooks import subscribe
@@ -912,3 +925,345 @@ def test_max_events_from_a_call_finalises_the_thread_body():
         engine.run()
     assert engine.dispatched + engine.inlined == 1_001
     assert thread.gen.gi_frame is None
+
+
+# ----------------------------------------------------------------------
+# fused bursts: SimOS.inplace_window / settle through FusedBursts
+# ----------------------------------------------------------------------
+
+_FUSED_BURST = st.tuples(
+    st.just("burst"),
+    # a float, a zero and an unknown category go by SimOS.cpu's rules
+    st.one_of(_NS, _NS, _NS, _NS, st.just(150.5)),
+    st.sampled_from(CPU_CATEGORIES * 2 + ("no-such-category",)),
+)
+
+# a run of bursts, then what the interpreter does between such runs:
+# read the clock, push an event, sleep, or spend a burst through
+# SimOS.cpu itself -- each after a settle
+_FUSED_STEPS = st.lists(
+    st.tuples(
+        st.lists(_FUSED_BURST, min_size=1, max_size=8),
+        st.one_of(
+            st.tuples(st.just("observe")),
+            st.tuples(st.just("push"), _NS),
+            st.tuples(st.just("sleep"), _NS),
+            st.tuples(st.just("cpu"), _NS),
+        ),
+    ),
+    min_size=1, max_size=8,
+).map(lambda runs: [step for bursts, then in runs for step in bursts + [then]])
+
+_FUSED_PROGRAM = st.fixed_dictionaries({
+    "cores": st.integers(1, 2),
+    "steps": _FUSED_STEPS,
+    # other threads: bursts as calls and sleeps, so their turns are
+    # heap entries the window must stop short of (or, on one core, a
+    # run queue that closes it)
+    "others": st.lists(st.lists(st.tuples(
+        st.sampled_from(["call", "sleep"]), _NS,
+    ), min_size=1, max_size=6), max_size=2),
+    "timers": st.lists(_NS, max_size=6),
+    "stop": st.one_of(
+        st.none(),
+        st.tuples(st.just("until_ns"), st.integers(0, 60_000)),
+        # a float bound makes a float window; the clock must stay int
+        st.tuples(st.just("until_ns"), st.sampled_from([999.5, 12_345.0])),
+        st.tuples(st.just("clock"), st.integers(0, 60_000)),
+        st.tuples(st.just("max_events"), st.integers(1, 60)),
+    ),
+})
+
+
+class _FusedMachine:
+    """One thread whose bursts go through ``FusedBursts`` (``fused``) or
+    through ``SimOS.cpu`` one by one, next to other threads and timers."""
+
+    def __init__(self, program, fused, slow=False):
+        stop = program["stop"] or (None,)
+        max_events = stop[1] if stop[0] == "max_events" else 500_000_000
+        self.engine = engine = Engine(seed=1, max_events=max_events)
+        self.simos = simos = SimOS(engine, OsProfile(
+            cores=program["cores"], quantum_ns=1_000, context_switch_ns=300,
+        ))
+        self.log = []
+        if slow:
+            subscribe(engine, "on_dispatch", lambda event: None)
+        self.threads = [simos.spawn(self._fused(program["steps"], fused))]
+        for index, instrs in enumerate(program["others"]):
+            self.threads.append(simos.spawn(self._other(index, instrs)))
+        for index, delay_ns in enumerate(program["timers"]):
+            engine.schedule(delay_ns, self._note, "timer", index)
+        kwargs = {}
+        if stop[0] == "until_ns":
+            kwargs["until_ns"] = stop[1]
+        elif stop[0] == "clock":
+            kwargs["until"] = lambda: engine.now >= stop[1]
+        try:
+            engine.run(**kwargs)
+            self.outcome = "ok"
+        except SimulationError as exc:
+            self.outcome = str(exc)
+
+    def _note(self, *what):
+        self.log.append(what + (self.engine.now,))
+
+    def _fused(self, steps, fused):
+        simos = self.simos
+        bursts = FusedBursts(simos)
+        cpu = bursts.cpu if fused else simos.cpu
+        for step, (kind, *args) in enumerate(steps):
+            if kind == "burst":
+                cpu(*args) or (yield)
+                continue
+            bursts.settle()
+            if kind == "observe":
+                self._note("observe", step)
+            elif kind == "push":
+                self.engine.schedule(args[0], self._note, "pushed", step)
+            elif kind == "sleep":
+                yield Sleep(args[0])
+            else:
+                simos.cpu(args[0]) or (yield)
+        bursts.settle()
+        self._note("end")
+
+    def _other(self, index, instrs):
+        cpu = self.simos.cpu
+        for kind, ns in instrs:
+            if kind == "call":
+                cpu(ns) or (yield)
+            else:
+                yield Sleep(ns)
+            self._note("other", index)
+
+    def observed(self):
+        return {
+            "outcome": self.outcome,
+            "now": self.engine.now,
+            "log": self.log,
+            "accounts": [
+                (dict(t.account.by_category), t.account.total_ns)
+                for t in self.threads
+            ],
+            "busy_ns": [core.busy_ns for core in self.simos.cores],
+            "pending": len(self.engine.events),
+        }
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FUSED_PROGRAM)
+def test_fused_bursts_run_the_same_as_one_cpu_call_each(program):
+    fused = _FusedMachine(program, fused=True)
+    per_burst = _FusedMachine(program, fused=False)
+    assert fused.observed() == per_burst.observed()
+    assert fused.engine.dispatched == per_burst.engine.dispatched
+    assert (
+        fused.engine.dispatched + fused.engine.inlined
+        == per_burst.engine.dispatched + per_burst.engine.inlined
+    )
+    if program["stop"] and program["stop"][0] == "max_events":
+        return  # the heap-only run spends the same budget sooner
+    # and both are the run with every burst through the heap
+    slow = _FusedMachine(program, fused=True, slow=True)
+    assert slow.observed() == fused.observed()
+    assert slow.engine.inlined == 0
+    assert slow.engine.dispatched == fused.engine.dispatched + fused.engine.inlined
+
+
+@pytest.mark.parametrize("second_ns", [49, 50])
+def test_a_burst_ending_at_a_pending_event_is_not_fused(second_ns):
+    # spawn() schedules the first burst (ends at 50); the second ends one
+    # short of the timer at 100 (fused) or exactly at it (a tie: the
+    # timer was pushed first and fires first, through the heap)
+    real = CPU_CATEGORIES[0]
+    program = {
+        "cores": 1, "others": [], "timers": [100], "stop": None,
+        "steps": [("burst", 50, real), ("burst", second_ns, real), ("observe",)],
+    }
+    fused = _FusedMachine(program, fused=True)
+    assert fused.observed() == _FusedMachine(program, fused=False).observed()
+    observe = ("observe", 2, 50 + second_ns)
+    timer_first = fused.log.index(("timer", 0, 100)) < fused.log.index(observe)
+    assert timer_first == (second_ns == 50)
+    # in place either way: fused (settled) or run through
+    assert (fused.engine.dispatched, fused.engine.inlined) == (2, 1)
+
+
+def _window_inside(body, cores=1, setup=None, **run):
+    """What a thread body records from inside its second step (the
+    first is spawn()'s), with an event pending at 50 000."""
+    engine = Engine(seed=1)
+    simos = SimOS(engine, OsProfile(cores=cores))
+    seen = []
+
+    def main():
+        simos.cpu(100) or (yield)
+        yield from body(simos, seen)
+
+    if setup is not None:
+        setup(engine, simos)
+    simos.spawn(main())
+    engine.schedule(50_000, lambda: None)
+    engine.run(**run)
+    return seen
+
+
+def _ask(simos, seen):
+    seen.append(simos.inplace_window())
+    yield from ()
+
+
+def test_the_window_reaches_just_short_of_the_next_event():
+    seen = _window_inside(_ask)
+    assert seen == [50_000 - 1 - 100]
+
+
+def _burst(simos, ns):
+    simos.cpu(ns) or (yield)
+
+
+@pytest.mark.parametrize("refusal", [
+    "on_dispatch", "perturb_delay", "until", "queued", "spawning",
+])
+def test_the_window_is_closed_when_anything_else_may_run(refusal):
+    setup = None
+    run = {}
+    body = _ask
+    if refusal == "on_dispatch":
+        def setup(engine, simos):
+            subscribe(engine, "on_dispatch", lambda event: None)
+    elif refusal == "perturb_delay":
+        def setup(engine, simos):
+            engine.perturb_delay = lambda delay_ns: delay_ns
+    elif refusal == "until":
+        run["until"] = lambda: False
+    elif refusal == "queued":
+        def setup(engine, simos):
+            # spawned at 0 on the one core: it waits in the run queue
+            engine.schedule(0, lambda: simos.spawn(_burst(simos, 10)))
+    else:
+        def body(simos, seen):
+            def child():
+                # stepped inside spawn(), whose caller goes on at this
+                # instant: the clock must not move
+                seen.append(simos.inplace_window())
+                yield from _burst(simos, 10)
+            simos.spawn(child())
+            yield from ()
+    seen = _window_inside(
+        body, cores=2 if refusal == "spawning" else 1, setup=setup, **run
+    )
+    assert seen == [0]
+
+
+def test_the_window_stops_inside_the_event_budget():
+    engine = Engine(max_events=40)
+    assert engine.inplace_window() == 0  # outside run(): horizon -1
+    simos = SimOS(engine, OsProfile(cores=1))
+    seen = []
+
+    def body():
+        simos.cpu(100) or (yield)
+        seen.append(simos.inplace_window())
+
+    simos.spawn(body())
+    engine.run()
+    # one dispatched (spawn's burst), heap empty, no horizon: the budget
+    # bounds the nanoseconds, since every counted burst takes one or more
+    assert seen == [39]
+
+
+def _fused_spinner(engine, simos, fused, bursts=1_000):
+    ledger = FusedBursts(simos)
+    cpu = ledger.cpu if fused else simos.cpu
+    for _ in range(bursts):
+        cpu(1, CPU_CATEGORIES[0]) or (yield)
+    ledger.settle()
+
+
+@pytest.mark.parametrize("max_events", [1, 2, 37, 100])
+def test_max_events_trips_at_the_same_count_with_and_without_fusion(
+    max_events,
+):
+    trips = []
+    for fused in (True, False):
+        engine = Engine(max_events=max_events)
+        simos = SimOS(engine, OsProfile(cores=1))
+        thread = simos.spawn(_fused_spinner(engine, simos, fused))
+        with pytest.raises(SimulationError, match="event budget exceeded"):
+            engine.run()
+        trips.append((
+            engine.dispatched, engine.inlined, engine.now,
+            thread.account.total_ns, simos.cores[0].busy_ns,
+        ))
+    assert trips[0] == trips[1]
+    assert trips[0][0] + trips[0][1] == max_events + 1
+
+
+def _weak_session_run(slow):
+    """A weak-persistence session whose buffer holds part of the tree:
+    hits, misses, evictions and syncs.  Returns what it observed and
+    its kernel."""
+    session = PATreeSession(
+        seed=5, persistence="weak", buffer_pages=24, scheduler="naive",
+        window=16,
+    )
+    engine = session.env.engine
+    if slow:
+        subscribe(engine, "on_dispatch", lambda event: None)
+    submits = []
+    subscribe(
+        session.env.device, "on_submit",
+        lambda command: submits.append((command.opcode, command.lba, engine.now)),
+    )
+    session.bulk_load(
+        [(key, key.to_bytes(8, "little")) for key in range(0, 200_000, 4)]
+    )
+    rng = random.Random(11)
+    operations = []
+    for index in range(900):
+        key = rng.randrange(200_000)
+        roll = rng.random()
+        if roll < 0.45:
+            operations.append(search_op(key))
+        elif roll < 0.75:
+            # new keys, crowded into a few leaves: they split, and the
+            # new pages evict dirty ones
+            operations.append(insert_op(key % 4_000 | 1, rng.randbytes(8)))
+        elif roll < 0.9:
+            operations.append(delete_op(key))
+        else:
+            operations.append(range_op(key, key + 40))
+        if index % 300 == 299:
+            operations.append(sync_op())
+    session.execute(operations)
+    worker = session.pa_engine
+    observed = {
+        "ops": [
+            (op.kind, op.key, op.result, op.admit_ns, op.done_ns)
+            for op in operations
+        ],
+        "latencies": worker.latencies.samples(),
+        "account": dict(worker.worker_thread.account.by_category),
+        "busy_ns": [core.busy_ns for core in session.env.os.cores],
+        "stats": session.stats(),
+        "hits": worker.buffer.hits,
+        "submits": submits,
+        "now": engine.now,
+    }
+    session.close()
+    return observed, engine
+
+
+def test_a_weak_buffered_session_runs_the_same_with_every_burst_through_the_heap():
+    fast, fast_engine = _weak_session_run(slow=False)
+    slow, slow_engine = _weak_session_run(slow=True)
+    assert fast == slow
+    assert slow_engine.inlined == 0
+    assert slow_engine.dispatched == fast_engine.dispatched + fast_engine.inlined
+    # the run hit, missed, evicted and waited for latches, so every
+    # settle point was passed
+    stats = fast["stats"]
+    assert stats["device_reads"] and stats["device_writes"]
+    assert stats["latch_waits"] and fast["hits"]

@@ -398,7 +398,28 @@ def _alias_sets(funcdef):
 
 
 class LatchPairingRule(GraphRule):
-    """PA520: a plan path reaches completion without releasing."""
+    """PA520: a plan path reaches completion without releasing.
+
+    What it cannot see:
+
+    * Release matching is by alias and flow-insensitive: a release
+      counts for an acquire when it names the same page expression or
+      an alias of it, wherever it sits on the path, whichever hold it
+      actually drops.  In the crabbing descent ``prev = page`` aliases
+      the two names, so the ``UnlatchEff(prev)`` that drops the parent
+      right after ``LatchEff(page)`` also "releases" the child: a plan
+      that forgets its *last* crabbing release (the leaf's, after the
+      loop) still passes.  The runtime checks catch that one
+      (``TreeError`` when an operation completes holding latches,
+      ``LatchTable.assert_quiescent`` after a run).
+    * It checks effect acquires (``LatchEff``) and handed-over nodes
+      only.  The method spelling -- ``request`` on a receiver whose name
+      says latch, which in ``src/`` matches ``PaTreeEngine._process``
+      alone -- is collected for PA521 but never paired here; a method
+      acquire that no path releases passes.  The blocking interpreter's
+      ``latches.acquire`` and ``BlockingLatchTable``'s calls into its
+      ``LatchTable`` match neither spelling.
+    """
 
     code = "PA520"
     name = "latch-pairing"
