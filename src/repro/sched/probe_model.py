@@ -16,6 +16,8 @@ ints and solved by one fixed-order elimination: the fitted doubles are
 the same on every host and CPython, with no third-party float library.
 """
 
+import inspect
+
 from repro.backend import DeviceProfile, make_backend
 from repro.sched.history import DEFAULT_SLICES, DEFAULT_WINDOW_US, IoHistory
 from repro.sim.clock import usec
@@ -242,21 +244,46 @@ def solve(matrix, rhs):
 
 
 _MODEL_CACHE = {}
+_TRAINER_SIGNATURE = inspect.signature(train_probe_model)
+
+
+def probe_model_key(device_profile, seed=12345, **kwargs):
+    """The memo key of ``train_probe_model(seed, device_profile, **kwargs)``.
+
+    Every field of the profile (the trainer's device reads them all:
+    service spread, interface costs, page size, capacity), the seed and
+    every training argument, with the defaults bound: a default spelled
+    out names the same model as one left out.
+    """
+    bound = _TRAINER_SIGNATURE.bind(seed, device_profile, **kwargs)
+    bound.apply_defaults()
+    arguments = dict(bound.arguments)
+    del arguments["engine_seed"], arguments["device_profile"]
+    return (
+        tuple(getattr(device_profile, slot) for slot in DeviceProfile.__slots__),
+        seed,
+        tuple(sorted(arguments.items())),
+    )
 
 
 def cached_probe_model(device_profile, seed=12345, **kwargs):
-    """Train-once-per-profile cache used by benchmark sweeps.
+    """Train-once memo of :func:`train_probe_model`, keyed by
+    :func:`probe_model_key`.
 
-    Keyed on every field of the profile: the trainer's device reads
-    them all (service spread, interface costs, page size, capacity).
+    Serves a model this process already holds, else one trained offline
+    (``repro.sched.trained_models``, written by ``python -m
+    tools.train_probe_models``; ``tests/test_sched.py`` retrains each
+    and requires it equal), else trains it now.
     """
-    key = (
-        tuple(getattr(device_profile, slot) for slot in DeviceProfile.__slots__),
-        seed,
-        tuple(sorted(kwargs.items())),
-    )
+    key = probe_model_key(device_profile, seed, **kwargs)
     model = _MODEL_CACHE.get(key)
     if model is None:
-        model = train_probe_model(seed, device_profile, **kwargs)
+        from repro.sched.trained_models import TRAINED
+
+        trained = TRAINED.get(key)
+        if trained is None:
+            model = train_probe_model(seed, device_profile, **kwargs)
+        else:
+            model = LinearProbeModel(*trained)
         _MODEL_CACHE[key] = model
     return model

@@ -376,3 +376,28 @@ def test_the_slow_path_driver_subscribes_on_every_engine(monkeypatch):
     engine = Engine(seed=3)
     assert engine.on_dispatch == (slow_path._ignore,)
     assert engine.inplace_window() == 0
+
+
+def test_the_slow_path_driver_runs_each_exhibit_of_all_in_a_child(
+    monkeypatch, tmp_path, capfd
+):
+    """Under ``all`` each exhibit runs in a fresh interpreter of its own,
+    writes what a one-process run writes and prints in ``all``'s order,
+    and a failing child fails the pass."""
+    names = ("fig10", "fig13")
+    monkeypatch.setattr(cli, "_EXHIBITS", {name: cli._EXHIBITS[name] for name in names})
+    monkeypatch.chdir(REPO_ROOT)
+    argv = ["all", "--ops", "20", "--out", str(tmp_path / "each")]
+    assert slow_path.run_each(argv) == 0
+    output = capfd.readouterr().out
+    headers = ["=== %s ===" % cli._EXHIBITS[name][0] for name in names]
+    assert [line for line in output.splitlines() if line.startswith("===")] == headers
+    assert cli.main(["all", "--ops", "20", "--out", str(tmp_path / "one")]) == 0
+    for name in os.listdir(tmp_path / "one"):
+        with open(tmp_path / "one" / name, "rb") as one:
+            with open(tmp_path / "each" / name, "rb") as each:
+                assert each.read() == one.read(), name
+    assert len(os.listdir(tmp_path / "each")) == 4
+
+    monkeypatch.setitem(cli._EXHIBITS, "nosuch", cli._EXHIBITS["fig10"])
+    assert slow_path.run_each(["all", "--ops", "20"]) != 0

@@ -7,12 +7,19 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import PATreeSession, ShardedSession
 from repro.core.engine import PaTreeEngine, POLLER_MODEL
 from repro.core.ops import search_op, update_op
 from repro.core.source import ClosedLoopSource
 from repro.core.tree import PaTree
-from repro.nvme.device import NvmeDevice, fast_test_profile, i3_nvme_profile
+from repro.nvme.device import (
+    DeviceProfile,
+    NvmeDevice,
+    fast_test_profile,
+    i3_nvme_profile,
+)
 from repro.nvme.driver import NvmeDriver
+from repro.sched import make_scheduler
 from repro.sched.history import IoHistory
 from repro.sched.naive import NaiveScheduling
 from repro.sched.policies import AvgLatencyProbing, FixedRateProbing
@@ -21,8 +28,10 @@ from repro.sched import probe_model
 from repro.sched.probe_model import (
     LinearProbeModel,
     cached_probe_model,
+    probe_model_key,
     train_probe_model,
 )
+from repro.sched.trained_models import TRAINED
 from repro.sched.workload_aware import WorkloadAwareScheduling
 from repro.sim.clock import Clock, usec
 from repro.sim.engine import Engine
@@ -508,6 +517,94 @@ class TestProbeModel:
             LinearProbeModel([(0.0, 0.0)] * 3)
         with pytest.raises(ValueError):
             LinearProbeModel([(0.0, 0.0, 0.0)] * 40)
+
+
+class _Trained(Exception):
+    """Raised by the patched trainer: this call would have trained."""
+
+
+class TestTrainedModels:
+    """The committed table ``cached_probe_model`` serves before it trains."""
+
+    def test_every_entry_equals_a_fresh_training(self):
+        assert TRAINED
+        for key, (beta, window_us, slices) in TRAINED.items():
+            fields, seed, kwargs = key
+            profile = DeviceProfile(**dict(zip(DeviceProfile.__slots__, fields)))
+            assert probe_model_key(profile, seed, **dict(kwargs)) == key
+            model = train_probe_model(seed, profile, **dict(kwargs))
+            assert (model.beta, model.window_us, model.slices) == (
+                beta, window_us, slices
+            ), (
+                "src/repro/sched/trained_models.py is stale: regenerate it "
+                "with PYTHONPATH=src python -m tools.train_probe_models"
+            )
+
+    @pytest.fixture
+    def untrained(self, monkeypatch):
+        """An empty process memo and a trainer that raises when called."""
+        def refuse(*args, **kwargs):
+            raise _Trained(args, kwargs)
+
+        monkeypatch.setattr(probe_model, "_MODEL_CACHE", {})
+        monkeypatch.setattr(probe_model, "train_probe_model", refuse)
+
+    def test_the_library_builds_its_models_without_training(self, untrained):
+        assert isinstance(make_scheduler("workload_aware"), WorkloadAwareScheduling)
+        with PATreeSession(scheduler="workload_aware") as session:
+            assert isinstance(session.pa_engine.policy, WorkloadAwareScheduling)
+        with ShardedSession(scheduler="workload_aware", shards=2) as session:
+            for engine in session.sharded.engines:
+                assert isinstance(engine.policy, WorkloadAwareScheduling)
+        # what figs 10-13 ask for
+        model = cached_probe_model(i3_nvme_profile())
+        assert model.beta == TRAINED[probe_model_key(i3_nvme_profile())][0]
+
+    @pytest.mark.parametrize("slot", DeviceProfile.__slots__)
+    def test_a_profile_one_field_off_trains(self, untrained, slot):
+        profile = i3_nvme_profile()
+        value = getattr(profile, slot)
+        setattr(profile, slot, value + "x" if isinstance(value, str) else value * 2)
+        with pytest.raises(_Trained):
+            cached_probe_model(profile)
+
+    @pytest.mark.parametrize("seed, kwargs", [
+        (12346, {}),
+        (12345, {"duration_us": 399_999}),
+        (12345, {"window_us": 500}),
+        (12345, {"slices": 10}),
+        (12345, {"max_outstanding": 64}),
+        (12345, {"ridge": 1e-5}),
+    ])
+    def test_another_seed_or_kwarg_trains(self, untrained, seed, kwargs):
+        with pytest.raises(_Trained):
+            cached_probe_model(i3_nvme_profile(), seed, **kwargs)
+
+    def test_a_default_spelled_out_is_the_same_model(self, untrained):
+        model = cached_probe_model(i3_nvme_profile())
+        assert cached_probe_model(i3_nvme_profile(), duration_us=400_000) is model
+        assert cached_probe_model(
+            i3_nvme_profile(), 12345, window_us=1000, slices=20,
+            max_outstanding=96, ridge=1e-6,
+        ) is model
+
+    def test_a_default_spelled_out_trains_once(self, monkeypatch):
+        trained = []
+        train = probe_model.train_probe_model
+
+        def counted(*args, **kwargs):
+            trained.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(probe_model, "_MODEL_CACHE", {})
+        monkeypatch.setattr(probe_model, "train_probe_model", counted)
+        model = cached_probe_model(fast_test_profile(), seed=78, duration_us=5_000)
+        assert cached_probe_model(
+            fast_test_profile(), seed=78, duration_us=5_000, ridge=1e-6
+        ) is model
+        assert len(trained) == 1
+        with pytest.raises(TypeError):
+            probe_model_key(fast_test_profile(), 78, duration=5_000)
 
 
 class TestReadyQueues:
