@@ -3,7 +3,7 @@ compaction, Bloom filters and a block cache."""
 
 from repro.baselines.lsm.bloom import BloomFilter
 from repro.baselines.lsm.memtable import MemTable
-from repro.baselines.lsm.sstable import SSTable, decode_page, encode_page, plan_pages
+from repro.baselines.lsm.sstable import SSTable, decode_page
 from repro.baselines.lsm.levels import LeveledStore, LsmConfig
 from repro.baselines.lsm.store import LsmStore
 
@@ -14,7 +14,5 @@ __all__ = [
     "LeveledStore",
     "LsmStore",
     "LsmConfig",
-    "encode_page",
     "decode_page",
-    "plan_pages",
 ]

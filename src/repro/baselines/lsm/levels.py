@@ -42,7 +42,7 @@ for exactly that step).
 """
 
 from repro.baselines.lsm.memtable import MemTable
-from repro.baselines.lsm.sstable import SSTable, decode_page
+from repro.baselines.lsm.sstable import SSTable, decode_page, scan_page
 from repro.buffer.lru import LruCache
 from repro.core.ops import (
     ChargeEff,
@@ -62,6 +62,18 @@ from repro.storage.wal import WriteAheadLog
 
 OP_FLUSH = "lsm_flush"
 OP_COMPACT = "lsm_compact"
+
+def _runs_starting_by(tables, key):
+    """How many of ``tables`` (sorted by ``min_key``) start at or
+    before ``key``: ``bisect_right`` over their ``min_key``s."""
+    lo, hi = 0, len(tables)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if key < tables[mid].min_key:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class ReadPageEff:
@@ -188,6 +200,14 @@ class LeveledStore:
             raise StorageError("bulk_load input must be sorted and unique")
         while len(self.levels) < 2:
             self.levels.append([])
+        low, high = items[0][0], items[-1][0]
+        for table in self.levels[1]:
+            if table.overlaps(low, high):
+                # level-1 runs must stay disjoint: lookups bisect them
+                raise StorageError(
+                    "bulk_load keys [%d..%d] overlap level-1 run %r"
+                    % (low, high, table)
+                )
         tables, pages = self._plan_tables(items)
         for lba, image in pages:
             self.device.raw_write(lba, image)
@@ -248,8 +268,9 @@ class LeveledStore:
             for lba in self._lookup_candidates(levels, key):
                 yield ChargeEff(self.probe_cost_ns, CPU_REAL_WORK)
                 image = yield ReadPageEff(lba)
-                found, value = self._page_lookup(image, key)
-                if found:
+                entries = scan_page(image, key, key)
+                if entries:
+                    value = entries[0][1]
                     break
         op.result = value
 
@@ -473,20 +494,20 @@ class LeveledStore:
     @staticmethod
     def _lookup_candidates(levels, key):
         """LBA of the one page per table that may hold ``key`` (key
-        range, then Bloom filter), newest table first."""
-        for tables in levels:
-            for table in tables:
-                if table.overlaps(key, key) and table.bloom.may_contain(key):
+        range, then Bloom filter), newest table first.  Level 0's tables
+        overlap and are scanned; a deeper level's runs are disjoint and
+        sorted by ``min_key``, so only the last one starting at or
+        before ``key`` can hold it."""
+        for table in levels[0]:
+            if table.min_key <= key <= table.max_key and table.bloom.may_contain(key):
+                yield table.page_lbas[table.page_index_for(key)]
+        for index in range(1, len(levels)):
+            tables = levels[index]
+            at = _runs_starting_by(tables, key) - 1
+            if at >= 0:
+                table = tables[at]
+                if key <= table.max_key and table.bloom.may_contain(key):
                     yield table.page_lbas[table.page_index_for(key)]
-
-    @staticmethod
-    def _page_lookup(image, key):
-        """``(found, value)`` for ``key`` in one data page; found with
-        value None is a tombstone."""
-        for entry_key, value in decode_page(image):
-            if entry_key == key:
-                return True, value
-        return False, None
 
     @staticmethod
     def _scan_runs(levels, low, high):
@@ -507,11 +528,8 @@ class LeveledStore:
         ``limit``."""
         merged = {}
         for image in images:
-            for key, value in decode_page(image):
-                if low <= key <= high:
-                    merged[key] = value
+            merged.update(scan_page(image, low, high))
         for memtable in memtables:
-            for key, value in memtable.range_items(low, high):
-                merged[key] = value
+            merged.update(memtable.range_items(low, high))
         results = [(k, v) for k, v in sorted(merged.items()) if v is not None]
         return results[:limit] if limit else results

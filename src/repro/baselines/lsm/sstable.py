@@ -25,27 +25,6 @@ _ENTRY_HEADER = _ENTRY.size
 _FLAG_TOMBSTONE = 1
 
 
-def encode_page(page_size, entries):
-    """Pack (key, value-or-None) entries into one page image."""
-    buf = bytearray(page_size)
-    _PAGE.pack_into(buf, 0, SST_MAGIC, len(entries), 0)
-    pack_entry = _ENTRY.pack_into
-    pos = _PAGE_HEADER
-    for key, value in entries:
-        if value is None:
-            pack_entry(buf, pos, key, _FLAG_TOMBSTONE, 0)
-            pos += _ENTRY_HEADER
-        else:
-            pack_entry(buf, pos, key, 0, len(value))
-            pos += _ENTRY_HEADER
-            end = pos + len(value)
-            if end > page_size:  # a slice assignment would grow the page
-                raise ValueError("page overflow: %d > %d" % (end, page_size))
-            buf[pos:end] = value
-            pos = end
-    return bytes(buf)
-
-
 def decode_page(image):
     """Unpack a data page into (key, value-or-None) entries."""
     magic, count, _reserved = _PAGE.unpack_from(image)
@@ -69,58 +48,97 @@ def decode_page(image):
     return entries
 
 
-def plan_pages(page_size, items):
-    """Group sorted (key, value-or-None) items into page-sized chunks."""
-    pages = []
-    current = []
-    used = _PAGE_HEADER
-    for key, value in items:
-        needed = _ENTRY_HEADER + (len(value) if value is not None else 0)
-        if needed + _PAGE_HEADER > page_size:
-            raise StorageError("LSM value of %d bytes exceeds page size" % needed)
-        if used + needed > page_size:
-            pages.append(current)
-            current = []
-            used = _PAGE_HEADER
-        current.append((key, value))
-        used += needed
-    if current:
-        pages.append(current)
-    return pages
+def scan_page(image, low, high):
+    """The entries of :func:`decode_page` with ``low <= key <= high``
+    (``low == high``: a point lookup), walking entry headers no further
+    than the first key past ``high`` (entries are sorted) and copying
+    only the values kept.  Damage to the page up to there raises what
+    :func:`decode_page` raises."""
+    magic, count, _reserved = _PAGE.unpack_from(image)
+    if magic != SST_MAGIC:
+        raise StorageError("bad SSTable page magic 0x%04x" % magic)
+    unpack_entry = _ENTRY.unpack_from
+    size = len(image)
+    entries = []
+    pos = _PAGE_HEADER
+    for _ in range(count):
+        key, flags, vlen = unpack_entry(image, pos)
+        pos += _ENTRY_HEADER
+        end = pos + vlen
+        if end > size:
+            raise ValueError("short read: wanted %d bytes" % vlen)
+        if key > high:
+            break
+        if key >= low:
+            entries.append(
+                (key, None if flags & _FLAG_TOMBSTONE else bytes(image[pos:end]))
+            )
+        pos = end
+    return entries
 
 
 class SSTable:
     """Metadata for one immutable on-device run."""
 
-    def __init__(self, page_lbas, first_keys, min_key, max_key, entry_count):
+    def __init__(self, page_lbas, first_keys, min_key, max_key, entry_count,
+                 bloom):
         self.page_lbas = page_lbas
         self.first_keys = first_keys  # first key of each page
         self.min_key = min_key
         self.max_key = max_key
         self.entry_count = entry_count
-        self.bloom = BloomFilter(max(entry_count, 1))
+        self.bloom = bloom
 
     @classmethod
     def plan(cls, page_size, items):
         """Return (table, page_images) ready to be written.
 
         ``items`` must be sorted by key and non-empty; values of None
-        are tombstones.  The caller allocates LBAs and performs the
-        writes (blocking or async, per its paradigm).
+        are tombstones.  Pages are cut and encoded in one pass: an entry
+        that does not fit in the current page opens the next one.  The
+        caller allocates LBAs and performs the writes (blocking or
+        async, per its paradigm).
         """
         if not items:
             raise StorageError("cannot build an empty SSTable")
-        chunks = plan_pages(page_size, items)
+        pack_page = _PAGE.pack_into
+        pack_entry = _ENTRY.pack_into
+        images = []
+        first_keys = []
+        page = None
+        pos = page_size  # no page open: the first entry opens one
+        count = 0
+        for key, value in items:
+            needed = _ENTRY_HEADER if value is None else _ENTRY_HEADER + len(value)
+            if pos + needed > page_size:
+                if needed + _PAGE_HEADER > page_size:
+                    raise StorageError(
+                        "LSM value of %d bytes exceeds page size" % needed
+                    )
+                if page is not None:
+                    pack_page(page, 0, SST_MAGIC, count, 0)
+                    images.append(bytes(page))
+                page = bytearray(page_size)
+                first_keys.append(key)
+                count = 0
+                pos = _PAGE_HEADER
+            if value is None:
+                pack_entry(page, pos, key, _FLAG_TOMBSTONE, 0)
+            else:
+                pack_entry(page, pos, key, 0, len(value))
+                page[pos + _ENTRY_HEADER:pos + needed] = value
+            pos += needed
+            count += 1
+        pack_page(page, 0, SST_MAGIC, count, 0)
+        images.append(bytes(page))
         table = cls(
-            page_lbas=[None] * len(chunks),
-            first_keys=[chunk[0][0] for chunk in chunks],
+            page_lbas=[None] * len(images),
+            first_keys=first_keys,
             min_key=items[0][0],
             max_key=items[-1][0],
             entry_count=len(items),
+            bloom=BloomFilter([key for key, _value in items]),
         )
-        for key, _value in items:
-            table.bloom.add(key)
-        images = [encode_page(page_size, chunk) for chunk in chunks]
         return table, images
 
     def overlaps(self, low, high):

@@ -18,6 +18,8 @@ before its swap has completed (the epoch quarantine): such an
 operation may still walk a snapshot that reads them.
 """
 
+from collections import deque
+
 from repro.baselines.lsm.levels import (
     BackgroundWriteEff,
     MaintainEff,
@@ -57,7 +59,7 @@ class PolledLsmWorker(PolledWorker):
         )
         self.store = store
         self._batch_reads = {}  # op seq -> (lbas, {lba: image})
-        self._active_seqs = set()
+        self._admitted = AdmissionOrder()
         self._pending_frees = []  # the quarantine: (barrier seq, [lbas])
 
     # ------------------------------------------------------------------
@@ -69,7 +71,7 @@ class PolledLsmWorker(PolledWorker):
 
     def _admit(self, op):
         super()._admit(op)
-        self._active_seqs.add(op.seq)
+        self._admitted.admit(op.seq)
 
     def _process(self, op):
         cpu = self.simos.cpu
@@ -169,7 +171,7 @@ class PolledLsmWorker(PolledWorker):
             raise SchedulerError("LSM plan yielded unknown effect %r" % (effect,))
 
     def _complete(self, op):
-        self._active_seqs.discard(op.seq)
+        self._admitted.finish(op.seq)
         super()._complete(op)
         if self._pending_frees:
             self._release_frees()
@@ -177,8 +179,7 @@ class PolledLsmWorker(PolledWorker):
     def _release_frees(self):
         """Free quarantined pages once no operation admitted before
         their swap remains."""
-        active = self._active_seqs
-        min_active = min(active) if active else self._next_seq
+        min_active = self._admitted.oldest(self._next_seq)
         kept = []
         for barrier, lbas in self._pending_frees:
             if min_active > barrier:
@@ -210,9 +211,12 @@ class PolledLsmWorker(PolledWorker):
             return
         op = command.context
         if command.opcode == OP_READ:
-            self.store.cache.put(command.lba, command.data)
             if op.state is ST_DONE:
-                return  # late completion for an already-aborted op
+                # late completion for an already-aborted op: its abort
+                # may have released the quarantine holding this LBA, so
+                # the image may belong to no table any more
+                return
+            self.store.cache.put(command.lba, command.data)
             batch = self._batch_reads.get(op.seq)
             if batch is not None:
                 lbas, results = batch
@@ -304,6 +308,33 @@ class PolledLsmWorker(PolledWorker):
         out["flushes"] = self.store.flushes
         out["compactions"] = self.store.compactions
         return out
+
+
+class AdmissionOrder:
+    """The oldest operation still running, in amortised O(1): sequence
+    numbers in admission (ascending) order, finished ones dropped from
+    the front as they surface."""
+
+    __slots__ = ("_order", "_active")
+
+    def __init__(self):
+        self._order = deque()
+        self._active = set()
+
+    def admit(self, seq):
+        self._order.append(seq)
+        self._active.add(seq)
+
+    def finish(self, seq):
+        active = self._active
+        active.discard(seq)
+        order = self._order
+        while order and order[0] not in active:
+            order.popleft()
+
+    def oldest(self, default):
+        """The smallest running sequence number, or ``default``."""
+        return self._order[0] if self._order else default
 
 
 class _BackgroundBatch:

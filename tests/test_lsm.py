@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.io_service import DedicatedIoService
 from repro.baselines.lsm.bloom import BloomFilter
 from repro.baselines.lsm.memtable import MemTable
-from repro.baselines.lsm.sstable import SSTable, decode_page, encode_page, plan_pages
+from repro.baselines.lsm.sstable import SSTable, decode_page
 from repro.baselines.lsm import LsmConfig, LsmStore
 from repro.core.ops import delete_op, insert_op, range_op, search_op, sync_op
 from repro.errors import StorageError
@@ -18,20 +18,17 @@ from repro.sim.engine import Engine
 from repro.simos.scheduler import OsProfile, SimOS
 
 from cursor_codec import PageReader, PageWriter
+from lsm_reference import encode_page, plan_pages
 
 
 class TestBloom:
     def test_no_false_negatives(self):
-        bloom = BloomFilter(100)
         keys = [k * 7 + 1 for k in range(100)]
-        for key in keys:
-            bloom.add(key)
+        bloom = BloomFilter(keys)
         assert all(bloom.may_contain(k) for k in keys)
 
     def test_mostly_rejects_absent(self):
-        bloom = BloomFilter(200)
-        for key in range(200):
-            bloom.add(key)
+        bloom = BloomFilter(range(200))
         false_positives = sum(
             1 for key in range(10_000, 12_000) if bloom.may_contain(key)
         )
@@ -278,6 +275,31 @@ class TestLsmStore:
         engine, simos, io_service, store = make_store()
         with pytest.raises(StorageError):
             store.bulk_load([(5, b"x"), (1, b"y")])
+
+    def test_bulk_load_onto_overlapping_level1_runs_rejected(self):
+        """Level-1 runs stay disjoint (lookups bisect them): a second
+        load whose keys reach into a loaded run is refused, a disjoint
+        one still lands."""
+        engine, simos, io_service, store = make_store()
+        store.bulk_load([(k * 3, bytes(8)) for k in range(100, 200)])
+        with pytest.raises(StorageError, match=r"keys \[0\.\.300\] overlap level-1 run"):
+            store.bulk_load([(k * 3, bytes(8)) for k in range(101)])
+        store.bulk_load([(k * 3, bytes([k % 251]) * 8) for k in range(100)])
+        store.bulk_load([(k * 3, bytes([k % 251]) * 8) for k in range(200, 300)])
+        runs = store.levels[1]
+        assert all(a.max_key < b.min_key for a, b in zip(runs, runs[1:]))
+        tls = io_service.register_thread()
+
+        def body():
+            values = []
+            for key in (0, 297, 300, 600, 897):
+                values.append((yield from result_of(store, tls, search_op(key))))
+            return values
+
+        assert run_thread(engine, simos, body()) == [
+            bytes([k % 251]) * 8 if k < 100 or k >= 200 else bytes(8)
+            for k in (0, 99, 100, 200, 299)
+        ]
 
     def test_strong_persistence_flushes_wal_per_write(self):
         engine, simos, io_service, store = make_store(persistence="strong")

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro.baselines.lsm import LeveledStore, LsmConfig
-from repro.core.ops import delete_op, insert_op, range_op, search_op, sync_op
+from repro.core.ops import ST_DONE, delete_op, insert_op, range_op, search_op, sync_op
 from repro.core.source import ClosedLoopSource
 from repro.errors import StorageError
+from repro.nvme.command import OP_READ, Completion, IoStatus, NvmeCommand
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.palsm import PolledLsmWorker
@@ -126,6 +127,19 @@ class TestPaLsmBasics:
         )
         assert store.compactions >= 1
         assert not worker._pending_frees  # drained once ops completed
+
+
+def test_a_late_read_for_an_aborted_op_stays_out_of_the_block_cache():
+    """An aborted batch read can release the quarantine that held its
+    other pages, whose LBAs a flush may then reuse: a read of one of
+    them completing after the abort must not install the old image."""
+    _device, store, worker = build()
+    op = search_op(1)
+    op.state = ST_DONE
+    command = NvmeCommand(OP_READ, 77, data=b"stale", context=op)
+    command.submit_ns = 0
+    worker._on_io_done(Completion(command, IoStatus.SUCCESS, 0))
+    assert store.cache.get(77) is None
 
 
 class TestPaLsmFuzz:

@@ -182,9 +182,7 @@ def test_latch_table_exclusivity_invariant(script):
 @settings(max_examples=50, deadline=None)
 @given(keys=st.lists(st.integers(0, 2**63), min_size=1, max_size=200, unique=True))
 def test_bloom_no_false_negatives(keys):
-    bloom = BloomFilter(len(keys))
-    for key in keys:
-        bloom.add(key)
+    bloom = BloomFilter(keys)
     assert all(bloom.may_contain(key) for key in keys)
 
 
