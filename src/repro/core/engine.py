@@ -31,7 +31,7 @@ from repro.core.ops import (
     WriteEff,
 )
 from repro.core.plans import make_plan
-from repro.core.worker import FusedBursts, PolledWorker
+from repro.core.worker import PolledWorker
 from repro.errors import SchedulerError, TreeError
 from repro.nvme.command import Completion, OP_READ
 from repro.sim.hooks import subscribe
@@ -89,7 +89,6 @@ class PaTreeEngine(PolledWorker):
         self.persistence = persistence
         self.dedicated_poller = dedicated_poller
         self.latches = LatchTable()
-        self._bursts = FusedBursts(simos)
         subscribe(tree, "on_page_released", self._on_page_released)
 
         self._node_cache = {}
@@ -175,16 +174,8 @@ class PaTreeEngine(PolledWorker):
         return make_plan(op, self.tree)
 
     def _process(self, op):
-        """Run ``op`` until it waits or completes (paper's process(c)).
-
-        Its compute bursts are fused (``FusedBursts``): booked as they
-        come and put on the clock at once, by a settle before each
-        device submit, latch-wait park, sync, page allocation or
-        release, and completion.
-        """
-        bursts = self._bursts
-        cpu = bursts.cpu
-        settle = bursts.settle
+        """Run ``op`` until it waits or completes (paper's process(c))."""
+        cpu = self.simos.cpu
         costs = self.tree.costs
         cpu(costs.dispatch_ns, CPU_SCHED) or (yield)
 
@@ -199,7 +190,6 @@ class PaTreeEngine(PolledWorker):
             try:
                 effect = op.gen.send(send)
             except StopIteration:
-                settle()
                 self._complete(op)
                 return
             send = None
@@ -208,7 +198,6 @@ class PaTreeEngine(PolledWorker):
             if kind is LatchEff:
                 cpu(costs.latch_request_ns, CPU_SYNC) or (yield)
                 if not self.latches.request(op, effect.page_id, effect.mode):
-                    settle()
                     op.state = ST_LATCH_WAIT
                     self.latch_wait_events.add()
                     if self.tracer.enabled:
@@ -255,7 +244,6 @@ class PaTreeEngine(PolledWorker):
             elif kind is WriteEff:
                 waiting = yield from self._write_wave(op, effect)
                 if waiting:
-                    settle()
                     self._park_for_io(op)
                     return
 
@@ -263,7 +251,6 @@ class PaTreeEngine(PolledWorker):
                 cpu(effect.ns, effect.category) or (yield)
 
             elif kind is SyncEff:
-                settle()
                 waiting, flushed = yield from self._start_sync(op)
                 if waiting:
                     self._park_for_io(op)
@@ -271,11 +258,9 @@ class PaTreeEngine(PolledWorker):
                 send = flushed
 
             elif kind is AllocEff:
-                settle()
                 send = self.tree.allocator.allocate()
 
             elif kind is FreeEff:
-                settle()
                 self.tree.release_page(effect.page_id)
 
             else:
@@ -283,8 +268,7 @@ class PaTreeEngine(PolledWorker):
 
     def _read_page(self, op, page_id):
         """Submit the read of a page the buffer does not hold."""
-        self._bursts.cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
-        self._bursts.settle()
+        self.simos.cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
         command = self.driver.read(
             self.qpair, page_id, callback=self._on_io_done, context=op
         )
@@ -292,13 +276,8 @@ class PaTreeEngine(PolledWorker):
         op.io_remaining = 1
 
     def _write_wave(self, op, effect):
-        """Persist one wave of nodes; returns True when op must wait.
-
-        The interpreter's bursts go on being fused here; every submit
-        settles them first.
-        """
-        cpu = self._bursts.cpu
-        settle = self._bursts.settle
+        """Persist one wave of nodes; returns True when op must wait."""
+        cpu = self.simos.cpu
         costs = self.tree.costs
         images = []
         for node in effect.nodes:
@@ -314,7 +293,6 @@ class PaTreeEngine(PolledWorker):
                 evicted = self.buffer.write(page_id, data)
                 for victim_id, victim_data in evicted:
                     cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
-                    settle()
                     self._submit_page_write(victim_id, victim_data, None)
             return False
 
@@ -336,7 +314,6 @@ class PaTreeEngine(PolledWorker):
                 cpu(
                     self.driver.submit_many_cpu_ns(len(immediate)), CPU_NVME
                 ) or (yield)
-                settle()
                 commands = self.driver.write_many(
                     self.qpair, immediate, callback=self._on_io_done, context=op
                 )
@@ -349,7 +326,6 @@ class PaTreeEngine(PolledWorker):
         count = 0
         for page_id, data in images:
             cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
-            settle()
             self._submit_page_write(page_id, data, op)
             count += 1
         op.io_remaining = count

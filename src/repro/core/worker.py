@@ -54,71 +54,6 @@ _COUNTERS = (
 )
 
 
-class FusedBursts:
-    """The compute bursts of one run of an operation, on the clock at once.
-
-    ``cpu(ns, category)`` is ``SimOS.cpu``'s contract (True: go on;
-    False: the continuation is scheduled, yield bare).  A burst that
-    fits the running thread's in-place window (``SimOS.inplace_window``,
-    taken at the first burst after a settle) is charged to the thread's
-    account category at once and owed to the clock.  One that does not
-    fit settles what is owed first, so the clock stands where the
-    burst-by-burst run would have it, and goes through ``SimOS.cpu``;
-    the next burst takes a new window, unless this one was the first of
-    its window, which then stays shut up to the next settle.
-
-    While time is owed nothing else can run, so the interpreter must
-    :meth:`settle` before whatever reads the clock, pushes an event or
-    changes the run queue, and before it returns.
-    """
-
-    __slots__ = ("simos", "window_ns", "owed_ns", "count", "by_category")
-
-    def __init__(self, simos):
-        self.simos = simos
-        self.window_ns = -1  # below 0: take a new window at the next burst
-        self.owed_ns = 0
-        self.count = 0  # bursts owed
-        self.by_category = None
-
-    def cpu(self, ns, category):
-        window = self.window_ns
-        if window < 0:
-            simos = self.simos
-            window = self.window_ns = simos.inplace_window()
-            # the account SimOS.cpu would charge (the running thread
-            # cannot change before the next settle)
-            self.by_category = simos._current.account.by_category
-        if window:
-            if ns > 0 and type(ns) is int and category in self.by_category:
-                owed = self.owed_ns + ns
-                if owed <= window:
-                    self.owed_ns = owed
-                    self.count += 1
-                    self.by_category[category] += ns
-                    return True
-                # something is due before this burst would end; when
-                # the window held none, the thread shares the clock with
-                # others: burst by burst up to the next settle
-                held_none = not self.count
-                self.settle()
-                if held_none:
-                    self.window_ns = 0
-            else:
-                # SimOS.cpu's own rules for 0, negative and non-int
-                # bursts and for unknown categories
-                self.settle()
-        return self.simos.cpu(ns, category)
-
-    def settle(self):
-        """Put what is owed on the clock; the next burst takes a new window."""
-        if self.count:
-            self.simos.settle(self.owed_ns, self.count)
-            self.owed_ns = 0
-            self.count = 0
-        self.window_ns = -1
-
-
 class PolledWorker:
     """Single polled-mode working thread over one queue pair."""
 
@@ -265,6 +200,10 @@ class PolledWorker:
         engine = self.engine
         driver = self.driver
         policy = self.policy
+        ready = policy.ready
+        # constants of the run (SchedulingPolicy's CPU cost hooks)
+        pick_cost_ns = policy.pick_cost_ns()
+        gate_cost_ns = policy.gate_cost_ns()
         source = self.source
         profile = driver.profile
         io_history = self.io_history
@@ -304,8 +243,8 @@ class PolledWorker:
                 self._resubmit_write(*deferred)
                 worked = True
 
-            if policy.ready_count():
-                cpu(policy.pick_cost_ns(), CPU_SCHED) or (yield)
+            if ready:
+                cpu(pick_cost_ns, CPU_SCHED) or (yield)
                 op = policy.pick()
                 tracer = self.tracer
                 if tracer.enabled:
@@ -327,7 +266,7 @@ class PolledWorker:
             gate_cost = 0
             probed = None
             if not poller and io_history.outstanding_count:
-                gate_cost = policy.gate_cost_ns()
+                gate_cost = gate_cost_ns
                 if gate_cost:
                     cpu(gate_cost, CPU_SCHED) or (yield)
                     worked = True
@@ -367,7 +306,7 @@ class PolledWorker:
                     and source.exhausted()
                 ):
                     break
-                if policy.ready_count() == 0:
+                if not ready:
                     sleep_ns = policy.idle_sleep_ns()
                     next_arrival = source.next_event_ns(clock.now)
                     if sleep_ns > 0:

@@ -65,6 +65,7 @@ class NvmeCommand:
 
     __slots__ = (
         "opcode",
+        "is_write",
         "lba",
         "data",
         "callback",
@@ -85,6 +86,8 @@ class NvmeCommand:
         if lba < 0:
             raise ValueError("negative lba %r" % (lba,))
         self.opcode = opcode
+        # the opcode is never reassigned, so this is set once
+        self.is_write = opcode == OP_WRITE
         self.lba = lba
         self.data = data
         self.callback = callback
@@ -100,10 +103,6 @@ class NvmeCommand:
         # engine-level escalations along this write chain (each
         # escalation is a fresh command; the count is carried forward)
         self.escalations = 0
-
-    @property
-    def is_write(self):
-        return self.opcode == OP_WRITE
 
     @property
     def ok(self):
@@ -129,18 +128,16 @@ class Completion:
     Field access for the common command attributes passes through.
     """
 
-    __slots__ = ("command", "status", "visible_ns", "attempt")
+    __slots__ = ("command", "status", "ok", "visible_ns", "attempt")
 
     def __init__(self, command, status, visible_ns, attempt=0):
         self.command = command
         self.status = status
+        # the status is never reassigned, so this is set once
+        self.ok = status is IoStatus.SUCCESS
         self.visible_ns = visible_ns
         #: zero-based attempt index (== driver retries spent so far)
         self.attempt = attempt
-
-    @property
-    def ok(self):
-        return self.status is IoStatus.SUCCESS
 
     # -- command passthroughs ------------------------------------------
 

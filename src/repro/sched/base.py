@@ -9,6 +9,8 @@ the ``scheduling`` category so Fig 9 can show scheduling overhead
 explicitly.
 """
 
+from repro.sched.priority import FifoReadyQueue
+
 
 class SchedulingPolicy:
     """Base policy; concrete policies override the decision points."""
@@ -17,6 +19,9 @@ class SchedulingPolicy:
 
     def __init__(self):
         self.engine = None
+        #: the ready set: a container whose truthiness the main loop
+        #: tests as ``ready_count() > 0``
+        self.ready = FifoReadyQueue()
 
     def bind(self, engine):
         """Called once by the PA engine before the run starts."""
@@ -25,13 +30,13 @@ class SchedulingPolicy:
     # ready set --------------------------------------------------------
 
     def on_ready(self, op):
-        raise NotImplementedError
+        self.ready.push(op)
 
     def pick(self):
-        raise NotImplementedError
+        return self.ready.pop()
 
     def ready_count(self):
-        raise NotImplementedError
+        return len(self.ready)
 
     # observability ------------------------------------------------------
 
@@ -81,6 +86,8 @@ class SchedulingPolicy:
     # CPU cost hooks ------------------------------------------------------
     # Engines expose ``sched_pick_cost_ns`` / ``sched_gate_cost_ns`` so
     # policies work against any polled-mode engine (B+ tree or LSM).
+    # Both costs are constants of a run: the main loop reads each once,
+    # when the working thread starts, and charges that value every turn.
 
     def pick_cost_ns(self):
         return self.engine.sched_pick_cost_ns

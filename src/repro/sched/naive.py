@@ -9,26 +9,12 @@ main loop, probing as it goes.
 import sys
 
 from repro.sched.base import SchedulingPolicy
-from repro.sched.priority import FifoReadyQueue
 
 
 class NaiveScheduling(SchedulingPolicy):
     """Algorithm 1: FIFO processing, probe every iteration, never yield."""
 
     name = "naive"
-
-    def __init__(self):
-        super().__init__()
-        self._ready = FifoReadyQueue()
-
-    def on_ready(self, op):
-        self._ready.push(op)
-
-    def pick(self):
-        return self._ready.pop()
-
-    def ready_count(self):
-        return len(self._ready)
 
     def should_probe(self):
         return True

@@ -13,7 +13,6 @@ difference from the workload-aware policy.
 """
 
 from repro.sched.base import SchedulingPolicy
-from repro.sched.priority import FifoReadyQueue
 from repro.sim.clock import usec
 
 
@@ -22,20 +21,10 @@ class _TimerProbing(SchedulingPolicy):
 
     def __init__(self):
         super().__init__()
-        self._ready = FifoReadyQueue()
         self._last_probe_ns = None
 
     def period_ns(self):
         raise NotImplementedError
-
-    def on_ready(self, op):
-        self._ready.push(op)
-
-    def pick(self):
-        return self._ready.pop()
-
-    def ready_count(self):
-        return len(self._ready)
 
     def should_probe(self):
         if self.engine.io_history.outstanding_count == 0:

@@ -18,40 +18,42 @@ import heapq
 from collections import deque
 
 
-class FifoReadyQueue:
-    """First-in-first-out ready set."""
+class FifoReadyQueue(deque):
+    """First-in-first-out ready set.
 
-    def __init__(self):
-        self._queue = deque()
+    A ``deque`` itself, so its size and truthiness are C-level; ``pop``
+    takes the oldest operation, or None when the queue is empty.
+    """
 
-    def __len__(self):
-        return len(self._queue)
+    __slots__ = ()
 
-    def push(self, op):
-        self._queue.append(op)
+    push = deque.append
 
     def pop(self):
-        if not self._queue:
+        if not self:
             return None
-        return self._queue.popleft()
+        return self.popleft()
 
 
-class PriorityReadyQueue:
-    """Write-latch holders first, then admission order."""
+class PriorityReadyQueue(list):
+    """Write-latch holders first, then admission order.
+
+    A ``list`` holding the heap, so its size and truthiness are
+    C-level; ``pop`` takes the first operation, or None when empty.
+    """
+
+    __slots__ = ("_tiebreak",)
 
     def __init__(self):
-        self._heap = []
+        super().__init__()
         self._tiebreak = 0
-
-    def __len__(self):
-        return len(self._heap)
 
     def push(self, op):
         holds_write = 1 if op.write_latches == 0 else 0
         self._tiebreak += 1
-        heapq.heappush(self._heap, (holds_write, op.seq, self._tiebreak, op))
+        heapq.heappush(self, (holds_write, op.seq, self._tiebreak, op))
 
     def pop(self):
-        if not self._heap:
+        if not self:
             return None
-        return heapq.heappop(self._heap)[3]
+        return heapq.heappop(self)[3]

@@ -17,7 +17,7 @@ Each knob can be disabled independently for the ablation experiments
 import sys
 
 from repro.sched.base import SchedulingPolicy
-from repro.sched.priority import FifoReadyQueue, PriorityReadyQueue
+from repro.sched.priority import PriorityReadyQueue
 from repro.sim.clock import usec
 
 
@@ -36,6 +36,8 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         max_probe_gap_us=100.0,
     ):
         super().__init__()
+        if prioritized:
+            self.ready = PriorityReadyQueue()
         self.probe_model = probe_model
         self.prioritized = prioritized
         self.cpu_yield = cpu_yield
@@ -43,19 +45,9 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         self._inflight_granule_ns = usec(min(yield_granularity_us, 10))
         self.min_probe_gap_ns = usec(min_probe_gap_us)
         self.max_probe_gap_ns = usec(max_probe_gap_us)
-        self._ready = PriorityReadyQueue() if prioritized else FifoReadyQueue()
         self._last_probe_ns = -1
         self._verdict_stamp = None
         self._verdict = False
-
-    def on_ready(self, op):
-        self._ready.push(op)
-
-    def pick(self):
-        return self._ready.pop()
-
-    def ready_count(self):
-        return len(self._ready)
 
     def should_probe(self):
         history = self.engine.io_history

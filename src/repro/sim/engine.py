@@ -50,6 +50,16 @@ class Engine:
         self._horizon_ns = -1
         self._until = None
         self._heap = self.events._heap
+        # The last instant the clock may reach in place: try_advance's
+        # True branch, cached where one succeeds so that SimOS.cpu can
+        # spend it with one comparison.  It is min(heap head - 1,
+        # horizon, now + the max_events budget left); a push at or
+        # before it lowers it, and it is -1 (nothing fits) before every
+        # dispatched callback, after every run_through, on stop() and
+        # when run() ends.  Nothing caches it while a hook or an until
+        # predicate is bound (SimOS.cpu also tests on_dispatch, which a
+        # callback may subscribe after the limit was cached).
+        self.limit_ns = -1
         # Observer slot (repro.sim.hooks): each subscriber is called with
         # every entry just before its callback runs.  Must not schedule,
         # cancel, or advance time.
@@ -78,7 +88,10 @@ class Engine:
             delay_ns = self.perturb_delay(int(delay_ns))
         if delay_ns < 0:
             raise SimulationError("negative delay: %r" % delay_ns)
-        return self.events.push(self.clock.now + int(delay_ns), fn, args)
+        time_ns = self.clock.now + int(delay_ns)
+        if time_ns <= self.limit_ns:
+            self.limit_ns = time_ns - 1
+        return self.events.push(time_ns, fn, args)
 
     def schedule_at(self, time_ns, fn, *args):
         """Run ``fn(*args)`` at absolute virtual time ``time_ns``."""
@@ -86,7 +99,10 @@ class Engine:
             raise SimulationError(
                 "scheduling in the past: %d < %d" % (time_ns, self.clock.now)
             )
-        return self.events.push(int(time_ns), fn, args)
+        time_ns = int(time_ns)
+        if time_ns <= self.limit_ns:
+            self.limit_ns = time_ns - 1
+        return self.events.push(time_ns, fn, args)
 
     def cancel(self, handle):
         """Keep a scheduled callback from running; a no-op once it ran."""
@@ -102,7 +118,7 @@ class Engine:
         it does nothing that the next run() sees.
         """
         self._stopped = True
-        self._horizon_ns = -1
+        self._horizon_ns = self.limit_ns = -1
 
     def try_advance(self, delay_ns):
         """Move the clock ``delay_ns`` ahead in place, if that is exact.
@@ -115,58 +131,35 @@ class Engine:
         conservative), no ``on_dispatch`` subscriber, no ``perturb_delay``
         hook, and neither stop condition of run() inside the interval.
         Otherwise False and nothing changed: schedule as usual.
+
+        When it advances with no ``until`` predicate bound, it caches
+        how far the clock could go on moving so (:attr:`limit_ns`): no
+        further than the heap head, the horizon or the ``max_events``
+        budget allows, each step taking at least 1 ns.
         """
         time_ns = self.clock.now + delay_ns
         heap = self._heap
         if heap and heap[0][0] <= time_ns:
             return False
+        horizon_ns = self._horizon_ns
         if (
-            time_ns > self._horizon_ns
+            time_ns > horizon_ns
             or self.on_dispatch
             or self.perturb_delay is not None
             or (self._until is not None and self._until())
         ):
             return False
         self.inlined += 1
-        if self.dispatched + self.inlined > self.max_events:
+        budget = self.max_events - self.dispatched - self.inlined
+        if budget < 0:
             self._over_budget()
         self.clock.now = time_ns
+        if self._until is None:
+            limit_ns = time_ns + budget
+            if heap and heap[0][0] <= limit_ns:
+                limit_ns = heap[0][0] - 1
+            self.limit_ns = limit_ns if limit_ns < horizon_ns else horizon_ns
         return True
-
-    def inplace_window(self):
-        """How far the clock may move in place from here, in nanoseconds.
-
-        The longest span any run of ``try_advance`` calls could add up
-        to one by one, each returning True: short of the heap head (a
-        tie goes through the heap), within the horizon, and no more
-        steps than ``max_events`` still allows (each moves the clock at
-        least 1 ns).  0 with an ``on_dispatch`` subscriber, a
-        ``perturb_delay`` hook or an ``until`` predicate bound.  Only
-        :meth:`advance_inplace` may then spend it, and only while
-        nothing runs in between.
-        """
-        if (
-            self.on_dispatch
-            or self.perturb_delay is not None
-            or self._until is not None
-        ):
-            return 0
-        end_ns = self._horizon_ns
-        heap = self._heap
-        if heap and heap[0][0] <= end_ns:
-            end_ns = heap[0][0] - 1
-        window = min(
-            end_ns - self.clock.now,
-            self.max_events - self.dispatched - self.inlined,
-        )
-        return window if window > 0 else 0
-
-    def advance_inplace(self, delay_ns, count):
-        """Book ``count`` in-place steps adding up to ``delay_ns``, which
-        must lie inside the :meth:`inplace_window` taken since the last
-        event: the clock moves and ``inlined`` counts them."""
-        self.inlined += count
-        self.clock.now += delay_ns
 
     def try_advance_repeat(self, step_ns, count):
         """Take up to ``count`` consecutive ``try_advance(step_ns)`` at once.
@@ -240,6 +233,7 @@ class Engine:
         try:
             went_on = self._dispatch_before(time_ns, seq)
         finally:
+            self.limit_ns = -1
             if not self._stopped:
                 self._horizon_ns = horizon_ns
         if not went_on:
@@ -291,7 +285,7 @@ class Engine:
                     return
         finally:
             self._running = False
-            self._horizon_ns = -1
+            self._horizon_ns = self.limit_ns = -1
             self._until = None
 
     def _dispatch_before(self, time_ns, seq):
@@ -328,6 +322,7 @@ class Engine:
                     observer(entry)
             if self.dispatched + self.inlined > self.max_events:
                 self._over_budget()
+            self.limit_ns = -1
             fn(*args)
         return False
 

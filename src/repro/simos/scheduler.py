@@ -81,6 +81,7 @@ class SimOS:
 
     def __init__(self, engine, profile=None):
         self.engine = engine
+        self._clock = engine.clock
         self.profile = profile or OsProfile()
         self.cores = [Core(i) for i in range(self.profile.cores)]
         self._idle = list(reversed(self.cores))
@@ -153,7 +154,33 @@ class SimOS:
         (``Engine.try_advance``), else the events due first run from
         here (``Engine.run_through``) and the preemption ``_after_cpu``
         would decide is decided at the burst's end.
+
+        A burst that ends within the kernel's cached in-place limit
+        (``Engine.limit_ns``), while nobody waits for a core, no
+        ``spawn()`` is stepping and no ``on_dispatch`` subscriber is
+        bound, is booked right here: what ``try_advance``'s True branch
+        and ``CpuAccount.charge`` would do, in one call.
         """
+        engine = self.engine
+        clock = self._clock
+        if (
+            0 < ns <= engine.limit_ns - clock.now
+            and type(ns) is int
+            and not self.run_queue
+            and not self._spawning
+            and not engine.on_dispatch
+        ):
+            thread = self._current
+            account = thread.account
+            by_category = account.by_category
+            if category not in by_category:
+                category = CPU_OTHER
+            by_category[category] += ns
+            account.total_ns += ns
+            thread.core.busy_ns += ns
+            engine.inlined += 1
+            clock.now += ns
+            return True
         if ns < 0:
             raise ValueError("negative CPU burst: %r" % ns)
         ns = int(ns)
@@ -162,7 +189,6 @@ class SimOS:
         thread = self._current
         thread.account.charge(ns, category)
         thread.core.busy_ns += ns
-        engine = self.engine
         if self._spawning:
             engine.schedule(ns, self._after_cpu, thread)
             return False
@@ -179,28 +205,6 @@ class SimOS:
             # running, to go on (a Cpu instruction's it stepped already)
             return thread.core is not None and thread.gen.gi_running
         return True
-
-    def inplace_window(self):
-        """How much CPU the running thread may burn before anything else
-        could run: ``Engine.inplace_window`` while no thread waits for a
-        core and no ``spawn()`` is stepping, else 0.  Bursts that fit
-        are charged to the thread's account as they come and put on the
-        clock by one :meth:`settle` (``repro.core.worker.FusedBursts``).
-        """
-        if self.run_queue or self._spawning:
-            return 0
-        return self.engine.inplace_window()
-
-    def settle(self, ns, count):
-        """Put ``count`` fused bursts of ``ns`` in all on the clock, the
-        running thread's core and its account total, as ``count``
-        in-place ``cpu`` calls would have.  They must fit the
-        :meth:`inplace_window` taken since the last event, and each is
-        already in its category of ``thread.account.by_category``."""
-        thread = self._current
-        thread.account.total_ns += ns
-        thread.core.busy_ns += ns
-        self.engine.advance_inplace(ns, count)
 
     def cpu_repeat(self, ns, category, count):
         """Up to ``count`` back-to-back ``cpu(ns, category)`` bursts as one.

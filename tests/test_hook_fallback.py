@@ -382,7 +382,19 @@ def test_the_slow_path_driver_subscribes_on_every_engine(monkeypatch):
     slow_path.force_slow_path()
     engine = Engine(seed=3)
     assert engine.on_dispatch == (slow_path._ignore,)
-    assert engine.inplace_window() == 0
+    # the kernel's in-place limit never leaves -1: every burst is an event
+    simos = SimOS(engine, OsProfile(cores=1))
+    limits = []
+
+    def body():
+        for _ in range(3):
+            simos.cpu(100) or (yield)
+            limits.append(engine.limit_ns)
+
+    simos.spawn(body())
+    engine.run()
+    assert limits == [-1, -1, -1]
+    assert (engine.dispatched, engine.inlined) == (3, 0)
 
 
 def test_the_slow_path_driver_runs_each_exhibit_of_all_in_a_child(

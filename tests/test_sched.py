@@ -19,7 +19,7 @@ from repro.nvme.device import (
     i3_nvme_profile,
 )
 from repro.nvme.driver import NvmeDriver
-from repro.sched import make_scheduler
+from repro.sched import SCHEDULERS, make_scheduler
 from repro.sched.history import IoHistory
 from repro.sched.naive import NaiveScheduling
 from repro.sched.policies import AvgLatencyProbing, FixedRateProbing
@@ -638,6 +638,64 @@ class TestReadyQueues:
         queue.push(newer)
         queue.push(older)
         assert queue.pop() is older
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2)), max_size=40))
+    def test_every_ready_set_is_truthy_exactly_when_it_holds_an_op(self, steps):
+        # the main loop tests the container, not ready_count()
+        policies = [
+            NaiveScheduling(),
+            WorkloadAwareScheduling(None),
+            WorkloadAwareScheduling(None, prioritized=False),
+            FixedRateProbing(5),
+            AvgLatencyProbing(),
+        ]
+        for seq, (push, write_latches) in enumerate(steps):
+            for policy in policies:
+                if push:
+                    op = search_op(seq)
+                    op.seq = seq
+                    op.write_latches = write_latches
+                    policy.on_ready(op)
+                else:
+                    policy.pick()
+                assert bool(policy.ready) == (policy.ready_count() > 0)
+
+
+@pytest.mark.parametrize("name", SCHEDULERS)
+def test_a_policys_cpu_costs_do_not_change_during_a_run(name):
+    """The main loop reads the gate and pick costs once, when the
+    working thread starts (``SchedulingPolicy``'s contract)."""
+    engine = Engine(seed=3)
+    simos = SimOS(engine, OsProfile(cores=2))
+    device = NvmeDevice(engine, fast_test_profile())
+    tree = PaTree.create(device)
+    tree.bulk_load([(key, bytes(8)) for key in range(0, 4_000, 2)])
+    policy = make_scheduler(name)
+    worker = PaTreeEngine(
+        simos, NvmeDriver(device), tree, policy, ClosedLoopSource([]),
+    )
+    costs = []
+    should_probe = policy.should_probe
+
+    def asked():
+        costs.append((policy.gate_cost_ns(), policy.pick_cost_ns()))
+        return should_probe()
+
+    policy.should_probe = asked
+    operations = [
+        update_op(key, b"u" * 8) if key % 3 else search_op(key)
+        for key in range(1, 4_000, 13)
+    ]
+    worker.run_operations(operations, window=32)
+    assert len(costs) > 100
+    assert set(costs) == {
+        (
+            worker.sched_gate_cost_ns if name == "workload_aware" else 0,
+            worker.sched_pick_cost_ns,
+        )
+    }
 
 
 class _FakeEngine:

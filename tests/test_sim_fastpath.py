@@ -18,11 +18,12 @@ fast.dispatched + fast.inlined``.  The generated programs run once more
 with every call spelled as an instruction (``Cpu``, ``SemWait``,
 ``SemPost``), which must be the same run step for step.
 
-A run of bursts spent through ``FusedBursts`` is booked against
-``SimOS.inplace_window`` and put on the clock by one ``SimOS.settle``:
-those programs run fused, one ``SimOS.cpu`` per burst, and forced slow,
-and must agree on every clock reading, account and core, with the same
-``dispatched`` and ``dispatched + inlined`` as one ``cpu`` per burst.
+Where ``try_advance`` advances it caches how far the clock could go on
+moving in place (``Engine.limit_ns``), and ``SimOS.cpu`` books a burst
+that ends within it in the same call.  Programs mixing bursts, pushes,
+run-throughs and repeats run plain, on a kernel with no cached limit,
+and forced slow, and must agree on every clock reading, account and
+core, with the same ``dispatched`` and ``inlined`` as the uncached run.
 """
 
 import random
@@ -31,11 +32,17 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from repro.api import PATreeSession
+from repro.core.engine import PaTreeEngine
+from repro.core.node import Node
 from repro.core.ops import (
-    delete_op, insert_op, range_op, search_op, sync_op,
+    ReadEff, WriteEff, delete_op, insert_op, range_op, search_op, sync_op,
 )
-from repro.core.worker import FusedBursts
+from repro.core.source import ClosedLoopSource
+from repro.core.tree import PaTree
 from repro.errors import SchedulerError, SimulationError
+from repro.nvme.device import NvmeDevice, fast_test_profile
+from repro.nvme.driver import NvmeDriver
+from repro.sched.naive import NaiveScheduling
 from repro.sim.engine import Engine
 from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_CATEGORIES
@@ -928,46 +935,61 @@ def test_max_events_from_a_call_finalises_the_thread_body():
 
 
 # ----------------------------------------------------------------------
-# fused bursts: SimOS.inplace_window / settle through FusedBursts
+# the in-place limit: Engine.limit_ns, spent by SimOS.cpu
 # ----------------------------------------------------------------------
 
-_FUSED_BURST = st.tuples(
+
+class _UncachedEngine(Engine):
+    """The kernel with no cached in-place limit: every burst asks
+    ``try_advance``, which is what the cache must agree with."""
+
+    limit_ns = property(lambda self: -1, lambda self, value: None)
+
+
+_LIMIT_BURST = st.tuples(
     st.just("burst"),
     # a float, a zero and an unknown category go by SimOS.cpu's rules
     st.one_of(_NS, _NS, _NS, _NS, st.just(150.5)),
     st.sampled_from(CPU_CATEGORIES * 2 + ("no-such-category",)),
 )
 
-# a run of bursts, then what the interpreter does between such runs:
-# read the clock, push an event, sleep, or spend a burst through
-# SimOS.cpu itself -- each after a settle
-_FUSED_STEPS = st.lists(
+# runs of bursts, and between them what else a thread body does: read
+# the clock, push an event (relative or absolute), sleep, take a run of
+# equal bursts in one call, or post a semaphore (a run-through)
+_LIMIT_STEPS = st.lists(
     st.tuples(
-        st.lists(_FUSED_BURST, min_size=1, max_size=8),
+        st.lists(_LIMIT_BURST, min_size=1, max_size=8),
         st.one_of(
             st.tuples(st.just("observe")),
-            st.tuples(st.just("push"), _NS),
+            st.tuples(st.sampled_from(["push", "push_at"]), _NS),
             st.tuples(st.just("sleep"), _NS),
-            st.tuples(st.just("cpu"), _NS),
+            st.tuples(
+                st.just("repeat"), _NS.filter(bool),
+                st.sampled_from(CPU_CATEGORIES), st.sampled_from([1, 3, 40]),
+            ),
+            st.tuples(st.just("post")),
         ),
     ),
     min_size=1, max_size=8,
 ).map(lambda runs: [step for bursts, then in runs for step in bursts + [then]])
 
-_FUSED_PROGRAM = st.fixed_dictionaries({
+_LIMIT_PROGRAM = st.fixed_dictionaries({
     "cores": st.integers(1, 2),
-    "steps": _FUSED_STEPS,
+    "steps": _LIMIT_STEPS,
     # other threads: bursts as calls and sleeps, so their turns are
-    # heap entries the window must stop short of (or, on one core, a
-    # run queue that closes it)
+    # heap entries the limit must stop short of (or, on one core, a run
+    # queue that keeps the thread off the limit)
     "others": st.lists(st.lists(st.tuples(
         st.sampled_from(["call", "sleep"]), _NS,
     ), min_size=1, max_size=6), max_size=2),
-    "timers": st.lists(_NS, max_size=6),
+    # timers; one with a delay of its own goes on through run_through
+    "timers": st.lists(
+        st.tuples(_NS, st.one_of(st.none(), _NS)), max_size=6
+    ),
     "stop": st.one_of(
         st.none(),
         st.tuples(st.just("until_ns"), st.integers(0, 60_000)),
-        # a float bound makes a float window; the clock must stay int
+        # a float bound makes a float limit; the clock must stay int
         st.tuples(st.just("until_ns"), st.sampled_from([999.5, 12_345.0])),
         st.tuples(st.just("clock"), st.integers(0, 60_000)),
         st.tuples(st.just("max_events"), st.integers(1, 60)),
@@ -975,25 +997,28 @@ _FUSED_PROGRAM = st.fixed_dictionaries({
 })
 
 
-class _FusedMachine:
-    """One thread whose bursts go through ``FusedBursts`` (``fused``) or
-    through ``SimOS.cpu`` one by one, next to other threads and timers."""
+class _LimitMachine:
+    """One thread spending a mixed program next to other threads and
+    timers: on the plain kernel, on one with no cached limit
+    (``uncached``) or with every burst through the heap (``slow``)."""
 
-    def __init__(self, program, fused, slow=False):
+    def __init__(self, program, uncached=False, slow=False):
         stop = program["stop"] or (None,)
         max_events = stop[1] if stop[0] == "max_events" else 500_000_000
-        self.engine = engine = Engine(seed=1, max_events=max_events)
+        kernel = _UncachedEngine if uncached else Engine
+        self.engine = engine = kernel(seed=1, max_events=max_events)
         self.simos = simos = SimOS(engine, OsProfile(
             cores=program["cores"], quantum_ns=1_000, context_switch_ns=300,
         ))
+        self.sem = Semaphore(0)
         self.log = []
         if slow:
             subscribe(engine, "on_dispatch", lambda event: None)
-        self.threads = [simos.spawn(self._fused(program["steps"], fused))]
+        self.threads = [simos.spawn(self._main(program["steps"]))]
         for index, instrs in enumerate(program["others"]):
             self.threads.append(simos.spawn(self._other(index, instrs)))
-        for index, delay_ns in enumerate(program["timers"]):
-            engine.schedule(delay_ns, self._note, "timer", index)
+        for index, (delay_ns, then_ns) in enumerate(program["timers"]):
+            engine.schedule(delay_ns, self._timer, index, then_ns)
         kwargs = {}
         if stop[0] == "until_ns":
             kwargs["until_ns"] = stop[1]
@@ -1008,24 +1033,36 @@ class _FusedMachine:
     def _note(self, *what):
         self.log.append(what + (self.engine.now,))
 
-    def _fused(self, steps, fused):
+    def _timer(self, index, then_ns):
+        self._note("timer", index)
+        if then_ns is not None and self.engine.run_through(
+            then_ns, self._note, "timer-after", index
+        ):
+            self._note("timer-after", index)
+
+    def _main(self, steps):
         simos = self.simos
-        bursts = FusedBursts(simos)
-        cpu = bursts.cpu if fused else simos.cpu
+        engine = self.engine
+        cpu = simos.cpu
         for step, (kind, *args) in enumerate(steps):
             if kind == "burst":
                 cpu(*args) or (yield)
-                continue
-            bursts.settle()
-            if kind == "observe":
+            elif kind == "observe":
                 self._note("observe", step)
             elif kind == "push":
-                self.engine.schedule(args[0], self._note, "pushed", step)
+                engine.schedule(args[0], self._note, "pushed", step)
+            elif kind == "push_at":
+                engine.schedule_at(
+                    engine.now + args[0], self._note, "pushed", step
+                )
             elif kind == "sleep":
                 yield Sleep(args[0])
+            elif kind == "repeat":
+                ns, category, count = args
+                for _ in range(count - simos.cpu_repeat(ns, category, count)):
+                    cpu(ns, category) or (yield)
             else:
-                simos.cpu(args[0]) or (yield)
-        bursts.settle()
+                simos.sem_post(self.sem) or (yield)
         self._note("end")
 
     def _other(self, index, instrs):
@@ -1047,139 +1084,222 @@ class _FusedMachine:
                 for t in self.threads
             ],
             "busy_ns": [core.busy_ns for core in self.simos.cores],
+            "sem": self.sem.count,
             "pending": len(self.engine.events),
         }
 
 
 @settings(max_examples=200, deadline=None)
-@given(_FUSED_PROGRAM)
-def test_fused_bursts_run_the_same_as_one_cpu_call_each(program):
-    fused = _FusedMachine(program, fused=True)
-    per_burst = _FusedMachine(program, fused=False)
-    assert fused.observed() == per_burst.observed()
-    assert fused.engine.dispatched == per_burst.engine.dispatched
-    assert (
-        fused.engine.dispatched + fused.engine.inlined
-        == per_burst.engine.dispatched + per_burst.engine.inlined
+@given(_LIMIT_PROGRAM)
+def test_bursts_within_the_limit_run_the_same_as_through_the_heap(program):
+    fast = _LimitMachine(program)
+    # the cache is try_advance's True branch: the same steps, in place
+    uncached = _LimitMachine(program, uncached=True)
+    assert fast.observed() == uncached.observed()
+    assert (fast.engine.dispatched, fast.engine.inlined) == (
+        uncached.engine.dispatched, uncached.engine.inlined,
     )
     if program["stop"] and program["stop"][0] == "max_events":
         return  # the heap-only run spends the same budget sooner
-    # and both are the run with every burst through the heap
-    slow = _FusedMachine(program, fused=True, slow=True)
-    assert slow.observed() == fused.observed()
+    slow = _LimitMachine(program, slow=True)
+    assert slow.observed() == fast.observed()
     assert slow.engine.inlined == 0
-    assert slow.engine.dispatched == fused.engine.dispatched + fused.engine.inlined
+    assert slow.engine.dispatched == fast.engine.dispatched + fast.engine.inlined
 
 
 @pytest.mark.parametrize("second_ns", [49, 50])
 def test_a_burst_ending_at_a_pending_event_is_not_fused(second_ns):
     # spawn() schedules the first burst (ends at 50); the second ends one
-    # short of the timer at 100 (fused) or exactly at it (a tie: the
-    # timer was pushed first and fires first, through the heap)
+    # short of the timer at 100 (in place) or exactly at it (a tie: the
+    # timer was pushed first and fires first, through run_through)
     real = CPU_CATEGORIES[0]
     program = {
-        "cores": 1, "others": [], "timers": [100], "stop": None,
+        "cores": 1, "others": [], "timers": [(100, None)], "stop": None,
         "steps": [("burst", 50, real), ("burst", second_ns, real), ("observe",)],
     }
-    fused = _FusedMachine(program, fused=True)
-    assert fused.observed() == _FusedMachine(program, fused=False).observed()
+    fast = _LimitMachine(program)
+    assert fast.observed() == _LimitMachine(program, uncached=True).observed()
     observe = ("observe", 2, 50 + second_ns)
-    timer_first = fused.log.index(("timer", 0, 100)) < fused.log.index(observe)
+    timer_first = fast.log.index(("timer", 0, 100)) < fast.log.index(observe)
     assert timer_first == (second_ns == 50)
-    # in place either way: fused (settled) or run through
-    assert (fused.engine.dispatched, fused.engine.inlined) == (2, 1)
+    assert (fast.engine.dispatched, fast.engine.inlined) == (2, 1)
 
 
-def _window_inside(body, cores=1, setup=None, **run):
+def _limit_inside(body, cores=1, setup=None, **run):
     """What a thread body records from inside its second step (the
-    first is spawn()'s), with an event pending at 50 000."""
+    first is spawn()'s burst, ending at 100), with an event pending at
+    50 000."""
     engine = Engine(seed=1)
     simos = SimOS(engine, OsProfile(cores=cores))
     seen = []
 
     def main():
         simos.cpu(100) or (yield)
-        yield from body(simos, seen)
+        yield from body(engine, simos, seen)
 
     if setup is not None:
         setup(engine, simos)
     simos.spawn(main())
-    engine.schedule(50_000, lambda: None)
+    engine.schedule(50_000, lambda: seen.append(("event", engine.now)))
     engine.run(**run)
     return seen
-
-
-def _ask(simos, seen):
-    seen.append(simos.inplace_window())
-    yield from ()
-
-
-def test_the_window_reaches_just_short_of_the_next_event():
-    seen = _window_inside(_ask)
-    assert seen == [50_000 - 1 - 100]
 
 
 def _burst(simos, ns):
     simos.cpu(ns) or (yield)
 
 
-@pytest.mark.parametrize("refusal", [
-    "on_dispatch", "perturb_delay", "until", "queued", "spawning",
-])
+def test_the_window_reaches_just_short_of_the_next_event():
+    def body(engine, simos, seen):
+        assert engine.limit_ns == -1  # a callback starts with none
+        yield from _burst(simos, 10)  # try_advance caches it
+        seen.append(engine.limit_ns)
+        yield from _burst(simos, 49_889)  # the last instant it allows
+        seen.append((engine.now, engine.limit_ns, engine.inlined))
+
+    seen = _limit_inside(body)
+    assert seen == [49_999, (49_999, 49_999, 2), ("event", 50_000)]
+
+
+def _on_dispatch_mid_callback(engine, simos, seen):
+    yield from _burst(simos, 10)
+    subscribe(engine, "on_dispatch", lambda event: None)
+    yield from _burst(simos, 10)  # inside the limit, through the heap
+    seen.append((engine.dispatched, engine.inlined))
+
+
+def _queued(engine, simos, seen):
+    # spawned on the one core: it waits in the run queue
+    simos.spawn(_burst(simos, 10))
+    yield from _burst(simos, 10)
+    seen.append(engine.limit_ns)  # run through: no limit cached
+    yield from _burst(simos, 10)
+    seen.append((engine.dispatched, engine.inlined))
+
+
+def _spawning(engine, simos, seen):
+    yield from _burst(simos, 10)
+    start_ns = engine.now
+
+    def child():
+        # stepped inside spawn(), whose caller goes on at this instant:
+        # the clock must not move, limit or no limit
+        seen.append(start_ns + 10 <= engine.limit_ns)
+        yield from _burst(simos, 10)
+
+    simos.spawn(child())
+    seen.append(engine.now - start_ns)
+
+
+def _push_inside(engine, simos, seen):
+    yield from _burst(simos, 10)
+    engine.schedule(100, lambda: seen.append(("pushed", engine.now)))
+    seen.append(engine.limit_ns - engine.now)
+    engine.schedule_at(engine.now + 40, lambda: seen.append(
+        ("pushed-at", engine.now)
+    ))
+    seen.append(engine.limit_ns - engine.now)
+    yield from _burst(simos, 40)  # a tie: the pushed event runs first
+    seen.append(("after", engine.now))
+
+
+def _tie(engine, simos, seen):
+    yield from _burst(simos, 10)
+    yield from _burst(simos, 50_000 - engine.now)
+    seen.append(("after", engine.now, engine.limit_ns))
+
+
+def _stop(engine, simos, seen):
+    yield from _burst(simos, 10)
+    engine.stop()
+    seen.append(engine.limit_ns)
+    yield from _burst(simos, 10)  # through the heap; the run ends first
+    seen.append("never")
+
+
+def _until(engine, simos, seen):
+    yield from _burst(simos, 10)  # in place, but nothing cached
+    seen.append((engine.limit_ns, engine.inlined))
+
+
+def _identity_perturb(engine, simos):
+    engine.perturb_delay = lambda delay_ns: delay_ns
+
+
+# refusal: (body, _limit_inside's keywords, what the body records)
+_REFUSALS = {
+    "on_dispatch": (_on_dispatch_mid_callback, {}, [(2, 1)]),
+    "perturb_delay": (_until, {"setup": _identity_perturb}, [(-1, 0)]),
+    "until": (_until, {"until": lambda: False}, [(-1, 1)]),
+    "queued": (_queued, {}, [-1, (1, 2)]),
+    "spawning": (_spawning, {"cores": 2}, [True, 0]),
+    "push": (_push_inside, {}, [
+        99, 39, ("pushed-at", 150), ("after", 150), ("pushed", 210),
+    ]),
+    "tie": (_tie, {}, [("event", 50_000), ("after", 50_000, -1)]),
+    "stop": (_stop, {}, [-1]),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(_REFUSALS))
 def test_the_window_is_closed_when_anything_else_may_run(refusal):
-    setup = None
-    run = {}
-    body = _ask
-    if refusal == "on_dispatch":
-        def setup(engine, simos):
-            subscribe(engine, "on_dispatch", lambda event: None)
-    elif refusal == "perturb_delay":
-        def setup(engine, simos):
-            engine.perturb_delay = lambda delay_ns: delay_ns
-    elif refusal == "until":
-        run["until"] = lambda: False
-    elif refusal == "queued":
-        def setup(engine, simos):
-            # spawned at 0 on the one core: it waits in the run queue
-            engine.schedule(0, lambda: simos.spawn(_burst(simos, 10)))
-    else:
-        def body(simos, seen):
-            def child():
-                # stepped inside spawn(), whose caller goes on at this
-                # instant: the clock must not move
-                seen.append(simos.inplace_window())
-                yield from _burst(simos, 10)
-            simos.spawn(child())
-            yield from ()
-    seen = _window_inside(
-        body, cores=2 if refusal == "spawning" else 1, setup=setup, **run
-    )
-    assert seen == [0]
+    body, kwargs, expected = _REFUSALS[refusal]
+    seen = _limit_inside(body, **kwargs)
+    if refusal not in ("tie", "stop"):
+        expected = expected + [("event", 50_000)]
+    assert seen == expected
+
+
+def test_a_nested_run_through_caps_the_limit_at_its_slot():
+    engine = Engine(seed=1)
+    simos = SimOS(engine, OsProfile(cores=2))
+    seen = []
+
+    def outer():
+        simos.cpu(100) or (yield)
+        # the other thread's turn at 500 runs from inside this burst,
+        # whose slot is 1 100
+        simos.cpu(1_000) or (yield)
+        seen.append(("outer", engine.now, engine.limit_ns))
+
+    def inner():
+        simos.cpu(500) or (yield)
+        simos.cpu(10) or (yield)
+        seen.append(("inner", engine.now, engine.limit_ns))
+        simos.cpu(700) or (yield)  # past the slot: through the heap
+        seen.append(("inner", engine.now, engine.limit_ns))
+
+    simos.spawn(outer())
+    simos.spawn(inner())
+    engine.run()
+    assert seen == [
+        ("inner", 510, 1_099), ("outer", 1_100, -1), ("inner", 1_210, -1),
+    ]
 
 
 def test_the_window_stops_inside_the_event_budget():
     engine = Engine(max_events=40)
-    assert engine.inplace_window() == 0  # outside run(): horizon -1
     simos = SimOS(engine, OsProfile(cores=1))
     seen = []
 
     def body():
         simos.cpu(100) or (yield)
-        seen.append(simos.inplace_window())
+        simos.cpu(1) or (yield)
+        seen.append(engine.limit_ns - engine.now)
 
     simos.spawn(body())
     engine.run()
-    # one dispatched (spawn's burst), heap empty, no horizon: the budget
-    # bounds the nanoseconds, since every counted burst takes one or more
-    assert seen == [39]
+    # one dispatched (spawn's burst), one inlined, heap empty, no
+    # horizon: the budget bounds the nanoseconds, since every counted
+    # burst takes one or more
+    assert seen == [38]
+    assert engine.limit_ns == -1  # and run() drops it as it ends
 
 
-def _fused_spinner(engine, simos, fused, bursts=1_000):
-    ledger = FusedBursts(simos)
-    cpu = ledger.cpu if fused else simos.cpu
+def _spinner_of_ones(simos, bursts=1_000):
+    cpu = simos.cpu
     for _ in range(bursts):
         cpu(1, CPU_CATEGORIES[0]) or (yield)
-    ledger.settle()
 
 
 @pytest.mark.parametrize("max_events", [1, 2, 37, 100])
@@ -1187,10 +1307,10 @@ def test_max_events_trips_at_the_same_count_with_and_without_fusion(
     max_events,
 ):
     trips = []
-    for fused in (True, False):
-        engine = Engine(max_events=max_events)
+    for kernel in (Engine, _UncachedEngine):
+        engine = kernel(max_events=max_events)
         simos = SimOS(engine, OsProfile(cores=1))
-        thread = simos.spawn(_fused_spinner(engine, simos, fused))
+        thread = simos.spawn(_spinner_of_ones(simos))
         with pytest.raises(SimulationError, match="event budget exceeded"):
             engine.run()
         trips.append((
@@ -1262,8 +1382,72 @@ def test_a_weak_buffered_session_runs_the_same_with_every_burst_through_the_heap
     assert fast == slow
     assert slow_engine.inlined == 0
     assert slow_engine.dispatched == fast_engine.dispatched + fast_engine.inlined
-    # the run hit, missed, evicted and waited for latches, so every
-    # settle point was passed
+    # the run hit, missed, evicted and waited for latches
     stats = fast["stats"]
     assert stats["device_reads"] and stats["device_writes"]
     assert stats["latch_waits"] and fast["hits"]
+
+
+def _contended_wave_run(slow):
+    """Two operations each write the same two leaves as one coalesced
+    wave, the second while the first's writes are still in flight, so
+    every page of its wave joins a write chain and none goes out with
+    it.  Returns what the run observed and its engine."""
+    engine = Engine(seed=1)
+    simos = SimOS(engine, OsProfile(cores=1))
+    device = NvmeDevice(engine, fast_test_profile())
+    tree = PaTree.create(device)
+    tree.bulk_load([(key, key.to_bytes(8, "little")) for key in range(300)])
+    root = Node.from_bytes(
+        tree.config, tree.meta.root_page, device.raw_read(tree.meta.root_page)
+    )
+    leaves = root.children[:2]
+    if slow:
+        subscribe(engine, "on_dispatch", lambda event: None)
+    worker = PaTreeEngine(
+        simos, NvmeDriver(device), tree, NaiveScheduling(),
+        ClosedLoopSource([], window=2),
+    )
+
+    def wave(op):
+        nodes = []
+        for page_id in leaves:
+            node = yield ReadEff(page_id)
+            node.values[0] = op.key.to_bytes(8, "little")
+            nodes.append(node)
+        yield WriteEff(nodes, coalesce=True)
+        op.result = op.key
+
+    worker._make_plan = wave
+    vectors = []
+    write_many = worker.driver.write_many
+
+    def counted_write_many(qpair, pages, **kwargs):
+        vectors.append([page_id for page_id, _data in pages])
+        return write_many(qpair, pages, **kwargs)
+
+    worker.driver.write_many = counted_write_many
+    operations = worker.run_operations([search_op(7), search_op(9)], window=2)
+    observed = {
+        "ops": [(op.result, op.admit_ns, op.done_ns) for op in operations],
+        "images": [device.raw_read(page_id) for page_id in leaves],
+        "vectors": vectors,
+        "writes": device.writes_completed.value,
+        "now": engine.now,
+    }
+    return observed, engine, tree, leaves
+
+
+def test_a_wave_whose_pages_all_have_a_write_in_flight_parks_and_lands_last():
+    fast, fast_engine, tree, leaves = _contended_wave_run(slow=False)
+    slow, slow_engine, _, _ = _contended_wave_run(slow=True)
+    assert fast == slow
+    assert slow_engine.dispatched == fast_engine.dispatched + fast_engine.inlined
+    # the first wave went out as one vector of two; the second parked on
+    # both chains, and its writes went out as each chain advanced
+    assert fast["vectors"] == [list(leaves)] and fast["writes"] == 4
+    first, second = fast["ops"]
+    assert second[2] > first[2]
+    for page_id, image in zip(leaves, fast["images"]):
+        node = Node.from_bytes(tree.config, page_id, image)
+        assert node.values[0] == (9).to_bytes(8, "little")

@@ -1,9 +1,9 @@
 """``python -m repro.bench`` with the kernel's in-place paths turned off.
 
 Every ``Engine`` built in this process gets a no-op ``on_dispatch``
-subscriber, which sends every CPU burst, semaphore syscall, idle turn
-and fused compute run through the event heap.  An exhibit must write
-the same bytes either way::
+subscriber, which sends every CPU burst, semaphore syscall and idle
+turn through the event heap (with it bound, ``Engine.limit_ns`` never
+leaves -1).  An exhibit must write the same bytes either way::
 
     PYTHONPATH=src python -m repro.bench all --ops 200 --out A
     PYTHONPATH=src python -m tools.slow_path all --ops 200 --out B
