@@ -58,7 +58,7 @@ class LcbTreeAccessor(SyncTreeAccessor):
     # persistence layer overrides
     # ------------------------------------------------------------------
 
-    def _read_node(self, tls, page_id):
+    def _read_page(self, tls, page_id):
         simos = tls.simos
         simos.sem_wait(self._delta_mutex) or (yield)
         data = self._delta.get(page_id)
@@ -66,7 +66,7 @@ class LcbTreeAccessor(SyncTreeAccessor):
         if data is not None:
             simos.cpu(self.tree.costs.node_parse_ns, CPU_REAL_WORK) or (yield)
             return Node.from_bytes(self.tree.config, page_id, data)
-        node = yield from super()._read_node(tls, page_id)
+        node = yield from super()._read_page(tls, page_id)
         return node
 
     def _write_page(self, tls, page_id, data):

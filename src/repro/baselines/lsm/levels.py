@@ -18,14 +18,17 @@ a plan, a generator yielding effects.  Two interpreters serve them:
 :class:`repro.palsm.worker.PolledLsmWorker` interleaves the plans on one
 polled worker (the PA-LSM extension) and
 :class:`repro.baselines.lsm.store.LsmStore` runs each on the calling
-blocking thread (the LevelDB baseline).  The effects:
+blocking thread (the LevelDB baseline).  The plans speak the tree's
+effect vocabulary (:mod:`repro.core.ops`):
 
-* ``ReadPageEff(lba)``          — one page, through the block cache,
-* ``ReadBatchEff(lbas)``        — many pages (all in flight at once when
-                                   polled: the paradigm's advantage),
-* ``WriteBatchEff(pages)``      — write and wait for completion,
-* ``BackgroundWriteEff(pages)`` — group-commit WAL pages, which a polled
-                                   operation does not wait for,
+* ``ReadEff(lba)``              — one page image, through the block cache,
+* ``ReadManyEff(lbas)``         — many page images (all in flight at
+                                   once when polled: the paradigm's
+                                   advantage),
+* ``WriteEff(pages=...)``       — write raw pages and wait; with
+                                   ``on_durable`` the WAL group commit,
+                                   which a polled operation does not
+                                   wait for,
 * ``MaintainEff(op)``           — run a flush / compaction operation:
                                    admitted on its own when polled, run
                                    inline by the writing thread when
@@ -33,7 +36,8 @@ blocking thread (the LevelDB baseline).  The effects:
 * ``RetireEff(lbas)``           — pages of the tables a compaction
                                    dropped: quarantined until every
                                    earlier operation is done when
-                                   polled, freed at once when blocking,
+                                   polled, freed at once when blocking
+                                   unless a read is in flight,
 * ``ChargeEff(ns, category)``   — CPU accounting.
 
 A plan is atomic between its yields, and a read takes everything it
@@ -48,11 +52,16 @@ from repro.core.ops import (
     ChargeEff,
     DELETE,
     INSERT,
+    MaintainEff,
     Operation,
     RANGE,
+    ReadEff,
+    ReadManyEff,
+    RetireEff,
     SEARCH,
     SYNC,
     UPDATE,
+    WriteEff,
 )
 from repro.errors import StorageError, TreeError
 from repro.sim.clock import usec
@@ -74,49 +83,6 @@ def _runs_starting_by(tables, key):
         else:
             lo = mid + 1
     return lo
-
-
-class ReadPageEff:
-    __slots__ = ("lba",)
-
-    def __init__(self, lba):
-        self.lba = lba
-
-
-class ReadBatchEff:
-    __slots__ = ("lbas",)
-
-    def __init__(self, lbas):
-        self.lbas = list(lbas)
-
-
-class WriteBatchEff:
-    __slots__ = ("pages",)
-
-    def __init__(self, pages):
-        self.pages = list(pages)  # (lba, image)
-
-
-class BackgroundWriteEff:
-    __slots__ = ("pages", "on_complete")
-
-    def __init__(self, pages, on_complete):
-        self.pages = list(pages)
-        self.on_complete = on_complete  # called once every page is written
-
-
-class MaintainEff:
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        self.op = op
-
-
-class RetireEff:
-    __slots__ = ("lbas",)
-
-    def __init__(self, lbas):
-        self.lbas = lbas
 
 
 class LsmConfig:
@@ -267,7 +233,7 @@ class LeveledStore:
         else:
             for lba in self._lookup_candidates(levels, key):
                 yield ChargeEff(self.probe_cost_ns, CPU_REAL_WORK)
-                image = yield ReadPageEff(lba)
+                image = yield ReadEff(lba)
                 entries = scan_page(image, key, key)
                 if entries:
                     value = entries[0][1]
@@ -280,7 +246,7 @@ class LeveledStore:
         yield ChargeEff(self.apply_cost_ns, CPU_REAL_WORK)
         images = []
         for lbas in self._scan_runs(levels, low, high):
-            images.extend((yield ReadBatchEff(lbas)))
+            images.extend((yield ReadManyEff(lbas)))
         op.result = self._scan_result(
             images, memtables[::-1], low, high, op.limit
         )
@@ -301,8 +267,9 @@ class LeveledStore:
                 # batch completes (polled batches may overlap, so this
                 # can over-claim by one in-flight batch -- acceptable
                 # for weak persistence, documented in DESIGN.md)
-                yield BackgroundWriteEff(
-                    writes, lambda lsn=flush_lsn: self.wal.mark_durable(lsn)
+                yield WriteEff(
+                    pages=writes,
+                    on_durable=lambda lsn=flush_lsn: self.wal.mark_durable(lsn),
                 )
         if len(self.memtable) >= self.config.memtable_entries:
             # rotate; the memtable stays readable until its table is in
@@ -317,7 +284,7 @@ class LeveledStore:
         """Write every pending log page and wait; returns the count."""
         writes, flush_lsn = self.wal.take_flushable(True)
         if writes:
-            yield WriteBatchEff(writes)
+            yield WriteEff(pages=writes)
             self.wal.mark_durable(flush_lsn)
         return len(writes)
 
@@ -342,7 +309,7 @@ class LeveledStore:
                     len(items) * self.merge_cost_ns_per_entry, CPU_REAL_WORK
                 )
                 table, pages = self._plan_table(items)
-                yield WriteBatchEff(pages)
+                yield WriteEff(pages=pages)
                 # install, then retire the memtable (it stayed readable
                 # for lookups while its table was being written)
                 self.levels[0] = [table] + self.levels[0]
@@ -374,12 +341,12 @@ class LeveledStore:
         picked, below = self._pick_compaction(level)
         sources = picked + below
         all_lbas = [lba for table in sources for lba in table.page_lbas]
-        images = yield ReadBatchEff(all_lbas)
+        images = yield ReadManyEff(all_lbas)
         items = self._merged_items(level, sources, dict(zip(all_lbas, images)))
         yield ChargeEff(len(items) * self.merge_cost_ns_per_entry, CPU_REAL_WORK)
         merged, pages = self._plan_tables(items)
         if pages:
-            yield WriteBatchEff(pages)
+            yield WriteEff(pages=pages)
         yield RetireEff(self._swap(level, picked, below, merged))
 
     # ------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """LevelDB-like LSM key-value store on the simulated device.
 
-The blocking interpreter of the one LSM algorithm, the operation plans
-of :class:`~repro.baselines.lsm.levels.LeveledStore` that the PA-LSM
-worker interleaves.  The calling thread runs an operation's plan to
-completion and blocks on every page read and write, one at a time,
-through a blocking I/O service, under LevelDB's locking:
+The operation plans of :class:`~repro.baselines.lsm.levels.LeveledStore`,
+which the PA-LSM worker interleaves, run here under the blocking
+interpreter the tree baselines run
+(:class:`~repro.baselines.sync_tree.BlockingInterpreter`); this module
+is the LSM's page layer under that loop and LevelDB's locking around
+it.  The calling thread runs an operation's plan to completion and
+blocks on every page read and write, one at a time, through a blocking
+I/O service:
 
 * a write (insert, update, delete, ``sync``) holds the writer mutex for
   its whole plan: its WAL writes block it (strong persistence syncs per
@@ -20,21 +23,14 @@ through a blocking I/O service, under LevelDB's locking:
   once.
 """
 
-from repro.baselines.lsm.levels import (
-    BackgroundWriteEff,
-    LeveledStore,
-    MaintainEff,
-    ReadBatchEff,
-    ReadPageEff,
-    RetireEff,
-    WriteBatchEff,
-)
-from repro.core.ops import ChargeEff, RANGE, SEARCH
-from repro.errors import IoError, StorageError
+from repro.baselines.lsm.levels import LeveledStore
+from repro.baselines.sync_tree import BlockingInterpreter
+from repro.core.ops import RANGE, SEARCH
+from repro.errors import IoError
 from repro.simos.sync import Mutex
 
 
-class LsmStore(LeveledStore):
+class LsmStore(LeveledStore, BlockingInterpreter):
     """The store shared by all baseline worker threads, and their
     :class:`~repro.baselines.runner.BaselineRunner` accessor."""
 
@@ -59,55 +55,20 @@ class LsmStore(LeveledStore):
             self._reads += 1
             simos.sem_post(self._write_mutex) or (yield)
             try:
-                yield from self._run(tls, plan, effect)
+                yield from self._serve(tls, op, plan, effect)
             finally:
                 self._read_done(since)
             return
         try:
-            yield from self._run(tls, plan, next(plan, None))
+            yield from self._serve(tls, op, plan, next(plan, None))
         except IoError:
             # the next writer must not wait for a mutex nobody holds
             simos.sem_post(self._write_mutex) or (yield)
             raise
         simos.sem_post(self._write_mutex) or (yield)
 
-    def _run(self, tls, plan, effect):
-        """Serve ``plan``'s effects from ``effect`` (None: it yielded
-        none) on; an I/O failure closes the plan and propagates."""
-        cpu = tls.simos.cpu
-        try:
-            while effect is not None:
-                kind = type(effect)
-                send = None
-                if kind is ChargeEff:
-                    cpu(effect.ns, effect.category) or (yield)
-                elif kind is ReadPageEff:
-                    send = yield from self._read_page(tls, effect.lba)
-                elif kind is ReadBatchEff:
-                    send = []
-                    for lba in effect.lbas:  # one blocking read at a time
-                        send.append((yield from self._read_page(tls, lba)))
-                elif kind is WriteBatchEff or kind is BackgroundWriteEff:
-                    for lba, image in effect.pages:
-                        yield from self.io.write(tls, lba, image)
-                    if kind is BackgroundWriteEff:
-                        effect.on_complete()
-                elif kind is MaintainEff:
-                    maintenance = self.make_plan(effect.op)
-                    yield from self._run(tls, maintenance, next(maintenance, None))
-                elif kind is RetireEff:
-                    self._retire(effect.lbas)
-                else:
-                    raise StorageError(
-                        "LSM plan yielded unknown effect %r" % (effect,)
-                    )
-                try:
-                    effect = plan.send(send)
-                except StopIteration:
-                    return
-        except IoError:
-            plan.close()
-            raise
+    def _make_plan(self, op):
+        return self.make_plan(op)
 
     def _retire(self, lbas):
         """Free a compaction's pages, or quarantine them while reads
@@ -145,3 +106,7 @@ class LsmStore(LeveledStore):
         self.cache.put(lba, data)
         simos.sem_post(self._cache_mutex) or (yield)
         return data
+
+    def _write_page(self, tls, lba, image):
+        """One raw table or log page (blocking)."""
+        yield from self.io.write(tls, lba, image)

@@ -16,6 +16,10 @@ mutexes, each access paying the semaphore syscall costs the paper's
 CPU breakdown charges to synchronization.  The LCB and Blink baselines
 are subclasses: LCB swaps the page-persistence layer, Blink the plans
 (``_make_plan``).
+
+The loop is :class:`BlockingInterpreter`, which the LSM store
+(:class:`repro.baselines.lsm.store.LsmStore`) runs too, over its own
+page layer.
 """
 
 from repro.core.node import Node
@@ -24,7 +28,10 @@ from repro.core.ops import (
     ChargeEff,
     FreeEff,
     LatchEff,
+    MaintainEff,
     ReadEff,
+    ReadManyEff,
+    RetireEff,
     SyncEff,
     UnlatchEff,
     UnlatchManyEff,
@@ -36,7 +43,97 @@ from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.sync import Mutex
 
 
-class SyncTreeAccessor:
+class BlockingInterpreter:
+    """The blocking interpreter of every plan set: one loop that
+    ``send``s into the plan ``_make_plan(op)`` returns and serves each
+    effect on the calling thread, through the page layer a subclass
+    supplies -- ``_read_page``, ``_write_node`` / ``_write_meta`` /
+    ``_write_page``, ``_allocate`` / ``_free``, ``_sync``, ``_retire``
+    -- and its ``latches``.  The loop never asks which structure it
+    serves."""
+
+    #: a latch-free structure's plans never yield a LatchEff
+    latches = None
+
+    def execute(self, tls, op):
+        """Run one operation to completion on the calling thread: the
+        loop's own generator, so no frame sits between it and the
+        thread."""
+        plan = self._make_plan(op)
+        return self._serve(tls, op, plan, next(plan, None))
+
+    def _serve(self, tls, op, plan, effect):
+        """Serve ``plan``'s effects from ``effect`` (None: it yielded
+        none) on.  An I/O failure closes the plan and releases
+        ``op.held_latches``, so no thread queued behind them wedges."""
+        latches = self.latches
+        cpu = tls.simos.cpu
+        try:
+            while effect is not None:
+                send = None
+                kind = type(effect)
+                if kind is LatchEff:
+                    yield from latches.acquire(tls, op, effect.page_id, effect.mode)
+                elif kind is UnlatchEff:
+                    yield from latches.release(tls, op, effect.page_id)
+                elif kind is UnlatchManyEff:
+                    for page_id in effect.page_ids:
+                        yield from latches.release(tls, op, page_id)
+                elif kind is ReadEff:
+                    send = yield from self._read_page(tls, effect.page_id)
+                elif kind is ChargeEff:
+                    cpu(effect.ns, effect.category) or (yield)
+                elif kind is WriteEff:
+                    # ``coalesce`` is a submission hint: a blocking
+                    # thread has one write in flight either way, and it
+                    # waits for a group commit like for any other wave
+                    for node in effect.nodes:
+                        yield from self._write_node(tls, node)
+                    if effect.write_meta:
+                        yield from self._write_meta(tls)
+                    for page_id, image in effect.pages:
+                        yield from self._write_page(tls, page_id, image)
+                    if effect.on_durable is not None:
+                        effect.on_durable()
+                elif kind is AllocEff:
+                    send = yield from self._allocate(tls)
+                elif kind is FreeEff:
+                    yield from self._free(tls, effect.page_id)
+                elif kind is SyncEff:
+                    send = yield from self._sync(tls)
+                elif kind is ReadManyEff:
+                    send = []
+                    for page_id in effect.page_ids:
+                        send.append((yield from self._read_page(tls, page_id)))
+                elif kind is MaintainEff:
+                    # inline, paid for by this thread
+                    maintenance = self._make_plan(effect.op)
+                    yield from self._serve(
+                        tls, effect.op, maintenance, next(maintenance, None)
+                    )
+                elif kind is RetireEff:
+                    self._retire(effect.lbas)
+                else:
+                    raise TreeError(
+                        "operation yielded unknown effect %r" % (effect,)
+                    )
+                try:
+                    effect = plan.send(send)
+                except StopIteration:
+                    break
+        except IoError:
+            plan.close()
+            for page_id in sorted(op.held_latches):
+                yield from latches.release(tls, op, page_id)
+            raise
+        if op.held_latches:
+            raise TreeError(
+                "operation %r completed holding latches %r"
+                % (op, sorted(op.held_latches))
+            )
+
+
+class SyncTreeAccessor(BlockingInterpreter):
     """The blocking interpreter of the tree plans, over a blocking page
     layer: node reads and writes through the (optional) buffer and a
     blocking I/O service, ordered eviction flushes, the allocator and
@@ -60,7 +157,7 @@ class SyncTreeAccessor:
     # node I/O through buffer + blocking I/O service
     # ------------------------------------------------------------------
 
-    def _read_node(self, tls, page_id):
+    def _read_page(self, tls, page_id):
         costs = self.tree.costs
         simos = tls.simos
         if self.buffer is not None:
@@ -171,66 +268,5 @@ class SyncTreeAccessor:
         yield from self._flush_evicted(tls, flushing)
         return len(flushing)
 
-    # ------------------------------------------------------------------
-    # the interpreter
-    # ------------------------------------------------------------------
-
     def _make_plan(self, op):
         return make_plan(op, self.tree)
-
-    def execute(self, tls, op):
-        """Run one operation to completion on the calling thread.
-
-        The latch table records each hold in ``op.held_latches``, which
-        is also what an I/O failure releases, so a failed operation
-        cannot wedge the threads queued behind its latches.
-        """
-        plan = self._make_plan(op)
-        latches = self.latches
-        cpu = tls.simos.cpu
-        send = None
-        try:
-            while True:
-                try:
-                    effect = plan.send(send)
-                except StopIteration:
-                    break
-                send = None
-                kind = type(effect)
-                if kind is LatchEff:
-                    yield from latches.acquire(tls, op, effect.page_id, effect.mode)
-                elif kind is UnlatchEff:
-                    yield from latches.release(tls, op, effect.page_id)
-                elif kind is UnlatchManyEff:
-                    for page_id in effect.page_ids:
-                        yield from latches.release(tls, op, page_id)
-                elif kind is ReadEff:
-                    send = yield from self._read_node(tls, effect.page_id)
-                elif kind is ChargeEff:
-                    cpu(effect.ns, effect.category) or (yield)
-                elif kind is WriteEff:
-                    # ``coalesce`` is a submission hint: a blocking
-                    # thread has one write in flight either way
-                    for node in effect.nodes:
-                        yield from self._write_node(tls, node)
-                    if effect.write_meta:
-                        yield from self._write_meta(tls)
-                elif kind is AllocEff:
-                    send = yield from self._allocate(tls)
-                elif kind is FreeEff:
-                    yield from self._free(tls, effect.page_id)
-                elif kind is SyncEff:
-                    send = yield from self._sync(tls)
-                else:
-                    raise TreeError(
-                        "operation yielded unknown effect %r" % (effect,)
-                    )
-        except IoError:
-            for page_id in sorted(op.held_latches):
-                yield from latches.release(tls, op, page_id)
-            raise
-        if op.held_latches:
-            raise TreeError(
-                "operation %r completed holding latches %r"
-                % (op, sorted(op.held_latches))
-            )

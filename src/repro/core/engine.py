@@ -449,15 +449,7 @@ class PaTreeEngine(PolledWorker):
             self._maybe_finish_sync()
             return
 
-        op.io_remaining -= 1
-        if op.io_remaining == 0:
-            if op.error is not None:
-                # a sibling write in this wave was abandoned; finish
-                # the abort now that the wave has fully drained
-                self._abort_op(op, None)
-            else:
-                op.state = ST_READY
-                self.policy.on_ready(op)
+        self._write_done(op)
 
     # ------------------------------------------------------------------
     # failure handling
@@ -512,11 +504,7 @@ class PaTreeEngine(PolledWorker):
             op.io_remaining -= 1
             self._maybe_finish_sync()
             return
-        op.io_remaining -= 1
-        if op.error is None:
-            op.error = error
-        if op.io_remaining == 0:
-            self._abort_op(op, None)
+        self._write_done(op, error)
 
     def _maybe_finish_sync(self):
         op = self._active_sync

@@ -17,6 +17,8 @@ active transitions are the engine resuming the generator, passive
 transitions are I/O completion callbacks / latch grants moving the
 operation back into the ready set.  The synchronous baselines serve the
 same effects with blocking calls (:mod:`repro.baselines.sync_tree`).
+The LSM plans (:mod:`repro.baselines.lsm.levels`) speak the same
+vocabulary; ``MaintainEff`` and ``RetireEff`` are theirs alone.
 """
 
 # Operation kinds
@@ -88,7 +90,8 @@ class UnlatchManyEff(Effect):
 
 
 class ReadEff(Effect):
-    """Read a node page; resumes with the parsed :class:`Node`."""
+    """Read one page; resumes with what the page layer makes of it: the
+    parsed :class:`Node` for the tree, the page image for the LSM."""
 
     __slots__ = ("page_id",)
 
@@ -96,8 +99,18 @@ class ReadEff(Effect):
         self.page_id = page_id
 
 
+class ReadManyEff(Effect):
+    """Read ``page_ids``; resumes with their page images, in order."""
+
+    __slots__ = ("page_ids",)
+
+    def __init__(self, page_ids):
+        self.page_ids = page_ids
+
+
 class WriteEff(Effect):
-    """Persist one wave of modified nodes (plus optionally the meta page).
+    """Persist one wave: modified nodes, optionally the meta page, and
+    raw ``pages``.
 
     Under strong persistence the operation resumes only when every
     write I/O in the wave completed; under weak persistence the writes
@@ -106,17 +119,25 @@ class WriteEff(Effect):
     multiple ``WriteEff``s: an insert split writes newly created right
     siblings in a first wave and the pages that point at them in a
     second, so a crash between waves never leaves dangling pointers.
+
+    ``pages`` are ``(lba, image)`` pairs written as they are: only the
+    LSM plans yield them, and ``PaTreeEngine`` does not serve them.
+    With ``on_durable`` the wave is a group commit: a polled operation
+    does not wait for it, and ``on_durable()`` runs once every page
+    landed, never if one was lost.
     """
 
-    __slots__ = ("nodes", "write_meta", "coalesce")
+    __slots__ = ("nodes", "write_meta", "coalesce", "pages", "on_durable")
 
-    def __init__(self, nodes, write_meta=False, coalesce=False):
+    def __init__(self, nodes=(), write_meta=False, coalesce=False, pages=(), on_durable=None):
         self.nodes = list(nodes)
         self.write_meta = write_meta
         # coalesce=True lets the engine submit the whole wave as one
         # command vector (single doorbell); only the batch plan opts in
         # so single-op timing stays bit-for-bit identical.
         self.coalesce = coalesce
+        self.pages = pages
+        self.on_durable = on_durable
 
 
 class ChargeEff(Effect):
@@ -156,6 +177,26 @@ class FreeEff(Effect):
 
     def __init__(self, page_id):
         self.page_id = page_id
+
+
+class MaintainEff(Effect):
+    """Run the LSM flush or compaction ``op``: admitted on its own when
+    polled, inline on the writing thread when blocking."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+
+class RetireEff(Effect):
+    """Free the pages ``lbas`` a compaction dropped, once no reader may
+    still walk them."""
+
+    __slots__ = ("lbas",)
+
+    def __init__(self, lbas):
+        self.lbas = lbas
 
 
 class Operation:

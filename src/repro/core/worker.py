@@ -441,6 +441,20 @@ class PolledWorker:
     def _release_latches(self, op):
         """Seam: a latch-free structure has nothing to hand back."""
 
+    def _write_done(self, op, error=None):
+        """One write ``op`` waits for is over: landed, or lost with
+        ``error``.  After the last one ``op`` aborts if any was lost,
+        else it is ready again.  Completion-callback context."""
+        if error is not None and op.error is None:
+            op.error = error
+        op.io_remaining -= 1
+        if op.io_remaining == 0:
+            if op.error is not None:
+                self._abort_op(op, None)
+            else:
+                op.state = ST_READY
+                self.policy.on_ready(op)
+
     # ------------------------------------------------------------------
     # failure handling
     # ------------------------------------------------------------------

@@ -20,22 +20,18 @@ operation may still walk a snapshot that reads them.
 
 from collections import deque
 
-from repro.baselines.lsm.levels import (
-    BackgroundWriteEff,
-    MaintainEff,
-    OP_COMPACT,
-    OP_FLUSH,
-    ReadBatchEff,
-    ReadPageEff,
-    RetireEff,
-    WriteBatchEff,
-)
+from repro.baselines.lsm.levels import OP_COMPACT, OP_FLUSH
 from repro.core.costs import DEFAULT_COSTS
 from repro.core.ops import (
     ChargeEff,
+    MaintainEff,
+    ReadEff,
+    ReadManyEff,
+    RetireEff,
     ST_DONE,
     ST_READY,
     SYNC,
+    WriteEff,
 )
 from repro.core.worker import PolledWorker
 from repro.errors import SchedulerError
@@ -88,25 +84,25 @@ class PolledLsmWorker(PolledWorker):
             send = None
             kind = type(effect)
 
-            if kind is ReadPageEff:
+            if kind is ReadEff:
                 cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
-                cached = self.store.cache.get(effect.lba)
+                cached = self.store.cache.get(effect.page_id)
                 if cached is not None:
                     send = cached
                     continue
                 cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
                 command = self.driver.read(
-                    self.qpair, effect.lba, callback=self._on_io_done, context=op
+                    self.qpair, effect.page_id, callback=self._on_io_done, context=op
                 )
                 self.io_history.on_submit(command)
                 op.io_remaining = 1
                 self._park_for_io(op)
                 return
 
-            if kind is ReadBatchEff:
+            if kind is ReadManyEff:
                 results = {}
                 pending = 0
-                for lba in effect.lbas:
+                for lba in effect.page_ids:
                     cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
                     cached = self.store.cache.get(lba)
                     if cached is not None:
@@ -119,41 +115,31 @@ class PolledLsmWorker(PolledWorker):
                     self.io_history.on_submit(command)
                     pending += 1
                 if pending:
-                    self._batch_reads[op.seq] = (effect.lbas, results)
+                    self._batch_reads[op.seq] = (effect.page_ids, results)
                     op.io_remaining = pending
                     self._park_for_io(op, pending)
                     return
-                send = [results[lba] for lba in effect.lbas]
+                send = [results[lba] for lba in effect.page_ids]
                 continue
 
-            if kind is WriteBatchEff:
-                count = 0
-                for lba, image in effect.pages:
+            if kind is WriteEff:
+                pages = effect.pages
+                if effect.on_durable is None:
+                    callback, context = self._on_io_done, op
+                else:  # group commit: the operation goes on at once
+                    callback = self._on_background_done
+                    context = _GroupCommit(len(pages), effect.on_durable)
+                    self._background_outstanding += len(pages)
+                for lba, image in pages:
                     cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
                     command = self.driver.write(
-                        self.qpair, lba, image, callback=self._on_io_done, context=op
+                        self.qpair, lba, image, callback=callback, context=context
                     )
                     self.io_history.on_submit(command)
-                    count += 1
-                if count:
-                    op.io_remaining = count
-                    self._park_for_io(op, count)
+                if pages and context is op:
+                    op.io_remaining = len(pages)
+                    self._park_for_io(op, len(pages))
                     return
-                continue
-
-            if kind is BackgroundWriteEff:
-                batch = _BackgroundBatch(len(effect.pages), effect.on_complete)
-                for lba, image in effect.pages:
-                    cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
-                    command = self.driver.write(
-                        self.qpair,
-                        lba,
-                        image,
-                        callback=self._on_background_done,
-                        context=batch,
-                    )
-                    self.io_history.on_submit(command)
-                    self._background_outstanding += 1
                 continue
 
             if kind is ChargeEff:
@@ -234,27 +220,22 @@ class PolledLsmWorker(PolledWorker):
                 op.state = ST_READY
                 self.policy.on_ready(op)
             return
-        op.io_remaining -= 1
-        if op.io_remaining == 0:
-            if op.error is not None:
-                self._abort_op(op, None)
-            else:
-                op.state = ST_READY
-                self.policy.on_ready(op)
+        self._write_done(op)
 
     def _on_background_done(self, completion):
         command = completion.command
         self.io_history.on_complete(command)
+        batch = command.context
         if not completion.ok:
             self.io_errors.add()
             if self._escalate_write(completion, self._on_background_done):
                 return
             self.lost_writes.add()
+            batch.on_durable = None  # a lost page: none of it is durable
         self._background_outstanding -= 1
-        batch = command.context
         batch.remaining -= 1
-        if batch.remaining == 0:
-            batch.on_complete()
+        if batch.remaining == 0 and batch.on_durable is not None:
+            batch.on_durable()
 
     # ------------------------------------------------------------------
     # failure handling
@@ -276,12 +257,7 @@ class PolledLsmWorker(PolledWorker):
         if self._escalate_write(completion, self._on_io_done):
             return
         self.lost_writes.add()
-        op = command.context
-        op.io_remaining -= 1
-        if op.error is None:
-            op.error = self._error_from(completion)
-        if op.io_remaining == 0:
-            self._abort_op(op, None)
+        self._write_done(command.context, self._error_from(completion))
 
     # ------------------------------------------------------------------
     # stats
@@ -337,9 +313,11 @@ class AdmissionOrder:
         return self._order[0] if self._order else default
 
 
-class _BackgroundBatch:
-    __slots__ = ("remaining", "on_complete")
+class _GroupCommit:
+    """The pages of one group-commit ``WriteEff`` still in flight."""
 
-    def __init__(self, remaining, on_complete):
+    __slots__ = ("remaining", "on_durable")
+
+    def __init__(self, remaining, on_durable):
         self.remaining = remaining
-        self.on_complete = on_complete
+        self.on_durable = on_durable

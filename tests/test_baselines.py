@@ -37,6 +37,7 @@ from repro.sched.naive import NaiveScheduling
 from repro.sim.engine import Engine
 from repro.sim.hooks import subscribe
 from repro.simos.scheduler import OsProfile, SimOS
+from repro.storage.wal import WriteAheadLog
 
 
 def payload(key):
@@ -453,6 +454,41 @@ def test_lsm_write_that_fails_gives_the_writer_mutex_back(persistence):
     assert isinstance(ops[failed].error, IoError)
     assert ops[-1].result == payload(50)
     assert store.wal.pending_records() == 0
+
+
+@pytest.mark.parametrize("interpreter", ["blocking", "polled"])
+def test_lsm_group_commit_of_a_lost_wal_page_claims_nothing_durable(interpreter):
+    """Weak persistence commits the log a page at a time.  The first
+    WAL page ever written dies through every re-drive: the blocking
+    writer that sealed it takes the error, the polled one does not wait
+    for it -- and neither may mark its records durable."""
+    injector = FailOneWrite(lambda command: command.lba == 1)  # WAL page 0
+    _engine, simos, device, driver, _tree = make_machine(
+        preload=0, faults=injector
+    )
+    sizing = WriteAheadLog(device.profile.page_size, base_lba=1, num_pages=2)
+    count = 0
+    while not sizing.take_flushable(False)[0]:
+        count += 1
+        sizing.append(b"P" + count.to_bytes(8, "little") + payload(count))
+    ops = [insert_op(k, payload(k)) for k in range(1, count + 1)]
+    if interpreter == "blocking":
+        store = LsmStore(
+            device, DedicatedIoService(driver), LsmConfig(), persistence="weak"
+        )
+        BaselineRunner(simos, store, ops, n_threads=1).run_to_completion()
+        failed = [count - 1]  # the put that sealed the page
+    else:
+        store = LeveledStore(device, LsmConfig(), persistence="weak")
+        worker = PolledLsmWorker(
+            simos, driver, store, NaiveScheduling(), ClosedLoopSource([], window=1)
+        )
+        worker.run_operations(ops, window=1)
+        assert worker.lost_writes.value == 1
+        failed = []
+    assert injector.failed is not None
+    assert [i for i, op in enumerate(ops) if op.error is not None] == failed
+    assert store.wal.pending_records() == count
 
 
 @pytest.mark.parametrize("interpreter", ["blocking", "polled"])

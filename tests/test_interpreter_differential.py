@@ -1,0 +1,219 @@
+"""Each plan set under both of its interpreters, one operation at a time.
+
+The tree plans (``repro.core.plans`` / ``repro.core.batch``) run under
+``PaTreeEngine`` (polled) and ``SyncTreeAccessor`` (blocking); the LSM
+plans (``LeveledStore``) under ``PolledLsmWorker`` and ``LsmStore``.
+Run sequentially -- each operation alone, the worker left to go idle
+(its internal flushes and compactions included) before the next one is
+issued -- no schedule can differ between the two, so neither may any
+result, any page on the device or the allocator's state.
+"""
+
+import random
+
+import pytest
+
+from repro.baselines.io_service import DedicatedIoService
+from repro.baselines.latching import BlockingLatchTable
+from repro.baselines.lsm import LeveledStore, LsmConfig, LsmStore
+from repro.baselines.runner import BaselineRunner
+from repro.baselines.sync_tree import SyncTreeAccessor
+from repro.buffer import ReadOnlyBuffer, ReadWriteBuffer
+from repro.core.engine import PaTreeEngine
+from repro.core.ops import (
+    OpSpec,
+    batch_op,
+    delete_op,
+    insert_op,
+    range_op,
+    search_op,
+    sync_op,
+    update_op,
+)
+from repro.core.source import ClosedLoopSource
+from repro.core.tree import PaTree
+from repro.nvme.device import NvmeDevice, fast_test_profile
+from repro.nvme.driver import NvmeDriver
+from repro.palsm import PolledLsmWorker
+from repro.sched.naive import NaiveScheduling
+from repro.sim.engine import Engine
+from repro.simos.scheduler import OsProfile, SimOS
+
+TREE_PAYLOAD = 200  # two entries to a leaf: splits and merges every few ops
+
+
+def value(key, turn, size=8):
+    return ((key * 31 + turn) % 251).to_bytes(1, "little") * size
+
+
+def machine():
+    engine = Engine(seed=3)
+    simos = SimOS(engine, OsProfile(cores=4))
+    device = NvmeDevice(engine, fast_test_profile())
+    return simos, device, NvmeDriver(device)
+
+
+def tree_script(seed, n):
+    """Single ops over a small key space, with batches among them."""
+    rng = random.Random(seed)
+
+    def key():
+        return rng.randrange(1, 120)
+
+    ops = []
+    for turn in range(n):
+        roll = rng.random()
+        if roll < 0.3:
+            ops.append(insert_op(key(), value(key(), turn, TREE_PAYLOAD)))
+        elif roll < 0.4:
+            ops.append(update_op(key(), value(key(), turn, TREE_PAYLOAD)))
+        elif roll < 0.6:
+            ops.append(delete_op(key()))
+        elif roll < 0.75:
+            ops.append(search_op(key()))
+        elif roll < 0.85:
+            low = key()
+            ops.append(range_op(low, low + rng.randrange(1, 30)))
+        else:
+            specs = []
+            for _ in range(rng.randrange(1, 9)):
+                verb = rng.random()
+                if verb < 0.5:
+                    specs.append(OpSpec.put(key(), value(key(), turn, TREE_PAYLOAD)))
+                elif verb < 0.8:
+                    specs.append(OpSpec.delete(key()))
+                else:
+                    specs.append(OpSpec.get(key()))
+            ops.append(batch_op(specs))
+    return ops
+
+
+def tree_state(tree, device, ops):
+    allocator = tree.allocator
+    return (
+        [(op.kind, op.result, op.error) for op in ops],
+        dict(device.substrate.pages),
+        (tree.meta.root_page, tree.meta.height),
+        (allocator.next_page, list(allocator._free)),
+    )
+
+
+def run_tree(interpreter, persistence, ops):
+    simos, device, driver = machine()
+    tree = PaTree.create(device, payload_size=TREE_PAYLOAD)
+    tree.bulk_load(
+        [(key, value(key, 0, TREE_PAYLOAD)) for key in range(2, 120, 3)]
+    )
+    if persistence == "weak":
+        buffer = ReadWriteBuffer(6)
+        ops = ops + [sync_op()]
+    else:
+        buffer = ReadOnlyBuffer(6)
+    if interpreter == "polled":
+        worker = PaTreeEngine(
+            simos, driver, tree, NaiveScheduling(), ClosedLoopSource([], window=1),
+            buffer=buffer, persistence=persistence,
+        )
+        for op in ops:
+            worker.run_operations([op], window=1)
+    else:
+        accessor = SyncTreeAccessor(
+            tree, DedicatedIoService(driver), BlockingLatchTable(), buffer,
+            persistence,
+        )
+        for op in ops:
+            BaselineRunner(simos, accessor, [op], n_threads=1).run_to_completion()
+    return tree_state(tree, device, ops)
+
+
+@pytest.mark.parametrize("persistence", ["strong", "weak"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tree_plans_give_the_same_pages_under_both_interpreters(persistence, seed):
+    polled = run_tree("polled", persistence, tree_script(seed, 160))
+    blocking = run_tree("blocking", persistence, tree_script(seed, 160))
+    assert polled[0] == blocking[0]
+    assert polled[1] == blocking[1]
+    assert polled[2:] == blocking[2:]
+    # the script did reshape the tree
+    assert any(op[0] == "batch" for op in polled[0])
+    assert polled[2][1] >= 2
+
+
+# Level 1's budget holds everything the script writes, so a compaction
+# merges level 0 into level 1 once and ends.  One that went on to a
+# second level would allocate its output after its first retirement:
+# the blocking store frees retired pages at once (no read is in
+# flight), the polled worker quarantines them until the compaction and
+# the operation after it are done, so that output would land on other
+# LBAs -- the same tables, elsewhere on the device.
+LSM_SHAPE = dict(
+    memtable_entries=4, level0_limit=2, level1_tables=64, wal_pages=64,
+    block_cache_pages=16,
+)
+
+
+def lsm_script(seed, n):
+    rng = random.Random(seed)
+
+    def key():
+        return rng.randrange(1, 90)
+
+    ops = []
+    for turn in range(n):
+        roll = rng.random()
+        if roll < 0.45:
+            ops.append(insert_op(key(), value(key(), turn)))
+        elif roll < 0.55:
+            ops.append(delete_op(key()))
+        elif roll < 0.8:
+            ops.append(search_op(key()))
+        elif roll < 0.95:
+            low = key()
+            ops.append(range_op(low, low + rng.randrange(1, 25)))
+        else:
+            ops.append(sync_op())
+    return ops
+
+
+def run_lsm(interpreter, persistence, ops):
+    simos, device, driver = machine()
+    config = LsmConfig(**LSM_SHAPE)
+    if interpreter == "polled":
+        store = LeveledStore(device, config, persistence)
+    else:
+        store = LsmStore(device, DedicatedIoService(driver), config, persistence)
+    store.bulk_load([(key, value(key, 0)) for key in range(3, 90, 4)])
+    ops = ops + [sync_op()]
+    quarantined = []
+    if interpreter == "polled":
+        worker = PolledLsmWorker(
+            simos, driver, store, NaiveScheduling(), ClosedLoopSource([], window=1)
+        )
+        for op in ops:
+            worker.run_operations([op], window=1)
+        # freed by the blocking store, still held by the quarantine
+        quarantined = [lba for _barrier, lbas in worker._pending_frees for lba in lbas]
+    else:
+        for op in ops:
+            BaselineRunner(simos, store, [op], n_threads=1).run_to_completion()
+    allocator = store.allocator
+    return (
+        [(op.kind, op.result, op.error) for op in ops],
+        dict(device.substrate.pages),
+        [[table.page_lbas for table in level] for level in store.levels],
+        (store.flushes, store.compactions, len(store.memtable), store.immutables),
+        (store.wal.next_lsn, store.wal.durable_lsn),
+        (allocator.next_page, list(allocator._free) + quarantined),
+    )
+
+
+@pytest.mark.parametrize("persistence", ["strong", "weak"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lsm_plans_give_the_same_pages_under_both_interpreters(persistence, seed):
+    polled = run_lsm("polled", persistence, lsm_script(seed, 200))
+    blocking = run_lsm("blocking", persistence, lsm_script(seed, 200))
+    assert polled[0] == blocking[0]
+    assert polled[1] == blocking[1]
+    assert polled[2:] == blocking[2:]
+    flushes, compactions, _entries, _immutables = polled[3]
+    assert flushes >= 10 and compactions >= 3
