@@ -64,7 +64,7 @@ from repro.core.ops import (
 from repro.core.source import ClosedLoopSource
 from repro.core.tree import PaTree, check_bulk_items
 from repro.errors import BatchError, ReproError
-from repro.backend import RetryPolicy, i3_nvme_profile
+from repro.backend import i3_nvme_profile
 from repro.sched import make_scheduler
 from repro.sim.engine import Engine
 from repro.simos.scheduler import SimOS, paper_testbed_profile
@@ -109,8 +109,8 @@ class SessionConfig:
     retry:
         Driver-level :class:`~repro.nvme.driver.RetryPolicy` (or an
         equivalent dict of its fields) applied to transient media
-        errors; None (the default) delivers every failure to the
-        engine immediately.
+        errors; None (the default) selects the driver's default
+        bounded policy.
     backend:
         I/O substrate spec (see :mod:`repro.backend`): ``None`` (the
         process default — the simulated NVMe device unless
@@ -143,17 +143,6 @@ class SessionConfig:
         return replace(self, **overrides)
 
 
-def make_retry(retry):
-    """Normalize a retry spec (None / RetryPolicy / dict of fields)."""
-    if retry is None or isinstance(retry, RetryPolicy):
-        return retry
-    if isinstance(retry, dict):
-        return RetryPolicy(**retry)
-    raise ReproError(
-        "retry must be a RetryPolicy, dict or None, not %r" % (retry,)
-    )
-
-
 class SimEnvironment:
     """One simulated machine: event engine, OS, and one I/O backend.
 
@@ -174,7 +163,7 @@ class SimEnvironment:
             engine=self.engine,
             profile=device_profile,
             faults=faults,
-            retry=make_retry(retry),
+            retry=retry,
         )
         self.device = self.backend.device
         self.driver = self.backend.driver
@@ -423,32 +412,21 @@ class BaseSession:
         """
         raise NotImplementedError
 
-    def attach_metrics(self, session=None, **session_kwargs):
-        """Attach a :class:`~repro.obs.MetricsSession` to this session.
+    def attach_metrics(self, **session_kwargs):
+        """Attach a new :class:`~repro.obs.MetricsSession` to this session.
 
         Builds one (forwarding ``session_kwargs`` — SLO targets, scrape
-        interval, flight-recorder capacity) unless an existing session
-        is passed, wires it into this session's stack and returns it.
-        The caller still owns the lifecycle: ``session.start()`` before
-        the workload, ``session.finish()`` after.  A session that is
-        never attached costs nothing.
+        interval, flight-recorder capacity), wires it into this
+        session's stack and returns it.  The caller still owns the
+        lifecycle: ``session.start()`` before the workload,
+        ``session.finish()`` after.  A session that is never attached
+        costs nothing.
         """
-        session = self._make_metrics(self.env.engine, session, session_kwargs)
-        session.attach_device(self.env.device)
-        session.attach_worker(self._runner)
-        return session
-
-    def _make_metrics(self, engine, session, session_kwargs):
-        if session is not None:
-            if session_kwargs:
-                raise ReproError(
-                    "pass session kwargs only when attach_metrics builds "
-                    "the session"
-                )
-            return session
         from repro.obs.health import MetricsSession
 
-        return MetricsSession(engine, **session_kwargs)
+        session = MetricsSession(self.env.engine, **session_kwargs)
+        session.attach_device(self.env.device)
+        return session.attach_worker(self._runner)
 
 
 class PATreeSession(BaseSession):
@@ -630,7 +608,7 @@ class ShardedSession(BaseSession):
             buffer_pages_per_shard=config.buffer_pages,
             device_profile=device_profile,
             faults=config.faults,
-            retry=make_retry(config.retry),
+            retry=config.retry,
             backend=config.backend,
         )
 
@@ -660,11 +638,13 @@ class ShardedSession(BaseSession):
         stats["virtual_time_us"] = self.now_usec
         return stats
 
-    def attach_metrics(self, session=None, **session_kwargs):
-        """Wire a metrics session across every shard and the router."""
-        session = self._make_metrics(self.engine, session, session_kwargs)
-        session.attach_sharded(self.sharded)
-        return session
+    def attach_metrics(self, **session_kwargs):
+        """Wire a new metrics session across every shard and the router."""
+        from repro.obs.health import MetricsSession
+
+        return MetricsSession(self.engine, **session_kwargs).attach_sharded(
+            self.sharded
+        )
 
     def validate(self):
         """Validate every shard tree; returns aggregate statistics."""

@@ -18,7 +18,7 @@ and print the observer's text report.  They differ only by the
 and prints the "top spans / CPU flame" summary.
 
 ``metrics`` (default directory ``metrics/``) attaches the health stack
-(labeled registry + SLO tracker + flight recorder + periodic scraper):
+(labeled registry + SLO tracker + flight recorder + periodic scrape):
 
 * ``<target>.metrics.jsonl``    — virtual-time metric scrapes, one JSON
   object per line,

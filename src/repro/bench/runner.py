@@ -223,7 +223,10 @@ def run_pa(
         tracer=session.tracer if session is not None else None,
     )
     if session is not None:
-        session.attach_machine(machine, worker=pa, buffer=buffer)
+        session.attach_device(machine.device)
+        session.attach_simos(machine.simos)
+        session.attach_worker(pa)
+        session.attach_buffer(buffer)
         session.start()
     pa.run_to_completion()
     if persistence == "weak":

@@ -460,8 +460,8 @@ class PaTreeEngine(PolledWorker):
         command = completion.command
         self.io_errors.add()
         if self.tracer.enabled:
-            self.tracer.async_instant(
-                "io", id(command) % 1_000_000, "io_error",
+            self.tracer.instant(
+                "io", "io_error", cat="io",
                 args={"status": str(completion.status), "lba": command.lba},
             )
         if command.opcode == OP_READ:

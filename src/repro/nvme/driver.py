@@ -22,7 +22,7 @@ failures are delivered with their failure status for the layers above
 to turn into typed errors.
 """
 
-from repro.errors import QueueFullError
+from repro.errors import QueueFullError, ReproError
 from repro.nvme.command import NvmeCommand, OP_READ, OP_WRITE
 from repro.sim.clock import usec
 from repro.sim.metrics import Counter
@@ -69,10 +69,19 @@ class NvmeDriver:
 
     def __init__(self, device, retry=None):
         self.device = device
-        #: the :class:`RetryPolicy` in force; ``None`` selects the
-        #: default bounded policy (a healthy device never consults it).
-        #: Pass ``RetryPolicy(max_retries=0)`` to deliver every failure.
-        self.retry = RetryPolicy() if retry is None else retry
+        #: the :class:`RetryPolicy` in force, given as one or as a dict
+        #: of its fields; ``None`` selects the default bounded policy (a
+        #: healthy device never consults it).  Pass
+        #: ``RetryPolicy(max_retries=0)`` to deliver every failure.
+        if retry is None:
+            retry = RetryPolicy()
+        elif isinstance(retry, dict):
+            retry = RetryPolicy(**retry)
+        elif not isinstance(retry, RetryPolicy):
+            raise ReproError(
+                "retry must be a RetryPolicy, dict or None, not %r" % (retry,)
+            )
+        self.retry = retry
         self.retries_scheduled = Counter()
         self.failures_delivered = Counter()
         #: observer slot (repro.sim.hooks): subscribers are called with

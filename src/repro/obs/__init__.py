@@ -6,26 +6,31 @@ inspectable instead of only aggregable:
 
 * :mod:`repro.obs.tracer` — per-operation lifecycle spans and instant
   events recorded in virtual time with deterministic IDs.
-* :mod:`repro.obs.series` — fixed-bucket latency histograms and a
-  periodic virtual-time sampler for queue depth / outstanding I/Os /
-  buffer hit rate.
+* :mod:`repro.obs.series` — fixed-bucket latency histograms and the
+  one periodic virtual-time sampler: it appends ``(now, read())`` per
+  tick, whatever its owning session reads.
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
   newline-delimited JSONL exporters, plus a text "top spans" summary.
-* :mod:`repro.obs.session` — :class:`TraceSession`, which attaches all
-  of the above to a simulated machine by subscribing
-  (:mod:`repro.sim.hooks`) to its observer slots
-  (``engine.on_dispatch``, device completion slots, scheduler
-  transition callbacks).
+* :mod:`repro.obs.observer` — :class:`ObserverSession`, the skeleton
+  both sessions share: the sampler over the session's ``_sample()``,
+  the subscription ledger (:mod:`repro.sim.hooks`), ``start`` /
+  ``finish`` and ``attach_sharded``, the one fleet walk over a
+  session's ``attach_device`` / ``attach_worker``.
+* :mod:`repro.obs.session` — :class:`TraceSession`, which attaches the
+  tracer, sampled probes and histograms to a simulated machine through
+  its observer slots (``engine.on_dispatch``, device completion slots,
+  scheduler transition callbacks).
 * :mod:`repro.obs.metrics` — the labeled metric registry
-  (Counter/Gauge/Histogram under ``(name, labels)`` identity), the
-  periodic virtual-time scraper and the Prometheus-text exporter.
+  (Counter/Gauge/Histogram under ``(name, labels)`` identity) and the
+  Prometheus-text exporter.
 * :mod:`repro.obs.slo` — per-op-class virtual-time latency targets
   with p99/p999 and violation counters per shard.
 * :mod:`repro.obs.flight` — a bounded ring of recent completions,
   retries and transitions, dumped as a postmortem when a typed
   ``IoError`` escalates.
 * :mod:`repro.obs.health` — :class:`MetricsSession`, which wires the
-  registry, SLO tracker, flight recorder and scraper into a run.
+  registry, SLO tracker and flight recorder into a run and samples the
+  registry's scalars into a JSONL scrape.
 
 Everything is zero-overhead-when-disabled: components hold a
 :data:`~repro.obs.tracer.NULL_TRACER` whose ``enabled`` flag gates every
@@ -33,7 +38,9 @@ record call behind a single attribute check, metric registration only
 happens when a session attaches, and the observer slots default to
 ``()``.  Sessions add and remove only their own callbacks, so a trace
 session, a metrics session and the fuzz harness compose in any attach
-and finish order.
+and finish order.  A further observer subclasses
+:class:`ObserverSession` and implements ``attach_device``,
+``attach_worker``, ``_sample`` and ``_attach_router``.
 """
 
 from repro.obs.export import (
@@ -49,11 +56,11 @@ from repro.obs.metrics import (
     METRIC_NAME_SUFFIXES,
     MetricError,
     MetricRegistry,
-    MetricScraper,
     prometheus_text,
     write_prometheus,
 )
-from repro.obs.series import Histogram, TimeSeriesSampler, latency_histogram
+from repro.obs.observer import ObserverSession
+from repro.obs.series import Histogram, TimeSeriesSampler
 from repro.obs.session import TraceSession
 from repro.obs.slo import DEFAULT_TARGETS_US, SloTracker
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
@@ -65,7 +72,7 @@ __all__ = [
     "Tracer",
     "Histogram",
     "TimeSeriesSampler",
-    "latency_histogram",
+    "ObserverSession",
     "TraceSession",
     "chrome_trace_events",
     "to_chrome_trace",
@@ -75,7 +82,6 @@ __all__ = [
     "METRIC_NAME_SUFFIXES",
     "MetricError",
     "MetricRegistry",
-    "MetricScraper",
     "prometheus_text",
     "write_prometheus",
     "DEFAULT_TARGETS_US",

@@ -3,13 +3,14 @@
 The metrics sibling of :class:`~repro.obs.session.TraceSession`: one
 session owns a :class:`~repro.obs.metrics.MetricRegistry`, an
 :class:`~repro.obs.slo.SloTracker`, a
-:class:`~repro.obs.flight.FlightRecorder` and a periodic
-:class:`~repro.obs.metrics.MetricScraper`, and subscribes them
-(:mod:`repro.sim.hooks`) to the same observer slots the tracer uses:
-``device.on_complete``, ``driver.on_retry``, ``worker.on_op_complete``.
-:meth:`finish` takes out exactly what the session put in, so a trace
-session, a metrics session and the fuzz harness can observe the same
-run, attached and finished in any order.
+:class:`~repro.obs.flight.FlightRecorder` and a periodic scrape of
+every counter/gauge scalar, and subscribes them (:mod:`repro.sim.hooks`)
+to the same observer slots the tracer uses: ``device.on_complete``,
+``driver.on_retry``, ``worker.on_op_complete``.  Both sessions
+subclass :class:`~repro.obs.observer.ObserverSession`: :meth:`finish`
+takes out exactly what the session put in, so a trace session, a
+metrics session and the fuzz harness can observe the same run, attached
+and finished in any order.
 
 Escalation handling: when a completed operation carries a typed
 :class:`~repro.errors.IoError` (retry budget spent, poisoned LBA) the
@@ -26,18 +27,13 @@ from functools import partial
 
 from repro.errors import IoError
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import (
-    MetricRegistry,
-    MetricScraper,
-    prometheus_text,
-    write_prometheus,
-)
+from repro.obs.metrics import MetricRegistry, prometheus_text, write_prometheus
+from repro.obs.observer import ObserverSession
 from repro.obs.slo import SloTracker
 from repro.sim.clock import usec
-from repro.sim.hooks import subscribe, unsubscribe
 
 
-class MetricsSession:
+class MetricsSession(ObserverSession):
     """One metrics recording of one simulated machine (or fleet)."""
 
     def __init__(
@@ -48,23 +44,17 @@ class MetricsSession:
         flight_capacity=512,
         max_postmortems=16,
     ):
-        self.engine = engine
+        super().__init__(engine, scrape_interval_ns)
         self.registry = MetricRegistry()
         self.slo = SloTracker(self.registry, targets_us=targets_us)
         self.flight = FlightRecorder(engine.clock, capacity=flight_capacity)
-        self.scraper = MetricScraper(engine, self.registry, scrape_interval_ns)
         self.postmortems = []
         self.max_postmortems = max_postmortems
         self.postmortems_dropped = 0
-        self._subscriptions = []  # (obj, slot, fn)
 
     # ------------------------------------------------------------------
     # attachment
     # ------------------------------------------------------------------
-
-    def _subscribe(self, obj, slot, fn):
-        subscribe(obj, slot, fn)
-        self._subscriptions.append((obj, slot, fn))
 
     def _shard_labels(self, shard):
         return None if shard is None else {"shard": str(shard)}
@@ -73,21 +63,6 @@ class MetricsSession:
         """Register a device's metrics and record its completions."""
         device.register_metrics(self.registry, labels=self._shard_labels(shard))
         self._subscribe(device, "on_complete", self._on_io_complete)
-        return self
-
-    def attach_backend(self, backend, shard=None):
-        """Attach one :class:`~repro.backend.IoBackend` on its own.
-
-        Registers the backend's full driver + device metric family and
-        taps completions and retries.  For a backend *with* a worker on
-        top prefer :meth:`attach_worker`, whose ``register_metrics``
-        fan-out and retry tap already cover the backend underneath.
-        """
-        backend.register_metrics(
-            self.registry, labels=self._shard_labels(shard)
-        )
-        self._subscribe(backend.device, "on_complete", self._on_io_complete)
-        self._subscribe(backend.driver, "on_retry", self.flight.record_retry)
         return self
 
     def attach_worker(self, worker, shard=None):
@@ -106,48 +81,17 @@ class MetricsSession:
         )
         return self
 
-    def attach_machine(self, machine, worker=None):
-        """Convenience: attach a bench ``_Machine`` and its worker."""
-        self.attach_device(machine.device)
-        if worker is not None:
-            self.attach_worker(worker)
-        return self
-
-    def attach_sharded(self, sharded):
-        """Attach every shard of a :class:`~repro.shard.ShardedPaTree`.
-
-        Per-shard metrics carry a ``shard="<i>"`` label; the router's
-        own rollup metrics — and a device every shard shares, attached
-        once — register unlabeled.
-        """
+    def _attach_router(self, sharded):
+        # the router's own rollups register first, unlabeled; per-shard
+        # metrics carry a ``shard="<i>"`` label (a shared device none)
         sharded.register_metrics(self.registry)
-        shared = sharded.shared_device
-        for index, device in enumerate(sharded.devices):
-            self.attach_device(device, shard=None if shared else index)
-        for index, worker in enumerate(sharded.engines):
-            self.attach_worker(worker, shard=index)
-        return self
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # sampling and hook callbacks (read-only w.r.t. simulation state)
     # ------------------------------------------------------------------
 
-    def start(self):
-        self.scraper.start()
-        return self
-
-    def finish(self):
-        """Stop scraping and take this session's callbacks (only) back
-        out of every slot."""
-        self.scraper.stop()
-        for subscription in self._subscriptions:
-            unsubscribe(*subscription)
-        self._subscriptions = []
-        return self
-
-    # ------------------------------------------------------------------
-    # hook callbacks (read-only with respect to simulation state)
-    # ------------------------------------------------------------------
+    def _sample(self):
+        return self.registry.scalars()
 
     def _on_io_complete(self, completion):
         self.flight.record_completion(
@@ -239,8 +183,8 @@ class MetricsSession:
             "slo": self.slo.snapshot(),
             "flight": self.flight.summary(),
             "scrape": {
-                "interval_us": self.scraper.interval_ns / 1000,
-                "samples": len(self.scraper.samples),
+                "interval_us": self.sampler.interval_ns / 1000,
+                "samples": len(self.sampler.samples),
             },
         }
         # postmortem keys only appear when an error actually escalated,
@@ -263,7 +207,7 @@ class MetricsSession:
         """Write ``<prefix>.metrics.jsonl`` and ``<prefix>.prom`` (plus
         ``<prefix>.postmortem.json`` when any error escalated)."""
         paths = [
-            self.scraper.write_jsonl(prefix + ".metrics.jsonl"),
+            self._write_scrapes(prefix + ".metrics.jsonl"),
             write_prometheus(self.registry, prefix + ".prom"),
         ]
         if self.postmortems:
@@ -282,3 +226,12 @@ class MetricsSession:
                 handle.write("\n")
             paths.append(path)
         return tuple(paths)
+
+    def _write_scrapes(self, path):
+        """One JSON object per scrape tick; key order = registry order."""
+        with open(path, "w") as handle:
+            for time_ns, row in self.sampler.samples:
+                handle.write(
+                    json.dumps({"t_ns": time_ns, "metrics": row}) + "\n"
+                )
+        return path

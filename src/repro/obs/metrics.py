@@ -14,18 +14,17 @@ suffix from :data:`METRIC_NAME_SUFFIXES`, so a consumer can always tell
 nanoseconds from pages from ratios without a side channel.
 
 Determinism: the registry iterates in registration order, label keys
-are sorted inside each identity, and every exporter below (Prometheus
-text, JSONL scrape rows) writes from those orders only — two same-seed
-runs produce byte-identical exports.  Components hold no registry:
+are sorted inside each identity, and every exporter (the Prometheus
+text below, a metrics session's JSONL scrape rows) writes from those
+orders only — two same-seed runs produce byte-identical exports.  Components hold no registry:
 they register (``register_metrics``) only when a session attaches, so
 an unobserved run never touches this module.
 """
 
-import json
 import re
 
 from repro.errors import ReproError
-from repro.obs.series import Histogram, latency_histogram
+from repro.obs.series import Histogram
 from repro.sim.clock import to_usec
 
 #: Unit suffixes a registered metric name must end with.  PA405 (the
@@ -159,10 +158,7 @@ class HistogramMetric(Metric):
 
     def __init__(self, name, labels, bounds=None, help=""):
         super().__init__(name, labels, help)
-        if bounds is None:
-            self.histogram = latency_histogram()
-        else:
-            self.histogram = Histogram(bounds)
+        self.histogram = Histogram(bounds)
 
     def observe(self, value):
         self.histogram.record(value)
@@ -326,59 +322,3 @@ def write_prometheus(registry, path):
     with open(path, "w") as handle:
         handle.write(prometheus_text(registry))
     return path
-
-
-class MetricScraper:
-    """Periodic virtual-time scrape of every counter/gauge scalar.
-
-    Rides the simulation engine like the time-series sampler: a
-    callback every ``interval_ns`` reads :meth:`MetricRegistry.scalars`
-    and appends one row.  Probes only read state, so a scraped run
-    reaches the same virtual-time results as an unscraped one.
-    Histograms are summarised once at export time (they change too
-    often to snapshot per tick at bounded cost).
-    """
-
-    def __init__(self, engine, registry, interval_ns, max_samples=100_000):
-        self.engine = engine
-        self.registry = registry
-        self.interval_ns = int(interval_ns)
-        if self.interval_ns <= 0:
-            raise MetricError("scrape interval must be positive")
-        self.max_samples = max_samples
-        self.samples = []  # (time_ns, {flat_name: value})
-        self._event = None
-        self._running = False
-
-    def start(self):
-        if self._running:
-            return self
-        self._running = True
-        self._event = self.engine.schedule(self.interval_ns, self._tick)
-        return self
-
-    def stop(self):
-        self._running = False
-        if self._event is not None:
-            self.engine.cancel(self._event)
-            self._event = None
-
-    def _tick(self):
-        self._event = None  # it has just fired: nothing left to cancel
-        if not self._running:
-            return
-        if len(self.samples) < self.max_samples:
-            self.samples.append((self.engine.now, self.registry.scalars()))
-        if len(self.samples) < self.max_samples:
-            self._event = self.engine.schedule(self.interval_ns, self._tick)
-        else:
-            self._running = False
-
-    def write_jsonl(self, path):
-        """One JSON object per scrape tick; key order = registry order."""
-        with open(path, "w") as handle:
-            for time_ns, row in self.samples:
-                handle.write(
-                    json.dumps({"t_ns": time_ns, "metrics": row}) + "\n"
-                )
-        return path

@@ -6,11 +6,12 @@ the snapshot reports count / mean / approximate percentiles read off the
 bucket boundaries.
 
 The :class:`TimeSeriesSampler` rides the simulation engine itself: it
-schedules a callback every ``interval_ns`` of virtual time and reads a
-set of named probes (queue depth, outstanding I/Os, buffer hit rate,
-device utilisation).  Because the probes only *read* state, a sampled
-run reaches the same virtual-time results as an unsampled one — the
-sampler adds engine events but charges no CPU and mutates nothing.
+schedules a callback every ``interval_ns`` of virtual time and appends
+one row its owner reads (a trace session's named probes, a metrics
+session's registry scalars).  Because a row only *reads* state, a
+sampled run reaches the same virtual-time results as an unsampled one
+— the sampler adds engine events but charges no CPU and mutates
+nothing.
 """
 
 import bisect
@@ -92,32 +93,24 @@ class Histogram:
         }
 
 
-def latency_histogram():
-    """A histogram with the default 1 us .. 1 s latency buckets."""
-    return Histogram()
-
-
 class TimeSeriesSampler:
-    """Samples named probes every ``interval_ns`` of virtual time."""
+    """Appends ``(now, read())`` every ``interval_ns`` of virtual time.
 
-    def __init__(self, engine, interval_ns, tracer=None, track="metrics",
-                 max_samples=100_000):
+    What a row holds is the owner's business: a trace session reads its
+    probes, a metrics session its registry's scalars.  At most
+    ``max_samples`` rows are kept; the sampler stops once it has them.
+    """
+
+    def __init__(self, engine, interval_ns, read, max_samples=100_000):
         self.engine = engine
         self.interval_ns = int(interval_ns)
         if self.interval_ns <= 0:
             raise ValueError("sampler interval must be positive")
-        self.tracer = tracer
-        self.track = track
+        self.read = read
         self.max_samples = max_samples
-        self.samples = []  # (time_ns, {probe: value})
-        self._probes = []  # (name, fn), registration order
+        self.samples = []  # (time_ns, read())
         self._event = None
         self._running = False
-
-    def add_probe(self, name, fn):
-        """Register ``fn()`` to be read at every tick."""
-        self._probes.append((name, fn))
-        return self
 
     def start(self):
         if self._running:
@@ -135,33 +128,9 @@ class TimeSeriesSampler:
         self._event = None  # it has just fired: nothing left to cancel
         if not self._running:
             return
-        row = {}
-        for name, fn in self._probes:
-            value = fn()
-            if value is not None:
-                row[name] = value
         if len(self.samples) < self.max_samples:
-            self.samples.append((self.engine.now, row))
-        if self.tracer is not None and self.tracer.enabled and row:
-            self.tracer.counter(self.track, "samples", row)
+            self.samples.append((self.engine.now, self.read()))
         if len(self.samples) < self.max_samples:
             self._event = self.engine.schedule(self.interval_ns, self._tick)
         else:
             self._running = False
-
-    def summary(self):
-        """Per-probe min/mean/max/last over all collected samples."""
-        out = {}
-        for name, _fn in self._probes:
-            values = [row[name] for _t, row in self.samples if name in row]
-            if not values:
-                out[name] = {"samples": 0}
-                continue
-            out[name] = {
-                "samples": len(values),
-                "min": min(values),
-                "mean": sum(values) / len(values),
-                "max": max(values),
-                "last": values[-1],
-            }
-        return out

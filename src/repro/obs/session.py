@@ -1,9 +1,9 @@
 """TraceSession: attach the full observability stack to one machine.
 
-A session owns a :class:`~repro.obs.tracer.Tracer`, a periodic
-:class:`~repro.obs.series.TimeSeriesSampler` and a set of fixed-bucket
-latency histograms, and subscribes them (:mod:`repro.sim.hooks`) to the
-stack's observer slots:
+A session owns a :class:`~repro.obs.tracer.Tracer`, a set of named
+probes sampled every ``sample_interval_ns`` of virtual time and a set of
+fixed-bucket latency histograms, and subscribes them
+(:mod:`repro.sim.hooks`) to the stack's observer slots:
 
 * ``Engine.on_dispatch`` — kernel event accounting,
 * ``NvmeDevice.on_submit`` / ``on_complete`` — per-I/O async spans and
@@ -16,33 +16,32 @@ stack's observer slots:
 None of the callbacks charges virtual CPU or mutates simulation state,
 so a traced run reaches the same virtual-time results as an untraced
 one; with no session attached every slot stays ``()`` and the only cost
-is one attribute check.  A session adds and removes only its own
-callbacks, so it composes with a
+is one attribute check.  The subscription ledger, ``start`` / ``finish``
+and the fleet walk are :class:`~repro.obs.observer.ObserverSession`'s,
+so a trace session composes with a
 :class:`~repro.obs.health.MetricsSession` or the fuzz harness in any
 attach and finish order.
 """
 
 from repro.nvme.command import OP_READ
 from repro.obs.export import trace_summary, write_chrome_trace, write_jsonl
-from repro.obs.series import TimeSeriesSampler, latency_histogram
+from repro.obs.observer import ObserverSession
+from repro.obs.series import Histogram
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.clock import usec
-from repro.sim.hooks import subscribe, unsubscribe
 from repro.simos.thread import T_RUNNING
 
 
-class TraceSession:
-    """One recording of one simulated machine."""
+class TraceSession(ObserverSession):
+    """One recording of one simulated machine (or fleet)."""
 
     def __init__(self, engine, sample_interval_ns=usec(100),
                  max_events=2_000_000):
-        self.engine = engine
+        super().__init__(engine, sample_interval_ns)
         self.tracer = Tracer(engine.clock, max_events=max_events)
-        self.sampler = TimeSeriesSampler(
-            engine, sample_interval_ns, tracer=self.tracer
-        )
-        self.read_latency = latency_histogram()
-        self.write_latency = latency_histogram()
+        self._probes = []  # (name, fn), registration order
+        self.read_latency = Histogram()
+        self.write_latency = Histogram()
         self.op_latency = {}  # op kind -> Histogram
         self.dispatches = 0
         self.io_faults = 0
@@ -54,45 +53,31 @@ class TraceSession:
         self._simos = None
         self._buffer = None
         self._workers = []
-        self._subscriptions = []  # (obj, slot, fn)
         self._subscribe(engine, "on_dispatch", self._on_dispatch)
 
     # ------------------------------------------------------------------
     # attachment
     # ------------------------------------------------------------------
 
-    def _subscribe(self, obj, slot, fn):
-        subscribe(obj, slot, fn)
-        self._subscriptions.append((obj, slot, fn))
-
-    def attach_device(self, device, name=None):
+    def attach_device(self, device, shard=None):
         """Hook one simulated NVMe device into the recording.
 
         A session can observe several devices (each shard of a
-        :class:`~repro.shard.ShardedPaTree` owns one); pass ``name``
-        to namespace the sampled series (``<name>_outstanding``).
-        Without a name the legacy single-device series names are kept.
+        :class:`~repro.shard.ShardedPaTree` may own one); a ``shard``
+        index namespaces the sampled series (``shard<i>_outstanding``).
+        Without one the single-device series names are kept.
         """
         self._subscribe(device, "on_submit", self._on_io_submit)
         self._subscribe(device, "on_complete", self._on_io_complete)
-        outstanding_name = (name + "_outstanding") if name else "device_outstanding"
-        util_name = (name + "_channel_util") if name else "channel_util"
-        self.sampler.add_probe(
-            outstanding_name, lambda: device.outstanding.value
-        )
-        self.sampler.add_probe(util_name, device.channel_busy_ratio)
-        return self
-
-    def attach_backend(self, backend, name=None):
-        """Hook one :class:`~repro.backend.IoBackend` into the recording.
-
-        Taps both planes of the backend: the device's submit/complete
-        slots (as :meth:`attach_device`) plus the driver's retry slot.
-        Use this when observing a backend without a worker on top;
-        :meth:`attach_worker` subscribes the same retry tap itself.
-        """
-        self.attach_device(backend.device, name=name)
-        self._subscribe(backend.driver, "on_retry", self._on_io_retry)
+        if shard is None:
+            outstanding, util = "device_outstanding", "channel_util"
+        else:
+            outstanding = "shard%d_outstanding" % shard
+            util = "shard%d_channel_util" % shard
+        self._probes += [
+            (outstanding, lambda: device.outstanding.value),
+            (util, device.channel_busy_ratio),
+        ]
         return self
 
     def attach_simos(self, simos):
@@ -100,58 +85,49 @@ class TraceSession:
         self._subscribe(simos, "on_thread_state", self._on_thread_state)
         return self
 
-    def attach_worker(self, worker, name=None):
+    def _attach_router(self, sharded):
+        self.attach_simos(sharded.simos)
+
+    def attach_worker(self, worker, shard=None):
         """Wire a PA-Tree engine or PA-LSM worker into the session.
 
-        As with :meth:`attach_device`, ``name`` namespaces the sampled
-        series so several shard workers stay distinguishable in one
-        recording.
+        As with :meth:`attach_device`, a ``shard`` index namespaces the
+        sampled series so several shard workers stay distinguishable in
+        one recording.
         """
         self._workers.append(worker)
         worker.tracer = self.tracer
         self._subscribe(worker, "on_op_complete", self._on_op_complete)
         self._subscribe(worker.backend.driver, "on_retry", self._on_io_retry)
-        prefix = (name + "_") if name else ""
-        self.sampler.add_probe(prefix + "ready_ops", worker.policy.ready_count)
-        self.sampler.add_probe(prefix + "inflight_ops", lambda: worker.inflight)
-        self.sampler.add_probe(
-            prefix + "outstanding_ios",
-            lambda: worker.io_history.outstanding_count,
-        )
+        prefix = "" if shard is None else "shard%d_" % shard
+        self._probes += [
+            (prefix + "ready_ops", worker.policy.ready_count),
+            (prefix + "inflight_ops", lambda: worker.inflight),
+            (
+                prefix + "outstanding_ios",
+                lambda: worker.io_history.outstanding_count,
+            ),
+        ]
         return self
 
     def attach_buffer(self, buffer):
         if buffer is None:
             return self
         self._buffer = buffer
-        self.sampler.add_probe("buffer_hit_rate", buffer.hit_rate)
-        self.sampler.add_probe("buffer_dirty", lambda: buffer.dirty_count)
-        return self
-
-    def attach_machine(self, machine, worker=None, buffer=None):
-        """Convenience: attach every component of a bench ``_Machine``."""
-        self.attach_device(machine.device)
-        self.attach_simos(machine.simos)
-        if worker is not None:
-            self.attach_worker(worker)
-        self.attach_buffer(buffer)
+        self._probes += [
+            ("buffer_hit_rate", buffer.hit_rate),
+            ("buffer_dirty", lambda: buffer.dirty_count),
+        ]
         return self
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
-    def start(self):
-        self.sampler.start()
-        return self
-
     def finish(self):
         """Stop sampling and take this session's callbacks (only) back
         out of every slot; the workers get their null tracer back."""
-        self.sampler.stop()
-        for subscription in self._subscriptions:
-            unsubscribe(*subscription)
-        self._subscriptions = []
+        super().finish()
         for worker in self._workers:
             if worker.tracer is self.tracer:
                 worker.tracer = NULL_TRACER
@@ -160,6 +136,16 @@ class TraceSession:
     # ------------------------------------------------------------------
     # hook callbacks (read-only with respect to simulation state)
     # ------------------------------------------------------------------
+
+    def _sample(self):
+        row = {}
+        for name, fn in self._probes:
+            value = fn()
+            if value is not None:
+                row[name] = value
+        if row:
+            self.tracer.counter("metrics", "samples", row)
+        return row
 
     def _on_dispatch(self, event):
         self.dispatches += 1
@@ -236,12 +222,31 @@ class TraceSession:
             return
         histogram = self.op_latency.get(op.kind)
         if histogram is None:
-            histogram = self.op_latency[op.kind] = latency_histogram()
+            histogram = self.op_latency[op.kind] = Histogram()
         histogram.record(op.latency_ns)
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+
+    def probe_summary(self):
+        """Per-probe min/mean/max/last over all collected samples."""
+        out = {}
+        for name, _fn in self._probes:
+            values = [
+                row[name] for _t, row in self.sampler.samples if name in row
+            ]
+            if not values:
+                out[name] = {"samples": 0}
+                continue
+            out[name] = {
+                "samples": len(values),
+                "min": min(values),
+                "mean": sum(values) / len(values),
+                "max": max(values),
+                "last": values[-1],
+            }
+        return out
 
     def cpu_account(self):
         if self._simos is None:
@@ -273,7 +278,7 @@ class TraceSession:
             },
             "timeseries": {
                 "interval_us": self.sampler.interval_ns / 1000,
-                "probes": self.sampler.summary(),
+                "probes": self.probe_summary(),
             },
         }
         # fault-path keys only appear when something actually failed so

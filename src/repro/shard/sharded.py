@@ -494,25 +494,6 @@ class ShardedPaTree:
     # observability
     # ------------------------------------------------------------------
 
-    def attach_trace(self, session):
-        """Wire one :class:`~repro.obs.TraceSession` across every shard.
-
-        Each shard's worker — and its device, when it owns one alone —
-        attaches under a ``shard<i>`` name so sampled series and spans
-        stay distinguishable in one recording; a shared device attaches
-        once, under the unprefixed single-device series names.
-        """
-        session.attach_simos(self.simos)
-        shared = self.shared_device
-        if shared:
-            session.attach_device(self.devices[0])
-        for index, worker in enumerate(self.engines):
-            name = "shard%d" % index
-            if not shared:
-                session.attach_device(self.devices[index], name=name)
-            session.attach_worker(worker, name=name)
-        return session
-
     def register_metrics(self, registry):
         """Register the fleet into a metric registry.
 

@@ -10,7 +10,8 @@ after faulty runs.
 import pytest
 
 from repro import AsyncLsmSession, PATreeSession, SessionConfig, ShardedSession
-from repro.errors import IoError, RetryExhaustedError, SimulationError
+from repro.bench.runner import WorkloadSpec, run_pa
+from repro.errors import IoError, ReproError, RetryExhaustedError, SimulationError
 from repro.faults import FaultConfig, FaultInjector, make_injector
 from repro.nvme.command import Completion, IoStatus, NvmeCommand, OP_WRITE
 from repro.nvme.device import NvmeDevice, fast_test_profile
@@ -202,6 +203,13 @@ class TestDeviceFaults:
         assert policy.delay_ns(2) == usec(320)
         assert policy.delay_ns(10) == usec(2_000)  # capped
 
+    def test_driver_takes_a_retry_dict_and_rejects_other_types(self):
+        _engine, _device, driver = make_device(retry={"max_retries": 1})
+        assert isinstance(driver.retry, RetryPolicy)
+        assert driver.retry.max_retries == 1
+        with pytest.raises(ReproError, match="retry must be"):
+            make_device(retry=1)
+
     def test_zero_budget_policy_delivers_immediately(self):
         engine, device, driver = make_device(
             seed=1,
@@ -336,6 +344,18 @@ class TestSessionFaults:
             # or delivered to the engine as a typed error
             assert stats["device_errors"] == injected
             assert injected == stats["io_retries"] + stats["io_errors"]
+
+    def test_run_pa_takes_a_retry_dict(self):
+        # the bench harness hands the dict straight to the backend
+        spec = WorkloadSpec(kind="ycsb", n_keys=2_000, n_ops=200)
+        stats = run_pa(
+            spec,
+            faults={"read_error_rate": 0.3},
+            retry={"max_retries": 1},
+            device_profile=fast_test_profile(),
+        )
+        assert stats["io_retries"] > 0 and stats["io_errors"] > 0
+        assert stats["completed"] + stats["failed_ops"] == 200
 
     def test_exhausted_retries_raise_typed_error_and_session_survives(self):
         config = fast(faults=FaultConfig(read_error_rate=1.0))

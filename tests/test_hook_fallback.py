@@ -296,8 +296,8 @@ def test_metrics_session_needs_no_fallback_and_scrapes_the_same():
     slow, slow_session = run(slow=True)
     assert fast.engine.inlined > 0 and slow.engine.inlined == 0
     assert fast.stats() == slow.stats()
-    assert len(fast_session.scraper.samples) > 3
-    assert fast_session.scraper.samples == slow_session.scraper.samples
+    assert len(fast_session.sampler.samples) > 3
+    assert fast_session.sampler.samples == slow_session.sampler.samples
     assert fast_session.slo.snapshot() == slow_session.slo.snapshot()
 
 

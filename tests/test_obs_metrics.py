@@ -1,8 +1,8 @@
 """Tests for the metrics & health subsystem (repro.obs.metrics et al).
 
 Covers the labeled registry (identity, ordering, kind conflicts), the
-Prometheus and JSONL exporters, the virtual-time scraper, the SLO
-tracker, the flight recorder with its postmortems, and the end-to-end
+Prometheus and JSONL exporters, the session's virtual-time scrape, the
+SLO tracker, the flight recorder with its postmortems, and the end-to-end
 MetricsSession guarantees: artefacts are byte-identical across
 same-seed runs, an attached session never perturbs the simulation's
 results, and it composes with a trace session and the fuzz harness in
@@ -23,7 +23,7 @@ from repro.obs import (
     FlightRecorder,
     MetricError,
     MetricRegistry,
-    MetricScraper,
+    MetricsSession,
     NULL_TRACER,
     SloTracker,
     TraceSession,
@@ -122,61 +122,27 @@ def test_prometheus_histogram_is_cumulative():
     assert "lat_ns_count 3" in lines
 
 
-def test_scraper_rides_virtual_time_and_stops():
-    engine = Engine(seed=1)
-    registry = MetricRegistry()
-    counter = registry.counter("ticks_total")
-    scraper = MetricScraper(engine, registry, interval_ns=1_000)
-    engine.schedule(500, counter.inc)
-    engine.schedule(2_500, counter.inc)
-    scraper.start()
-    engine.schedule(3_500, scraper.stop)
-    engine.run()
-    assert [t for t, _row in scraper.samples] == [1_000, 2_000, 3_000]
-    assert [row["ticks_total"] for _t, row in scraper.samples] == [1, 1, 2]
-
-
-def test_scraper_stop_after_the_sample_cap_leaves_the_queue_intact():
-    engine = Engine(seed=1)
-    registry = MetricRegistry()
-    registry.gauge("depth_count", fn=lambda: 4)
-    scraper = MetricScraper(engine, registry, interval_ns=1_000, max_samples=2)
-    scraper.start()
-    engine.schedule(5_000, lambda: None)
-    engine.run(until_ns=3_000)
-    assert len(scraper.samples) == 2 and scraper._event is None
-    scraper.stop()  # its last tick has fired: there is nothing to cancel
-    assert len(engine.events) == 1
-    engine.run()
-    assert (engine.now, len(engine.events)) == (5_000, 0)
-
-
-def test_scraper_stopped_from_inside_its_own_tick_cancels_nothing():
-    engine = Engine(seed=1)
-    registry = MetricRegistry()
-    scraper = MetricScraper(engine, registry, interval_ns=1_000)
-    registry.gauge("depth_count", fn=lambda: scraper.stop() or 4)
-    scraper.start()
-    engine.schedule(5_000, lambda: None)
-    engine.run()
-    assert [t for t, _row in scraper.samples] == [1_000]
-    assert (engine.now, len(engine.events)) == (5_000, 0)
-
-
 def test_scraper_jsonl_round_trips(tmp_path):
     engine = Engine(seed=1)
-    registry = MetricRegistry()
-    registry.gauge("depth_count", fn=lambda: 4)
-    scraper = MetricScraper(engine, registry, interval_ns=1_000)
-    scraper.start()
-    engine.schedule(2_500, scraper.stop)
+    session = MetricsSession(engine, scrape_interval_ns=1_000)
+    session.registry.gauge("depth_count", fn=lambda: 4)
+    session.registry.counter("ticks_total").inc(2)
+    session.start()
+    engine.schedule(2_500, session.finish)
     engine.run()
-    path = scraper.write_jsonl(str(tmp_path / "m.jsonl"))
+    path, _prom = session.write_artifacts(str(tmp_path / "m"))
     rows = [json.loads(line) for line in open(path)]
+    # one row per scrape tick, keys in registry order
     assert rows == [
-        {"t_ns": 1_000, "metrics": {"depth_count": 4}},
-        {"t_ns": 2_000, "metrics": {"depth_count": 4}},
+        {"t_ns": 1_000, "metrics": {"depth_count": 4, "ticks_total": 2}},
+        {"t_ns": 2_000, "metrics": {"depth_count": 4, "ticks_total": 2}},
     ]
+    assert [list(row["metrics"]) for row in rows] == [
+        ["depth_count", "ticks_total"]
+    ] * 2
+    assert session.bench_summary()["scrape"] == {
+        "interval_us": 1.0, "samples": 2,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +272,18 @@ def test_metrics_session_populates_every_layer():
     assert scalars["engine_completed_total"] > 0
     assert recorder.slo.table()  # at least one op class observed
     assert recorder.flight.summary()["recorded_total"] > 0
-    assert recorder.scraper.samples
+    assert recorder.sampler.samples
+
+
+def test_weak_session_metrics_register_the_write_back_buffer():
+    stats, recorder = _run_session(persistence="weak", buffer_pages=256)
+    scalars = recorder.registry.scalars()
+    for name in ("buffer_dirty_pages", "buffer_flushes_total"):
+        assert name in scalars, name
+    assert scalars["buffer_write_absorbs_total"] > 0
+    assert scalars["buffer_hits_total"] > 0
+    assert 0 < scalars["buffer_hit_ratio"] <= 1
+    assert stats["completed"] > 0
 
 
 def test_metrics_session_does_not_perturb_results():

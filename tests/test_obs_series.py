@@ -1,14 +1,14 @@
-"""Edge-case tests for repro.obs.series (Histogram, TimeSeriesSampler).
+"""Tests for repro.obs.series (Histogram, TimeSeriesSampler).
 
-The happy paths are covered alongside the tracer tests; this file pins
-the corners the metrics subsystem leans on: empty histograms, extreme
-quantiles, the overflow bucket's clamping behaviour, and the sampler's
-start/stop/re-start lifecycle.
+Histogram corners the metrics subsystem leans on: empty histograms,
+extreme quantiles, the overflow bucket's clamping behaviour.  And the
+one sampler both observer sessions ride: its virtual-time cadence, the
+sample cap, its start/stop/re-start lifecycle and interval validation.
 """
 
 import pytest
 
-from repro.obs import Histogram, TimeSeriesSampler, latency_histogram
+from repro.obs import Histogram, TimeSeriesSampler
 from repro.sim.engine import Engine
 
 
@@ -18,7 +18,7 @@ from repro.sim.engine import Engine
 
 
 def test_empty_histogram_is_all_zeros():
-    histogram = latency_histogram()
+    histogram = Histogram()
     assert histogram.quantile(0.5) == 0
     assert histogram.mean() == 0.0
     snap = histogram.snapshot()
@@ -68,14 +68,30 @@ def test_unsorted_bounds_rejected():
 
 
 # ----------------------------------------------------------------------
-# sampler lifecycle
+# the sampler
 # ----------------------------------------------------------------------
+
+
+def _constant(value=1):
+    return lambda: value
+
+
+def test_sampler_rides_virtual_time_and_stops():
+    engine = Engine(seed=1)
+    ticks = []
+    sampler = TimeSeriesSampler(engine, 1_000, lambda: len(ticks))
+    engine.schedule(500, lambda: ticks.append(1))
+    engine.schedule(2_500, lambda: ticks.append(2))
+    sampler.start()
+    engine.schedule(3_500, sampler.stop)
+    engine.run()
+    # each row is what ``read`` returned at its tick, stamped in virtual time
+    assert sampler.samples == [(1_000, 1), (2_000, 1), (3_000, 2)]
 
 
 def test_sampler_stop_then_restart_resumes_ticking():
     engine = Engine(seed=1)
-    sampler = TimeSeriesSampler(engine, interval_ns=1_000)
-    sampler.add_probe("depth", lambda: 1)
+    sampler = TimeSeriesSampler(engine, 1_000, _constant())
 
     sampler.start()
     engine.schedule(2_500, sampler.stop)
@@ -91,8 +107,7 @@ def test_sampler_stop_then_restart_resumes_ticking():
 
 def test_sampler_start_is_idempotent():
     engine = Engine(seed=1)
-    sampler = TimeSeriesSampler(engine, interval_ns=1_000)
-    sampler.add_probe("depth", lambda: 1)
+    sampler = TimeSeriesSampler(engine, 1_000, _constant())
     sampler.start()
     sampler.start()  # second start must not double-schedule
     engine.schedule(3_500, sampler.stop)
@@ -102,22 +117,45 @@ def test_sampler_start_is_idempotent():
 
 def test_sampler_stop_without_start_is_a_no_op():
     engine = Engine(seed=1)
-    sampler = TimeSeriesSampler(engine, interval_ns=1_000)
+    sampler = TimeSeriesSampler(engine, 1_000, _constant())
     sampler.stop()
     assert sampler.samples == []
 
 
 def test_sampler_caps_samples_and_halts():
     engine = Engine(seed=1)
-    sampler = TimeSeriesSampler(engine, interval_ns=1_000, max_samples=3)
-    sampler.add_probe("depth", lambda: 1)
+    sampler = TimeSeriesSampler(engine, 1_000, _constant(), max_samples=3)
     sampler.start()
     engine.run()  # would tick forever without the cap
     assert len(sampler.samples) == 3
     assert sampler._running is False
 
 
+def test_sampler_stop_after_the_cap_leaves_the_queue_intact():
+    engine = Engine(seed=1)
+    sampler = TimeSeriesSampler(engine, 1_000, _constant(4), max_samples=2)
+    sampler.start()
+    engine.schedule(5_000, lambda: None)
+    engine.run(until_ns=3_000)
+    assert len(sampler.samples) == 2 and sampler._event is None
+    sampler.stop()  # its last tick has fired: there is nothing to cancel
+    assert len(engine.events) == 1
+    engine.run()
+    assert (engine.now, len(engine.events)) == (5_000, 0)
+
+
+def test_sampler_stopped_from_inside_its_own_tick_cancels_nothing():
+    engine = Engine(seed=1)
+    sampler = TimeSeriesSampler(engine, 1_000, lambda: sampler.stop() or 4)
+    sampler.start()
+    engine.schedule(5_000, lambda: None)
+    engine.run()
+    assert sampler.samples == [(1_000, 4)]
+    assert (engine.now, len(engine.events)) == (5_000, 0)
+
+
 def test_sampler_rejects_nonpositive_interval():
     engine = Engine(seed=1)
-    with pytest.raises(ValueError):
-        TimeSeriesSampler(engine, interval_ns=0)
+    for interval_ns in (0, -1_000):
+        with pytest.raises(ValueError, match="interval must be positive"):
+            TimeSeriesSampler(engine, interval_ns, _constant())

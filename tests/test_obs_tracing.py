@@ -1,9 +1,9 @@
 """Tests for the observability pipeline (repro.obs).
 
-Covers the tracer primitives, exporters, the time-series sampler, and
-the two end-to-end guarantees the pipeline makes: traced output is
-byte-identical across same-seed runs, and leaving tracing disabled
-does not perturb the simulation at all.
+Covers the tracer primitives, exporters, the trace session's sampled
+probes, and the two end-to-end guarantees the pipeline makes: traced
+output is byte-identical across same-seed runs, and leaving tracing
+disabled does not perturb the simulation at all.
 """
 
 import json
@@ -11,17 +11,18 @@ import json
 import pytest
 
 from repro.bench.runner import WorkloadSpec, run_pa
+from repro.nvme.device import fast_test_profile
 from repro.obs import (
     NULL_TRACER,
     Histogram,
-    TimeSeriesSampler,
+    TraceSession,
     Tracer,
     chrome_trace_events,
-    latency_histogram,
     trace_summary,
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.tracer import EV_COUNTER, EV_INSTANT
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.hooks import subscribe
@@ -77,12 +78,12 @@ def test_null_tracer_is_inert():
 
 
 # ----------------------------------------------------------------------
-# histograms and sampler
+# histograms and sampled probes
 # ----------------------------------------------------------------------
 
 
 def test_histogram_snapshot_quantiles():
-    histogram = latency_histogram()
+    histogram = Histogram()
     for us in (1, 2, 5, 10, 100):
         histogram.record(us * 1_000)
     snap = histogram.snapshot()
@@ -104,16 +105,23 @@ def test_histogram_overflow_bucket():
 
 def test_sampler_collects_rows_in_virtual_time():
     engine = Engine(seed=7)
-    sampler = TimeSeriesSampler(engine, interval_ns=1_000)
+    session = TraceSession(engine, sample_interval_ns=1_000)
     values = iter(range(100))
-    sampler.add_probe("depth", lambda: next(values))
-    sampler.start()
-    engine.schedule(5_500, lambda: sampler.stop())
+    session._probes.append(("depth", lambda: next(values)))
+    session.start()
+    engine.schedule(5_500, session.finish)
     engine.run()
-    times = [t for t, _row in sampler.samples]
+    times = [t for t, _row in session.sampler.samples]
     assert times == [1_000, 2_000, 3_000, 4_000, 5_000]
-    summary = sampler.summary()["depth"]
+    summary = session.probe_summary()["depth"]
     assert summary["min"] == 0 and summary["max"] == 4
+    assert summary["mean"] == 2 and summary["last"] == 4
+    # every row is also a counter event on the trace's metrics track
+    counters = [e for e in session.tracer.events if e[0] == EV_COUNTER]
+    assert [(e[1], e[2], e[3]) for e in counters] == [
+        ("metrics", "samples", t) for t in times
+    ]
+    assert [e[4] for e in counters] == [row for _t, row in session.sampler.samples]
 
 
 # ----------------------------------------------------------------------
@@ -256,3 +264,51 @@ def test_traced_session_populates_histograms_and_probes():
     assert "device_outstanding" in summary["timeseries"]["probes"]
     assert summary["trace_events"] > 0
     assert summary["trace_events_dropped"] == 0
+
+
+def _traced_fault_run():
+    spec = WorkloadSpec(kind="ycsb", n_keys=2_000, n_ops=300)
+    return run_pa(
+        spec, seed=1, trace=True, faults={"read_error_rate": 0.3},
+        device_profile=fast_test_profile(),
+    )
+
+
+def test_traced_retries_agree_with_the_run():
+    result = _traced_fault_run()
+    session = result["trace_session"]
+    retries = [
+        e for e in session.tracer.events
+        if e[0] == EV_INSTANT and e[1:3] == ("io", "retry")
+    ]
+    assert result["io_retries"] > 0
+    assert session.io_retries == len(retries) == result["io_retries"]
+    assert session.bench_summary()["faults"]["io_retries"] == result["io_retries"]
+
+
+def test_traced_fault_run_is_deterministic():
+    # escalated I/O errors are recorded too, named by nothing run-specific
+    first, second = (_traced_fault_run()["trace_session"] for _ in range(2))
+    assert any(e[1:3] == ("io", "io_error") for e in first.tracer.events)
+    assert first.tracer.events == second.tracer.events
+
+
+@pytest.mark.parametrize("persistence", ["strong", "weak"])
+def test_traced_buffered_run_reports_the_buffer(persistence):
+    spec = WorkloadSpec(kind="ycsb", n_keys=2_000, n_ops=300, sync_every=100)
+    result = run_pa(
+        spec, seed=5, trace=True, persistence=persistence, buffer_pages=64,
+    )
+    summary = result["trace_session"].bench_summary()
+    buffer = summary["buffer"]
+    assert buffer["hits"] > 0
+    # both buffers' snapshots: only the write-back one absorbs writes
+    assert ("write_absorbs" in buffer) == (persistence == "weak")
+    probes = summary["timeseries"]["probes"]
+    assert probes["buffer_hit_rate"]["samples"] > 0
+    assert 0 < probes["buffer_hit_rate"]["last"] <= 1
+    assert probes["buffer_dirty"]["samples"] > 0
+    if persistence == "strong":
+        assert probes["buffer_dirty"]["max"] == 0
+    else:
+        assert probes["buffer_dirty"]["max"] > 0

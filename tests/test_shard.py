@@ -412,13 +412,13 @@ class TestObservability:
     def test_one_trace_session_records_all_shards(self):
         sharded = build(n_shards=2, preload=400)
         session = TraceSession(sharded.engine, sample_interval_ns=usec(5))
-        sharded.attach_trace(session)
+        session.attach_sharded(sharded)
         session.start()
         sharded.run_operations(
             [search_op(k * 10) for k in range(1, 201)], window=16
         )
         session.finish()
-        summary = session.sampler.summary()
+        summary = session.probe_summary()
         for index in range(2):
             assert "shard%d_outstanding" % index in summary
             assert "shard%d_ready_ops" % index in summary
@@ -432,13 +432,13 @@ class TestObservability:
         (device,) = sharded.devices
         trace = TraceSession(sharded.engine, sample_interval_ns=usec(5))
         metrics = MetricsSession(sharded.engine, flight_capacity=10_000)
-        sharded.attach_trace(trace)
+        trace.attach_sharded(sharded)
         metrics.attach_sharded(sharded)
         trace.start()
         sharded.run_operations([search_op(k * 10) for k in range(1, 201)])
         trace.finish()
         metrics.finish()
-        summary = trace.sampler.summary()
+        summary = trace.probe_summary()
         assert "device_outstanding" in summary  # the unprefixed series
         assert "shard0_outstanding" not in summary
         assert "shard1_ready_ops" in summary
