@@ -415,8 +415,8 @@ class BaseSession:
     def attach_metrics(self, **session_kwargs):
         """Attach a new :class:`~repro.obs.MetricsSession` to this session.
 
-        Builds one (forwarding ``session_kwargs`` — SLO targets, scrape
-        interval, flight-recorder capacity), wires it into this
+        Builds one (forwarding ``session_kwargs`` — scrape interval,
+        flight-recorder capacity), wires it into this
         session's stack and returns it.  The caller still owns the
         lifecycle: ``session.start()`` before the workload,
         ``session.finish()`` after.  A session that is never attached
@@ -466,10 +466,10 @@ class PATreeSession(BaseSession):
     # data plane
     # ------------------------------------------------------------------
 
-    def bulk_load(self, items, fill_factor=0.7):
+    def bulk_load(self, items):
         """Offline bottom-up build from sorted unique (key, bytes) pairs."""
         self._check_open()
-        self.tree.bulk_load(items, fill_factor)
+        self.tree.bulk_load(items)
 
     # ------------------------------------------------------------------
     # introspection
@@ -619,10 +619,10 @@ class ShardedSession(BaseSession):
     def now_usec(self):
         return self.engine.clock.now_usec
 
-    def bulk_load(self, items, fill_factor=0.7):
+    def bulk_load(self, items):
         """Offline build across all shards from sorted unique pairs."""
         self._check_open()
-        self.sharded.bulk_load(items, fill_factor)
+        self.sharded.bulk_load(items)
 
     def __len__(self):
         return self.sharded.key_count

@@ -43,7 +43,7 @@ DEFAULT_DEPTHS = (1, 2, 4, 8, 16, 32)
 
 
 def run_fixed_depth(backend, n_ops, depth, write_ratio=0.3,
-                    stream="calibrate", probe_cycle_us=2):
+                    stream="calibrate"):
     """Closed-loop fixed-depth run on any backend; returns flat stats.
 
     The operation schedule is a deterministic function of the
@@ -67,7 +67,7 @@ def run_fixed_depth(backend, n_ops, depth, write_ratio=0.3,
             backend.read(qpair, lba)
         state["submitted"] += 1
 
-    probe_ns = max(usec(probe_cycle_us), 1)
+    probe_ns = usec(2)  # the driver is probed every 2 us
 
     def probe_tick():
         for command in backend.probe(qpair):
@@ -128,8 +128,8 @@ def record_sweep(out_dir, depths=DEFAULT_DEPTHS, n_ops=300, write_ratio=0.3,
     return points
 
 
-def _trimmed_mean(values, fallback, trim=0.1):
-    """Mean of the lowest ``1 - trim`` fraction of the samples.
+def _trimmed_mean(values, fallback):
+    """Mean of the lowest 90 % of the samples.
 
     Real syscall timings have a heavy upper tail (cold page cache,
     scheduler preemption); a plain mean lets one 500 us outlier set
@@ -138,12 +138,12 @@ def _trimmed_mean(values, fallback, trim=0.1):
     if not values:
         return fallback
     ordered = sorted(values)
-    keep = max(1, int(len(ordered) * (1.0 - trim)))
+    keep = max(1, int(len(ordered) * 0.9))
     kept = ordered[:keep]
     return int(sum(kept) / len(kept))
 
 
-def fit_profile(points, name="fitted_file"):
+def fit_profile(points):
     """Step 2: fit a :class:`DeviceProfile` from the recorded sweep.
 
     * service times: trimmed per-opcode means of the **depth-1**
@@ -179,7 +179,7 @@ def fit_profile(points, name="fitted_file"):
     channels = max(1, int(round(max(parallelism)))) if parallelism else 1
 
     profile = DeviceProfile(
-        name=name,
+        name="fitted_file",
         channels=channels,
         read_service_ns=max(read_ns, 1),
         write_service_ns=max(write_ns, 1),

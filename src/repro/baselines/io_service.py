@@ -140,10 +140,11 @@ class SharedIoService:
     name = "shared"
     needs_daemon = True
 
-    def __init__(self, driver, daemon_spin_us=1.0):
+    def __init__(self, driver):
         self.driver = driver
         self.qpair = driver.alloc_qpair()
-        self.daemon_spin_ns = usec(daemon_spin_us)
+        # the daemon's CPU burst per empty poll of queue and ring
+        self.daemon_spin_ns = usec(1.0)
         self._mutex = Mutex("shared-io-queue")
         self._requests = deque()
         self._stop = False

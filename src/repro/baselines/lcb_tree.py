@@ -32,7 +32,6 @@ class LcbTreeAccessor(SyncTreeAccessor):
         latches,
         buffer=None,
         persistence="strong",
-        wal_base_lba=None,
         wal_pages=65_536,
         checkpoint_pages=2_048,
     ):
@@ -43,10 +42,11 @@ class LcbTreeAccessor(SyncTreeAccessor):
         if persistence not in ("strong", "weak"):
             raise TreeError("unknown persistence %r" % (persistence,))
         self.log_persistence = persistence
-        if wal_base_lba is None:
-            wal_base_lba = tree.device.profile.capacity_pages - wal_pages
+        # the log takes the last wal_pages pages of the device
         self.wal = WriteAheadLog(
-            tree.config.page_size, base_lba=wal_base_lba, num_pages=wal_pages
+            tree.config.page_size,
+            base_lba=tree.device.profile.capacity_pages - wal_pages,
+            num_pages=wal_pages,
         )
         self._wal_mutex = Mutex("lcb-wal")
         self._delta_mutex = Mutex("lcb-delta")

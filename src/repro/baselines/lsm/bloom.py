@@ -14,6 +14,8 @@ methods so that building and probing make no call per key.
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MUL1 = 0x9E3779B97F4A7C15
 _MUL2 = 0xC2B2AE3D27D4EB4F
+#: Filter size per key, LevelDB's default; k = round(bits * ln 2) probes.
+BITS_PER_KEY = 10
 
 
 class BloomFilter:
@@ -21,9 +23,9 @@ class BloomFilter:
 
     __slots__ = ("n_bits", "k", "_bits")
 
-    def __init__(self, keys, bits_per_key=10):
-        n_bits = self.n_bits = max(64, max(len(keys), 1) * bits_per_key)
-        k = self.k = max(1, min(8, int(round(bits_per_key * 0.69))))
+    def __init__(self, keys):
+        n_bits = self.n_bits = max(64, max(len(keys), 1) * BITS_PER_KEY)
+        k = self.k = max(1, min(8, int(round(BITS_PER_KEY * 0.69))))
         bits = self._bits = bytearray(n_bits)
         for key in keys:
             pos = ((key * _MUL1) & _MASK64) % n_bits

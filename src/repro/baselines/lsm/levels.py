@@ -7,8 +7,8 @@ threads or one polled worker drive it:
   full memtables rotated out of it that await their flush,
 * level 0: memtable flushes (tables may overlap; newest first),
 * levels 1+: non-overlapping runs sorted by ``min_key``, each level
-  ``level_ratio`` times the previous one's table budget; a level over
-  budget is compacted into the next,
+  :data:`LEVEL_RATIO` times the previous one's table budget; a level
+  over budget is compacted into the next,
 * an in-memory block cache for data pages.
 
 :class:`LeveledStore` owns that state, every pure step over it and the
@@ -85,13 +85,16 @@ def _runs_starting_by(tables, key):
     return lo
 
 
+#: Table budget of each level past the first, relative to the one above.
+LEVEL_RATIO = 4
+
+
 class LsmConfig:
     """Shape knobs (scaled-down LevelDB defaults)."""
 
     __slots__ = (
         "memtable_entries",
         "level0_limit",
-        "level_ratio",
         "level1_tables",
         "block_cache_pages",
         "wal_pages",
@@ -101,7 +104,6 @@ class LsmConfig:
         self,
         memtable_entries=1_000,
         level0_limit=4,
-        level_ratio=4,
         level1_tables=8,
         block_cache_pages=1_024,
         wal_pages=65_536,
@@ -112,7 +114,6 @@ class LsmConfig:
             )
         self.memtable_entries = memtable_entries
         self.level0_limit = level0_limit
-        self.level_ratio = level_ratio
         self.level1_tables = level1_tables
         self.block_cache_pages = block_cache_pages
         self.wal_pages = wal_pages
@@ -404,7 +405,7 @@ class LeveledStore:
     def _over_budget(self, level):
         if level == 0:
             return len(self.levels[0]) > self.config.level0_limit
-        budget = self.config.level1_tables * self.config.level_ratio ** (level - 1)
+        budget = self.config.level1_tables * LEVEL_RATIO ** (level - 1)
         return len(self.levels[level]) > budget
 
     def _pick_compaction(self, level):

@@ -77,9 +77,9 @@ class BaselineRunner:
             )
             self.threads.append(thread)
 
-    def run_to_completion(self, until_ns=None):
+    def run_to_completion(self):
         self.start()
-        self.simos.run_until_done(self.threads, until_ns)
+        self.simos.run_until_done(self.threads)
         if not all(thread.done for thread in self.threads):
             raise BenchmarkError(
                 "baseline %r did not finish (%d ops left)"
@@ -87,7 +87,4 @@ class BaselineRunner:
             )
         self.accessor.io.stop()
         # let a shared-I/O daemon drain and exit
-        self.engine.run(until_ns=until_ns)
-
-    def worker_cpu_account(self):
-        return self.simos.cpu_account(self.name)
+        self.engine.run()

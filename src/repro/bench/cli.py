@@ -38,6 +38,14 @@ from repro.bench.report import write_bench_json
 from repro.errors import BenchmarkError
 
 
+def positive_int(text):
+    """argparse type of a size: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not %d" % value)
+    return value
+
+
 def _exhibit(module, title=None, render=None):
     return (title or module.TITLE, module, render or module.render)
 
@@ -124,7 +132,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--ops",
-        type=int,
+        type=positive_int,
         default=None,
         help="operations per measurement point (default: the exhibit's own)",
     )

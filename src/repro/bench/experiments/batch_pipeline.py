@@ -37,9 +37,10 @@ PRELOAD_STRIDE = 8
 
 #: Closed-loop window of in-flight batch operations.
 WINDOW = 8
+PAYLOAD_SIZE = 8
 
 
-def make_specs(n_specs, seed, payload_size=8):
+def make_specs(n_specs, seed):
     """The deterministic mixed spec stream shared by every sweep point."""
     rng = RngRegistry(seed).stream("batch-sweep")
     specs = []
@@ -47,7 +48,7 @@ def make_specs(n_specs, seed, payload_size=8):
         key = rng.randrange(1, KEYSPACE)
         roll = rng.random()
         if roll < 0.5:
-            specs.append(OpSpec.put(key, key.to_bytes(payload_size, "little")))
+            specs.append(OpSpec.put(key, key.to_bytes(PAYLOAD_SIZE, "little")))
         elif roll < 0.8:
             specs.append(OpSpec.get(key))
         else:
@@ -55,16 +56,16 @@ def make_specs(n_specs, seed, payload_size=8):
     return specs
 
 
-def run_batch_size(batch_size, n_specs=OPS, seed=1, payload_size=8):
+def run_batch_size(batch_size, n_specs=OPS, seed=1):
     """One sweep point: the whole spec stream in ``batch_size`` chunks."""
     session = PATreeSession(
-        seed=seed, payload_size=payload_size, scheduler="naive", window=WINDOW
+        seed=seed, payload_size=PAYLOAD_SIZE, scheduler="naive", window=WINDOW
     )
     session.bulk_load(
-        (key, key.to_bytes(payload_size, "little"))
+        (key, key.to_bytes(PAYLOAD_SIZE, "little"))
         for key in range(1, KEYSPACE, PRELOAD_STRIDE)
     )
-    specs = make_specs(n_specs, seed, payload_size)
+    specs = make_specs(n_specs, seed)
     operations = [
         batch_op(specs[start:start + batch_size])
         for start in range(0, len(specs), batch_size)
@@ -92,10 +93,10 @@ def run_batch_size(batch_size, n_specs=OPS, seed=1, payload_size=8):
     }
 
 
-def run(ops=OPS, seed=1, batch_sizes=BATCH_SIZES):
+def run(ops=OPS, seed=1):
     rows = []
     base = None
-    for batch_size in batch_sizes:
+    for batch_size in BATCH_SIZES:
         row = run_batch_size(batch_size, n_specs=ops, seed=seed)
         if base is None:
             base = row["throughput_ops"] or 1.0

@@ -66,10 +66,10 @@ def _arm_rows(arm, config, n_ops, seed, **extra):
     return row
 
 
-def run(ops=OPS, seed=1, error_rates=ERROR_RATES):
+def run(ops=OPS, seed=1):
     """Run all three arms; returns the list of row dicts."""
     rows = []
-    for rate in error_rates:
+    for rate in ERROR_RATES:
         config = FaultConfig(read_error_rate=rate, write_error_rate=rate)
         rows.append(_arm_rows("errors", config, ops, seed))
     rows.append(

@@ -20,8 +20,8 @@ OPS = 3_000
 FIXED_CYCLES_US = (0, 1, 5, 10, 20, 50, 100, 200)
 
 
-def run(ops=OPS, seed=1, n_keys=20_000, fixed_cycles=FIXED_CYCLES_US):
-    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="default")
+def run(ops=OPS, seed=1):
+    spec = WorkloadSpec(kind="ycsb", n_keys=20_000, n_ops=ops, mix="default")
     rows = []
 
     model = cached_probe_model(i3_nvme_profile())
@@ -33,7 +33,7 @@ def run(ops=OPS, seed=1, n_keys=20_000, fixed_cycles=FIXED_CYCLES_US):
     row["strategy"] = "avg(t)"
     rows.append(row)
 
-    for cycle in fixed_cycles:
+    for cycle in FIXED_CYCLES_US:
         row = run_pa(spec, seed=seed, policy=FixedRateProbing(cycle))
         row["strategy"] = "fixed %dus" % cycle
         rows.append(row)

@@ -19,8 +19,8 @@ TITLE = "Fig 11: dedicated polling variants"
 OPS = 3_000
 
 
-def run(ops=OPS, seed=1, n_keys=20_000):
-    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="default")
+def run(ops=OPS, seed=1):
+    spec = WorkloadSpec(kind="ycsb", n_keys=20_000, n_ops=ops, mix="default")
     model = cached_probe_model(i3_nvme_profile())
     rows = []
     for name, poller in (

@@ -25,12 +25,12 @@ WINDOW = 128
 BUFFER_PAGES = 4_096
 
 
-def run(ops=OPS, seed=1, n_keys=20_000, alphas=ALPHA_SWEEP):
+def run(ops=OPS, seed=1):
     model = cached_probe_model(i3_nvme_profile())
     rows = []
-    for alpha in alphas:
+    for alpha in ALPHA_SWEEP:
         spec = WorkloadSpec(
-            kind="ycsb", n_keys=n_keys, n_ops=ops, mix="update_heavy", alpha=alpha
+            kind="ycsb", n_keys=20_000, n_ops=ops, mix="update_heavy", alpha=alpha
         )
         for prioritized in (True, False):
             row = run_pa(

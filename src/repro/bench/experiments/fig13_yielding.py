@@ -20,11 +20,11 @@ OPS = 1_500
 RATE_SWEEP = (10_000, 25_000, 50_000, 75_000)
 
 
-def run(ops=OPS, seed=1, n_keys=20_000, rates=RATE_SWEEP):
+def run(ops=OPS, seed=1):
     model = cached_probe_model(i3_nvme_profile())
     rows = []
-    for rate in rates:
-        spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="default")
+    for rate in RATE_SWEEP:
+        spec = WorkloadSpec(kind="ycsb", n_keys=20_000, n_ops=ops, mix="default")
         for cpu_yield in (True, False):
             row = run_pa(
                 spec,

@@ -19,12 +19,12 @@ BUFFER_SWEEP = (0, 16, 64, 256, 1024, 4096)
 SYNC_EVERY = 1000
 
 
-def run(ops=OPS, seed=1, n_keys=20_000, buffers=BUFFER_SWEEP):
+def run(ops=OPS, seed=1):
     # update-heavy: the strong/weak gap is about write amplification,
     # so the workload must write enough for merging to matter
-    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="update_heavy")
+    spec = WorkloadSpec(kind="ycsb", n_keys=20_000, n_ops=ops, mix="update_heavy")
     rows = []
-    for buffer_pages in buffers:
+    for buffer_pages in BUFFER_SWEEP:
         row = run_pa(
             spec, seed=seed, persistence="strong", buffer_pages=buffer_pages
         )

@@ -51,7 +51,7 @@ def _buffer_pages_for(tree):
 
 def run_tree_baseline(spec, accessor_kind, persistence, n_threads, seed=1):
     """LCB / Blink run over the shared synchronous substrate."""
-    machine = _Machine(seed, None, spec.payload_size)
+    machine = _Machine(seed, payload_size=spec.payload_size)
     rng = RngRegistry(seed).stream("workload")
     workload = spec.build(rng)
     machine.tree.bulk_load(workload.preload_items())
@@ -89,7 +89,7 @@ def run_tree_baseline(spec, accessor_kind, persistence, n_threads, seed=1):
 
 
 def run_lsm_baseline(spec, persistence, n_threads, seed=1):
-    machine = _Machine(seed, None, spec.payload_size)
+    machine = _Machine(seed, payload_size=spec.payload_size)
     rng = RngRegistry(seed).stream("workload")
     workload = spec.build(rng)
     io_service = DedicatedIoService(machine.driver)
@@ -124,7 +124,7 @@ def _collect(machine, runner, approach, n_threads):
 
 def run_pa_arm(spec, persistence, seed=1):
     # estimate the buffer from the workload's preload footprint
-    machine = _Machine(seed, None, spec.payload_size)
+    machine = _Machine(seed, payload_size=spec.payload_size)
     rng = RngRegistry(seed).stream("workload")
     workload = spec.build(rng)
     machine.tree.bulk_load(workload.preload_items())
@@ -146,21 +146,20 @@ def run_pa_arm(spec, persistence, seed=1):
     return row
 
 
-def run(ops=OPS, seed=1, workloads=None, baseline_threads=BASELINE_THREADS):
-    workloads = workloads or WORKLOADS
+def run(ops=OPS, seed=1):
     rows = []
-    for workload_name, spec in workloads.items():
+    for workload_name, spec in WORKLOADS.items():
         if ops is not None:
             spec = replace(spec, n_ops=ops)
         for persistence in ("strong", "weak"):
             arms = [run_pa_arm(spec, persistence, seed=seed)]
             arms.append(
-                run_tree_baseline(spec, "blink", persistence, baseline_threads, seed)
+                run_tree_baseline(spec, "blink", persistence, BASELINE_THREADS, seed)
             )
             arms.append(
-                run_tree_baseline(spec, "lcb", persistence, baseline_threads, seed)
+                run_tree_baseline(spec, "lcb", persistence, BASELINE_THREADS, seed)
             )
-            arms.append(run_lsm_baseline(spec, persistence, baseline_threads, seed))
+            arms.append(run_lsm_baseline(spec, persistence, BASELINE_THREADS, seed))
             for row in arms:
                 row["workload"] = workload_name
                 row["persistence"] = persistence

@@ -33,11 +33,10 @@ def run_fixed_qd(
     probe_cycle_us=5,
     duration_us=60_000,
     seed=3,
-    device_profile=None,
 ):
     """One microbench point; returns {iops, mean_latency_us, ...}."""
     engine = Engine(seed=seed)
-    profile = device_profile or i3_nvme_profile()
+    profile = i3_nvme_profile()
     backend = make_backend("sim", engine=engine, profile=profile)
     device = backend.device
     driver = backend.driver
@@ -100,36 +99,29 @@ def run_fig3a_b(qd_sweep=QD_SWEEP, write_rates=WRITE_RATES, duration_us=40_000, 
     return list(qd_sweep), iops_series, latency_series
 
 
-def run_fig3c(probe_cycles_us=PROBE_CYCLES_US, queue_depth=32, duration_us=40_000, seed=3):
-    """IOPS and latency vs probe cycle at fixed queue depth."""
+def run_fig3c(probe_cycles_us=PROBE_CYCLES_US, duration_us=40_000, seed=3):
+    """IOPS and latency vs probe cycle at queue depth 32."""
     iops = []
     latency = []
     for cycle in probe_cycles_us:
         point = run_fixed_qd(
-            queue_depth, 0.0, probe_cycle_us=cycle, duration_us=duration_us, seed=seed
+            32, 0.0, probe_cycle_us=cycle, duration_us=duration_us, seed=seed
         )
         iops.append(point["iops"])
         latency.append(point["mean_latency_us"])
     return list(probe_cycles_us), {"iops": iops}, {"latency_us": latency}
 
 
-def run(
-    ops=OPS,
-    seed=3,
-    qd_sweep=QD_SWEEP,
-    write_rates=WRITE_RATES,
-    probe_cycles_us=PROBE_CYCLES_US,
-    duration_us=40_000,
-):
+def run(ops=OPS, seed=3, duration_us=40_000):
     """Both sweeps as two rows: panels (a)/(b), then panel (c)."""
     if ops is not None:
         raise BenchmarkError(
             "fig3 is time-based (every point runs for a fixed virtual "
             "duration); it takes no --ops"
         )
-    qds, qd_iops, qd_latency = run_fig3a_b(qd_sweep, write_rates, duration_us, seed)
+    qds, qd_iops, qd_latency = run_fig3a_b(duration_us=duration_us, seed=seed)
     cycles, cycle_iops, cycle_latency = run_fig3c(
-        probe_cycles_us, duration_us=duration_us, seed=seed
+        duration_us=duration_us, seed=seed
     )
     return [
         {"x_name": "qd", "x": qds, "iops": qd_iops, "latency_us": qd_latency},

@@ -45,12 +45,12 @@ def run(
     return rows
 
 
-def best_baseline(rows, mix, approach, metric="throughput_ops", maximize=True):
+def best_baseline(rows, mix, approach):
+    """The row of ``approach`` on ``mix`` with the highest throughput."""
     candidates = [
         row for row in rows if row["mix"] == mix and row["approach"] == approach
     ]
-    chooser = max if maximize else min
-    return chooser(candidates, key=lambda row: row[metric])
+    return max(candidates, key=lambda row: row["throughput_ops"])
 
 
 def render(rows, out=print):

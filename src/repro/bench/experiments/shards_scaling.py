@@ -35,23 +35,14 @@ MIXES = ("read_only", "default")
 WINDOW_PER_SHARD = 32
 
 
-def run_shards(
-    n_shards,
-    mix,
-    base_ops=OPS,
-    n_keys=20_000,
-    seed=1,
-    alpha=0.3,
-    partitioning="hash",
-):
-    """One sweep point: ``n_shards`` shards, ``base_ops`` ops per shard."""
+def run_shards(n_shards, mix, base_ops=OPS, seed=1):
+    """One sweep point: ``n_shards`` hash shards, ``base_ops`` ops per
+    shard, over 20 000 keys at Zipf alpha 0.3."""
     engine = Engine(seed=seed)
     simos = SimOS(engine, paper_testbed_profile())
-    sharded = ShardedPaTree(simos, n_shards, partitioning=partitioning)
+    sharded = ShardedPaTree(simos, n_shards)
     rng = RngRegistry(seed).stream("workload")
-    workload = YcsbWorkload(
-        n_keys, base_ops * n_shards, mix=mix, alpha=alpha, rng=rng
-    )
+    workload = YcsbWorkload(20_000, base_ops * n_shards, mix=mix, alpha=0.3, rng=rng)
     sharded.bulk_load(workload.preload_items())
     sharded.run_operations(workload.operations(), window=WINDOW_PER_SHARD * n_shards)
     sharded.validate()
@@ -65,7 +56,7 @@ def run_shards(
     return {
         "mix": mix,
         "shards": n_shards,
-        "partitioning": partitioning,
+        "partitioning": sharded.partitioning,
         "ops": base_ops * n_shards,
         "window": WINDOW_PER_SHARD * n_shards,
         "elapsed_s": elapsed_s,
@@ -83,20 +74,12 @@ def run_shards(
     }
 
 
-def run(
-    ops=OPS,
-    seed=1,
-    n_keys=20_000,
-    shard_counts=SHARD_SWEEP,
-    mixes=MIXES,
-):
+def run(ops=OPS, seed=1):
     rows = []
-    for mix in mixes:
+    for mix in MIXES:
         base = None
-        for n_shards in shard_counts:
-            row = run_shards(
-                n_shards, mix, base_ops=ops, n_keys=n_keys, seed=seed
-            )
+        for n_shards in SHARD_SWEEP:
+            row = run_shards(n_shards, mix, base_ops=ops, seed=seed)
             if base is None:
                 base = row["throughput_ops"] or 1.0
             row["speedup"] = row["throughput_ops"] / base

@@ -22,19 +22,19 @@ CYCLES_PER_US = 2_300
 _CACHE = {}
 
 
-def run(ops=OPS, seed=1, n_keys=20_000, baseline_threads=BASELINE_THREADS):
+def run(ops=OPS, seed=1):
     """The four measured rows.  Memoized: three exhibits share them."""
-    key = (ops, seed, n_keys, baseline_threads)
+    key = (ops, seed)
     if key in _CACHE:
         return _CACHE[key]
-    spec = WorkloadSpec(kind="ycsb", n_keys=n_keys, n_ops=ops, mix="default")
+    spec = WorkloadSpec(kind="ycsb", n_keys=20_000, n_ops=ops, mix="default")
     rows = [
-        run_sync_baseline(spec, "shared", baseline_threads, seed=seed),
-        run_sync_baseline(spec, "dedicated", baseline_threads, seed=seed),
+        run_sync_baseline(spec, "shared", BASELINE_THREADS, seed=seed),
+        run_sync_baseline(spec, "dedicated", BASELINE_THREADS, seed=seed),
         run_sync_baseline(
             spec,
             "dedicated",
-            baseline_threads,
+            BASELINE_THREADS,
             seed=seed,
             pause_mode="sleep",
             poll_pause_us=100,  # the paper's stated inter-probe pause

@@ -94,18 +94,18 @@ def _interleave_syncs(operations, sync_every):
 class _Machine:
     """One simulated machine with a freshly formatted tree.
 
-    ``backend`` is a spec (see :mod:`repro.backend`); ``None`` takes
-    the process default, so ``repro.bench --backend file`` retargets
-    every exhibit built on this harness.
+    Its backend is the process default (:mod:`repro.backend`), so
+    ``repro.bench --backend file`` retargets every exhibit built on
+    this harness.
     """
 
     def __init__(self, seed, device_profile=None, payload_size=8,
-                 faults=None, retry=None, backend=None):
+                 faults=None, retry=None):
         self.engine = Engine(seed=seed)
         self.simos = SimOS(self.engine, paper_testbed_profile())
         self.device_profile = device_profile or i3_nvme_profile()
         self.backend = make_backend(
-            backend,
+            None,
             engine=self.engine,
             profile=device_profile,
             faults=faults,
@@ -164,11 +164,9 @@ def run_pa(
     dedicated_poller=None,
     device_profile=None,
     open_loop_rate=None,
-    fill_factor=0.7,
     trace=False,
     faults=None,
     retry=None,
-    backend=None,
 ):
     """Run one PA-Tree experiment; returns the flat stats dict.
 
@@ -184,10 +182,10 @@ def run_pa(
     reproduces the fault-free numbers bit for bit.
     """
     machine = _Machine(seed, device_profile, spec.payload_size,
-                       faults=faults, retry=retry, backend=backend)
+                       faults=faults, retry=retry)
     rng = RngRegistry(seed).stream("workload")
     workload = spec.build(rng)
-    machine.tree.bulk_load(workload.preload_items(), fill_factor)
+    machine.tree.bulk_load(workload.preload_items())
 
     session = None
     if trace:
@@ -275,18 +273,16 @@ def run_sync_baseline(
     io_mode,
     n_threads,
     seed=1,
-    persistence="strong",
-    buffer_pages=0,
     device_profile=None,
-    fill_factor=0.7,
     pause_mode="spin",
     poll_pause_us=20,
 ):
-    """Run one shared/dedicated synchronous-paradigm experiment."""
+    """Run one shared/dedicated synchronous-paradigm experiment
+    (strong persistence, no buffer)."""
     machine = _Machine(seed, device_profile, spec.payload_size)
     rng = RngRegistry(seed).stream("workload")
     workload = spec.build(rng)
-    machine.tree.bulk_load(workload.preload_items(), fill_factor)
+    machine.tree.bulk_load(workload.preload_items())
 
     if io_mode == "dedicated":
         io_service = DedicatedIoService(
@@ -301,13 +297,7 @@ def run_sync_baseline(
     if spec.sync_every:
         operations = _interleave_syncs(operations, spec.sync_every)
 
-    accessor = SyncTreeAccessor(
-        machine.tree,
-        io_service,
-        BlockingLatchTable(),
-        buffer=make_buffer(persistence, buffer_pages),
-        persistence=persistence,
-    )
+    accessor = SyncTreeAccessor(machine.tree, io_service, BlockingLatchTable())
     runner = BaselineRunner(
         machine.simos, accessor, operations, n_threads, name=io_mode
     )

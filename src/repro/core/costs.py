@@ -18,7 +18,11 @@ from repro.sim.clock import usec
 
 
 class TreeCostModel:
-    """Per-step CPU costs, in nanoseconds."""
+    """Per-step CPU costs, in nanoseconds.
+
+    One calibration: every tree and worker reads :data:`DEFAULT_COSTS`,
+    so a sensitivity sweep patches its attributes in-process.
+    """
 
     __slots__ = (
         "dispatch_ns",
@@ -38,39 +42,22 @@ class TreeCostModel:
         "handoff_sync_ns",
     )
 
-    def __init__(
-        self,
-        dispatch_ns=usec(0.10),
-        admit_ns=usec(0.10),
-        latch_request_ns=usec(0.10),
-        latch_release_ns=usec(0.08),
-        node_parse_ns=usec(0.50),
-        node_search_ns=usec(0.50),
-        leaf_update_ns=usec(0.60),
-        node_serialize_ns=usec(0.50),
-        split_ns=usec(0.80),
-        merge_ns=usec(0.80),
-        buffer_lookup_ns=usec(0.12),
-        priority_pick_ns=usec(0.10),
-        probe_model_ns=usec(0.10),
-        idle_spin_ns=usec(1.0),
-        handoff_sync_ns=usec(0.35),
-    ):
-        self.dispatch_ns = dispatch_ns
-        self.admit_ns = admit_ns
-        self.latch_request_ns = latch_request_ns
-        self.latch_release_ns = latch_release_ns
-        self.node_parse_ns = node_parse_ns
-        self.node_search_ns = node_search_ns
-        self.leaf_update_ns = leaf_update_ns
-        self.node_serialize_ns = node_serialize_ns
-        self.split_ns = split_ns
-        self.merge_ns = merge_ns
-        self.buffer_lookup_ns = buffer_lookup_ns
-        self.priority_pick_ns = priority_pick_ns
-        self.probe_model_ns = probe_model_ns
-        self.idle_spin_ns = idle_spin_ns
-        self.handoff_sync_ns = handoff_sync_ns
+    def __init__(self):
+        self.dispatch_ns = usec(0.10)
+        self.admit_ns = usec(0.10)
+        self.latch_request_ns = usec(0.10)
+        self.latch_release_ns = usec(0.08)
+        self.node_parse_ns = usec(0.50)
+        self.node_search_ns = usec(0.50)
+        self.leaf_update_ns = usec(0.60)
+        self.node_serialize_ns = usec(0.50)
+        self.split_ns = usec(0.80)
+        self.merge_ns = usec(0.80)
+        self.buffer_lookup_ns = usec(0.12)
+        self.priority_pick_ns = usec(0.10)
+        self.probe_model_ns = usec(0.10)
+        self.idle_spin_ns = usec(1.0)
+        self.handoff_sync_ns = usec(0.35)
 
 
 DEFAULT_COSTS = TreeCostModel()

@@ -81,7 +81,7 @@ class PaTreeEngine(PolledWorker):
         if persistence == PERSISTENCE_STRONG and buffer is not None and buffer.mode != "strong":
             raise SchedulerError("strong persistence requires a ReadOnlyBuffer")
         super().__init__(
-            simos, backend, policy, source, tree.costs,
+            simos, backend, policy, source,
             qpair=qpair, name=name, tracer=tracer,
         )
         self.tree = tree
@@ -120,9 +120,9 @@ class PaTreeEngine(PolledWorker):
             )
         return self.worker_thread
 
-    def run_to_completion(self, until_ns=None):
+    def run_to_completion(self):
         """Run until the source drains; no latch may outlive the run."""
-        super().run_to_completion(until_ns)
+        super().run_to_completion()
         self.latches.assert_quiescent()
 
     def _poller_body(self):

@@ -219,7 +219,6 @@ class Operation:
         "error",
         "admit_ns",
         "done_ns",
-        "on_complete",
         "specs",
         "groups",
         "cursor",
@@ -245,7 +244,6 @@ class Operation:
         self.error = None
         self.admit_ns = None
         self.done_ns = None
-        self.on_complete = None
         # batch state: the OpSpec list, how many leaf groups the plan
         # touched, the input index of the spec currently being applied
         # (failing-key attribution), and — on a sharded sub-batch —
@@ -273,40 +271,28 @@ class Operation:
         return "Operation(%s key=%d %s)" % (self.kind, self.key, self.state)
 
 
-def search_op(key, on_complete=None):
-    op = Operation(SEARCH, key=key)
-    op.on_complete = on_complete
-    return op
+def search_op(key):
+    return Operation(SEARCH, key=key)
 
 
-def range_op(low, high, limit=0, on_complete=None):
-    op = Operation(RANGE, key=low, high_key=high, limit=limit)
-    op.on_complete = on_complete
-    return op
+def range_op(low, high, limit=0):
+    return Operation(RANGE, key=low, high_key=high, limit=limit)
 
 
-def insert_op(key, payload, on_complete=None):
-    op = Operation(INSERT, key=key, payload=payload)
-    op.on_complete = on_complete
-    return op
+def insert_op(key, payload):
+    return Operation(INSERT, key=key, payload=payload)
 
 
-def update_op(key, payload, on_complete=None):
-    op = Operation(UPDATE, key=key, payload=payload)
-    op.on_complete = on_complete
-    return op
+def update_op(key, payload):
+    return Operation(UPDATE, key=key, payload=payload)
 
 
-def delete_op(key, on_complete=None):
-    op = Operation(DELETE, key=key)
-    op.on_complete = on_complete
-    return op
+def delete_op(key):
+    return Operation(DELETE, key=key)
 
 
-def sync_op(on_complete=None):
-    op = Operation(SYNC)
-    op.on_complete = on_complete
-    return op
+def sync_op():
+    return Operation(SYNC)
 
 
 class OpSpec:
@@ -350,20 +336,20 @@ class OpSpec:
     def sync(cls):
         return cls(SYNC)
 
-    def to_operation(self, on_complete=None):
+    def to_operation(self):
         """The standalone :class:`Operation` equivalent of this spec."""
         if self.verb == PUT:
-            return insert_op(self.key, self.payload, on_complete)
+            return insert_op(self.key, self.payload)
         if self.verb == GET:
-            return search_op(self.key, on_complete)
+            return search_op(self.key)
         if self.verb == DELETE:
-            return delete_op(self.key, on_complete)
+            return delete_op(self.key)
         if self.verb == UPDATE:
-            return update_op(self.key, self.payload, on_complete)
+            return update_op(self.key, self.payload)
         if self.verb == SCAN:
-            return range_op(self.key, self.high_key, self.limit, on_complete)
+            return range_op(self.key, self.high_key, self.limit)
         if self.verb == SYNC:
-            return sync_op(on_complete)
+            return sync_op()
         raise ValueError("unknown verb %r" % (self.verb,))
 
     def __repr__(self):
@@ -396,7 +382,7 @@ class OpResult:
         return "OpResult(%s key=%d %s)" % (self.verb, self.key, state)
 
 
-def batch_op(specs, on_complete=None):
+def batch_op(specs):
     """Pack put/get/delete specs into one batched operation.
 
     The batch plan sorts the specs by key, shares one descent per leaf
@@ -412,5 +398,4 @@ def batch_op(specs, on_complete=None):
             raise TreeError("verb %r cannot be batched" % (spec.verb,))
     op = Operation(BATCH, key=specs[0].key if specs else 0)
     op.specs = specs
-    op.on_complete = on_complete
     return op

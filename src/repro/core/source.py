@@ -77,11 +77,11 @@ class ClosedLoopSource(OperationSource):
 class OpenLoopSource(OperationSource):
     """Poisson (or scheduled) arrivals at a target rate, paper Fig 13."""
 
-    def __init__(self, operations, rate_per_sec, rng, start_ns=0):
+    def __init__(self, operations, rate_per_sec, rng):
         if rate_per_sec <= 0:
             raise WorkloadError("rate must be positive")
         self._pending = []
-        now = float(start_ns)
+        now = 0.0
         mean_gap = NS_PER_SEC / rate_per_sec
         for op in operations:
             now += rng.expovariate(1.0) * mean_gap

@@ -34,12 +34,12 @@ def check_bulk_items(items):
 class PaTree:
     """B+ tree structure state shared by the execution engines."""
 
-    def __init__(self, device, config, meta, allocator, costs=None):
+    def __init__(self, device, config, meta, allocator):
         self.device = device
         self.config = config
         self.meta = meta
         self.allocator = allocator
-        self.costs = costs or DEFAULT_COSTS
+        self.costs = DEFAULT_COSTS
         self.meta_page = META_PAGE
         # observer slot (repro.sim.hooks): the engine on top subscribes
         # to drop its cached parse of a freed page
@@ -50,7 +50,7 @@ class PaTree:
     # ------------------------------------------------------------------
 
     @classmethod
-    def create(cls, device, payload_size=8, costs=None, capacity_pages=None, base_lba=0):
+    def create(cls, device, payload_size=8, capacity_pages=None, base_lba=0):
         """Format a new, empty tree on ``device`` (zero-time, like mkfs).
 
         ``base_lba``/``capacity_pages`` carve out an LBA range so
@@ -72,12 +72,12 @@ class PaTree:
         )
         device.raw_write(root_id, root.to_bytes())
         device.raw_write(base_lba, meta.to_bytes())
-        tree = cls(device, config, meta, allocator, costs)
+        tree = cls(device, config, meta, allocator)
         tree.meta_page = base_lba
         return tree
 
     @classmethod
-    def open(cls, device, costs=None, capacity_pages=None, recover=False, base_lba=0):
+    def open(cls, device, recover=False, base_lba=0):
         """Re-open a tree previously created on ``device``.
 
         ``recover=True`` performs crash recovery: the on-media meta
@@ -97,11 +97,11 @@ class PaTree:
                 % (meta.page_size, device.profile.page_size)
             )
         config = TreeConfig(meta.page_size, meta.payload_size)
-        capacity = capacity_pages or (device.profile.capacity_pages - base_lba)
+        capacity = device.profile.capacity_pages - base_lba
         allocator = PageAllocator(
             base=base_lba + 1, capacity=capacity - 1, next_page=meta.next_page
         )
-        tree = cls(device, config, meta, allocator, costs)
+        tree = cls(device, config, meta, allocator)
         tree.meta_page = base_lba
         if recover:
             tree._recover()

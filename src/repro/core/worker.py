@@ -28,6 +28,7 @@ the seams:
 from collections import deque
 
 from repro.backend.base import as_backend
+from repro.core.costs import DEFAULT_COSTS
 from repro.core.ops import ST_DONE, ST_IO_WAIT, ST_READY
 from repro.core.source import ClosedLoopSource
 from repro.errors import (
@@ -67,7 +68,7 @@ class PolledWorker:
     dedicated_poller = None
 
     def __init__(
-        self, simos, backend, policy, source, costs, qpair=None,
+        self, simos, backend, policy, source, qpair=None,
         name="worker", tracer=None,
     ):
         self.simos = simos
@@ -80,7 +81,7 @@ class PolledWorker:
         self.driver = self.backend
         self.policy = policy
         self.source = source
-        self.costs = costs
+        self.costs = DEFAULT_COSTS
         self.qpair = qpair or self.backend.alloc_qpair(sq_size=4096, cq_size=4096)
         self.name = name
         # observability: tracer records spans when enabled; the
@@ -99,8 +100,8 @@ class PolledWorker:
             )
         else:
             self.io_history = IoHistory(self.clock)
-        self.sched_pick_cost_ns = costs.priority_pick_ns
-        self.sched_gate_cost_ns = costs.probe_model_ns
+        self.sched_pick_cost_ns = self.costs.priority_pick_ns
+        self.sched_gate_cost_ns = self.costs.probe_model_ns
 
         # work queued for the loop itself: operations the structure
         # spawns (LSM flush / compaction), page writes waiting for ring
@@ -152,10 +153,10 @@ class PolledWorker:
         )
         return self.worker_thread
 
-    def run_to_completion(self, until_ns=None):
+    def run_to_completion(self):
         """Convenience: run the simulation until the source drains."""
         self.start()
-        self.simos.run_until_done([self.worker_thread], until_ns)
+        self.simos.run_until_done([self.worker_thread])
         if not self.worker_thread.done:
             raise SchedulerError(
                 "worker %r did not finish (inflight=%d, outstanding=%d)"
@@ -420,8 +421,6 @@ class PolledWorker:
                 observer(op)
         if op.kind not in self.internal_kinds:
             self.source.on_op_complete(op)
-        if op.on_complete is not None:
-            op.on_complete(op)
 
     def _abort_op(self, op, error):
         """Terminate ``op`` with a typed error, releasing what it holds."""

@@ -12,7 +12,8 @@ job can upload::
 
 Exit codes: 0 = clean (or, for ``--known-bad`` / ``--replay``, the
 expected failure reproduced), 1 = fuzzing found failures, 2 = a
-known-bad or replay run did *not* reproduce its failure.
+known-bad or replay run did *not* reproduce its failure, a usage
+error, or a ``--replay`` file that is not a reproducer.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import json
 import os
 import sys
 
+from repro.bench.cli import positive_int
 from repro.fuzz.harness import (
     FuzzRunConfig,
     config_from_jsonable,
@@ -37,10 +39,10 @@ def build_parser():
         description="seeded schedule-exploration fuzzer with "
         "differential parity checking",
     )
-    parser.add_argument("--seeds", type=int, default=8,
+    parser.add_argument("--seeds", type=positive_int, default=8,
                         help="number of seeds to explore, from 1 (default 8)")
     parser.add_argument("--target", choices=TARGET_CHOICES, default="patree")
-    parser.add_argument("--ops", type=int, default=200,
+    parser.add_argument("--ops", type=positive_int, default=200,
                         help="point ops per run (default 200)")
     parser.add_argument("--sync-oracle", action="store_true",
                         help="also replay each batch under the blocking "
@@ -109,9 +111,25 @@ def _print_report(report, echo):
              ))
 
 
+def _load_reproducer(path):
+    """The ``fuzz_repro_*.json`` payload at ``path``, or None if the
+    file is not one (a report, a postmortem, not JSON at all)."""
+    try:
+        with open(path) as handle:
+            repro = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(repro, dict) or not {"seed", "config", "trace"} <= repro.keys():
+        return None
+    return repro
+
+
 def _run_replay(args, echo):
-    with open(args.replay) as handle:
-        repro = json.load(handle)
+    repro = _load_reproducer(args.replay)
+    if repro is None:
+        echo("error: %s is not a fuzz reproducer (a fuzz_repro_*.json)"
+             % args.replay)
+        return 2
     cfg = config_from_jsonable(repro["config"])
     result = replay(repro["seed"], cfg, repro["trace"])
     failure = result["failure"]

@@ -519,7 +519,7 @@ def run_one(seed, cfg, decider=None):
         model.update(preload)
         watchdog.bind()
         untap = _tap_completions(devices, recorder, watchdog)
-        binder.bind(simos=simos, devices=devices, engine=engine)
+        binder.bind(simos=simos, devices=devices)
         try:
             for step_index, step in enumerate(steps):
                 if step[0] == "scan":

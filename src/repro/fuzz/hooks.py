@@ -4,8 +4,8 @@ The simulation pins two sources of nondeterminism behind null-default
 hooks: SimOS scheduling choices (which runnable thread a free core
 dispatches, whether a CPU burst is preempted, which semaphore waiter a
 post wakes) and NVMe completion timing (per-command service-time
-perturbation, and optionally every scheduled delay).  This module
-supplies the two objects that drive those hooks:
+perturbation).  This module supplies the two objects that drive those
+hooks:
 
 * :class:`ScheduleExplorer` — draws perturbations from one seeded
   stream of the experiment's :class:`~repro.sim.rng.RngRegistry` and
@@ -18,8 +18,8 @@ supplies the two objects that drive those hooks:
 
 The trace format is JSON-friendly: a list of ``[site, value]`` pairs
 where ``site`` is one of ``pick`` / ``preempt`` / ``wakeup`` (index or
-0/1 values) and ``io`` / ``delay`` (timing factors in permille, 1000
-meaning unchanged).  :class:`HookBinder` installs a decider onto a
+0/1 values) and ``io`` (a timing factor in permille, 1000 meaning
+unchanged).  :class:`HookBinder` installs a decider onto a
 simulated machine and restores every hook to ``None`` afterwards.
 """
 
@@ -31,49 +31,33 @@ SITE_PICK = "pick"
 SITE_PREEMPT = "preempt"
 SITE_WAKEUP = "wakeup"
 SITE_IO = "io"
-SITE_DELAY = "delay"
 
-SITES = (SITE_PICK, SITE_PREEMPT, SITE_WAKEUP, SITE_IO, SITE_DELAY)
+SITES = (SITE_PICK, SITE_PREEMPT, SITE_WAKEUP, SITE_IO)
 
 PERMILLE = 1000
+#: Probability of flipping a quantum-boundary preemption decision.
+PREEMPT_RATE = 0.15
+#: Bound of the relative service-time perturbation: a perturbed command
+#: takes its service time times a factor drawn from [0.5, 1.5].
+IO_JITTER_SPAN = 0.5
 
 
 @dataclass(frozen=True)
 class FuzzConfig:
     """Perturbation rates for one exploration run.
 
-    ``*_rate`` fields are per-consultation probabilities in ``[0, 1]``;
-    the ``*_span`` fields bound the relative timing perturbation (0.5
-    means service times scale by a factor drawn from [0.5, 1.5]).
-    ``delay_jitter_rate`` defaults to 0 because perturbing *every*
-    engine delay also perturbs CPU bursts and syscall costs — it is a
-    much blunter instrument than the four targeted sites, but remains
-    available for deep exploration runs.
+    Each field is a per-consultation probability in ``[0, 1]``.
     """
 
     pick_rate: float = 0.35
-    preempt_rate: float = 0.15
     wakeup_rate: float = 0.35
     io_jitter_rate: float = 0.6
-    io_jitter_span: float = 0.5
-    delay_jitter_rate: float = 0.0
-    delay_jitter_span: float = 0.05
 
     def __post_init__(self):
-        for name in (
-            "pick_rate",
-            "preempt_rate",
-            "wakeup_rate",
-            "io_jitter_rate",
-            "delay_jitter_rate",
-        ):
+        for name in ("pick_rate", "wakeup_rate", "io_jitter_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise SchedulerError("%s %r outside [0, 1]" % (name, rate))
-        for name in ("io_jitter_span", "delay_jitter_span"):
-            span = getattr(self, name)
-            if not 0.0 <= span < 1.0:
-                raise SchedulerError("%s %r outside [0, 1)" % (name, span))
 
 
 class ScheduleExplorer:
@@ -90,10 +74,6 @@ class ScheduleExplorer:
         self.rng = rng
         self.trace = []
 
-    @property
-    def wants_delay_hook(self):
-        return self.config.delay_jitter_rate > 0.0
-
     def pick(self, n):
         """Index of the runnable to dispatch out of ``n`` (n >= 2)."""
         if self.rng.random() < self.config.pick_rate:
@@ -106,7 +86,7 @@ class ScheduleExplorer:
     def preempt(self, quantum_used_ns, quantum_ns):
         """Whether to preempt a thread after a CPU burst."""
         decision = quantum_used_ns >= quantum_ns
-        if self.rng.random() < self.config.preempt_rate:
+        if self.rng.random() < PREEMPT_RATE:
             decision = not decision
         self.trace.append([SITE_PREEMPT, int(decision)])
         return decision
@@ -120,29 +100,14 @@ class ScheduleExplorer:
         self.trace.append([SITE_WAKEUP, index])
         return index
 
-    def _factor(self, rate, span):
-        if self.rng.random() < rate:
-            permille = int(
-                round(PERMILLE * (1.0 + span * (2.0 * self.rng.random() - 1.0)))
-            )
-            return max(permille, 1)
-        return PERMILLE
-
     def io_service(self, service_ns):
         """Perturbed device service time for one command."""
-        permille = self._factor(
-            self.config.io_jitter_rate, self.config.io_jitter_span
-        )
+        permille = PERMILLE
+        if self.rng.random() < self.config.io_jitter_rate:
+            factor = 1.0 + IO_JITTER_SPAN * (2.0 * self.rng.random() - 1.0)
+            permille = max(int(round(PERMILLE * factor)), 1)
         self.trace.append([SITE_IO, permille])
         return service_ns * permille // PERMILLE
-
-    def delay(self, delay_ns):
-        """Perturbed engine delay (only bound when wants_delay_hook)."""
-        permille = self._factor(
-            self.config.delay_jitter_rate, self.config.delay_jitter_span
-        )
-        self.trace.append([SITE_DELAY, permille])
-        return delay_ns * permille // PERMILLE
 
 
 class TraceDecider:
@@ -165,14 +130,9 @@ class TraceDecider:
                 raise SchedulerError("unknown trace site %r" % (site,))
             self._queues[site].append(int(value))
         self._cursors = {site: 0 for site in SITES}
-        self._replay_delay = bool(self._queues[SITE_DELAY])
         self.consumed = 0
         self.defaulted = 0
         self.trace = []
-
-    @property
-    def wants_delay_hook(self):
-        return self._replay_delay
 
     def _next(self, site, default):
         queue = self._queues[site]
@@ -205,11 +165,6 @@ class TraceDecider:
         self.trace.append([SITE_IO, permille])
         return service_ns * permille // PERMILLE
 
-    def delay(self, delay_ns):
-        permille = max(self._next(SITE_DELAY, PERMILLE), 1)
-        self.trace.append([SITE_DELAY, permille])
-        return delay_ns * permille // PERMILLE
-
 
 class HookBinder:
     """Installs a decider onto a simulated machine's decision slots.
@@ -218,16 +173,14 @@ class HookBinder:
     to overwrite one that is already bound (the harness owns them for
     the duration of a fuzz run; ``_install`` is their only writer) and
     restores every slot to ``None`` on :meth:`unbind` — also usable as
-    a context manager.  The engine's ``perturb_delay`` hook is installed only
-    when the decider asks for it, so explore and replay runs consult
-    the exact same sites in the exact same order.
+    a context manager.
     """
 
     def __init__(self, decider):
         self.decider = decider
         self._bound = []
 
-    def bind(self, simos=None, devices=(), engine=None):
+    def bind(self, simos=None, devices=()):
         decider = self.decider
         if simos is not None:
             self._install(
@@ -250,10 +203,6 @@ class HookBinder:
                 device,
                 "perturb_service",
                 lambda command, service_ns: decider.io_service(service_ns),
-            )
-        if engine is not None and decider.wants_delay_hook:
-            self._install(
-                engine, "perturb_delay", lambda delay_ns: decider.delay(delay_ns)
             )
         return self
 

@@ -23,23 +23,27 @@ def failure_signature(result):
     return [failure["kind"], failure["detail"]]
 
 
-def shrink_trace(replay_fn, trace, signature, max_runs=160):
+#: Replays one shrink may spend.
+MAX_RUNS = 160
+
+
+def shrink_trace(replay_fn, trace, signature):
     """Greedily minimise ``trace`` while ``replay_fn`` keeps failing.
 
     ``replay_fn(candidate)`` runs the candidate trace and returns a
     result dict (as produced by :func:`repro.fuzz.harness.run_one`);
     a candidate is kept when its failure signature equals
-    ``signature``.  At most ``max_runs`` replays are spent.  Returns
+    ``signature``.  At most :data:`MAX_RUNS` replays are spent.  Returns
     ``(shrunk_trace, runs_used)``.
     """
     current = list(trace)
     signature = list(signature)
     runs = 0
     chunk = max(len(current) // 2, 1)
-    while runs < max_runs and current:
+    while runs < MAX_RUNS and current:
         removed_any = False
         start = 0
-        while start < len(current) and runs < max_runs:
+        while start < len(current) and runs < MAX_RUNS:
             candidate = current[:start] + current[start + chunk:]
             runs += 1
             if failure_signature(replay_fn(candidate)) == signature:

@@ -32,25 +32,18 @@ class RetryPolicy:
     """Bounded retry with virtual-time exponential backoff.
 
     A command whose completion status is retriable is resubmitted up to
-    ``max_retries`` times; the n-th retry waits
-    ``backoff_ns * multiplier**n`` (capped at ``max_backoff_ns``) of
-    virtual time before resubmission, mirroring how a real driver
-    avoids hammering a briefly-unhappy device.
+    ``max_retries`` times; the n-th retry waits 20 us * 4**n (capped at
+    2 ms) of virtual time before resubmission, mirroring how a real
+    driver avoids hammering a briefly-unhappy device.
     """
 
     __slots__ = ("max_retries", "backoff_ns", "multiplier", "max_backoff_ns")
 
-    def __init__(
-        self,
-        max_retries=3,
-        backoff_ns=usec(20),
-        multiplier=4.0,
-        max_backoff_ns=usec(2_000),
-    ):
+    def __init__(self, max_retries=3):
         self.max_retries = max_retries
-        self.backoff_ns = backoff_ns
-        self.multiplier = multiplier
-        self.max_backoff_ns = max_backoff_ns
+        self.backoff_ns = usec(20)
+        self.multiplier = 4.0
+        self.max_backoff_ns = usec(2_000)
 
     def delay_ns(self, retries_spent):
         """Backoff before the retry following ``retries_spent`` retries."""

@@ -73,10 +73,6 @@ class QueuePair:
         return registry
 
     @property
-    def has_pending_submissions(self):
-        return not self.sq.is_empty
-
-    @property
     def has_visible_completions(self):
         return not self.cq.is_empty
 

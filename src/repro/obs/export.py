@@ -199,7 +199,11 @@ def _aggregate_async(tracer):
     return totals
 
 
-def trace_summary(tracer, cpu_account=None, top=15, out=None):
+#: Spans the text report lists, by total virtual time.
+SUMMARY_TOP = 15
+
+
+def trace_summary(tracer, cpu_account=None, out=None):
     """Text report: top spans by total virtual time + CPU flame summary.
 
     Returns the report as a string; also prints through ``out`` when
@@ -217,7 +221,7 @@ def trace_summary(tracer, cpu_account=None, top=15, out=None):
         emit("%-42s %10s %14s %12s %12s"
              % ("span", "count", "total (us)", "mean (us)", "max (us)"))
         ranked = sorted(totals.items(), key=lambda kv: (-kv[1][1], kv[0]))
-        for (scope, name), (count, total_ns, max_ns) in ranked[:top]:
+        for (scope, name), (count, total_ns, max_ns) in ranked[:SUMMARY_TOP]:
             emit(
                 "%-42s %10d %14.1f %12.3f %12.3f"
                 % (
@@ -228,8 +232,8 @@ def trace_summary(tracer, cpu_account=None, top=15, out=None):
                     max_ns / 1000,
                 )
             )
-        if len(ranked) > top:
-            emit("  ... %d more" % (len(ranked) - top))
+        if len(ranked) > SUMMARY_TOP:
+            emit("  ... %d more" % (len(ranked) - SUMMARY_TOP))
         emit()
 
     table("Top spans (worker-thread slices)", _aggregate_slices(tracer))

@@ -32,6 +32,11 @@ from repro.obs.observer import ObserverSession
 from repro.obs.slo import SloTracker
 from repro.sim.clock import usec
 
+#: Metrics the health report lists, largest first.
+REPORT_TOP = 20
+#: Postmortems a session keeps; later ones only count as dropped.
+MAX_POSTMORTEMS = 16
+
 
 class MetricsSession(ObserverSession):
     """One metrics recording of one simulated machine (or fleet)."""
@@ -39,17 +44,14 @@ class MetricsSession(ObserverSession):
     def __init__(
         self,
         engine,
-        targets_us=None,
         scrape_interval_ns=usec(500),
         flight_capacity=512,
-        max_postmortems=16,
     ):
         super().__init__(engine, scrape_interval_ns)
         self.registry = MetricRegistry()
-        self.slo = SloTracker(self.registry, targets_us=targets_us)
+        self.slo = SloTracker(self.registry)
         self.flight = FlightRecorder(engine.clock, capacity=flight_capacity)
         self.postmortems = []
-        self.max_postmortems = max_postmortems
         self.postmortems_dropped = 0
 
     # ------------------------------------------------------------------
@@ -108,7 +110,7 @@ class MetricsSession(ObserverSession):
             context = {"op_kind": op.kind, "op_seq": op.seq}
             if shard is not None:
                 context["shard"] = shard
-            if len(self.postmortems) < self.max_postmortems:
+            if len(self.postmortems) < MAX_POSTMORTEMS:
                 self.postmortems.append(
                     self.flight.postmortem(op.error, context=context)
                 )
@@ -119,7 +121,7 @@ class MetricsSession(ObserverSession):
     # reporting
     # ------------------------------------------------------------------
 
-    def health_report(self, top=20, out=None):
+    def health_report(self, out=None):
         """Human-readable health text: top metrics, SLO table, flight
         summary.  Returns the text; ``out`` (a write-a-line callable)
         receives it line by line when given.
@@ -129,11 +131,12 @@ class MetricsSession(ObserverSession):
         ranked = sorted(
             scalars.items(), key=lambda item: (-abs(item[1]), item[0])
         )
-        width = max((len(name) for name, _v in ranked[:top]), default=0)
-        for name, value in ranked[:top]:
+        top = ranked[:REPORT_TOP]
+        width = max((len(name) for name, _v in top), default=0)
+        for name, value in top:
             lines.append("  %-*s %s" % (width, name, value))
-        if len(ranked) > top:
-            lines.append("  ... %d more metrics" % (len(ranked) - top))
+        if len(ranked) > REPORT_TOP:
+            lines.append("  ... %d more metrics" % (len(ranked) - REPORT_TOP))
 
         lines.append("")
         lines.append("== health: SLO ==")

@@ -116,8 +116,8 @@ class CounterMetric(Metric):
         self.value = 0
         self._fn = fn
 
-    def inc(self, n=1):
-        self.value += n
+    def inc(self):
+        self.value += 1
 
     def read(self):
         if self._fn is not None:

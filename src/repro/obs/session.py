@@ -35,10 +35,9 @@ from repro.simos.thread import T_RUNNING
 class TraceSession(ObserverSession):
     """One recording of one simulated machine (or fleet)."""
 
-    def __init__(self, engine, sample_interval_ns=usec(100),
-                 max_events=2_000_000):
+    def __init__(self, engine, sample_interval_ns=usec(100)):
         super().__init__(engine, sample_interval_ns)
-        self.tracer = Tracer(engine.clock, max_events=max_events)
+        self.tracer = Tracer(engine.clock)
         self._probes = []  # (name, fn), registration order
         self.read_latency = Histogram()
         self.write_latency = Histogram()
@@ -253,10 +252,8 @@ class TraceSession(ObserverSession):
             return None
         return self._simos.cpu_account()
 
-    def summary_text(self, top=15, out=None):
-        return trace_summary(
-            self.tracer, cpu_account=self.cpu_account(), top=top, out=out
-        )
+    def summary_text(self, out=None):
+        return trace_summary(self.tracer, cpu_account=self.cpu_account(), out=out)
 
     def bench_summary(self):
         """Machine-readable summary for ``BENCH_*.json`` artefacts."""

@@ -21,7 +21,6 @@ operation may still walk a snapshot that reads them.
 from collections import deque
 
 from repro.baselines.lsm.levels import OP_COMPACT, OP_FLUSH
-from repro.core.costs import DEFAULT_COSTS
 from repro.core.ops import (
     ChargeEff,
     MaintainEff,
@@ -47,11 +46,11 @@ class PolledLsmWorker(PolledWorker):
 
     internal_kinds = _MAINTENANCE_KINDS
 
-    def __init__(self, simos, backend, store, policy, source, name="pa-lsm",
-                 tracer=None, qpair=None):
+    def __init__(self, simos, backend, store, policy, source, tracer=None,
+                 qpair=None):
         super().__init__(
-            simos, backend, policy, source, DEFAULT_COSTS,
-            qpair=qpair, name=name, tracer=tracer,
+            simos, backend, policy, source,
+            qpair=qpair, name="pa-lsm", tracer=tracer,
         )
         self.store = store
         self._batch_reads = {}  # op seq -> (lbas, {lba: image})

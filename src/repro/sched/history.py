@@ -33,6 +33,8 @@ from repro.sim.clock import usec
 
 DEFAULT_WINDOW_US = 1000
 DEFAULT_SLICES = 20
+#: The rolling average completion latency covers the last second.
+LATENCY_WINDOW_US = 1_000_000
 
 _DEAD = -1
 _NEVER = sys.maxsize
@@ -44,15 +46,14 @@ _STALE = -1
 class IoHistory:
     """Outstanding-I/O tracker owned by one working thread."""
 
-    def __init__(self, clock, window_us=DEFAULT_WINDOW_US, slices=DEFAULT_SLICES,
-                 latency_window_us=1_000_000):
+    def __init__(self, clock, window_us=DEFAULT_WINDOW_US, slices=DEFAULT_SLICES):
         if slices < 1:
             raise ValueError("need at least one slice")
         self.clock = clock
         self.window_ns = usec(window_us)
         self.slices = slices
         self.slice_ns = self.window_ns // slices
-        self.latency_window_ns = usec(latency_window_us)
+        self.latency_window_ns = usec(LATENCY_WINDOW_US)
         self.outstanding_count = 0
         # the feature vector as of the last reader; shape_stamp() brings
         # it up to now.  Read it, never write it or keep it.

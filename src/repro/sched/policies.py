@@ -65,9 +65,10 @@ class AvgLatencyProbing(_TimerProbing):
 
     name = "avg_latency"
 
-    def __init__(self, fallback_us=100):
+    def __init__(self):
         super().__init__()
-        self.fallback_ns = usec(fallback_us)
+        # the period before any I/O has completed
+        self.fallback_ns = usec(100)
 
     def period_ns(self):
         average = self.engine.io_history.avg_completion_latency_ns()

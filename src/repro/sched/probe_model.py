@@ -54,9 +54,10 @@ class LinearProbeModel:
                 r0 += value * beta_r[index]
         return w0, r0
 
-    def predicts_completion(self, features, threshold=1.0):
+    def predicts_completion(self, features):
+        """At least one write or read completion predicted waiting."""
         w0, r0 = self.predict(features)
-        return w0 >= threshold or r0 >= threshold
+        return w0 >= 1.0 or r0 >= 1.0
 
 
 def train_probe_model(

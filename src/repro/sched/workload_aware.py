@@ -20,6 +20,14 @@ from repro.sched.base import SchedulingPolicy
 from repro.sched.priority import PriorityReadyQueue
 from repro.sim.clock import usec
 
+#: How long an idle worker yields its core when the model predicts no
+#: completion now or that far ahead.
+YIELD_GRANULARITY_US = 50
+#: Probe gaps: never probe sooner than the minimum after the last
+#: probe, always probe once the maximum has passed.
+MIN_PROBE_GAP_US = 3.0
+MAX_PROBE_GAP_US = 100.0
+
 
 class WorkloadAwareScheduling(SchedulingPolicy):
     """Algorithm 2 with switchable prioritization and yielding."""
@@ -31,9 +39,6 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         probe_model,
         prioritized=True,
         cpu_yield=True,
-        yield_granularity_us=50,
-        min_probe_gap_us=3.0,
-        max_probe_gap_us=100.0,
     ):
         super().__init__()
         if prioritized:
@@ -41,10 +46,10 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         self.probe_model = probe_model
         self.prioritized = prioritized
         self.cpu_yield = cpu_yield
-        self.yield_ns = usec(yield_granularity_us)
-        self._inflight_granule_ns = usec(min(yield_granularity_us, 10))
-        self.min_probe_gap_ns = usec(min_probe_gap_us)
-        self.max_probe_gap_ns = usec(max_probe_gap_us)
+        self.yield_ns = usec(YIELD_GRANULARITY_US)
+        self._inflight_granule_ns = usec(min(YIELD_GRANULARITY_US, 10))
+        self.min_probe_gap_ns = usec(MIN_PROBE_GAP_US)
+        self.max_probe_gap_ns = usec(MAX_PROBE_GAP_US)
         self._last_probe_ns = -1
         self._verdict_stamp = None
         self._verdict = False

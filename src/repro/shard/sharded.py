@@ -146,7 +146,6 @@ class ShardedPaTree:
         persistence=PERSISTENCE_STRONG,
         buffer_pages_per_shard=0,
         device_profile=None,
-        qpair_size=4096,
         faults=None,
         retry=None,
         backend=None,
@@ -208,9 +207,7 @@ class ShardedPaTree:
                 source=source,
                 buffer=make_buffer(persistence, buffer_pages_per_shard),
                 persistence=persistence,
-                qpair=shard_backend.alloc_qpair(
-                    sq_size=qpair_size, cq_size=qpair_size
-                ),
+                qpair=shard_backend.alloc_qpair(sq_size=4096, cq_size=4096),
                 name="pa-shard-%d" % index,
             )
             if shard_backend not in self.backends:
@@ -272,7 +269,7 @@ class ShardedPaTree:
     # loading
     # ------------------------------------------------------------------
 
-    def bulk_load(self, items, fill_factor=0.7):
+    def bulk_load(self, items):
         """Offline build from sorted unique (key, payload) pairs.
 
         Range mode re-derives the split keys from the population's
@@ -294,14 +291,14 @@ class ShardedPaTree:
                     if index < self.n_shards - 1
                     else len(items)
                 )
-                self.trees[index].bulk_load(items[start:end], fill_factor)
+                self.trees[index].bulk_load(items[start:end])
                 start = end
             return
         per_shard = [[] for _ in range(self.n_shards)]
         for item in items:
             per_shard[self.shard_for(item[0])].append(item)
         for tree, shard_items in zip(self.trees, per_shard):
-            tree.bulk_load(shard_items, fill_factor)
+            tree.bulk_load(shard_items)
 
     # ------------------------------------------------------------------
     # routing
@@ -430,8 +427,6 @@ class ShardedPaTree:
                     parent.result = merged
             else:  # broadcast sync: total pages flushed
                 parent.result = sum(part.result or 0 for part in state.parts)
-            if parent.on_complete is not None:
-                parent.on_complete(parent)
             op = parent
         self._inflight -= 1
         now = self.engine.now

@@ -39,7 +39,7 @@ class Engine:
         self.dispatched = 0
         # Delays try_advance / run_through took in place of a heap round
         # trip: dispatched + inlined is what the same run dispatches with
-        # a hook installed, and what max_events bounds.
+        # an on_dispatch subscriber, and what max_events bounds.
         self.inlined = 0
         self._running = False
         self._stopped = False
@@ -56,19 +56,14 @@ class Engine:
         # horizon, now + the max_events budget left); a push at or
         # before it lowers it, and it is -1 (nothing fits) before every
         # dispatched callback, after every run_through, on stop() and
-        # when run() ends.  Nothing caches it while a hook or an until
-        # predicate is bound (SimOS.cpu also tests on_dispatch, which a
+        # when run() ends.  Nothing caches it while a subscriber or an
+        # until predicate is bound (SimOS.cpu also tests on_dispatch, which a
         # callback may subscribe after the limit was cached).
         self.limit_ns = -1
         # Observer slot (repro.sim.hooks): each subscriber is called with
         # every entry just before its callback runs.  Must not schedule,
         # cancel, or advance time.
         self.on_dispatch = ()
-        # Schedule-exploration hook (repro.fuzz): called with every
-        # scheduled delay and returns the (possibly perturbed) delay to
-        # use.  Must stay None outside fuzz runs so ordinary runs are
-        # bit-identical; the fuzzer's perturbations stay >= 0.
-        self.perturb_delay = None
         # Observer slot: called once when the event queue drains while
         # a run() is still looking for work.  SimOS subscribes its stall
         # guard here so a drained queue with blocked threads raises a
@@ -84,8 +79,6 @@ class Engine:
 
         Returns an opaque handle, good only for :meth:`cancel`.
         """
-        if self.perturb_delay is not None:
-            delay_ns = self.perturb_delay(int(delay_ns))
         if delay_ns < 0:
             raise SimulationError("negative delay: %r" % delay_ns)
         time_ns = self.clock.now + int(delay_ns)
@@ -128,8 +121,8 @@ class Engine:
         ``fn`` would) when nothing could run before ``fn`` -- no event
         due at or before that instant (a tie goes through the heap, which
         keeps sequence order; a cancelled head only makes this
-        conservative), no ``on_dispatch`` subscriber, no ``perturb_delay``
-        hook, and neither stop condition of run() inside the interval.
+        conservative), no ``on_dispatch`` subscriber, and neither stop
+        condition of run() inside the interval.
         Otherwise False and nothing changed: schedule as usual.
 
         When it advances with no ``until`` predicate bound, it caches
@@ -145,7 +138,6 @@ class Engine:
         if (
             time_ns > horizon_ns
             or self.on_dispatch
-            or self.perturb_delay is not None
             or (self._until is not None and self._until())
         ):
             return False
@@ -167,11 +159,11 @@ class Engine:
         Returns the largest ``n <= count`` for which ``n`` calls in a
         row would each have returned True, having advanced the clock and
         counted ``inlined`` as they would; 0 changes nothing.  The head
-        of the heap, the horizon and the hooks bound ``n`` in closed
+        of the heap, the horizon and a subscriber bound ``n`` in closed
         form; ``until`` is asked before every step with the clock where
         that step starts, because a predicate may read the clock.
         """
-        if self.on_dispatch or self.perturb_delay is not None:
+        if self.on_dispatch:
             return 0
         clock = self.clock
         now = clock.now
@@ -209,7 +201,7 @@ class Engine:
         was doing.  Refused -- the ``schedule`` made, False returned --
         when ``now + delay_ns`` lies past the horizon (``until_ns``, a
         ``stop()``, or an enclosing run-through's slot) or an
-        ``on_dispatch`` subscriber or ``perturb_delay`` hook is bound.
+        ``on_dispatch`` subscriber is bound.
         Otherwise the entry's sequence number is reserved and every
         entry ordered before ``(now + delay_ns, seq)`` is dispatched
         here, as :meth:`run` would, with the horizon lowered to just
@@ -221,11 +213,7 @@ class Engine:
         clock = self.clock
         time_ns = clock.now + delay_ns
         horizon_ns = self._horizon_ns
-        if (
-            time_ns > horizon_ns
-            or self.on_dispatch
-            or self.perturb_delay is not None
-        ):
+        if time_ns > horizon_ns or self.on_dispatch:
             self.schedule(delay_ns, fn, *args)
             return False
         seq = self.events.reserve()

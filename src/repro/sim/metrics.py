@@ -46,12 +46,12 @@ class TimeWeightedGauge:
     __slots__ = ("_clock", "_value", "_last_ns", "_area", "_max",
                  "_start_ns", "_marks")
 
-    def __init__(self, clock, initial=0):
+    def __init__(self, clock):
         self._clock = clock
-        self._value = initial
+        self._value = 0
         self._last_ns = clock.now
         self._area = 0.0
-        self._max = initial
+        self._max = 0
         self._start_ns = clock.now
         self._marks = {}
 

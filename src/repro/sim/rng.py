@@ -31,7 +31,3 @@ class RngRegistry:
             stream = random.Random(mixed)
             self._streams[name] = stream
         return stream
-
-    def fork(self, salt):
-        """Derive a new registry (e.g. one per repetition of a sweep)."""
-        return RngRegistry((self.seed * 1_000_003 + int(salt)) & 0x7FFFFFFF)

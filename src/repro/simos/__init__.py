@@ -8,7 +8,6 @@ from repro.simos.scheduler import (
     OsProfile,
     SimOS,
     paper_testbed_profile,
-    single_core_profile,
 )
 from repro.simos.sync import Mutex, Semaphore
 from repro.simos.thread import (
@@ -34,5 +33,4 @@ __all__ = [
     "Mutex",
     "DEFAULT_OS_PROFILE",
     "paper_testbed_profile",
-    "single_core_profile",
 ]

@@ -12,7 +12,7 @@ accounted quantity (Table I / Table II / Fig 9).
 from collections import deque
 
 from repro.errors import SchedulerError, SimulationError
-from repro.sim.clock import msec, usec
+from repro.sim.clock import usec
 from repro.sim.hooks import subscribe
 from repro.sim.metrics import CPU_OTHER, CPU_SYNC, Counter, CpuAccount
 from repro.simos.thread import (
@@ -291,9 +291,6 @@ class SimOS:
     def live_threads(self):
         return [t for t in self.threads if not t.done]
 
-    def blocked_threads(self):
-        return [t for t in self.threads if t.state in (T_BLOCKED, T_SLEEPING)]
-
     def total_busy_ns(self):
         """Total core-busy time (includes context-switch overhead)."""
         return sum(core.busy_ns for core in self.cores)
@@ -549,8 +546,3 @@ def paper_testbed_profile():
         sem_syscall_ns=usec(0.8),
         wakeup_ns=usec(2),
     )
-
-
-def single_core_profile():
-    """Convenience profile for unit tests."""
-    return OsProfile(cores=1, quantum_ns=msec(1))

@@ -40,20 +40,19 @@ class SseWorkload:
         n_preload,
         n_ops,
         rng,
-        update_ratio=0.28,
         payload_size=100,
-        probe_width=12,
-        range_limit=64,
     ):
         if n_stocks < 1:
             raise WorkloadError("need at least one stock")
         self.n_stocks = n_stocks
         self.n_preload = n_preload
         self.n_ops = n_ops
-        self.update_ratio = update_ratio
+        self.update_ratio = 0.28
         self.payload_size = payload_size
-        self.probe_width = probe_width
-        self.range_limit = range_limit
+        # orders land within 12 ticks of a stock's mid price; a probe
+        # reads that band of the book, at most 64 rows
+        self.probe_width = 12
+        self.range_limit = 64
         self._rng = rng
         self._stocks = [
             _Stock(rng.randint(1000, PRICE_TICKS - 1000)) for _ in range(n_stocks)

@@ -58,9 +58,10 @@ class _Taxi:
         self.lat = lat
         self.lon = lon
 
-    def step(self, rng, step_deg=0.003):
-        self.lat = min(max(self.lat + rng.uniform(-step_deg, step_deg), LAT_LOW), LAT_HIGH)
-        self.lon = min(max(self.lon + rng.uniform(-step_deg, step_deg), LON_LOW), LON_HIGH)
+    def step(self, rng):
+        # at most 0.003 degrees per axis per recorded point
+        self.lat = min(max(self.lat + rng.uniform(-0.003, 0.003), LAT_LOW), LAT_HIGH)
+        self.lon = min(max(self.lon + rng.uniform(-0.003, 0.003), LON_LOW), LON_HIGH)
 
 
 class TDriveWorkload:
@@ -72,9 +73,6 @@ class TDriveWorkload:
         n_preload,
         n_ops,
         rng,
-        update_ratio=0.70,
-        query_window_deg=0.004,
-        range_limit=256,
         payload_size=8,
     ):
         if n_taxis < 1:
@@ -82,9 +80,11 @@ class TDriveWorkload:
         self.n_taxis = n_taxis
         self.n_preload = n_preload
         self.n_ops = n_ops
-        self.update_ratio = update_ratio
-        self.query_window_deg = query_window_deg
-        self.range_limit = range_limit
+        self.update_ratio = 0.70
+        # a query fetches the z-range of a square of +-0.004 degrees
+        # around a taxi, at most 256 rows
+        self.query_window_deg = 0.004
+        self.range_limit = 256
         self.payload_size = payload_size
         self._rng = rng
         self._taxis = [

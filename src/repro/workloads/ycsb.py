@@ -55,14 +55,13 @@ class YcsbWorkload:
         alpha=0.3,
         rng=None,
         payload_size=8,
-        update_ratio=None,
         insert_ratio=0.0,
         range_ratio=0.0,
         range_span=50,
     ):
         if rng is None:
             raise WorkloadError("an rng stream is required for reproducibility")
-        if mix not in _UPDATE_RATIOS and update_ratio is None:
+        if mix not in _UPDATE_RATIOS:
             raise WorkloadError("unknown mix %r" % (mix,))
         if not 0.0 <= insert_ratio <= 1.0:
             raise WorkloadError("insert_ratio outside [0, 1]")
@@ -73,9 +72,7 @@ class YcsbWorkload:
         self.mix = mix
         self.alpha = alpha
         self.payload_size = payload_size
-        self.update_ratio = (
-            update_ratio if update_ratio is not None else _UPDATE_RATIOS[mix]
-        )
+        self.update_ratio = _UPDATE_RATIOS[mix]
         self.insert_ratio = insert_ratio
         self.range_ratio = range_ratio
         self.range_span = range_span

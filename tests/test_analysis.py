@@ -886,12 +886,12 @@ def test_pa407_hook_null_default_is_clean(tmp_path):
     findings = run_snippet(
         tmp_path,
         """
-        class Engine:
+        class NvmeDevice:
             def __init__(self):
-                self.perturb_delay = None
-                self.on_idle = ()
+                self.perturb_service = None
+                self.on_submit = ()
         """,
-        filename="repro/sim/engine.py",
+        filename="repro/nvme/device.py",
     )
     assert findings == []
 

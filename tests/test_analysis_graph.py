@@ -698,20 +698,20 @@ def test_pa530_unguarded_hook_consult(tmp_path):
     findings = graph_findings(
         tmp_path,
         {
-            "src/repro/sim/engine.py": (
+            "src/repro/nvme/device.py": (
                 """
-                class Engine:
+                class NvmeDevice:
                     def __init__(self):
-                        self.perturb_delay = None
+                        self.perturb_service = None
 
-                    def schedule(self, delay_ns):
-                        return self.perturb_delay(delay_ns)
+                    def service(self, command, service_ns):
+                        return self.perturb_service(command, service_ns)
                 """
             ),
         },
     )
     assert codes(findings) == ["PA530"]
-    assert "perturb_delay" in findings[0].message
+    assert "perturb_service" in findings[0].message
 
 
 def test_pa530_guard_shapes_are_clean(tmp_path):
@@ -723,22 +723,26 @@ def test_pa530_guard_shapes_are_clean(tmp_path):
                 class Engine:
                     def __init__(self):
                         self.on_dispatch = ()
-                        self.perturb_delay = None
 
                     def observers(self, event):
                         if self.on_dispatch:
                             for observer in self.on_dispatch:
                                 observer(event)
 
-                    def direct(self, delay_ns):
-                        if self.perturb_delay is not None:
-                            delay_ns = self.perturb_delay(delay_ns)
-                        return delay_ns
 
-                    def early_return(self, delay_ns):
-                        if self.perturb_delay is None:
-                            return delay_ns
-                        return self.perturb_delay(delay_ns)
+                class NvmeDevice:
+                    def __init__(self):
+                        self.perturb_service = None
+
+                    def direct(self, command, service_ns):
+                        if self.perturb_service is not None:
+                            service_ns = self.perturb_service(command, service_ns)
+                        return service_ns
+
+                    def early_return(self, command, service_ns):
+                        if self.perturb_service is None:
+                            return service_ns
+                        return self.perturb_service(command, service_ns)
 
 
                 class SimOS:

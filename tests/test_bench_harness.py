@@ -173,6 +173,19 @@ class TestCli:
         assert exit_info.value.code != 0
         assert "time-based" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["batch", "--ops", "0"], ["fig10", "--ops", "-5"],
+         ["trace", "palsm", "--ops", "0"], ["metrics", "faults", "--ops", "-1"]],
+        ids=["batch", "fig10", "trace", "metrics"],
+    )
+    def test_sizes_below_one_are_usage_errors(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv + ["--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nothing_is_written_without_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli_main(["batch", "--ops", "64"]) == 0

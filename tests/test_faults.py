@@ -9,13 +9,20 @@ after faulty runs.
 
 import pytest
 
+from test_baselines import FailOneWrite, make_machine
+
 from repro import AsyncLsmSession, PATreeSession, SessionConfig, ShardedSession
 from repro.bench.runner import WorkloadSpec, run_pa
+from repro.buffer import make_buffer
+from repro.core.engine import PaTreeEngine
+from repro.core.ops import SYNC, ST_DONE, insert_op, sync_op
+from repro.core.source import ClosedLoopSource
 from repro.errors import IoError, ReproError, RetryExhaustedError, SimulationError
 from repro.faults import FaultConfig, FaultInjector, make_injector
 from repro.nvme.command import Completion, IoStatus, NvmeCommand, OP_WRITE
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver, RetryPolicy
+from repro.sched.naive import NaiveScheduling
 from repro.sim.clock import usec
 from repro.sim.engine import Engine
 from repro.sim.hooks import subscribe
@@ -474,3 +481,67 @@ class TestSessionFaults:
             session.validate()
             for key in range(200, 260):
                 assert session.get(key) == payload(key)
+
+
+# ----------------------------------------------------------------------
+# the PA-Tree's lost-write path: a write that fails through every
+# driver retry and every re-drive is declared lost
+# ----------------------------------------------------------------------
+
+
+def _is_op_write(command):
+    return command.context is not None and command.context.kind != SYNC
+
+
+def _is_sync_write(command):
+    return command.context is not None and command.context.kind == SYNC
+
+
+def _is_eviction_write(command):
+    return command.context is None
+
+
+class TestLostWrites:
+    def _run(self, matches, persistence, buffer_pages):
+        """40 inserts then a sync, one at a time, with the first write
+        ``matches`` picks failing for good; returns (worker, ops)."""
+        injector = FailOneWrite(matches)
+        _engine, simos, _device, driver, tree = make_machine(
+            preload=200, faults=injector
+        )
+        ops = [insert_op(k * 10 + 5, payload(k)) for k in range(1, 41)]
+        ops.append(sync_op())
+        worker = PaTreeEngine(
+            simos,
+            driver,
+            tree,
+            NaiveScheduling(),
+            source=ClosedLoopSource(ops, window=1),
+            buffer=make_buffer(persistence, buffer_pages),
+            persistence=persistence,
+        )
+        worker.run_to_completion()
+        assert injector.failed is not None
+        assert worker.lost_writes.value == 1
+        assert worker.io_escalations.value == worker.max_write_escalations
+        # the sync finished, and no flush of the lost page is in flight
+        assert all(op.state is ST_DONE for op in ops)
+        assert worker._active_sync is None
+        if worker.buffer is not None:
+            assert worker.buffer.in_flight_data(injector.failed[0]) is None
+        return worker, ops
+
+    def test_a_lost_operation_write_fails_that_operation(self):
+        _worker, ops = self._run(_is_op_write, "strong", 0)
+        assert isinstance(ops[0].error, IoError)
+        assert all(op.error is None for op in ops[1:])
+
+    def test_a_lost_sync_flush_fails_the_sync(self):
+        _worker, ops = self._run(_is_sync_write, "weak", 256)
+        assert all(op.error is None for op in ops[:-1])
+        assert isinstance(ops[-1].error, IoError)
+
+    def test_a_lost_eviction_flush_fails_no_operation(self):
+        worker, ops = self._run(_is_eviction_write, "weak", 2)
+        assert all(op.error is None for op in ops)
+        assert worker._background_outstanding == 0

@@ -131,15 +131,6 @@ def test_wakeup_pick_hook_reorders_wakeups():
     assert order == ["c", "b", "a"]
 
 
-def test_engine_perturb_delay_scales_schedule():
-    engine = Engine(seed=1)
-    engine.perturb_delay = lambda delay_ns: delay_ns * 2
-    fired = []
-    engine.schedule(100, lambda: fired.append(engine.now))
-    engine.run()
-    assert fired == [200]
-
-
 def test_device_perturb_service_changes_completion_time():
     def run(factor):
         session = PATreeSession(seed=1, buffer_pages=0)
@@ -214,16 +205,14 @@ def test_trace_decider_rejects_unknown_site():
 
 def test_hook_binder_installs_and_restores():
     engine, simos = make_os(cores=1)
-    decider = TraceDecider([["delay", 1_000]])
-    with HookBinder(decider).bind(simos=simos, engine=engine):
+    decider = TraceDecider([["pick", 1]])
+    with HookBinder(decider).bind(simos=simos):
         assert simos.pick_runnable is not None
         assert simos.preempt_policy is not None
         assert simos.wakeup_pick is not None
-        assert engine.perturb_delay is not None  # trace has a delay entry
     assert simos.pick_runnable is None
     assert simos.preempt_policy is None
     assert simos.wakeup_pick is None
-    assert engine.perturb_delay is None
 
 
 def test_hook_binder_refuses_double_bind():
@@ -450,11 +439,15 @@ def test_cli_smoke_writes_report(tmp_path, capsys):
     assert "verdict" in capsys.readouterr().out
 
 
-def test_cli_known_bad_and_replay_round_trip(tmp_path, capsys):
-    out = tmp_path / "fuzz"
-    code = fuzz_main(
-        ["--known-bad", "--ops", "60", "--out", str(out)]
-    )
+@pytest.fixture(scope="module")
+def known_bad_run(tmp_path_factory):
+    """``--known-bad --ops 60 --out DIR``: its exit code and DIR."""
+    out = tmp_path_factory.mktemp("fuzz")
+    return fuzz_main(["--known-bad", "--ops", "60", "--out", str(out)]), out
+
+
+def test_cli_known_bad_and_replay_round_trip(known_bad_run, capsys):
+    code, out = known_bad_run
     assert code == 0
     repro_path = out / "fuzz_repro_patree_1.json"
     assert repro_path.exists()
@@ -462,6 +455,31 @@ def test_cli_known_bad_and_replay_round_trip(tmp_path, capsys):
     code = fuzz_main(["--replay", str(repro_path)])
     assert code == 0
     assert "reproduced" in capsys.readouterr().out
+
+
+def test_cli_replay_refuses_a_file_that_is_not_a_reproducer(
+    known_bad_run, tmp_path, capsys
+):
+    _code, out = known_bad_run
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{")
+    for path in (out / "fuzz_postmortem_patree_1.json", garbled):
+        capsys.readouterr()
+        assert fuzz_main(["--replay", str(path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and "not a fuzz reproducer" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--ops", "-3"], ["--ops", "0"], ["--seeds", "0"]],
+    ids=["ops-negative", "ops-zero", "seeds-zero"],
+)
+def test_cli_rejects_sizes_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        fuzz_main(argv)
+    assert exit_info.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_cli_output_is_deterministic(tmp_path):

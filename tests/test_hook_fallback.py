@@ -4,9 +4,8 @@ The in-place clock advance (``Engine.try_advance``, the polled
 worker's idle turns taken in one go through ``try_advance_repeat``, and
 a call that runs the events due before it ends from its own frame,
 ``run_through``) may run only when no kernel-level hook wants to see
-every event: an ``on_dispatch`` subscriber and a bound
-``perturb_delay`` turn it off.  Every other slot
-of ``tools/analysis/layers.toml [hooks]`` -- observer slots take their
+every event: an ``on_dispatch`` subscriber turns it off.  Every other
+slot of ``tools/analysis/layers.toml [hooks]`` -- observer slots take their
 recorder through ``repro.sim.hooks.subscribe``, decision slots by plain
 assignment -- fires from code that runs the same either way, so a run
 with a recording no-op in the slot must make the same calls at the same
@@ -16,7 +15,6 @@ is on or forced off.
 
 import os
 import sys
-import types
 from functools import partial
 
 import pytest
@@ -36,7 +34,6 @@ from repro.core.ops import delete_op, insert_op, search_op, update_op
 from repro.core.source import ClosedLoopSource
 from repro.core.tree import PaTree
 from repro.faults import FaultConfig
-from repro.fuzz.hooks import HookBinder
 from repro.obs import TraceSession
 from repro.obs.health import MetricsSession
 from repro.sched.naive import NaiveScheduling
@@ -61,7 +58,6 @@ _UNBOUND = {
     "pick_runnable": lambda queue: 0,
     "wakeup_pick": lambda waiters: 0,
     "preempt_policy": lambda thread, used_ns, quantum_ns: used_ns >= quantum_ns,
-    "perturb_delay": lambda delay_ns: delay_ns,
     "perturb_service": lambda command, service_ns: service_ns,
 }
 
@@ -201,8 +197,8 @@ def test_a_bound_hook_sees_the_same_run_on_either_path(name, arm):
         slow.engine.dispatched
         == plain.engine.dispatched + plain.engine.inlined
     )
-    if name in ("on_dispatch", "perturb_delay"):
-        # the two hooks that see every event or every delay
+    if name == "on_dispatch":
+        # the hook that sees every event
         assert plain.engine.inlined == 0 and plain.repeats_taken == 0
         assert plain.calls
     elif arm != "sync_shared":
@@ -259,19 +255,6 @@ def test_trace_session_turns_the_fast_path_off_until_it_finishes():
     assert _spin(engine, 20_000) == 0
     assert session.dispatches > 0
     session.finish()
-    assert _spin(engine, 30_000) > 0
-
-
-def test_fuzz_hook_binder_turns_the_fast_path_off_until_unbound():
-    engine, simos = _spinning_machine()
-    decider = types.SimpleNamespace(
-        wants_delay_hook=True, delay=lambda delay_ns: delay_ns,
-        pick=lambda n: 0, wakeup=lambda n: 0,
-        preempt=lambda used_ns, quantum_ns: used_ns >= quantum_ns,
-    )
-    assert _spin(engine, 10_000) > 0
-    with HookBinder(decider).bind(simos=simos, engine=engine):
-        assert _spin(engine, 20_000) == 0
     assert _spin(engine, 30_000) > 0
 
 

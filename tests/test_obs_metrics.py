@@ -47,7 +47,8 @@ def test_registry_identity_is_name_plus_labels():
     b = registry.counter("reads_total", {"shard": "1"})
     again = registry.counter("reads_total", {"shard": "0"})
     assert a is again and a is not b
-    a.inc(3)
+    for _ in range(3):
+        a.inc()
     assert registry.get("reads_total", {"shard": "0"}).read() == 3
     assert registry.get("reads_total", {"shard": "1"}).read() == 0
 
@@ -96,8 +97,11 @@ def test_callback_counters_read_live_values():
 
 def test_prometheus_text_shape():
     registry = MetricRegistry()
-    registry.counter("reads_total", {"shard": "0"}, help="device reads").inc(4)
-    registry.counter("reads_total", {"shard": "1"}).inc(2)
+    shard0 = registry.counter("reads_total", {"shard": "0"}, help="device reads")
+    shard1 = registry.counter("reads_total", {"shard": "1"})
+    for counter, reads in ((shard0, 4), (shard1, 2)):
+        for _ in range(reads):
+            counter.inc()
     registry.gauge("depth_count").set(9)
     text = prometheus_text(registry)
     lines = text.splitlines()
@@ -126,7 +130,9 @@ def test_scraper_jsonl_round_trips(tmp_path):
     engine = Engine(seed=1)
     session = MetricsSession(engine, scrape_interval_ns=1_000)
     session.registry.gauge("depth_count", fn=lambda: 4)
-    session.registry.counter("ticks_total").inc(2)
+    ticks = session.registry.counter("ticks_total")
+    ticks.inc()
+    ticks.inc()
     session.start()
     engine.schedule(2_500, session.finish)
     engine.run()
@@ -401,7 +407,7 @@ def _compose(tmp_path, attach_order, finish_order):
                 made[party] = _tap_completions(
                     [env.device], fuzz_flight, watchdog
                 )
-                binder.bind(simos=env.os, devices=[env.device], engine=env.engine)
+                binder.bind(simos=env.os, devices=[env.device])
 
         def finish(party):
             if party == "fuzz":

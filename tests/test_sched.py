@@ -766,9 +766,9 @@ class TestWorkloadAwareVerdict:
         asked = []
 
         class Counting(LinearProbeModel):
-            def predicts_completion(self, features, threshold=1.0):
+            def predicts_completion(self, features):
                 asked.append(list(features))
-                return super().predicts_completion(features, threshold)
+                return super().predicts_completion(features)
 
         model = self._model()
         model.__class__ = Counting

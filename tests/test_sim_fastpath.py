@@ -822,20 +822,12 @@ def test_a_lone_spinner_with_an_empty_heap_still_hits_max_events():
     assert engine.try_advance(1) is False
 
 
-@pytest.mark.parametrize("hook", ["on_dispatch", "perturb_delay"])
+@pytest.mark.parametrize("hook", ["on_dispatch"])
 def test_a_kernel_hook_turns_the_fast_path_off(hook):
     engine = Engine()
     simos = SimOS(engine, OsProfile(cores=1))
     calls = []
-
-    def record(arg):
-        calls.append(arg)
-        return arg
-
-    if hook == "on_dispatch":
-        subscribe(engine, hook, record)
-    else:
-        engine.perturb_delay = record
+    subscribe(engine, hook, calls.append)
 
     taken = []
 
@@ -1125,7 +1117,7 @@ def test_a_burst_ending_at_a_pending_event_is_not_fused(second_ns):
     assert (fast.engine.dispatched, fast.engine.inlined) == (2, 1)
 
 
-def _limit_inside(body, cores=1, setup=None, **run):
+def _limit_inside(body, cores=1, **run):
     """What a thread body records from inside its second step (the
     first is spawn()'s burst, ending at 100), with an event pending at
     50 000."""
@@ -1137,8 +1129,6 @@ def _limit_inside(body, cores=1, setup=None, **run):
         simos.cpu(100) or (yield)
         yield from body(engine, simos, seen)
 
-    if setup is not None:
-        setup(engine, simos)
     simos.spawn(main())
     engine.schedule(50_000, lambda: seen.append(("event", engine.now)))
     engine.run(**run)
@@ -1222,14 +1212,9 @@ def _until(engine, simos, seen):
     seen.append((engine.limit_ns, engine.inlined))
 
 
-def _identity_perturb(engine, simos):
-    engine.perturb_delay = lambda delay_ns: delay_ns
-
-
 # refusal: (body, _limit_inside's keywords, what the body records)
 _REFUSALS = {
     "on_dispatch": (_on_dispatch_mid_callback, {}, [(2, 1)]),
-    "perturb_delay": (_until, {"setup": _identity_perturb}, [(-1, 0)]),
     "until": (_until, {"until": lambda: False}, [(-1, 1)]),
     "queued": (_queued, {}, [-1, (1, 2)]),
     "spawning": (_spawning, {"cores": 2}, [True, 0]),

@@ -16,7 +16,6 @@ from ..framework import Rule
 #: suffix.  ``repro/fuzz/`` is matched as a path segment.
 _HOOK_SITE_SUFFIXES = (
     "repro/simos/scheduler.py",
-    "repro/sim/engine.py",
     "repro/nvme/device.py",
 )
 
