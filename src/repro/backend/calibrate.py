@@ -77,11 +77,13 @@ def run_fixed_depth(backend, n_ops, depth, write_ratio=0.3,
                 submit_one()
         if state["completed"] < n_ops:
             engine.schedule(probe_ns, probe_tick)
+        else:
+            engine.stop()
 
     for _ in range(min(depth, n_ops)):
         submit_one()
     engine.schedule(probe_ns, probe_tick)
-    engine.run(until=lambda: state["completed"] >= n_ops)
+    engine.run()
 
     elapsed_ns = max(engine.now - start_ns, 1)
     completed = state["completed"]

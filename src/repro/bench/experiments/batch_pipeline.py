@@ -58,23 +58,24 @@ def make_specs(n_specs, seed):
 
 def run_batch_size(batch_size, n_specs=OPS, seed=1):
     """One sweep point: the whole spec stream in ``batch_size`` chunks."""
-    session = PATreeSession(
+    with PATreeSession(
         seed=seed, payload_size=PAYLOAD_SIZE, scheduler="naive", window=WINDOW
-    )
-    session.bulk_load(
-        (key, key.to_bytes(PAYLOAD_SIZE, "little"))
-        for key in range(1, KEYSPACE, PRELOAD_STRIDE)
-    )
-    specs = make_specs(n_specs, seed)
-    operations = [
-        batch_op(specs[start:start + batch_size])
-        for start in range(0, len(specs), batch_size)
-    ]
-    session.execute(operations)
-    session.validate()
-
-    stats = session.stats()
-    elapsed_ns = session.pa_engine.last_user_done_ns or session.env.engine.now
+    ) as session:
+        session.bulk_load(
+            (key, key.to_bytes(PAYLOAD_SIZE, "little"))
+            for key in range(1, KEYSPACE, PRELOAD_STRIDE)
+        )
+        specs = make_specs(n_specs, seed)
+        operations = [
+            batch_op(specs[start:start + batch_size])
+            for start in range(0, len(specs), batch_size)
+        ]
+        session.execute(operations)
+        session.validate()
+        stats = session.stats()
+        elapsed_ns = (
+            session.pa_engine.last_user_done_ns or session.env.engine.now
+        )
     elapsed_s = elapsed_ns / NS_PER_SEC if elapsed_ns else 1.0
     groups = stats["batch_groups"]
     return {

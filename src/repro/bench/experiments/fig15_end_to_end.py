@@ -12,6 +12,7 @@ best thread count; we use 32, their observed best).
 
 from dataclasses import replace
 
+from repro.api import SimEnvironment
 from repro.baselines.blink_tree import BlinkTreeAccessor
 from repro.baselines.io_service import DedicatedIoService
 from repro.baselines.latching import BlockingLatchTable
@@ -19,8 +20,9 @@ from repro.baselines.lcb_tree import LcbTreeAccessor
 from repro.baselines.lsm import LsmConfig, LsmStore
 from repro.baselines.runner import BaselineRunner
 from repro.bench.report import print_table
-from repro.bench.runner import WorkloadSpec, _interleave_syncs, _Machine, run_pa
+from repro.bench.runner import WorkloadSpec, _interleave_syncs, run_pa
 from repro.buffer import make_buffer
+from repro.core.tree import PaTree
 from repro.errors import BenchmarkError
 from repro.sim.clock import NS_PER_SEC
 from repro.sim.rng import RngRegistry
@@ -51,63 +53,70 @@ def _buffer_pages_for(tree):
 
 def run_tree_baseline(spec, accessor_kind, persistence, n_threads, seed=1):
     """LCB / Blink run over the shared synchronous substrate."""
-    machine = _Machine(seed, payload_size=spec.payload_size)
-    rng = RngRegistry(seed).stream("workload")
-    workload = spec.build(rng)
-    machine.tree.bulk_load(workload.preload_items())
-    buffer_pages = _buffer_pages_for(machine.tree)
+    env = SimEnvironment(seed)
+    try:
+        tree = PaTree.create(env.device, payload_size=spec.payload_size)
+        rng = RngRegistry(seed).stream("workload")
+        workload = spec.build(rng)
+        tree.bulk_load(workload.preload_items())
+        buffer_pages = _buffer_pages_for(tree)
 
-    io_service = DedicatedIoService(machine.driver)
-    latches = BlockingLatchTable()
-    if accessor_kind == "blink":
-        accessor = BlinkTreeAccessor(
-            machine.tree,
-            io_service,
-            latches,
-            buffer=make_buffer(persistence, buffer_pages),
-            persistence=persistence,
-        )
-    elif accessor_kind == "lcb":
-        accessor = LcbTreeAccessor(
-            machine.tree,
-            io_service,
-            latches,
-            buffer=make_buffer("strong", buffer_pages),
-            persistence=persistence,
-        )
-    else:
-        raise BenchmarkError("unknown accessor kind %r" % (accessor_kind,))
+        io_service = DedicatedIoService(env.driver)
+        latches = BlockingLatchTable()
+        if accessor_kind == "blink":
+            accessor = BlinkTreeAccessor(
+                tree,
+                io_service,
+                latches,
+                buffer=make_buffer(persistence, buffer_pages),
+                persistence=persistence,
+            )
+        elif accessor_kind == "lcb":
+            accessor = LcbTreeAccessor(
+                tree,
+                io_service,
+                latches,
+                buffer=make_buffer("strong", buffer_pages),
+                persistence=persistence,
+            )
+        else:
+            raise BenchmarkError("unknown accessor kind %r" % (accessor_kind,))
 
-    operations = workload.operations()
-    if persistence == "weak":
-        operations = _interleave_syncs(operations, SYNC_EVERY)
-    runner = BaselineRunner(
-        machine.simos, accessor, operations, n_threads, name=accessor_kind
-    )
-    runner.run_to_completion()
-    return _collect(machine, runner, accessor_kind, n_threads)
+        operations = workload.operations()
+        if persistence == "weak":
+            operations = _interleave_syncs(operations, SYNC_EVERY)
+        runner = BaselineRunner(
+            env.os, accessor, operations, n_threads, name=accessor_kind
+        )
+        runner.run_to_completion()
+        return _collect(env, runner, accessor_kind, n_threads)
+    finally:
+        env.close()
 
 
 def run_lsm_baseline(spec, persistence, n_threads, seed=1):
-    machine = _Machine(seed, payload_size=spec.payload_size)
-    rng = RngRegistry(seed).stream("workload")
-    workload = spec.build(rng)
-    io_service = DedicatedIoService(machine.driver)
-    store = LsmStore(machine.device, io_service, LsmConfig(), persistence=persistence)
-    store.bulk_load(workload.preload_items())
-    store.resize_block_cache(store.data_pages() // 10)  # 10 % as in the paper
-    operations = workload.operations()
-    if persistence == "weak":
-        operations = _interleave_syncs(operations, SYNC_EVERY)
-    runner = BaselineRunner(
-        machine.simos, store, operations, n_threads, name="lsm"
-    )
-    runner.run_to_completion()
-    return _collect(machine, runner, "leveldb-lsm", n_threads)
+    env = SimEnvironment(seed)
+    try:
+        rng = RngRegistry(seed).stream("workload")
+        workload = spec.build(rng)
+        io_service = DedicatedIoService(env.driver)
+        store = LsmStore(env.device, io_service, LsmConfig(), persistence=persistence)
+        store.bulk_load(workload.preload_items())
+        store.resize_block_cache(store.data_pages() // 10)  # 10 % as in the paper
+        operations = workload.operations()
+        if persistence == "weak":
+            operations = _interleave_syncs(operations, SYNC_EVERY)
+        runner = BaselineRunner(
+            env.os, store, operations, n_threads, name="lsm"
+        )
+        runner.run_to_completion()
+        return _collect(env, runner, "leveldb-lsm", n_threads)
+    finally:
+        env.close()
 
 
-def _collect(machine, runner, approach, n_threads):
-    end_ns = runner.last_user_done_ns or machine.engine.now
+def _collect(env, runner, approach, n_threads):
+    end_ns = runner.last_user_done_ns or env.engine.now
     elapsed_s = end_ns / NS_PER_SEC
     return {
         "approach": approach,
@@ -116,19 +125,23 @@ def _collect(machine, runner, approach, n_threads):
         "mean_latency_us": runner.latencies.mean_usec(),
         "p99_latency_us": runner.latencies.p99_usec(),
         "completed": runner.completed.value,
-        "cores_used": machine.simos.total_busy_ns() / machine.engine.now
-        if machine.engine.now
+        "cores_used": env.os.total_busy_ns() / env.engine.now
+        if env.engine.now
         else 0.0,
     }
 
 
 def run_pa_arm(spec, persistence, seed=1):
     # estimate the buffer from the workload's preload footprint
-    machine = _Machine(seed, payload_size=spec.payload_size)
-    rng = RngRegistry(seed).stream("workload")
-    workload = spec.build(rng)
-    machine.tree.bulk_load(workload.preload_items())
-    buffer_pages = _buffer_pages_for(machine.tree)
+    env = SimEnvironment(seed)
+    try:
+        tree = PaTree.create(env.device, payload_size=spec.payload_size)
+        rng = RngRegistry(seed).stream("workload")
+        workload = spec.build(rng)
+        tree.bulk_load(workload.preload_items())
+        buffer_pages = _buffer_pages_for(tree)
+    finally:
+        env.close()
 
     if persistence == "weak":
         spec = replace(spec, sync_every=SYNC_EVERY)

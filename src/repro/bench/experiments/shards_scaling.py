@@ -43,11 +43,15 @@ def run_shards(n_shards, mix, base_ops=OPS, seed=1):
     sharded = ShardedPaTree(simos, n_shards)
     rng = RngRegistry(seed).stream("workload")
     workload = YcsbWorkload(20_000, base_ops * n_shards, mix=mix, alpha=0.3, rng=rng)
-    sharded.bulk_load(workload.preload_items())
-    sharded.run_operations(workload.operations(), window=WINDOW_PER_SHARD * n_shards)
-    sharded.validate()
-
-    stats = sharded.stats()
+    try:
+        sharded.bulk_load(workload.preload_items())
+        sharded.run_operations(
+            workload.operations(), window=WINDOW_PER_SHARD * n_shards
+        )
+        sharded.validate()
+        stats = sharded.stats()
+    finally:
+        sharded.close()
     elapsed_ns = sharded.last_user_done_ns or engine.now
     elapsed_s = elapsed_ns / NS_PER_SEC if elapsed_ns else 1.0
     shard_tput = [

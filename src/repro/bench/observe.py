@@ -38,8 +38,7 @@ so the same target and seed always produce byte-identical artefacts.
 import os
 from collections import namedtuple
 
-from repro.api import PATreeSession, ShardedSession
-from repro.backend import i3_nvme_profile, make_backend
+from repro.api import PATreeSession, ShardedSession, SimEnvironment
 from repro.baselines.lsm import LeveledStore
 from repro.bench.report import write_bench_json
 from repro.bench.runner import WorkloadSpec, run_pa
@@ -48,9 +47,7 @@ from repro.obs import MetricsSession, TraceSession
 from repro.palsm import PolledLsmWorker
 from repro.sched.naive import NaiveScheduling
 from repro.sim.clock import NS_PER_SEC
-from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.simos.scheduler import SimOS, paper_testbed_profile
 
 # ----------------------------------------------------------------------
 # trace targets: ``run(ops, seed) -> (result, TraceSession)``
@@ -80,12 +77,11 @@ def _pa_target(description, mix="default", persistence="strong",
 
 
 def _run_palsm(ops, seed):
-    """Traced PA-LSM run (the paper's future-work extension)."""
-    engine = Engine(seed=seed)
-    simos = SimOS(engine, paper_testbed_profile())
-    backend = make_backend("sim", engine=engine, profile=i3_nvme_profile())
-    device = backend.device
-    store = LeveledStore(device)
+    """Traced PA-LSM run (the paper's future-work extension), always on
+    the simulated device: ``--backend`` does not reach it."""
+    env = SimEnvironment(seed, backend="sim")
+    engine = env.engine
+    store = LeveledStore(env.device)
     spec = WorkloadSpec(kind="ycsb", n_keys=20_000, n_ops=ops or 2_000)
     workload = spec.build(RngRegistry(seed).stream("workload"))
     store.bulk_load(workload.preload_items())
@@ -93,15 +89,15 @@ def _run_palsm(ops, seed):
 
     session = TraceSession(engine)
     worker = PolledLsmWorker(
-        simos,
-        backend,
+        env.os,
+        env.backend,
         store,
         NaiveScheduling(),
         ClosedLoopSource([], window=1),
         tracer=session.tracer,
     )
-    session.attach_device(device)
-    session.attach_simos(simos)
+    session.attach_device(env.device)
+    session.attach_simos(env.os)
     session.attach_worker(worker)
     session.start()
     worker.run_operations(list(workload.operations()), window=32)

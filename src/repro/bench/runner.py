@@ -1,12 +1,14 @@
 """Experiment harness.
 
-Builds a fresh simulated machine per run (engine + OS + device +
-tree), preloads the workload, drives it through either the PA-Tree
-engine or a synchronous baseline, and reports one flat dict of the
-quantities the paper's tables and figures use: throughput, latency
-percentiles, achieved IOPS, time-averaged outstanding I/Os, CPU cores
-consumed, CPU per operation, context switches, and the CPU breakdown
-by category.
+Builds a fresh simulated machine per run (a
+:class:`repro.api.SimEnvironment` on the process-default backend, so
+``repro.bench --backend file`` retargets every exhibit built here, and
+a freshly formatted tree), preloads the workload, drives it through
+either the PA-Tree engine or a synchronous baseline, and reports one
+flat dict of the quantities the paper's tables and figures use:
+throughput, latency percentiles, achieved IOPS, time-averaged
+outstanding I/Os, CPU cores consumed, CPU per operation, context
+switches, and the CPU breakdown by category.
 
 Every run is deterministic in (spec, seed); sweeps fork the seed so
 arms are paired.
@@ -14,7 +16,7 @@ arms are paired.
 
 from dataclasses import dataclass
 
-from repro.backend import make_backend
+from repro.api import SimEnvironment
 from repro.baselines.io_service import DedicatedIoService, SharedIoService
 from repro.baselines.latching import BlockingLatchTable
 from repro.baselines.runner import BaselineRunner
@@ -25,13 +27,10 @@ from repro.core.ops import sync_op
 from repro.core.source import ClosedLoopSource, OpenLoopSource
 from repro.core.tree import PaTree
 from repro.errors import BenchmarkError
-from repro.backend import i3_nvme_profile
 from repro.sched import SCHEDULERS, make_scheduler
 from repro.sim.clock import NS_PER_SEC
-from repro.sim.engine import Engine
 from repro.sim.metrics import CPU_CATEGORIES
 from repro.sim.rng import RngRegistry
-from repro.simos.scheduler import SimOS, paper_testbed_profile
 from repro.workloads import SseWorkload, TDriveWorkload, YcsbWorkload
 
 
@@ -91,41 +90,13 @@ def _interleave_syncs(operations, sync_every):
                 yield sync_op()
 
 
-class _Machine:
-    """One simulated machine with a freshly formatted tree.
-
-    Its backend is the process default (:mod:`repro.backend`), so
-    ``repro.bench --backend file`` retargets every exhibit built on
-    this harness.
-    """
-
-    def __init__(self, seed, device_profile=None, payload_size=8,
-                 faults=None, retry=None):
-        self.engine = Engine(seed=seed)
-        self.simos = SimOS(self.engine, paper_testbed_profile())
-        self.device_profile = device_profile or i3_nvme_profile()
-        self.backend = make_backend(
-            None,
-            engine=self.engine,
-            profile=device_profile,
-            faults=faults,
-            retry=retry,
-        )
-        self.device = self.backend.device
-        self.driver = self.backend.driver
-        self.tree = PaTree.create(self.device, payload_size=payload_size)
-
-    def close(self):
-        self.backend.close()
-
-
-def _finish_stats(result, machine, completed, latencies, group, end_ns=None):
+def _finish_stats(result, env, completed, latencies, group, end_ns=None):
     # Throughput windows end at the last user-operation completion, so
     # a trailing group-commit flush does not distort short runs.
-    elapsed_ns = end_ns if end_ns else machine.engine.now
+    elapsed_ns = end_ns if end_ns else env.engine.now
     elapsed_s = elapsed_ns / NS_PER_SEC if elapsed_ns else 1.0
-    device = machine.device
-    account = machine.simos.cpu_account(group)
+    device = env.device
+    account = env.os.cpu_account(group)
     result.update(
         {
             "elapsed_s": elapsed_s,
@@ -137,10 +108,10 @@ def _finish_stats(result, machine, completed, latencies, group, end_ns=None):
             "device_reads": device.reads_completed.value,
             "device_writes": device.writes_completed.value,
             "outstanding_avg": device.outstanding.average(),
-            "cores_used": machine.simos.total_busy_ns() / elapsed_ns
+            "cores_used": env.os.total_busy_ns() / elapsed_ns
             if elapsed_ns
             else 0.0,
-            "context_switches": machine.simos.context_switches.value,
+            "context_switches": env.os.context_switches.value,
             "cpu_us_per_op": (account.total_ns / 1000.0 / completed)
             if completed
             else 0.0,
@@ -181,22 +152,24 @@ def run_pa(
     :class:`~repro.nvme.driver.RetryPolicy`; both default to off, which
     reproduces the fault-free numbers bit for bit.
     """
-    machine = _Machine(seed, device_profile, spec.payload_size,
-                       faults=faults, retry=retry)
+    env = SimEnvironment(
+        seed, device_profile=device_profile, faults=faults, retry=retry
+    )
+    tree = PaTree.create(env.device, payload_size=spec.payload_size)
     rng = RngRegistry(seed).stream("workload")
     workload = spec.build(rng)
-    machine.tree.bulk_load(workload.preload_items())
+    tree.bulk_load(workload.preload_items())
 
     session = None
     if trace:
         from repro.obs import TraceSession
 
-        session = TraceSession(machine.engine)
+        session = TraceSession(env.engine)
 
     if policy is None:
         if scheduler not in SCHEDULERS:
             raise BenchmarkError("unknown scheduler %r" % (scheduler,))
-        policy = make_scheduler(scheduler, machine.device_profile)
+        policy = make_scheduler(scheduler, env.device_profile)
 
     operations = workload.operations()
     if spec.sync_every:
@@ -210,9 +183,9 @@ def run_pa(
 
     buffer = make_buffer(persistence, buffer_pages)
     pa = PaTreeEngine(
-        machine.simos,
-        machine.backend,
-        machine.tree,
+        env.os,
+        env.backend,
+        tree,
         policy,
         source=source,
         buffer=buffer,
@@ -221,8 +194,8 @@ def run_pa(
         tracer=session.tracer if session is not None else None,
     )
     if session is not None:
-        session.attach_device(machine.device)
-        session.attach_simos(machine.simos)
+        session.attach_device(env.device)
+        session.attach_simos(env.os)
         session.attach_worker(pa)
         session.attach_buffer(buffer)
         session.start()
@@ -234,7 +207,7 @@ def run_pa(
         pa.run_to_completion()
     if session is not None:
         session.finish()
-    machine.tree.validate()
+    tree.validate()
 
     result = {
         "approach": "pa-tree",
@@ -243,28 +216,28 @@ def run_pa(
         "probes": pa.probes.value,
         "latch_waits": pa.latch_wait_events.value,
     }
-    if machine.device.fault_injector is not None:
+    if env.device.fault_injector is not None:
         # fault-path keys appear only on armed runs so fault-free rows
         # keep their historical shape
-        result["faults"] = machine.device.fault_injector.stats()
+        result["faults"] = env.device.fault_injector.stats()
         result["io_errors"] = pa.io_errors.value
         result["failed_ops"] = pa.failed_ops.value
-        result["io_retries"] = machine.driver.retries_scheduled.value
+        result["io_retries"] = env.driver.retries_scheduled.value
         result["io_escalations"] = pa.io_escalations.value
         result["lost_writes"] = pa.lost_writes.value
-    if machine.backend.kind != "sim":
-        result["backend"] = machine.backend.describe()
+    if env.backend.kind != "sim":
+        result["backend"] = env.backend.describe()
     if session is not None:
         result["trace_session"] = session
     stats = _finish_stats(
         result,
-        machine,
+        env,
         pa.user_completed,
         pa.latencies,
         "pa-tree",
         end_ns=pa.last_user_done_ns,
     )
-    machine.close()
+    env.close()
     return stats
 
 
@@ -279,17 +252,18 @@ def run_sync_baseline(
 ):
     """Run one shared/dedicated synchronous-paradigm experiment
     (strong persistence, no buffer)."""
-    machine = _Machine(seed, device_profile, spec.payload_size)
+    env = SimEnvironment(seed, device_profile=device_profile)
+    tree = PaTree.create(env.device, payload_size=spec.payload_size)
     rng = RngRegistry(seed).stream("workload")
     workload = spec.build(rng)
-    machine.tree.bulk_load(workload.preload_items())
+    tree.bulk_load(workload.preload_items())
 
     if io_mode == "dedicated":
         io_service = DedicatedIoService(
-            machine.driver, poll_pause_us=poll_pause_us, pause_mode=pause_mode
+            env.driver, poll_pause_us=poll_pause_us, pause_mode=pause_mode
         )
     elif io_mode == "shared":
-        io_service = SharedIoService(machine.driver)
+        io_service = SharedIoService(env.driver)
     else:
         raise BenchmarkError("unknown io mode %r" % (io_mode,))
 
@@ -297,22 +271,22 @@ def run_sync_baseline(
     if spec.sync_every:
         operations = _interleave_syncs(operations, spec.sync_every)
 
-    accessor = SyncTreeAccessor(machine.tree, io_service, BlockingLatchTable())
+    accessor = SyncTreeAccessor(tree, io_service, BlockingLatchTable())
     runner = BaselineRunner(
-        machine.simos, accessor, operations, n_threads, name=io_mode
+        env.os, accessor, operations, n_threads, name=io_mode
     )
     runner.run_to_completion()
-    machine.tree.validate()
+    tree.validate()
 
     result = {
         "approach": io_mode,
         "threads": n_threads,
         "scheduler": "synchronous",
     }
-    machine.close()
+    env.close()
     return _finish_stats(
         result,
-        machine,
+        env,
         runner.user_completed,
         runner.latencies,
         io_mode,

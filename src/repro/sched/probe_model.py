@@ -117,7 +117,7 @@ def train_probe_model(
                 else:
                     command = driver.read(qpair, lba)
                 history.on_submit(command)
-            if not engine.try_advance(tick_ns):
+            if not engine.advance(tick_ns):
                 engine.schedule(tick_ns, submit_tick)
                 return
 

@@ -37,28 +37,26 @@ class Engine:
         self.rng = RngRegistry(seed)
         self.max_events = max_events
         self.dispatched = 0
-        # Delays try_advance / run_through took in place of a heap round
+        # Delays advance / run_through took in place of a heap round
         # trip: dispatched + inlined is what the same run dispatches with
         # an on_dispatch subscriber, and what max_events bounds.
         self.inlined = 0
         self._running = False
         self._stopped = False
-        # For the fast paths: run()'s stop conditions (the horizon is -1
-        # outside run() and after stop(), so nothing advances, and just
-        # short of an enclosing run_through's slot) and the queue's own
-        # heap list, to peek at its head without dropping dead entries.
+        # For the fast paths: run()'s time bound (-1 outside run() and
+        # after stop(), so nothing advances, and just short of an
+        # enclosing run_through's slot) and the queue's own heap list,
+        # to peek at its head without dropping dead entries.
         self._horizon_ns = -1
-        self._until = None
         self._heap = self.events._heap
-        # The last instant the clock may reach in place: try_advance's
-        # True branch, cached where one succeeds so that SimOS.cpu can
-        # spend it with one comparison.  It is min(heap head - 1,
-        # horizon, now + the max_events budget left); a push at or
-        # before it lowers it, and it is -1 (nothing fits) before every
-        # dispatched callback, after every run_through, on stop() and
-        # when run() ends.  Nothing caches it while a subscriber or an
-        # until predicate is bound (SimOS.cpu also tests on_dispatch, which a
-        # callback may subscribe after the limit was cached).
+        # The last instant the clock may reach in place, as advance()
+        # last computed it, so that SimOS.cpu can spend it with one
+        # comparison: min(heap head - 1, horizon, now + the max_events
+        # budget left).  A push at or before it lowers it, and it is -1
+        # (nothing fits) before every dispatched callback, after every
+        # run_through, on stop() and when run() ends.  Nothing caches it
+        # while a subscriber is bound (SimOS.cpu also tests on_dispatch,
+        # which a callback may subscribe after the limit was cached).
         self.limit_ns = -1
         # Observer slot (repro.sim.hooks): each subscriber is called with
         # every entry just before its callback runs.  Must not schedule,
@@ -105,92 +103,47 @@ class Engine:
         """Make the current run() return once the running callback does.
 
         From here to that return nothing advances in place either:
-        try_advance, try_advance_repeat and run_through refuse, as they
-        do when an ``until`` predicate has turned true, and a run_through
-        in progress pushes its entry and returns False.  Outside run()
-        it does nothing that the next run() sees.
+        advance and run_through refuse, and a run_through in progress
+        pushes its entry and returns False.  Outside run() it does
+        nothing that the next run() sees.
         """
         self._stopped = True
         self._horizon_ns = self.limit_ns = -1
 
-    def try_advance(self, delay_ns):
-        """Move the clock ``delay_ns`` ahead in place, if that is exact.
+    def advance(self, step_ns, count=1):
+        """Take up to ``count`` (at least 1) steps of ``step_ns`` in place.
 
         For a caller about to end its event callback with
-        ``schedule(delay_ns, fn)``: True (clock advanced, go on as
-        ``fn`` would) when nothing could run before ``fn`` -- no event
-        due at or before that instant (a tie goes through the heap, which
-        keeps sequence order; a cancelled head only makes this
-        conservative), no ``on_dispatch`` subscriber, and neither stop
-        condition of run() inside the interval.
-        Otherwise False and nothing changed: schedule as usual.
-
-        When it advances with no ``until`` predicate bound, it caches
-        how far the clock could go on moving so (:attr:`limit_ns`): no
-        further than the heap head, the horizon or the ``max_events``
-        budget allows, each step taking at least 1 ns.
-        """
-        time_ns = self.clock.now + delay_ns
-        heap = self._heap
-        if heap and heap[0][0] <= time_ns:
-            return False
-        horizon_ns = self._horizon_ns
-        if (
-            time_ns > horizon_ns
-            or self.on_dispatch
-            or (self._until is not None and self._until())
-        ):
-            return False
-        self.inlined += 1
-        budget = self.max_events - self.dispatched - self.inlined
-        if budget < 0:
-            self._over_budget()
-        self.clock.now = time_ns
-        if self._until is None:
-            limit_ns = time_ns + budget
-            if heap and heap[0][0] <= limit_ns:
-                limit_ns = heap[0][0] - 1
-            self.limit_ns = limit_ns if limit_ns < horizon_ns else horizon_ns
-        return True
-
-    def try_advance_repeat(self, step_ns, count):
-        """Take up to ``count`` consecutive ``try_advance(step_ns)`` at once.
-
-        Returns the largest ``n <= count`` for which ``n`` calls in a
-        row would each have returned True, having advanced the clock and
-        counted ``inlined`` as they would; 0 changes nothing.  The head
-        of the heap, the horizon and a subscriber bound ``n`` in closed
-        form; ``until`` is asked before every step with the clock where
-        that step starts, because a predicate may read the clock.
+        ``schedule(step_ns, fn)``, where ``fn`` would go on as the
+        caller does, ``count`` times in a row.  Returns the number
+        ``n`` of those steps that nothing could run before: the clock
+        moves ``n * step_ns`` and each step counts as ``inlined``; 0
+        changes nothing, and the caller schedules as usual.  A step
+        may end no later than :attr:`limit_ns`, which this computes
+        and caches: just short of the heap head (a tie goes through the
+        heap, which keeps sequence order; a cancelled head only makes
+        this conservative), no later than the horizon, and within the
+        ``max_events`` budget left, each step taking at least 1 ns.
+        Refuses while an ``on_dispatch`` subscriber is bound.
         """
         if self.on_dispatch:
             return 0
         clock = self.clock
         now = clock.now
+        limit_ns = now + self.max_events - self.dispatched - self.inlined
         heap = self._heap
-        if heap:
-            count = min(count, (heap[0][0] - now - 1) // step_ns)
-        if now + count * step_ns > self._horizon_ns:
-            count = int((self._horizon_ns - now) // step_ns)
-        if count <= 0:
+        if heap and heap[0][0] <= limit_ns:
+            limit_ns = heap[0][0] - 1
+        if self._horizon_ns < limit_ns:
+            limit_ns = self._horizon_ns
+        self.limit_ns = limit_ns
+        if now + step_ns > limit_ns:
             return 0
-        # max_events allows this many; the step after them trips the valve
-        limit = max(0, min(count, self.max_events - self.dispatched - self.inlined))
-        until = self._until
-        granted = limit
-        if until is None:
-            clock.now = now + limit * step_ns
-        else:
-            for taken in range(limit):
-                if until():
-                    granted = taken
-                    break
-                clock.now += step_ns
-        self.inlined += granted
-        if granted == limit < count and (until is None or not until()):
-            self.inlined += 1
-            self._over_budget()
-        return granted
+        if count > 1:
+            count = min(count, int((limit_ns - now) // step_ns))
+        self.inlined += count
+        clock.now = now + count * step_ns
+        return count
 
     def run_through(self, delay_ns, fn, *args):
         """``schedule(delay_ns, fn, *args)`` for a callback's own
@@ -205,8 +158,7 @@ class Engine:
         Otherwise the entry's sequence number is reserved and every
         entry ordered before ``(now + delay_ns, seq)`` is dispatched
         here, as :meth:`run` would, with the horizon lowered to just
-        short of that slot.  If ``stop()`` or ``until`` ends the run
-        first, the entry is pushed in its slot (False); else the clock
+        short of that slot.  If ``stop()`` ends the run first, the entry is pushed in its slot (False); else the clock
         moves to its time and it counts as ``inlined`` (True: go on as
         ``fn`` would).
         """
@@ -238,14 +190,13 @@ class Engine:
             "event budget exceeded (%d); likely a livelock" % self.max_events
         )
 
-    def run(self, until_ns=None, until=None):
+    def run(self, until_ns=None):
         """Dispatch events until a stop condition.
 
         ``until_ns``: stop once the clock would pass this time (the
-        clock is left at ``until_ns``).  ``until``: a zero-argument
-        predicate checked after every event.  :meth:`stop`, called from
-        a callback, ends the run after that callback.  With none of
-        them, runs until the event queue drains.
+        clock is left at ``until_ns``).  :meth:`stop`, called from a
+        callback, ends the run after that callback.  With neither, runs
+        until the event queue drains.
         """
         if self._running:
             raise SimulationError("Engine.run is not reentrant")
@@ -254,7 +205,6 @@ class Engine:
         horizon_ns = self._horizon_ns = (
             float("inf") if until_ns is None else until_ns
         )
-        self._until = until
         clock = self.clock
         heap = self._heap
         try:
@@ -274,20 +224,18 @@ class Engine:
         finally:
             self._running = False
             self._horizon_ns = self.limit_ns = -1
-            self._until = None
 
     def _dispatch_before(self, time_ns, seq):
         """Dispatch every live entry ordered before ``(time_ns, seq)``.
 
         The one event loop, :meth:`run`'s and :meth:`run_through`'s:
-        before every event it asks whether ``stop()`` or ``until`` ends
-        the run (False), then drops dead heads; it returns True when the
-        heap is drained or its head is not before the bound.
+        before every event it asks whether ``stop()`` ended the run
+        (False), then drops dead heads; it returns True when the heap is
+        drained or its head is not before the bound.
         """
         clock = self.clock
         heap = self._heap
-        until = self._until
-        while not (self._stopped or (until is not None and until())):
+        while not self._stopped:
             if heap and heap[0][2] is None:
                 self.events.drop_dead()
             if not heap:

@@ -151,14 +151,14 @@ class SimOS:
         scheduled, after which the thread body must yield bare at once:
         ``cpu(ns, category) or (yield)``.  In place means without the
         heap: the clock simply moves when nothing is due first
-        (``Engine.try_advance``), else the events due first run from
+        (``Engine.advance``), else the events due first run from
         here (``Engine.run_through``) and the preemption ``_after_cpu``
         would decide is decided at the burst's end.
 
         A burst that ends within the kernel's cached in-place limit
         (``Engine.limit_ns``), while nobody waits for a core, no
         ``spawn()`` is stepping and no ``on_dispatch`` subscriber is
-        bound, is booked right here: what ``try_advance``'s True branch
+        bound, is booked right here: what a step of ``Engine.advance``
         and ``CpuAccount.charge`` would do, in one call.
         """
         engine = self.engine
@@ -194,7 +194,7 @@ class SimOS:
             return False
         # nobody waits for the core, so _after_cpu would only resume the
         # thread: just move the clock if nothing is due first
-        if not self.run_queue and engine.try_advance(ns):
+        if not self.run_queue and engine.advance(ns):
             return True
         if not engine.run_through(ns, self._after_cpu, thread):
             return False
@@ -219,7 +219,7 @@ class SimOS:
             raise ValueError("repeated CPU burst must be positive: %r" % ns)
         if self.run_queue or self._spawning:
             return 0
-        taken = self.engine.try_advance_repeat(ns, count)
+        taken = self.engine.advance(ns, count)
         thread = self._current
         thread.account.charge(taken * ns, category)
         thread.core.busy_ns += taken * ns

@@ -364,8 +364,8 @@ _WALL_CLOCK_PROBE = (
 @pytest.mark.parametrize("burst, sink", [
     ("self.simos.cpu(measure(), None) or (yield)", "cpu"),
     ("self.simos.cpu_repeat(measure(), None, 4)", "cpu_repeat"),
-    ("self.engine.try_advance(measure())", "try_advance"),
-    ("self.engine.try_advance_repeat(measure(), 4)", "try_advance_repeat"),
+    ("self.engine.advance(measure())", "advance"),
+    ("self.engine.advance(measure(), 4)", "advance"),
 ])
 def test_pa511_a_burst_call_is_a_sink(tmp_path, burst, sink):
     findings = graph_findings(

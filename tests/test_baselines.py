@@ -191,7 +191,7 @@ class TestIoServices:
             results["data"] = data
 
         thread = simos.spawn(body())
-        engine.run(until=lambda: thread.done)
+        simos.run_until_done([thread])
         service.stop()
         engine.run()
         assert results["data"] == b"\xab" * 512
@@ -212,7 +212,7 @@ class TestIoServices:
         for lba in range(1, 9):
             tls_map[lba] = service.register_thread()
             threads.append(simos.spawn(body(lba)))
-        engine.run(until=lambda: all(t.done for t in threads))
+        simos.run_until_done(threads)
         service.stop()
         engine.run()
         assert done == [True] * 8

@@ -5,9 +5,12 @@ benchmark code paths (sweeps, memoization, reporting, shape helpers)
 are exercised by ``pytest tests/`` without the full benchmark cost.
 """
 
+import tempfile
 
-
-from repro.bench.experiments import fig3_device, fig7_fig8
+from repro.backend import set_default_backend
+from repro.bench.experiments import (
+    batch_pipeline, fig3_device, fig7_fig8, fig15_end_to_end, shards_scaling,
+)
 from repro.bench.runner import WorkloadSpec, run_pa
 
 
@@ -75,3 +78,24 @@ class TestRunPaVariants:
         a = run_pa(spec, seed=9, scheduler="naive")
         b = run_pa(spec, seed=10, scheduler="naive")
         assert a["mean_latency_us"] != b["mean_latency_us"]
+
+
+def test_exhibits_on_the_file_backend_leave_no_scratch_files(
+    tmp_path, monkeypatch,
+):
+    # under --backend file every machine owns a scratch file that only
+    # closing it removes: one tiny sweep point of each exhibit that
+    # builds machines of its own
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    previous = set_default_backend("file")
+    try:
+        batch_pipeline.run_batch_size(8, n_specs=16)
+        spec = WorkloadSpec(kind="ycsb", n_keys=2_000, n_ops=20)
+        fig15_end_to_end.run_pa_arm(spec, "strong")
+        for kind in ("blink", "lcb"):
+            fig15_end_to_end.run_tree_baseline(spec, kind, "strong", 4)
+        fig15_end_to_end.run_lsm_baseline(spec, "strong", 4)
+        shards_scaling.run_shards(2, "default", base_ops=10)
+    finally:
+        set_default_backend(previous)
+    assert sorted(tmp_path.glob("patree-file-backend-*")) == []

@@ -1,11 +1,11 @@
 """Hook conformance for the kernel fast path.
 
-The in-place clock advance (``Engine.try_advance``, the polled
-worker's idle turns taken in one go through ``try_advance_repeat``, and
-a call that runs the events due before it ends from its own frame,
-``run_through``) may run only when no kernel-level hook wants to see
-every event: an ``on_dispatch`` subscriber turns it off.  Every other
-slot of ``tools/analysis/layers.toml [hooks]`` -- observer slots take their
+The in-place clock advance (``Engine.advance``, which also takes the
+polled worker's idle turns in one go, and a call that runs the events
+due before it ends from its own frame, ``run_through``) may run only
+when no kernel-level hook wants to see every event: an ``on_dispatch``
+subscriber turns it off.  Every other slot of
+``tools/analysis/layers.toml [hooks]`` -- observer slots take their
 recorder through ``repro.sim.hooks.subscribe``, decision slots by plain
 assignment -- fires from code that runs the same either way, so a run
 with a recording no-op in the slot must make the same calls at the same
@@ -86,13 +86,11 @@ class _Stack:
 
     def __init__(self, arm):
         self.engine = Engine(seed=3)
+        self.simos = SimOS(self.engine, OsProfile(cores=4))
         # idle turns the kernel took in bursts, for the asserts below
         self.repeats_taken = 0
-        take = self.engine.try_advance_repeat
-        self.engine.try_advance_repeat = (
-            lambda step_ns, count: self._taken(take(step_ns, count))
-        )
-        self.simos = SimOS(self.engine, OsProfile(cores=4))
+        take = self.simos.cpu_repeat
+        self.simos.cpu_repeat = lambda *burst: self._taken(take(*burst))
         self.backend = make_backend(
             "sim", engine=self.engine, profile=fast_test_profile(),
             # transient read errors, so the driver's retry path runs too

@@ -194,7 +194,7 @@ def run_thread(engine, simos, body):
     def wrapper():
         holder["result"] = yield from body
     thread = simos.spawn(wrapper())
-    engine.run(until=lambda: thread.done)
+    simos.run_until_done([thread])
     return holder.get("result")
 
 

@@ -84,7 +84,7 @@ def test_stop_ends_the_run_after_the_running_callback():
     engine.schedule(10, stopper)
     engine.schedule(10, seen.append, "same instant, later sequence")
     engine.run(until_ns=50)
-    # stopped like a true ``until``: the clock is not taken to until_ns
+    # stopped before the bound: the clock is not taken to until_ns
     assert (seen, engine.now, len(engine.events)) == (
         ["rest of the callback"], 10, 1
     )
@@ -150,19 +150,6 @@ def test_engine_run_until_ns_stops_and_advances():
     assert engine.now == 3_000
     engine.run()
     assert seen == [1, 2]
-
-
-def test_engine_run_until_predicate():
-    engine = Engine()
-    counter = {"n": 0}
-
-    def tick():
-        counter["n"] += 1
-        engine.schedule(100, tick)
-
-    engine.schedule(100, tick)
-    engine.run(until=lambda: counter["n"] >= 5)
-    assert counter["n"] == 5
 
 
 def test_engine_rejects_negative_delay():

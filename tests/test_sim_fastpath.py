@@ -1,13 +1,13 @@
 """The kernel fast path is exact: same run with and without it.
 
 ``SimOS.cpu`` (the rule behind a ``Cpu`` instruction and the call form
-of a burst alike) advances the clock in place (``Engine.try_advance``)
+of a burst alike) advances the clock in place (``Engine.advance``)
 when a CPU burst ends before anything else is due, and otherwise runs
 what is due first from inside the call (``Engine.run_through``) and
 goes on -- unless the burst ends past the horizon (an enclosing
 run-through's slot, ``until_ns``, ``stop()``), when it goes through the
-event heap.  ``SimOS.cpu_repeat`` takes a run of equal bursts in one go
-(``Engine.try_advance_repeat``) as far as each of them would have been.
+event heap.  ``SimOS.cpu_repeat`` takes a run of equal bursts in one
+``Engine.advance`` call as far as each of them would have gone.
 ``SimOS.sem_post`` and ``SimOS.sem_wait`` run through their syscall the
 same way, then post, take the unit or block.  Installing any
 ``on_dispatch`` hook forces the heap, so every test here runs one
@@ -18,12 +18,12 @@ fast.dispatched + fast.inlined``.  The generated programs run once more
 with every call spelled as an instruction (``Cpu``, ``SemWait``,
 ``SemPost``), which must be the same run step for step.
 
-Where ``try_advance`` advances it caches how far the clock could go on
-moving in place (``Engine.limit_ns``), and ``SimOS.cpu`` books a burst
-that ends within it in the same call.  Programs mixing bursts, pushes,
-run-throughs and repeats run plain, on a kernel with no cached limit,
-and forced slow, and must agree on every clock reading, account and
-core, with the same ``dispatched`` and ``inlined`` as the uncached run.
+``Engine.advance`` caches how far the clock could go on moving in place
+(``Engine.limit_ns``), and ``SimOS.cpu`` books a burst that ends within
+it in the same call.  Programs mixing bursts, pushes, run-throughs and
+repeats run plain, on a kernel with no cached limit, and forced slow,
+and must agree on every clock reading, account and core, with the same
+``dispatched`` and ``inlined`` as the uncached run.
 """
 
 import random
@@ -118,11 +118,13 @@ _SHAPE = {
     ])), max_size=6),
 }
 
+# a timer that calls stop(), pushed after everything else
+_STOP_AT = st.tuples(st.just("stop_at"), st.integers(0, 60_000))
+
 _PROGRAM = st.fixed_dictionaries(dict(_SHAPE, stop=st.one_of(
     st.none(),
     st.tuples(st.just("until_ns"), st.integers(0, 60_000)),
-    st.tuples(st.just("exits"), st.integers(1, 4)),
-    st.tuples(st.just("clock"), st.integers(0, 60_000)),
+    _STOP_AT,
     _DONE_STOP,
 )))
 
@@ -219,24 +221,14 @@ class _Machine:
             self.log.append(("timer-after-spawn", index, self.engine.now))
 
     def _run(self, stop):
-        kwargs = {}
         kind = stop[0] if stop is not None else None
-        awaited = self.top[:stop[1]] if kind in ("done", "done-by-predicate") else ()
-        if kind == "until_ns":
-            kwargs["until_ns"] = stop[1]
-        elif kind == "exits":
-            kwargs["until"] = lambda: len(self.exits) >= stop[1]
-        elif kind == "clock":
-            kwargs["until"] = lambda: self.engine.now >= stop[1]
-        elif kind == "done-by-predicate":
-            # what run_until_done replaced, kept here as its reference
-            kwargs["until_ns"] = stop[2]
-            kwargs["until"] = lambda: all(thread.done for thread in awaited)
+        if kind == "stop_at":
+            self.engine.schedule(stop[1], self.engine.stop)
         try:
             if kind == "done":
-                self.simos.run_until_done(awaited, stop[2])
+                self.simos.run_until_done(self.top[:stop[1]], stop[2])
             else:
-                self.engine.run(**kwargs)
+                self.engine.run(stop[1] if kind == "until_ns" else None)
         except SchedulerError as exc:  # a generated deadlock
             return str(exc)
         return "ok"
@@ -288,20 +280,6 @@ def test_random_programs_run_the_same_with_and_without_the_fast_path(program):
     _assert_equivalent(
         as_instructions, _Machine(program, slow=True, instructions=True)
     )
-
-
-def _by_predicate(program):
-    stop = program["stop"]
-    return dict(program, stop=("done-by-predicate",) + stop[1:])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.fixed_dictionaries(dict(_SHAPE, stop=_DONE_STOP)))
-def test_run_until_done_is_the_all_done_predicate_step_for_step(program):
-    for slow in (False, True):
-        _assert_same_run(
-            _Machine(program, slow), _Machine(_by_predicate(program), slow)
-        )
 
 
 def _program(threads, cores=1, timers=(), stop=None):
@@ -427,15 +405,16 @@ def test_a_nested_burst_ending_at_the_enclosing_slot_takes_the_heap(
     _assert_equivalent(fast, _Machine(program, slow=True))
 
 
-@pytest.mark.parametrize("stop", [("done", 1, None), ("exits", 1)],
-                         ids=["stop", "until"])
+@pytest.mark.parametrize("stop", [("done", 1, None), ("stop_at", 200)],
+                         ids=["stop", "timer"])
 def test_a_run_ended_inside_a_run_through_leaves_its_entry_in_the_slot(
     stop,
 ):
     # t1's burst runs 100..1 100; t0 exits at 200, inside it, which ends
-    # the run -- by stop() (run_until_done) or by the predicate.  The
-    # continuation waits in its reserved slot, behind the timer at 1 100
-    # that was pushed before it, and a second run() goes on from there
+    # the run -- by run_until_done or by a timer at 200 pushed after t0's
+    # step, both through stop().  The continuation waits in its reserved
+    # slot, behind the timer at 1 100 that was pushed before it, and a
+    # second run() goes on from there
     program = _program(
         [_spinner(1, 200), _spinner(1) + [("call", 1_000, _REAL)] * 2],
         cores=2, timers=[(1_100, None)], stop=stop,
@@ -532,7 +511,7 @@ def test_an_exception_from_a_nested_event_reaches_the_caller_of_run():
             engine.run()
         assert caught.value is boom
         assert engine.now == 500
-        assert engine.try_advance(1) is False  # the kernel is reusable
+        assert engine.advance(1) == 0  # the kernel is reusable
         return engine, thread
 
     fast_engine, fast_thread = run(slow=False)
@@ -628,24 +607,13 @@ def test_until_ns_leaves_the_clock_exactly_there():
     _assert_equivalent(fast, _Machine(program, slow=True))
 
 
-def test_an_until_predicate_stops_both_runs_in_the_same_state():
-    # only the spinner's own progress makes the predicate true, and no
-    # event is pending when it does: try_advance has to ask it
-    program = _program([_spinner(40)], stop=("clock", 500))
-    fast = _Machine(program, slow=False)
-    assert fast.engine.now == 500
-    assert fast.log[-1] == ("t0", 4, 500)
-    assert (fast.engine.inlined, len(fast.engine.events)) == (4, 1)
-    _assert_equivalent(fast, _Machine(program, slow=True))
-
-
 @pytest.mark.parametrize("context_switch_ns", [0, 3_000])
 def test_the_thread_dispatched_by_the_last_exit_does_not_advance_in_place(
     context_switch_ns,
 ):
     # one core: t1 gets it from inside t0's _finish, after t0 turned
     # done.  A run that waits for t0 is over at that line, so t1's
-    # first burst goes to the heap exactly as when a predicate says so
+    # first burst goes to the heap
     program = _program(
         [_spinner(3), _spinner(5)], stop=("done", 1, None),
     )
@@ -655,7 +623,6 @@ def test_the_thread_dispatched_by_the_last_exit_does_not_advance_in_place(
     assert (t0.done, t1.done) == (True, False)
     assert [entry for entry in fast.log if entry[0] == "t1"] == []
     assert len(fast.engine.events) == 1  # t1's pending step
-    _assert_same_run(fast, _Machine(_by_predicate(program), slow=False))
     _assert_equivalent(fast, _Machine(program, slow=True))
     # and the machine goes on from there
     fast.engine.run()
@@ -680,7 +647,6 @@ def test_run_until_done_stops_at_until_ns_when_the_threads_outlast_it():
     fast = _Machine(program, slow=False)
     assert (fast.engine.now, fast.top[0].done) == (1_234, False)
     assert fast.log[-1] == ("t0", 11, 1_200)
-    _assert_same_run(fast, _Machine(_by_predicate(program), slow=False))
     _assert_equivalent(fast, _Machine(program, slow=True))
     # nobody is awaited any more: a plain run() is not cut short
     fast.engine.run()
@@ -693,13 +659,13 @@ def test_stop_turns_the_fast_path_off_for_the_rest_of_the_event():
     seen = []
 
     def callback():
-        seen.append((engine.try_advance(5), engine.try_advance_repeat(1, 3)))
+        seen.append((engine.advance(5), engine.advance(1, 3)))
         engine.stop()
-        seen.append((engine.try_advance(5), engine.try_advance_repeat(1, 3)))
+        seen.append((engine.advance(5), engine.advance(1, 3)))
 
     engine.schedule(1, callback)
     engine.run()
-    assert seen == [(True, 3), (False, 0)]
+    assert seen == [(1, 3), (0, 0)]
     assert (engine.now, engine.inlined, len(engine.events)) == (9, 4, 1)
 
 
@@ -733,14 +699,6 @@ def test_a_repeat_stops_at_until_ns():
     _assert_equivalent(fast, _Machine(program, slow=True))
 
 
-def test_a_repeat_asks_a_clock_reading_predicate_at_every_burst():
-    # nothing but the repeat's own progress makes the predicate true
-    program = _program([_repeater(40)], stop=("clock", 500))
-    fast = _Machine(program, slow=False)
-    assert (fast.taken, fast.engine.now, len(fast.engine.events)) == (4, 500, 1)
-    _assert_equivalent(fast, _Machine(program, slow=True))
-
-
 def test_a_repeat_is_not_taken_while_another_thread_waits_for_the_core():
     program = _program([_repeater(5), _spinner(3)], cores=1)
     fast = _Machine(program, slow=False)
@@ -750,22 +708,27 @@ def test_a_repeat_is_not_taken_while_another_thread_waits_for_the_core():
     _assert_equivalent(fast, _Machine(program, slow=True))
 
 
-@pytest.mark.parametrize("predicate", [None, lambda: False])
-def test_a_repeat_with_an_empty_heap_hits_max_events_at_once(predicate):
+def test_a_repeat_with_an_empty_heap_stops_inside_the_event_budget():
+    # 999 events are left when the repeat is asked for, and each burst
+    # takes at least a nanosecond of them: 999 ns hold 9 bursts of 100.
+    # The rest go one by one, and the valve trips at the same count
     engine = Engine(max_events=1_000)
     simos = SimOS(engine, OsProfile(cores=1))
+    taken = []
 
     def spin():
         yield Cpu(100)
-        simos.cpu_repeat(100, CPU_CATEGORIES[0], 10**12)
-        yield
+        taken.append(simos.cpu_repeat(100, CPU_CATEGORIES[0], 10**12))
+        while True:
+            simos.cpu(100) or (yield)
 
     simos.spawn(spin())
     with pytest.raises(SimulationError, match="event budget exceeded"):
-        engine.run(until=predicate)
+        engine.run()
+    assert taken == [9]
     assert (engine.dispatched, engine.inlined) == (1, 1_000)
     assert engine.now == 100 + 999 * 100
-    assert engine.try_advance_repeat(100, 5) == 0
+    assert engine.advance(100, 5) == 0
 
 
 def test_spawn_outside_run_never_moves_the_clock():
@@ -779,7 +742,7 @@ def test_spawn_outside_run_never_moves_the_clock():
     simos.spawn(body())
     simos.spawn(body())
     assert (engine.now, engine.inlined, len(engine.events)) == (0, 0, 2)
-    assert engine.try_advance(1) is False
+    assert engine.advance(1) == 0
     engine.run()
     assert engine.now == 1_000
 
@@ -819,7 +782,7 @@ def test_a_lone_spinner_with_an_empty_heap_still_hits_max_events():
     assert engine.dispatched + engine.inlined == 1_001
     assert engine.inlined >= 999
     # the failed run left the kernel reusable and the fast path off
-    assert engine.try_advance(1) is False
+    assert engine.advance(1) == 0
 
 
 @pytest.mark.parametrize("hook", ["on_dispatch"])
@@ -931,9 +894,50 @@ def test_max_events_from_a_call_finalises_the_thread_body():
 # ----------------------------------------------------------------------
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    step_ns=st.integers(1, 300), count=st.integers(1, 50),
+    head_ns=st.one_of(st.none(), st.integers(1, 5_000)),
+    until_ns=st.one_of(st.none(), st.integers(0, 5_000)),
+)
+def test_n_steps_in_one_advance_are_n_single_steps(
+    step_ns, count, head_ns, until_ns,
+):
+    def steps(at_once):
+        engine = Engine()
+        seen = []
+
+        def callback():
+            if at_once:
+                taken = engine.advance(step_ns, count)
+            else:
+                taken = 0
+                while taken < count and engine.advance(step_ns):
+                    taken += 1
+            seen.append((taken, engine.now, engine.inlined))
+
+        engine.schedule(0, callback)
+        if head_ns is not None:
+            engine.schedule(head_ns, lambda: None)
+        engine.run(until_ns)
+        return seen[0]
+
+    taken, now, inlined = steps(at_once=True)
+    assert steps(at_once=False) == (taken, now, inlined)
+    assert now == taken * step_ns == inlined * step_ns
+    # a tie with the heap head goes through the heap, the horizon caps
+    # the steps, and no step fits after the last one taken
+    assert head_ns is None or now < head_ns
+    assert until_ns is None or now <= until_ns
+    after_ns = now + step_ns
+    assert taken == count or (
+        head_ns is not None and after_ns >= head_ns
+    ) or (until_ns is not None and after_ns > until_ns)
+
+
 class _UncachedEngine(Engine):
     """The kernel with no cached in-place limit: every burst asks
-    ``try_advance``, which is what the cache must agree with."""
+    ``advance``, which is what the cache must agree with."""
 
     limit_ns = property(lambda self: -1, lambda self, value: None)
 
@@ -983,7 +987,7 @@ _LIMIT_PROGRAM = st.fixed_dictionaries({
         st.tuples(st.just("until_ns"), st.integers(0, 60_000)),
         # a float bound makes a float limit; the clock must stay int
         st.tuples(st.just("until_ns"), st.sampled_from([999.5, 12_345.0])),
-        st.tuples(st.just("clock"), st.integers(0, 60_000)),
+        _STOP_AT,
         st.tuples(st.just("max_events"), st.integers(1, 60)),
     ),
 })
@@ -1011,13 +1015,10 @@ class _LimitMachine:
             self.threads.append(simos.spawn(self._other(index, instrs)))
         for index, (delay_ns, then_ns) in enumerate(program["timers"]):
             engine.schedule(delay_ns, self._timer, index, then_ns)
-        kwargs = {}
-        if stop[0] == "until_ns":
-            kwargs["until_ns"] = stop[1]
-        elif stop[0] == "clock":
-            kwargs["until"] = lambda: engine.now >= stop[1]
+        if stop[0] == "stop_at":
+            engine.schedule(stop[1], engine.stop)
         try:
-            engine.run(**kwargs)
+            engine.run(stop[1] if stop[0] == "until_ns" else None)
             self.outcome = "ok"
         except SimulationError as exc:
             self.outcome = str(exc)
@@ -1085,7 +1086,7 @@ class _LimitMachine:
 @given(_LIMIT_PROGRAM)
 def test_bursts_within_the_limit_run_the_same_as_through_the_heap(program):
     fast = _LimitMachine(program)
-    # the cache is try_advance's True branch: the same steps, in place
+    # the cache is what advance would grant: the same steps, in place
     uncached = _LimitMachine(program, uncached=True)
     assert fast.observed() == uncached.observed()
     assert (fast.engine.dispatched, fast.engine.inlined) == (
@@ -1117,7 +1118,7 @@ def test_a_burst_ending_at_a_pending_event_is_not_fused(second_ns):
     assert (fast.engine.dispatched, fast.engine.inlined) == (2, 1)
 
 
-def _limit_inside(body, cores=1, **run):
+def _limit_inside(body, cores=1):
     """What a thread body records from inside its second step (the
     first is spawn()'s burst, ending at 100), with an event pending at
     50 000."""
@@ -1131,7 +1132,7 @@ def _limit_inside(body, cores=1, **run):
 
     simos.spawn(main())
     engine.schedule(50_000, lambda: seen.append(("event", engine.now)))
-    engine.run(**run)
+    engine.run()
     return seen
 
 
@@ -1142,7 +1143,7 @@ def _burst(simos, ns):
 def test_the_window_reaches_just_short_of_the_next_event():
     def body(engine, simos, seen):
         assert engine.limit_ns == -1  # a callback starts with none
-        yield from _burst(simos, 10)  # try_advance caches it
+        yield from _burst(simos, 10)  # advance caches it
         seen.append(engine.limit_ns)
         yield from _burst(simos, 49_889)  # the last instant it allows
         seen.append((engine.now, engine.limit_ns, engine.inlined))
@@ -1207,15 +1208,9 @@ def _stop(engine, simos, seen):
     seen.append("never")
 
 
-def _until(engine, simos, seen):
-    yield from _burst(simos, 10)  # in place, but nothing cached
-    seen.append((engine.limit_ns, engine.inlined))
-
-
 # refusal: (body, _limit_inside's keywords, what the body records)
 _REFUSALS = {
     "on_dispatch": (_on_dispatch_mid_callback, {}, [(2, 1)]),
-    "until": (_until, {"until": lambda: False}, [(-1, 1)]),
     "queued": (_queued, {}, [-1, (1, 2)]),
     "spawning": (_spawning, {"cores": 2}, [True, 0]),
     "push": (_push_inside, {}, [

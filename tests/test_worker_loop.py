@@ -79,13 +79,13 @@ def test_both_workers_are_the_one_loop(kind):
 
 
 def test_reset_source_on_a_running_worker_raises(kind):
-    engine, worker = build(kind)
+    _engine, worker = build(kind)
     ops = reads()
     worker.reset_source(ClosedLoopSource(ops, window=16))
     worker.start()
     with pytest.raises(SchedulerError):
         worker.reset_source(ClosedLoopSource([], window=16))
-    engine.run(until=lambda: worker.worker_thread.done)
+    worker.simos.run_until_done([worker.worker_thread])
     assert all(op.result == payload(op.key) for op in ops)
     worker.reset_source()  # a finished worker re-arms
 
@@ -132,9 +132,9 @@ def _idle_run(kind, policy, open_loop, slow):
     if slow:  # any on_dispatch subscriber keeps the kernel on the heap
         subscribe(engine, "on_dispatch", lambda event: None)
     taken = []  # idle turns per burst the kernel granted
-    take = engine.try_advance_repeat
-    engine.try_advance_repeat = (
-        lambda step_ns, count: taken.append(take(step_ns, count)) or taken[-1]
+    take = worker.simos.cpu_repeat
+    worker.simos.cpu_repeat = (
+        lambda *burst: taken.append(take(*burst)) or taken[-1]
     )
     ops = [
         update_op(op.key, payload(op.key + 1)) if index % 3 == 0 else op
