@@ -30,7 +30,7 @@ All sessions share one shape:
 * context-manager support (``with PATreeSession(seed=7) as s: ...``)
   and an idempotent :meth:`~BaseSession.close`,
 * dict-style sugar: ``s[key] = payload``, ``s[key]``, ``key in s``,
-* a :meth:`~BaseSession.stats` snapshot that returns a **fresh dict on
+* a ``stats()`` snapshot on every session that returns a **fresh dict on
   every call** whose counters are **cumulative** over the session's
   lifetime (diff two snapshots to measure one batch).
 
@@ -403,15 +403,6 @@ class BaseSession:
 
     # -- introspection -------------------------------------------------
 
-    def stats(self):
-        """Cumulative statistics snapshot (a fresh dict every call).
-
-        Counters accumulate over the whole session, not per batch:
-        callers wanting a per-batch window diff two snapshots.
-        Mutating a returned dict never affects later calls.
-        """
-        raise NotImplementedError
-
     def attach_metrics(self, **session_kwargs):
         """Attach a new :class:`~repro.obs.MetricsSession` to this session.
 
@@ -459,7 +450,6 @@ class PATreeSession(BaseSession):
             make_scheduler(config.scheduler, self.env.device_profile),
             source=ClosedLoopSource([], window=config.window),
             buffer=make_buffer(config.persistence, config.buffer_pages),
-            persistence=config.persistence,
         )
 
     # ------------------------------------------------------------------
@@ -481,8 +471,10 @@ class PATreeSession(BaseSession):
     def stats(self):
         """Engine + device statistics for the session so far.
 
-        Fresh dict per call; counters are cumulative (see
-        :meth:`BaseSession.stats`).
+        A fresh dict every call, with cumulative counters: they
+        accumulate over the whole session, not per batch, so callers
+        wanting a per-batch window diff two snapshots.  Mutating a
+        returned dict never affects later calls.
         """
         stats = self.pa_engine.stats()
         device = self.env.device

@@ -35,10 +35,7 @@ class LcbTreeAccessor(SyncTreeAccessor):
         wal_pages=65_536,
         checkpoint_pages=2_048,
     ):
-        # The base class validates buffer/persistence pairing for page
-        # write-back; LCB persists via the log instead, so a read-only
-        # buffer is fine in both modes.
-        super().__init__(tree, io_service, latches, buffer=buffer, persistence="strong")
+        super().__init__(tree, io_service, latches, buffer=buffer)
         if persistence not in ("strong", "weak"):
             raise TreeError("unknown persistence %r" % (persistence,))
         self.log_persistence = persistence

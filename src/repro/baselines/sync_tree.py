@@ -139,16 +139,12 @@ class SyncTreeAccessor(BlockingInterpreter):
     blocking I/O service, ordered eviction flushes, the allocator and
     sync — each shared structure behind its mutex."""
 
-    def __init__(self, tree, io_service, latches, buffer=None, persistence="strong"):
-        if persistence not in ("strong", "weak"):
-            raise TreeError("unknown persistence %r" % (persistence,))
-        if persistence == "weak" and (buffer is None or buffer.mode != "weak"):
-            raise TreeError("weak persistence requires a ReadWriteBuffer")
+    def __init__(self, tree, io_service, latches, buffer=None):
         self.tree = tree
         self.io = io_service
         self.latches = latches
         self.buffer = buffer
-        self.persistence = persistence
+        self.persistence = buffer.mode if buffer is not None else "strong"
         self._buffer_mutex = Mutex("buffer") if buffer is not None else None
         self._alloc_mutex = Mutex("allocator")
         self._flush_locks = {}  # page_id -> Mutex (serializes flushes)
@@ -257,7 +253,7 @@ class SyncTreeAccessor(BlockingInterpreter):
 
     def _sync(self, tls):
         """Flush every dirty buffered page; returns how many."""
-        if self.persistence == "strong" or self.buffer is None:
+        if self.persistence == "strong":
             return 0
         simos = tls.simos
         simos.sem_wait(self._buffer_mutex) or (yield)

@@ -69,7 +69,6 @@ def run_tree_baseline(spec, accessor_kind, persistence, n_threads, seed=1):
                 io_service,
                 latches,
                 buffer=make_buffer(persistence, buffer_pages),
-                persistence=persistence,
             )
         elif accessor_kind == "lcb":
             accessor = LcbTreeAccessor(

@@ -189,7 +189,6 @@ def run_pa(
         policy,
         source=source,
         buffer=buffer,
-        persistence=persistence,
         dedicated_poller=dedicated_poller,
         tracer=session.tracer if session is not None else None,
     )

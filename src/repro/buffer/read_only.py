@@ -43,11 +43,6 @@ class ReadOnlyBuffer:
         self._lru.put(page_id, bytes(data))
         return []
 
-    def write(self, page_id, data):
-        """Weak-buffer interface shim: strong buffering never absorbs
-        writes; the caller must issue the I/O.  Returns no evictions."""
-        return []
-
     def invalidate(self, page_id):
         self._lru.pop(page_id)
 
@@ -84,5 +79,5 @@ class ReadOnlyBuffer:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hit_rate(),
-            "dirty": 0,
+            "dirty": self.dirty_count,
         }

@@ -9,7 +9,7 @@ Pages whose flush I/O is in flight remain readable through the
 racing the flush would fetch stale bytes from the media.
 """
 
-from repro.buffer.lru import LruCache
+from repro.buffer.read_only import ReadOnlyBuffer
 
 
 class _Entry:
@@ -20,21 +20,17 @@ class _Entry:
         self.dirty = dirty
 
 
-class ReadWriteBuffer:
-    """LRU page cache with write-back and explicit sync."""
+class ReadWriteBuffer(ReadOnlyBuffer):
+    """LRU page cache with write-back and explicit sync; the read-side
+    stats (hits, misses, hit rate, residency) are the base class's."""
 
     mode = "weak"
 
     def __init__(self, capacity_pages):
-        self._lru = LruCache(capacity_pages)
+        super().__init__(capacity_pages)
         self._in_flight = {}  # page_id -> [latest bytes, outstanding count]
-        self.hits = 0
-        self.misses = 0
         self.write_absorbs = 0
         self.flushes = 0
-
-    def __len__(self):
-        return len(self._lru)
 
     @property
     def dirty_count(self):
@@ -114,31 +110,12 @@ class ReadWriteBuffer:
             del self._in_flight[page_id]
 
     def invalidate(self, page_id):
-        self._lru.pop(page_id)
+        super().invalidate(page_id)
         self._in_flight.pop(page_id, None)
 
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def register_metrics(self, registry, labels=None):
-        """Expose hit/miss/absorb/flush counters through a registry."""
-        registry.counter(
-            "buffer_hits_total", labels,
-            fn=lambda: self.hits, help="page lookups served from cache",
-        )
-        registry.counter(
-            "buffer_misses_total", labels,
-            fn=lambda: self.misses, help="page lookups that went to media",
-        )
-        registry.gauge(
-            "buffer_hit_ratio", labels,
-            fn=self.hit_rate, help="cumulative cache hit rate",
-        )
-        registry.gauge(
-            "buffer_resident_pages", labels,
-            fn=lambda: len(self._lru), help="pages resident in the cache",
-        )
+        """The base's hit/miss metrics, then dirty/absorb/flush ones."""
+        super().register_metrics(registry, labels)
         registry.gauge(
             "buffer_dirty_pages", labels,
             fn=lambda: self.dirty_count, help="resident pages awaiting flush",
@@ -156,15 +133,8 @@ class ReadWriteBuffer:
         return registry
 
     def snapshot(self):
-        """Stats dict for the observability exporters."""
-        return {
-            "mode": self.mode,
-            "pages": len(self._lru),
-            "capacity": self._lru.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate(),
-            "dirty": self.dirty_count,
-            "write_absorbs": self.write_absorbs,
-            "flushes": self.flushes,
-        }
+        """The base's stats dict plus the write-back counters."""
+        stats = super().snapshot()
+        stats["write_absorbs"] = self.write_absorbs
+        stats["flushes"] = self.flushes
+        return stats

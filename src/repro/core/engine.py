@@ -66,27 +66,18 @@ class PaTreeEngine(PolledWorker):
         policy,
         source,
         buffer=None,
-        persistence=PERSISTENCE_STRONG,
         qpair=None,
         dedicated_poller=POLLER_NONE,
         name="pa-tree",
         tracer=None,
     ):
-        if persistence not in (PERSISTENCE_STRONG, PERSISTENCE_WEAK):
-            raise SchedulerError("unknown persistence mode %r" % persistence)
-        if persistence == PERSISTENCE_WEAK and buffer is None:
-            raise SchedulerError("weak persistence requires a read-write buffer")
-        if persistence == PERSISTENCE_WEAK and buffer.mode != "weak":
-            raise SchedulerError("weak persistence requires a ReadWriteBuffer")
-        if persistence == PERSISTENCE_STRONG and buffer is not None and buffer.mode != "strong":
-            raise SchedulerError("strong persistence requires a ReadOnlyBuffer")
         super().__init__(
             simos, backend, policy, source,
             qpair=qpair, name=name, tracer=tracer,
         )
         self.tree = tree
         self.buffer = buffer
-        self.persistence = persistence
+        self.persistence = buffer.mode if buffer is not None else PERSISTENCE_STRONG
         self.dedicated_poller = dedicated_poller
         self.latches = LatchTable()
         subscribe(tree, "on_page_released", self._on_page_released)

@@ -158,7 +158,6 @@ class ShardedPaTree:
         self.engine = simos.engine
         self.n_shards = n_shards
         self.partitioning = partitioning
-        self.persistence = persistence
         if policy_factory is None:
             policy_factory = NaiveScheduling
         self.device_profile = device_profile or i3_nvme_profile()
@@ -206,7 +205,6 @@ class ShardedPaTree:
                 policy_factory(),
                 source=source,
                 buffer=make_buffer(persistence, buffer_pages_per_shard),
-                persistence=persistence,
                 qpair=shard_backend.alloc_qpair(sq_size=4096, cq_size=4096),
                 name="pa-shard-%d" % index,
             )

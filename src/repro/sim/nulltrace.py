@@ -17,16 +17,10 @@ class NullTracer:
     events = ()
     dropped = 0
 
-    def track_id(self, track):
-        return 0
-
     def begin(self, track, name, cat="", args=None):
         return None
 
     def end(self, span, args=None):
-        pass
-
-    def complete(self, track, name, start_ns, end_ns, cat="", args=None):
         pass
 
     def instant(self, track, name, cat="", args=None):
@@ -35,17 +29,11 @@ class NullTracer:
     def async_begin(self, cat, aid, name, args=None):
         pass
 
-    def async_instant(self, cat, aid, name, args=None):
-        pass
-
     def async_end(self, cat, aid, name, args=None):
         pass
 
     def counter(self, track, name, values):
         pass
-
-    def __len__(self):
-        return 0
 
 
 NULL_TRACER = NullTracer()

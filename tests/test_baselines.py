@@ -241,9 +241,9 @@ def test_accessor_fuzz_vs_model(accessor_kind, persistence):
         buffer = ReadOnlyBuffer(256)
 
     if accessor_kind == "sync":
-        accessor = SyncTreeAccessor(tree, io_service, latches, buffer, persistence)
+        accessor = SyncTreeAccessor(tree, io_service, latches, buffer)
     elif accessor_kind == "blink":
-        accessor = BlinkTreeAccessor(tree, io_service, latches, buffer, persistence)
+        accessor = BlinkTreeAccessor(tree, io_service, latches, buffer)
     else:
         accessor = LcbTreeAccessor(
             tree, io_service, latches, buffer, persistence, wal_pages=4_096
@@ -414,7 +414,7 @@ def test_eviction_flush_that_fails_gives_the_page_flush_mutex_back():
     assert [leaf_of(tree, key).page_id for key in (100, 1_900)] == leaf_ids
     latches = BlockingLatchTable()
     accessor = SyncTreeAccessor(
-        tree, DedicatedIoService(driver), latches, ReadWriteBuffer(1), "weak"
+        tree, DedicatedIoService(driver), latches, ReadWriteBuffer(1)
     )
     ops = [update_op(key, payload(turn)) for turn in range(1, 4) for key in (100, 1_900)]
     ops += [search_op(100), search_op(1_900), sync_op()]

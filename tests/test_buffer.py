@@ -5,6 +5,15 @@ import pytest
 from repro.buffer.lru import LruCache
 from repro.buffer.read_only import ReadOnlyBuffer
 from repro.buffer.read_write import ReadWriteBuffer
+from repro.obs.metrics import MetricRegistry
+
+READ_SIDE_METRICS = [
+    "buffer_hits_total",
+    "buffer_misses_total",
+    "buffer_hit_ratio",
+    "buffer_resident_pages",
+]
+READ_SIDE_KEYS = ["mode", "pages", "capacity", "hits", "misses", "hit_rate", "dirty"]
 
 
 class TestLru:
@@ -70,11 +79,6 @@ class TestReadOnlyBuffer:
         assert buffer.install(1, b"a") == []
         assert buffer.install(2, b"b") == []  # clean eviction of 1
         assert buffer.lookup(1) is None
-
-    def test_write_never_absorbs(self):
-        buffer = ReadOnlyBuffer(4)
-        assert buffer.write(1, b"x") == []
-        assert buffer.lookup(1) is None  # not installed until I/O completes
 
     def test_invalidate(self):
         buffer = ReadOnlyBuffer(4)
@@ -150,3 +154,60 @@ class TestReadWriteBuffer:
         buffer.write(2, b"x")
         buffer.invalidate(1)
         assert buffer.lookup(1) is None
+
+
+class TestExportedOrder:
+    """Metric registration order and snapshot key order are part of
+    what the exporters write (the Prometheus text follows registration
+    order); the write-back buffer appends its own after the read side."""
+
+    def test_read_only_buffer(self):
+        buffer = ReadOnlyBuffer(2)
+        registry = buffer.register_metrics(MetricRegistry())
+        assert [m.name for m in registry.collect()] == READ_SIDE_METRICS
+        assert buffer.lookup(1) is None
+        buffer.install(1, b"a")
+        assert buffer.lookup(1) == b"a"
+        buffer.install(2, b"b")
+        buffer.install(3, b"c")  # evicts page 1
+        assert buffer.lookup(1) is None
+        snapshot = buffer.snapshot()
+        assert list(snapshot) == READ_SIDE_KEYS
+        assert snapshot == {
+            "mode": "strong", "pages": 2, "capacity": 2, "hits": 1,
+            "misses": 2, "hit_rate": 1 / 3, "dirty": 0,
+        }
+        assert registry.scalars() == {
+            "buffer_hits_total": 1, "buffer_misses_total": 2,
+            "buffer_hit_ratio": 1 / 3, "buffer_resident_pages": 2,
+        }
+
+    def test_read_write_buffer(self):
+        buffer = ReadWriteBuffer(2)
+        registry = buffer.register_metrics(MetricRegistry())
+        assert [m.name for m in registry.collect()] == READ_SIDE_METRICS + [
+            "buffer_dirty_pages",
+            "buffer_write_absorbs_total",
+            "buffer_flushes_total",
+        ]
+        assert buffer.lookup(1) is None
+        buffer.install(1, b"a")
+        assert buffer.lookup(1) == b"a"
+        buffer.write(2, b"b")
+        buffer.write(2, b"b2")
+        assert buffer.write(3, b"c") == []  # clean eviction of page 1
+        assert buffer.take_dirty() == [(2, b"b2"), (3, b"c")]
+        buffer.write(3, b"c2")
+        snapshot = buffer.snapshot()
+        assert list(snapshot) == READ_SIDE_KEYS + ["write_absorbs", "flushes"]
+        assert snapshot == {
+            "mode": "weak", "pages": 2, "capacity": 2, "hits": 1,
+            "misses": 1, "hit_rate": 0.5, "dirty": 1,
+            "write_absorbs": 4, "flushes": 2,
+        }
+        assert registry.scalars() == {
+            "buffer_hits_total": 1, "buffer_misses_total": 1,
+            "buffer_hit_ratio": 0.5, "buffer_resident_pages": 2,
+            "buffer_dirty_pages": 1, "buffer_write_absorbs_total": 4,
+            "buffer_flushes_total": 2,
+        }

@@ -71,7 +71,6 @@ class TestBackpressure:
         engine, pa = build(
             preload=120_000,
             buffer=ReadWriteBuffer(8_192),
-            persistence="weak",
         )
         # stride past the leaf fan-out so every update dirties its own leaf
         ops = [update_op(k * 24 * 10, payload(k + 1)) for k in range(1, 5_001)]

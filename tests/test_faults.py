@@ -518,7 +518,6 @@ class TestLostWrites:
             NaiveScheduling(),
             source=ClosedLoopSource(ops, window=1),
             buffer=make_buffer(persistence, buffer_pages),
-            persistence=persistence,
         )
         worker.run_to_completion()
         assert injector.failed is not None

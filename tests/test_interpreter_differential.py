@@ -112,14 +112,13 @@ def run_tree(interpreter, persistence, ops):
     if interpreter == "polled":
         worker = PaTreeEngine(
             simos, driver, tree, NaiveScheduling(), ClosedLoopSource([], window=1),
-            buffer=buffer, persistence=persistence,
+            buffer=buffer,
         )
         for op in ops:
             worker.run_operations([op], window=1)
     else:
         accessor = SyncTreeAccessor(
-            tree, DedicatedIoService(driver), BlockingLatchTable(), buffer,
-            persistence,
+            tree, DedicatedIoService(driver), BlockingLatchTable(), buffer
         )
         for op in ops:
             BaselineRunner(simos, accessor, [op], n_threads=1).run_to_completion()

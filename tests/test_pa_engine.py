@@ -1,8 +1,6 @@
 """Integration tests for the PA-Tree engine: full operations through
 the polled-mode asynchronous working thread on the simulated stack."""
 
-import pytest
-
 from repro.buffer import ReadOnlyBuffer, ReadWriteBuffer
 from repro.core.engine import PaTreeEngine, POLLER_CONTINUOUS
 from repro.core.ops import (
@@ -15,7 +13,6 @@ from repro.core.ops import (
 )
 from repro.core.source import ClosedLoopSource
 from repro.core.tree import PaTree
-from repro.errors import SchedulerError
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.sched.naive import NaiveScheduling
@@ -27,7 +24,7 @@ def payload(key):
     return (key & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
 
-def build(seed=1, buffer=None, persistence="strong", preload=2_000, **engine_kwargs):
+def build(seed=1, buffer=None, preload=2_000, **engine_kwargs):
     engine = Engine(seed=seed)
     simos = SimOS(engine, OsProfile(cores=8))
     device = NvmeDevice(engine, fast_test_profile())
@@ -42,7 +39,6 @@ def build(seed=1, buffer=None, persistence="strong", preload=2_000, **engine_kwa
         NaiveScheduling(),
         source=ClosedLoopSource([], window=32),
         buffer=buffer,
-        persistence=persistence,
         **engine_kwargs,
     )
     return pa
@@ -177,7 +173,7 @@ class TestBuffering:
         assert reads_with < reads_without / 3
 
     def test_weak_buffer_absorbs_writes(self):
-        pa = build(buffer=ReadWriteBuffer(4_096), persistence="weak")
+        pa = build(buffer=ReadWriteBuffer(4_096))
         ops = [update_op(100, payload(i)) for i in range(50)]
         run_ops(pa, ops)
         writes_before_sync = pa.driver.device.writes_completed.value
@@ -193,23 +189,13 @@ class TestBuffering:
         run_ops(pa, [update_op(100, payload(77))])
         assert dict(pa.tree.iterate_items_raw())[100] == payload(77)
 
-    def test_weak_requires_rw_buffer(self):
-        with pytest.raises(SchedulerError):
-            build(persistence="weak")
-        with pytest.raises(SchedulerError):
-            build(persistence="weak", buffer=ReadOnlyBuffer(16))
-
-    def test_strong_rejects_rw_buffer(self):
-        with pytest.raises(SchedulerError):
-            build(persistence="strong", buffer=ReadWriteBuffer(16))
-
     def test_sync_on_strong_is_noop(self):
         pa = build(buffer=ReadOnlyBuffer(128))
         (op,) = run_ops(pa, [sync_op()])
         assert op.result == 0
 
     def test_tiny_weak_buffer_evictions_flush(self):
-        pa = build(buffer=ReadWriteBuffer(8), persistence="weak")
+        pa = build(buffer=ReadWriteBuffer(8))
         ops = [insert_op(k, payload(k)) for k in range(1, 301)]
         run_ops(pa, ops)
         run_ops(pa, [sync_op()])

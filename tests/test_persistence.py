@@ -24,7 +24,7 @@ def payload(key):
     return (key % 2**64).to_bytes(8, "little")
 
 
-def build(buffer=None, persistence="strong", preload=500):
+def build(buffer=None, preload=500):
     engine = Engine(seed=1)
     simos = SimOS(engine, OsProfile(cores=4))
     device = NvmeDevice(engine, fast_test_profile())
@@ -38,7 +38,6 @@ def build(buffer=None, persistence="strong", preload=500):
         NaiveScheduling(),
         source=ClosedLoopSource([], window=16),
         buffer=buffer,
-        persistence=persistence,
     )
     return device, tree, pa
 
@@ -94,18 +93,14 @@ class TestStrongPersistence:
 
 class TestWeakPersistence:
     def test_unsynced_updates_may_be_stale_after_crash(self):
-        device, _tree, pa = build(
-            buffer=ReadWriteBuffer(1_024), persistence="weak"
-        )
+        device, _tree, pa = build(buffer=ReadWriteBuffer(1_024))
         run_ops(pa, [update_op(10, payload(777))])
         recovered = crash_and_reopen(device)
         # without a sync the media legitimately holds the old value
         assert dict(recovered.iterate_items_raw())[10] == payload(10)
 
     def test_synced_updates_survive_crash(self):
-        device, _tree, pa = build(
-            buffer=ReadWriteBuffer(1_024), persistence="weak"
-        )
+        device, _tree, pa = build(buffer=ReadWriteBuffer(1_024))
         run_ops(pa, [update_op(10, payload(777)), insert_op(3, payload(3))])
         run_ops(pa, [sync_op()])
         recovered = crash_and_reopen(device)
@@ -117,7 +112,7 @@ class TestWeakPersistence:
     def test_evicted_dirty_pages_already_durable(self):
         # a tiny buffer forces evictions: those flushes land on media
         # even without sync
-        device, _tree, pa = build(buffer=ReadWriteBuffer(4), persistence="weak")
+        device, _tree, pa = build(buffer=ReadWriteBuffer(4))
         ops = [update_op(k * 10, payload(k + 1)) for k in range(1, 200)]
         run_ops(pa, ops)
         recovered = crash_and_reopen(device)

@@ -153,7 +153,6 @@ class TestEngineQueuePressure:
             NaiveScheduling(),
             source=ClosedLoopSource([], window=16),
             buffer=ReadWriteBuffer(4_096),
-            persistence="weak",
             qpair=qpair,
         )
         ops = [update_op(k * 10, payload(k + 7)) for k in range(1, 600)]

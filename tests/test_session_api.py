@@ -17,7 +17,8 @@ from repro import (
     SessionConfig,
     ShardedSession,
 )
-from repro.errors import ReproError
+from repro.bench.runner import WorkloadSpec, run_pa
+from repro.errors import ReproError, SchedulerError
 from repro.nvme.device import fast_test_profile
 
 
@@ -29,6 +30,19 @@ def fast(**overrides):
     base = dict(seed=5, scheduler="naive", device_profile=fast_test_profile())
     base.update(overrides)
     return SessionConfig(**base)
+
+
+# every builder that turns a persistence string into a tree buffer
+PERSISTENCE_BUILDERS = {
+    "PATreeSession": lambda **kwargs: PATreeSession(fast(**kwargs)),
+    "ShardedSession": lambda **kwargs: ShardedSession(fast(**kwargs)),
+    "run_pa": lambda **kwargs: run_pa(
+        WorkloadSpec(kind="ycsb", n_keys=50, n_ops=10),
+        scheduler="naive",
+        device_profile=fast_test_profile(),
+        **kwargs,
+    ),
+}
 
 
 class TestSessionConfig:
@@ -55,6 +69,19 @@ class TestSessionConfig:
         # 600 bytes leave no room for two entries on the 512-byte page
         with pytest.raises(ReproError):
             PATreeSession(fast(payload_size=payload_size))
+
+    @pytest.mark.parametrize("builder", sorted(PERSISTENCE_BUILDERS))
+    @pytest.mark.parametrize(
+        "persistence,buffer_pages", [("wek", 64), ("weak", 0)]
+    )
+    def test_bad_persistence_config_is_refused(
+        self, builder, persistence, buffer_pages
+    ):
+        # a misspelt mode, or weak persistence with no buffer to write back
+        with pytest.raises(SchedulerError):
+            PERSISTENCE_BUILDERS[builder](
+                persistence=persistence, buffer_pages=buffer_pages
+            )
 
     def test_config_is_immutable(self):
         with pytest.raises(Exception):
