@@ -344,11 +344,14 @@ class PolledWorker:
         burst: the gate before a declined probe, the probe of an empty
         queue (``probed``; None with no I/O outstanding) or the spin.
         Whatever it read stays as it is until another event runs, an
-        operation falls due or the policy stops answering the same, so
-        the policy (``idle_repeats``) and the source bound how many such
-        turns follow, the kernel grants those of them that nothing
-        would interrupt (``SimOS.cpu_repeat``), and what that many turns
-        book is booked here in one go.  What is left runs as ordinary turns.
+        operation falls due, a completion is posted (what a probe reads:
+        a post turns visible with no event, ``Engine.settle``) or the
+        policy stops answering the same, so the policy
+        (``idle_repeats``), the source and, for probes, the next post
+        bound how many such turns follow, the kernel grants those of
+        them that nothing would interrupt (``SimOS.cpu_repeat``), and
+        what that many turns book is booked here in one go.  What is
+        left runs as ordinary turns.
         """
         if spun:
             if probed is not None:
@@ -363,11 +366,15 @@ class PolledWorker:
         if step_ns <= 0:
             return
         repeats = self.policy.idle_repeats(step_ns, bool(probed))
-        if next_arrival is not None:
-            # the source promises empty polls before that instant only
-            repeats = min(
-                repeats, (next_arrival - self.clock.now - 1) // step_ns
-            )
+        # the source promises empty polls before next_arrival only, and
+        # an empty probe stays empty only until the next post
+        until_ns = next_arrival
+        if probed:
+            post_ns = self.engine.next_passive_ns()
+            if post_ns is not None and (until_ns is None or post_ns < until_ns):
+                until_ns = post_ns
+        if until_ns is not None:
+            repeats = min(repeats, (until_ns - self.clock.now - 1) // step_ns)
         if repeats <= 0:
             return
         taken = self.simos.cpu_repeat(step_ns, category, repeats)

@@ -190,6 +190,7 @@ class NvmeDevice:
 
     def _enqueue(self, qpair, command):
         """Validate and ring-push one command without kicking service."""
+        self.engine.settle()
         if command.lba >= self.profile.capacity_pages:
             raise PageBoundsError("lba %d beyond device capacity" % command.lba)
         if command.is_write:
@@ -245,6 +246,7 @@ class NvmeDevice:
         mechanism).  Returns the list of completed commands; the CPU
         cost on the calling thread is the caller's to charge.
         """
+        self.engine.settle()
         self.probe_calls.add()
         self._occupy_interface(self.substrate.probe_iface_ns, droppable=True)
         completed = []
@@ -259,7 +261,8 @@ class NvmeDevice:
         """``count`` probes that each found every completion queue empty.
 
         The probes are ``step_ns`` apart and the last one is now; no
-        command was fetched and no completion posted since the first.
+        command was fetched and no post is ordered between the first
+        and the last.
         Leaves the device where that many :meth:`probe` calls at those
         instants do: each occupies the interface from its own instant,
         or is coalesced once the backlog it finds has reached the cap
@@ -468,16 +471,27 @@ class NvmeDevice:
         fault injector when one is configured): a failed write leaves
         the media untouched and a failed read carries no data — exactly
         the contract a real error status implies.
+
+        Only a probe reads a post, so with no completion or dispatch
+        observer bound the post is a passive kernel entry, applied by
+        ``Engine.settle``; this stays an event because the service it
+        starts next takes its seq here.
         """
-        now = self.engine.now
+        engine = self.engine
+        engine.settle()
+        now = engine.now
         command.complete_ns = now
         status = self.substrate.finish(self, command)
         self._free_channels += 1
         post_end = self._occupy_interface(self.substrate.post_ns)
         if post_end <= now:
             self._post_completion(command, status)
+        elif self.on_complete or engine.on_dispatch:
+            engine.schedule_at(
+                post_end, self._post_completion, command, status
+            )
         else:
-            self.engine.schedule_at(
+            engine.schedule_passive_at(
                 post_end, self._post_completion, command, status
             )
         self._try_start()

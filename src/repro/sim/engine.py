@@ -49,6 +49,11 @@ class Engine:
         # to peek at its head without dropping dead entries.
         self._horizon_ns = -1
         self._heap = self.events._heap
+        self._passive = self.events._passive
+        # (time, seq) of the running continuation, for settle(): the
+        # entry _dispatch_before dispatched last, or the slot a
+        # run_through went on in (two ints: nothing to allocate)
+        self._slot_ns = self._slot_seq = -1
         # The last instant the clock may reach in place, as advance()
         # last computed it, so that SimOS.cpu can spend it with one
         # comparison: min(heap head - 1, horizon, now + the max_events
@@ -94,6 +99,66 @@ class Engine:
         if time_ns <= self.limit_ns:
             self.limit_ns = time_ns - 1
         return self.events.push(time_ns, fn, args)
+
+    def schedule_passive_at(self, time_ns, fn, *args):
+        """Make ``fn(*args)`` take effect at ``time_ns`` with no event.
+
+        The entry takes its ``(time, seq)`` slot as :meth:`schedule_at`
+        would, but the dispatch loop never pops it and it bounds nothing
+        in place: :meth:`settle`, called by whoever reads the state
+        ``fn`` changes, applies it.  ``fn`` must only change that
+        state: schedule, cancel and advance nothing.
+        """
+        if time_ns < self.clock.now:
+            raise SimulationError(
+                "scheduling in the past: %d < %d" % (time_ns, self.clock.now)
+            )
+        heappush(
+            self._passive, [int(time_ns), self.events.reserve(), fn, args]
+        )
+
+    def settle(self):
+        """Apply every passive entry ordered before the running
+        continuation, each with the clock at its own instant.
+
+        The continuation's slot is the ``(time, seq)`` of the entry
+        dispatched last, or of the run-through that went on last; a
+        clock past that time means an in-place step moved on since,
+        which orders the continuation after every seq taken so far.
+        Each entry applied counts as ``inlined``.
+        """
+        passive = self._passive
+        if passive:
+            now = self.clock.now
+            if passive[0][0] <= now:
+                self._apply_passive(
+                    now, _LAST_SEQ if now > self._slot_ns else self._slot_seq
+                )
+
+    def next_passive_ns(self):
+        """Time of the next passive entry, or ``None`` with none."""
+        passive = self._passive
+        return passive[0][0] if passive else None
+
+    def _apply_passive(self, time_ns, seq):
+        """Apply the passive entries ordered before ``(time_ns, seq)``;
+        returns the time of the last one (-1 for none).  The clock is
+        left where it was."""
+        passive = self._passive
+        clock = self.clock
+        now = clock.now
+        last_ns = -1
+        while passive:
+            entry = passive[0]
+            event_ns = entry[0]
+            if event_ns > time_ns or (event_ns == time_ns and entry[1] > seq):
+                break
+            heappop(passive)
+            clock.now = last_ns = event_ns
+            self.inlined += 1
+            entry[2](*entry[3])
+        clock.now = now
+        return last_ns
 
     def cancel(self, handle):
         """Keep a scheduled callback from running; a no-op once it ran."""
@@ -183,6 +248,8 @@ class Engine:
         if self.dispatched + self.inlined > self.max_events:
             self._over_budget()
         clock.now = time_ns
+        self._slot_ns = time_ns
+        self._slot_seq = seq
         return True
 
     def _over_budget(self):
@@ -196,7 +263,10 @@ class Engine:
         ``until_ns``: stop once the clock would pass this time (the
         clock is left at ``until_ns``).  :meth:`stop`, called from a
         callback, ends the run after that callback.  With neither, runs
-        until the event queue drains.
+        until the event queue drains.  Passive entries within the bound
+        are applied before it returns: those ordered before the
+        stopping callback's slot, those up to and including
+        ``until_ns``, or all of them, the clock ending at the last.
         """
         if self._running:
             raise SimulationError("Engine.run is not reentrant")
@@ -207,12 +277,16 @@ class Engine:
         )
         clock = self.clock
         heap = self._heap
+        passive = self._passive
         try:
             while self._dispatch_before(horizon_ns, _LAST_SEQ):
-                if heap:
+                last_ns = self._apply_passive(horizon_ns, _LAST_SEQ)
+                if heap or passive:
                     # the head lies beyond until_ns
                     clock.advance_to(until_ns)
                     return
+                if last_ns > clock.now:
+                    clock.now = last_ns
                 # an idle observer may raise (stall guard) or schedule
                 # wrap-up work; re-check the queue afterwards
                 for observer in self.on_idle:
@@ -221,6 +295,7 @@ class Engine:
                     if until_ns is not None and until_ns > clock.now:
                         clock.advance_to(until_ns)
                     return
+            self.settle()
         finally:
             self._running = False
             self._horizon_ns = self.limit_ns = -1
@@ -231,7 +306,9 @@ class Engine:
         The one event loop, :meth:`run`'s and :meth:`run_through`'s:
         before every event it asks whether ``stop()`` ended the run
         (False), then drops dead heads; it returns True when the heap is
-        drained or its head is not before the bound.
+        drained or its head is not before the bound.  Each entry it
+        dispatches is the running continuation's slot for
+        :meth:`settle`.
         """
         clock = self.clock
         heap = self._heap
@@ -259,6 +336,8 @@ class Engine:
             if self.dispatched + self.inlined > self.max_events:
                 self._over_budget()
             self.limit_ns = -1
+            self._slot_ns = event_ns
+            self._slot_seq = entry[1]
             fn(*args)
         return False
 

@@ -11,6 +11,11 @@ keep it only to pass it back to :meth:`EventQueue.cancel`.  ``fn``
 Cancellation is lazy (as in ``sched`` and asyncio): the entry is marked
 dead in place, which is O(1), and whoever next looks at the head of the
 heap drops it.
+
+Passive entries (``Engine.schedule_passive_at``) sit in a second heap of
+the same lists: the dispatch loop never pops them, whoever reads the
+state they change applies them (``Engine.settle``), and they are never
+cancelled.
 """
 
 from heapq import heappop, heappush
@@ -21,12 +26,13 @@ class EventQueue:
 
     def __init__(self):
         self._heap = []
+        self._passive = []
         self._seq = 0
         # cancelled entries still in the heap
         self._dead = 0
 
     def __len__(self):
-        return len(self._heap) - self._dead
+        return len(self._heap) - self._dead + len(self._passive)
 
     def push(self, time, fn, args=()):
         """Schedule ``fn(*args)`` to fire at virtual time ``time`` (ns)."""
@@ -53,10 +59,14 @@ class EventQueue:
             self._dead += 1
 
     def peek_time(self):
-        """Time of the next live event, or ``None`` if the queue is empty."""
+        """Time of the next live or passive entry, or ``None`` if the
+        queue is empty."""
         heap = self.drop_dead()
+        passive = self._passive
         if not heap:
-            return None
+            return passive[0][0] if passive else None
+        if passive and passive[0][0] < heap[0][0]:
+            return passive[0][0]
         return heap[0][0]
 
     def drop_dead(self):

@@ -12,6 +12,8 @@ from repro.nvme.latency import ServiceTimeModel
 from repro.nvme.queue import Ring
 from repro.sim.clock import usec
 from repro.sim.engine import Engine
+from repro.sim.hooks import subscribe
+from repro.simos.scheduler import OsProfile, SimOS
 
 
 class TestRing:
@@ -253,6 +255,94 @@ class TestDevice:
         driver.probe(qpair)
         assert device.mean_read_latency_ns() > 0
         assert device.mean_write_latency_ns() > device.mean_read_latency_ns()
+
+
+def _probed_lbas(device, qpair):
+    return [completion.command.lba for completion in device.probe(qpair)]
+
+
+def _tie_run(observed):
+    """One thread on one device (fetch 0.6 us, read 10 us, post 0.4 us):
+    read 1 at 0, whose post (minted at 10.6 us) lands at 11 us; burst to
+    10.7 us, read 2 (its fetch waits for that post: 11 to 11.6 us, so
+    its post lands at 22 us) and burst to 11 us; then one burst through
+    read 2's service completion to exactly 22 us, and 1 ns on."""
+    engine = Engine(seed=1)
+    simos = SimOS(engine, OsProfile(cores=1))
+    device = NvmeDevice(engine, fast_test_profile())
+    qpair = device.alloc_qpair()
+    if observed:
+        subscribe(device, "on_complete", lambda completion: None)
+    seen = []
+
+    def body():
+        device.submit(qpair, NvmeCommand(OP_READ, 1))
+        simos.cpu(10_700) or (yield)
+        device.submit(qpair, NvmeCommand(OP_READ, 2))
+        simos.cpu(300) or (yield)
+        seen.append((engine.now, _probed_lbas(device, qpair)))
+        simos.cpu(22_000 - engine.now) or (yield)
+        seen.append((engine.now, _probed_lbas(device, qpair)))
+        simos.cpu(1) or (yield)
+        seen.append((engine.now, _probed_lbas(device, qpair)))
+
+    simos.spawn(body())
+    engine.run()
+    return seen, engine.dispatched + engine.inlined, engine.dispatched
+
+
+def test_a_post_at_a_bursts_end_minted_inside_it_is_not_seen_there():
+    # the post that lands at 11 us was minted before the burst to 11 us
+    # began: a probe at its end sees it.  Read 2's post lands at 22 us
+    # too, but the burst ending there ran through the service completion
+    # that minted it, so the post takes a later seq than the burst's
+    # continuation: not seen at 22 us, only 1 ns on
+    passive, steps, dispatched = _tie_run(observed=False)
+    assert passive == [(11_000, [1]), (22_000, []), (22_001, [2])]
+    reference, reference_steps, reference_dispatched = _tie_run(observed=True)
+    assert passive == reference
+    assert steps == reference_steps
+    assert dispatched == reference_dispatched - 2  # the two posts
+
+
+def _two_device_run(observed):
+    """Posts minted out of time order across two devices: ``slow`` posts
+    in 5 us, so read 1 (done at 30.6 us) lands at 35.6 us, after read 2
+    on ``fast``, done later (31.6 us) but landed at 32 us.  A timer
+    probes both every microsecond (probes take no interface time, so
+    they delay no post)."""
+    engine = Engine(seed=1)
+    slow = NvmeDevice(engine, fast_test_profile(
+        read_service_ns=30_000, post_ns=5_000, probe_iface_ns=0,
+    ), rng_name="slow")
+    fast = NvmeDevice(
+        engine, fast_test_profile(probe_iface_ns=0), rng_name="fast"
+    )
+    devices = [(slow, slow.alloc_qpair()), (fast, fast.alloc_qpair())]
+    if observed:
+        subscribe(engine, "on_dispatch", lambda entry: None)
+    seen = []
+
+    def probe_both():
+        seen.append((engine.now, [
+            _probed_lbas(device, qpair) for device, qpair in devices
+        ]))
+
+    slow.submit(devices[0][1], NvmeCommand(OP_READ, 1))
+    engine.schedule(21_000, fast.submit, devices[1][1], NvmeCommand(OP_READ, 2))
+    for at_ns in range(30_000, 38_000, 1_000):
+        engine.schedule_at(at_ns, probe_both)
+    engine.run()
+    return seen, engine.dispatched + engine.inlined
+
+
+def test_posts_interleaved_across_devices_turn_visible_in_time_order():
+    passive, steps = _two_device_run(observed=False)
+    assert [(at_ns, lbas) for at_ns, lbas in passive if lbas != [[], []]] == [
+        # not at 32 us: that probe's timer took its seq before the post
+        (33_000, [[], [2]]), (36_000, [[1], []]),
+    ]
+    assert (passive, steps) == _two_device_run(observed=True)
 
 
 class TestDriverCosts:

@@ -208,3 +208,114 @@ def test_rng_different_seeds_differ():
     a = Engine(seed=1).rng.stream("x").random()
     b = Engine(seed=2).rng.stream("x").random()
     assert a != b
+
+
+def _passive_log(engine, times):
+    """Passive entries at ``times`` that log (name, clock) when applied."""
+    log = []
+    for index, time_ns in enumerate(times):
+        engine.schedule_passive_at(
+            time_ns, lambda i=index: log.append((i, engine.now))
+        )
+    return log
+
+
+def test_a_drained_run_applies_pending_passive_entries_at_their_instants():
+    engine = Engine()
+    engine.schedule(10, lambda: None)
+    log = _passive_log(engine, [40, 25, 40])
+    engine.run()
+    # in (time, seq) order, each with the clock at its own instant; the
+    # clock ends at the last one, past the last event
+    assert log == [(1, 25), (0, 40), (2, 40)]
+    assert (engine.now, engine.dispatched, engine.inlined) == (40, 1, 3)
+    assert (len(engine.events), engine.events.peek_time()) == (0, None)
+
+
+def test_run_until_applies_the_passive_entries_at_the_bound_and_none_after():
+    engine = Engine()
+    log = _passive_log(engine, [100, 200, 201])
+    engine.schedule(500, lambda: None)
+    engine.run(until_ns=200)
+    assert (log, engine.now, len(engine.events)) == (
+        [(0, 100), (1, 200)], 200, 2
+    )
+    # with no event left either, the entry past the bound still bounds
+    # the run: the clock is taken to until_ns
+    engine = Engine()
+    log = _passive_log(engine, [100, 300])
+    engine.run(until_ns=200)
+    assert (log, engine.now, engine.events.peek_time()) == (
+        [(0, 100)], 200, 300
+    )
+
+
+def test_stop_leaves_the_passive_entries_after_the_stopping_slot():
+    engine = Engine()
+    log = []
+
+    def stopper():
+        # minted before the stopping callback's slot: applied; at its
+        # instant but a later seq, or later: left
+        engine.stop()
+
+    engine.schedule_passive_at(10, log.append, "before")
+    engine.schedule(10, stopper)
+    engine.schedule_passive_at(10, log.append, "same instant, later seq")
+    engine.schedule_passive_at(30, log.append, "later")
+    engine.run()
+    assert (log, engine.now, len(engine.events)) == (["before"], 10, 2)
+    engine.run()
+    assert log == ["before", "same instant, later seq", "later"]
+    assert engine.now == 30
+
+
+def test_settle_orders_passive_entries_by_the_running_continuation():
+    engine = Engine()
+    log = []
+
+    def reader(name):
+        engine.settle()
+        log.append(name)
+
+    engine.schedule_passive_at(10, log.append, "p1")
+    engine.schedule(10, reader, "r1")
+    engine.schedule_passive_at(10, log.append, "p2")
+    engine.schedule(10, reader, "r2")
+    engine.schedule_passive_at(20, log.append, "p3")
+    # minted inside the run-through below: after the slot it reserved
+    engine.schedule(17, engine.schedule_passive_at, 20, log.append, "p4")
+
+    def stepper():
+        # a run-through's slot, then an in-place step past a post
+        assert engine.run_through(5, lambda: None)
+        engine.settle()
+        log.append("after run-through at %d" % engine.now)
+        assert engine.advance(10) == 1
+        engine.settle()
+        log.append("after step at %d" % engine.now)
+
+    engine.schedule(15, stepper)
+    engine.run()
+    assert log == [
+        "p1", "r1", "p2", "r2",
+        "p3", "after run-through at 20", "p4", "after step at 30",
+    ]
+
+
+def test_peek_time_reports_a_passive_head():
+    engine = Engine()
+    engine.schedule(50, lambda: None)
+    engine.schedule_passive_at(20, lambda: None)
+    queue = engine.events
+    assert (queue.peek_time(), len(queue)) == (20, 2)
+    engine.run(until_ns=30)
+    assert (queue.peek_time(), len(queue)) == (50, 1)
+
+
+def test_a_passive_entry_in_the_past_is_refused():
+    engine = Engine()
+    engine.schedule(100, lambda: None)
+    engine.run()
+    with pytest.raises(SimulationError):
+        engine.schedule_passive_at(50, lambda: None)

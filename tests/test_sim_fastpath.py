@@ -40,6 +40,7 @@ from repro.core.ops import (
 from repro.core.source import ClosedLoopSource
 from repro.core.tree import PaTree
 from repro.errors import SchedulerError, SimulationError
+from repro.nvme.command import NvmeCommand, OP_READ, OP_WRITE
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.sched.naive import NaiveScheduling
@@ -951,7 +952,10 @@ _LIMIT_BURST = st.tuples(
 
 # runs of bursts, and between them what else a thread body does: read
 # the clock, push an event (relative or absolute), sleep, take a run of
-# equal bursts in one call, or post a semaphore (a run-through)
+# equal bursts in one call, post a semaphore (a run-through), or submit
+# a read or a write to the device (whose posts are passive entries
+# unless a hook is bound), after which every burst ends in a probe
+# until the thread has reaped what it submitted
 _LIMIT_STEPS = st.lists(
     st.tuples(
         st.lists(_LIMIT_BURST, min_size=1, max_size=8),
@@ -964,6 +968,7 @@ _LIMIT_STEPS = st.lists(
                 st.sampled_from(CPU_CATEGORIES), st.sampled_from([1, 3, 40]),
             ),
             st.tuples(st.just("post")),
+            st.tuples(st.just("submit"), st.sampled_from([OP_READ, OP_WRITE])),
         ),
     ),
     min_size=1, max_size=8,
@@ -978,7 +983,8 @@ _LIMIT_PROGRAM = st.fixed_dictionaries({
     "others": st.lists(st.lists(st.tuples(
         st.sampled_from(["call", "sleep"]), _NS,
     ), min_size=1, max_size=6), max_size=2),
-    # timers; one with a delay of its own goes on through run_through
+    # timers, each probing the device; one with a delay of its own goes
+    # on through run_through
     "timers": st.lists(
         st.tuples(_NS, st.one_of(st.none(), _NS)), max_size=6
     ),
@@ -1007,6 +1013,15 @@ class _LimitMachine:
             cores=program["cores"], quantum_ns=1_000, context_switch_ns=300,
         ))
         self.sem = Semaphore(0)
+        # an idle device posts a read 100 ns after its submit and a
+        # write 250 ns after, as bursts end: ties with a burst that ran
+        # through the service completion minting the post
+        self.device = NvmeDevice(engine, fast_test_profile(
+            fetch_ns=0, read_service_ns=50, write_service_ns=200,
+            post_ns=50, probe_iface_ns=0,
+        ))
+        self.qpair = self.device.alloc_qpair()
+        self.unreaped = 0
         self.log = []
         if slow:
             subscribe(engine, "on_dispatch", lambda event: None)
@@ -1026,8 +1041,17 @@ class _LimitMachine:
     def _note(self, *what):
         self.log.append(what + (self.engine.now,))
 
+    def _probe(self):
+        completed = self.device.probe(self.qpair)
+        self.unreaped -= len(completed)
+        return [
+            (completion.command.lba, completion.visible_ns)
+            for completion in completed
+        ]
+
     def _timer(self, index, then_ns):
         self._note("timer", index)
+        self._note("timer-probe", index, self._probe())
         if then_ns is not None and self.engine.run_through(
             then_ns, self._note, "timer-after", index
         ):
@@ -1040,6 +1064,8 @@ class _LimitMachine:
         for step, (kind, *args) in enumerate(steps):
             if kind == "burst":
                 cpu(*args) or (yield)
+                if self.unreaped:
+                    self._note("probe", step, self._probe())
             elif kind == "observe":
                 self._note("observe", step)
             elif kind == "push":
@@ -1054,6 +1080,12 @@ class _LimitMachine:
                 ns, category, count = args
                 for _ in range(count - simos.cpu_repeat(ns, category, count)):
                     cpu(ns, category) or (yield)
+            elif kind == "submit":
+                data = bytes(self.device.profile.page_size)
+                self.device.submit(self.qpair, NvmeCommand(
+                    args[0], step, data if args[0] == OP_WRITE else None,
+                ))
+                self.unreaped += 1
             else:
                 simos.sem_post(self.sem) or (yield)
         self._note("end")
@@ -1079,7 +1111,16 @@ class _LimitMachine:
             "busy_ns": [core.busy_ns for core in self.simos.cores],
             "sem": self.sem.count,
             "pending": len(self.engine.events),
+            "device": self._device_state(),
         }
+
+    def _device_state(self):
+        device = self.device
+        return (
+            device.outstanding.average(), device.outstanding.max_value,
+            device.reads_completed.value, device.writes_completed.value,
+            self.qpair.completed, device.probe_calls.value,
+        )
 
 
 @settings(max_examples=200, deadline=None)
