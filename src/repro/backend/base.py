@@ -42,7 +42,9 @@ class IoBackend:
 
     The full driver-plane and media-plane API is implemented here by
     delegation to ``self.device`` and ``self.driver``; subclasses set
-    :attr:`kind` and build the two members.  The facade adds zero
+    :attr:`kind` and build the two members.  ``io_submit`` / ``read``
+    / ``write`` / ``probe``, the calls on every I/O's path, are the
+    driver's own bound methods, set per instance.  The facade adds zero
     virtual time — every delegated call is a plain Python attribute
     hop, so a backend-wired run of the simulated stack is bit-identical
     to the historical directly-wired one.
@@ -65,6 +67,11 @@ class IoBackend:
         self.device = device
         self.driver = driver
         self.closed = False
+        # the driver's four hot calls, handed straight through
+        self.io_submit = driver.io_submit
+        self.read = driver.read
+        self.write = driver.write
+        self.probe = driver.probe
 
     # -- identity ------------------------------------------------------
 
@@ -111,31 +118,15 @@ class IoBackend:
     def alloc_qpair(self, sq_size=1024, cq_size=1024):
         return self.driver.alloc_qpair(sq_size, cq_size)
 
-    def io_submit(self, qpair, opcode, lba, data=None, callback=None, context=None):
-        return self.driver.io_submit(
-            qpair, opcode, lba, data=data, callback=callback, context=context
-        )
-
     def io_submit_many(self, qpair, entries, callback=None, context=None):
         return self.driver.io_submit_many(
             qpair, entries, callback=callback, context=context
-        )
-
-    def read(self, qpair, lba, callback=None, context=None):
-        return self.driver.read(qpair, lba, callback=callback, context=context)
-
-    def write(self, qpair, lba, data, callback=None, context=None):
-        return self.driver.write(
-            qpair, lba, data, callback=callback, context=context
         )
 
     def write_many(self, qpair, pages, callback=None, context=None):
         return self.driver.write_many(
             qpair, pages, callback=callback, context=context
         )
-
-    def probe(self, qpair, max_completions=0):
-        return self.driver.probe(qpair, max_completions)
 
     def probe_empty_repeat(self, count, step_ns):
         """Book ``count`` empty probes, ``step_ns`` apart, the last one now."""

@@ -203,7 +203,7 @@ class NvmeDevice:
                     % (len(data), self.profile.page_size)
                 )
         command.qpair = qpair
-        command.submit_ns = self.engine.now
+        command.submit_ns = self.engine.clock.now
         command.status = IoStatus.SUBMITTED
         qpair.sq.push(command)
         qpair.outstanding += 1
@@ -243,15 +243,33 @@ class NvmeDevice:
 
         Models the device-side cost of a probe: the call occupies the
         interface, delaying pending command fetches (the Fig 3c
-        mechanism).  Returns the list of completed commands; the CPU
-        cost on the calling thread is the caller's to charge.
+        mechanism).  Returns the list of completed commands, all of
+        them unless ``max_completions`` is positive; the CPU cost on the
+        calling thread is the caller's to charge.
+
+        Command fetches and completion posts are real work and always
+        queue on the interface.  Probe overhead is droppable: once the
+        backlog reaches ``iface_backlog_cap_ns`` further probe pressure
+        is coalesced (as MMIO/doorbell traffic is in hardware) instead
+        of growing the backlog without bound -- probing still steals up
+        to the cap's worth of interface time from command fetches,
+        which is the Fig 3c throughput penalty.
         """
-        self.engine.settle()
-        self.probe_calls.add()
-        self._occupy_interface(self.substrate.probe_iface_ns, droppable=True)
+        engine = self.engine
+        engine.settle()
+        self.probe_calls.value += 1
+        now = engine.clock.now
+        start = self._iface_free_ns
+        if start < now:
+            start = now
+        if start - now < self.profile.iface_backlog_cap_ns:
+            self._iface_free_ns = start + self.substrate.probe_iface_ns
+        cq = qpair.cq
+        if max_completions <= 0:
+            return cq.drain()
         completed = []
-        while max_completions <= 0 or len(completed) < max_completions:
-            command = qpair.cq.pop()
+        while len(completed) < max_completions:
+            command = cq.pop()
             if command is None:
                 break
             completed.append(command)
@@ -266,7 +284,7 @@ class NvmeDevice:
         Leaves the device where that many :meth:`probe` calls at those
         instants do: each occupies the interface from its own instant,
         or is coalesced once the backlog it finds has reached the cap
-        (the droppable case of :meth:`_occupy_interface`).
+        (the droppable booking of :meth:`probe`).
 
         The backlog ``b`` a probe finds (interface time booked past its
         instant; negative while idle) fixes the next probe's:
@@ -278,7 +296,7 @@ class NvmeDevice:
         self.probe_calls.add(count)
         duration_ns = self.substrate.probe_iface_ns
         cap_ns = self.profile.iface_backlog_cap_ns
-        now = self.engine.now
+        now = self.engine.clock.now
         # what the first probe, at now - (count - 1) * step_ns, finds
         backlog = self._iface_free_ns - now + (count - 1) * step_ns
         seen = {}  # backlog -> probes left when it was found
@@ -416,44 +434,33 @@ class NvmeDevice:
     # internals
     # ------------------------------------------------------------------
 
-    def _occupy_interface(self, duration_ns, droppable=False):
-        """Serialize through the interface; returns occupation end time.
-
-        Command fetches and completion posts are real work and always
-        queue.  Probe overhead is ``droppable``: once the backlog
-        reaches ``iface_backlog_cap_ns`` further probe pressure is
-        coalesced (as MMIO/doorbell traffic is in hardware) instead of
-        growing the backlog without bound — probing still steals up to
-        the cap's worth of interface time from command fetches, which
-        is the Fig 3c throughput penalty.
-        """
-        now = self.engine.now
-        start = max(now, self._iface_free_ns)
-        if droppable and start - now >= self.profile.iface_backlog_cap_ns:
-            return start
-        end = start + duration_ns
-        self._iface_free_ns = end
-        return end
-
-    def _next_nonempty_qpair(self):
-        n = len(self._qpairs)
-        for offset in range(n):
-            qpair = self._qpairs[(self._rr_index + offset) % n]
-            if not qpair.sq.is_empty:
-                self._rr_index = (self._rr_index + offset + 1) % n
-                return qpair
-        return None
-
     def _try_start(self):
-        """Fetch commands into free channels, round-robin across queues."""
-        while self._free_channels > 0:
-            qpair = self._next_nonempty_qpair()
-            if qpair is None:
-                return
-            command = qpair.sq.pop()
+        """Fetch commands into free channels, round-robin across queues.
+
+        Each fetch is booked on the serial interface behind whatever
+        occupies it; the next scan starts after the queue served last.
+        """
+        qpairs = self._qpairs
+        count = len(qpairs)
+        index = self._rr_index
+        now = self.engine.clock.now
+        fetch_ns = self.substrate.fetch_ns
+        empty = 0  # queues found empty in a row
+        while self._free_channels > 0 and empty < count:
+            sq = qpairs[index].sq
+            index = (index + 1) % count
+            if not sq.count:
+                empty += 1
+                continue
+            empty = 0
+            self._rr_index = index
+            command = sq.pop()
             self._free_channels -= 1
-            fetch_end = self._occupy_interface(self.substrate.fetch_ns)
-            command.fetch_ns = fetch_end
+            fetch_end = self._iface_free_ns
+            if fetch_end < now:
+                fetch_end = now
+            fetch_end += fetch_ns
+            self._iface_free_ns = command.fetch_ns = fetch_end
             service = self.substrate.start(self, command)
             if self.fault_injector is not None:
                 service = int(
@@ -461,8 +468,9 @@ class NvmeDevice:
                 )
             if self.perturb_service is not None:
                 service = int(self.perturb_service(command, service))
-            finish = fetch_end + service
-            self.engine.schedule_at(finish, self._service_done, command)
+            self.engine.schedule_at(
+                fetch_end + service, self._service_done, command
+            )
 
     def _service_done(self, command):
         """Media finished; mint the status, apply data, post completion.
@@ -479,11 +487,15 @@ class NvmeDevice:
         """
         engine = self.engine
         engine.settle()
-        now = engine.now
+        now = engine.clock.now
         command.complete_ns = now
         status = self.substrate.finish(self, command)
         self._free_channels += 1
-        post_end = self._occupy_interface(self.substrate.post_ns)
+        post_end = self._iface_free_ns
+        if post_end < now:
+            post_end = now
+        post_end += self.substrate.post_ns
+        self._iface_free_ns = post_end
         if post_end <= now:
             self._post_completion(command, status)
         elif self.on_complete or engine.on_dispatch:
@@ -498,7 +510,7 @@ class NvmeDevice:
 
     def _post_completion(self, command, status):
         command.status = status
-        command.visible_ns = self.engine.now
+        command.visible_ns = self.engine.clock.now
         qpair = command.qpair
         qpair.outstanding -= 1
         qpair.completed += 1

@@ -174,12 +174,16 @@ class NvmeDriver:
         return commands
 
     def read(self, qpair, lba, callback=None, context=None):
-        return self.io_submit(qpair, OP_READ, lba, callback=callback, context=context)
+        command = NvmeCommand(OP_READ, lba, callback=callback, context=context)
+        self.device.submit(qpair, command)
+        return command
 
     def write(self, qpair, lba, data, callback=None, context=None):
-        return self.io_submit(
-            qpair, OP_WRITE, lba, data=data, callback=callback, context=context
+        command = NvmeCommand(
+            OP_WRITE, lba, data=data, callback=callback, context=context
         )
+        self.device.submit(qpair, command)
+        return command
 
     def write_many(self, qpair, pages, callback=None, context=None):
         """Vectored page writes: ``pages`` is (lba, data) pairs."""
@@ -201,6 +205,8 @@ class NvmeDriver:
         completion surfaces from a later probe.
         """
         completed = self.device.probe(qpair, max_completions)
+        if not completed:
+            return completed
         delivered = []
         for completion in completed:
             if not completion.ok:

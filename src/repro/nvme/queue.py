@@ -11,7 +11,7 @@ from repro.errors import QueueFullError
 class Ring:
     """Bounded FIFO ring buffer."""
 
-    __slots__ = ("capacity", "_slots", "_head", "_count", "name")
+    __slots__ = ("capacity", "_slots", "_head", "count", "name")
 
     def __init__(self, capacity, name="ring"):
         if capacity < 1:
@@ -19,46 +19,72 @@ class Ring:
         self.capacity = capacity
         self._slots = [None] * capacity
         self._head = 0
-        self._count = 0
+        # items held: a plain attribute to read, only the ring writes it
+        self.count = 0
         self.name = name
 
     def __len__(self):
-        return self._count
+        return self.count
 
     @property
     def is_full(self):
-        return self._count == self.capacity
+        return self.count == self.capacity
 
     @property
     def is_empty(self):
-        return self._count == 0
+        return self.count == 0
 
     @property
     def free_slots(self):
-        return self.capacity - self._count
+        return self.capacity - self.count
 
     def push(self, item):
         """Append an item; raises :class:`QueueFullError` when full."""
-        if self.is_full:
+        count = self.count
+        if count == self.capacity:
             raise QueueFullError("%s is full (capacity %d)" % (self.name, self.capacity))
-        tail = (self._head + self._count) % self.capacity
-        self._slots[tail] = item
-        self._count += 1
+        self._slots[(self._head + count) % self.capacity] = item
+        self.count = count + 1
 
     def pop(self):
         """Remove and return the oldest item, or ``None`` when empty."""
-        if self._count == 0:
+        if self.count == 0:
             return None
         item = self._slots[self._head]
         self._slots[self._head] = None
         self._head = (self._head + 1) % self.capacity
-        self._count -= 1
+        self.count -= 1
         return item
 
+    def drain(self):
+        """Remove and return every item, oldest first.
+
+        Leaves the ring as that many :meth:`pop` calls would: empty,
+        every slot cleared, the head just past the last item.
+        """
+        count = self.count
+        if count == 0:
+            return []
+        slots = self._slots
+        capacity = self.capacity
+        head = self._head
+        end = head + count
+        if end <= capacity:
+            items = slots[head:end]
+            slots[head:end] = [None] * count
+        else:
+            end -= capacity
+            items = slots[head:] + slots[:end]
+            slots[head:] = [None] * (capacity - head)
+            slots[:end] = [None] * end
+        self._head = end % capacity
+        self.count = 0
+        return items
+
     def peek(self):
-        if self._count == 0:
+        if self.count == 0:
             return None
         return self._slots[self._head]
 
     def __repr__(self):
-        return "Ring(%r, %d/%d)" % (self.name, self._count, self.capacity)
+        return "Ring(%r, %d/%d)" % (self.name, self.count, self.capacity)

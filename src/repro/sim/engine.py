@@ -43,11 +43,14 @@ class Engine:
         self.inlined = 0
         self._running = False
         self._stopped = False
-        # For the fast paths: run()'s time bound (-1 outside run() and
-        # after stop(), so nothing advances, and just short of an
-        # enclosing run_through's slot) and the queue's own heap list,
-        # to peek at its head without dropping dead entries.
-        self._horizon_ns = -1
+        # The last instant the clock may reach in place: run()'s time
+        # bound, -1 outside run() and after stop() (nothing advances),
+        # and just short of an enclosing run_through's slot.  Only the
+        # kernel sets it; SimOS.cpu reads it to send a burst that ends
+        # past it, which advance() declines, straight to run_through.
+        self.horizon_ns = -1
+        # the queue's own heap list, to peek at its head without
+        # dropping dead entries
         self._heap = self.events._heap
         self._passive = self.events._passive
         # (time, seq) of the running continuation, for settle(): the
@@ -173,7 +176,7 @@ class Engine:
         nothing that the next run() sees.
         """
         self._stopped = True
-        self._horizon_ns = self.limit_ns = -1
+        self.horizon_ns = self.limit_ns = -1
 
     def advance(self, step_ns, count=1):
         """Take up to ``count`` (at least 1) steps of ``step_ns`` in place.
@@ -199,8 +202,8 @@ class Engine:
         heap = self._heap
         if heap and heap[0][0] <= limit_ns:
             limit_ns = heap[0][0] - 1
-        if self._horizon_ns < limit_ns:
-            limit_ns = self._horizon_ns
+        if self.horizon_ns < limit_ns:
+            limit_ns = self.horizon_ns
         self.limit_ns = limit_ns
         if now + step_ns > limit_ns:
             return 0
@@ -216,31 +219,34 @@ class Engine:
 
         For a caller about to end its event callback with that
         ``schedule``, where ``fn`` would only go on with what the caller
-        was doing.  Refused -- the ``schedule`` made, False returned --
-        when ``now + delay_ns`` lies past the horizon (``until_ns``, a
-        ``stop()``, or an enclosing run-through's slot) or an
-        ``on_dispatch`` subscriber is bound.
+        was doing; ``delay_ns`` is an int, at least 0.  Refused first,
+        before anything else, when ``now + delay_ns`` lies past
+        :attr:`horizon_ns` or an ``on_dispatch`` subscriber is bound:
+        the entry is pushed as ``schedule`` would push it (a time at or
+        before :attr:`limit_ns` lowers that) and False returned.
         Otherwise the entry's sequence number is reserved and every
         entry ordered before ``(now + delay_ns, seq)`` is dispatched
         here, as :meth:`run` would, with the horizon lowered to just
-        short of that slot.  If ``stop()`` ends the run first, the entry is pushed in its slot (False); else the clock
-        moves to its time and it counts as ``inlined`` (True: go on as
-        ``fn`` would).
+        short of that slot.  If ``stop()`` ends the run first, the
+        entry is pushed in its slot (False); else the clock moves to its
+        time and it counts as ``inlined`` (True: go on as ``fn`` would).
         """
         clock = self.clock
         time_ns = clock.now + delay_ns
-        horizon_ns = self._horizon_ns
+        horizon_ns = self.horizon_ns
         if time_ns > horizon_ns or self.on_dispatch:
-            self.schedule(delay_ns, fn, *args)
+            if time_ns <= self.limit_ns:
+                self.limit_ns = time_ns - 1
+            self.events.push(time_ns, fn, args)
             return False
         seq = self.events.reserve()
-        self._horizon_ns = time_ns - 1
+        self.horizon_ns = time_ns - 1
         try:
             went_on = self._dispatch_before(time_ns, seq)
         finally:
             self.limit_ns = -1
             if not self._stopped:
-                self._horizon_ns = horizon_ns
+                self.horizon_ns = horizon_ns
         if not went_on:
             heappush(self._heap, [time_ns, seq, fn, args])
             return False
@@ -272,7 +278,7 @@ class Engine:
             raise SimulationError("Engine.run is not reentrant")
         self._running = True
         self._stopped = False
-        horizon_ns = self._horizon_ns = (
+        horizon_ns = self.horizon_ns = (
             float("inf") if until_ns is None else until_ns
         )
         clock = self.clock
@@ -298,7 +304,7 @@ class Engine:
             self.settle()
         finally:
             self._running = False
-            self._horizon_ns = self.limit_ns = -1
+            self.horizon_ns = self.limit_ns = -1
 
     def _dispatch_before(self, time_ns, seq):
         """Dispatch every live entry ordered before ``(time_ns, seq)``.

@@ -57,6 +57,18 @@ class OsProfile:
     ):
         if cores < 1:
             raise ValueError("need at least one core")
+        # virtual time is an integer count of nanoseconds
+        for name, value, least in (
+            ("context_switch_ns", context_switch_ns, 0),
+            ("quantum_ns", quantum_ns, 1),
+            ("sem_syscall_ns", sem_syscall_ns, 0),
+            ("wakeup_ns", wakeup_ns, 0),
+        ):
+            if type(value) is not int or value < least:
+                raise ValueError(
+                    "%s must be an int of at least %d ns, not %r"
+                    % (name, least, value)
+                )
         self.cores = cores
         self.context_switch_ns = context_switch_ns
         self.quantum_ns = quantum_ns
@@ -155,47 +167,43 @@ class SimOS:
         here (``Engine.run_through``) and the preemption ``_after_cpu``
         would decide is decided at the burst's end.
 
-        A burst that ends within the kernel's cached in-place limit
-        (``Engine.limit_ns``), while nobody waits for a core, no
-        ``spawn()`` is stepping and no ``on_dispatch`` subscriber is
-        bound, is booked right here: what a step of ``Engine.advance``
-        and ``CpuAccount.charge`` would do, in one call.
+        The burst is booked to the thread and its core right here, on
+        every path.  A burst that ends within the kernel's cached
+        in-place limit (``Engine.limit_ns``), while nobody waits for a
+        core, no ``spawn()`` is stepping and no ``on_dispatch``
+        subscriber is bound, then goes by with one clock move: what a
+        step of ``Engine.advance`` would do.  One that ends past the
+        kernel's horizon (``Engine.horizon_ns``), which ``advance``
+        would decline, goes straight to ``run_through``.
         """
-        engine = self.engine
-        clock = self._clock
-        if (
-            0 < ns <= engine.limit_ns - clock.now
-            and type(ns) is int
-            and not self.run_queue
-            and not self._spawning
-            and not engine.on_dispatch
-        ):
-            thread = self._current
-            account = thread.account
-            by_category = account.by_category
-            if category not in by_category:
-                category = CPU_OTHER
-            by_category[category] += ns
-            account.total_ns += ns
-            thread.core.busy_ns += ns
-            engine.inlined += 1
-            clock.now += ns
-            return True
-        if ns < 0:
-            raise ValueError("negative CPU burst: %r" % ns)
-        ns = int(ns)
-        if not ns:
-            return True
+        if type(ns) is not int or ns <= 0:
+            if ns < 0:
+                raise ValueError("negative CPU burst: %r" % ns)
+            ns = int(ns)
+            if not ns:
+                return True
         thread = self._current
-        thread.account.charge(ns, category)
+        account = thread.account
+        by_category = account.by_category
+        if category not in by_category:
+            category = CPU_OTHER
+        by_category[category] += ns
+        account.total_ns += ns
         thread.core.busy_ns += ns
+        engine = self.engine
         if self._spawning:
             engine.schedule(ns, self._after_cpu, thread)
             return False
-        # nobody waits for the core, so _after_cpu would only resume the
-        # thread: just move the clock if nothing is due first
-        if not self.run_queue and engine.advance(ns):
-            return True
+        if not self.run_queue:
+            # nobody waits for the core, so _after_cpu would only resume
+            # the thread: just move the clock if nothing is due first
+            clock = self._clock
+            if ns <= engine.limit_ns - clock.now and not engine.on_dispatch:
+                engine.inlined += 1
+                clock.now += ns
+                return True
+            if clock.now + ns <= engine.horizon_ns and engine.advance(ns):
+                return True
         if not engine.run_through(ns, self._after_cpu, thread):
             return False
         self._current = thread
@@ -389,10 +397,10 @@ class SimOS:
             self.context_switches.add()
             thread.account.charge(cs, CPU_OTHER)
             core.busy_ns += cs
-            thread.quantum_start_ns = self.engine.now + cs
+            thread.quantum_start_ns = self._clock.now + cs
             self.engine.schedule(cs, self._step, thread)
         else:
-            thread.quantum_start_ns = self.engine.now
+            thread.quantum_start_ns = self._clock.now
             # a running body gets its core back only from its own burst's
             # preemption (pick_runnable's choice), and goes on from there
             if not thread.gen.gi_running:
@@ -481,7 +489,7 @@ class SimOS:
         on.  Preemption only matters when someone is waiting, so the
         hook is consulted (and a fuzz decision recorded) only then.
         """
-        quantum_used = self.engine.now - thread.quantum_start_ns
+        quantum_used = self._clock.now - thread.quantum_start_ns
         if self.preempt_policy is None:
             if quantum_used < self.profile.quantum_ns:
                 return False

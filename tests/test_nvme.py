@@ -46,6 +46,31 @@ class TestRing:
         assert ring.peek() == "a"
         assert len(ring) == 1
 
+    def test_drain_of_an_empty_ring_returns_an_empty_list(self):
+        ring = Ring(3)
+        assert ring.drain() == []
+        assert ring.is_empty
+
+    @pytest.mark.parametrize("count", [1, 3, 4])
+    @pytest.mark.parametrize("head", [0, 1, 3])
+    def test_drain_leaves_the_ring_as_that_many_pops_would(self, head, count):
+        # contents starting at every slot, wrapping past the end of the
+        # slot list from head 1 on with three items and from head 3 on
+        # with one more than fits before the end
+        drained, popped = Ring(4), Ring(4)
+        for ring in (drained, popped):
+            for item in range(head):
+                ring.push(item)
+                ring.pop()
+            for item in range(count):
+                ring.push(item)
+        assert drained.drain() == [popped.pop() for _ in range(count)]
+        assert drained.is_empty and drained._slots == [None] * 4
+        assert drained._head == popped._head
+        for item in ("a", "b", "c"):
+            drained.push(item)
+        assert [drained.pop() for _ in range(4)] == ["a", "b", "c", None]
+
 
 class TestCommand:
     def test_validation(self):
@@ -181,6 +206,41 @@ class TestDevice:
         # both queues served despite one channel
         assert len(q1.cq) == 3
         assert len(q2.cq) == 3
+
+    def test_an_unbounded_probe_of_a_wrapped_cq_pops_in_post_order(self):
+        # a four-slot CQ, three entries reaped, then three more posted:
+        # they wrap past the end of the slot list.  One unbounded probe
+        # returns what bounded probes return one or two at a time
+        def wrapped(seed=3):
+            engine, device, driver = make_device(seed=seed)
+            device.substrate.service.__init__(usec(10), usec(30), 0.5)
+            qpair = driver.alloc_qpair(cq_size=4)
+            for lba in range(1, 4):
+                driver.read(qpair, lba)
+            engine.run()
+            assert len(device.probe(qpair)) == 3
+            for lba in range(4, 7):
+                driver.read(qpair, lba)
+            engine.run()
+            return device, qpair
+
+        def reaped(completions):
+            return [(c.lba, c.visible_ns) for c in completions]
+
+        device, qpair = wrapped()
+        assert qpair.cq._head == 3
+        unbounded = reaped(device.probe(qpair))
+        assert len(unbounded) == 3 and qpair.cq.is_empty
+        for k in (1, 2):
+            device, qpair = wrapped()
+            bounded = []
+            while True:
+                batch = device.probe(qpair, max_completions=k)
+                if not batch:
+                    break
+                assert len(batch) <= k
+                bounded += reaped(batch)
+            assert bounded == unbounded
 
     def test_probe_interface_backlog_capped(self):
         engine, device, driver = make_device()

@@ -45,7 +45,7 @@ from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.sched.naive import NaiveScheduling
 from repro.sim.engine import Engine
-from repro.sim.hooks import subscribe
+from repro.sim.hooks import subscribe, unsubscribe
 from repro.sim.metrics import CPU_CATEGORIES
 from repro.simos.scheduler import OsProfile, SimOS
 from repro.simos.sync import Semaphore
@@ -1295,6 +1295,43 @@ def test_a_nested_run_through_caps_the_limit_at_its_slot():
     engine.run()
     assert seen == [
         ("inner", 510, 1_099), ("outer", 1_100, -1), ("inner", 1_210, -1),
+    ]
+
+
+def _observe(entry):
+    pass
+
+
+def _refused_inside_the_limit(keep_observer):
+    """A refused run_through pushes its entry where schedule would, and
+    lowers the cached limit as schedule does: an in-place burst caches
+    the limit (49 999, short of the event at 50 000), an observer bound
+    mid-callback refuses a continuation ending at 210, inside it, and
+    once the observer is gone the next burst must not pass 210 in place.
+    With the observer kept, every burst goes through the heap."""
+
+    def body(engine, simos, seen):
+        yield from _burst(simos, 10)
+        seen.append(engine.limit_ns)
+        subscribe(engine, "on_dispatch", _observe)
+        assert not engine.run_through(
+            100, lambda: seen.append(("pushed", engine.now))
+        )
+        seen.append(engine.limit_ns)
+        if not keep_observer:
+            unsubscribe(engine, "on_dispatch", _observe)
+        yield from _burst(simos, 200)
+        seen.append(("after", engine.now))
+        seen.append(engine.dispatched + engine.inlined)
+
+    return _limit_inside(body)
+
+
+@pytest.mark.parametrize("keep_observer", [False, True],
+                         ids=["unsubscribed", "heap"])
+def test_a_refused_run_through_lowers_the_cached_limit(keep_observer):
+    assert _refused_inside_the_limit(keep_observer) == [
+        49_999, 209, ("pushed", 210), ("after", 310), 4, ("event", 50_000),
     ]
 
 

@@ -17,6 +17,26 @@ def make_os(cores=2, **kwargs):
     return engine, SimOS(engine, OsProfile(cores=cores, **kwargs))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("context_switch_ns", 3_000.5),
+        ("context_switch_ns", -1),
+        ("quantum_ns", 200_000.0),
+        ("quantum_ns", 0),
+        ("sem_syscall_ns", 800.7),
+        ("sem_syscall_ns", -800),
+        ("wakeup_ns", 2_000.25),
+        ("wakeup_ns", -1),
+    ],
+)
+def test_a_cost_that_is_not_a_whole_count_of_ns_is_refused(field, value):
+    # a float cost would make the virtual clock a float, and one path
+    # (schedule) truncates it while another (run_through) does not
+    with pytest.raises(ValueError, match=field):
+        OsProfile(cores=2, **{field: value})
+
+
 def test_single_thread_runs_to_completion():
     engine, simos = make_os()
     trace = []
