@@ -63,7 +63,7 @@ from repro.core.ops import (
 )
 from repro.core.source import ClosedLoopSource
 from repro.core.tree import PaTree, check_bulk_items
-from repro.errors import BatchError, ReproError
+from repro.errors import BatchError, ReproError, WorkloadError
 from repro.backend import i3_nvme_profile
 from repro.sched import make_scheduler
 from repro.sim.engine import Engine
@@ -203,6 +203,8 @@ class BaseSession:
                 config = config.merged(**overrides)
             except TypeError as exc:
                 raise ReproError(str(exc)) from None
+        if config.window < 1:
+            raise WorkloadError("window must be positive")
         self.config = config
         self.window = config.window
         self.closed = False

@@ -105,15 +105,8 @@ class IoBackend:
     def retry(self):
         return self.driver.retry
 
-    @property
-    def submit_cpu_ns(self):
-        return self.driver.submit_cpu_ns
-
     def submit_many_cpu_ns(self, count):
         return self.driver.submit_many_cpu_ns(count)
-
-    def probe_cpu_ns(self, completions):
-        return self.driver.probe_cpu_ns(completions)
 
     def alloc_qpair(self, sq_size=1024, cq_size=1024):
         return self.driver.alloc_qpair(sq_size, cq_size)

@@ -143,7 +143,7 @@ class PaTreeEngine(PolledWorker):
                     cpu(costs.idle_spin_ns, CPU_SCHED) or (yield)
                     continue
                 last_probe_ns = self.clock.now
-            cpu(driver.probe_cpu_ns(0), CPU_NVME) or (yield)
+            cpu(profile.probe_cpu_ns, CPU_NVME) or (yield)
             completed = driver.probe(self.qpair)
             self.probes.add()
             if completed:
@@ -259,7 +259,7 @@ class PaTreeEngine(PolledWorker):
 
     def _read_page(self, op, page_id):
         """Submit the read of a page the buffer does not hold."""
-        self.simos.cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+        self.simos.cpu(self.driver.profile.submit_cpu_ns, CPU_NVME) or (yield)
         command = self.driver.read(
             self.qpair, page_id, callback=self._on_io_done, context=op
         )
@@ -283,7 +283,7 @@ class PaTreeEngine(PolledWorker):
             for page_id, data in images:
                 evicted = self.buffer.write(page_id, data)
                 for victim_id, victim_data in evicted:
-                    cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+                    cpu(self.driver.profile.submit_cpu_ns, CPU_NVME) or (yield)
                     self._submit_page_write(victim_id, victim_data, None)
             return False
 
@@ -316,7 +316,7 @@ class PaTreeEngine(PolledWorker):
 
         count = 0
         for page_id, data in images:
-            cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+            cpu(self.driver.profile.submit_cpu_ns, CPU_NVME) or (yield)
             self._submit_page_write(page_id, data, op)
             count += 1
         op.io_remaining = count

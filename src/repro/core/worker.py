@@ -232,7 +232,7 @@ class PolledWorker:
             # large sync() must not overrun the ring
             while flushes and sq.free_slots > 64:
                 lba, data, flush_op = flushes.popleft()
-                cpu(driver.submit_cpu_ns, CPU_NVME) or (yield)
+                cpu(profile.submit_cpu_ns, CPU_NVME) or (yield)
                 self._submit_page_write(lba, data, flush_op)
                 worked = True
 
@@ -240,7 +240,7 @@ class PolledWorker:
             # callback context because the submission ring was full
             while escalations and sq.free_slots > 8:
                 deferred = escalations.popleft()
-                cpu(driver.submit_cpu_ns, CPU_NVME) or (yield)
+                cpu(profile.submit_cpu_ns, CPU_NVME) or (yield)
                 self._resubmit_write(*deferred)
                 worked = True
 
@@ -275,7 +275,7 @@ class PolledWorker:
                 if probed:
                     tracer = self.tracer
                     probe_start_ns = clock.now if tracer.enabled else 0
-                    cpu(driver.probe_cpu_ns(0), CPU_NVME) or (yield)
+                    cpu(profile.probe_cpu_ns, CPU_NVME) or (yield)
                     completed = driver.probe(self.qpair)
                     self.probes.add()
                     policy.note_probe(clock.now, len(completed))
@@ -360,7 +360,7 @@ class PolledWorker:
         elif not probed:
             step_ns, category = gate_cost, CPU_SCHED
         elif not gate_cost:
-            step_ns, category = self.driver.probe_cpu_ns(0), CPU_NVME
+            step_ns, category = self.driver.profile.probe_cpu_ns, CPU_NVME
         else:
             return  # gate, then probe: two bursts, and no policy repeats it
         if step_ns <= 0:

@@ -8,9 +8,9 @@ latency histograms.  A :class:`MetricRegistry` holds them under a
 different label sets (``shard="0"`` vs ``shard="1"``) stays
 distinguishable while rollups can still sum across the label axis.
 
-Naming discipline (enforced here at registration time and statically by
-patlint rule PA405): metric names are ``snake_case`` and end in a unit
-suffix from :data:`METRIC_NAME_SUFFIXES`, so a consumer can always tell
+Naming discipline (enforced here at registration time): metric names
+are ``snake_case`` and end in a unit suffix from
+:data:`METRIC_NAME_SUFFIXES`, so a consumer can always tell
 nanoseconds from pages from ratios without a side channel.
 
 Determinism: the registry iterates in registration order, label keys
@@ -27,9 +27,7 @@ from repro.errors import ReproError
 from repro.obs.series import Histogram
 from repro.sim.clock import to_usec
 
-#: Unit suffixes a registered metric name must end with.  PA405 (the
-#: patlint metric-name rule) carries a copy of this tuple; keep the two
-#: in sync when adding a unit.
+#: Unit suffixes a registered metric name must end with.
 METRIC_NAME_SUFFIXES = (
     "_ns",
     "_us",

@@ -89,7 +89,7 @@ class PolledLsmWorker(PolledWorker):
                 if cached is not None:
                     send = cached
                     continue
-                cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+                cpu(self.driver.profile.submit_cpu_ns, CPU_NVME) or (yield)
                 command = self.driver.read(
                     self.qpair, effect.page_id, callback=self._on_io_done, context=op
                 )
@@ -107,7 +107,7 @@ class PolledLsmWorker(PolledWorker):
                     if cached is not None:
                         results[lba] = cached
                         continue
-                    cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+                    cpu(self.driver.profile.submit_cpu_ns, CPU_NVME) or (yield)
                     command = self.driver.read(
                         self.qpair, lba, callback=self._on_io_done, context=op
                     )
@@ -130,7 +130,7 @@ class PolledLsmWorker(PolledWorker):
                     context = _GroupCommit(len(pages), effect.on_durable)
                     self._background_outstanding += len(pages)
                 for lba, image in pages:
-                    cpu(self.driver.submit_cpu_ns, CPU_NVME) or (yield)
+                    cpu(self.driver.profile.submit_cpu_ns, CPU_NVME) or (yield)
                     command = self.driver.write(
                         self.qpair, lba, image, callback=callback, context=context
                     )

@@ -205,7 +205,6 @@ class ShardedPaTree:
                 policy_factory(),
                 source=source,
                 buffer=make_buffer(persistence, buffer_pages_per_shard),
-                qpair=shard_backend.alloc_qpair(sq_size=4096, cq_size=4096),
                 name="pa-shard-%d" % index,
             )
             if shard_backend not in self.backends:

@@ -2,8 +2,9 @@
 
 Each rule gets inline fixture snippets for the positive, negative and
 suppressed cases; the framework tests cover scoping, suppressions,
-baselines and reporters; and the self-checks pin the acceptance
-invariant that the repository itself analyzes clean.
+baselines and reporters.  That the repository itself analyzes clean is
+pinned in ``tests/test_analysis_graph.py``: a ``graph=True`` run applies
+every per-file rule before the graph rules.
 """
 
 import json
@@ -679,56 +680,6 @@ def test_pa404_suppressible(tmp_path):
     assert findings == []
 
 
-def test_pa405_metric_name_hygiene(tmp_path):
-    findings = run_snippet(
-        tmp_path,
-        """
-        def register(registry):
-            registry.counter("BadName_total", None)
-            registry.gauge("queue_depth", None)
-            registry.histogram("op_latency_ns", None)
-        """,
-    )
-    assert codes(findings) == ["PA405", "PA405"]
-    assert "snake_case" in findings[0].message
-    assert "unit suffix" in findings[1].message
-
-
-def test_pa405_attribute_receivers_and_metrics_alias(tmp_path):
-    findings = run_snippet(
-        tmp_path,
-        """
-        class Device:
-            def register(self):
-                self.registry.counter("reads", None)
-                self._metrics.gauge("Depth_count", None)
-        """,
-    )
-    assert codes(findings) == ["PA405", "PA405"]
-
-
-def test_pa405_ignores_other_receivers_and_dynamic_names(tmp_path):
-    # a tracer's counter(track, ...) and computed names are out of scope
-    findings = run_snippet(
-        tmp_path,
-        """
-        def emit(tracer, registry, name):
-            tracer.counter("track", "anything goes")
-            registry.counter(name, None)
-        """,
-    )
-    assert findings == []
-
-
-def test_pa405_suffixes_match_registry():
-    from repro.obs.metrics import METRIC_NAME_SUFFIXES as runtime
-    from tools.analysis.rules.observability import (
-        METRIC_NAME_SUFFIXES as linted,
-    )
-
-    assert runtime == linted
-
-
 def test_pa406_per_element_loop_over_scalar_helper(tmp_path):
     findings = run_snippet(
         tmp_path,
@@ -1088,18 +1039,6 @@ def test_select_filters_reported_codes(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_analyzer_analyzes_its_own_package_cleanly():
-    result = analyze([os.path.join(REPO_ROOT, "tools")])
-    assert result.findings == []
-
-
-def test_repository_self_run_is_clean():
-    """The acceptance invariant: src+tests+benchmarks, empty baseline."""
-    paths = [os.path.join(REPO_ROOT, name) for name in ("src", "tests", "benchmarks")]
-    result = analyze(paths)
-    assert result.findings == []
-
-
 def test_byte_compile_leaves_no_pycache(tmp_path):
     target = tmp_path / "src" / "clean.py"
     target.parent.mkdir()
@@ -1138,7 +1077,6 @@ def test_list_rules_catalog(capsys):
         "PA401",
         "PA402",
         "PA404",
-        "PA405",
         "PA406",
         "PA407",
         "PA901",

@@ -1116,7 +1116,8 @@ def test_graph_findings_are_baselinable(tmp_path, capsys):
 
 
 def test_repository_graph_self_run_is_clean():
-    """The v2 acceptance invariant: zero unbaselined PA5xx over src."""
+    """The acceptance invariant: src+tests+benchmarks, empty baseline,
+    every per-file rule and every graph rule."""
     paths = [
         os.path.join(REPO_ROOT, name) for name in ("src", "tests", "benchmarks")
     ]

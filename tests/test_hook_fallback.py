@@ -314,36 +314,20 @@ def test_four_shards_dispatch_fewer_events_with_the_same_rows():
     assert plain_engine.dispatched < slow_engine.dispatched
 
 
-#: The three slowest cases, about two thirds of this test's time, are
-#: left to CI's slow-path pass (``python -m tools.slow_path all --ops
-#: 200``, ``diff -r`` against ``bench all``), which runs every exhibit.
-_LEFT_TO_THE_SLOW_PATH_PASS = ("fig7", "fig15", "shards")
+#: One small exhibit checked here.  CI's slow-path pass (``python -m
+#: tools.slow_path all --ops 200``, ``diff -r`` against ``bench all``)
+#: checks all fifteen.
+_CHECKED_HERE = ("fig10",)
 
 
-def _exhibit_modules():
-    """One case per exhibit module: table1, table2 and fig9 share one
-    ``run``; fig3 sweeps virtual durations and refuses ``ops``."""
-    names = {}
-    for name, (_title, module, _render) in sorted(cli._EXHIBITS.items()):
-        if name not in _LEFT_TO_THE_SLOW_PATH_PASS:
-            names.setdefault(module, []).append(name)
-    return [
-        pytest.param(
-            module, id="+".join(ids),
-            marks=[pytest.mark.skip(reason="time-based: refuses ops")]
-            if ids == ["fig3"] else [],
-        )
-        for module, ids in names.items()
-    ]
-
-
-@pytest.mark.parametrize("module", _exhibit_modules())
+@pytest.mark.parametrize("name", _CHECKED_HERE)
 def test_an_exhibit_gives_the_same_rows_with_the_fast_path_forced_off(
-    module, monkeypatch,
+    name, monkeypatch,
 ):
     """Every kernel an exhibit builds gets a no-op ``on_dispatch``
     subscriber, which sends every burst, syscall and idle turn through
     the heap: the rows must not move."""
+    module = cli._EXHIBITS[name][1]
     plain = module.run(ops=20)
     getattr(module, "_CACHE", {}).clear()
     init = Engine.__init__

@@ -25,7 +25,7 @@ from .fault_paths import (
 from .api_contracts import StatsByReferenceRule, UnusedImportRule
 from .batching import PerElementBatchLoopRule
 from .fuzzing import FuzzRngDisciplineRule
-from .observability import ConsoleOutputRule, MetricNameRule
+from .observability import ConsoleOutputRule
 from .layering import BoundaryImportRule, ImportCycleRule, LayeringRule
 from .taint import (
     WallClockBlessingRule,
@@ -50,7 +50,6 @@ RULE_CLASSES = (
     StatsByReferenceRule,
     UnusedImportRule,
     ConsoleOutputRule,
-    MetricNameRule,
     PerElementBatchLoopRule,
     FuzzRngDisciplineRule,
 )

@@ -3,11 +3,7 @@
 Library code must not write to the console behind the caller's back —
 every human-facing line goes through an ``out=``-style callable (the
 ``repro.bench`` idiom) or the obs stack, so harnesses and tests can
-capture or silence it.  And metric names registered against a
-:class:`~repro.obs.metrics.MetricRegistry` follow one discipline
-(snake_case plus a unit suffix) so exports never need a side channel
-to tell nanoseconds from pages; the registry enforces it at run time,
-this rule catches violations before any code runs.
+capture or silence it.
 """
 
 import ast
@@ -19,24 +15,6 @@ from ..framework import Rule
 _CONSOLE_CALLS = frozenset(
     {"print", "sys.stdout.write", "sys.stderr.write"}
 )
-
-#: Synced copy of :data:`repro.obs.metrics.METRIC_NAME_SUFFIXES`; keep
-#: the two in sync when adding a unit (the registry raises at run time,
-#: this rule flags statically).
-METRIC_NAME_SUFFIXES = (
-    "_ns",
-    "_us",
-    "_bytes",
-    "_pages",
-    "_ops",
-    "_total",
-    "_ratio",
-    "_count",
-    "_size",
-)
-
-#: Registration method names on a metric registry.
-_REGISTRY_METHODS = frozenset({"counter", "gauge", "histogram"})
 
 
 class ConsoleOutputRule(Rule):
@@ -57,57 +35,3 @@ class ConsoleOutputRule(Rule):
                 "console" % (target,),
             )
 
-
-def _is_snake_case(name):
-    if not name or not name[0].isalpha() or not name[0].islower():
-        return False
-    return all(ch.islower() or ch.isdigit() or ch == "_" for ch in name)
-
-
-def _receiver_tail(node):
-    """Last identifier of the receiver chain (``a.b.registry`` -> ``registry``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-class MetricNameRule(Rule):
-    code = "PA405"
-    name = "metric-name-hygiene"
-    summary = "registered metric name violates the naming discipline"
-    scopes = ("src",)
-    node_types = (ast.Call,)
-
-    def visit(self, node, ctx):
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr not in _REGISTRY_METHODS:
-            return
-        tail = _receiver_tail(func.value)
-        if tail is None or not tail.lower().endswith(("registry", "metrics")):
-            return  # tracer.counter(...) etc. are a different contract
-        if not node.args:
-            return
-        first = node.args[0]
-        if not isinstance(first, ast.Constant) or not isinstance(
-            first.value, str
-        ):
-            return  # dynamic names are the registry's run-time problem
-        name = first.value
-        if not _is_snake_case(name):
-            yield ctx.finding(
-                first,
-                self.code,
-                "metric name %r is not snake_case ([a-z][a-z0-9_]*)"
-                % (name,),
-            )
-        elif not name.endswith(METRIC_NAME_SUFFIXES):
-            yield ctx.finding(
-                first,
-                self.code,
-                "metric name %r lacks a unit suffix (one of %s)"
-                % (name, ", ".join(METRIC_NAME_SUFFIXES)),
-            )
