@@ -26,6 +26,7 @@ from repro.core.node import Node
 from repro.core.ops import (
     AllocEff,
     ChargeEff,
+    CoupleEff,
     FreeEff,
     LatchEff,
     MaintainEff,
@@ -50,7 +51,8 @@ class BlockingInterpreter:
     supplies -- ``_read_page``, ``_write_node`` / ``_write_meta`` /
     ``_write_page``, ``_allocate`` / ``_free``, ``_sync``, ``_retire``
     -- and its ``latches``.  The loop never asks which structure it
-    serves."""
+    serves; only a tree plan yields ``CoupleEff``, whose search it
+    charges at ``self.tree``'s cost."""
 
     #: a latch-free structure's plans never yield a LatchEff
     latches = None
@@ -72,7 +74,14 @@ class BlockingInterpreter:
             while effect is not None:
                 send = None
                 kind = type(effect)
-                if kind is LatchEff:
+                if kind is CoupleEff:
+                    # the four effects of one level, in their order
+                    yield from latches.acquire(tls, op, effect.page_id, effect.mode)
+                    if effect.parent is not None:
+                        yield from latches.release(tls, op, effect.parent)
+                    send = yield from self._read_page(tls, effect.page_id)
+                    cpu(self.tree.costs.node_search_ns, CPU_REAL_WORK) or (yield)
+                elif kind is LatchEff:
                     yield from latches.acquire(tls, op, effect.page_id, effect.mode)
                 elif kind is UnlatchEff:
                     yield from latches.release(tls, op, effect.page_id)

@@ -40,6 +40,7 @@ from repro.core.node import Node
 from repro.core.ops import (
     AllocEff,
     ChargeEff,
+    CoupleEff,
     DELETE,
     FreeEff,
     GET,
@@ -112,27 +113,29 @@ def _group_end(skeys, pos, high_key):
 # ----------------------------------------------------------------------
 
 
-def descend_shared(tree, key):
+def descend_shared(tree, key, leaf_mode=SHARED):
     """Shared-latch coupled descent to the leaf owning ``key``.
 
-    Couples parent -> child from the meta page down, releasing each
-    parent as soon as the child latch is granted.  Returns the leaf,
-    its shared latch still held: the caller releases it.
+    Couples parent -> child from the meta page down, one ``CoupleEff``
+    a level, releasing each parent as soon as the child latch is
+    granted.  The leaf is latched in ``leaf_mode``, chosen from the
+    tree's height before its node is read.  Returns the leaf, its
+    latch still held: the caller releases it.
     """
-    costs = tree.costs
     meta_page = tree.meta_page
     yield LatchEff(meta_page, SHARED)
     prev = meta_page
     page_id = tree.meta.root_page
+    level = tree.meta.height - 1
     while True:
-        yield LatchEff(page_id, SHARED)
-        yield UnlatchEff(prev)
-        node = yield ReadEff(page_id)
-        yield ChargeEff(costs.node_search_ns, CPU_REAL_WORK)
+        node = yield CoupleEff(
+            page_id, leaf_mode if level == 0 else SHARED, prev
+        )
         if node.is_leaf:
             return node
         prev = page_id
         page_id = node.child_for(key)
+        level -= 1
 
 
 def _read_group(tree, specs, order, skeys, pos, results):
@@ -164,9 +167,7 @@ def _update_group(tree, specs, order, skeys, pre_put, pre_del, pos, results):
     hi = len(skeys)
     end = hi
     while True:
-        yield LatchEff(page_id, EXCLUSIVE)
-        node = yield ReadEff(page_id)
-        yield ChargeEff(costs.node_search_ns, CPU_REAL_WORK)
+        node = yield CoupleEff(page_id, EXCLUSIVE)
         if node.is_leaf:
             end = _group_end(skeys, pos, node.high_key)
             lo_bound, hi_bound = pos, end

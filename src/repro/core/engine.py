@@ -18,6 +18,7 @@ from repro.core.ops import (
     AllocEff,
     BATCH,
     ChargeEff,
+    CoupleEff,
     FreeEff,
     LatchEff,
     ReadEff,
@@ -165,19 +166,59 @@ class PaTreeEngine(PolledWorker):
         return make_plan(op, self.tree)
 
     def _process(self, op):
-        """Run ``op`` until it waits or completes (paper's process(c))."""
+        """Run ``op`` until it waits or completes (paper's process(c)).
+
+        A ``CoupleEff`` is served inline as its four steps.  Where it
+        waits it stays pending on ``op.step``, and the resume goes on
+        from there: after a latch wait with the parent release, after
+        a read with the parse, then the search.
+        """
         cpu = self.simos.cpu
         costs = self.tree.costs
         cpu(costs.dispatch_ns, CPU_SCHED) or (yield)
 
         send = op.resume_value
         op.resume_value = None
+        step = op.step
+        op.step = None
         if type(send) is Completion:
             # read completion: turn raw bytes into a parsed node
             cpu(costs.node_parse_ns, CPU_REAL_WORK) or (yield)
             send = self._node_from_completion(send)
+            if step is not None:
+                cpu(costs.node_search_ns, CPU_REAL_WORK) or (yield)
+                step = None
+        # a step still set here was granted its latch while it waited
 
+        latches = self.latches
+        buffer = self.buffer
         while True:
+            if step is not None:
+                # a granted step: release the parent, read, search
+                parent = step.parent
+                if parent is not None:
+                    cpu(costs.latch_release_ns, CPU_SYNC) or (yield)
+                    woken = latches.release(op, parent)
+                    if woken:
+                        self._wake(woken)
+                page_id = step.page_id
+                data = None
+                if buffer is not None:
+                    cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
+                    data = buffer.lookup(page_id)
+                if data is None:
+                    yield from self._read_page(op, page_id)
+                    op.step = step
+                    self._park_for_io(op)
+                    return
+                cpu(costs.node_parse_ns, CPU_REAL_WORK) or (yield)
+                send = self._node_cache.get(page_id)
+                if send is None:
+                    send = Node.from_bytes(self.tree.config, page_id, data)
+                    self._cache_node(send)
+                cpu(costs.node_search_ns, CPU_REAL_WORK) or (yield)
+                step = None
+
             try:
                 effect = op.gen.send(send)
             except StopIteration:
@@ -186,24 +227,23 @@ class PaTreeEngine(PolledWorker):
             send = None
             kind = type(effect)
 
-            if kind is LatchEff:
+            if kind is CoupleEff:
                 cpu(costs.latch_request_ns, CPU_SYNC) or (yield)
-                if not self.latches.request(op, effect.page_id, effect.mode):
-                    op.state = ST_LATCH_WAIT
-                    self.latch_wait_events.add()
-                    if self.tracer.enabled:
-                        self.tracer.async_instant(
-                            "op", op.seq, "latch_wait",
-                            args={"page": effect.page_id},
-                        )
+                if not latches.request(op, effect.page_id, effect.mode):
+                    op.step = effect
+                    self._wait_for_latch(op, effect.page_id)
+                    return
+                step = effect
+
+            elif kind is LatchEff:
+                cpu(costs.latch_request_ns, CPU_SYNC) or (yield)
+                if not latches.request(op, effect.page_id, effect.mode):
+                    self._wait_for_latch(op, effect.page_id)
                     return
 
             elif kind is UnlatchEff:
                 cpu(costs.latch_release_ns, CPU_SYNC) or (yield)
-                woken = self.latches.release(op, effect.page_id)
-                for waiter in woken:
-                    waiter.state = ST_READY
-                    self.policy.on_ready(waiter)
+                self._wake(latches.release(op, effect.page_id))
 
             elif kind is UnlatchManyEff:
                 page_ids = effect.page_ids
@@ -211,16 +251,13 @@ class PaTreeEngine(PolledWorker):
                     vector_cost_ns(costs.latch_release_ns, len(page_ids)),
                     CPU_SYNC,
                 ) or (yield)
-                woken = self.latches.release_many(op, page_ids)
-                for waiter in woken:
-                    waiter.state = ST_READY
-                    self.policy.on_ready(waiter)
+                self._wake(latches.release_many(op, page_ids))
 
             elif kind is ReadEff:
                 page_id = effect.page_id
-                if self.buffer is not None:
+                if buffer is not None:
                     cpu(costs.buffer_lookup_ns, CPU_REAL_WORK) or (yield)
-                    data = self.buffer.lookup(page_id)
+                    data = buffer.lookup(page_id)
                     if data is not None:
                         cpu(costs.node_parse_ns, CPU_REAL_WORK) or (yield)
                         send = self._node_cache.get(page_id)
@@ -256,6 +293,21 @@ class PaTreeEngine(PolledWorker):
 
             else:
                 raise TreeError("operation yielded unknown effect %r" % (effect,))
+
+    def _wait_for_latch(self, op, page_id):
+        """``op`` queued behind a latch on ``page_id``."""
+        op.state = ST_LATCH_WAIT
+        self.latch_wait_events.add()
+        if self.tracer.enabled:
+            self.tracer.async_instant(
+                "op", op.seq, "latch_wait", args={"page": page_id}
+            )
+
+    def _wake(self, woken):
+        """Move operations a latch release granted back to ready."""
+        for waiter in woken:
+            waiter.state = ST_READY
+            self.policy.on_ready(waiter)
 
     def _read_page(self, op, page_id):
         """Submit the read of a page the buffer does not hold."""
@@ -468,10 +520,7 @@ class PaTreeEngine(PolledWorker):
 
     def _release_latches(self, op):
         for page_id in sorted(op.held_latches):
-            woken = self.latches.release(op, page_id)
-            for waiter in woken:
-                waiter.state = ST_READY
-                self.policy.on_ready(waiter)
+            self._wake(self.latches.release(op, page_id))
 
     def _give_up_write(self, completion):
         """The escalation budget is spent; declare the page lost."""

@@ -19,6 +19,12 @@ operation back into the ready set.  The synchronous baselines serve the
 same effects with blocking calls (:mod:`repro.baselines.sync_tree`).
 The LSM plans (:mod:`repro.baselines.lsm.levels`) speak the same
 vocabulary; ``MaintainEff`` and ``RetireEff`` are theirs alone.
+
+One tree level is one transition of Fig 5 -- latch the child, release
+the parent, read the node, search it -- and the tree plans yield it as
+one effect, ``CoupleEff``.  ``LatchEff``, ``UnlatchEff``, ``ReadEff``
+and ``ChargeEff`` spell the steps that are not a level: the meta
+latch, rebalance siblings, the LSM and the Blink-tree plans.
 """
 
 # Operation kinds
@@ -73,6 +79,25 @@ class UnlatchEff(Effect):
 
     def __init__(self, page_id):
         self.page_id = page_id
+
+
+class CoupleEff(Effect):
+    """One latch-coupled level: latch ``page_id`` in ``mode``, release
+    ``parent`` once granted (when given), read ``page_id`` and charge
+    one node search.  Resumes with the node, like ``ReadEff``.
+
+    Served exactly as the four effects ``LatchEff``, ``UnlatchEff``,
+    ``ReadEff``, ``ChargeEff(node_search_ns)`` in that order: a plan
+    is pure between yields, so only where the generator is resumed
+    moves.
+    """
+
+    __slots__ = ("page_id", "mode", "parent")
+
+    def __init__(self, page_id, mode, parent=None):
+        self.page_id = page_id
+        self.mode = mode
+        self.parent = parent
 
 
 class UnlatchManyEff(Effect):
@@ -212,6 +237,7 @@ class Operation:
         "state",
         "gen",
         "resume_value",
+        "step",
         "held_latches",
         "write_latches",
         "io_remaining",
@@ -235,6 +261,9 @@ class Operation:
         self.state = ST_READY
         self.gen = None
         self.resume_value = None
+        # the CoupleEff a polled interpreter parked in the middle of
+        # (latch wait or read wait); it goes on from there on resume
+        self.step = None
         self.held_latches = {}
         self.write_latches = 0
         self.io_remaining = 0

@@ -13,7 +13,12 @@ Concurrency protocol (paper §III-B, latch coupling [3]):
   the path is exactly the set of nodes a structure modification may
   touch.
 * Updates (in-place payload overwrite) couple shared latches on inner
-  nodes and take exclusive only on the leaf.
+  nodes and take exclusive only on the leaf: the shared descent with
+  an exclusive leaf mode.
+
+Every level of every descent is one ``CoupleEff`` (latch the child,
+release the parent, read, search), the transition of the paper's
+Fig 5.
 
 Delete rebalancing merges/borrows only with the *right* sibling under
 the exclusively latched parent, preserving a global left-to-right latch
@@ -36,11 +41,11 @@ from repro.core.ops import (
     AllocEff,
     BATCH,
     ChargeEff,
+    CoupleEff,
     DELETE,
     INSERT,
     LatchEff,
     RANGE,
-    ReadEff,
     SEARCH,
     SYNC,
     SyncEff,
@@ -83,7 +88,6 @@ def _search_plan(op, tree):
 
 
 def _range_plan(op, tree):
-    costs = tree.costs
     results = []
     node = yield from descend_shared(tree, op.key)
     # Scan the leaf chain with shared-latch coupling left to right.
@@ -93,10 +97,7 @@ def _range_plan(op, tree):
             op.result = results
             return
         next_id = node.next_id
-        yield LatchEff(next_id, SHARED)
-        yield UnlatchEff(node.page_id)
-        node = yield ReadEff(next_id)
-        yield ChargeEff(costs.node_search_ns, CPU_REAL_WORK)
+        node = yield CoupleEff(next_id, SHARED, node.page_id)
 
 
 # ----------------------------------------------------------------------
@@ -117,9 +118,7 @@ def _descend_exclusive(op, tree, safe_test):
     path_nodes = [None]
     page_id = tree.meta.root_page
     while True:
-        yield LatchEff(page_id, EXCLUSIVE)
-        node = yield ReadEff(page_id)
-        yield ChargeEff(tree.costs.node_search_ns, CPU_REAL_WORK)
+        node = yield CoupleEff(page_id, EXCLUSIVE)
         if safe_test(node):
             for ancestor in path_ids:
                 yield UnlatchEff(ancestor)
@@ -208,29 +207,14 @@ def _insert_plan(op, tree):
 
 def _update_plan(op, tree):
     costs = tree.costs
-    meta_page = tree.meta_page
-    yield LatchEff(meta_page, SHARED)
-    prev = meta_page
-    page_id = tree.meta.root_page
-    level = tree.meta.height - 1
-    while True:
-        mode = EXCLUSIVE if level == 0 else SHARED
-        yield LatchEff(page_id, mode)
-        yield UnlatchEff(prev)
-        node = yield ReadEff(page_id)
-        yield ChargeEff(costs.node_search_ns, CPU_REAL_WORK)
-        if node.is_leaf:
-            found = node.leaf_lookup(op.key) is not None
-            if found:
-                yield ChargeEff(costs.leaf_update_ns, CPU_REAL_WORK)
-                node.leaf_insert(op.key, op.payload)
-                yield WriteEff([node])
-            op.result = found
-            yield UnlatchEff(page_id)
-            return
-        prev = page_id
-        page_id = node.child_for(op.key)
-        level -= 1
+    leaf = yield from descend_shared(tree, op.key, leaf_mode=EXCLUSIVE)
+    found = leaf.leaf_lookup(op.key) is not None
+    if found:
+        yield ChargeEff(costs.leaf_update_ns, CPU_REAL_WORK)
+        leaf.leaf_insert(op.key, op.payload)
+        yield WriteEff([leaf])
+    op.result = found
+    yield UnlatchEff(leaf.page_id)
 
 
 def _delete_plan(op, tree):

@@ -434,6 +434,7 @@ class PolledWorker:
         if error is not None and op.error is None:
             op.error = error
         op.result = None
+        op.step = None
         if op.gen is not None:
             op.gen.close()
         self._release_latches(op)

@@ -477,6 +477,12 @@ _OPS_STUB = "src/repro/core/ops.py", (
     class ReadEff:
         def __init__(self, page_id):
             self.page_id = page_id
+
+    class CoupleEff:
+        def __init__(self, page_id, mode, parent=None):
+            self.page_id = page_id
+            self.mode = mode
+            self.parent = parent
     """
 )
 
@@ -533,6 +539,68 @@ def test_pa520_crabbing_descent_is_clean(tmp_path):
         },
     )
     assert findings == []
+
+
+def test_pa520_step_descent_that_forgets_its_leaf_release(tmp_path):
+    """A step's parent release never pairs with its own acquire, so a
+    step descent whose leaf branch returns still latched is reported.
+    The four-effect spelling of the same leak is not: its
+    ``UnlatchEff(prev)`` aliases the child (the gap the step closes)."""
+    findings = graph_findings(
+        tmp_path,
+        {
+            _OPS_STUB[0]: _OPS_STUB[1],
+            "src/repro/core/plans.py": (
+                """
+                from repro.core.ops import CoupleEff, LatchEff, ReadEff, UnlatchEff
+
+                def released(op, tree):
+                    meta = tree.meta_page
+                    yield LatchEff(meta, 0)
+                    prev = meta
+                    page = tree.root
+                    while True:
+                        node = yield CoupleEff(page, 0, prev)
+                        if node.is_leaf:
+                            yield UnlatchEff(node.page_id)
+                            return
+                        prev = page
+                        page = node.child
+
+                def forgetful(op, tree):
+                    meta = tree.meta_page
+                    yield LatchEff(meta, 0)
+                    prev = meta
+                    page = tree.root
+                    while True:
+                        node = yield CoupleEff(page, 0, parent=prev)
+                        if node.is_leaf:
+                            op.result = node.lookup(op.key)
+                            return
+                        prev = page
+                        page = node.child
+
+                def four_effects(op, tree):
+                    meta = tree.meta_page
+                    yield LatchEff(meta, 0)
+                    prev = meta
+                    page = tree.root
+                    while True:
+                        yield LatchEff(page, 0)
+                        yield UnlatchEff(prev)
+                        node = yield ReadEff(page)
+                        if node.is_leaf:
+                            op.result = node.lookup(op.key)
+                            return
+                        prev = page
+                        page = node.child
+                """
+            ),
+        },
+    )
+    assert codes(findings) == ["PA520"]
+    assert "'forgetful'" in findings[0].message
+    assert "(page)" in findings[0].message
 
 
 def test_pa520_ownership_transferring_return_is_clean(tmp_path):

@@ -7,6 +7,12 @@ Run sequentially -- each operation alone, the worker left to go idle
 (its internal flushes and compactions included) before the next one is
 issued -- no schedule can differ between the two, so neither may any
 result, any page on the device or the allocator's state.
+
+A tree level is one ``CoupleEff``; each interpreter must serve it
+exactly as its four effects (latch, parent release, read, search).
+The last test runs the tree plans concurrently both ways, as written
+and through an adapter that spells every step as those four effects,
+and holds the whole run equal.
 """
 
 import random
@@ -19,9 +25,15 @@ from repro.baselines.lsm import LeveledStore, LsmConfig, LsmStore
 from repro.baselines.runner import BaselineRunner
 from repro.baselines.sync_tree import SyncTreeAccessor
 from repro.buffer import ReadOnlyBuffer, ReadWriteBuffer
+from repro.core.costs import TreeCostModel
 from repro.core.engine import PaTreeEngine
 from repro.core.ops import (
+    ChargeEff,
+    CoupleEff,
+    LatchEff,
     OpSpec,
+    ReadEff,
+    UnlatchEff,
     batch_op,
     delete_op,
     insert_op,
@@ -30,13 +42,16 @@ from repro.core.ops import (
     sync_op,
     update_op,
 )
+from repro.core.plans import make_plan
 from repro.core.source import ClosedLoopSource
 from repro.core.tree import PaTree
+from repro.faults import FaultConfig
 from repro.nvme.device import NvmeDevice, fast_test_profile
 from repro.nvme.driver import NvmeDriver
 from repro.palsm import PolledLsmWorker
 from repro.sched.naive import NaiveScheduling
 from repro.sim.engine import Engine
+from repro.sim.metrics import CPU_REAL_WORK
 from repro.simos.scheduler import OsProfile, SimOS
 
 TREE_PAYLOAD = 200  # two entries to a leaf: splits and merges every few ops
@@ -46,10 +61,10 @@ def value(key, turn, size=8):
     return ((key * 31 + turn) % 251).to_bytes(1, "little") * size
 
 
-def machine():
+def machine(faults=None):
     engine = Engine(seed=3)
     simos = SimOS(engine, OsProfile(cores=4))
-    device = NvmeDevice(engine, fast_test_profile())
+    device = NvmeDevice(engine, fast_test_profile(), faults=faults)
     return simos, device, NvmeDriver(device)
 
 
@@ -216,3 +231,157 @@ def test_lsm_plans_give_the_same_pages_under_both_interpreters(persistence, seed
     assert polled[2:] == blocking[2:]
     flushes, compactions, _entries, _immutables = polled[3]
     assert flushes >= 10 and compactions >= 3
+
+
+# ----------------------------------------------------------------------
+# CoupleEff against its four-effect spelling
+# ----------------------------------------------------------------------
+
+
+def four_effects(plan, tree):
+    """``plan`` with every ``CoupleEff`` spelled as its four effects."""
+    search_ns = tree.costs.node_search_ns
+    send = None
+    try:
+        while True:
+            try:
+                effect = plan.send(send)
+            except StopIteration:
+                return
+            if type(effect) is CoupleEff:
+                yield LatchEff(effect.page_id, effect.mode)
+                if effect.parent is not None:
+                    yield UnlatchEff(effect.parent)
+                send = yield ReadEff(effect.page_id)
+                yield ChargeEff(search_ns, CPU_REAL_WORK)
+            else:
+                send = yield effect
+    finally:
+        plan.close()
+
+
+class StepEngine(PaTreeEngine):
+    """Counts the parks the four-effect spelling has no state for."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.step_latch_waits = 0
+        self.step_aborts = 0
+
+    def _wait_for_latch(self, op, page_id):
+        self.step_latch_waits += op.step is not None
+        super()._wait_for_latch(op, page_id)
+
+    def _abort_op(self, op, error):
+        self.step_aborts += op.step is not None
+        super()._abort_op(op, error)
+
+
+class ExpandedEngine(PaTreeEngine):
+    def _make_plan(self, op):
+        return four_effects(make_plan(op, self.tree), self.tree)
+
+
+class ExpandedAccessor(SyncTreeAccessor):
+    def _make_plan(self, op):
+        return four_effects(make_plan(op, self.tree), self.tree)
+
+
+def leaf_for(tree, key):
+    """The leaf page owning ``key``, read off the media."""
+    node = tree.read_node_raw(tree.meta.root_page)
+    while not node.is_leaf:
+        node = tree.read_node_raw(node.child_for(key))
+    return node.page_id
+
+
+def log_bursts(simos):
+    """Every ``SimOS.cpu`` burst from now on, in order: when it was
+    asked for, how long, which category."""
+    bursts = []
+    cpu = simos.cpu
+    clock = simos.engine.clock
+
+    def logged(ns, category):
+        bursts.append((clock.now, ns, category))
+        return cpu(ns, category)
+
+    simos.cpu = logged
+    return bursts
+
+
+def run_steps(interpreter, persistence, expanded, seed):
+    """The tree script, eight at a time, as one concurrent run.
+
+    Strong runs unbuffered with the leaf of key 60 poisoned, so reads
+    of it fail and abort their operations.  The search costs more than
+    the parse here, so the burst log tells the two apart."""
+    simos, device, driver = machine(FaultConfig())
+    bursts = log_bursts(simos)
+    tree = PaTree.create(device, payload_size=TREE_PAYLOAD)
+    tree.costs = TreeCostModel()
+    tree.costs.node_search_ns += 200
+    tree.bulk_load(
+        [(key, value(key, 0, TREE_PAYLOAD)) for key in range(2, 120, 3)]
+    )
+    ops = tree_script(seed, 160)
+    if persistence == "weak":
+        buffer = ReadWriteBuffer(6)
+        ops = ops + [sync_op()]
+    else:
+        buffer = None
+        device.fault_injector.poison(leaf_for(tree, 60))
+    if interpreter == "polled":
+        cls = ExpandedEngine if expanded else StepEngine
+        worker = cls(
+            simos, driver, tree, NaiveScheduling(), ClosedLoopSource([], window=8),
+            buffer=buffer,
+        )
+        worker.run_operations(ops, window=8)
+        latches = worker.latches
+    else:
+        latches = BlockingLatchTable()
+        cls = ExpandedAccessor if expanded else SyncTreeAccessor
+        accessor = cls(tree, DedicatedIoService(driver), latches, buffer)
+        BaselineRunner(simos, accessor, ops, n_threads=8).run_to_completion()
+        worker = None
+    run = {
+        "ops": [
+            (op.kind, op.result, None if op.error is None else str(op.error),
+             op.admit_ns, op.done_ns)
+            for op in ops
+        ],
+        "clock": simos.engine.now,
+        "bursts": bursts,
+        "cpu": simos.cpu_account().by_category,
+        "latches": (latches.grants, latches.waits),
+        "device": (
+            device.reads_completed.value,
+            device.writes_completed.value,
+            device.errors_completed.value,
+            device.probe_calls.value,
+        ),
+        "tree": tree_state(tree, device, [])[1:],
+    }
+    return run, worker
+
+
+@pytest.mark.parametrize("interpreter", ["polled", "blocking"])
+@pytest.mark.parametrize("persistence", ["weak", "strong"])
+def test_a_step_is_served_exactly_as_its_four_effects(interpreter, persistence):
+    steps, worker = run_steps(interpreter, persistence, False, 1)
+    expanded, _ = run_steps(interpreter, persistence, True, 1)
+    for part in steps:
+        assert steps[part] == expanded[part], part
+    # the run had latch conflicts, and strong had aborted reads
+    assert steps["latches"][1] > 0
+    errors = [op for op in steps["ops"] if op[2] is not None]
+    assert bool(errors) == (persistence == "strong")
+    assert {op[0] for op in steps["ops"]} >= {
+        "search", "range", "insert", "update", "delete", "batch",
+    }
+    if worker is not None:
+        # the polled interpreter resumed a step after a latch wait, and
+        # aborted one whose read failed
+        assert worker.step_latch_waits > 0
+        assert (worker.step_aborts > 0) == (persistence == "strong")

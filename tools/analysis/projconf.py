@@ -125,6 +125,9 @@ class ProjectConfig:
         self.release_many_effects = frozenset(
             latches.get("release_many_effects", ())
         )
+        self.parent_release_effects = frozenset(
+            latches.get("parent_release_effects", ())
+        )
         self.acquire_methods = frozenset(latches.get("acquire_methods", ()))
         self.release_methods = frozenset(latches.get("release_methods", ()))
         self.release_many_methods = frozenset(

@@ -9,8 +9,10 @@ plans (``repro.baselines.blink_tree``) are the same spelling.
 Two spellings of latch manipulation exist in the tree:
 
 * **effect spelling** — plan generators yield ``LatchEff(page, mode)``
-  / ``UnlatchEff(page)`` / ``UnlatchManyEff(pages)`` and the engine
-  interprets them.  Within one plan the discipline is strict pairing:
+  / ``UnlatchEff(page)`` / ``UnlatchManyEff(pages)``, and each tree
+  level as one latch-coupled step ``CoupleEff(page, mode, parent)``
+  (acquires ``page``, releases ``parent``), and the engine interprets
+  them.  Within one plan the discipline is strict pairing:
   every acquired page must be released on **every** control-flow path
   to normal generator completion (the engine raises ``TreeError`` when
   an operation completes holding latches, but only at runtime, on the
@@ -189,6 +191,13 @@ class _FunctionFacts:
             self.acquires.append(
                 (stmt, call, ast.dump(call.args[0]), _plain_name(call.args[0]))
             )
+            parent = (
+                _parent_arg(call) if name in config.parent_release_effects else None
+            )
+            if parent is not None:
+                self.releases.setdefault(id(stmt), set()).update(
+                    self._release_keys(parent)
+                )
         elif name in config.release_effects and call.args:
             self.uses_effects = True
             self.releases.setdefault(id(stmt), set()).update(
@@ -281,6 +290,18 @@ def _own_statements(funcdef):
                 continue
             if isinstance(child, (ast.stmt, ast.ExceptHandler)):
                 stack.append(child)
+
+
+def _parent_arg(call):
+    """The page a step releases: its ``parent`` keyword or argument 2,
+    None when it names none."""
+    parent = call.args[2] if len(call.args) > 2 else None
+    for keyword in call.keywords:
+        if keyword.arg == "parent":
+            parent = keyword.value
+    if isinstance(parent, ast.Constant) and parent.value is None:
+        return None
+    return parent
 
 
 def _plain_name(node):
@@ -405,13 +426,19 @@ class LatchPairingRule(GraphRule):
     * Release matching is by alias and flow-insensitive: a release
       counts for an acquire when it names the same page expression or
       an alias of it, wherever it sits on the path, whichever hold it
-      actually drops.  In the crabbing descent ``prev = page`` aliases
-      the two names, so the ``UnlatchEff(prev)`` that drops the parent
-      right after ``LatchEff(page)`` also "releases" the child: a plan
-      that forgets its *last* crabbing release (the leaf's, after the
-      loop) still passes.  The runtime checks catch that one
+      actually drops.  In a four-effect crabbing descent ``prev =
+      page`` aliases the two names, so the ``UnlatchEff(prev)`` that
+      drops the parent right after ``LatchEff(page)`` also "releases"
+      the child: such a plan that forgets its *last* crabbing release
+      (the leaf's, after the loop) still passes.  A step descent does
+      not: the step's ``parent`` release sits on the acquiring
+      statement, which a path never counts against its own acquire,
+      so only the next level's step or a real leaf release pairs with
+      it.  Every tree descent is a step descent; the Blink plans are
+      not, and for them the runtime checks catch that one
       (``TreeError`` when an operation completes holding latches,
-      ``LatchTable.assert_quiescent`` after a run).
+      ``LatchTable.assert_quiescent`` after a run).  A leaf release
+      that names an alias of the wrong page still passes either way.
     * It checks effect acquires (``LatchEff``) and handed-over nodes
       only.  The method spelling -- ``request`` on a receiver whose name
       says latch, which in ``src/`` matches ``PaTreeEngine._process``
