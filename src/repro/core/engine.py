@@ -123,7 +123,7 @@ class PaTreeEngine(PolledWorker):
         costs = self.tree.costs
         driver = self.driver
         profile = driver.profile
-        # PAD+ asks the policy, so poller and worker share one verdict
+        # PAD+ reads the history's verdict, the one the worker's reads
         use_model = (
             self.dedicated_poller == POLLER_MODEL
             and getattr(self.policy, "probe_model", None) is not None
@@ -138,7 +138,7 @@ class PaTreeEngine(PolledWorker):
                 overdue = gap >= max_gap_ns
                 gated = gap < min_gap_ns or (
                     self.io_history.outstanding_count == 0
-                    or not self.policy.predicts_completion()
+                    or not self.io_history.predicts_completion()
                 )
                 if not overdue and gated:
                     cpu(costs.idle_spin_ns, CPU_SCHED) or (yield)

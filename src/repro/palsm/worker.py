@@ -167,7 +167,7 @@ class PolledLsmWorker(PolledWorker):
         min_active = self._admitted.oldest(self._next_seq)
         kept = []
         for barrier, lbas in self._pending_frees:
-            if min_active > barrier:
+            if min_active >= barrier:
                 self.store.free_pages(lbas)
             else:
                 kept.append((barrier, lbas))

@@ -22,12 +22,18 @@ slice to cross, and moving heads until one has not crossed yet leaves
 every live record in column ``min(age // slice_ns, n - 1)`` — the
 vector a loop over all of them would build (DESIGN.md §4.5).
 
-Also maintains the rolling average completion latency used by the
-``avg(t)`` probing baseline of Fig 10.
+The model's prediction ``T @ beta`` is state as well (:meth:`use_model`):
+the betas are doubles, so ints once scaled to one power of two, and
+``w_sum`` / ``r_sum`` are python ints each unit move of a count updates
+by its column's weights, so the verdict is two exact comparisons with
+``scale``.  The rolling latency window of Fig 10's ``avg(t)`` baseline
+is kept only when its policy asks (:meth:`keep_latency_window`).
 """
 
 import sys
 from collections import deque
+from itertools import groupby
+from operator import itemgetter
 
 from repro.sim.clock import usec
 
@@ -53,11 +59,14 @@ class IoHistory:
         self.window_ns = usec(window_us)
         self.slices = slices
         self.slice_ns = self.window_ns // slices
-        self.latency_window_ns = usec(LATENCY_WINDOW_US)
         self.outstanding_count = 0
-        # the feature vector as of the last reader; shape_stamp() brings
-        # it up to now.  Read it, never write it or keep it.
+        # the feature vector as of the last reader, which brings it up
+        # to now.  Read it, never write it or keep it.
         self.counts = [0] * (2 * slices)
+        # T @ beta * scale of the model in use; none predicts nothing
+        self.scale = 1
+        self.w_sum = self.r_sum = 0
+        self._weights = self._steps = [(0, 0)] * (2 * slices)
         self._records = {}
         # column -> the FIFO its records wait in; the oldest slice has none
         fifos = [deque() for _ in range(slices - 1)] + [None]
@@ -68,12 +77,23 @@ class IoHistory:
             for index, fifo in enumerate(fifos[:-1])
         ]
         self._next_crossing = _NEVER
-        self._stamp = 0
-        self._completions = deque()
+        self._completions = None  # keep_latency_window() starts the window
         self._latency_sum = 0
-        self.submitted_reads = 0
-        self.submitted_writes = 0
-        self.detected_completions = 0
+
+    def use_model(self, model):
+        """Keep ``model``'s prediction as running sums from now on."""
+        self.scale = model.scale
+        self._weights = weights = model.weights
+        # column -> what a record ageing out of it adds to the sums
+        pairs = zip(weights, weights[1:])
+        self._steps = [(w1 - w0, r1 - r0) for (w0, r0), (w1, r1) in pairs]
+        self.w_sum = sum(count * w for count, (w, _) in zip(self.counts, weights))
+        self.r_sum = sum(count * r for count, (_, r) in zip(self.counts, weights))
+
+    def keep_latency_window(self):
+        """Keep every detected completion of the last second from now
+        on, for :meth:`avg_completion_latency_ns` (no other reader)."""
+        self._completions = deque()
 
     def on_submit(self, command):
         """Book a command the driver just accepted.
@@ -89,16 +109,13 @@ class IoHistory:
             # told late: what was booked before it goes ahead of it
             self._age()
             index = min((self.clock.now - submit_ns) // slice_ns, self.slices - 1)
-        if command.is_write:
-            self.submitted_writes += 1
-            column = index
-        else:
-            self.submitted_reads += 1
-            column = self.slices + index
+        column = index if command.is_write else self.slices + index
         self._records[command] = record = [submit_ns, column]
         self.outstanding_count += 1
         self.counts[column] += 1
-        self._stamp += 1
+        w, r = self._weights[column]
+        self.w_sum += w
+        self.r_sum += r
         fifo = self._fifo_of[column]
         if fifo is not None:
             fifo.append(record)
@@ -109,8 +126,8 @@ class IoHistory:
     def on_complete(self, command):
         """Record a completion *detected by probe* (polled-mode).
 
-        A command this history was never told about counts as a
-        detected completion with its latency and touches no record.
+        A command this history was never told about touches no record
+        (a kept latency window still takes its latency).
         """
         record = self._records.pop(command, None)
         if record is not None:
@@ -118,7 +135,9 @@ class IoHistory:
             record[1] = _DEAD
             self.outstanding_count -= 1
             self.counts[column] -= 1
-            self._stamp += 1
+            w, r = self._weights[column]
+            self.w_sum -= w
+            self.r_sum -= r
             fifo = self._fifo_of[column]
             if fifo is not None and fifo[0] is record:
                 # a head is always live: drop this one and the dead
@@ -127,14 +146,14 @@ class IoHistory:
                 while fifo and fifo[0][1] == _DEAD:
                     fifo.popleft()
                 self._next_crossing = _STALE
-        self.detected_completions += 1
-        latency = self.clock.now - command.submit_ns
-        self._completions.append((self.clock.now, latency))
-        self._latency_sum += latency
-        self._trim_completions()
+        if self._completions is not None:
+            latency = self.clock.now - command.submit_ns
+            self._completions.append((self.clock.now, latency))
+            self._latency_sum += latency
+            self._trim_completions()
 
     def _trim_completions(self):
-        horizon = self.clock.now - self.latency_window_ns
+        horizon = self.clock.now - usec(LATENCY_WINDOW_US)
         completions = self._completions
         while completions and completions[0][0] < horizon:
             _, latency = completions.popleft()
@@ -146,8 +165,10 @@ class IoHistory:
         slices cascades, and cache the next instant one will cross."""
         now = self.clock.now
         counts = self.counts
+        steps = self._steps
+        w_sum = self.w_sum
+        r_sum = self.r_sum
         next_crossing = _NEVER
-        moved = 0
         for fifo, boundary_ns, older in self._walk:
             while fifo:
                 record = fifo[0]
@@ -159,42 +180,69 @@ class IoHistory:
                             next_crossing = crossing
                         break
                     counts[column] -= 1
+                    step_w, step_r = steps[column]
+                    w_sum += step_w
+                    r_sum += step_r
                     column += 1
                     counts[column] += 1
                     record[1] = column
-                    moved += 1
                     if older is not None:
                         # everything already there is older
                         older.append(record)
                 fifo.popleft()
-        self._stamp += moved
+        self.w_sum = w_sum
+        self.r_sum = r_sum
         self._next_crossing = next_crossing
 
-    def shape_stamp(self):
-        """A number that changes whenever the feature vector does (a
-        submit, a completion, a record ageing into its next slice):
-        while it stands, whatever was derived from ``counts`` stands."""
+    def predicts_completion(self):
+        """The model's verdict now: at least one completion waiting
+        (``LinearProbeModel.predicts_completion`` of the vector)."""
         if self.clock.now >= self._next_crossing:
             self._age()
-        return self._stamp
+        scale = self.scale
+        return self.w_sum >= scale or self.r_sum >= scale
+
+    def verdict_until_ns(self, until_ns):
+        """The first instant before ``until_ns`` at which the verdict
+        flips with no submit or completion, else ``until_ns``: every
+        crossing before it, applied to copies of the sums one instant at
+        a time (a record crosses once per slice it ages through)."""
+        if self.clock.now >= self._next_crossing:
+            self._age()
+        if self._next_crossing >= until_ns:
+            return until_ns
+        slice_ns = self.slice_ns
+        oldest_ns = (self.slices - 1) * slice_ns
+        moves = []
+        for fifo, boundary_ns, _ in self._walk:
+            for submit_ns, column in fifo:
+                if column != _DEAD:
+                    if submit_ns + boundary_ns >= until_ns:
+                        break  # and so does every record behind it
+                    end_ns = min(until_ns, submit_ns + oldest_ns + 1)
+                    at = range(submit_ns + boundary_ns, end_ns, slice_ns)
+                    moves.extend(zip(at, range(column, column + len(at))))
+        scale, w_sum, r_sum, steps = self.scale, self.w_sum, self.r_sum, self._steps
+        verdict = w_sum >= scale or r_sum >= scale
+        for at_ns, group in groupby(sorted(moves), itemgetter(0)):
+            for _, column in group:
+                step_w, step_r = steps[column]
+                w_sum += step_w
+                r_sum += step_r
+            if (w_sum >= scale or r_sum >= scale) != verdict:
+                return at_ns
+        return until_ns
 
     def feature_vector(self):
         """The ``2n``-dim feature list ``[w_1..w_n, r_1..r_n]`` of int
         counts, the caller's to keep."""
-        self.shape_stamp()
+        if self.clock.now >= self._next_crossing:
+            self._age()
         return list(self.counts)
 
-    def next_slice_crossing_ns(self):
-        """First instant after now at which :meth:`feature_vector` changes
-        with the outstanding set as it is (an I/O ages into its next
-        slice), or None when every one already sits in the oldest."""
-        self.shape_stamp()
-        if self._next_crossing == _NEVER:
-            return None
-        return self._next_crossing
-
     def avg_completion_latency_ns(self):
-        """Mean detected-completion latency over the rolling window."""
+        """Mean detected-completion latency over the rolling window of
+        a history told to :meth:`keep_latency_window`."""
         self._trim_completions()
         count = len(self._completions)
         if count == 0:

@@ -70,6 +70,10 @@ class AvgLatencyProbing(_TimerProbing):
         # the period before any I/O has completed
         self.fallback_ns = usec(100)
 
+    def bind(self, engine):
+        super().bind(engine)
+        engine.io_history.keep_latency_window()
+
     def period_ns(self):
         average = self.engine.io_history.avg_completion_latency_ns()
         return average if average > 0 else self.fallback_ns

@@ -25,7 +25,9 @@ from repro.sim.engine import Engine
 
 
 class LinearProbeModel:
-    """``(w0, r0) = T @ beta``; ``beta`` is ``2n`` rows ``(w, r)``."""
+    """``(w0, r0) = T @ beta``; ``beta`` is ``2n`` rows ``(w, r)``, and
+    ``weights`` the same rows as the ints ``beta * scale``: a double is a
+    dyadic rational, and ``scale`` is the largest denominator."""
 
     def __init__(self, beta, window_us=DEFAULT_WINDOW_US, slices=DEFAULT_SLICES):
         beta = tuple(tuple(float(value) for value in row) for row in beta)
@@ -37,27 +39,17 @@ class LinearProbeModel:
         self.beta = beta
         self.window_us = window_us
         self.slices = slices
-        self._beta_w = [w for w, _ in beta]
-        self._beta_r = [r for _, r in beta]
-
-    def predict(self, features):
-        """Expected (completed writes, completed reads) right now."""
-        n = len(features)
-        w0 = 0.0
-        r0 = 0.0
-        beta_w = self._beta_w
-        beta_r = self._beta_r
-        for index in range(n):
-            value = features[index]
-            if value:
-                w0 += value * beta_w[index]
-                r0 += value * beta_r[index]
-        return w0, r0
+        ratios = [value.as_integer_ratio() for row in beta for value in row]
+        self.scale = scale = max(denominator for _, denominator in ratios)
+        ints = [numerator * (scale // denominator) for numerator, denominator in ratios]
+        self.weights = list(zip(ints[0::2], ints[1::2]))
 
     def predicts_completion(self, features):
-        """At least one write or read completion predicted waiting."""
-        w0, r0 = self.predict(features)
-        return w0 >= 1.0 or r0 >= 1.0
+        """At least one write or read completion predicted waiting for
+        int counts ``features``, exactly: ``IoHistory``'s rule."""
+        w0 = sum(count * w for count, (w, _) in zip(features, self.weights))
+        r0 = sum(count * r for count, (_, r) in zip(features, self.weights))
+        return w0 >= self.scale or r0 >= self.scale
 
 
 def train_probe_model(

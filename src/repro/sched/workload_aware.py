@@ -51,8 +51,10 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         self.min_probe_gap_ns = usec(MIN_PROBE_GAP_US)
         self.max_probe_gap_ns = usec(MAX_PROBE_GAP_US)
         self._last_probe_ns = -1
-        self._verdict_stamp = None
-        self._verdict = False
+
+    def bind(self, engine):
+        super().bind(engine)
+        engine.io_history.use_model(self.probe_model)
 
     def should_probe(self):
         history = self.engine.io_history
@@ -69,17 +71,7 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         # below one; bound the detection delay (and tail latency).
         if gap >= self.max_probe_gap_ns:
             return True
-        return self.predicts_completion()
-
-    def predicts_completion(self):
-        """The model's verdict on the outstanding I/Os as they are now,
-        asked of the model once per change of the feature vector."""
-        history = self.engine.io_history
-        stamp = history.shape_stamp()
-        if stamp != self._verdict_stamp:
-            self._verdict_stamp = stamp
-            self._verdict = self.probe_model.predicts_completion(history.counts)
-        return self._verdict
+        return history.predicts_completion()
 
     def note_probe(self, now_ns, completions):
         self._last_probe_ns = now_ns
@@ -97,7 +89,7 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         # but saves the idle spin -- the Fig 13 trade.  With I/Os in
         # flight a short granule keeps that delay small relative to
         # device latency; with none in flight the full granule is safe.
-        if self.predicts_completion():
+        if history.predicts_completion():
             return 0
         return min(self.yield_ns, self._inflight_granule_ns)
 
@@ -108,16 +100,13 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         if history.outstanding_count == 0:
             return sys.maxsize  # should_probe is not asked, no model to ask
         # should_probe goes on declining for the reason it just did
-        # until the gap reaches the next threshold, and the model (asked
-        # there or by idle_sleep_ns) until an I/O ages into a new slice
+        # until the gap reaches the next threshold, and the verdict
+        # (read there or by idle_sleep_ns) stands until it flips
         now = self.engine.clock.now
         gap_ns = self.min_probe_gap_ns
         if now - self._last_probe_ns >= gap_ns:
             gap_ns = self.max_probe_gap_ns
-        until_ns = self._last_probe_ns + gap_ns
-        crossing_ns = history.next_slice_crossing_ns()
-        if crossing_ns is not None and crossing_ns < until_ns:
-            until_ns = crossing_ns
+        until_ns = history.verdict_until_ns(self._last_probe_ns + gap_ns)
         return (until_ns - now - 1) // step_ns
 
     def gate_cost_ns(self):

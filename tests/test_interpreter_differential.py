@@ -157,9 +157,9 @@ def test_tree_plans_give_the_same_pages_under_both_interpreters(persistence, see
 # merges level 0 into level 1 once and ends.  One that went on to a
 # second level would allocate its output after its first retirement:
 # the blocking store frees retired pages at once (no read is in
-# flight), the polled worker quarantines them until the compaction and
-# the operation after it are done, so that output would land on other
-# LBAs -- the same tables, elsewhere on the device.
+# flight), the polled worker quarantines them until the compaction is
+# done, so that output would land on other LBAs -- the same tables,
+# elsewhere on the device.
 LSM_SHAPE = dict(
     memtable_entries=4, level0_limit=2, level1_tables=64, wal_pages=64,
     block_cache_pages=16,
@@ -198,15 +198,14 @@ def run_lsm(interpreter, persistence, ops):
         store = LsmStore(device, DedicatedIoService(driver), config, persistence)
     store.bulk_load([(key, value(key, 0)) for key in range(3, 90, 4)])
     ops = ops + [sync_op()]
-    quarantined = []
     if interpreter == "polled":
         worker = PolledLsmWorker(
             simos, driver, store, NaiveScheduling(), ClosedLoopSource([], window=1)
         )
         for op in ops:
             worker.run_operations([op], window=1)
-        # freed by the blocking store, still held by the quarantine
-        quarantined = [lba for _barrier, lbas in worker._pending_frees for lba in lbas]
+        # one op at a time: nothing in flight holds a retired page
+        assert not worker._pending_frees
     else:
         for op in ops:
             BaselineRunner(simos, store, [op], n_threads=1).run_to_completion()
@@ -217,7 +216,7 @@ def run_lsm(interpreter, persistence, ops):
         [[table.page_lbas for table in level] for level in store.levels],
         (store.flushes, store.compactions, len(store.memtable), store.immutables),
         (store.wal.next_lsn, store.wal.durable_lsn),
-        (allocator.next_page, list(allocator._free) + quarantined),
+        (allocator.next_page, list(allocator._free)),
     )
 
 

@@ -128,6 +128,29 @@ class TestPaLsmBasics:
         assert store.compactions >= 1
         assert not worker._pending_frees  # drained once ops completed
 
+    def test_a_compaction_alone_in_flight_frees_what_it_retired(self):
+        """The barrier is the first seq admitted after the swap: when
+        the compaction completes with no operation in flight, its
+        retired pages go back to the allocator there and then."""
+        _device, store, worker = build(memtable_entries=20, level0_limit=2)
+        retired = []
+        swap = store._swap
+
+        def recording(*args):
+            lbas = swap(*args)
+            retired.extend(lbas)
+            return lbas
+
+        store._swap = recording
+        for k in range(400):
+            worker.run_operations([insert_op(k % 50, payload(k))], window=1)
+            if store.compactions:
+                break
+        assert store.compactions == 1
+        assert retired
+        assert not worker._pending_frees
+        assert set(retired) <= set(store.allocator._free)
+
 
 def test_a_late_read_for_an_aborted_op_stays_out_of_the_block_cache():
     """An aborted batch read can release the quarantine that held its

@@ -3,6 +3,8 @@ probing policies."""
 
 import hashlib
 import struct
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,13 +81,15 @@ class _Command:
 
 class _OracleHistory:
     """The loops over every outstanding command that IoHistory ran per
-    question before it kept the counts: the reference it must equal."""
+    question before it kept the counts and the sums: the reference it
+    must equal."""
 
     def __init__(self, history):
         self.clock = history.clock
         self.slices = history.slices
         self.slice_ns = history.slice_ns
         self.outstanding = {}
+        self.beta = None
 
     def on_submit(self, command):
         self.outstanding[command] = (command.submit_ns, command.is_write)
@@ -93,14 +97,25 @@ class _OracleHistory:
     def on_complete(self, command):
         self.outstanding.pop(command, None)
 
-    def feature_vector(self):
-        now = self.clock.now
+    def feature_vector(self, now=None):
+        now = self.clock.now if now is None else now
         n = self.slices
         features = [0.0] * (2 * n)
         for submit_ns, is_write in self.outstanding.values():
             index = min(max((now - submit_ns) // self.slice_ns, 0), n - 1)
             features[index if is_write else n + index] += 1.0
         return features
+
+    def prediction(self, now=None):
+        """``T @ beta`` as exact fractions (zero with no model)."""
+        w0 = r0 = Fraction(0)
+        for count, (w, r) in zip(self.feature_vector(now), self.beta or ()):
+            w0 += Fraction(count) * Fraction(w)
+            r0 += Fraction(count) * Fraction(r)
+        return w0, r0
+
+    def verdict(self, now=None):
+        return any(value >= 1 for value in self.prediction(now))
 
     def next_slice_crossing_ns(self):
         now = self.clock.now
@@ -113,6 +128,30 @@ class _OracleHistory:
                     crossing = at_ns
         return crossing
 
+    def verdict_until_ns(self, until_ns):
+        """The from-scratch vector changes only where a command crosses
+        into its next slice: the first such instant whose verdict
+        differs from now's, else ``until_ns``."""
+        now = self.clock.now
+        instants = sorted({
+            submit_ns + hop * self.slice_ns
+            for submit_ns, _ in self.outstanding.values()
+            for hop in range(1, self.slices)
+            if now < submit_ns + hop * self.slice_ns < until_ns
+        })
+        verdict = self.verdict()
+        for at_ns in instants:
+            if self.verdict(at_ns) != verdict:
+                return at_ns
+        return until_ns
+
+
+def _crossing(history):
+    """The history's cached next crossing, brought up to now."""
+    history.predicts_completion()
+    crossing = history._next_crossing
+    return None if crossing == sys.maxsize else crossing
+
 
 class _CheckedHistory(IoHistory):
     """An IoHistory that holds every answer it gives against the oracle."""
@@ -121,21 +160,36 @@ class _CheckedHistory(IoHistory):
         super().__init__(*args, **kwargs)
         self.oracle = _OracleHistory(self)
         self.answers = 0
+        self.submits = self.completions = 0
+
+    def use_model(self, model):
+        self.oracle.beta = model.beta
+        super().use_model(model)
 
     def on_submit(self, command):
+        self.submits += 1
         self.oracle.on_submit(command)
         super().on_submit(command)
 
     def on_complete(self, command):
+        self.completions += 1
         self.oracle.on_complete(command)
         super().on_complete(command)
 
-    def shape_stamp(self):
-        stamp = super().shape_stamp()
+    def predicts_completion(self):
+        verdict = super().predicts_completion()
         self.answers += 1
-        assert self.counts == self.oracle.feature_vector()
-        assert self.outstanding_count == len(self.oracle.outstanding)
-        return stamp
+        oracle = self.oracle
+        assert self.counts == oracle.feature_vector()
+        assert self.outstanding_count == len(oracle.outstanding)
+        crossing = oracle.next_slice_crossing_ns()
+        assert self._next_crossing == (sys.maxsize if crossing is None else crossing)
+        # the running sums are the exact dot product, scaled
+        assert (
+            Fraction(self.w_sum, self.scale), Fraction(self.r_sum, self.scale)
+        ) == oracle.prediction()
+        assert verdict == oracle.verdict()
+        return verdict
 
     def feature_vector(self):
         features = super().feature_vector()
@@ -143,15 +197,20 @@ class _CheckedHistory(IoHistory):
         assert features == self.oracle.feature_vector()
         return features
 
-    def next_slice_crossing_ns(self):
-        crossing = super().next_slice_crossing_ns()
+    def verdict_until_ns(self, until_ns):
+        flip_ns = super().verdict_until_ns(until_ns)
         self.answers += 1
-        assert crossing == self.oracle.next_slice_crossing_ns()
-        return crossing
+        assert flip_ns == self.oracle.verdict_until_ns(until_ns)
+        self.predicts_completion()  # the walk left the sums as they are now
+        return flip_ns
 
 
 SLICE_NS = usec(10)
 WINDOW_NS = 6 * SLICE_NS
+
+# betas that make the verdict flip both ways as I/Os age and complete;
+# 0.1 and 0.3 are not sums of powers of two
+_BETAS = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 1.0, -0.25, -0.5])
 
 _STEPS = st.one_of(
     st.just(("read", 0)),
@@ -170,43 +229,118 @@ _STEPS = st.one_of(
 )
 
 
+def _model(betas, slices, window_us):
+    size = len(betas)
+    beta = [(betas[i % size], betas[-1 - i % size]) for i in range(2 * slices)]
+    return LinearProbeModel(beta, window_us=window_us, slices=slices)
+
+
 @settings(max_examples=200, deadline=None)
-@given(script=st.lists(_STEPS, max_size=80), slices=st.sampled_from([1, 2, 6]))
-def test_history_equals_the_from_scratch_loops(script, slices):
+@given(
+    script=st.lists(_STEPS, max_size=80),
+    slices=st.sampled_from([1, 2, 6]),
+    betas=st.lists(_BETAS, min_size=1, max_size=6),
+    ahead=st.one_of(
+        st.integers(1, SLICE_NS - 1),
+        st.just(SLICE_NS),
+        st.integers(SLICE_NS + 1, 3 * WINDOW_NS),
+    ),
+)
+def test_history_equals_the_from_scratch_loops(script, slices, betas, ahead):
     """Whatever is submitted, completed (not oldest first) and however
     the clock moves between questions, every answer is the one a loop
-    over the outstanding commands gives, whichever reader asks first,
-    and the stamp stands exactly while the vector does."""
+    over the outstanding commands gives, whichever reader asks first:
+    the vector, the exact running sums and verdict, the cached crossing
+    and the instant the verdict flips, looked ahead below, at and above
+    one slice."""
     clock = Clock()
     history = _CheckedHistory(clock, window_us=60, slices=slices)
+    history.use_model(_model(betas, slices, 60))
     oracle = history.oracle
     readers = [
         history.feature_vector,
-        history.next_slice_crossing_ns,
-        history.shape_stamp,
+        history.predicts_completion,
+        lambda: history.verdict_until_ns(clock.now + ahead),
     ]
-    stamp = history.shape_stamp()
-    vector = history.feature_vector()
-    touched = False
     for step, value in script + [("ask", 0)]:
         if step == "advance":
             clock.advance_to(clock.now + value)
         elif step == "complete":
             if value < len(oracle.outstanding):
                 history.on_complete(list(oracle.outstanding)[value])
-                touched = True
         elif step == "ask":
             for reader in readers[value:] + readers[:value]:
                 reader()
-            was, stamp = stamp, history.shape_stamp()
-            changed = touched or history.counts != vector
-            assert (stamp != was) == changed
-            vector = history.feature_vector()
-            touched = False
         else:
             history.on_submit(_Command(clock.now, step == "write"))
-            touched = True
         assert history.outstanding_count == len(oracle.outstanding)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    script=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["read", "write"]), st.integers(0, 0)),
+            st.tuples(st.just("complete"), st.integers(0, 5)),
+            st.tuples(st.just("advance"), st.integers(0, 25)),
+        ),
+        max_size=40,
+    ),
+    betas=st.lists(_BETAS, min_size=1, max_size=6),
+    ahead=st.integers(1, 70),
+)
+def test_the_lookahead_is_the_first_instant_the_verdict_flips(script, betas, ahead):
+    """On 10 ns slices the from-scratch verdict is read at every
+    nanosecond up to the bound: the bound is where it first differs from
+    now's, never later (windows below, at and far above one slice)."""
+    clock = Clock()
+    history = _CheckedHistory(clock, window_us=0.06, slices=6)
+    assert history.slice_ns == 10
+    history.use_model(_model(betas, 6, 0.06))
+    oracle = history.oracle
+    for step, value in script:
+        if step == "advance":
+            clock.advance_to(clock.now + value)
+        elif step == "complete":
+            if value < len(oracle.outstanding):
+                history.on_complete(list(oracle.outstanding)[value])
+        else:
+            history.on_submit(_Command(clock.now, step == "write"))
+    now = clock.now
+    until_ns = now + ahead
+    flip_ns = history.verdict_until_ns(until_ns)
+    verdict = oracle.verdict()
+    brute = next(
+        (at_ns for at_ns in range(now, until_ns) if oracle.verdict(at_ns) != verdict),
+        until_ns,
+    )
+    assert flip_ns == brute
+
+
+def test_the_exact_verdict_where_the_float_sum_falls_short():
+    """beta 0.1 in ten columns, one read in each: added in index order
+    the doubles sum to 0.9999999999999999 and a float rule predicts
+    nothing; the doubles themselves sum to more than one, and the exact
+    rule, the model's and the history's alike, predicts a completion."""
+    slices = 10
+    beta = [(0.0, 0.0)] * slices + [(0.0, 0.1)] * slices
+    model = LinearProbeModel(beta, window_us=100, slices=slices)
+    float_sum = 0.0
+    for _ in range(slices):
+        float_sum += 0.1
+    assert float_sum == 0.9999999999999999 < 1.0
+    assert slices * Fraction(0.1) > 1
+    features = [0] * slices + [1] * slices
+    assert model.predicts_completion(features)
+    clock = Clock()
+    history = _CheckedHistory(clock, window_us=100, slices=slices)
+    history.use_model(model)
+    for index in range(slices):  # at 90 us, one read in each slice
+        clock.advance_to(usec(10) * index)
+        history.on_submit(_Command(clock.now, False))
+    assert history.feature_vector() == features
+    assert history.predicts_completion()
+    assert history.r_sum == history.scale * slices * Fraction(0.1)
 
 
 class TestIoHistory:
@@ -231,7 +365,6 @@ class TestIoHistory:
         driver.probe(qpair)
         history.on_complete(command)
         assert history.outstanding_count == 0
-        assert history.detected_completions == 1
 
     def test_feature_vector_buckets_by_age(self):
         engine, driver, qpair, history = self._history()
@@ -259,20 +392,18 @@ class TestIoHistory:
         features = history.feature_vector()
         assert features[2 * history.slices - 1] == 1.0
         assert sum(features) == 1.0
-        assert history.next_slice_crossing_ns() is None
+        assert _crossing(history) is None
 
     def test_record_jumps_several_slices_in_one_sweep(self):
         clock, history = self._checked()
         history.on_submit(_Command(0, False))
         clock.advance_to(usec(30))
         history.on_submit(_Command(clock.now, True))
-        stamp = history.shape_stamp()
         clock.advance_to(usec(260))  # nobody asked on the way
         features = history.feature_vector()
         assert features[20 + 5] == 1.0  # the read, 260us old
         assert features[4] == 1.0  # the write, 230us old
-        assert history.shape_stamp() != stamp
-        assert history.next_slice_crossing_ns() == usec(30) + 5 * usec(50)
+        assert _crossing(history) == usec(30) + 5 * usec(50)
 
     def test_crossing_is_exact_after_a_completion(self):
         clock, history = self._checked()
@@ -284,22 +415,22 @@ class TestIoHistory:
         clock.advance_to(usec(20))
         third = _Command(clock.now, True)
         history.on_submit(third)
-        assert history.next_slice_crossing_ns() == usec(50)
+        assert _crossing(history) == usec(50)
         # not a FIFO head: the cached instant is still the head's
         history.on_complete(second)
-        assert history.next_slice_crossing_ns() == usec(50)
+        assert _crossing(history) == usec(50)
         # the head the cached instant belonged to: the next one's, not early
         history.on_complete(first)
-        assert history.next_slice_crossing_ns() == usec(70)
+        assert _crossing(history) == usec(70)
         # across FIFOs: the older record owns the instant, then dies
         clock.advance_to(usec(75))
         fourth = _Command(clock.now, False)
         history.on_submit(fourth)
-        assert history.next_slice_crossing_ns() == usec(120)
+        assert _crossing(history) == usec(120)
         history.on_complete(third)
-        assert history.next_slice_crossing_ns() == usec(125)
+        assert _crossing(history) == usec(125)
         history.on_complete(fourth)
-        assert history.next_slice_crossing_ns() is None
+        assert _crossing(history) is None
 
     def test_no_reader_keeps_a_bounded_number_of_records(self):
         clock, history = self._checked()
@@ -327,21 +458,23 @@ class TestIoHistory:
         features = history.feature_vector()
         assert features[20 + 2] == 1.0
         assert features[2] == 1.0
-        assert history.next_slice_crossing_ns() == usec(150)
+        assert _crossing(history) == usec(150)
         clock.advance_to(usec(175))
         assert history.feature_vector()[3] == 1.0
 
     def test_completion_of_a_command_never_submitted(self):
         clock, history = self._checked()
+        history.keep_latency_window()
+        history.use_model(LinearProbeModel([(0.5, 0.5)] * 40))
         history.on_submit(_Command(0, False))
-        stamp = history.shape_stamp()
         clock.advance_to(usec(40))
+        vector = history.feature_vector()
+        sums = (history.w_sum, history.r_sum)
         history.on_complete(_Command(usec(10), True))
         assert history.outstanding_count == 1
-        assert history.detected_completions == 1
         assert history.avg_completion_latency_ns() == usec(30)
-        assert history.shape_stamp() == stamp
-        assert sum(history.feature_vector()) == 1.0
+        assert history.feature_vector() == vector
+        assert (history.w_sum, history.r_sum) == sums
 
     def test_outstanding_set_is_keyed_by_the_command(self):
         # nothing else holds these commands: keyed by id() the second
@@ -354,6 +487,7 @@ class TestIoHistory:
 
     def test_driver_retry_keeps_the_first_submit_instant(self):
         clock, history = self._checked()
+        history.keep_latency_window()
         command = _Command(0, False)
         history.on_submit(command)
         clock.advance_to(usec(70))
@@ -365,6 +499,7 @@ class TestIoHistory:
 
     def test_avg_latency_window(self):
         engine, driver, qpair, history = self._history()
+        history.keep_latency_window()
         commands = [driver.read(qpair, lba) for lba in range(1, 5)]
         for command in commands:
             history.on_submit(command)
@@ -383,13 +518,22 @@ class TestProbeModel:
         )
         # a device-latency-aged read should predict ~1 completion
         n = model.slices
-        features = [0.0] * (2 * n)
-        features[n + 2] = 4.0  # four reads aged ~100-150us
-        w0, r0 = model.predict(features)
-        assert r0 > 1.0
-        assert abs(w0) < 1.0
+        features = [0] * (2 * n)
+        features[n + 2] = 4  # four reads aged ~100-150us
+        w0, r0 = (4 * Fraction(value) for value in model.beta[n + 2])
+        assert r0 > 1
+        assert abs(w0) < 1
+        assert model.predicts_completion(features)
         # an empty system predicts nothing
-        assert model.predict([0.0] * (2 * n)) == (0.0, 0.0)
+        assert not model.predicts_completion([0] * (2 * n))
+
+    def test_the_scaled_betas_are_the_betas_exactly(self):
+        model = cached_probe_model(i3_nvme_profile())
+        assert model.scale == 2 ** 62
+        for row, ints in zip(model.beta, model.weights):
+            assert [Fraction(value) for value in row] == [
+                Fraction(value, model.scale) for value in ints
+            ]
 
     def _train(self, monkeypatch, slow=False):
         """The pinned training run: its model, the digest of the normal
@@ -506,10 +650,10 @@ class TestProbeModel:
         beta = [(0.0, 0.0)] * 40
         beta[20] = (0.0, 0.5)
         model = LinearProbeModel(beta)
-        features = [0.0] * 40
-        features[20] = 1.0
+        features = [0] * 40
+        features[20] = 1
         assert not model.predicts_completion(features)
-        features[20] = 2.0
+        features[20] = 2
         assert model.predicts_completion(features)
 
     def test_beta_shape_validated(self):
@@ -708,6 +852,10 @@ class _FakeEngine:
             outstanding_count = 1
 
             @staticmethod
+            def keep_latency_window():
+                pass
+
+            @staticmethod
             def avg_completion_latency_ns():
                 return usec(40)
 
@@ -755,14 +903,23 @@ class TestProbingPolicies:
 
 
 class TestWorkloadAwareVerdict:
-    """The policy's cached verdict over a real history."""
+    """The policy's verdict, read off a real history's running sums."""
 
     def _model(self, slices=10):
         # a read at least one slice old, or three writes, is a completion
         beta = [(0.34, 0.0)] * (slices + 1) + [(0.34, 1.0)] * (slices - 1)
         return LinearProbeModel(beta, window_us=100, slices=slices)
 
-    def test_model_is_asked_once_per_change_of_the_vector(self):
+    def _bound(self, model):
+        policy = WorkloadAwareScheduling(model)
+        engine = _FakeEngine()
+        engine.io_history = _CheckedHistory(
+            engine.clock, window_us=model.window_us, slices=model.slices
+        )
+        policy.bind(engine)
+        return policy, engine.clock, engine.io_history
+
+    def test_the_model_is_not_asked_during_a_run(self):
         asked = []
 
         class Counting(LinearProbeModel):
@@ -772,30 +929,36 @@ class TestWorkloadAwareVerdict:
 
         model = self._model()
         model.__class__ = Counting
-        policy = WorkloadAwareScheduling(model)
-        engine = _FakeEngine()
-        clock = engine.clock
-        engine.io_history = history = _CheckedHistory(
-            clock, window_us=model.window_us, slices=model.slices
-        )
-        policy.bind(engine)
+        policy, clock, history = self._bound(model)
         read = _Command(0, False)
         history.on_submit(read)
-        assert not policy.predicts_completion()
-        for now in range(1, usec(10), 500):  # many turns inside one slice
+        for now in range(0, usec(10), 500):  # many turns inside one slice
             clock.advance_to(now)
-            assert not policy.predicts_completion()
+            assert not history.predicts_completion()
             assert policy.idle_sleep_ns() > 0
-        assert len(asked) == 1
         clock.advance_to(usec(10))  # the read ages into slice 1
-        assert policy.predicts_completion()
+        assert history.predicts_completion()
         assert policy.idle_sleep_ns() == 0
-        assert len(asked) == 2
         history.on_complete(read)
         history.on_submit(_Command(clock.now, True))
-        assert not policy.predicts_completion()
-        assert len(asked) == 3
-        assert asked[-1] == history.feature_vector()
+        assert not history.predicts_completion()
+        assert not asked
+
+    def test_a_run_of_idle_turns_ends_where_the_verdict_flips(self):
+        """A crossing that leaves the verdict as it is does not cut the
+        run: only the gap threshold or a flip does."""
+        policy, clock, history = self._bound(self._model())
+        step_ns = 500
+        history.on_submit(_Command(0, True))  # 0.34 in every slice
+        assert not policy.should_probe()  # starts the gap clock at 0
+        clock.advance_to(usec(5))
+        assert not policy.should_probe()  # the model declines
+        # the write crosses at 10, 20, ... us; the gap ends at 100 us
+        assert policy.idle_repeats(step_ns, False) == (usec(95) - 1) // step_ns
+        history.on_submit(_Command(clock.now, False))  # a completion at 15 us
+        assert policy.idle_repeats(step_ns, False) == (usec(10) - 1) // step_ns
+        clock.advance_to(usec(15))
+        assert policy.should_probe()
 
     def test_dedicated_poller_and_worker_share_one_history(self):
         """PAD+: the worker submits, the poller completes and asks, and
@@ -823,11 +986,37 @@ class TestWorkloadAwareVerdict:
         pa.io_history = history = _CheckedHistory(
             engine.clock, window_us=model.window_us, slices=model.slices
         )
+        pa.policy.bind(pa)  # the policy hands the new history its model
         pa.run_to_completion()
         assert all(op.error is None for op in operations)
         assert history.outstanding_count == 0
-        assert history.detected_completions == history.submitted_reads + (
-            history.submitted_writes
-        )
-        assert history.answers > history.detected_completions
+        assert history.completions == history.submits
+        assert history.answers > history.completions
         assert sum(history.feature_vector()) == 0.0
+
+
+@pytest.mark.parametrize("policy", ["workload_aware", "naive", "avg_latency"])
+def test_only_the_avg_latency_policy_keeps_each_completion(policy):
+    """The rolling latency window lives with its one reader: any other
+    worker's history holds no per-completion record after a run."""
+    engine = Engine(seed=3)
+    simos = SimOS(engine, OsProfile(cores=2))
+    device = NvmeDevice(engine, fast_test_profile())
+    tree = PaTree.create(device)
+    tree.bulk_load([(key, bytes(8)) for key in range(0, 4_000, 2)])
+    worker = PaTreeEngine(
+        simos,
+        NvmeDriver(device),
+        tree,
+        AvgLatencyProbing() if policy == "avg_latency" else make_scheduler(policy),
+        ClosedLoopSource([]),
+    )
+    operations = [search_op(key) for key in range(0, 4_000, 14)]
+    worker.run_operations(operations, window=32)
+    assert all(op.result is not None for op in operations)  # each read a page
+    history = worker.io_history
+    if policy == "avg_latency":
+        assert len(history._completions) >= len(operations)
+        assert history.avg_completion_latency_ns() > 0
+    else:
+        assert history._completions is None
