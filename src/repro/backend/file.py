@@ -128,12 +128,12 @@ class FileSubstrate:
         else:
             # the one sanctioned wall-clock read in the tree: the file
             # backend's service times ARE the host's storage timings
-            start = time.perf_counter_ns()  # patlint: ignore[PA101]
+            start = time.perf_counter_ns()
             if command.is_write:
                 self.write(command.lba, bytes(command.data))
             else:
                 read_data = self.read(command.lba)
-            measured = time.perf_counter_ns() - start  # patlint: ignore[PA101]
+            measured = time.perf_counter_ns() - start
             self.syscalls += 1
             service = self._quantize(measured)
         self._in_service[command] = (status, read_data)

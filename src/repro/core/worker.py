@@ -100,8 +100,6 @@ class PolledWorker:
             )
         else:
             self.io_history = IoHistory(self.clock)
-        self.sched_pick_cost_ns = self.costs.priority_pick_ns
-        self.sched_gate_cost_ns = self.costs.probe_model_ns
 
         # work queued for the loop itself: operations the structure
         # spawns (LSM flush / compaction), page writes waiting for ring
@@ -202,8 +200,8 @@ class PolledWorker:
         driver = self.driver
         policy = self.policy
         ready = policy.ready
-        # constants of the run (SchedulingPolicy's CPU cost hooks)
-        pick_cost_ns = policy.pick_cost_ns()
+        # constants of the run
+        pick_cost_ns = costs.priority_pick_ns
         gate_cost_ns = policy.gate_cost_ns()
         source = self.source
         profile = driver.profile
@@ -278,7 +276,7 @@ class PolledWorker:
                     cpu(profile.probe_cpu_ns, CPU_NVME) or (yield)
                     completed = driver.probe(self.qpair)
                     self.probes.add()
-                    policy.note_probe(clock.now, len(completed))
+                    policy.note_probe(clock.now)
                     if completed:
                         cpu(
                             len(completed) * profile.probe_cpu_per_completion_ns,
@@ -385,7 +383,7 @@ class PolledWorker:
         elif probed:
             self.probes.add(taken)
             self.driver.probe_empty_repeat(taken, step_ns)
-            self.policy.note_probe(self.clock.now, 0)
+            self.policy.note_probe(self.clock.now)
         else:
             self.probe_skips.add(taken)
 

@@ -4,8 +4,8 @@ A policy owns the ready set ``R(C)`` and decides, each iteration of
 the working thread's main loop: which ready operation to process next,
 whether to probe the NVMe completion queue now, and whether the thread
 may yield its core when there is nothing to do.  The engine charges
-the policy's bookkeeping CPU (``pick_cost_ns`` / ``gate_cost_ns``) to
-the ``scheduling`` category so Fig 9 can show scheduling overhead
+the pick and the policy's gate (``gate_cost_ns``) to the
+``scheduling`` category so Fig 9 can show scheduling overhead
 explicitly.
 """
 
@@ -55,7 +55,7 @@ class SchedulingPolicy:
         """Probe the completion queue in this loop iteration?"""
         raise NotImplementedError
 
-    def note_probe(self, now_ns, completions):
+    def note_probe(self, now_ns):
         """Engine reports every probe it performed."""
 
     # idling -------------------------------------------------------------
@@ -83,14 +83,10 @@ class SchedulingPolicy:
         """
         return 0
 
-    # CPU cost hooks ------------------------------------------------------
-    # Engines expose ``sched_pick_cost_ns`` / ``sched_gate_cost_ns`` so
-    # policies work against any polled-mode engine (B+ tree or LSM).
-    # Both costs are constants of a run: the main loop reads each once,
-    # when the working thread starts, and charges that value every turn.
-
-    def pick_cost_ns(self):
-        return self.engine.sched_pick_cost_ns
+    # CPU cost hook -------------------------------------------------------
+    # A constant of the run: the main loop reads it once, when the
+    # working thread starts, and charges it every turn that asks
+    # ``should_probe``.
 
     def gate_cost_ns(self):
         return 0

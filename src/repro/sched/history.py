@@ -98,18 +98,14 @@ class IoHistory:
     def on_submit(self, command):
         """Book a command the driver just accepted.
 
-        Once per command and in submit order; a retry inside the driver
-        re-stamps ``command.submit_ns`` without coming back here, so the
-        features keep ageing the command from its first submission.
+        Told at the instant the driver accepted it, so the command
+        starts in the youngest slice.  Once per command and in submit
+        order; a retry inside the driver re-stamps ``command.submit_ns``
+        without coming back here, so the features keep ageing the
+        command from its first submission.
         """
         submit_ns = command.submit_ns
-        slice_ns = self.slice_ns
-        index = 0
-        if self.clock.now - submit_ns >= slice_ns:
-            # told late: what was booked before it goes ahead of it
-            self._age()
-            index = min((self.clock.now - submit_ns) // slice_ns, self.slices - 1)
-        column = index if command.is_write else self.slices + index
+        column = 0 if command.is_write else self.slices
         self._records[command] = record = [submit_ns, column]
         self.outstanding_count += 1
         self.counts[column] += 1
@@ -119,7 +115,7 @@ class IoHistory:
         fifo = self._fifo_of[column]
         if fifo is not None:
             fifo.append(record)
-            crossing = submit_ns + (index + 1) * slice_ns
+            crossing = submit_ns + self.slice_ns
             if crossing < self._next_crossing:
                 self._next_crossing = crossing
 

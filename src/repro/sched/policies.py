@@ -33,7 +33,7 @@ class _TimerProbing(SchedulingPolicy):
             return True
         return self.engine.clock.now - self._last_probe_ns >= self.period_ns()
 
-    def note_probe(self, now_ns, completions):
+    def note_probe(self, now_ns):
         self._last_probe_ns = now_ns
 
     def idle_sleep_ns(self):

@@ -73,7 +73,7 @@ class WorkloadAwareScheduling(SchedulingPolicy):
             return True
         return history.predicts_completion()
 
-    def note_probe(self, now_ns, completions):
+    def note_probe(self, now_ns):
         self._last_probe_ns = now_ns
 
     def idle_sleep_ns(self):
@@ -110,4 +110,4 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         return (until_ns - now - 1) // step_ns
 
     def gate_cost_ns(self):
-        return self.engine.sched_gate_cost_ns
+        return self.engine.costs.probe_model_ns

@@ -450,18 +450,6 @@ class TestIoHistory:
         assert history.outstanding_count == 8
         history.feature_vector()  # ten windows late, against the oracle
 
-    def test_submit_told_late_is_booked_by_its_age(self):
-        clock, history = self._checked()
-        history.on_submit(_Command(0, False))
-        clock.advance_to(usec(130))
-        history.on_submit(_Command(usec(20), True))  # 110us old already
-        features = history.feature_vector()
-        assert features[20 + 2] == 1.0
-        assert features[2] == 1.0
-        assert _crossing(history) == usec(150)
-        clock.advance_to(usec(175))
-        assert history.feature_vector()[3] == 1.0
-
     def test_completion_of_a_command_never_submitted(self):
         clock, history = self._checked()
         history.keep_latency_window()
@@ -809,8 +797,8 @@ class TestReadyQueues:
 
 @pytest.mark.parametrize("name", SCHEDULERS)
 def test_a_policys_cpu_costs_do_not_change_during_a_run(name):
-    """The main loop reads the gate and pick costs once, when the
-    working thread starts (``SchedulingPolicy``'s contract)."""
+    """The main loop reads the gate cost once, when the working thread
+    starts (``SchedulingPolicy``'s contract)."""
     engine = Engine(seed=3)
     simos = SimOS(engine, OsProfile(cores=2))
     device = NvmeDevice(engine, fast_test_profile())
@@ -824,7 +812,7 @@ def test_a_policys_cpu_costs_do_not_change_during_a_run(name):
     should_probe = policy.should_probe
 
     def asked():
-        costs.append((policy.gate_cost_ns(), policy.pick_cost_ns()))
+        costs.append(policy.gate_cost_ns())
         return should_probe()
 
     policy.should_probe = asked
@@ -835,10 +823,7 @@ def test_a_policys_cpu_costs_do_not_change_during_a_run(name):
     worker.run_operations(operations, window=32)
     assert len(costs) > 100
     assert set(costs) == {
-        (
-            worker.sched_gate_cost_ns if name == "workload_aware" else 0,
-            worker.sched_pick_cost_ns,
-        )
+        worker.costs.probe_model_ns if name == "workload_aware" else 0
     }
 
 
@@ -873,7 +858,7 @@ class TestProbingPolicies:
         engine = _FakeEngine()
         policy.bind(engine)
         assert policy.should_probe()  # never probed yet
-        policy.note_probe(engine.clock.now, 0)
+        policy.note_probe(engine.clock.now)
         assert not policy.should_probe()
         engine.clock.advance_to(usec(49))
         assert not policy.should_probe()
@@ -888,7 +873,7 @@ class TestProbingPolicies:
         policy = AvgLatencyProbing()
         engine = _FakeEngine()
         policy.bind(engine)
-        policy.note_probe(engine.clock.now, 0)
+        policy.note_probe(engine.clock.now)
         engine.clock.advance_to(usec(39))
         assert not policy.should_probe()
         engine.clock.advance_to(usec(41))

@@ -1,4 +1,4 @@
-"""Phase 1: the cached whole-program project graph.
+"""Phase 1: the whole-program project graph.
 
 For every analyzed file that belongs to the ``repro`` namespace this
 module derives
@@ -6,27 +6,16 @@ module derives
 * its dotted **module name** (from the ``src/`` layout),
 * its **import edges** (absolute and relative, module- and
   function-level, with line positions for reporting),
-* its **class table** (methods, ``self.x = None`` null-default attrs),
 * its **function taint summaries** (:mod:`tools.analysis.dataflow`).
 
-Everything above is JSON-serializable and keyed on the file's content
-hash, so re-runs only re-summarize files that actually changed: the
-cache document (default ``.patlint-cache/graph.json``) is looked up per
-``(path, sha256, config-hash, python-minor)`` and written back after
-every graph build.  The cross-file passes (layering, cycles, taint
-fixpoint) are cheap and run fresh each time.
+Every run builds it from scratch over the parsed files; the
+cross-file passes (layering, cycles, taint fixpoint) then run over it.
 """
 
 import ast
-import hashlib
-import json
 import os
-import sys
 
-from .dataflow import FunctionSummary, summarize_module
-
-CACHE_VERSION = 4
-DEFAULT_CACHE_PATH = os.path.join(".patlint-cache", "graph.json")
+from .dataflow import summarize_module
 
 
 def module_name_for(path):
@@ -73,78 +62,24 @@ class ImportEdge:
         self.col = col
         self.module_level = module_level
 
-    def as_dict(self):
-        return {
-            "target": self.target,
-            "symbol": self.symbol,
-            "lineno": self.lineno,
-            "col": self.col,
-            "module_level": self.module_level,
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(
-            payload["target"],
-            payload.get("symbol"),
-            payload["lineno"],
-            payload["col"],
-            payload.get("module_level", True),
-        )
-
 
 class ModuleEntry:
-    """Cached facts about one module."""
+    """Phase-1 facts about one module."""
 
     __slots__ = (
         "module",
         "path",
-        "digest",
         "imports",
-        "classes",
         "functions",
         "wall_clock_decl",
     )
 
-    def __init__(
-        self, module, path, digest, imports, classes, functions, wall_clock_decl
-    ):
+    def __init__(self, module, path, imports, functions, wall_clock_decl):
         self.module = module
         self.path = path
-        self.digest = digest
         self.imports = imports
-        self.classes = classes  # {class: {"methods": [...]}}
         self.functions = functions  # {qualname: FunctionSummary}
         self.wall_clock_decl = wall_clock_decl  # lineno of wall_clock_variant=True
-
-    def as_dict(self):
-        return {
-            "module": self.module,
-            "path": self.path,
-            "digest": self.digest,
-            "imports": [edge.as_dict() for edge in self.imports],
-            "classes": self.classes,
-            "functions": {
-                name: summary.as_dict()
-                for name, summary in self.functions.items()
-            },
-            "wall_clock_decl": self.wall_clock_decl,
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(
-            payload["module"],
-            payload["path"],
-            payload["digest"],
-            [ImportEdge.from_dict(item) for item in payload["imports"]],
-            payload["classes"],
-            {
-                name: FunctionSummary.from_dict(item)
-                for name, item in payload["functions"].items()
-            },
-            payload.get("wall_clock_decl"),
-        )
 
 
 def _package_of(module, path):
@@ -209,20 +144,6 @@ def extract_imports(ctx, module):
     return edges
 
 
-def extract_classes(tree):
-    classes = {}
-    for node in tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        methods = [
-            stmt.name
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        classes[node.name] = {"methods": methods}
-    return classes
-
-
 def _wall_clock_decl(tree):
     """Line of a ``wall_clock_variant = True`` declaration, if any."""
     def scan(body):
@@ -252,11 +173,8 @@ def _wall_clock_decl(tree):
 class ProjectGraph:
     """Phase-1 output: modules, import edges, summaries."""
 
-    def __init__(self, modules, cache_hits=0, cache_misses=0):
+    def __init__(self, modules):
         self.modules = modules  # {module: ModuleEntry}
-        self.by_path = {entry.path: entry for entry in modules.values()}
-        self.cache_hits = cache_hits
-        self.cache_misses = cache_misses
 
     def resolve_import(self, edge):
         """Best dotted module the edge lands on, within the project.
@@ -281,88 +199,18 @@ class ProjectGraph:
         return None
 
 
-def _config_digest(config):
-    payload = json.dumps(
-        {
-            "sources": sorted(config.taint_sources),
-            "sink_methods": sorted(config.sink_methods),
-            "sink_constructors": sorted(config.sink_constructors),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def load_cache(path):
-    if not path or not os.path.exists(path):
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if document.get("version") != CACHE_VERSION:
-        return {}
-    return document.get("entries", {})
-
-
-def store_cache(path, entries, config_digest):
-    if not path:
-        return
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    document = {
-        "version": CACHE_VERSION,
-        "python": "%d.%d" % sys.version_info[:2],
-        "config": config_digest,
-        "entries": entries,
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def build_project_graph(contexts, config, cache_path=None):
-    """Build (or incrementally refresh) the project graph."""
-    config_digest = _config_digest(config)
-    cached = load_cache(cache_path) if cache_path else {}
+def build_project_graph(contexts, config):
+    """Build the project graph over the parsed ``repro`` modules."""
     entries = {}
-    raw_entries = {}
-    hits = misses = 0
-    marker = "%s/%d.%d" % (config_digest, *sys.version_info[:2])
     for ctx in contexts:
         module = module_name_for(ctx.path)
         if module is None:
             continue
-        digest = hashlib.sha256(ctx.source.encode("utf-8")).hexdigest()
-        key = ctx.path
-        prior = cached.get(key)
-        if (
-            prior is not None
-            and prior.get("digest") == digest
-            and prior.get("marker") == marker
-        ):
-            entry = ModuleEntry.from_dict(prior["entry"])
-            hits += 1
-        else:
-            entry = ModuleEntry(
-                module,
-                ctx.path,
-                digest,
-                extract_imports(ctx, module),
-                extract_classes(ctx.tree),
-                summarize_module(ctx, module, config),
-                _wall_clock_decl(ctx.tree),
-            )
-            misses += 1
-        entries[module] = entry
-        raw_entries[key] = {
-            "digest": digest,
-            "marker": marker,
-            "entry": entry.as_dict(),
-        }
-    if cache_path:
-        store_cache(cache_path, raw_entries, config_digest)
-    return ProjectGraph(entries, hits, misses)
+        entries[module] = ModuleEntry(
+            module,
+            ctx.path,
+            extract_imports(ctx, module),
+            summarize_module(ctx, module, config),
+            _wall_clock_decl(ctx.tree),
+        )
+    return ProjectGraph(entries)

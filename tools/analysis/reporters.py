@@ -4,63 +4,37 @@ import json
 import sys
 
 
-def render_text(new, grandfathered, files, out=None):
+def render_text(findings, files, out=None):
     out = out if out is not None else sys.stdout
-    for finding in new:
+    for finding in findings:
         print(finding.render(), file=out)
-    if new:
+    if findings:
         print(
-            "patlint: %d finding(s) across %d file(s)%s"
-            % (
-                len(new),
-                files,
-                " (%d baselined)" % len(grandfathered) if grandfathered else "",
-            ),
+            "patlint: %d finding(s) across %d file(s)" % (len(findings), files),
             file=out,
         )
     else:
-        print(
-            "patlint: clean (%d file(s)%s)"
-            % (
-                files,
-                ", %d baselined finding(s)" % len(grandfathered)
-                if grandfathered
-                else "",
-            ),
-            file=out,
-        )
+        print("patlint: clean (%d file(s))" % files, file=out)
 
 
-def render_json(new, grandfathered, files, out=None):
+def render_json(findings, files, out=None):
     out = out if out is not None else sys.stdout
     document = {
         "tool": "patlint",
-        "schema_version": 1,
-        "summary": {
-            "files": files,
-            "findings": len(new) + len(grandfathered),
-            "new": len(new),
-            "baselined": len(grandfathered),
-        },
-        "findings": [
-            finding.as_dict()
-            for finding in sorted(
-                list(new) + list(grandfathered), key=lambda f: f.sort_key()
-            )
-        ],
+        "schema_version": 2,
+        "summary": {"files": files, "findings": len(findings)},
+        "findings": [finding.as_dict() for finding in findings],
     }
     json.dump(document, out, indent=2)
     out.write("\n")
 
 
-def render_sarif(new, grandfathered, files, out=None, rule_catalog=(), version=""):
+def render_sarif(findings, files, out=None, rule_catalog=(), version=""):
     """SARIF 2.1.0, the shape GitHub code scanning ingests.
 
-    Baselined findings are included with ``baselineState: "unchanged"``
-    so code scanning shows them as pre-existing rather than new; fresh
-    findings carry ``baselineState: "new"`` and error level.  Finding
-    paths are repo-relative POSIX (see ``canonical_path``), which is
-    exactly what ``uriBaseId: SRCROOT`` wants.
+    Every finding is an error-level result.  Finding paths are
+    repo-relative POSIX (see ``canonical_path``), which is exactly what
+    ``uriBaseId: SRCROOT`` wants.
     """
     out = out if out is not None else sys.stdout
     rules = {
@@ -72,9 +46,7 @@ def render_sarif(new, grandfathered, files, out=None, rule_catalog=(), version="
         for code, name, summary in rule_catalog
     }
     results = []
-    for finding, state in [(f, "new") for f in new] + [
-        (f, "unchanged") for f in grandfathered
-    ]:
+    for finding in findings:
         rules.setdefault(
             finding.code,
             {
@@ -86,8 +58,7 @@ def render_sarif(new, grandfathered, files, out=None, rule_catalog=(), version="
         results.append(
             {
                 "ruleId": finding.code,
-                "level": "error" if state == "new" else "note",
-                "baselineState": state,
+                "level": "error",
                 "message": {"text": finding.message},
                 "locations": [
                     {

@@ -4,24 +4,14 @@ Every concrete per-file rule class is listed in :data:`RULE_CLASSES`
 and every whole-program (phase-2) rule class in
 :data:`GRAPH_RULE_CLASSES`; :func:`all_rules` / :func:`all_graph_rules`
 hand fresh instances to the framework so state never leaks between
-analysis runs.  ``PA9xx`` codes are emitted by the framework itself
-(stale suppressions, parse failures) and are listed in
-:data:`FRAMEWORK_CODES` so ``--list-rules`` shows the full catalog.
+analysis runs.  ``PA901`` (stale suppressions) is emitted by the
+framework itself and is listed in :data:`FRAMEWORK_CODES` so
+``--list-rules`` shows the full catalog.
 """
 
-from .determinism import (
-    AmbientEntropyRule,
-    IdOrderingRule,
-    UnorderedIterationRule,
-    WallClockRule,
-)
-from .virtual_time import AsyncConstructRule, RealSleepRule, ThreadingRule
-from .fault_paths import (
-    BareExceptRule,
-    IoStatusDispatchRule,
-    IoStatusModelRule,
-    StatusStringCompareRule,
-)
+from .determinism import AmbientEntropyRule, IdOrderingRule, UnorderedIterationRule
+from .virtual_time import AsyncConstructRule, ThreadingRule
+from .fault_paths import BareExceptRule, IoStatusDispatchRule, StatusStringCompareRule
 from .api_contracts import StatsByReferenceRule, UnusedImportRule
 from .batching import PerElementBatchLoopRule
 from .fuzzing import FuzzRngDisciplineRule
@@ -36,17 +26,14 @@ from .latches import LatchExceptionRule, LatchPairingRule
 from .hooks_contract import HookContractRule
 
 RULE_CLASSES = (
-    WallClockRule,
     AmbientEntropyRule,
     IdOrderingRule,
     UnorderedIterationRule,
-    RealSleepRule,
     ThreadingRule,
     AsyncConstructRule,
     BareExceptRule,
     StatusStringCompareRule,
     IoStatusDispatchRule,
-    IoStatusModelRule,
     StatsByReferenceRule,
     UnusedImportRule,
     ConsoleOutputRule,
@@ -54,7 +41,7 @@ RULE_CLASSES = (
     FuzzRngDisciplineRule,
 )
 
-#: Whole-program rules; run only under ``--graph`` (phase 2).
+#: Whole-program rules (phase 2).
 GRAPH_RULE_CLASSES = (
     LayeringRule,
     BoundaryImportRule,
@@ -70,7 +57,6 @@ GRAPH_RULE_CLASSES = (
 #: Codes minted by the framework rather than by a rule class.
 FRAMEWORK_CODES = (
     ("PA901", "stale-suppression", "patlint pragma that silences nothing", "all"),
-    ("PA902", "parse-failure", "file does not parse", "all"),
 )
 
 

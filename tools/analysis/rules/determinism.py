@@ -3,58 +3,15 @@
 The reproduction's headline guarantee is that every run is bit-for-bit
 deterministic in virtual time (EXPERIMENTS.md verifies artifacts across
 worktrees byte-for-byte).  These rules keep the two classic leaks out
-of ``src/``: ambient inputs (wall clock, global entropy, object
-addresses) and unordered-collection iteration feeding emitted output.
+of ``src/``: ambient inputs (global entropy, object addresses) and
+unordered-collection iteration feeding emitted output.  Host-clock
+reads are PA510's, over the one source list in ``layers.toml``.
 """
 
 import ast
 import re
 
 from ..framework import Rule, walk_shallow
-
-_WALL_CLOCK = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.thread_time",
-        "time.thread_time_ns",
-        "time.clock_gettime",
-        "time.clock_gettime_ns",
-        "time.localtime",
-        "time.gmtime",
-        "time.ctime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-
-class WallClockRule(Rule):
-    code = "PA101"
-    name = "wall-clock"
-    summary = "wall-clock time source in simulated code"
-    scopes = ("src",)
-    node_types = (ast.Call,)
-
-    def visit(self, node, ctx):
-        dotted = ctx.resolve(node.func)
-        if dotted in _WALL_CLOCK:
-            yield ctx.finding(
-                node,
-                self.code,
-                "call to %s reads the wall clock; simulated code must take "
-                "time from the virtual clock (engine.now / sim.clock units)"
-                % dotted,
-            )
-
 
 # Module-level convenience functions of ``random`` share one ambient
 # global stream; ``random.Random(seed)`` instances are how sim.rng

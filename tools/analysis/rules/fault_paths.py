@@ -9,7 +9,7 @@ a status on the floor when the enum grows a member.
 
 import ast
 
-from ..framework import DEFAULT_IO_STATUS_MEMBERS, Rule, enum_member_names
+from ..framework import Rule
 
 
 class BareExceptRule(Rule):
@@ -78,7 +78,8 @@ class IoStatusDispatchRule(Rule):
     against ``IoStatus`` members is a dispatch; without an ``else`` it
     must cover every member, or a future enum member falls through
     silently.  A single ``if`` with no ``elif`` is treated as a guard
-    and left alone.
+    and left alone.  The members are read from the ``IoStatus`` class
+    the analyzed files define, else from ``src/repro/nvme/command.py``.
     """
 
     code = "PA303"
@@ -109,7 +110,7 @@ class IoStatusDispatchRule(Rule):
             arms += 1
         if arms < 2 or cursor.orelse:
             return  # lone guard, or an else makes it exhaustive
-        missing = sorted(set(ctx.model.io_status_members) - matched)
+        missing = sorted(set(ctx.io_status_members) - matched)
         if missing:
             yield ctx.finding(
                 node,
@@ -150,34 +151,3 @@ class IoStatusDispatchRule(Rule):
                 members.add(member)
             return members or None
         return None
-
-
-class IoStatusModelRule(Rule):
-    """Keeps patlint's fallback IoStatus member list honest.
-
-    The exhaustiveness rule derives the member list from the analyzed
-    tree when ``repro/nvme/command.py`` is in scope and falls back to
-    :data:`DEFAULT_IO_STATUS_MEMBERS` otherwise; if the real class def
-    drifts from the fallback, single-file runs would silently check the
-    wrong universe.
-    """
-
-    code = "PA304"
-    name = "iostatus-model-drift"
-    summary = "IoStatus members differ from patlint's fallback model"
-    scopes = ("src",)
-    node_types = (ast.ClassDef,)
-
-    def visit(self, node, ctx):
-        if node.name != "IoStatus":
-            return
-        members = enum_member_names(node)
-        if members and set(members) != set(DEFAULT_IO_STATUS_MEMBERS):
-            yield ctx.finding(
-                node,
-                self.code,
-                "IoStatus members (%s) differ from patlint's fallback model "
-                "(%s); update DEFAULT_IO_STATUS_MEMBERS in "
-                "tools/analysis/framework.py"
-                % (", ".join(members), ", ".join(DEFAULT_IO_STATUS_MEMBERS)),
-            )

@@ -32,7 +32,6 @@ class LayeringRule(GraphRule):
     scopes = ("src",)
 
     def run(self, graph, contexts, config):
-        lines = {ctx.path: ctx for ctx in contexts}
         reported_unmapped = set()
         for module in sorted(graph.modules):
             entry = graph.modules[module]
@@ -48,7 +47,6 @@ class LayeringRule(GraphRule):
                         "module %s is not assigned to any layer in %s; add "
                         "it to the layer map so its imports are checked"
                         % (module, _config_name(config)),
-                        _line_text(lines, entry.path, 1),
                     )
                 continue
             for edge in entry.imports:
@@ -73,7 +71,7 @@ class LayeringRule(GraphRule):
                     config.layer_index[to_layer]
                     > config.layer_index[from_layer]
                 ):
-                    finding = _edge_finding(
+                    yield _edge_finding(
                         entry,
                         edge,
                         self.code,
@@ -88,10 +86,6 @@ class LayeringRule(GraphRule):
                             to_layer,
                         ),
                     )
-                    finding.line_text = _line_text(
-                        lines, entry.path, edge.lineno
-                    )
-                    yield finding
 
 
 class BoundaryImportRule(GraphRule):
@@ -103,14 +97,13 @@ class BoundaryImportRule(GraphRule):
     scopes = ("src",)
 
     def run(self, graph, contexts, config):
-        lines = {ctx.path: ctx for ctx in contexts}
         for module in sorted(graph.modules):
             entry = graph.modules[module]
             for edge in entry.imports:
                 resolved = graph.resolve_import(edge) or edge.target
                 if not config.boundary_violation(module, resolved):
                     continue
-                finding = _edge_finding(
+                yield _edge_finding(
                     entry,
                     edge,
                     self.code,
@@ -125,8 +118,6 @@ class BoundaryImportRule(GraphRule):
                         " / ".join(config.boundary_public),
                     ),
                 )
-                finding.line_text = _line_text(lines, entry.path, edge.lineno)
-                yield finding
 
 
 class ImportCycleRule(GraphRule):
@@ -138,7 +129,6 @@ class ImportCycleRule(GraphRule):
     scopes = ("src",)
 
     def run(self, graph, contexts, config):
-        lines = {ctx.path: ctx for ctx in contexts}
         adjacency = {}
         edge_at = {}
         for module, entry in graph.modules.items():
@@ -171,7 +161,7 @@ class ImportCycleRule(GraphRule):
             ordered = cycle[index:] + cycle[:index]
             entry = graph.modules[anchor]
             edge = edge_at.get((ordered[0], ordered[1 % len(ordered)]))
-            finding = Finding(
+            yield Finding(
                 entry.path,
                 edge.lineno if edge else 1,
                 edge.col if edge else 0,
@@ -180,10 +170,6 @@ class ImportCycleRule(GraphRule):
                 "function-level import or by moving the shared piece "
                 "into a lower layer" % " -> ".join(ordered + [ordered[0]]),
             )
-            finding.line_text = _line_text(
-                lines, entry.path, edge.lineno if edge else 1
-            )
-            yield finding
 
 
 def _cycles(adjacency):
@@ -242,11 +228,6 @@ def _cycles(adjacency):
                 elif node in adjacency.get(node, ()):
                     sccs.append([node])
     return sccs
-
-
-def _line_text(contexts_by_path, path, lineno):
-    ctx = contexts_by_path.get(path)
-    return ctx.line_text(lineno) if ctx is not None else ""
 
 
 def _config_name(config):

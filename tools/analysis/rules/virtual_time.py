@@ -4,6 +4,7 @@ The simulator core is cooperatively scheduled on a discrete-event clock
 (``SimOS`` threads over ``sim.engine``).  Real OS concurrency or real
 sleeping would race ahead of the virtual clock and destroy both the
 accounting and the determinism, so none of it is allowed in ``src/``.
+A real ``time.sleep`` is one of PA510's wall-clock sources.
 """
 
 import ast
@@ -13,23 +14,6 @@ from ..framework import Rule
 _THREADING_MODULES = frozenset(
     {"threading", "_thread", "multiprocessing", "concurrent"}
 )
-
-
-class RealSleepRule(Rule):
-    code = "PA201"
-    name = "real-sleep"
-    summary = "time.sleep blocks the host, not the simulation"
-    scopes = ("src",)
-    node_types = (ast.Call,)
-
-    def visit(self, node, ctx):
-        if ctx.resolve(node.func) == "time.sleep":
-            yield ctx.finding(
-                node,
-                self.code,
-                "time.sleep blocks the host process; advance virtual time "
-                "instead (SimOS sleep / engine timer event)",
-            )
 
 
 class ThreadingRule(Rule):
