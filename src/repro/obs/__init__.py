@@ -6,9 +6,9 @@ inspectable instead of only aggregable:
 
 * :mod:`repro.obs.tracer` — per-operation lifecycle spans and instant
   events recorded in virtual time with deterministic IDs.
-* :mod:`repro.obs.series` — fixed-bucket latency histograms and the
-  one periodic virtual-time sampler: it appends ``(now, read())`` per
-  tick, whatever its owning session reads.
+* :mod:`repro.obs.series` — the one periodic virtual-time sampler: it
+  appends ``(now, read())`` per tick, whatever its owning session
+  reads.
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
   newline-delimited JSONL exporters, plus a text "top spans" summary.
 * :mod:`repro.obs.observer` — :class:`ObserverSession`, the skeleton
@@ -21,8 +21,9 @@ inspectable instead of only aggregable:
   its observer slots (``engine.on_dispatch``, device completion slots,
   scheduler transition callbacks).
 * :mod:`repro.obs.metrics` — the labeled metric registry
-  (Counter/Gauge/Histogram under ``(name, labels)`` identity) and the
-  Prometheus-text exporter.
+  (Counter/Gauge/Histogram under ``(name, labels)`` identity; a
+  histogram is a :class:`repro.sim.metrics.LatencyRecorder`, exported
+  as its ``snapshot()``) and the Prometheus-text exporter.
 * :mod:`repro.obs.slo` — per-op-class virtual-time latency targets
   with p99/p999 and violation counters per shard.
 * :mod:`repro.obs.flight` — a bounded ring of recent completions,
@@ -60,7 +61,7 @@ from repro.obs.metrics import (
     write_prometheus,
 )
 from repro.obs.observer import ObserverSession
-from repro.obs.series import Histogram, TimeSeriesSampler
+from repro.obs.series import TimeSeriesSampler
 from repro.obs.session import TraceSession
 from repro.obs.slo import DEFAULT_TARGETS_US, SloTracker
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
@@ -70,7 +71,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "Histogram",
     "TimeSeriesSampler",
     "ObserverSession",
     "TraceSession",

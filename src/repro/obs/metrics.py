@@ -2,10 +2,11 @@
 
 Every layer of the simulated stack can describe itself as a set of
 **metrics**: monotone counters (completions, retries, faults), gauges
-(queue depth, channel occupancy, buffer residency) and fixed-bucket
-latency histograms.  A :class:`MetricRegistry` holds them under a
-``(name, labels)`` identity — the same metric name registered with
-different label sets (``shard="0"`` vs ``shard="1"``) stays
+(queue depth, channel occupancy, buffer residency) and latency
+histograms (each a :class:`~repro.sim.metrics.LatencyRecorder`, exported
+as its fixed-bucket snapshot).  A :class:`MetricRegistry` holds them
+under a ``(name, labels)`` identity — the same metric name registered
+with different label sets (``shard="0"`` vs ``shard="1"``) stays
 distinguishable while rollups can still sum across the label axis.
 
 Naming discipline (enforced here at registration time): metric names
@@ -24,8 +25,8 @@ an unobserved run never touches this module.
 import re
 
 from repro.errors import ReproError
-from repro.obs.series import Histogram
 from repro.sim.clock import to_usec
+from repro.sim.metrics import LatencyRecorder
 
 #: Unit suffixes a registered metric name must end with.
 METRIC_NAME_SUFFIXES = (
@@ -143,29 +144,22 @@ class GaugeMetric(Metric):
         return self.value
 
 
-class HistogramMetric(Metric):
-    """Fixed-bucket distribution (see :class:`repro.obs.series.Histogram`).
+class HistogramMetric(Metric, LatencyRecorder):
+    """A latency distribution: a :class:`~repro.sim.metrics.LatencyRecorder`
+    under a ``(name, labels)`` identity.
 
     Values are recorded in the unit the name declares (``_ns`` names
-    record nanoseconds); the default bounds are the 1 us .. 1 s latency
-    decades.
+    record nanoseconds); exporters write its ``snapshot()`` buckets.
     """
 
     kind = "histogram"
-    __slots__ = ("histogram",)
 
-    def __init__(self, name, labels, bounds=None, help=""):
-        super().__init__(name, labels, help)
-        self.histogram = Histogram(bounds)
-
-    def observe(self, value):
-        self.histogram.record(value)
+    def __init__(self, name, labels, help=""):
+        Metric.__init__(self, name, labels, help)
+        LatencyRecorder.__init__(self)
 
     def read(self):
-        return self.histogram.count
-
-    def quantile(self, q):
-        return self.histogram.quantile(q)
+        return len(self)
 
 
 class MetricRegistry:
@@ -189,10 +183,8 @@ class MetricRegistry:
     def gauge(self, name, labels=None, fn=None, help=""):
         return self._register(GaugeMetric, name, labels, help, fn=fn)
 
-    def histogram(self, name, labels=None, bounds=None, help=""):
-        return self._register(
-            HistogramMetric, name, labels, help, bounds=bounds
-        )
+    def histogram(self, name, labels=None, help=""):
+        return self._register(HistogramMetric, name, labels, help)
 
     def _register(self, cls, name, labels, help, **kwargs):
         validate_metric_name(name)
@@ -240,12 +232,12 @@ class MetricRegistry:
 
         Histograms expand to their summary snapshot (count / mean /
         percentiles / buckets, microsecond units as in
-        :meth:`repro.obs.series.Histogram.snapshot`).
+        :meth:`repro.sim.metrics.LatencyRecorder.snapshot`).
         """
         out = {}
         for metric in self._metrics.values():
             if metric.kind == "histogram":
-                out[metric.flat] = metric.histogram.snapshot()
+                out[metric.flat] = metric.snapshot()
             else:
                 out[metric.flat] = metric.read()
         return out
@@ -293,25 +285,24 @@ def prometheus_text(registry):
 
 
 def _prom_histogram_lines(metric):
-    histogram = metric.histogram
+    snapshot = metric.snapshot()
     cumulative = 0
-    for index, bound in enumerate(histogram.bounds):
-        cumulative += histogram.counts[index]
-        labels = metric.labels + (("le", repr(to_usec(bound))),)
+    for bucket in snapshot["buckets"]:
+        cumulative += bucket["count"]
+        edge = bucket["le_us"]
+        le = "+Inf" if edge == "inf" else repr(edge)
+        labels = metric.labels + (("le", le),)
         yield "%s %d" % (
             flat_name(metric.name + "_bucket", labels),
             cumulative,
         )
-    cumulative += histogram.counts[-1]
-    labels = metric.labels + (("le", "+Inf"),)
-    yield "%s %d" % (flat_name(metric.name + "_bucket", labels), cumulative)
     yield "%s %s" % (
         flat_name(metric.name + "_sum", metric.labels),
-        _format_number(to_usec(histogram.sum)),
+        _format_number(to_usec(sum(metric.samples()))),
     )
     yield "%s %d" % (
         flat_name(metric.name + "_count", metric.labels),
-        histogram.count,
+        snapshot["count"],
     )
 
 

@@ -1,8 +1,8 @@
 """TraceSession: attach the full observability stack to one machine.
 
 A session owns a :class:`~repro.obs.tracer.Tracer`, a set of named
-probes sampled every ``sample_interval_ns`` of virtual time and a set of
-fixed-bucket latency histograms, and subscribes them
+probes sampled every ``sample_interval_ns`` of virtual time and latency
+recorders (exported as fixed-bucket histograms), and subscribes them
 (:mod:`repro.sim.hooks`) to the stack's observer slots:
 
 * ``Engine.on_dispatch`` — kernel event accounting,
@@ -26,9 +26,9 @@ attach and finish order.
 from repro.nvme.command import OP_READ
 from repro.obs.export import trace_summary, write_chrome_trace, write_jsonl
 from repro.obs.observer import ObserverSession
-from repro.obs.series import Histogram
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.clock import usec
+from repro.sim.metrics import LatencyRecorder
 from repro.simos.thread import T_RUNNING
 
 
@@ -39,9 +39,9 @@ class TraceSession(ObserverSession):
         super().__init__(engine, sample_interval_ns)
         self.tracer = Tracer(engine.clock)
         self._probes = []  # (name, fn), registration order
-        self.read_latency = Histogram()
-        self.write_latency = Histogram()
-        self.op_latency = {}  # op kind -> Histogram
+        self.read_latency = LatencyRecorder()
+        self.write_latency = LatencyRecorder()
+        self.op_latency = {}  # op kind -> LatencyRecorder
         self.dispatches = 0
         self.io_faults = 0
         self.io_retries = 0
@@ -219,10 +219,10 @@ class TraceSession(ObserverSession):
         if op.error is not None:
             self.failed_ops += 1
             return
-        histogram = self.op_latency.get(op.kind)
-        if histogram is None:
-            histogram = self.op_latency[op.kind] = Histogram()
-        histogram.record(op.latency_ns)
+        recorder = self.op_latency.get(op.kind)
+        if recorder is None:
+            recorder = self.op_latency[op.kind] = LatencyRecorder()
+        recorder.record(op.latency_ns)
 
     # ------------------------------------------------------------------
     # reporting
@@ -270,8 +270,8 @@ class TraceSession(ObserverSession):
                 "write": self.write_latency.snapshot(),
             },
             "op_latency": {
-                kind: histogram.snapshot()
-                for kind, histogram in sorted(self.op_latency.items())
+                kind: recorder.snapshot()
+                for kind, recorder in sorted(self.op_latency.items())
             },
             "timeseries": {
                 "interval_us": self.sampler.interval_ns / 1000,

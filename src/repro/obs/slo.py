@@ -70,7 +70,7 @@ class SloTracker:
     def observe(self, kind, latency_ns, shard=None):
         """Record one completion latency (nanoseconds)."""
         target_ns, histogram, violations = self._cell(kind, shard)
-        histogram.observe(latency_ns)
+        histogram.record(latency_ns)
         if latency_ns > target_ns:
             violations.inc()
 
@@ -81,13 +81,14 @@ class SloTracker:
         rows = []
         for (kind, shard), cell in self._cells.items():
             target_ns, histogram, violations = cell
+            snapshot = histogram.snapshot()
             rows.append(
                 {
                     "op": kind,
                     "shard": "-" if shard is None else str(shard),
-                    "count": histogram.histogram.count,
-                    "p99_us": to_usec(histogram.quantile(0.99)),
-                    "p999_us": to_usec(histogram.quantile(0.999)),
+                    "count": snapshot["count"],
+                    "p99_us": snapshot["p99_us"],
+                    "p999_us": snapshot["p999_us"],
                     "target_us": to_usec(target_ns),
                     "violations": violations.read(),
                 }

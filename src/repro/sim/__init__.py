@@ -3,13 +3,8 @@ seeded random streams and measurement primitives."""
 
 from repro.sim.clock import (
     Clock,
-    NS_PER_MS,
     NS_PER_SEC,
     NS_PER_US,
-    msec,
-    sec,
-    to_msec,
-    to_sec,
     to_usec,
     usec,
 )
@@ -26,7 +21,6 @@ from repro.sim.metrics import (
     CpuAccount,
     LatencyRecorder,
     TimeWeightedGauge,
-    throughput_per_sec,
 )
 from repro.sim.rng import RngRegistry
 
@@ -39,7 +33,6 @@ __all__ = [
     "CpuAccount",
     "LatencyRecorder",
     "TimeWeightedGauge",
-    "throughput_per_sec",
     "CPU_CATEGORIES",
     "CPU_REAL_WORK",
     "CPU_SYNC",
@@ -47,12 +40,7 @@ __all__ = [
     "CPU_SCHED",
     "CPU_OTHER",
     "NS_PER_US",
-    "NS_PER_MS",
     "NS_PER_SEC",
     "usec",
-    "msec",
-    "sec",
     "to_usec",
-    "to_msec",
-    "to_sec",
 ]

@@ -11,7 +11,6 @@ microsecond units the paper uses in its figures.
 """
 
 NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
 
@@ -20,29 +19,9 @@ def usec(value):
     return int(round(value * NS_PER_US))
 
 
-def msec(value):
-    """Convert milliseconds to integer nanoseconds."""
-    return int(round(value * NS_PER_MS))
-
-
-def sec(value):
-    """Convert seconds to integer nanoseconds."""
-    return int(round(value * NS_PER_SEC))
-
-
 def to_usec(ns):
     """Convert integer nanoseconds to float microseconds."""
     return ns / NS_PER_US
-
-
-def to_msec(ns):
-    """Convert integer nanoseconds to float milliseconds."""
-    return ns / NS_PER_MS
-
-
-def to_sec(ns):
-    """Convert integer nanoseconds to float seconds."""
-    return ns / NS_PER_SEC
 
 
 class Clock:

@@ -6,9 +6,10 @@ breakdown by activity.  These recorders provide each of those as exact
 accounted quantities in virtual time.
 """
 
+import bisect
 import math
 
-from repro.sim.clock import NS_PER_SEC, to_usec
+from repro.sim.clock import to_usec
 
 # CPU burst categories used for the Fig 9 breakdown.
 CPU_REAL_WORK = "real_work"
@@ -18,6 +19,15 @@ CPU_SCHED = "scheduling"
 CPU_OTHER = "other"
 
 CPU_CATEGORIES = (CPU_REAL_WORK, CPU_SYNC, CPU_NVME, CPU_SCHED, CPU_OTHER)
+
+#: Upper bucket edges (ns) of an exported latency histogram: 1-2-5 per
+#: decade from 1 us to 5 s.  A sample past the last edge counts in the
+#: overflow bucket.
+LATENCY_BOUNDS_NS = tuple(
+    mantissa * 10 ** exponent
+    for exponent in range(3, 10)
+    for mantissa in (1, 2, 5)
+)
 
 
 class Counter:
@@ -173,24 +183,45 @@ class LatencyRecorder:
     def p99_usec(self):
         return self.percentile_usec(99)
 
-    def p999_usec(self):
-        return self.percentile_usec(99.9)
-
-    def max_usec(self):
-        if not self._samples:
-            return 0.0
-        return to_usec(max(self._samples))
-
     def snapshot(self):
-        """Summary dict used by the observability exporters."""
+        """Summary dict (microsecond units) the exporters write.
+
+        Count, mean, min and max are exact.  p50 / p99 / p999 read the
+        sorted sample at index ``int(q * (n - 1))`` and report the
+        upper edge of its :data:`LATENCY_BOUNDS_NS` bucket, clamped to
+        the max (the max itself past the last edge).  ``buckets`` holds
+        each bucket's count, the overflow bucket's edge as ``inf``.
+        """
+        ordered = self._sorted_samples()
+        buckets = []
+        below = 0
+        for bound in LATENCY_BOUNDS_NS:
+            upto = bisect.bisect_right(ordered, bound)
+            buckets.append({"le_us": to_usec(bound), "count": upto - below})
+            below = upto
+        buckets.append({"le_us": "inf", "count": len(ordered) - below})
         return {
-            "count": len(self._samples),
+            "count": len(ordered),
             "mean_us": self.mean_usec(),
-            "p50_us": self.p50_usec(),
-            "p99_us": self.p99_usec(),
-            "p999_us": self.p999_usec(),
-            "max_us": self.max_usec(),
+            "min_us": to_usec(ordered[0]) if ordered else 0.0,
+            "p50_us": to_usec(_bucket_edge(ordered, 0.50)),
+            "p99_us": to_usec(_bucket_edge(ordered, 0.99)),
+            "p999_us": to_usec(_bucket_edge(ordered, 0.999)),
+            "max_us": to_usec(ordered[-1]) if ordered else 0.0,
+            "buckets": buckets,
         }
+
+
+def _bucket_edge(ordered, q):
+    """The upper edge of the bucket holding sample ``int(q * (n - 1))``
+    of ``ordered``, clamped to the max; 0 for no samples."""
+    if not ordered:
+        return 0
+    value = ordered[int(q * (len(ordered) - 1))]
+    index = bisect.bisect_left(LATENCY_BOUNDS_NS, value)
+    if index == len(LATENCY_BOUNDS_NS):
+        return ordered[-1]
+    return min(LATENCY_BOUNDS_NS[index], ordered[-1])
 
 
 class CpuAccount:
@@ -220,10 +251,3 @@ class CpuAccount:
             )
         out.total_ns = self.total_ns + other.total_ns
         return out
-
-
-def throughput_per_sec(count, elapsed_ns):
-    """Operations (or I/Os) per second of virtual time."""
-    if elapsed_ns <= 0:
-        return 0.0
-    return count * NS_PER_SEC / elapsed_ns

@@ -857,6 +857,57 @@ def test_pa521_swallowing_handler_while_latched(tmp_path):
     assert "swallow" in findings[0].message
 
 
+_BLOCKING_SERVE = """
+class IoError(Exception):
+    pass
+
+class BlockingInterpreter:
+    def _serve(self, tls, op, plan, effect):
+        latches = self.latches
+        try:
+            while effect is not None:
+                yield from latches.acquire(tls, op, effect.page_id, effect.mode)
+                try:
+                    effect = plan.send(None)
+                except StopIteration:
+                    break
+        except IoError:
+            plan.close()
+{handler}
+"""
+
+
+def test_pa521_blocking_table_acquire_before_a_swallowing_handler(tmp_path):
+    # the blocking table's acquire(tls, op, page, mode) and
+    # release(tls, op, page) take the page at another position than
+    # LatchTable.request(op, page, mode): an I/O handler that closes the
+    # plan and returns with the latches still held is reported ...
+    findings = graph_findings(
+        tmp_path,
+        {
+            "src/repro/baselines/sync_tree.py": _BLOCKING_SERVE.format(
+                handler="            return None"
+            ),
+        },
+    )
+    assert codes(findings) == ["PA521"]
+    assert "swallow" in findings[0].message
+    # ... and one that releases what the op holds and re-raises is not
+    findings = graph_findings(
+        tmp_path,
+        {
+            "src/repro/baselines/sync_tree.py": _BLOCKING_SERVE.format(
+                handler=(
+                    "            for page_id in sorted(op.held_latches):\n"
+                    "                yield from latches.release(tls, op, page_id)\n"
+                    "            raise"
+                )
+            ),
+        },
+    )
+    assert findings == []
+
+
 def test_pa521_abort_delegation_and_protocol_handlers_are_clean(tmp_path):
     findings = graph_findings(
         tmp_path,

@@ -116,13 +116,17 @@ def test_prometheus_text_shape():
 
 def test_prometheus_histogram_is_cumulative():
     registry = MetricRegistry()
-    hist = registry.histogram("lat_ns", bounds=[1_000, 10_000])
+    hist = registry.histogram("lat_ns")
     for value in (500, 5_000, 50_000):
-        hist.observe(value)
+        hist.record(value)
     lines = prometheus_text(registry).splitlines()
     assert 'lat_ns_bucket{le="1.0"} 1' in lines
+    assert 'lat_ns_bucket{le="2.0"} 1' in lines
     assert 'lat_ns_bucket{le="10.0"} 2' in lines
+    assert 'lat_ns_bucket{le="50.0"} 3' in lines
+    assert 'lat_ns_bucket{le="5000000.0"} 3' in lines
     assert 'lat_ns_bucket{le="+Inf"} 3' in lines
+    assert "lat_ns_sum 55.5" in lines
     assert "lat_ns_count 3" in lines
 
 
@@ -480,12 +484,12 @@ def test_a_finished_trace_session_stops_recording():
         session.execute(operations[:100])
         trace.finish()
         trace.finish()  # idempotent
-        counts = {kind: h.count for kind, h in trace.op_latency.items()}
+        counts = {kind: len(h) for kind, h in trace.op_latency.items()}
         events = len(trace.tracer.events)
         completions = metrics.flight.summary()["by_kind"]["completion"]
         session.execute(operations[100:])
         metrics.finish()
     assert sum(counts.values()) == 100
-    assert {k: h.count for k, h in trace.op_latency.items()} == counts
+    assert {k: len(h) for k, h in trace.op_latency.items()} == counts
     assert len(trace.tracer.events) == events
     assert metrics.flight.summary()["by_kind"]["completion"] > completions

@@ -14,7 +14,6 @@ from repro.bench.runner import WorkloadSpec, run_pa
 from repro.nvme.device import fast_test_profile
 from repro.obs import (
     NULL_TRACER,
-    Histogram,
     TraceSession,
     Tracer,
     chrome_trace_events,
@@ -26,6 +25,7 @@ from repro.obs.tracer import EV_COUNTER, EV_INSTANT
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.hooks import subscribe
+from repro.sim.metrics import LatencyRecorder
 
 
 def _small_spec():
@@ -83,10 +83,10 @@ def test_null_tracer_is_inert():
 
 
 def test_histogram_snapshot_quantiles():
-    histogram = Histogram()
+    recorder = LatencyRecorder()
     for us in (1, 2, 5, 10, 100):
-        histogram.record(us * 1_000)
-    snap = histogram.snapshot()
+        recorder.record(us * 1_000)
+    snap = recorder.snapshot()
     assert snap["count"] == 5
     assert snap["min_us"] == pytest.approx(1.0)
     assert snap["max_us"] == pytest.approx(100.0)
@@ -95,10 +95,10 @@ def test_histogram_snapshot_quantiles():
 
 
 def test_histogram_overflow_bucket():
-    histogram = Histogram([10, 20])
-    histogram.record(5)
-    histogram.record(1_000_000)
-    snap = histogram.snapshot()
+    recorder = LatencyRecorder()
+    recorder.record(5)
+    recorder.record(10_000_000_000)  # past the last bound (5 s)
+    snap = recorder.snapshot()
     overflow = [b for b in snap["buckets"] if b["le_us"] == "inf"]
     assert overflow and overflow[0]["count"] == 1
 

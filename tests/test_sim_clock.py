@@ -4,13 +4,8 @@ import pytest
 
 from repro.sim.clock import (
     Clock,
-    NS_PER_MS,
     NS_PER_SEC,
     NS_PER_US,
-    msec,
-    sec,
-    to_msec,
-    to_sec,
     to_usec,
     usec,
 )
@@ -18,7 +13,6 @@ from repro.sim.clock import (
 
 def test_conversion_constants():
     assert NS_PER_US == 1_000
-    assert NS_PER_MS == 1_000_000
     assert NS_PER_SEC == 1_000_000_000
 
 
@@ -26,13 +20,6 @@ def test_usec_roundtrip():
     assert usec(1) == 1_000
     assert usec(1.5) == 1_500
     assert to_usec(usec(123.25)) == pytest.approx(123.25)
-
-
-def test_msec_and_sec():
-    assert msec(2) == 2_000_000
-    assert sec(1.5) == 1_500_000_000
-    assert to_msec(msec(7)) == 7.0
-    assert to_sec(sec(3)) == 3.0
 
 
 def test_usec_rounds_to_nearest_ns():

@@ -11,7 +11,6 @@ from repro.sim.metrics import (
     CpuAccount,
     LatencyRecorder,
     TimeWeightedGauge,
-    throughput_per_sec,
 )
 
 
@@ -95,7 +94,6 @@ def test_latency_recorder_stats():
         recorder.record(latency_us * 1_000)
     assert recorder.mean_usec() == pytest.approx(5.5)
     assert recorder.p50_usec() == pytest.approx(5.5)
-    assert recorder.max_usec() == pytest.approx(10.0)
     assert recorder.percentile_usec(0) == pytest.approx(1.0)
     assert recorder.percentile_usec(100) == pytest.approx(10.0)
 
@@ -123,7 +121,7 @@ def test_latency_recorder_percentile_does_not_mutate_order():
     assert recorder.samples() == arrivals  # arrival order preserved
     # interleaving record with queries stays correct
     recorder.record(10_000)
-    assert recorder.max_usec() == pytest.approx(10.0)
+    assert recorder.percentile_usec(100) == pytest.approx(10.0)
     assert recorder.samples() == arrivals + [10_000]
 
 
@@ -131,12 +129,24 @@ def test_latency_recorder_p999_and_snapshot():
     recorder = LatencyRecorder()
     for sample_us in range(1, 1001):
         recorder.record(sample_us * 1_000)
-    assert recorder.p999_usec() == pytest.approx(999.001, rel=1e-6)
+    assert recorder.percentile_usec(99.9) == pytest.approx(999.001, rel=1e-6)
     snap = recorder.snapshot()
     assert snap["count"] == 1000
-    assert snap["p50_us"] == pytest.approx(500.5)
-    assert snap["p999_us"] == recorder.p999_usec()
-    assert snap["max_us"] == pytest.approx(1000.0)
+    assert (snap["mean_us"], snap["min_us"], snap["max_us"]) == (
+        500.5, 1.0, 1000.0
+    )
+    # bucket edges, not the exact interpolated percentiles
+    assert recorder.p50_usec() == 500.5 and snap["p50_us"] == 500.0
+    assert snap["p99_us"] == snap["p999_us"] == 1000.0
+    counts = {
+        bucket["le_us"]: bucket["count"]
+        for bucket in snap["buckets"]
+        if bucket["count"]
+    }
+    assert counts == {
+        1.0: 1, 2.0: 1, 5.0: 3, 10.0: 5, 20.0: 10, 50.0: 30,
+        100.0: 50, 200.0: 100, 500.0: 300, 1000.0: 500,
+    }
 
 
 def test_cpu_account_categories():
@@ -160,7 +170,3 @@ def test_cpu_account_merge():
     assert merged.total_ns == 40
     assert a.total_ns == 10  # inputs untouched
 
-
-def test_throughput_helper():
-    assert throughput_per_sec(500, 1_000_000_000) == pytest.approx(500.0)
-    assert throughput_per_sec(500, 0) == 0.0

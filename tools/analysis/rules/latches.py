@@ -17,13 +17,14 @@ Two spellings of latch manipulation exist in the tree:
   to normal generator completion (the engine raises ``TreeError`` when
   an operation completes holding latches, but only at runtime, on the
   path that actually executed — PA520 checks all paths statically).
-* **method spelling** — driver code calls ``latches.request(...)`` /
-  ``latches.release(...)`` directly and tracks holds in persistent
-  state (``op.held_latches``).  Per-function pairing is *not* the
-  invariant there; what must hold is that no except handler swallows
-  an error while a latch may still be held without releasing it or
-  delegating to a cleanup path (``_abort_op`` et al).  PA521 checks
-  exactly that, on both spellings, using the CFG's exception edges.
+* **method spelling** — driver code calls ``latches.request(...)`` (the
+  blocking table's ``acquire(...)``) / ``latches.release(...)``
+  directly and tracks holds in persistent state (``op.held_latches``).
+  Per-function pairing is *not* the invariant there; what must hold is
+  that no except handler swallows an error while a latch may still be
+  held without releasing it or delegating to a cleanup path
+  (``_abort_op`` et al).  PA521 checks exactly that, on both spellings,
+  using the CFG's exception edges.
 
 Release matching is alias-aware (``prev = page_id`` connects the two
 names, so the crabbing idiom ``LatchEff(child); UnlatchEff(prev)``
@@ -208,20 +209,24 @@ class _FunctionFacts:
             self.releases.setdefault(id(stmt), set()).add(WILDCARD)
         elif isinstance(func, ast.Attribute):
             receiver = _receiver_text(func.value)
+            # the page sits just before the mode in an acquire and last
+            # in a release: ``request(op, page, mode)`` /
+            # ``release(op, page)`` and the blocking table's
+            # ``acquire(tls, op, page, mode)`` / ``release(tls, op, page)``
             if name in config.acquire_methods and "latch" in receiver:
                 if len(call.args) >= 2:
                     self.acquires.append(
                         (
                             stmt,
                             call,
-                            ast.dump(call.args[1]),
-                            _plain_name(call.args[1]),
+                            ast.dump(call.args[-2]),
+                            _plain_name(call.args[-2]),
                         )
                     )
             elif name in config.release_methods and "latch" in receiver:
                 if len(call.args) >= 2:
                     self.releases.setdefault(id(stmt), set()).update(
-                        self._release_keys(call.args[1])
+                        self._release_keys(call.args[-1])
                     )
             elif name in config.release_many_methods and "latch" in receiver:
                 self.releases.setdefault(id(stmt), set()).add(WILDCARD)
@@ -440,12 +445,12 @@ class LatchPairingRule(GraphRule):
       ``LatchTable.assert_quiescent`` after a run).  A leaf release
       that names an alias of the wrong page still passes either way.
     * It checks effect acquires (``LatchEff``) and handed-over nodes
-      only.  The method spelling -- ``request`` on a receiver whose name
-      says latch, which in ``src/`` matches ``PaTreeEngine._process``
-      alone -- is collected for PA521 but never paired here; a method
-      acquire that no path releases passes.  The blocking interpreter's
-      ``latches.acquire`` and ``BlockingLatchTable``'s calls into its
-      ``LatchTable`` match neither spelling.
+      only.  The method spelling -- ``request`` / ``acquire`` on a
+      receiver whose name says latch, which in ``src/`` matches
+      ``PaTreeEngine._process`` and ``BlockingInterpreter._serve`` --
+      is collected for PA521 but never paired here; a method acquire
+      that no path releases passes.  ``BlockingLatchTable``'s calls
+      into its ``LatchTable`` match neither spelling.
     """
 
     code = "PA520"
