@@ -115,8 +115,8 @@ class SessionConfig:
         I/O substrate spec (see :mod:`repro.backend`): ``None`` (the
         process default — the simulated NVMe device unless
         ``repro.bench --backend`` overrode it), ``"sim"``, ``"file"``
-        / ``"file:<path>"``, ``"replay:<trace>"``, a dict with a
-        ``"kind"`` key, or a built
+        / ``"file:<path>"``, ``"replay:<trace>"``, a
+        :class:`~repro.backend.BackendSpec`, or a built
         :class:`~repro.backend.IoBackend`.  Unknown names raise
         :class:`~repro.errors.BackendConfigError`.  Sharded sessions
         build one such device per shard from the one spec (a per-shard

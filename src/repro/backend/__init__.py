@@ -26,7 +26,7 @@ Construction goes through :func:`make_backend`; patlint PA502 flags
   :func:`set_default_backend`, e.g. by ``repro.bench --backend``);
 * a string: ``"sim"``, ``"file"``, ``"file:/path/scratch.dat"``,
   ``"replay:/path/trace.jsonl"``;
-* a ``dict`` with a ``"kind"`` key plus keyword overrides;
+* a :class:`BackendSpec` (kind plus constructor keyword overrides);
 * an already-built :class:`IoBackend` (adopted as-is; its engine must
   match; ``ShardedPaTree`` shares it among all its shards).
 
@@ -129,17 +129,9 @@ def normalize_backend_spec(spec):
             "unknown backend %r (expected one of %s)"
             % (kind or spec, ", ".join(BACKEND_KINDS))
         )
-    if isinstance(spec, dict):
-        options = dict(spec)
-        kind = options.pop("kind", None)
-        if kind is None:
-            raise BackendConfigError(
-                "backend dict spec needs a 'kind' key: %r" % (spec,)
-            )
-        return BackendSpec(kind, **options)
     raise BackendConfigError(
-        "backend spec must be None, a string, dict, BackendSpec or "
-        "IoBackend, not %r" % (spec,)
+        "backend spec must be None, a string, BackendSpec or IoBackend, "
+        "not %r" % (spec,)
     )
 
 

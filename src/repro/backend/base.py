@@ -101,10 +101,6 @@ class IoBackend:
 
     # -- driver plane --------------------------------------------------
 
-    @property
-    def retry(self):
-        return self.driver.retry
-
     def submit_many_cpu_ns(self, count):
         return self.driver.submit_many_cpu_ns(count)
 

@@ -92,10 +92,11 @@ class DedicatedIoService:
 
     def _blocking_io(self, tls, opcode, lba, data):
         driver = self.driver
+        profile = driver.device.profile
         cpu = tls.simos.cpu
         escalations = 0
         while True:
-            cpu(driver.submit_cpu_ns, CPU_NVME) or (yield)
+            cpu(profile.submit_cpu_ns, CPU_NVME) or (yield)
             done = []
             driver.io_submit(
                 tls.qpair, opcode, lba, data=data, callback=done.append
@@ -105,7 +106,7 @@ class DedicatedIoService:
                     cpu(self.poll_pause_ns, CPU_OTHER) or (yield)  # busy pause
                 else:
                     yield Sleep(self.poll_pause_ns)
-                cpu(driver.probe_cpu_ns(0), CPU_NVME) or (yield)
+                cpu(profile.probe_cpu_ns, CPU_NVME) or (yield)
                 driver.probe(tls.qpair)
             completion = done[0]
             if completion.ok:
@@ -169,6 +170,8 @@ class SharedIoService:
 
     def _daemon_body(self, simos):
         driver = self.driver
+        submit_cpu_ns = driver.device.profile.submit_cpu_ns
+        probe_cpu_ns = driver.device.profile.probe_cpu_ns
         cpu, sem_wait, sem_post = simos.cpu, simos.sem_wait, simos.sem_post
         outstanding = 0
         while True:
@@ -178,7 +181,7 @@ class SharedIoService:
             sem_post(self._mutex) or (yield)
 
             for request in batch:
-                cpu(driver.submit_cpu_ns, CPU_NVME) or (yield)
+                cpu(submit_cpu_ns, CPU_NVME) or (yield)
                 driver.io_submit(
                     self.qpair,
                     request.opcode,
@@ -188,7 +191,7 @@ class SharedIoService:
                 )
                 outstanding += 1
 
-            cpu(driver.probe_cpu_ns(0), CPU_NVME) or (yield)
+            cpu(probe_cpu_ns, CPU_NVME) or (yield)
             completed = driver.probe(self.qpair)
             for completion in completed:
                 outstanding -= 1

@@ -94,7 +94,6 @@ def _run_palsm(ops, seed):
         store,
         NaiveScheduling(),
         ClosedLoopSource([], window=1),
-        tracer=session.tracer,
     )
     session.attach_device(env.device)
     session.attach_simos(env.os)

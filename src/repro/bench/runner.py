@@ -190,7 +190,6 @@ def run_pa(
         source=source,
         buffer=buffer,
         dedicated_poller=dedicated_poller,
-        tracer=session.tracer if session is not None else None,
     )
     if session is not None:
         session.attach_device(env.device)

@@ -21,9 +21,6 @@ class ReadOnlyBuffer:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self):
-        return len(self._lru)
-
     @property
     def dirty_count(self):
         return 0

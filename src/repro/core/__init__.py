@@ -34,7 +34,7 @@ from repro.core.ops import (
     sync_op,
     update_op,
 )
-from repro.core.source import ClosedLoopSource, ListSource, OpenLoopSource
+from repro.core.source import ClosedLoopSource, OpenLoopSource
 from repro.core.tree import PaTree
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "SYNC",
     "ClosedLoopSource",
     "OpenLoopSource",
-    "ListSource",
     "PERSISTENCE_STRONG",
     "PERSISTENCE_WEAK",
     "POLLER_CONTINUOUS",

@@ -70,11 +70,9 @@ class PaTreeEngine(PolledWorker):
         qpair=None,
         dedicated_poller=POLLER_NONE,
         name="pa-tree",
-        tracer=None,
     ):
         super().__init__(
-            simos, backend, policy, source,
-            qpair=qpair, name=name, tracer=tracer,
+            simos, backend, policy, source, qpair=qpair, name=name
         )
         self.tree = tree
         self.buffer = buffer

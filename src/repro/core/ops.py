@@ -287,10 +287,6 @@ class Operation:
         return self.kind in UPDATE_KINDS
 
     @property
-    def done(self):
-        return self.state == ST_DONE
-
-    @property
     def latency_ns(self):
         if self.done_ns is None or self.admit_ns is None:
             return None

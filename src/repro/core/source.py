@@ -110,10 +110,3 @@ class OpenLoopSource(OperationSource):
 
     def exhausted(self):
         return not self._pending and self.inflight == 0
-
-
-class ListSource(ClosedLoopSource):
-    """Convenience: admit a list with a default window."""
-
-    def __init__(self, operations, window=64):
-        super().__init__(list(operations), window)

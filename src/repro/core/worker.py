@@ -69,7 +69,7 @@ class PolledWorker:
 
     def __init__(
         self, simos, backend, policy, source, qpair=None,
-        name="worker", tracer=None,
+        name="worker",
     ):
         self.simos = simos
         self.engine = simos.engine
@@ -87,7 +87,7 @@ class PolledWorker:
         # observability: tracer records spans when enabled; the
         # on_op_complete observer slot (repro.sim.hooks) sees every
         # completed operation
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = NULL_TRACER
         self.on_op_complete = ()
         self._track = "worker:%s" % name
 

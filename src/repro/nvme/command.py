@@ -105,10 +105,6 @@ class NvmeCommand:
         self.escalations = 0
 
     @property
-    def ok(self):
-        return self.status is IoStatus.SUCCESS
-
-    @property
     def latency_ns(self):
         """Submit-to-completion-visible latency, once completed."""
         if self.visible_ns is None or self.submit_ns is None:
@@ -164,10 +160,6 @@ class Completion:
     @property
     def submit_ns(self):
         return self.command.submit_ns
-
-    @property
-    def latency_ns(self):
-        return self.command.latency_ns
 
     def __repr__(self):
         return "Completion(%s lba=%d %s attempt=%d)" % (

@@ -6,10 +6,10 @@ immediately after appending the command to the submission queue; the
 completion callback fires from ``probe`` on whichever thread probes the
 completion queue — the polled-mode contract.
 
-CPU costs: the driver exposes the per-call CPU cost constants
-(``submit_cpu_ns``, ``probe_cpu_ns(...)``) and callers charge them to
-their simulated thread with a ``SimOS.cpu`` burst, tagged ``CPU_NVME``
-so the Fig 9 breakdown sees driver time separately from index work.
+CPU costs: callers read the per-call costs from the device profile
+(``submit_cpu_ns``, ``probe_cpu_ns``) and charge them to their
+simulated thread with a ``SimOS.cpu`` burst, tagged ``CPU_NVME`` so the
+Fig 9 breakdown sees driver time separately from index work.
 
 Error handling: ``probe`` returns :class:`Completion` records, not bare
 commands.  A :class:`RetryPolicy` (a default bounded one unless the
@@ -84,11 +84,6 @@ class NvmeDriver:
 
     # cost constants -----------------------------------------------------
 
-    @property
-    def submit_cpu_ns(self):
-        """CPU cost of one ``io_submit`` call on the calling thread."""
-        return self.device.profile.submit_cpu_ns
-
     def submit_many_cpu_ns(self, count):
         """CPU cost of one ``io_submit_many`` call carrying ``count``.
 
@@ -100,18 +95,6 @@ class NvmeDriver:
             return 0
         base = self.device.profile.submit_cpu_ns
         return base + (count - 1) * (base // 4)
-
-    def probe_cpu_ns(self, completions):
-        """CPU cost of one ``probe`` returning ``completions`` entries."""
-        profile = self.device.profile
-        return (
-            profile.probe_cpu_ns
-            + completions * profile.probe_cpu_per_completion_ns
-        )
-
-    @property
-    def page_size(self):
-        return self.device.profile.page_size
 
     # observability -------------------------------------------------------
 
@@ -129,17 +112,16 @@ class NvmeDriver:
                  "non-retriable)",
         )
         retry = self.retry
-        if retry is not None:
-            registry.gauge(
-                "driver_retry_budget_count", labels,
-                fn=lambda: retry.max_retries,
-                help="configured per-command retry budget",
-            )
-            registry.gauge(
-                "driver_retry_backoff_ns", labels,
-                fn=lambda: retry.backoff_ns,
-                help="configured base retry backoff",
-            )
+        registry.gauge(
+            "driver_retry_budget_count", labels,
+            fn=lambda: retry.max_retries,
+            help="configured per-command retry budget",
+        )
+        registry.gauge(
+            "driver_retry_backoff_ns", labels,
+            fn=lambda: retry.backoff_ns,
+            help="configured base retry backoff",
+        )
         self.device.register_metrics(registry, labels=labels)
         return registry
 
@@ -210,7 +192,7 @@ class NvmeDriver:
         delivered = []
         for completion in completed:
             if not completion.ok:
-                if self.retry is not None and self.retry.should_retry(completion):
+                if self.retry.should_retry(completion):
                     self._schedule_retry(qpair, completion)
                     continue
                 self.failures_delivered.add()

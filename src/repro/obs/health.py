@@ -27,7 +27,7 @@ from functools import partial
 
 from repro.errors import IoError
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricRegistry, prometheus_text, write_prometheus
+from repro.obs.metrics import MetricRegistry, write_prometheus
 from repro.obs.observer import ObserverSession
 from repro.obs.slo import SloTracker
 from repro.sim.clock import usec
@@ -202,9 +202,6 @@ class MetricsSession(ObserverSession):
                 ],
             }
         return summary
-
-    def prometheus_text(self):
-        return prometheus_text(self.registry)
 
     def write_artifacts(self, prefix):
         """Write ``<prefix>.metrics.jsonl`` and ``<prefix>.prom`` (plus

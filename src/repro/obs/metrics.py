@@ -158,9 +158,6 @@ class HistogramMetric(Metric, LatencyRecorder):
         Metric.__init__(self, name, labels, help)
         LatencyRecorder.__init__(self)
 
-    def read(self):
-        return len(self)
-
 
 class MetricRegistry:
     """Labeled metrics under ``(name, labels)`` identity.
@@ -209,9 +206,6 @@ class MetricRegistry:
 
     def __iter__(self):
         return iter(list(self._metrics.values()))
-
-    def __len__(self):
-        return len(self._metrics)
 
     def collect(self):
         """All metrics, in registration order (a fresh list)."""

@@ -129,7 +129,3 @@ class Tracer:
     def counter(self, track, name, values):
         """Record sampled numeric ``values`` (a dict) at the current time."""
         self._push((EV_COUNTER, track, name, self.clock.now, dict(values)))
-
-    def __len__(self):
-        return len(self.events)
-

@@ -46,11 +46,9 @@ class PolledLsmWorker(PolledWorker):
 
     internal_kinds = _MAINTENANCE_KINDS
 
-    def __init__(self, simos, backend, store, policy, source, tracer=None,
-                 qpair=None):
+    def __init__(self, simos, backend, store, policy, source, qpair=None):
         super().__init__(
-            simos, backend, policy, source,
-            qpair=qpair, name="pa-lsm", tracer=tracer,
+            simos, backend, policy, source, qpair=qpair, name="pa-lsm"
         )
         self.store = store
         self._batch_reads = {}  # op seq -> (lbas, {lba: image})

@@ -1236,25 +1236,6 @@ def test_pep695_syntax_degrades_gracefully(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_repository_graph_self_run_is_clean():
-    """The acceptance invariant: src+tests+benchmarks, every per-file
-    rule and every graph rule."""
-    paths = [
-        os.path.join(REPO_ROOT, name) for name in ("src", "tests", "benchmarks")
-    ]
-    result = analyze(paths)
-    assert result.findings == []
-    assert result.unparsed == []
-    assert result.graph is not None
-    assert "repro.core.engine" in result.graph.modules
-
-
-def test_analyzer_package_self_run_with_graph_is_clean():
-    result = analyze([os.path.join(REPO_ROOT, "tools")])
-    assert result.findings == []
-    assert result.unparsed == []
-
-
 def test_list_rules_includes_graph_catalog(capsys):
     assert patlint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out

@@ -13,6 +13,7 @@ import pytest
 import repro.api
 from repro import (
     AsyncLsmSession,
+    OpSpec,
     PATreeSession,
     SessionConfig,
     ShardedSession,
@@ -146,6 +147,21 @@ class TestLifecycle:
         session.update(5, payload(1))
         session.close()
         assert session.validate()["keys"] == 500
+
+    def test_a_sync_spec_flushes_as_the_sync_verb_does(self):
+        def weak_session():
+            session = PATreeSession(
+                fast(persistence="weak", buffer_pages=256, window=8)
+            )
+            session.bulk_load((k, payload(k)) for k in range(1, 501))
+            return session
+
+        with weak_session() as by_spec, weak_session() as by_verb:
+            by_spec.execute([OpSpec.put(5, payload(1))])
+            (synced,) = by_spec.execute([OpSpec.sync()])
+            by_verb.put(5, payload(1))
+            assert synced.error is None
+            assert synced.value == by_verb.sync() > 0
 
     def test_no_session_code_touches_private_engine_state(self):
         # the facade goes through reset_source(); poking engine

@@ -6,7 +6,7 @@ import pytest
 
 from repro import PATreeSession, ReproError
 from repro.core.ops import search_op
-from repro.core.source import ClosedLoopSource, ListSource, OpenLoopSource
+from repro.core.source import ClosedLoopSource, OpenLoopSource
 from repro.errors import WorkloadError
 from repro.nvme.device import fast_test_profile
 from repro.shard.sharded import _ShardSource
@@ -37,10 +37,6 @@ class TestClosedLoopSource:
     def test_window_validation(self):
         with pytest.raises(WorkloadError):
             ClosedLoopSource([], window=0)
-
-    def test_list_source_alias(self):
-        source = ListSource([search_op(1), search_op(2)], window=1)
-        assert len(source.poll(0)) == 1
 
 
 class TestOpenLoopSource:
@@ -98,8 +94,8 @@ def _routed(ops):
 
 
 @pytest.mark.parametrize("make", [
-    _windowed(ClosedLoopSource), _windowed(ListSource), _scheduled, _routed,
-], ids=["closed_loop", "list", "open_loop", "shard_pull"])
+    _windowed(ClosedLoopSource), _scheduled, _routed,
+], ids=["closed_loop", "open_loop", "shard_pull"])
 def test_polls_stay_empty_up_to_next_event_ns_unless_a_completion_is_reported(
     make,
 ):

@@ -56,15 +56,18 @@ def build(kind, policy=None, faults=None, traced=False):
     common = dict(
         policy=policy or NaiveScheduling(),
         source=ClosedLoopSource([], window=16),
-        tracer=Tracer(engine.clock) if traced else None,
     )
     if kind == "tree":
         tree = PaTree.create(device)
         tree.bulk_load(items)
-        return engine, PaTreeEngine(simos, driver, tree, **common)
-    store = LeveledStore(device, LsmConfig(memtable_entries=100, wal_pages=4_096))
-    store.bulk_load(items)
-    return engine, PolledLsmWorker(simos, driver, store, **common)
+        worker = PaTreeEngine(simos, driver, tree, **common)
+    else:
+        store = LeveledStore(device, LsmConfig(memtable_entries=100, wal_pages=4_096))
+        store.bulk_load(items)
+        worker = PolledLsmWorker(simos, driver, store, **common)
+    if traced:
+        worker.tracer = Tracer(engine.clock)
+    return engine, worker
 
 
 def reads(count=120):
